@@ -1,8 +1,11 @@
-"""Boundary specifications and the simple ghost fills.
+"""Boundary specifications, the periodic ghost fills, and the edge strips
+of the 1-D hydrostatic fills.
 
-The hydrostatic-extrapolation fill (which needs the scheme's equilibrium
-machinery) lives on the spatial operators; `fill_ghosts` dispatches there
-when given a profile context.
+The energy correction of the hydrostatic-extrapolation and solid-wall fills
+needs the scheme's equilibrium machinery and lives on the spatial operators;
+`fill_ghosts` hands every non-periodic fill to the operator passed as its
+`context`.  The density and momentum extrapolation those fills start from is
+here, shared with the discrete equilibrium initializer.
 """
 
 from dataclasses import dataclass
@@ -10,9 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .poly import poly_antiderivative, poly_eval
 
 KINDS_1D = ("periodic", "dirichlet", "hydrostatic-extrapolation", "solid-wall")
 KINDS_2D = KINDS_1D + ("background-deviation-extrapolation",)
+HYDROSTATIC_1D = ("hydrostatic-extrapolation", "solid-wall")
+# sign of (rho, rho*u, E) in the mirrored frame of a right boundary
+MIRROR_SIGN = np.array([1.0, -1.0, 1.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,12 @@ class BoundarySpec1D:
     @property
     def periodic(self):
         return self.left == "periodic"
+
+    @property
+    def hydrostatic_sides(self):
+        """Sides filled by hydrostatic extrapolation (solid walls included)."""
+        return tuple(side for side in ("left", "right")
+                     if getattr(self, side) in HYDROSTATIC_1D)
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,39 @@ def fill_periodic_axis(data, n_ghost, n_cells, axis):
 
     data[at(slice(0, n_ghost))] = data[at(slice(n_cells, n_cells + n_ghost))]
     data[at(slice(n_cells + n_ghost, None))] = data[at(slice(n_ghost, 2 * n_ghost))]
+
+
+def set_edge_ghosts(data, sides, strips, n_ghost):
+    """Write the ghost cells of `strips` (see `extrapolated_strips`) back."""
+    for s, side in enumerate(sides):
+        ghosts = strips[:, s, :n_ghost]
+        if side == "left":
+            data[:, :n_ghost] = ghosts
+        else:
+            data[:, :-n_ghost - 1:-1] = ghosts * MIRROR_SIGN
+
+
+def extrapolated_strips(cweno, data, sides, n_ghost):
+    """Edge strips (3, len(sides), n_ghost + 2r + 1) of the given sides,
+    each seen from its boundary (index 0 is the outermost ghost; the right
+    strip is mirrored, momentum negated), with every ghost average replaced
+    by the extrapolation of the hydrostatic fills.
+
+    The extrapolated polynomial is the reconstruction of cell n_ghost + r,
+    the innermost cell whose stencil holds interior cells only; each ghost
+    gets its exact average, a difference of one antiderivative evaluated at
+    the ghost interfaces.
+    """
+    r, h = cweno.radius, cweno.dx
+    width = n_ghost + 2 * r + 1
+    strips = np.stack([data[:, :width] if side == "left"
+                       else data[:, :-width - 1:-1] * MIRROR_SIGN
+                       for side in sides], axis=1)
+    coeffs = cweno.reconstruct_stencils(strips[..., n_ghost:])
+    edges = (np.arange(n_ghost + 1) - (n_ghost + r + 0.5)) * h
+    anti = poly_eval(poly_antiderivative(coeffs)[..., None, :], edges)
+    strips[..., :n_ghost] = np.diff(anti, axis=-1) / h
+    return strips
 
 
 def fill_ghosts(field, spec, context=None):

@@ -9,7 +9,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boundary import BoundarySpec1D, BoundarySpec2D
+from .boundary import (
+    BoundarySpec1D,
+    BoundarySpec2D,
+    extrapolated_strips,
+    set_edge_ghosts,
+)
 from .eos import IdealGas, IdealGasRadiation
 from .errors import InitializationError
 from .grid import CellField, Grid1D, Grid2D
@@ -382,10 +387,11 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     is propagated to every cell by enforcing pressure continuity of the
     piecewise equilibrium source at interfaces; energies are then the
     quadrature averages of the profile's internal energy.  Ghost cells are
-    included so Dirichlet boundaries are consistent; for the extrapolation
-    and wall boundary kinds the ghost densities are generated by the same
-    extrapolation the boundary fill applies, making the state an exact fixed
-    point of the discretization.
+    included so Dirichlet boundaries are consistent; on every extrapolation
+    or wall side the ghost densities are generated by the same extrapolation
+    the boundary fill applies (`boundary.extrapolated_strips`), making the
+    state an exact fixed point of the discretization whatever the other side
+    is.
     """
     if scenario.dimension != 1 or scenario.background is None:
         raise InitializationError(
@@ -403,18 +409,11 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
                         rho_bg(centers[:, None] + nodes[None, :])) / h
 
     cweno = Cweno1D(scheme.order, h)
-    bc = scenario.boundary
-    if not bc.periodic and "dirichlet" not in (bc.left, bc.right):
+    sides = scenario.boundary.hydrostatic_sides
+    if sides:
         # regenerate ghost densities exactly as the boundary fill will
-        for side in ("left", "right"):
-            sel = slice(None, None, 1) if side == "left" else slice(None, None, -1)
-            view = data[:, sel].copy()
-            c = ng + r
-            coeffs_c = cweno.reconstruct_stencils(view[:, c - r:c + r + 1])
-            from .poly import poly_cell_average
-            for j in range(ng):
-                view[0, j] = poly_cell_average(coeffs_c[0], h, offset=(j - c) * h)
-            data[0, sel] = view[0]
+        set_edge_ghosts(data, sides,
+                        extrapolated_strips(cweno, data, sides, ng), ng)
 
     rec_rho = cweno.coefficients(data[0])
     g_coeffs = GravityInterp1D(scheme.order, h).coefficients(

@@ -2,19 +2,25 @@
 
 import numpy as np
 
-from .boundary import fill_periodic_1d
+from .boundary import extrapolated_strips, fill_periodic_1d, set_edge_ghosts
 from .errors import ConfigurationError
 from .physics import get_flux, wall_boundary_flux
-from .poly import poly_antiderivative, poly_cell_average, poly_eval, poly_mul
+from .poly import poly_antiderivative, poly_eval, poly_mul
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D
 from .wellbalance import (
+    build_profiles,
+    energy_deviations,
+    eps_hat_estimate,
+    hydrostatic_energy_faces,
+    solve_anchor,
+)
+# the benchmark tracer (perfbench/spans.py) patches the anchor solves
+# through these names
+from .wellbalance import (  # noqa: F401
     anchor_pressure_ideal,
     anchor_pressure_newton,
     anchor_pressure_simplified,
-    build_profiles,
-    energy_deviations,
-    hydrostatic_energy_faces,
 )
 
 
@@ -31,16 +37,49 @@ class SpatialOperator1D:
         self.scheme = scheme
         self.eos = eos
         self.boundary = boundary
+        ng = grid.n_ghost
+        self._hydro_sides = boundary.hydrostatic_sides
+        min_cells = max(ng, scheme.order if self._hydro_sides else 0)
+        if grid.n_cells < min_cells:
+            raise ConfigurationError(
+                f"n = {grid.n_cells} cells is too small for the ghost fill: "
+                f"{scheme.label} with {ng} ghost cells and boundaries "
+                f"({boundary.left}, {boundary.right}) needs n >= {min_cells}")
         self.flux_fn = get_flux(scheme.flux)
         self.cweno = Cweno1D(scheme.order, grid.dx, eps_w)
         self.g_centers = np.asarray(gravity(grid.centers()), dtype=float) \
             * np.ones(grid.n_tot)
-        self.g_coeffs = GravityInterp1D(scheme.order, grid.dx).coefficients(
-            self.g_centers)
+        ginterp = GravityInterp1D(scheme.order, grid.dx)
+        self.g_coeffs = ginterp.coefficients(self.g_centers)
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
             scheme.n_quad, grid.dx)
         self._dirichlet_ghosts = None
         self.fallback_cells = 0
+        if self._hydro_sides:
+            self._init_hydrostatic_fill(ginterp)
+
+    def _init_hydrostatic_fill(self, ginterp):
+        """Static tables of the hydrostatic fill, in the edge-strip frame.
+
+        The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
+        innermost cell with a full stencil; LA: first = n_ghost, the boundary
+        cell only).  Ghost j uses piece max(j, r) (DWB) or n_ghost (LA),
+        evaluated at the Gauss nodes of its own cell.
+        """
+        ng, r, h = self.grid.n_ghost, self.scheme.radius, self.grid.dx
+        first = r if self.scheme.piecewise_source else ng
+        tables = {"left": self.g_coeffs,
+                  "right": ginterp.coefficients(-self.g_centers[::-1])}
+        self._g_pieces = np.stack([tables[side][first:ng + 1]
+                                   for side in self._hydro_sides])
+        m = self.scheme.order
+        self._piece_windows = np.arange(first - r, ng - r + 1)[:, None] \
+            + np.arange(m)
+        j = np.arange(ng)
+        piece = np.maximum(j, r) if self.scheme.piecewise_source \
+            else np.full(ng, ng)
+        self._ghost_piece = piece - first
+        self._ghost_nodes = ((j - piece) * h)[:, None] + self.quad_nodes
 
     # -- boundaries --------------------------------------------------------
 
@@ -56,103 +95,91 @@ class SpatialOperator1D:
             fill_periodic_1d(data, ng, n)
             return
         for side in ("left", "right"):
-            kind = getattr(self.boundary, side)
-            if kind == "dirichlet":
-                if self._dirichlet_ghosts is None:
-                    raise ConfigurationError(
-                        "Dirichlet boundaries need set_initial_state() first")
-                frozen = self._dirichlet_ghosts[0 if side == "left" else 1]
-                if side == "left":
-                    data[:, :ng] = frozen
-                else:
-                    data[:, -ng:] = frozen
-            elif kind in ("hydrostatic-extrapolation", "solid-wall"):
-                self._hydrostatic_fill(data, side)
-            else:  # pragma: no cover - spec validation makes this unreachable
-                raise ConfigurationError(f"unsupported 1-D boundary {kind!r}")
+            if getattr(self.boundary, side) != "dirichlet":
+                continue
+            if self._dirichlet_ghosts is None:
+                raise ConfigurationError(
+                    "Dirichlet boundaries need set_initial_state() first")
+            if side == "left":
+                data[:, :ng] = self._dirichlet_ghosts[0]
+            else:
+                data[:, -ng:] = self._dirichlet_ghosts[1]
+        if self._hydro_sides:
+            self._hydrostatic_fill(data)
 
-    def _hydrostatic_fill(self, data, side):
-        """Extrapolate the near-boundary reconstruction into the ghost layer
-        and correct ghost energies with the boundary cell's equilibrium
-        pressure, so that the discrete equilibrium continues through the
-        ghosts."""
-        if side == "left":
-            self._hydrostatic_fill_left(data, self.g_centers)
-            return
-        flipped = data[:, ::-1].copy()
-        flipped[1] *= -1.0
-        self._hydrostatic_fill_left(flipped, -self.g_centers[::-1])
-        flipped[1] *= -1.0
-        data[:] = flipped[:, ::-1]
+    def _hydrostatic_fill(self, data):
+        """Fill the ghosts of every hydrostatic side in one batched pass.
 
-    def _hydrostatic_fill_left(self, data, g_centers):
-        grid, scheme, eos = self.grid, self.scheme, self.eos
-        ng, r, h = grid.n_ghost, scheme.radius, grid.dx
+        Each side is handled as an edge strip seen from its boundary (the
+        right one mirrored, momentum negated).  Density and momentum ghosts
+        are the extrapolated averages of the innermost fully interior
+        reconstruction.  Ghost energies continue the boundary cell's discrete
+        equilibrium: the anchor p0 of boundary cell b = n_ghost is solved as
+        in the interior, and the pressure of piece k is C_k + A_k(x), with
+        A_k the antiderivative of rho_k^rec * g_k^int.  DWB glues pieces
+        continuously at interfaces, C_k = C_{k+1} + A_{k+1}(-h/2) - A_k(h/2),
+        so C_k = p0 + (reverse cumsum of A_{k+1}(-h/2) - A_k(h/2))[k]; piece k
+        serves ghost k for k >= r, and the outer r ghosts, which have no full
+        stencil, evaluate piece r at offsets shifted by whole cells.  LA
+        extends the boundary cell's piece over every ghost.  A ghost energy
+        is the Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec),
+        one EoS call for all of them.
+
+        Only density and momentum are reconstructed on the ghost pieces:
+        ghost energies come from the equilibrium pressure, never from an
+        energy reconstruction, so no piece waits for a corrected neighbour.
+        The '-S' anchor needs the boundary cell's energy reconstruction,
+        which reads extrapolated energies only.  A side whose anchor fails
+        or whose ghost pressure or density is not positive keeps the
+        extrapolated energies and counts its ghosts in `fallback_cells`.
+        """
+        scheme, eos = self.scheme, self.eos
+        ng, r, h = self.grid.n_ghost, scheme.radius, self.grid.dx
+        m = scheme.order
         nodes, weights = self.quad_nodes, self.quad_weights
-        ginterp = GravityInterp1D(scheme.order, h)
+        sides = self._hydro_sides
+        strips = extrapolated_strips(self.cweno, data, sides, ng)
 
-        # extrapolate all components from the innermost cell with a fully
-        # interior stencil; energies are corrected below
-        c = ng + r
-        coeffs_c = self.cweno.reconstruct_stencils(data[:, c - r:c + r + 1])
-        for j in range(ng):
-            data[:, j] = poly_cell_average(coeffs_c, h, offset=(j - c) * h)
-
-        def rec_at(k):
-            return self.cweno.reconstruct_stencils(data[:, k - r:k + r + 1])
-
-        def source_anti(k, rec_k):
-            g_k = ginterp.coefficients(g_centers[k - r:k + r + 1])[r]
-            return poly_antiderivative(poly_mul(rec_k[0], g_k))
-
-        rec_b = rec_at(ng)
-        anti_b = source_anti(ng, rec_b)
-        rho_n = poly_eval(rec_b[0][None, :], nodes)
-        mom_n = poly_eval(rec_b[1][None, :], nodes)
-        eps_hat = data[2, ng] - 0.5 * np.sum(
-            weights * mom_n ** 2 / rho_n) / h
-
+        # one CWENO call: density and momentum of every piece, plus the
+        # boundary cell's energy for the '-S' anchor
+        pieces = strips[:2, :, self._piece_windows]
+        windows = pieces.reshape(-1, m)
+        n_rows = windows.shape[0]
         if scheme.simplified_anchor:
-            p0 = float(anchor_pressure_simplified(rec_b[:, 0], eos))
-        elif eos.name == "ideal":
-            p0 = float(anchor_pressure_ideal(anti_b, h, eps_hat, eos.gamma,
-                                             nodes, weights))
-        else:
-            p0_arr, ok = anchor_pressure_newton(
-                anti_b[None, :], rec_b[0][None, :], h,
-                np.array([eps_hat]), eos, nodes, weights,
-                rho_hat=np.array([data[0, ng]]))
-            p0 = float(p0_arr[0])
+            windows = np.concatenate([windows, strips[2, :, ng - r:ng + r + 1]])
+        coeffs = self.cweno.reconstruct_stencils(windows)
+        rec = coeffs[:n_rows].reshape(pieces.shape)
+        anti = poly_antiderivative(poly_mul(rec[0], self._g_pieces))
 
-        def ghost_energy(rec_k, anti_k, const, offs):
-            rho = poly_eval(rec_k[0][None, :], offs)
-            mom = poly_eval(rec_k[1][None, :], offs)
-            p = const + poly_eval(anti_k[None, :], offs)
-            eps = eos.internal_energy(np.maximum(rho, 1e-300),
-                                      np.maximum(p, 1e-300))
-            return np.sum(weights * (eps + 0.5 * mom ** 2 / rho)) / h
+        rec_b = rec[:, :, -1]
+        eps_hat = eps_hat_estimate(strips[2, :, ng],
+                                   poly_eval(rec_b[..., None, :], nodes),
+                                   weights, h)
+        center = None
+        if scheme.simplified_anchor:
+            center = np.concatenate([rec_b[..., 0],
+                                     coeffs[None, n_rows:, 0]])
+        p0, ok = solve_anchor(scheme, eos, rec_b[0], anti[:, -1],
+                              strips[0, :, ng], eps_hat, h, nodes, weights,
+                              center=center)
+        const = p0[:, None]
+        if scheme.piecewise_source:
+            ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
+            jumps = np.zeros(anti.shape[:2])
+            jumps[:, :-1] = ends[:, 1:, 0] - ends[:, :-1, 1]
+            const = const + np.cumsum(jumps[:, ::-1], axis=1)[:, ::-1]
 
-        if not scheme.piecewise_source:
-            for j in range(ng):
-                data[2, j] = ghost_energy(rec_b, anti_b, p0, (j - ng) * h + nodes)
-            return
-
-        # piecewise glue: continuity of the pressure at interfaces while
-        # walking from the boundary cell into the ghost layer
-        const = p0
-        rec_prev, anti_prev = rec_b, anti_b
-        recs = {}
-        for j in range(ng - 1, r - 1, -1):
-            recs[j] = rec_at(j)
-            anti_j = source_anti(j, recs[j])
-            const = const + poly_eval(anti_prev, -0.5 * h) \
-                - poly_eval(anti_j, 0.5 * h)
-            data[2, j] = ghost_energy(recs[j], anti_j, const, nodes)
-            rec_prev, anti_prev = recs[j], anti_j
-        # outermost cells have no full stencil; continue with the last piece
-        for j in range(r - 1, -1, -1):
-            data[2, j] = ghost_energy(rec_prev, anti_prev, const,
-                                      (j - r) * h + nodes)
+        piece, xi = self._ghost_piece, self._ghost_nodes
+        rho, mom = poly_eval(rec[:, :, piece, None, :], xi)
+        p = const[:, piece, None] + poly_eval(anti[:, piece, None, :], xi)
+        positive = (rho > 0.0) & (p > 0.0)
+        ok &= np.all(positive, axis=(1, 2))
+        rho = np.where(positive, rho, 1.0)
+        eps = eos.internal_energy(rho, np.where(positive, p, 1.0))
+        energy = np.sum(weights * (eps + 0.5 * mom ** 2 / rho), axis=-1) / h
+        strips[2, :, :ng] = np.where(ok[:, None], energy, strips[2, :, :ng])
+        self.fallback_cells += ng * int(np.sum(~ok))
+        set_edge_ghosts(data, sides, strips, ng)
 
     # -- right-hand side ---------------------------------------------------
 

@@ -181,6 +181,30 @@ def anchor_pressure_simplified(rec_center, eos):
     return np.where(good, p0, -1.0)
 
 
+def solve_anchor(scheme, eos, rho_coeffs, anti_coeffs, rho_hat, eps_hat, h,
+                 nodes, weights, center=None):
+    """Anchor pressure p0 of each cell's equilibrium profile.
+
+    The '-S' schemes evaluate the EoS at the reconstructed cell-center state
+    `center` (rho, rho*u, E); the others match the cell-averaged internal
+    energy `eps_hat`, in closed form for the ideal gas and by Newton
+    iteration otherwise.  Returns (p0, ok); ok is False where the solve did
+    not converge, its inputs were non-physical, or p0 <= 0.
+    """
+    if scheme.simplified_anchor:
+        p0 = anchor_pressure_simplified(center, eos)
+        return p0, p0 > 0.0
+    if eos.name == "ideal":
+        p0 = anchor_pressure_ideal(anti_coeffs, h, eps_hat, eos.gamma, nodes,
+                                   weights)
+        return p0, p0 > 0.0
+    safe = (rho_hat > 0.0) & (eps_hat > 0.0)
+    p0, ok = anchor_pressure_newton(
+        anti_coeffs, rho_coeffs, h, np.where(safe, eps_hat, 1.0), eos, nodes,
+        weights, rho_hat=np.where(safe, rho_hat, 1.0))
+    return p0, ok & safe & (p0 > 0.0)
+
+
 def energy_deviations(profile, e_hat, radius, nodes, weights):
     """Cell averages of the equilibrium perturbation in energy.
 
@@ -237,20 +261,9 @@ def build_profiles(grid, scheme, eos, rec_coeffs, g_coeffs, rho_hat, e_hat):
     rho_nodes_pos = rec_nodes[0] > 0.0
     eps_hat = eps_hat_estimate(e_hat, np.where(rho_nodes_pos, rec_nodes, 1.0),
                                weights, grid.dx)
-    if scheme.simplified_anchor:
-        p0 = anchor_pressure_simplified(rec_coeffs[:, :, 0], eos)
-        ok = p0 > 0.0
-    elif eos.name == "ideal":
-        p0 = anchor_pressure_ideal(profile.anti, grid.dx, eps_hat, eos.gamma,
-                                   nodes, weights)
-        ok = p0 > 0.0
-    else:
-        safe = (rho_hat > 0.0) & (eps_hat > 0.0)
-        p0, ok = anchor_pressure_newton(
-            profile.anti, profile.rho_coeffs, grid.dx,
-            np.where(safe, eps_hat, 1.0), eos, nodes, weights,
-            rho_hat=np.where(safe, rho_hat, 1.0))
-        ok = ok & safe & (p0 > 0.0)
+    p0, ok = solve_anchor(scheme, eos, profile.rho_coeffs, profile.anti,
+                          rho_hat, eps_hat, grid.dx, nodes, weights,
+                          center=rec_coeffs[:, :, 0])
     ok &= np.all(rho_nodes_pos, axis=-1)
     profile.p0 = np.where(ok, p0, 1.0)
     return profile, ok, nodes, weights

@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D, fill_ghosts
-from hydrobal.cases import discrete_equilibrium_init, grid_for, isothermal_1d
+from hydrobal.cases import (
+    discrete_equilibrium_init,
+    grid_for,
+    init_cell_averages,
+    isothermal_1d,
+    make_scenario,
+)
 from hydrobal.errors import ConfigurationError
 from hydrobal.grid import CellField, Grid1D
+from hydrobal.poly import poly_antiderivative, poly_cell_average, poly_eval, poly_mul
+from hydrobal.reconstruct import GravityInterp1D
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
+from hydrobal.wellbalance import (
+    anchor_pressure_ideal,
+    anchor_pressure_newton,
+    anchor_pressure_simplified,
+)
+
+EXTRAP, WALL, DIRICHLET = "hydrostatic-extrapolation", "solid-wall", "dirichlet"
 
 
 class TestSpecs:
@@ -19,6 +34,26 @@ class TestSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             BoundarySpec1D("reflecting", "reflecting")
+
+    @pytest.mark.parametrize("kind, order, bc, minimum", [
+        ("dwb", 5, ("periodic", "periodic"), 5),
+        ("la", 3, ("periodic", "periodic"), 2),
+        ("la", 3, (DIRICHLET, DIRICHLET), 2),
+        ("la", 3, (EXTRAP, DIRICHLET), 3),
+        ("la", 5, (DIRICHLET, WALL), 5),
+    ])
+    def test_grid_smaller_than_ghost_fill_rejected(self, kind, order, bc,
+                                                   minimum):
+        # the ghost fills read n_ghost interior cells (periodic copy) and
+        # order interior cells (hydrostatic edge strip)
+        scen = isothermal_1d("10x")
+        scen.boundary = BoundarySpec1D(*bc)
+        scheme = Scheme(kind, order)
+        with pytest.raises(ConfigurationError, match=f"n = {minimum - 1} .*"
+                           f"needs n >= {minimum}"):
+            make_operator(scen, Grid1D(0.0, 1.0, minimum - 1, scheme.n_ghost),
+                          scheme)
+        make_operator(scen, Grid1D(0.0, 1.0, minimum, scheme.n_ghost), scheme)
 
     def test_ghost_sufficiency_checked_at_configuration(self):
         scen = isothermal_1d("10x")
@@ -72,6 +107,131 @@ def test_wellbalanced_boundaries_preserve_equilibrium(kind, order):
     result = run(scen, Scheme("dwb", order), 128, init="discrete", t_end=0.3)
     errors = result.errors_vs_initial()
     assert np.all(errors < 1e-13), errors
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("bc", [(EXTRAP, WALL), (WALL, EXTRAP),
+                                (EXTRAP, DIRICHLET), (DIRICHLET, WALL)])
+@pytest.mark.parametrize("scenario, n", [("isothermal-10x", 128),
+                                         ("polytropic-radiation", 64)])
+def test_mixed_boundaries_preserve_equilibrium(scenario, n, bc, order):
+    # every extrapolation or wall side of the discrete init continues the
+    # equilibrium, whatever the other side is; the radiation EoS takes the
+    # Newton anchor in the ghost fill
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(*bc)
+    result = run(scen, Scheme("dwb", order), n, init="discrete", t_end=0.02)
+    errors = result.errors_vs_initial()
+    assert np.all(errors < 1e-13), errors
+
+
+def _reference_left_fill(op, data, g_centers):
+    """The hydrostatic fill of the left side, one ghost cell at a time."""
+    scheme, eos, cweno = op.scheme, op.eos, op.cweno
+    ng, r, h = op.grid.n_ghost, scheme.radius, op.grid.dx
+    nodes, weights = op.quad_nodes, op.quad_weights
+    ginterp = GravityInterp1D(scheme.order, h)
+    c = ng + r
+    coeffs_c = cweno.reconstruct_stencils(data[:, c - r:c + r + 1])
+    for j in range(ng):
+        data[:, j] = poly_cell_average(coeffs_c, h, offset=(j - c) * h)
+
+    def piece(k):
+        rec = cweno.reconstruct_stencils(data[:, k - r:k + r + 1])
+        g_k = ginterp.coefficients(g_centers[k - r:k + r + 1])[r]
+        return rec, poly_antiderivative(poly_mul(rec[0], g_k))
+
+    def energy(rec, anti, const, offs):
+        rho, mom = poly_eval(rec[:2, None, :], offs)
+        p = const + poly_eval(anti, offs)
+        eps = eos.internal_energy(rho, p)
+        return np.sum(weights * (eps + 0.5 * mom ** 2 / rho)) / h
+
+    rec, anti = piece(ng)
+    rho_n, mom_n = poly_eval(rec[:2, None, :], nodes)
+    eps_hat = data[2, ng] - np.sum(weights * 0.5 * mom_n ** 2 / rho_n) / h
+    if scheme.simplified_anchor:
+        p0 = anchor_pressure_simplified(rec[:, 0], eos)
+    elif eos.name == "ideal":
+        p0 = anchor_pressure_ideal(anti, h, eps_hat, eos.gamma, nodes, weights)
+    else:
+        p0 = anchor_pressure_newton(anti[None], rec[0][None], h,
+                                    np.array([eps_hat]), eos, nodes, weights,
+                                    rho_hat=np.array([data[0, ng]]))[0][0]
+    if not scheme.piecewise_source:
+        for j in range(ng):
+            data[2, j] = energy(rec, anti, p0, (j - ng) * h + nodes)
+        return
+    const = p0
+    for j in range(ng - 1, r - 1, -1):
+        rec_j, anti_j = piece(j)
+        const += poly_eval(anti, -0.5 * h) - poly_eval(anti_j, 0.5 * h)
+        rec, anti = rec_j, anti_j
+        data[2, j] = energy(rec, anti, const, nodes)
+    for j in range(r):
+        data[2, j] = energy(rec, anti, const, (j - r) * h + nodes)
+
+
+@pytest.mark.parametrize("scenario, kind, order", [
+    (name, kind, order) for name in ("isothermal-10x", "polytropic-radiation")
+    for kind in ("dwb", "dwb-s", "la", "la-s") for order in (3, 5)])
+def test_batched_fill_matches_per_cell_fill(scenario, kind, order):
+    # the batched fill of both sides equals a walk over the ghost cells of
+    # each side, the right side seen in its mirrored frame
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(EXTRAP, WALL)
+    scheme = Scheme(kind, order)
+    grid = grid_for(scen, 48, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    rng = np.random.default_rng(order)
+    for comp in (0, 2):
+        data[comp, grid.interior] *= 1.0 + 1e-3 * rng.standard_normal(48)
+    data[1, grid.interior] = 1e-3 * data[0, grid.interior] \
+        * rng.standard_normal(48)
+    op = make_operator(scen, grid, scheme)
+    work = data.copy()
+    op.fill_ghosts(work)
+
+    left = data.copy()
+    _reference_left_fill(op, left, op.g_centers)
+    right = data[:, ::-1] * np.array([[1.0], [-1.0], [1.0]])
+    _reference_left_fill(op, right, -op.g_centers[::-1])
+    expected = np.concatenate([left[:, :grid.interior.stop],
+                               right[:, grid.n_ghost - 1::-1]
+                               * np.array([[1.0], [-1.0], [1.0]])], axis=1)
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert np.max(np.abs(work - expected) / scale) < 1e-13
+    assert op.fallback_cells == 0
+
+
+@pytest.mark.parametrize("scenario", ["isothermal-10x", "polytropic-radiation"])
+def test_failed_ghost_anchor_keeps_extrapolated_energies(scenario):
+    # a boundary cell without internal energy has no positive anchor: that
+    # side keeps the extrapolated energies and counts its ghosts; the other
+    # side is filled as usual
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(EXTRAP, WALL)
+    scheme = Scheme("dwb", 3)
+    grid = grid_for(scen, 32, scheme.n_ghost)
+    ng = grid.n_ghost
+    data = init_cell_averages(scen, grid).data
+    op = make_operator(scen, grid, scheme)
+    reference = data.copy()
+    op.fill_ghosts(reference)
+    assert op.fallback_cells == 0
+
+    data[2, ng] = 0.0
+    work = data.copy()
+    op.fill_ghosts(work)
+    assert op.fallback_cells == ng
+    assert np.all(np.isfinite(work))
+    c, r = ng + scheme.radius, scheme.radius
+    coeffs = op.cweno.reconstruct_stencils(work[2, c - r:c + r + 1])
+    for j in range(ng):
+        assert work[2, j] == pytest.approx(
+            poly_cell_average(coeffs, grid.dx, offset=(j - c) * grid.dx),
+            rel=1e-13)
+    np.testing.assert_array_equal(work[:, -ng:], reference[:, -ng:])
 
 
 def test_hydrostatic_extrapolation_dynamic_consistency():
