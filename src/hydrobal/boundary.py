@@ -1,11 +1,11 @@
 """Boundary specifications, the periodic ghost fills, and the edge strips
 of the 1-D hydrostatic fills.
 
-The energy correction of the hydrostatic-extrapolation and solid-wall fills
-needs the scheme's equilibrium machinery and lives on the spatial operators;
-`fill_ghosts` hands every non-periodic fill to the operator passed as its
-`context`.  The density and momentum extrapolation those fills start from is
-here, shared with the discrete equilibrium initializer.
+The spatial operators fill their own ghosts (`fill_ghosts` methods): the
+energy correction of the hydrostatic-extrapolation and solid-wall fills
+needs the scheme's equilibrium machinery.  The density and momentum
+extrapolation those fills start from is here, shared with the discrete
+equilibrium initializer.
 """
 
 from dataclasses import dataclass
@@ -109,23 +109,3 @@ def extrapolated_strips(cweno, data, sides, n_ghost):
     anti = poly_eval(poly_antiderivative(coeffs)[..., None, :], edges)
     strips[..., :n_ghost] = np.diff(anti, axis=-1) / h
     return strips
-
-
-def fill_ghosts(field, spec, context=None):
-    """Fill the ghost layer of a CellField according to `spec`.
-
-    Dirichlet, hydrostatic-extrapolation, and solid-wall fills need the
-    spatial operator as `context` (it stores the frozen Dirichlet ghosts and
-    the equilibrium machinery).
-    """
-    from .grid import Grid1D
-
-    if isinstance(field.grid, Grid1D):
-        if spec.periodic:
-            fill_periodic_1d(field.data, field.grid.n_ghost, field.grid.n_cells)
-            return field
-    if context is None:
-        raise ConfigurationError(
-            "non-periodic boundary fills need the spatial operator as context")
-    context.fill_ghosts(field.data)
-    return field

@@ -5,7 +5,9 @@ equation exactly; `hydrostatic_residual` samples that as a self-consistency
 gate before any solver test touches the scenario.
 """
 
+import inspect
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -16,11 +18,12 @@ from .boundary import (
     set_edge_ghosts,
 )
 from .eos import IdealGas, IdealGasRadiation
-from .errors import InitializationError
+from .errors import ConfigurationError, InitializationError
 from .grid import CellField, Grid1D, Grid2D
 from .poly import poly_antiderivative, poly_eval, poly_mul
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D
+from .wellbalance import glued_constants
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -319,8 +322,8 @@ def radial_rayleigh_taylor_2d(gamma=1.4, r0=0.2, a=1.0, b=2.0):
 
 
 SCENARIOS = {
-    "isothermal-10x": lambda **kw: isothermal_1d("10x", **kw),
-    "isothermal-sin": lambda **kw: isothermal_1d("sin", **kw),
+    "isothermal-10x": partial(isothermal_1d, "10x"),
+    "isothermal-sin": partial(isothermal_1d, "sin"),
     "isothermal-perturbed": isothermal_perturbed_1d,
     "polytropic-radiation": polytropic_radiation_1d,
     "riemann-on-equilibrium": riemann_on_equilibrium_1d,
@@ -333,7 +336,14 @@ SCENARIOS = {
 def make_scenario(name, **kwargs):
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
-    return SCENARIOS[name](**kwargs)
+    factory = SCENARIOS[name]
+    accepted = inspect.signature(factory).parameters
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"scenario {name!r} has no parameter(s) {unknown}; "
+            f"it takes {sorted(accepted)}")
+    return factory(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -419,35 +429,28 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     g_coeffs = GravityInterp1D(scheme.order, h).coefficients(
         np.asarray(scenario.gravity(centers), dtype=float) * np.ones(n_tot))
     anti = poly_antiderivative(poly_mul(rec_rho, g_coeffs))
-    anti_l = poly_eval(anti, -0.5 * h)
-    anti_r = poly_eval(anti, 0.5 * h)
-
+    ends = poly_eval(anti[r:n_tot - r, None, :], np.array([-0.5 * h, 0.5 * h]))
     anchor = ng if anchor_cell is None else int(anchor_cell)
-    p0 = np.zeros(n_tot)
-    p0[anchor] = p_bg(centers[anchor])
-    for j in range(anchor + 1, n_tot - r):
-        p0[j] = p0[j - 1] + anti_r[j - 1] - anti_l[j]
-    for j in range(anchor - 1, r - 1, -1):
-        p0[j] = p0[j + 1] + anti_l[j + 1] - anti_r[j]
-    if np.any(p0[r:n_tot - r] <= 0.0):
-        raise InitializationError("negative propagated equilibrium pressure")
+    const = glued_constants(ends[:, 0], ends[:, 1], anchor - r,
+                            p_bg(centers[anchor]))
 
-    def cell_energy(k, offsets, const):
-        rho_n = poly_eval(rec_rho[k][None, :], offsets)
-        p_n = const + poly_eval(anti[k][None, :], offsets)
-        if np.any(p_n <= 0.0) or np.any(rho_n <= 0.0):
-            raise InitializationError(
-                f"negative equilibrium state while initializing cell {k}")
-        return np.sum(weights * eos.internal_energy(rho_n, p_n)) / h
-
-    for k in range(r, n_tot - r):
-        data[2, k] = cell_energy(k, nodes, p0[k])
-    for k in range(r):  # outermost ghosts: continue the innermost valid piece
-        data[2, k] = cell_energy(r, (k - r) * h + nodes, p0[r])
-        kk = n_tot - 1 - k
-        data[2, kk] = cell_energy(n_tot - 1 - r,
-                                  (kk - (n_tot - 1 - r)) * h + nodes,
-                                  p0[n_tot - 1 - r])
+    # cell k averages piece k; the outermost r ghosts on each side, which
+    # have no full stencil, continue the innermost piece
+    cells = np.arange(n_tot)
+    piece = np.clip(cells, r, n_tot - 1 - r)
+    offsets = ((cells - piece) * h)[:, None] + nodes
+    rho = poly_eval(rec_rho[piece, None, :], offsets)
+    p = const[piece - r, None] + poly_eval(anti[piece, None, :], offsets)
+    bad = (const[piece - r] <= 0.0) \
+        | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
+    if np.any(bad):
+        n = grid.n_cells
+        raise InitializationError(
+            f"{scenario.name}, {scheme.label}, n = {n}: the discrete "
+            "equilibrium has a non-positive pressure or density in cell "
+            f"{int(np.argmax(bad)) - ng} (interior cells are 0..{n - 1}); "
+            "use a finer grid")
+    data[2] = np.sum(weights * eos.internal_energy(rho, p), axis=-1) / h
     return CellField(grid, data)
 
 

@@ -12,8 +12,8 @@ from .eos import IdealGas, IdealGasRadiation
 from .grid import Grid1D
 from .integrate import RK5, SSPRK43, rk_step
 from .physics import contact_property_check, hllc_flux, roe_flux, rusanov_flux
-from .poly import poly_cell_average, poly_integrate
-from .quadrature import gauss_legendre
+from .poly import poly_cell_average, poly_eval, poly_integrate
+from .quadrature import gauss_legendre, gauss_nodes_weights_centered
 from .reconstruct import Cweno1D
 from .wellbalance import (
     anchor_pressure_ideal,
@@ -104,14 +104,14 @@ def run_checks(seed=0, trials=1000):
     g_coeffs[:, 0] = -2.0
     source = build_source_coeffs(rho_coeffs, g_coeffs)
     profile = EquilibriumProfile1D(grid, eos, rho_coeffs, source, piecewise=False)
-    from .quadrature import gauss_nodes_weights_centered
     nodes, weights = gauss_nodes_weights_centered(2, h)
-    eps_hat = np.exp(-2.0 * centers) / (eos.gamma - 1.0)
-    p_ideal = anchor_pressure_ideal(profile.anti, h, eps_hat, eos.gamma,
-                                    nodes, weights)
-    p_newton, conv = anchor_pressure_newton(
-        profile.anti, profile.rho_coeffs, h, eps_hat, eos, nodes, weights,
-        rho_hat=np.exp(-2.0 * centers))
+    offsets = poly_eval(profile.anti[:, None, :], nodes)
+    rho_nodes = poly_eval(rho_coeffs[:, None, :], nodes)
+    rho_hat = np.exp(-2.0 * centers)
+    eps_hat = rho_hat / (eos.gamma - 1.0)
+    p_ideal = anchor_pressure_ideal(offsets, eps_hat, eos.gamma, weights / h)
+    p_newton, conv = anchor_pressure_newton(offsets, rho_nodes, rho_hat,
+                                            eps_hat, eos, weights / h)
     inner = slice(1, -1)
     ok = np.all(conv[inner]) and np.allclose(p_newton[inner], p_ideal[inner],
                                              rtol=1e-12, atol=1e-12)

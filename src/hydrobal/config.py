@@ -71,6 +71,14 @@ class RunConfig:
         return {k: v for k, v in self.__dict__.items()}
 
 
+def _check_type(name, value, expected):
+    # bool is an int subclass, but true/false is never a valid number here
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigurationError(
+            f"key {name!r} has type {type(value).__name__}, "
+            f"expected {expected}")
+
+
 def validate_config(raw):
     if not isinstance(raw, dict):
         raise ConfigurationError("configuration must be a JSON object")
@@ -80,18 +88,18 @@ def validate_config(raw):
     if "scenario" not in raw:
         raise ConfigurationError("configuration needs a 'scenario' key")
     for key, value in raw.items():
-        if not isinstance(value, _ALLOWED[key]):
-            raise ConfigurationError(
-                f"key {key!r} has type {type(value).__name__}, "
-                f"expected {_ALLOWED[key]}")
+        _check_type(key, value, _ALLOWED[key])
     if "resolutions" in raw:
-        if not all(isinstance(x, int) and x > 0 for x in raw["resolutions"]):
+        if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0
+                   for x in raw["resolutions"]):
             raise ConfigurationError("resolutions must be positive integers")
     if "reference" in raw:
         ref = raw["reference"]
         unknown = set(ref) - set(_REFERENCE_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown reference keys: {sorted(unknown)}")
+        for key, value in ref.items():
+            _check_type(f"reference.{key}", value, _REFERENCE_KEYS[key])
         if ref.get("kind") not in ("initial", "fine"):
             raise ConfigurationError("reference.kind must be 'initial' or 'fine'")
     if "init" in raw and raw["init"] not in ("averages", "discrete"):

@@ -40,9 +40,6 @@ class IdealGas:
     def sound_speed(self, rho, p):
         return np.sqrt(self.gamma * np.asarray(p) / np.asarray(rho))
 
-    def get_params(self):
-        return {"eos": self.name, "gamma": self.gamma}
-
 
 class IdealGasRadiation:
     """Ideal gas plus radiation pressure: p = rho*T + T^4.
@@ -124,14 +121,3 @@ class IdealGasRadiation:
         gm1 = self.gamma - 1.0
         gamma1 = beta + (4.0 - 3.0 * beta) ** 2 * gm1 / (beta + 12.0 * gm1 * (1.0 - beta))
         return np.sqrt(gamma1 * p / rho)
-
-    def get_params(self):
-        return {"eos": self.name, "gamma": self.gamma}
-
-
-def make_eos(name, gamma=1.4):
-    """EoS factory used by the run configuration."""
-    table = {"ideal": IdealGas, "ideal-radiation": IdealGasRadiation}
-    if name not in table:
-        raise ValueError(f"unknown EoS {name!r}; expected one of {sorted(table)}")
-    return table[name](gamma)

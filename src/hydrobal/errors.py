@@ -18,14 +18,6 @@ class EosFailure(HydrobalError):
         self.other = other
 
 
-class EquilibriumConstructionError(HydrobalError):
-    """Local hydrostatic profile could not be built (anchor solve failed)."""
-
-    def __init__(self, message, cells=None):
-        super().__init__(message)
-        self.cells = cells
-
-
 class FluxEvaluationError(HydrobalError):
     """Numerical flux was called with non-physical input states."""
 

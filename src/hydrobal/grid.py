@@ -39,10 +39,6 @@ class Grid1D:
         hi = self.n_cells + (self.n_ghost if include_ghosts else 0)
         return self.x_min + (np.arange(lo, hi) + 0.5) * self.dx
 
-    def interfaces(self):
-        """Interior interface positions x_{i+1/2}, i = 0..n_cells."""
-        return self.x_min + np.arange(self.n_cells + 1) * self.dx
-
     def require_ghosts(self, needed):
         if self.n_ghost < needed:
             raise ConfigurationError(
@@ -127,26 +123,8 @@ class CellField:
                 f"field shape {self.data.shape} does not match grid {expected}"
             )
 
-    @property
-    def n_comp(self):
-        return self.data.shape[0]
-
     def interior(self):
         if isinstance(self.grid, Grid1D):
             return self.data[:, self.grid.interior]
         sx, sy = self.grid.interior
         return self.data[:, sx, sy]
-
-    def copy(self):
-        return CellField(self.grid, self.data.copy())
-
-    def check_physical(self, eos=None):
-        """Positive density and positive internal-energy estimate inside."""
-        q = self.interior()
-        rho = q[0]
-        if not np.all(np.isfinite(q)):
-            return False
-        if np.any(rho <= 0.0):
-            return False
-        kinetic = 0.5 * np.sum(q[1:-1] ** 2, axis=0) / rho
-        return bool(np.all(q[-1] - kinetic > 0.0))

@@ -1,10 +1,11 @@
 """Explicit Runge-Kutta time integration, CFL control, momentum damping."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EosFailure, FluxEvaluationError, StepFailure
+from .physics import physical_state
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,6 @@ RK5 = ButcherTableau(
     (0.0, 0.25, 0.25, 0.5, 0.75, 1.0),
     5,
 )
-
-TABLEAUS = {t.name: t for t in (FORWARD_EULER, SSPRK43, RK5)}
 
 
 def tableau_for_order(order):
@@ -107,23 +106,18 @@ class RunStats:
     steps: int = 0
     time: float = 0.0
     fallback_cells: int = 0
-    max_velocity_history: list = field(default_factory=list)
 
 
-def _check_state(data, interior, momentum_slice, time, step):
+def _check_state(data, interior, time, step):
     q = data[(slice(None),) + interior]
     if not np.all(np.isfinite(q)):
         raise StepFailure("non-finite state", time=time, step=step)
-    rho = q[0]
-    if np.any(rho <= 0.0):
-        raise StepFailure("non-positive density", time=time, step=step)
-    kinetic = 0.5 * np.sum(q[momentum_slice] ** 2, axis=0) / rho
-    if np.any(q[-1] - kinetic <= 0.0):
-        raise StepFailure("non-positive internal energy", time=time, step=step)
+    if not np.all(physical_state(q)[1]):
+        what = "density" if np.any(q[0] <= 0.0) else "internal energy"
+        raise StepFailure(f"non-positive {what}", time=time, step=step)
 
 
-def advance(operator, data, controller, damping=0.0, record_velocity=False,
-            stop_condition=None, tableau=None):
+def advance(operator, data, controller, damping=0.0, stop_condition=None):
     """March the semi-discrete system to controller.t_end.
 
     Returns (data, RunStats).  Momentum damping is applied as an exact
@@ -137,8 +131,7 @@ def advance(operator, data, controller, damping=0.0, record_velocity=False,
     else:
         interior = (grid.interior,)
         momenta = (1,)
-    mom_slice = slice(1, 1 + len(momenta))
-    tableau = tableau or tableau_for_order(operator.scheme.order)
+    tableau = tableau_for_order(operator.scheme.order)
     operator.fallback_cells = 0
     stats = RunStats()
     t = 0.0
@@ -159,12 +152,7 @@ def advance(operator, data, controller, damping=0.0, record_velocity=False,
             damp_momentum(data, damping, 0.5 * dt, momenta)
         t += dt
         stats.steps += 1
-        _check_state(data, interior, mom_slice, t, stats.steps)
-        if record_velocity:
-            q = data[(slice(None),) + interior]
-            vmax = float(np.max(np.sqrt(
-                np.sum(q[mom_slice] ** 2, axis=0)) / q[0]))
-            stats.max_velocity_history.append((t, vmax))
+        _check_state(data, interior, t, stats.steps)
         if stop_condition is not None and stop_condition(t, stats):
             break
     stats.time = t

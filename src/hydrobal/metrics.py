@@ -1,4 +1,4 @@
-"""Error norms, convergence rates, and the total-variation indicator."""
+"""Error norms, convergence rates, and conservative restriction."""
 
 import numpy as np
 
@@ -23,21 +23,6 @@ def l1_error(values, reference, cell_volume):
 def convergence_rate(error_coarse, error_fine):
     """log2(e_N / e_2N) for a resolution doubling."""
     return np.log2(np.asarray(error_coarse) / np.asarray(error_fine))
-
-
-def total_variation(component):
-    """Sum of absolute neighbor differences of 1-D cell averages."""
-    component = np.asarray(component)
-    return float(np.sum(np.abs(np.diff(component))))
-
-
-def tv_indicator(component, reference):
-    """Relative total-variation excess theta = TV/TV_ref - 1.
-
-    Negative values mean less variation than the reference; positive values
-    signal spurious oscillations.
-    """
-    return total_variation(component) / total_variation(reference) - 1.0
 
 
 def restrict_1d(fine, ratio):

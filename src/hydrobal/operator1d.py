@@ -4,7 +4,7 @@ import numpy as np
 
 from .boundary import extrapolated_strips, fill_periodic_1d, set_edge_ghosts
 from .errors import ConfigurationError
-from .physics import get_flux, wall_boundary_flux
+from .physics import get_flux, physical_state, wall_boundary_flux
 from .poly import poly_antiderivative, poly_eval, poly_mul
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D
@@ -12,6 +12,7 @@ from .wellbalance import (
     build_profiles,
     energy_deviations,
     eps_hat_estimate,
+    glued_constants,
     hydrostatic_energy_faces,
     solve_anchor,
 )
@@ -117,10 +118,10 @@ class SpatialOperator1D:
         equilibrium: the anchor p0 of boundary cell b = n_ghost is solved as
         in the interior, and the pressure of piece k is C_k + A_k(x), with
         A_k the antiderivative of rho_k^rec * g_k^int.  DWB glues pieces
-        continuously at interfaces, C_k = C_{k+1} + A_{k+1}(-h/2) - A_k(h/2),
-        so C_k = p0 + (reverse cumsum of A_{k+1}(-h/2) - A_k(h/2))[k]; piece k
-        serves ghost k for k >= r, and the outer r ghosts, which have no full
-        stencil, evaluate piece r at offsets shifted by whole cells.  LA
+        continuously at interfaces (`glued_constants`, summed outward from
+        the boundary cell's C_b = p0); piece k serves ghost k for k >= r,
+        and the outer r ghosts, which have no full stencil, evaluate piece r
+        at offsets shifted by whole cells.  LA
         extends the boundary cell's piece over every ghost.  A ghost energy
         is the Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec),
         one EoS call for all of them.
@@ -152,22 +153,22 @@ class SpatialOperator1D:
         anti = poly_antiderivative(poly_mul(rec[0], self._g_pieces))
 
         rec_b = rec[:, :, -1]
-        eps_hat = eps_hat_estimate(strips[2, :, ng],
-                                   poly_eval(rec_b[..., None, :], nodes),
-                                   weights, h)
+        mean = weights / h
+        rec_nodes = poly_eval(rec_b[..., None, :], nodes)
+        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes, mean)
         center = None
         if scheme.simplified_anchor:
             center = np.concatenate([rec_b[..., 0],
                                      coeffs[None, n_rows:, 0]])
-        p0, ok = solve_anchor(scheme, eos, rec_b[0], anti[:, -1],
-                              strips[0, :, ng], eps_hat, h, nodes, weights,
+        p0, ok = solve_anchor(scheme, eos,
+                              poly_eval(anti[:, -1, None, :], nodes),
+                              rec_nodes[0], strips[0, :, ng], eps_hat, mean,
                               center=center)
         const = p0[:, None]
         if scheme.piecewise_source:
             ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
-            jumps = np.zeros(anti.shape[:2])
-            jumps[:, :-1] = ends[:, 1:, 0] - ends[:, :-1, 1]
-            const = const + np.cumsum(jumps[:, ::-1], axis=1)[:, ::-1]
+            const = glued_constants(ends[..., 0], ends[..., 1],
+                                    anti.shape[1] - 1, p0)
 
         piece, xi = self._ghost_piece, self._ghost_nodes
         rho, mom = poly_eval(rec[:, :, piece, None, :], xi)
@@ -216,10 +217,7 @@ class SpatialOperator1D:
 
         # positivity fallback: cells whose reconstructed face states are
         # non-physical drop to their cell average (first order, never abort)
-        physical = np.ones(data.shape[1], dtype=bool)
-        for face in (face_l, face_r):
-            kinetic = 0.5 * face[1] ** 2 / np.where(face[0] > 0.0, face[0], 1.0)
-            physical &= (face[0] > 0.0) & (face[2] - kinetic > 0.0)
+        physical = physical_state(face_l)[1] & physical_state(face_r)[1]
         if not np.all(physical):
             bad = ~physical
             face_l[:, bad] = data[:, bad]

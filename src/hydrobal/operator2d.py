@@ -17,10 +17,14 @@ import numpy as np
 
 from .boundary import fill_periodic_axis
 from .errors import ConfigurationError
-from .physics import get_flux, wall_boundary_flux
+from .physics import get_flux, physical_state, wall_boundary_flux
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import MONOMIALS_DEG2, Cweno2D, GravityInterp2D
-from .wellbalance import ANCHOR_MAX_ITER, ANCHOR_TOL
+from .wellbalance import (
+    anchor_pressure_ideal,
+    anchor_pressure_newton,
+    anchor_pressure_simplified,
+)
 
 
 def _mono_vander(exps, xi, eta):
@@ -237,9 +241,8 @@ class SpatialOperator2D:
         decomposition (anchor converged, positive pressure and density at all
         evaluation nodes).
         """
-        scheme, eos, grid = self.scheme, self.eos, self.grid
+        scheme, eos = self.scheme, self.eos
         shape = data.shape[1:]
-        n_cells = data[0].size
 
         rec0 = self._flat(rec[0])
         # product-basis coefficients of s_x and s_y: (cells, pairs)
@@ -259,24 +262,21 @@ class SpatialOperator2D:
         eps_hat = data[3].reshape(-1) - kinetic @ self._wq
 
         if scheme.simplified_anchor:
-            rho0 = rec0[:, 0]
-            eps0 = self._flat(rec[3])[:, 0] - 0.5 * (
-                self._flat(rec[1])[:, 0] ** 2
-                + self._flat(rec[2])[:, 0] ** 2) / np.maximum(rho0, 1e-300)
-            good_anchor = (rho0 > 0.0) & (eps0 > 0.0)
-            p0 = eos.pressure(np.where(good_anchor, rho0, 1.0),
-                              np.where(good_anchor, eps0, 1.0))
+            p0 = anchor_pressure_simplified(rec[..., 0].reshape(4, -1), eos)
+            good_anchor = p0 > 0.0
         elif eos.name == "ideal":
             # exact cell average of the line-integral polynomial (the moment
-            # tables are normalized per axis, so this is already a mean)
+            # tables are normalized per axis, so this is already a mean), as
+            # one node of weight one
             mean_line = outer_x @ self._mom_line_x + outer_y @ self._mom_line_y
-            p0 = (eos.gamma - 1.0) * eps_hat - mean_line
-            good_anchor = np.isfinite(p0)
+            p0 = anchor_pressure_ideal(mean_line[:, None], eps_hat, eos.gamma,
+                                       np.ones(1))
+            good_anchor = p0 > 0.0
         else:
             p0, good_anchor = self._newton_anchor(
                 eps_hat, rho_safe, line_all[:, own.start:own.stop],
                 data[0].reshape(-1))
-        good = good_anchor & (p0 > 0.0) & np.all(rho_pos_own, axis=-1)
+        good = good_anchor & np.all(rho_pos_own, axis=-1)
 
         # energy deviations over the 3x3 stencil (ordered like the CWENO window)
         e_hat = data[3]
@@ -310,25 +310,8 @@ class SpatialOperator2D:
         return good.reshape(shape)
 
     def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
-        eos = self.eos
-        safe = (rho_hat > 0.0) & (eps_hat > 0.0)
-        p = eos.pressure(np.where(safe, rho_hat, 1.0),
-                         np.where(safe, eps_hat, 1.0))
-        converged = np.zeros(p.shape, dtype=bool)
-        target = np.where(safe, eps_hat, 1.0)
-        for _ in range(ANCHOR_MAX_ITER):
-            p_nodes = p[..., None] + line_nodes
-            ok_nodes = np.all(p_nodes > 0.0, axis=-1) & (p > 0.0)
-            p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
-            f = target - eos.internal_energy(rho_nodes, p_nodes) @ self._wq
-            fp = -(eos.deps_dp(rho_nodes, p_nodes) @ self._wq)
-            step = f / fp
-            converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL + 1e-15 * np.abs(p))
-            p_next = np.where(converged, p, p - step)
-            p = np.where(p_next <= 0.0, 0.5 * p, p_next)
-            if np.all(converged):
-                break
-        return p, converged & safe
+        return anchor_pressure_newton(line_nodes, rho_nodes, rho_hat, eps_hat,
+                                      self.eos, self._wq)
 
     # -- sources --------------------------------------------------------------
 
@@ -393,10 +376,7 @@ class SpatialOperator2D:
         # non-physical drop to their cell average (first order, never abort)
         physical = np.ones(data.shape[1:], dtype=bool)
         for key in ("xl", "xr", "yl", "yr"):
-            f = faces[key]
-            rho_safe = np.where(f[0] > 0.0, f[0], 1.0)
-            kinetic = 0.5 * (f[1] ** 2 + f[2] ** 2) / rho_safe
-            physical &= np.all((f[0] > 0.0) & (f[3] - kinetic > 0.0), axis=-1)
+            physical &= np.all(physical_state(faces[key])[1], axis=-1)
         if not np.all(physical):
             bad = ~physical
             for key in ("xl", "xr", "yl", "yr"):

@@ -1,4 +1,4 @@
-"""Numerical fluxes, wall fluxes, and gravitational source averages.
+"""Numerical fluxes, wall fluxes, and the physical-state predicate.
 
 Flux functions act on conserved states stacked on the leading axis with the
 NORMAL momentum as component 1; 2-D callers permute components for
@@ -10,7 +10,19 @@ the Rusanov control - satisfy the contact property: a stationary contact
 import numpy as np
 
 from .errors import FluxEvaluationError
-from .poly import poly_cell_average, poly_mul
+
+
+def physical_state(q):
+    """Internal energy and the physical-state predicate of conserved states.
+
+    `q` stacks (rho, momenta..., E) on axis 0, with any number of momentum
+    components.  Returns (eps, ok): eps = E - |m|^2 / (2 rho), evaluated
+    with rho = 1 where rho <= 0, and ok = rho > 0 and eps > 0 pointwise.
+    """
+    positive = q[0] > 0.0
+    rho = np.where(positive, q[0], 1.0)
+    eps = q[-1] - 0.5 * np.sum(q[1:-1] ** 2, axis=0) / rho
+    return eps, positive & (eps > 0.0)
 
 
 def _momentum_order(n_comp, normal):
@@ -228,49 +240,3 @@ def contact_property_check(flux_fn, eos, trials=1000, seed=0, tol=1e-13):
         "passed": int(np.sum(dev <= tol)),
         "ok": bool(np.all(dev <= tol)),
     }
-
-
-# ---------------------------------------------------------------------------
-# Gravitational source-term cell averages (exact polynomial integration)
-# ---------------------------------------------------------------------------
-
-def source_average_1d(rho_coeffs, rhou_coeffs, g_coeffs, dx):
-    """Cell-averaged (mass, momentum, energy) source.
-
-    Momentum: mean of rho_rec * g_int over the cell.  Energy: the density in
-    (rho*u)/rho * rho*g cancels, leaving the exact polynomial integral of
-    (rho*u)_rec * g_int.  Mass source is zero.
-    """
-    rho_coeffs = np.asarray(rho_coeffs)
-    mom = poly_cell_average(poly_mul(rho_coeffs, g_coeffs), dx)
-    energy = poly_cell_average(poly_mul(rhou_coeffs, g_coeffs), dx)
-    out = np.zeros((3,) + mom.shape)
-    out[1] = mom
-    out[2] = energy
-    return out
-
-
-def source_average_2d(rho_c, rhou_c, rhov_c, gx_c, gy_c, exps, hx, hy,
-                      exps_g=None):
-    """Cell-averaged (mass, x-mom, y-mom, energy) source in 2-D.
-
-    All integrands are polynomial products, integrated exactly by monomial
-    moments.  `exps` indexes the reconstruction coefficients, `exps_g` the
-    gravity interpolants (defaults to `exps`).
-    """
-    from .poly import poly2_cell_average, poly2_mul
-
-    exps_g = exps if exps_g is None else exps_g
-    sx, e_sx = poly2_mul(rho_c, exps, gx_c, exps_g)
-    sy, e_sy = poly2_mul(rho_c, exps, gy_c, exps_g)
-    ex_e, e_ex = poly2_mul(rhou_c, exps, gx_c, exps_g)
-    ey_e, e_ey = poly2_mul(rhov_c, exps, gy_c, exps_g)
-    mom_x = poly2_cell_average(sx, e_sx, hx, hy)
-    mom_y = poly2_cell_average(sy, e_sy, hx, hy)
-    energy = poly2_cell_average(ex_e, e_ex, hx, hy) \
-        + poly2_cell_average(ey_e, e_ey, hx, hy)
-    out = np.zeros((4,) + mom_x.shape)
-    out[1] = mom_x
-    out[2] = mom_y
-    out[3] = energy
-    return out

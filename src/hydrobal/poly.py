@@ -4,17 +4,11 @@ Polynomials are stored as coefficient arrays over powers of (x - x0), where
 x0 is the anchor (normally a cell center).  Keeping the anchor local keeps
 coefficients well scaled at small cell widths.  All helpers operate on the
 trailing axis so batches of per-cell polynomials vectorize naturally.
-
-2-D polynomials use an explicit monomial exponent table over
-(x - x0)^a (y - y0)^b.
+The 2-D operator keeps its own monomial tables (`operator2d`).
 """
 
 import numpy as np
 
-
-# ---------------------------------------------------------------------------
-# 1-D helpers (coefficients c[..., k] for (x - x0)^k)
-# ---------------------------------------------------------------------------
 
 def poly_eval(coeffs, xi):
     """Evaluate at offsets xi from the anchor (Horner on the trailing axis)."""
@@ -61,157 +55,3 @@ def poly_cell_average(coeffs, width, offset=0.0):
     lo = offset - 0.5 * width
     hi = offset + 0.5 * width
     return poly_integrate(coeffs, lo, hi) / width
-
-
-def poly_derivative(coeffs):
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-1] == 1:
-        return np.zeros_like(coeffs)
-    k = np.arange(1, coeffs.shape[-1], dtype=float)
-    return coeffs[..., 1:] * k
-
-
-class LocalPolynomial:
-    """Polynomial anchored at a point, in powers of (x - anchor).
-
-    `anchor` and the leading axes of `coeffs` may be batched (one polynomial
-    per cell); evaluation takes absolute coordinates.
-    """
-
-    def __init__(self, anchor, coeffs):
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[-1] - 1
-
-    def __call__(self, x):
-        return poly_eval(self.coeffs, np.asarray(x) - self.anchor)
-
-    def integrate(self, a, b):
-        """Exact integral over [a, b] in absolute coordinates."""
-        return poly_integrate(self.coeffs, np.asarray(a) - self.anchor,
-                              np.asarray(b) - self.anchor)
-
-    def cell_average(self, a, b):
-        return self.integrate(a, b) / (np.asarray(b) - np.asarray(a))
-
-
-# ---------------------------------------------------------------------------
-# 2-D monomial tables and helpers
-# ---------------------------------------------------------------------------
-
-def monomials_total_degree(degree):
-    """Exponent pairs (a, b) with a + b <= degree, ordered by total degree."""
-    return [(a, d - a) for d in range(degree + 1) for a in range(d, -1, -1)]
-
-
-def _axis_moment(a, width):
-    # (1/width) * integral of t^a over [-width/2, width/2]
-    if a % 2 == 1:
-        return 0.0
-    return (0.5 * width) ** a / (a + 1.0)
-
-
-def poly2_eval(coeffs, exps, xi, eta):
-    """Evaluate a 2-D polynomial at offsets (xi, eta) from its anchor."""
-    coeffs = np.asarray(coeffs)
-    xi = np.asarray(xi)
-    eta = np.asarray(eta)
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], xi.shape, eta.shape))
-    for m, (a, b) in enumerate(exps):
-        out = out + coeffs[..., m] * xi ** a * eta ** b
-    return out
-
-
-def poly2_mul(c1, e1, c2, e2):
-    """Product polynomial; returns (coeffs, exps) on the merged exponent set."""
-    prods = {}
-    for i, (a1, b1) in enumerate(e1):
-        for j, (a2, b2) in enumerate(e2):
-            prods.setdefault((a1 + a2, b1 + b2), []).append((i, j))
-    exps = sorted(prods, key=lambda ab: (ab[0] + ab[1], -ab[0]))
-    c1 = np.asarray(c1)
-    c2 = np.asarray(c2)
-    out = np.zeros(np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1]) + (len(exps),))
-    for m, ab in enumerate(exps):
-        for i, j in prods[ab]:
-            out[..., m] += c1[..., i] * c2[..., j]
-    return out, exps
-
-
-def poly2_cell_average(coeffs, exps, hx, hy, offset=(0.0, 0.0)):
-    """Exact mean over a rectangle of size hx*hy centered at `offset`.
-
-    Uses closed-form monomial moments (tensor-product antiderivatives), so the
-    result is exact for any cell, including neighbors of the anchor cell.
-    """
-    ox, oy = offset
-    coeffs = np.asarray(coeffs)
-    out = np.zeros(coeffs.shape[:-1])
-    for m, (a, b) in enumerate(exps):
-        mx = _shifted_axis_moment(a, hx, ox)
-        my = _shifted_axis_moment(b, hy, oy)
-        out = out + coeffs[..., m] * (mx * my)
-    return out
-
-
-def _shifted_axis_moment(a, width, offset):
-    # (1/width) * integral of t^a over [offset - width/2, offset + width/2]
-    if offset == 0.0:
-        return _axis_moment(a, width)
-    hi = offset + 0.5 * width
-    lo = offset - 0.5 * width
-    return (hi ** (a + 1) - lo ** (a + 1)) / ((a + 1.0) * width)
-
-
-def poly2_line_integral_coeffs(cx, ex, cy, ey):
-    """Path integral of the field (s_x, s_y) from the anchor, as a polynomial.
-
-    For polynomial components the integral int_0^1 s(x0 + t*d) . d dt along the
-    straight segment to x0 + d is itself a polynomial in the displacement d;
-    this returns its coefficients.  A monomial c*xi^a*eta^b of s_x contributes
-    c * dx^(a+1) dy^b / (a+b+1), and of s_y contributes c * dx^a dy^(b+1) / (a+b+1).
-    """
-    terms = {}
-    cx = np.asarray(cx)
-    cy = np.asarray(cy)
-    for m, (a, b) in enumerate(ex):
-        terms.setdefault((a + 1, b), []).append((cx, m, 1.0 / (a + b + 1)))
-    for m, (a, b) in enumerate(ey):
-        terms.setdefault((a, b + 1), []).append((cy, m, 1.0 / (a + b + 1)))
-    exps = sorted(terms, key=lambda ab: (ab[0] + ab[1], -ab[0]))
-    out = np.zeros(np.broadcast_shapes(cx.shape[:-1], cy.shape[:-1]) + (len(exps),))
-    for m, ab in enumerate(exps):
-        for src, idx, fac in terms[ab]:
-            out[..., m] += fac * src[..., idx]
-    return out, exps
-
-
-def poly_line_integral_2d(s_x, s_y, start, end):
-    """Exact straight-segment integral of (s_x, s_y) . dl from `start` to `end`.
-
-    Both components must be LocalPolynomial2D anchored at `start`.
-    """
-    coeffs, exps = poly2_line_integral_coeffs(s_x.coeffs, s_x.exps,
-                                              s_y.coeffs, s_y.exps)
-    d = np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
-    return poly2_eval(coeffs, exps, d[..., 0], d[..., 1])
-
-
-class LocalPolynomial2D:
-    """2-D polynomial anchored at a point, over monomials (x-x0)^a (y-y0)^b."""
-
-    def __init__(self, anchor, coeffs, exps):
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.exps = list(exps)
-
-    def __call__(self, x, y):
-        return poly2_eval(self.coeffs, self.exps,
-                          np.asarray(x) - self.anchor[..., 0],
-                          np.asarray(y) - self.anchor[..., 1])
-
-    def cell_average(self, hx, hy, offset=(0.0, 0.0)):
-        return poly2_cell_average(self.coeffs, self.exps, hx, hy, offset)

@@ -16,7 +16,6 @@ from math import factorial
 import numpy as np
 
 from .errors import ConfigurationError
-from .poly import LocalPolynomial, LocalPolynomial2D, monomials_total_degree
 
 HALF = Fraction(1, 2)
 
@@ -198,25 +197,12 @@ class GravityInterp1D:
         return out
 
 
-def cweno_reconstruct_1d(scheme, cell_averages, anchor=0.0):
-    """One-cell convenience wrapper returning a LocalPolynomial."""
-    coeffs = scheme.reconstruct_stencils(np.asarray(cell_averages, dtype=float))
-    return LocalPolynomial(anchor, coeffs)
-
-
-def interpolate_gravity_1d(values, dx, anchor=0.0):
-    """Interpolate len(values) cell-centered samples around the middle cell."""
-    order = len(values)
-    interp = GravityInterp1D(order, dx)
-    scaled = interp._matrix @ np.asarray(values, dtype=float)
-    return LocalPolynomial(anchor, scaled / interp._dx_pow)
-
-
 # ---------------------------------------------------------------------------
 # 2-D third-order CWENO on the 3x3 stencil
 # ---------------------------------------------------------------------------
 
-MONOMIALS_DEG2 = monomials_total_degree(2)  # [(0,0),(1,0),(0,1),(2,0),(1,1),(0,2)]
+# exponents (a, b) of x^a y^b with a + b <= 2, ordered by total degree
+MONOMIALS_DEG2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def _optimal_matrix_2d():
@@ -394,20 +380,3 @@ class GravityInterp2D:
             scaled[..., 0] += center
             out[..., 1:nx - 1, 1:ny - 1, :] = scaled / self._scale
         return out
-
-
-def cweno_reconstruct_2d(scheme, window, anchor=(0.0, 0.0)):
-    """One-cell convenience wrapper returning a LocalPolynomial2D."""
-    coeffs = scheme.reconstruct_stencils(np.asarray(window, dtype=float))
-    return LocalPolynomial2D(anchor, coeffs, MONOMIALS_DEG2)
-
-
-def interpolate_gravity_2d(gx_window, gy_window, dx, dy, anchor=(0.0, 0.0)):
-    """Interpolate both acceleration components from 3x3 point values."""
-    interp = GravityInterp2D(dx, dy)
-
-    def fit(win):
-        scaled = interp._matrix @ np.asarray(win, dtype=float).reshape(9)
-        return LocalPolynomial2D(anchor, scaled / interp._scale, interp.exps)
-
-    return fit(gx_window), fit(gy_window)

@@ -3,11 +3,10 @@
 import time
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .cases import discrete_equilibrium_init, grid_for, init_cell_averages
+from .errors import ConfigurationError
 from .grid import CellField, Grid1D
-from .integrate import StepController, advance, tableau_for_order
+from .integrate import StepController, advance
 from .metrics import l1_error, restrict_1d, restrict_2d
 from .operator1d import SpatialOperator1D
 from .operator2d import SpatialOperator2D
@@ -35,13 +34,21 @@ class RunResult:
                         self.cell_volume)
 
     def errors_vs(self, reference):
-        """L1 errors against another run's final field (block-restricted)."""
+        """L1 errors against another run's final field (block-restricted).
+
+        The reference must have the run's resolution or an integer multiple
+        of it.
+        """
         ref = reference.final.interior()
         mine = self.final.interior()
-        if ref.shape != mine.shape:
-            ratio = ref.shape[-1] // mine.shape[-1]
+        n_ref, n = ref.shape[-1], mine.shape[-1]
+        if n_ref % n:
+            raise ConfigurationError(
+                f"reference resolution n = {n_ref} is not an integer multiple "
+                f"of the run's n = {n}")
+        if n_ref != n:
             restrict = restrict_1d if isinstance(self.grid, Grid1D) else restrict_2d
-            ref = restrict(ref, ratio)
+            ref = restrict(ref, n_ref // n)
         return l1_error(mine, ref, self.cell_volume)
 
 
@@ -57,8 +64,7 @@ def make_operator(scenario, grid, scheme, eps_w=None):
 
 
 def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
-        anchor_cell=None, damping=None, record_velocity=False,
-        stop_condition=None, eps_w=None, init_quad_order=5):
+        damping=None, stop_condition=None, eps_w=None):
     """Run one scenario with one scheme at resolution n.
 
     init: 'averages' (quadrature of the initial closure) or 'discrete'
@@ -68,10 +74,9 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     scheme.validate_dimension(scenario.dimension)
     grid = grid_for(scenario, n, scheme.n_ghost)
     if init == "discrete":
-        field = discrete_equilibrium_init(scenario, grid, scheme,
-                                          anchor_cell=anchor_cell)
+        field = discrete_equilibrium_init(scenario, grid, scheme)
     else:
-        field = init_cell_averages(scenario, grid, quad_order=init_quad_order)
+        field = init_cell_averages(scenario, grid)
     operator = make_operator(scenario, grid, scheme, eps_w)
     operator.set_initial_state(field.data)
     controller = StepController(
@@ -79,9 +84,7 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     delta = scenario.params.get("damping", 0.0) if damping is None else damping
     start = time.perf_counter()
     data, stats = advance(operator, field.data.copy(), controller,
-                          damping=delta, record_velocity=record_velocity,
-                          stop_condition=stop_condition,
-                          tableau=tableau_for_order(scheme.order))
+                          damping=delta, stop_condition=stop_condition)
     elapsed = time.perf_counter() - start
     return RunResult(
         scenario=scenario,

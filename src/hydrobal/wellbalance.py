@@ -1,5 +1,7 @@
 """Local hydrostatic equilibrium profiles and equilibrium-preserving
-reconstruction (1-D).
+reconstruction (1-D), and the anchor solvers and pressure glue shared with
+the 1-D ghost fill, the discrete equilibrium initializer and the 2-D
+operator.
 
 Step 1 builds, for every cell, a local equilibrium: the density is the
 standard reconstruction polynomial; the pressure is the anchor value p0 plus
@@ -15,11 +17,17 @@ deviations are run through CWENO, and the profile is added back.  Density and
 momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
 for the reconstruction polynomials.
+
+The anchor solvers take node values: the pressure offset p - p0 (the
+integrated source) and the density at a cell's quadrature nodes, plus the
+weights that turn node values into the cell mean (Gauss weights divided by
+the cell size).  A caller with an exact mean of the offset may pass it as a
+single node of weight one.
 """
 
 import numpy as np
 
-from .errors import EquilibriumConstructionError
+from .physics import physical_state
 from .poly import poly_antiderivative, poly_eval, poly_mul
 from .quadrature import gauss_nodes_weights_centered
 
@@ -32,6 +40,23 @@ def build_source_coeffs(rho_coeffs, g_coeffs):
     return poly_mul(rho_coeffs, g_coeffs)
 
 
+def glued_constants(anti_left, anti_right, ref, p_ref):
+    """Constants C_k of the continuous piecewise pressure C_k + A_k(x - x_k).
+
+    Pieces run along the last axis; `anti_left`/`anti_right` are the
+    antiderivative values A_k(-h/2) and A_k(h/2).  C_ref = p_ref and
+    C_{k+1} = C_k + A_k(h/2) - A_{k+1}(-h/2), summed outward from `ref`.
+    """
+    step = anti_right[..., :-1] - anti_left[..., 1:]
+    p_ref = np.asarray(p_ref, dtype=float)[..., None]
+    out = np.empty(anti_left.shape)
+    out[..., ref:ref + 1] = p_ref
+    out[..., ref + 1:] = p_ref + np.cumsum(step[..., ref:], axis=-1)
+    out[..., :ref] = p_ref - np.cumsum(step[..., :ref][..., ::-1],
+                                       axis=-1)[..., ::-1]
+    return out
+
+
 class EquilibriumProfile1D:
     """Batched per-cell hydrostatic profiles over a ghosted 1-D grid.
 
@@ -40,7 +65,6 @@ class EquilibriumProfile1D:
     """
 
     def __init__(self, grid, eos, rho_coeffs, source_coeffs, piecewise):
-        self.grid = grid
         self.eos = eos
         self.piecewise = piecewise
         self.rho_coeffs = np.asarray(rho_coeffs)
@@ -51,7 +75,9 @@ class EquilibriumProfile1D:
         self.anti_left = poly_eval(self.anti, -0.5 * h)
         self.anti_right = poly_eval(self.anti, 0.5 * h)
         self.cell_integral = self.anti_right - self.anti_left
-        self._cum = np.cumsum(self.cell_integral)
+        if piecewise:
+            self._glued = glued_constants(self.anti_left, self.anti_right, 0,
+                                          0.0)
         self.p0 = np.zeros(self.rho_coeffs.shape[0])
 
     def _roll(self, arr, d):
@@ -61,11 +87,7 @@ class EquilibriumProfile1D:
         """C with p_i^eq(x) = C + A_{i+d}(x - x_{i+d}) on cell i+d (piecewise)."""
         if d == 0:
             return self.p0
-        if d > 0:
-            running = self._roll(self._cum, d - 1) - self._cum
-            return self.p0 + self.anti_right - self._roll(self.anti_left, d) + running
-        running = np.roll(self._cum, 1) - self._roll(self._cum, d)
-        return self.p0 + self.anti_left - self._roll(self.anti_right, d) - running
+        return self.p0 + (self._roll(self._glued, d) - self._glued)
 
     def pressure_at(self, d, xi):
         """p_i^eq in cell i+d at offsets xi from that cell's center.
@@ -97,112 +119,83 @@ class EquilibriumProfile1D:
             return poly_eval(coeffs[:, None, :], xi)
         return poly_eval(coeffs, xi)
 
-    def pressure(self, i, x):
-        """Point value p_i^eq(x) for one profile cell (API convenience).
 
-        p_i^eq(x_i) = p0[i]; the piecewise variant glues per-cell
-        antiderivatives continuously at interfaces.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        centers = self.grid.centers()
-        if not self.piecewise:
-            out = self.p0[i] + poly_eval(self.anti[i], x - centers[i])
-        else:
-            edge = self.grid.x_min - self.grid.n_ghost * self.h
-            j = np.clip(np.floor((x - edge) / self.h).astype(int),
-                        0, len(centers) - 1)
-            out = np.empty_like(x)
-            for dv in np.unique(j - i):
-                m = (j - i) == dv
-                out[m] = self.offset_constant(int(dv))[i] \
-                    + poly_eval(self.anti[i + dv], x[m] - centers[i + dv])
-        return out[0] if out.shape == (1,) else out
-
-
-def eps_hat_estimate(e_hat, rec_nodes, weights, dx):
+def eps_hat_estimate(e_hat, rec_nodes, weights):
     """Cell-averaged internal energy from conserved averages.
 
-    Subtracts the quadrature of the reconstructed kinetic energy
-    ((rho u)^rec)^2 / rho^rec; the integrand is rational, so the same Gauss
-    rule as the energy matching is used rather than exact integration.
+    Subtracts the mean of the reconstructed kinetic energy
+    ((rho u)^rec)^2 / rho^rec over the node values `rec_nodes`; the integrand
+    is rational, so the same Gauss rule as the energy matching is used rather
+    than exact integration.
     """
     kinetic = 0.5 * rec_nodes[1] ** 2 / rec_nodes[0]
-    return e_hat - np.einsum("a,...a->...", weights, kinetic) / dx
+    return e_hat - kinetic @ weights
 
 
-def anchor_pressure_ideal(anti_coeffs, h, eps_hat, gamma, nodes, weights):
-    """Closed-form anchor for the ideal gas law."""
-    anti_nodes = poly_eval(anti_coeffs[..., None, :], nodes)
-    mean_anti = np.einsum("a,...a->...", weights, anti_nodes) / h
-    return (gamma - 1.0) * eps_hat - mean_anti
+def anchor_pressure_ideal(offset_nodes, eps_hat, gamma, weights):
+    """Closed-form anchor for the ideal gas law: (gamma - 1) eps_hat minus
+    the mean pressure offset."""
+    return (gamma - 1.0) * eps_hat - offset_nodes @ weights
 
 
-def anchor_pressure_newton(anti_coeffs, rho_coeffs, h, eps_hat, eos, nodes,
-                           weights, rho_hat=None, p_init=None):
-    """General-EoS anchor via Newton iteration on the matching equation.
+def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
+                           weights):
+    """General-EoS anchor via Newton iteration on the matching equation
+    mean(eps(rho, p0 + offset)) = eps_hat.
 
-    Returns (p0, converged).  The initial guess is the pressure of the
-    cell-averaged conserved state; the step |f/f'| < 1e-13 stops the
-    iteration and a halving step guards against negative trial pressures.
+    Returns (p0, ok).  The initial guess is the pressure of the
+    cell-averaged conserved state (rho_hat, eps_hat); the step
+    |f/f'| < 1e-13 stops the iteration and a halving step guards against
+    negative trial pressures.  ok is False where the iteration did not
+    converge, the averaged state is non-physical, or p0 <= 0.
     """
-    anti_nodes = poly_eval(np.asarray(anti_coeffs)[..., None, :], nodes)
-    rho_nodes = poly_eval(np.asarray(rho_coeffs)[..., None, :], nodes)
-    if p_init is None:
-        p_init = eos.pressure(rho_hat, np.maximum(eps_hat, 1e-300))
-    p = np.array(p_init, dtype=float)
-    eps_target = np.asarray(eps_hat, dtype=float)
-    rho_safe = np.maximum(rho_nodes, 1e-300)
+    safe = (rho_hat > 0.0) & (eps_hat > 0.0)
+    target = np.where(safe, eps_hat, 1.0)
+    p = eos.pressure(np.where(safe, rho_hat, 1.0), target)
+    rho_nodes = np.maximum(rho_nodes, 1e-300)
     converged = np.zeros(p.shape, dtype=bool)
     for _ in range(ANCHOR_MAX_ITER):
-        p_nodes = p[..., None] + anti_nodes
+        p_nodes = p[..., None] + offset_nodes
         ok_nodes = np.all(p_nodes > 0.0, axis=-1) & (p > 0.0)
         p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
-        f = eps_target - np.einsum(
-            "a,...a->...", weights, eos.internal_energy(rho_safe, p_nodes)) / h
-        fp = -np.einsum(
-            "a,...a->...", weights, eos.deps_dp(rho_safe, p_nodes)) / h
+        f = target - eos.internal_energy(rho_nodes, p_nodes) @ weights
+        fp = -(eos.deps_dp(rho_nodes, p_nodes) @ weights)
         step = f / fp
-        newly = ok_nodes & (np.abs(step) < ANCHOR_TOL + 1e-15 * np.abs(p))
-        converged |= newly
+        converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL + 1e-15 * np.abs(p))
         p_next = np.where(converged, p, p - step)
-        p_next = np.where(p_next <= 0.0, 0.5 * p, p_next)
+        p = np.where(p_next <= 0.0, 0.5 * p, p_next)
         if np.all(converged):
-            return p_next, converged
-        p = p_next
-    return p, converged
+            break
+    return p, converged & safe & (p > 0.0)
 
 
 def anchor_pressure_simplified(rec_center, eos):
-    """Anchor by direct EoS evaluation of the reconstructed cell-center state."""
-    rho0 = rec_center[0]
-    eps0 = rec_center[2] - 0.5 * rec_center[1] ** 2 / rho0
-    good = (rho0 > 0.0) & (eps0 > 0.0)
-    p0 = eos.pressure(np.where(good, rho0, 1.0), np.where(good, eps0, 1.0))
+    """Anchor by direct EoS evaluation of the reconstructed cell-center state
+    (rho, momenta..., E); -1 where that state is non-physical."""
+    eps0, good = physical_state(rec_center)
+    p0 = eos.pressure(np.where(good, rec_center[0], 1.0),
+                      np.where(good, eps0, 1.0))
     return np.where(good, p0, -1.0)
 
 
-def solve_anchor(scheme, eos, rho_coeffs, anti_coeffs, rho_hat, eps_hat, h,
-                 nodes, weights, center=None):
+def solve_anchor(scheme, eos, offset_nodes, rho_nodes, rho_hat, eps_hat,
+                 weights, center=None):
     """Anchor pressure p0 of each cell's equilibrium profile.
 
     The '-S' schemes evaluate the EoS at the reconstructed cell-center state
-    `center` (rho, rho*u, E); the others match the cell-averaged internal
-    energy `eps_hat`, in closed form for the ideal gas and by Newton
-    iteration otherwise.  Returns (p0, ok); ok is False where the solve did
-    not converge, its inputs were non-physical, or p0 <= 0.
+    `center`; the others match the cell-averaged internal energy `eps_hat`,
+    in closed form for the ideal gas and by Newton iteration otherwise.
+    Returns (p0, ok); ok is False where the solve did not converge, its
+    inputs were non-physical, or p0 <= 0.
     """
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(center, eos)
-        return p0, p0 > 0.0
-    if eos.name == "ideal":
-        p0 = anchor_pressure_ideal(anti_coeffs, h, eps_hat, eos.gamma, nodes,
-                                   weights)
-        return p0, p0 > 0.0
-    safe = (rho_hat > 0.0) & (eps_hat > 0.0)
-    p0, ok = anchor_pressure_newton(
-        anti_coeffs, rho_coeffs, h, np.where(safe, eps_hat, 1.0), eos, nodes,
-        weights, rho_hat=np.where(safe, rho_hat, 1.0))
-    return p0, ok & safe & (p0 > 0.0)
+    elif eos.name == "ideal":
+        p0 = anchor_pressure_ideal(offset_nodes, eps_hat, eos.gamma, weights)
+    else:
+        return anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat,
+                                      eps_hat, eos, weights)
+    return p0, p0 > 0.0
 
 
 def energy_deviations(profile, e_hat, radius, nodes, weights):
@@ -257,13 +250,14 @@ def build_profiles(grid, scheme, eos, rec_coeffs, g_coeffs, rho_hat, e_hat):
     profile = EquilibriumProfile1D(grid, eos, rec_coeffs[0], source,
                                    scheme.piecewise_source)
     nodes, weights = gauss_nodes_weights_centered(scheme.n_quad, grid.dx)
+    mean = weights / grid.dx
     rec_nodes = poly_eval(rec_coeffs[:, :, None, :], nodes)
     rho_nodes_pos = rec_nodes[0] > 0.0
     eps_hat = eps_hat_estimate(e_hat, np.where(rho_nodes_pos, rec_nodes, 1.0),
-                               weights, grid.dx)
-    p0, ok = solve_anchor(scheme, eos, profile.rho_coeffs, profile.anti,
-                          rho_hat, eps_hat, grid.dx, nodes, weights,
-                          center=rec_coeffs[:, :, 0])
+                               mean)
+    offsets = poly_eval(profile.anti[:, None, :], nodes)
+    p0, ok = solve_anchor(scheme, eos, offsets, rec_nodes[0], rho_hat,
+                          eps_hat, mean, center=rec_coeffs[:, :, 0])
     ok &= np.all(rho_nodes_pos, axis=-1)
     profile.p0 = np.where(ok, p0, 1.0)
     return profile, ok, nodes, weights

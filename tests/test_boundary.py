@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D, fill_ghosts
+from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D
 from hydrobal.cases import (
     discrete_equilibrium_init,
     grid_for,
@@ -10,7 +10,7 @@ from hydrobal.cases import (
     make_scenario,
 )
 from hydrobal.errors import ConfigurationError
-from hydrobal.grid import CellField, Grid1D
+from hydrobal.grid import Grid1D
 from hydrobal.poly import poly_antiderivative, poly_cell_average, poly_eval, poly_mul
 from hydrobal.reconstruct import GravityInterp1D
 from hydrobal.runner import make_operator, run
@@ -68,8 +68,7 @@ class TestPeriodicFill:
         scen = isothermal_1d("sin")
         grid = grid_for(scen, 16, 2)
         data = np.arange(3 * grid.n_tot, dtype=float).reshape(3, grid.n_tot)
-        field = CellField(grid, data)
-        fill_ghosts(field, scen.boundary)
+        make_operator(scen, grid, Scheme("standard", 3)).fill_ghosts(data)
         np.testing.assert_allclose(data[:, :2], data[:, 16:18])
         np.testing.assert_allclose(data[:, -2:], data[:, 2:4])
 
@@ -150,14 +149,14 @@ def _reference_left_fill(op, data, g_centers):
     rec, anti = piece(ng)
     rho_n, mom_n = poly_eval(rec[:2, None, :], nodes)
     eps_hat = data[2, ng] - np.sum(weights * 0.5 * mom_n ** 2 / rho_n) / h
+    offsets = poly_eval(anti, nodes)
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec[:, 0], eos)
     elif eos.name == "ideal":
-        p0 = anchor_pressure_ideal(anti, h, eps_hat, eos.gamma, nodes, weights)
+        p0 = anchor_pressure_ideal(offsets, eps_hat, eos.gamma, weights / h)
     else:
-        p0 = anchor_pressure_newton(anti[None], rec[0][None], h,
-                                    np.array([eps_hat]), eos, nodes, weights,
-                                    rho_hat=np.array([data[0, ng]]))[0][0]
+        p0 = anchor_pressure_newton(offsets, rho_n, data[0, ng], eps_hat, eos,
+                                    weights / h)[0]
     if not scheme.piecewise_source:
         for j in range(ng):
             data[2, j] = energy(rec, anti, p0, (j - ng) * h + nodes)

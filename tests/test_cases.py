@@ -220,3 +220,26 @@ class TestDiscreteEquilibriumErrors:
         grid = grid_for(scen, 32, 3)
         with pytest.raises(InitializationError):
             discrete_equilibrium_init(scen, grid, Scheme("dwb", 3))
+
+    @pytest.mark.parametrize("order, bc, n", [
+        (3, ("dirichlet", "dirichlet"), 56),
+        (5, ("dirichlet", "dirichlet"), 32),
+        (5, ("hydrostatic-extrapolation", "solid-wall"), 48),
+    ])
+    def test_coarse_grid_rejection_names_input(self, order, bc, n):
+        # the steep isothermal-10x column needs enough cells for the glued
+        # pressure to stay positive through the top ghost cells
+        from hydrobal.boundary import BoundarySpec1D
+        from hydrobal.cases import discrete_equilibrium_init
+        from hydrobal.scheme import Scheme
+
+        scen = isothermal_1d("10x")
+        scen.boundary = BoundarySpec1D(*bc)
+        scheme = Scheme("dwb", order)
+        with pytest.raises(InitializationError,
+                           match=f"isothermal-10x, DWB-O{order}, n = {n}: .* "
+                                 r"in cell \d+ .*use a finer grid"):
+            discrete_equilibrium_init(scen, grid_for(scen, n, scheme.n_ghost),
+                                      scheme)
+        discrete_equilibrium_init(scen, grid_for(scen, 2 * n, scheme.n_ghost),
+                                  scheme)

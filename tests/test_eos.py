@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydrobal.eos import IdealGas, IdealGasRadiation, make_eos
+from hydrobal.eos import IdealGas, IdealGasRadiation
 
 
 def bisect_temperature_from_p(rho, p, gamma=1.4):
@@ -130,9 +130,3 @@ class TestRadiationEos:
         p = 10.0 ** rng.uniform(-8, 8, 100)
         assert np.all(self.eos.deps_dp(rho, p) > 0.0)
 
-
-def test_factory():
-    assert isinstance(make_eos("ideal", 1.4), IdealGas)
-    assert isinstance(make_eos("ideal-radiation", 2.0), IdealGasRadiation)
-    with pytest.raises(ValueError):
-        make_eos("tabulated")

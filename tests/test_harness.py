@@ -36,6 +36,22 @@ class TestConfig:
             validate_config({"scenario": "x", "reference": {"kind": "fine",
                                                             "bogus": 1}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("order", True), ("n", False), ("cfl", True), ("t_end", True),
+        ("resolutions", [16, True]),
+        ("reference", {"kind": "fine", "n": True}),
+    ])
+    def test_bool_rejected_for_numbers(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=key):
+            validate_config({"scenario": "isothermal-10x", key: value})
+
+    def test_unknown_scenario_params_rejected(self):
+        cfg = validate_config({"scenario": "isothermal-10x",
+                               "scenario_params": {"eta": 0.1}})
+        with pytest.raises(ConfigurationError, match="'eta'"):
+            run_single(cfg)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "isothermal-sin",
@@ -80,6 +96,16 @@ class TestStudies:
         b, eb = run_single(cfg)
         assert np.array_equal(a.final.data, b.final.data)
         assert np.array_equal(ea, eb)
+
+    @pytest.mark.parametrize("n, n_ref", [(32, 16), (48, 32)])
+    def test_reference_resolution_checked(self, n, n_ref):
+        # the fine reference must be the run's resolution times an integer
+        cfg = validate_config({
+            "scenario": "isothermal-10x", "n": n, "t_end": 0.01,
+            "reference": {"kind": "fine", "n": n_ref}})
+        with pytest.raises(ConfigurationError,
+                           match=f"n = {n_ref} .* n = {n}"):
+            run_single(cfg)
 
     def test_efficiency_single_repetition_zero_variance(self):
         cfg = validate_config({"scenario": "isothermal-10x", "n": 16,
@@ -138,6 +164,19 @@ class TestCli:
         rc = cli_main(["run", "--config", str(path), "--scheme", "la"])
         assert rc == 0
         assert "scheme=LA-O3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"order": True}, "order"),
+        ({"scenario_params": {"bogus": 1}}, "bogus"),
+    ])
+    def test_bad_config_file_errors(self, tmp_path, capsys, extra, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "isothermal-10x", "n": 16,
+                                    "t_end": 0.02, **extra}))
+        rc = cli_main(["run", "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     def test_missing_scenario_errors(self, capsys):
         rc = cli_main(["run", "--n", "16"])

@@ -7,8 +7,6 @@ from hydrobal.metrics import (
     l1_error,
     restrict_1d,
     restrict_2d,
-    total_variation,
-    tv_indicator,
 )
 
 
@@ -37,21 +35,6 @@ class TestRates:
     def test_vector_components(self):
         rates = convergence_rate(np.array([8.0, 4.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(rates, [3.0, 2.0])
-
-
-class TestTotalVariation:
-    def test_constant_field_zero(self):
-        assert total_variation(np.full(32, 1.7)) == 0.0
-
-    def test_indicator_zero_for_reference_itself(self):
-        field = np.random.default_rng(1).random(32)
-        assert tv_indicator(field, field) == pytest.approx(0.0)
-
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(2)
-        field = rng.random(64)
-        brute = sum(abs(field[i] - field[i - 1]) for i in range(1, 64))
-        assert total_variation(field) == pytest.approx(brute, rel=1e-14)
 
 
 class TestRestriction:

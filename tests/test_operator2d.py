@@ -61,8 +61,6 @@ def test_matches_1d_operator_on_degenerate_column(kind, eos, tol):
     the 1-D RHS of the same scheme.  The radiation EoS takes the Newton
     anchor (LA) and the EoS-evaluated anchor (LA-S) in both operators; the
     rows then agree to `tol` of each component's scale."""
-    from hydrobal.operator1d import SpatialOperator1D
-
     scen1 = isothermal_1d("10x")
     scen1.eos = eos
     scheme = Scheme(kind, 3)

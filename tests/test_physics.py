@@ -9,12 +9,16 @@ from hydrobal.physics import (
     physical_flux,
     roe_flux,
     rusanov_flux,
-    source_average_1d,
-    source_average_2d,
     split_conserved,
     wall_boundary_flux,
 )
-from hydrobal.poly import monomials_total_degree
+from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D
+from hydrobal.grid import Grid1D, Grid2D
+from hydrobal.operator1d import SpatialOperator1D
+from hydrobal.operator2d import SpatialOperator2D
+from hydrobal.quadrature import gauss_nodes_weights_centered
+from hydrobal.reconstruct import MONOMIALS_DEG2
+from hydrobal.scheme import Scheme
 
 
 def conserved(rho, u, p, eos):
@@ -115,21 +119,45 @@ def test_roe_2d_contact_and_consistency():
     np.testing.assert_allclose(roe_flux(q, q, eos), physical_flux(q, pr), atol=1e-14)
 
 
+def uniform_rhs_1d(rho, u, g):
+    """1-D RHS of a uniform periodic state: the cell-averaged source."""
+    grid = Grid1D(0.0, 1.0, 16, 2)
+    op = SpatialOperator1D(grid, Scheme("standard", 3), IdealGas(1.4),
+                           lambda x: g * np.ones_like(x), BoundarySpec1D())
+    data = np.empty((3, grid.n_tot))
+    data[:] = np.array([rho, rho * u, 2.5 + 0.5 * rho * u ** 2])[:, None]
+    return op.rhs(data)[:, grid.interior]
+
+
+def sources_2d(rec, gravity, hx=0.1, hy=0.1):
+    """Exact 2-D source means of per-cell reconstructions `rec` (4, 6)."""
+    grid = Grid2D(0.0, 6 * hx, 0.0, 6 * hy, 6, 6, 2)
+    op = SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
+                           lambda x, y: gravity(x + 0 * y, y + 0 * x),
+                           BoundarySpec2D(*["periodic"] * 4))
+    rec = np.broadcast_to(np.asarray(rec, dtype=float)[:, None, None, :],
+                          (4,) + grid.shape_tot + (6,))
+    return op._sources(rec)[:, 4, 4], op
+
+
 class TestSourceAverages:
     def test_uniform_state(self):
         # rho=1, u=0, g=-1 over any cell
-        s = source_average_1d(np.array([1.0]), np.array([0.0]), np.array([-1.0]), 0.1)
-        np.testing.assert_allclose(np.ravel(s), [0.0, -1.0, 0.0])
+        s = uniform_rhs_1d(1.0, 0.0, -1.0)
+        np.testing.assert_allclose(s, [[0.0], [-1.0], [0.0]] * np.ones(16),
+                                   atol=1e-14)
 
     def test_constant_velocity(self):
-        s = source_average_1d(np.array([1.0]), np.array([0.7]), np.array([-1.0]), 0.1)
-        assert s[2] == pytest.approx(-0.7)
+        s = uniform_rhs_1d(1.0, 0.7, -1.0)
+        np.testing.assert_allclose(s[2], -0.7, rtol=1e-14)
 
     def test_isothermal_profile_order(self):
         # rho = exp(-sin(2 pi x)), g = -2 pi cos(2 pi x): then rho*g is the
         # derivative of exp(-sin(2 pi x)), so the exact cell-averaged source
         # is a difference of that antiderivative at the cell edges
         from hydrobal.reconstruct import Cweno1D, GravityInterp1D
+        from hydrobal.wellbalance import (EquilibriumProfile1D,
+                                          build_source_coeffs)
 
         errors = []
         for n in (32, 64, 128):
@@ -142,28 +170,52 @@ class TestSourceAverages:
             centers = (np.arange(n) + 0.5) * h
             g = GravityInterp1D(3, h).coefficients(
                 -2 * np.pi * np.cos(2 * np.pi * centers))
-            s = source_average_1d(coeffs, np.zeros_like(coeffs), g, h)
+            source = build_source_coeffs(coeffs, g)
+            profile = EquilibriumProfile1D(Grid1D(0.0, 1.0, n, 0),
+                                           IdealGas(1.4), coeffs, source,
+                                           piecewise=True)
+            s = profile.cell_integral / h
             exact = np.diff(np.exp(-np.sin(2 * np.pi * edges))) / h
-            errors.append(np.max(np.abs(s[1][1:-1] - exact[1:-1])))
+            errors.append(np.max(np.abs(s[1:-1] - exact[1:-1])))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert rates[-1] > 2.5
 
     def test_2d_uniform(self):
-        exps = monomials_total_degree(2)
-        c0 = np.zeros(len(exps))
-        rho = c0.copy()
-        rho[0] = 2.0
-        rhov = c0.copy()
-        rhov[0] = 0.6
-        gy = c0.copy()
-        gy[0] = -1.0
-        s = source_average_2d(rho, c0, rhov, c0, gy, exps, 0.1, 0.1)
-        np.testing.assert_allclose(np.ravel(s), [0.0, 0.0, -2.0, -0.6])
+        rec = np.zeros((4, 6))
+        rec[0, 0] = 2.0
+        rec[2, 0] = 0.6
+        s, _ = sources_2d(rec, lambda x, y: (0.0 * x, -1.0 + 0.0 * y))
+        np.testing.assert_allclose(s, [0.0, 0.0, -2.0, -0.6])
 
     def test_2d_zero_gravity(self):
-        exps = monomials_total_degree(2)
         rng = np.random.default_rng(2)
-        c = rng.standard_normal((5, len(exps)))
-        zero = np.zeros(len(exps))
-        s = source_average_2d(c[0], c[1], c[2], zero, zero, exps, 0.1, 0.2)
+        rec = rng.standard_normal((4, 6))
+        s, _ = sources_2d(rec, lambda x, y: (0.0 * x, 0.0 * y), 0.1, 0.2)
         np.testing.assert_allclose(s, 0.0, atol=1e-15)
+
+    def test_2d_product_mean_matches_quadrature(self):
+        # the exact means of rho g and (rho u) . g equal a tensor Gauss rule
+        # applied to the pointwise products of the reconstructions and the
+        # biquadratic gravity interpolants (degree <= 4 per axis: exact)
+        rng = np.random.default_rng(3)
+        rec = rng.standard_normal((4, 6))
+        hx, hy = 0.1, 0.2
+        gravity = lambda x, y: (np.sin(3 * x + y), np.cos(x * y))
+        s, op = sources_2d(rec, gravity, hx, hy)
+        nx, wx = gauss_nodes_weights_centered(5, hx)
+        ny, wy = gauss_nodes_weights_centered(5, hy)
+        xi, eta = np.meshgrid(nx, ny, indexing="ij")
+
+        def value(coeffs, exps):
+            return sum(c * xi ** a * eta ** b
+                       for c, (a, b) in zip(coeffs, exps))
+
+        def mean(f):
+            return np.einsum("ij,i,j->", f, wx, wy) / (hx * hy)
+
+        gx = value(op.gx_coeffs[4, 4], op._exps_g)
+        gy = value(op.gy_coeffs[4, 4], op._exps_g)
+        rho, mx, my = (value(rec[c], MONOMIALS_DEG2) for c in range(3))
+        expected = [0.0, mean(rho * gx), mean(rho * gy),
+                    mean(mx * gx + my * gy)]
+        np.testing.assert_allclose(s, expected, rtol=1e-12, atol=1e-14)

@@ -1,36 +1,36 @@
 import numpy as np
 import pytest
 
+from hydrobal.boundary import BoundarySpec2D
+from hydrobal.eos import IdealGas
+from hydrobal.grid import Grid2D
+from hydrobal.operator2d import SpatialOperator2D
 from hydrobal.poly import (
-    LocalPolynomial,
-    LocalPolynomial2D,
-    monomials_total_degree,
-    poly2_cell_average,
-    poly2_mul,
     poly_cell_average,
     poly_eval,
     poly_integrate,
-    poly_line_integral_2d,
     poly_mul,
 )
+from hydrobal.reconstruct import MONOMIALS_DEG2
+from hydrobal.scheme import Scheme
 
 
 def test_constant_integral():
-    p = LocalPolynomial(0.0, [1.0])
-    assert p.integrate(0.0, 0.1) == pytest.approx(0.1)
+    assert poly_integrate(np.array([1.0]), 0.0, 0.1) == pytest.approx(0.1)
 
 
 def test_odd_symmetry():
     # p(x) = (x - x_i) integrated symmetrically around the anchor
-    p = LocalPolynomial(0.7, [0.0, 1.0])
     h = 0.31
-    assert p.integrate(0.7 - h, 0.7 + h) == pytest.approx(0.0, abs=1e-16)
+    assert poly_integrate(np.array([0.0, 1.0]), -h, h) == pytest.approx(
+        0.0, abs=1e-16)
 
 
 def test_monomial_antiderivative():
-    p = LocalPolynomial(2.0, [0.0, 0.0, 1.0])  # (x - 2)^2
+    # (x - x_i)^2 from the anchor to x_i + h
     h = 0.25
-    assert p.integrate(2.0, 2.0 + h) == pytest.approx(h ** 3 / 3.0)
+    assert poly_integrate(np.array([0.0, 0.0, 1.0]), 0.0, h) == pytest.approx(
+        h ** 3 / 3.0)
 
 
 def test_extrapolated_integration_is_legal():
@@ -55,99 +55,104 @@ def test_cell_average_examples():
     assert poly_cell_average(np.array([0.0, 1.0]), 0.2) == pytest.approx(0.0, abs=1e-16)
 
 
+# 2-D polynomials live in the 2-D operator's tables: monomials x^a y^b of
+# total degree <= 2 (MONOMIALS_DEG2) for the reconstructions, biquadratic
+# ones for the gravity interpolants
+
+
+UNIT = np.eye(6)[0]   # rho = 1
+
+
+def operator_2d(gravity, hx=0.1, hy=0.1):
+    # cell (3, 3) of the ghosted arrays is centered at (1.5 hx, 1.5 hy)
+    grid = Grid2D(0.0, 6 * hx, 0.0, 6 * hy, 6, 6, 2)
+    return SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
+                             lambda x, y: gravity(x + 0 * y, y + 0 * x),
+                             BoundarySpec2D(*["periodic"] * 4))
+
+
+def line_integrals(op, rho):
+    """Line integrals of (rho g_x, rho g_y) from the cell center to every
+    evaluation node of the operator, with the node offsets (xi, eta);
+    `rho` holds the density's coefficients over MONOMIALS_DEG2."""
+    rec = np.zeros((4,) + op.grid.shape_tot + (6,))
+    rec[0] = rho
+    outer_x, outer_y = op._source_outers(rec)
+    cell = np.ravel_multi_index((3, 3), op.grid.shape_tot)
+    line = outer_x[cell] @ op._t_line_x + outer_y[cell] @ op._t_line_y
+    xi, eta = (op._v2_all[MONOMIALS_DEG2.index(e)] for e in ((1, 0), (0, 1)))
+    return line, xi, eta
+
+
 def test_cell_average_2d_square():
     # mean of (x - x_i)^2 over an h-square: tensor antiderivative gives h^2/12
     h = 0.37
-    exps = monomials_total_degree(2)
-    coeffs = np.zeros(len(exps))
-    coeffs[exps.index((2, 0))] = 1.0
-    assert poly2_cell_average(coeffs, exps, h, h) == pytest.approx(h ** 2 / 12.0)
+    op = operator_2d(lambda x, y: (1.0 + 0 * x, 0 * y), h, h)
+    rec = np.zeros((4,) + op.grid.shape_tot + (6,))
+    rec[0, ..., MONOMIALS_DEG2.index((2, 0))] = 1.0
+    assert op._sources(rec)[1, 3, 3] == pytest.approx(h ** 2 / 12.0)
 
 
 def test_cell_average_2d_neighbor_offset():
-    # brute-force tensor quadrature oracle on a shifted cell
+    # brute-force tensor quadrature oracle on the neighbor cells, whose
+    # means the operator takes from its node tables
     rng = np.random.default_rng(11)
-    exps = monomials_total_degree(3)
-    coeffs = rng.standard_normal(len(exps))
+    coeffs = rng.standard_normal(6)
     hx, hy = 0.1, 0.2
-    off = (0.3, -0.15)
-    xs = np.linspace(off[0] - hx / 2, off[0] + hx / 2, 801)
-    ys = np.linspace(off[1] - hy / 2, off[1] + hy / 2, 801)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.zeros_like(xx)
-    for m, (a, b) in enumerate(exps):
-        vals += coeffs[m] * xx ** a * yy ** b
-    brute = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs) / (hx * hy)
-    assert poly2_cell_average(coeffs, exps, hx, hy, off) == pytest.approx(brute, rel=1e-6)
-
-
-def test_poly2_mul_pointwise():
-    rng = np.random.default_rng(3)
-    e1 = monomials_total_degree(2)
-    e2 = monomials_total_degree(2)
-    c1 = rng.standard_normal(len(e1))
-    c2 = rng.standard_normal(len(e2))
-    prod, exps = poly2_mul(c1, e1, c2, e2)
-    pts = rng.standard_normal((20, 2))
-    p1 = LocalPolynomial2D((0, 0), c1, e1)
-    p2 = LocalPolynomial2D((0, 0), c2, e2)
-    pp = LocalPolynomial2D((0, 0), prod, exps)
-    np.testing.assert_allclose(pp(pts[:, 0], pts[:, 1]),
-                               p1(pts[:, 0], pts[:, 1]) * p2(pts[:, 0], pts[:, 1]),
-                               rtol=1e-12, atol=1e-12)
+    op = operator_2d(lambda x, y: (0 * x, 0 * y), hx, hy)
+    for ox, oy in ((1, 0), (-1, 1), (0, -1)):
+        sl = op._sets[("nb", ox, oy)]
+        table = (coeffs @ op._v2_all[:, sl]) @ op._wq
+        xs = np.linspace(ox * hx - hx / 2, ox * hx + hx / 2, 801)
+        ys = np.linspace(oy * hy - hy / 2, oy * hy + hy / 2, 801)
+        xx, yy = np.meshgrid(xs, ys, indexing="ij")
+        vals = sum(c * xx ** a * yy ** b
+                   for c, (a, b) in zip(coeffs, MONOMIALS_DEG2))
+        brute = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs) / (hx * hy)
+        assert table == pytest.approx(brute, rel=1e-6)
 
 
 class TestLineIntegral2D:
-    def _poly(self, coeffs, exps):
-        return LocalPolynomial2D((0.0, 0.0), coeffs, exps)
-
     def test_constant_along_path(self):
-        exps = [(0, 0)]
-        sx = self._poly([-1.0], exps)
-        sy = self._poly([0.0], exps)
-        h = 0.42
-        assert poly_line_integral_2d(sx, sy, (0, 0), (h, 0)) == pytest.approx(-h)
+        op = operator_2d(lambda x, y: (-1.0 + 0 * x, 0 * y))
+        line, xi, eta = line_integrals(op, UNIT)
+        np.testing.assert_allclose(line, -xi, atol=1e-15)
 
     def test_orthogonal_path(self):
-        exps = [(0, 0)]
-        sx = self._poly([0.0], exps)
-        sy = self._poly([-1.0], exps)
-        assert poly_line_integral_2d(sx, sy, (0, 0), (0.3, 0)) == pytest.approx(0.0)
+        # a field along y integrates to zero along x: only eta contributes
+        op = operator_2d(lambda x, y: (0 * x, -1.0 + 0 * y))
+        line, xi, eta = line_integrals(op, UNIT)
+        np.testing.assert_allclose(line, -eta, atol=1e-15)
 
     def test_linear_field_hand_oracle(self):
-        # s = (-x, -y) from (0,0) to (1,1): integral of (-t - t) dt = -1
-        exps = [(0, 0), (1, 0), (0, 1)]
-        sx = self._poly([0.0, -1.0, 0.0], exps)
-        sy = self._poly([0.0, 0.0, -1.0], exps)
-        assert poly_line_integral_2d(sx, sy, (0, 0), (1, 1)) == pytest.approx(-1.0)
+        # s = (-xi, -eta) from the center (0.15, 0.15) of cell (3, 3) to
+        # (xi, eta): -(xi^2 + eta^2) / 2
+        op = operator_2d(lambda x, y: (-(x - 0.15), -(y - 0.15)))
+        line, xi, eta = line_integrals(op, UNIT)
+        np.testing.assert_allclose(line, -(xi ** 2 + eta ** 2) / 2, atol=1e-15)
 
     def test_path_split_exactness(self):
+        # the table value equals the path integral split at t into two legs,
+        # each integrated by a Gauss rule exact for the polynomial integrand
         rng = np.random.default_rng(5)
-        exps = monomials_total_degree(3)
-        sx = self._poly(rng.standard_normal(len(exps)), exps)
-        sy = self._poly(rng.standard_normal(len(exps)), exps)
-        end = np.array([0.8, -0.6])
-        whole = poly_line_integral_2d(sx, sy, (0, 0), end)
+        op = operator_2d(lambda x, y: (np.sin(3 * x - y), np.cos(2 * x * y)))
+        rho = rng.standard_normal(6)
+        line, xi, eta = line_integrals(op, rho)
+
+        def field(x, y):
+            def value(coeffs, exps):
+                return sum(c * x ** a * y ** b
+                           for c, (a, b) in zip(coeffs, exps))
+            r = value(rho, MONOMIALS_DEG2)
+            return (r * value(op.gx_coeffs[3, 3], op._exps_g),
+                    r * value(op.gy_coeffs[3, 3], op._exps_g))
+
+        nodes, weights = np.polynomial.legendre.leggauss(8)
         for t in (0.25, 0.5, 0.9):
-            mid = t * end
-            # second leg must be re-anchored at `mid` for the same field
-            shifted_sx = LocalPolynomial2D(mid, _shift2(sx, mid), exps)
-            shifted_sy = LocalPolynomial2D(mid, _shift2(sy, mid), exps)
-            split = poly_line_integral_2d(sx, sy, (0, 0), mid) \
-                + poly_line_integral_2d(shifted_sx, shifted_sy, mid, end)
-            assert split == pytest.approx(whole, abs=1e-14)
-
-
-def _shift2(p, new_anchor):
-    """Re-expand a 2-D polynomial about a new anchor (binomial expansion)."""
-    from math import comb
-
-    dx, dy = np.asarray(new_anchor, dtype=float) - p.anchor
-    out = np.zeros_like(p.coeffs)
-    index = {ab: m for m, ab in enumerate(p.exps)}
-    for m, (a, b) in enumerate(p.exps):
-        for i in range(a + 1):
-            for j in range(b + 1):
-                out[index[(i, j)]] += (p.coeffs[m] * comb(a, i) * comb(b, j)
-                                       * dx ** (a - i) * dy ** (b - j))
-    return out
+            split = 0.0
+            for lo, hi in ((0.0, t), (t, 1.0)):
+                u = lo + (hi - lo) * (nodes[:, None] + 1.0) / 2
+                sx, sy = field(u * xi, u * eta)
+                split = split + (hi - lo) / 2 * (weights
+                                                 @ (sx * xi + sy * eta))
+            np.testing.assert_allclose(line, split, rtol=1e-12, atol=1e-15)

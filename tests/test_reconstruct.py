@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from hydrobal.errors import ConfigurationError
-from hydrobal.poly import poly_cell_average, poly_eval, poly2_cell_average
+from hydrobal.poly import poly_cell_average, poly_eval
+from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.reconstruct import (
     MONOMIALS_DEG2,
     Cweno1D,
     Cweno2D,
     GravityInterp1D,
     GravityInterp2D,
-    interpolate_gravity_1d,
 )
 
 
@@ -100,18 +100,22 @@ class TestGravityInterp1D:
     def test_linear_exact(self):
         h = 0.2
         centers = np.arange(5) * h
-        poly = interpolate_gravity_1d(centers[1:4], h, anchor=centers[2])
-        x = np.linspace(centers[1], centers[3], 11)
-        np.testing.assert_allclose(poly(x), x, atol=1e-14)
+        coeffs = GravityInterp1D(3, h).coefficients(centers)
+        xi = np.linspace(-h, h, 11)
+        for i in (1, 2, 3):
+            np.testing.assert_allclose(poly_eval(coeffs[i], xi),
+                                       centers[i] + xi, atol=1e-14)
 
     def test_nodal_values_matched(self):
         rng = np.random.default_rng(2)
         h = 0.05
         for order in (3, 5):
             vals = rng.standard_normal(order)
-            poly = interpolate_gravity_1d(vals, h)
-            offs = (np.arange(order) - (order - 1) // 2) * h
-            np.testing.assert_allclose(poly(offs), vals, atol=1e-12)
+            r = (order - 1) // 2
+            coeffs = GravityInterp1D(order, h).coefficients(vals)[r]
+            offs = (np.arange(order) - r) * h
+            np.testing.assert_allclose(poly_eval(coeffs, offs), vals,
+                                       atol=1e-12)
 
     def test_refinement_order_on_cosine(self):
         # g(x) = -2*pi*cos(2*pi*x) sampled at 5 centers: interpolant error O(h^5)
@@ -154,7 +158,12 @@ class TestCweno2D:
         scheme = Cweno2D(0.1, 0.1)
         data = rng.standard_normal((4, 12, 9))
         coeffs = scheme.coefficients(data)
-        means = poly2_cell_average(coeffs[:, 1:-1, 1:-1, :], MONOMIALS_DEG2, 0.1, 0.1)
+        # tensor Gauss rule, exact for the degree-2 reconstruction
+        nodes, weights = gauss_nodes_weights_centered(2, 0.1)
+        xi, eta = np.meshgrid(nodes, nodes, indexing="ij")
+        mono = np.array([xi ** a * eta ** b for a, b in MONOMIALS_DEG2])
+        means = np.einsum("...m,mij,i,j->...", coeffs[:, 1:-1, 1:-1, :], mono,
+                          weights, weights) / 0.1 ** 2
         np.testing.assert_allclose(means, data[:, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
 
     def test_convergence_order_on_product_wave(self):

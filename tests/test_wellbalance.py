@@ -54,12 +54,14 @@ class TestSources:
         prof = make_profile(grid, IdealGas(1.4), rho, g, piecewise=True)
         np.testing.assert_allclose(prof.source_coeffs[:, 0], -1.0)
         np.testing.assert_allclose(prof.source_coeffs[:, 1:], 0.0, atol=1e-15)
-        # pressure continuity and slope: p(x) = p0 - (x - x_i)
+        # pressure continuity and slope: p_i(x) = p0 - (x - x_i) across the
+        # stencil of cell i
         prof.p0 = np.ones(n)
         i = 8
-        x = grid.centers()[i] + np.array([-0.25, 0.0, 0.1, 0.31])
-        np.testing.assert_allclose(prof.pressure(i, x),
-                                   1.0 - (x - grid.centers()[i]), atol=1e-14)
+        xi = np.array([-0.4, -0.1, 0.0, 0.1, 0.31]) * grid.dx
+        for d in (-2, -1, 0, 1, 2):
+            np.testing.assert_allclose(prof.pressure_at(d, xi)[i],
+                                       1.0 - (d * grid.dx + xi), atol=1e-14)
 
     def test_la_and_dwb_agree_for_global_polynomial_source(self):
         # linear rho and constant g: rho^rec * g^int is one global polynomial
@@ -92,17 +94,17 @@ class TestAnchors:
         source[:, 0] = -1.0
         anti = poly_antiderivative(source)
         nodes, weights = gauss_nodes_weights_centered(2, grid.dx)
-        p0 = anchor_pressure_ideal(anti, grid.dx, np.full(n, 2.5), 1.4,
-                                   nodes, weights)
+        p0 = anchor_pressure_ideal(poly_eval(anti[:, None, :], nodes),
+                                   np.full(n, 2.5), 1.4, weights / grid.dx)
         np.testing.assert_allclose(p0, 1.0, atol=1e-14)
 
     def test_ideal_zero_gravity(self):
         from hydrobal.grid import Grid1D
         grid = Grid1D(0.0, 1.0, 4, 3)
-        anti = np.zeros((grid.n_tot, 2))
-        nodes, weights = gauss_nodes_weights_centered(2, grid.dx)
-        p0 = anchor_pressure_ideal(anti, grid.dx, np.full(grid.n_tot, 2.5),
-                                   1.4, nodes, weights)
+        offsets = np.zeros((grid.n_tot, 2))
+        _, weights = gauss_nodes_weights_centered(2, grid.dx)
+        p0 = anchor_pressure_ideal(offsets, np.full(grid.n_tot, 2.5), 1.4,
+                                   weights / grid.dx)
         np.testing.assert_allclose(p0, 0.4 * 2.5)
 
     def test_isothermal_anchor_converges_to_point_value(self):
@@ -131,8 +133,9 @@ class TestAnchors:
         kinetic = np.zeros(grid.n_tot)
         eps_hat = field.data[2] - kinetic
         p_newton, conv = anchor_pressure_newton(
-            profile.anti, profile.rho_coeffs, grid.dx, eps_hat, scen.eos,
-            nodes, weights, rho_hat=field.data[0])
+            poly_eval(profile.anti[:, None, :], nodes),
+            poly_eval(profile.rho_coeffs[:, None, :], nodes), field.data[0],
+            eps_hat, scen.eos, weights / grid.dx)
         inner = slice(2, grid.n_tot - 2)
         assert np.all(conv[inner])
         np.testing.assert_allclose(p_newton[inner], profile.p0[inner],
@@ -144,13 +147,11 @@ class TestAnchors:
         eos = IdealGasRadiation(1.4)
         grid = Grid1D(0.0, 1.0, 4, 2)
         n = grid.n_tot
-        rho_coeffs = np.zeros((n, 3))
-        rho_coeffs[:, 0] = 1.0
-        anti = np.zeros((n, 5))
-        nodes, weights = gauss_nodes_weights_centered(2, grid.dx)
+        _, weights = gauss_nodes_weights_centered(2, grid.dx)
         eps = np.full(n, 5.5)
-        p0, conv = anchor_pressure_newton(anti, rho_coeffs, grid.dx, eps, eos,
-                                          nodes, weights, rho_hat=np.ones(n))
+        p0, conv = anchor_pressure_newton(np.zeros((n, 2)), np.ones((n, 2)),
+                                          np.ones(n), eps, eos,
+                                          weights / grid.dx)
         assert np.all(conv)
         np.testing.assert_allclose(p0, 2.0, rtol=1e-12)
 
