@@ -1,4 +1,4 @@
-"""Boundary specifications, the periodic ghost fills, and the edge strips
+"""Boundary specifications, the periodic ghost fill, and the edge strips
 of the 1-D hydrostatic fills.
 
 The spatial operators fill their own ghosts (`fill_ghosts` methods): the
@@ -59,11 +59,6 @@ class BoundarySpec2D:
         if (self.x_lo == "periodic") != (self.x_hi == "periodic") or \
            (self.y_lo == "periodic") != (self.y_hi == "periodic"):
             raise ConfigurationError("periodic boundaries must be paired per axis")
-
-
-def fill_periodic_1d(data, n_ghost, n_cells):
-    data[..., :n_ghost] = data[..., n_cells:n_cells + n_ghost]
-    data[..., n_cells + n_ghost:] = data[..., n_ghost:2 * n_ghost]
 
 
 def fill_periodic_axis(data, n_ghost, n_cells, axis):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .boundary import extrapolated_strips, fill_periodic_1d, set_edge_ghosts
+from .boundary import extrapolated_strips, fill_periodic_axis, set_edge_ghosts
 from .errors import ConfigurationError
 from .physics import get_flux, physical_state, wall_boundary_flux
 from .poly import poly_antiderivative, poly_eval, poly_mul
@@ -14,6 +14,7 @@ from .wellbalance import (
     eps_hat_estimate,
     glued_constants,
     hydrostatic_energy_faces,
+    node_offsets,
     solve_anchor,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
@@ -54,6 +55,14 @@ class SpatialOperator1D:
         self.g_coeffs = ginterp.coefficients(self.g_centers)
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
             scheme.n_quad, grid.dx)
+        self._mean = self.quad_weights / grid.dx
+        # the equilibrium node set and the stencil cells (i + d) % n_tot
+        r = scheme.radius
+        self._node_offsets = node_offsets(r, self.quad_nodes, grid.dx)
+        self._stencil = (np.arange(grid.n_tot)[:, None]
+                         + np.arange(-r, r + 1)) % grid.n_tot
+        self._face_table = (np.array([-0.5, 0.5]) * grid.dx) \
+            ** np.arange(scheme.order)[:, None]
         self._dirichlet_ghosts = None
         self.fallback_cells = 0
         if self._hydro_sides:
@@ -93,7 +102,7 @@ class SpatialOperator1D:
         grid = self.grid
         ng, n = grid.n_ghost, grid.n_cells
         if self.boundary.periodic:
-            fill_periodic_1d(data, ng, n)
+            fill_periodic_axis(data, ng, n, axis=1)
             return
         for side in ("left", "right"):
             if getattr(self.boundary, side) != "dirichlet":
@@ -115,13 +124,15 @@ class SpatialOperator1D:
         right one mirrored, momentum negated).  Density and momentum ghosts
         are the extrapolated averages of the innermost fully interior
         reconstruction.  Ghost energies continue the boundary cell's discrete
-        equilibrium: the anchor p0 of boundary cell b = n_ghost is solved as
-        in the interior, and the pressure of piece k is C_k + A_k(x), with
-        A_k the antiderivative of rho_k^rec * g_k^int.  DWB glues pieces
-        continuously at interfaces (`glued_constants`, summed outward from
-        the boundary cell's C_b = p0); piece k serves ghost k for k >= r,
-        and the outer r ghosts, which have no full stencil, evaluate piece r
-        at offsets shifted by whole cells.  LA
+        equilibrium: the anchor p0 of boundary cell b = n_ghost matches its
+        averaged internal energy (closed form or Newton, for every scheme:
+        the '-S' anchor would continue a profile off by its O(h^m) error,
+        not the discrete equilibrium), and the pressure of piece k is
+        C_k + A_k(x), with A_k the antiderivative of rho_k^rec * g_k^int.
+        DWB glues pieces continuously at interfaces (`glued_constants`,
+        summed outward from the boundary cell's C_b = p0); piece k serves
+        ghost k for k >= r, and the outer r ghosts, which have no full
+        stencil, evaluate piece r at offsets shifted by whole cells.  LA
         extends the boundary cell's piece over every ghost.  A ghost energy
         is the Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec),
         one EoS call for all of them.
@@ -129,41 +140,28 @@ class SpatialOperator1D:
         Only density and momentum are reconstructed on the ghost pieces:
         ghost energies come from the equilibrium pressure, never from an
         energy reconstruction, so no piece waits for a corrected neighbour.
-        The '-S' anchor needs the boundary cell's energy reconstruction,
-        which reads extrapolated energies only.  A side whose anchor fails
-        or whose ghost pressure or density is not positive keeps the
-        extrapolated energies and counts its ghosts in `fallback_cells`.
+        A side whose anchor fails or whose ghost pressure or density is not
+        positive keeps the extrapolated energies and counts its ghosts in
+        `fallback_cells`.
         """
         scheme, eos = self.scheme, self.eos
-        ng, r, h = self.grid.n_ghost, scheme.radius, self.grid.dx
+        ng, h = self.grid.n_ghost, self.grid.dx
         m = scheme.order
         nodes, weights = self.quad_nodes, self.quad_weights
         sides = self._hydro_sides
         strips = extrapolated_strips(self.cweno, data, sides, ng)
 
-        # one CWENO call: density and momentum of every piece, plus the
-        # boundary cell's energy for the '-S' anchor
+        # one CWENO call: density and momentum of every piece
         pieces = strips[:2, :, self._piece_windows]
-        windows = pieces.reshape(-1, m)
-        n_rows = windows.shape[0]
-        if scheme.simplified_anchor:
-            windows = np.concatenate([windows, strips[2, :, ng - r:ng + r + 1]])
-        coeffs = self.cweno.reconstruct_stencils(windows)
-        rec = coeffs[:n_rows].reshape(pieces.shape)
+        rec = self.cweno.reconstruct_stencils(pieces.reshape(-1, m)) \
+            .reshape(pieces.shape)
         anti = poly_antiderivative(poly_mul(rec[0], self._g_pieces))
 
-        rec_b = rec[:, :, -1]
-        mean = weights / h
-        rec_nodes = poly_eval(rec_b[..., None, :], nodes)
-        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes, mean)
-        center = None
-        if scheme.simplified_anchor:
-            center = np.concatenate([rec_b[..., 0],
-                                     coeffs[None, n_rows:, 0]])
-        p0, ok = solve_anchor(scheme, eos,
-                              poly_eval(anti[:, -1, None, :], nodes),
-                              rec_nodes[0], strips[0, :, ng], eps_hat, mean,
-                              center=center)
+        rec_nodes = poly_eval(rec[:, :, -1, None, :], nodes)
+        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes, self._mean)
+        p0, ok = solve_anchor(eos, poly_eval(anti[:, -1, None, :], nodes),
+                              rec_nodes[0], strips[0, :, ng], eps_hat,
+                              self._mean)
         const = p0[:, None]
         if scheme.piecewise_source:
             ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
@@ -193,27 +191,25 @@ class SpatialOperator1D:
         rec = self.cweno.coefficients(data)        # (3, n_tot, m)
         face_l = poly_eval(rec, -0.5 * h)          # values at x_{i-1/2}+
         face_r = poly_eval(rec, 0.5 * h)           # values at x_{i+1/2}-
+        # antiderivatives of rho g and (rho u) g, and their cell means
+        anti = poly_antiderivative(poly_mul(rec[:2], self.g_coeffs))
+        ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
+        source = (ends[..., 1] - ends[..., 0]) / h
 
         if scheme.well_balanced:
-            profile, ok, nodes, weights = build_profiles(
-                grid, scheme, self.eos, rec, self.g_coeffs, data[0], data[2])
-            delta, ok_delta = energy_deviations(profile, data[2],
-                                                scheme.radius, nodes, weights)
-            delta_coeffs = self.cweno.reconstruct_stencils(delta)
-            e_l, e_r, ok_face = hydrostatic_energy_faces(profile, delta_coeffs)
-            good = ok & ok_delta & ok_face
-            face_l[2] = np.where(good, e_l, face_l[2])
-            face_r[2] = np.where(good, e_r, face_r[2])
+            p, rho, ok = build_profiles(scheme, self.eos, rec, anti[0],
+                                        data[0], data[2], self._node_offsets,
+                                        self._mean, self._stencil)
+            delta, eps_faces, ok_eq = energy_deviations(
+                self.eos, p, rho, data[2][self._stencil], self._mean)
+            e_faces = hydrostatic_energy_faces(
+                eps_faces, self.cweno.reconstruct_stencils(delta),
+                self._face_table)
+            good = ok & ok_eq
+            face_l[2] = np.where(good, e_faces[:, 0], face_l[2])
+            face_r[2] = np.where(good, e_faces[:, 1], face_r[2])
             used = slice(ng - 1, ng + n + 1)
             self.fallback_cells += int(np.sum(~good[used]))
-            mom_src = profile.cell_integral / h
-        else:
-            source = poly_mul(rec[0], self.g_coeffs)
-            anti = poly_antiderivative(source)
-            mom_src = (poly_eval(anti, 0.5 * h) - poly_eval(anti, -0.5 * h)) / h
-
-        anti_e = poly_antiderivative(poly_mul(rec[1], self.g_coeffs))
-        energy_src = (poly_eval(anti_e, 0.5 * h) - poly_eval(anti_e, -0.5 * h)) / h
 
         # positivity fallback: cells whose reconstructed face states are
         # non-physical drop to their cell average (first order, never abort)
@@ -240,8 +236,7 @@ class SpatialOperator1D:
         out = np.zeros_like(data)
         interior = slice(ng, ng + n)
         out[:, interior] = -(fluxes[:, 1:] - fluxes[:, :-1]) / h
-        out[1, interior] += mom_src[interior]
-        out[2, interior] += energy_src[interior]
+        out[1:, interior] += source[:, interior]
         return out
 
     def max_signal_speed(self, data):

@@ -24,6 +24,8 @@ from .wellbalance import (
     anchor_pressure_ideal,
     anchor_pressure_newton,
     anchor_pressure_simplified,
+    energy_deviations,
+    hydrostatic_energy_faces,
 )
 
 
@@ -43,6 +45,12 @@ class SpatialOperator2D:
                  background=None):
         scheme.validate_dimension(2)
         grid.require_ghosts(scheme.n_ghost)
+        g = grid.n_ghost
+        if min(grid.n_x, grid.n_y) < g:
+            raise ConfigurationError(
+                f"n = {grid.n_x} x {grid.n_y} cells is too small for the ghost "
+                f"fill: {scheme.label} with {g} ghost cells needs n >= {g} "
+                "on both axes")
         self.grid = grid
         self.scheme = scheme
         self.eos = eos
@@ -108,6 +116,7 @@ class SpatialOperator2D:
 
         # plain deg-2 monomials at all nodes (reconstruction evaluations)
         self._v2_all = _mono_vander(self._exps2, xi_all, eta_all)
+        self._face_table = self._v2_all[:, sets["xl"].start:]
 
         # product-basis tables: pair (i, j) -> rec monomial (a1,b1) times
         # gravity monomial (a2,b2); the radial line integral of that term of
@@ -278,36 +287,21 @@ class SpatialOperator2D:
                 data[0].reshape(-1))
         good = good_anchor & np.all(rho_pos_own, axis=-1)
 
-        # energy deviations over the 3x3 stencil (ordered like the CWENO window)
-        e_hat = data[3]
-        delta = np.empty(shape + (9,))
-        p_all = p0[:, None] + line_all
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                sl = self._sets[("nb", ox, oy)]
-                p = p_all[:, sl.start:sl.stop]
-                rho = rho_nodes_all[:, sl.start:sl.stop]
-                ok = np.all((p > 0.0) & (rho > 0.0), axis=-1)
-                good &= ok
-                eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
-                                          np.where(p > 0.0, p, 1.0))
-                shifted = np.roll(np.roll(e_hat, -ox, axis=0), -oy, axis=1)
-                q = 3 * (ox + 1) + (oy + 1)
-                delta[..., q] = shifted - (eps @ self._wq).reshape(shape)
-        dcoeffs = self._flat(self.cweno.reconstruct_stencils(delta))
-
-        for key in ("xl", "xr", "yl", "yr"):
-            sl = self._sets[key]
-            p_f = p_all[:, sl.start:sl.stop]
-            rho_f = rho_nodes_all[:, sl.start:sl.stop]
-            good &= np.all((p_f > 0.0) & (rho_f > 0.0), axis=-1)
-            eps_f = eos.internal_energy(np.where(rho_f > 0.0, rho_f, 1.0),
-                                        np.where(p_f > 0.0, p_f, 1.0))
-            d_f = dcoeffs @ self._v2_all[:, sl.start:sl.stop]
-            e_wb = (eps_f + d_f).reshape(shape + (2,))
-            faces[key][3] = np.where(good.reshape(shape)[..., None], e_wb,
+        # energy deviations over the wrapped 3x3 stencil (ordered like the
+        # CWENO window), then the face energies
+        e_window = np.lib.stride_tricks.sliding_window_view(
+            np.pad(data[3], 1, mode="wrap"), (3, 3)).reshape(-1, 9)
+        delta, eps_faces, ok = energy_deviations(
+            eos, p0[:, None] + line_all, rho_nodes_all, e_window, self._wq)
+        good = (good & ok).reshape(shape)
+        e_wb = hydrostatic_energy_faces(
+            eps_faces, self.cweno.reconstruct_stencils(delta),
+            self._face_table)
+        for k, key in enumerate(("xl", "xr", "yl", "yr")):
+            faces[key][3] = np.where(good[..., None],
+                                     e_wb[:, 2 * k:2 * k + 2].reshape(shape + (2,)),
                                      faces[key][3])
-        return good.reshape(shape)
+        return good
 
     def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
         return anchor_pressure_newton(line_nodes, rho_nodes, rho_hat, eps_hat,

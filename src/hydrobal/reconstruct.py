@@ -78,13 +78,60 @@ def _embed(matrix, stencil_offsets, sub_offsets, n_coeff):
     return out
 
 
-class Cweno1D:
+class _CwenoBlend:
+    """The CWENO nonlinear-weight blend shared by `Cweno1D` and `Cweno2D`.
+
+    `_set_candidates` stores the candidate matrices, the central one built
+    from the optimal polynomial so that the linear-weight blend reproduces
+    it: (opt - sum_k d_k cand_k) / d_0.  `_blend` maps stencil windows
+    (..., n_window), centered on the middle entry, to physical coefficients
+    (..., n_coeff).
+    """
+
+    def _set_candidates(self, opt, cands, dlin, beta_form, scale):
+        d0 = 1 - sum(dlin)
+        central = [[(opt[r][c] - sum(d * cand[r][c]
+                                     for d, cand in zip(dlin, cands))) / d0
+                    for c in range(len(opt[0]))] for r in range(len(opt))]
+        matrices = np.array([[[float(x) for x in row] for row in mat]
+                             for mat in cands + [central]])
+        self._n_cand, _, n_window = matrices.shape
+        # (n_window, q*n_coeff) layout: all candidates from one product
+        self._matrices_flat = np.ascontiguousarray(
+            matrices.transpose(2, 0, 1).reshape(n_window, -1))
+        self._dlin = np.array([float(d) for d in dlin] + [float(d0)])
+        self._beta_form = beta_form
+        self._scale = scale
+
+    def _blend(self, window):
+        window = np.asarray(window, dtype=float)
+        lead, n_window = window.shape[:-1], window.shape[-1]
+        n = self._scale.size
+        # work on deviations from the central average: every candidate
+        # reproduces constants exactly, so this removes cancellation noise
+        flat = window.reshape(-1, n_window)
+        center = flat[:, n_window // 2]
+        deviation = flat - center[:, None]
+        coeffs = (deviation @ self._matrices_flat).reshape(-1, self._n_cand, n)
+        tmp = (coeffs.reshape(-1, n) @ self._beta_form).reshape(coeffs.shape)
+        beta = (tmp * coeffs).sum(axis=-1)
+        alpha = self._dlin / (self.eps_w + beta) ** 2
+        weights = alpha / alpha.sum(axis=1, keepdims=True)
+        scaled = weights[:, 0, None] * coeffs[:, 0]
+        for q in range(1, self._n_cand):
+            scaled += weights[:, q, None] * coeffs[:, q]
+        scaled[:, 0] += center
+        return (scaled / self._scale).reshape(lead + (n,))
+
+
+class Cweno1D(_CwenoBlend):
     """CWENO reconstruction for one grid spacing.
 
     Candidates per spec defaults: order 3 uses two one-sided linears plus a
     central parabola with linear weights (1/4, 1/4, 1/2); order 5 uses three
-    quadratics plus a degree-4 central polynomial with weights (1/6 x3, 1/2).
-    The regularization is eps_w = dx**2.
+    quadratics plus a degree-4 central polynomial with weights (1/6 x3, 1/2);
+    order 1 is the central constant alone.  The regularization is
+    eps_w = dx**2.
     """
 
     def __init__(self, order, dx, eps_w=None):
@@ -94,63 +141,23 @@ class Cweno1D:
         self.dx = float(dx)
         self.radius = (order - 1) // 2
         self.eps_w = float(eps_w) if eps_w is not None else self.dx ** 2
-        self.stencil = list(range(-self.radius, self.radius + 1))
-        self._build()
-        # powers for scaled -> physical conversion
-        self._dx_pow = self.dx ** np.arange(order, dtype=float)
-
-    def _build(self):
-        m = self.order
-        if m == 1:
-            self._matrices = np.ones((1, 1, 1))
-            self._dlin = np.array([1.0])
-            self._beta_form = np.zeros((1, 1))
-            return
-        opt = _embed(_average_fit_matrix(self.stencil, m - 1),
-                     self.stencil, self.stencil, m)
-        if m == 3:
-            subs = [[-1, 0], [0, 1]]
-            dlin = [Fraction(1, 4), Fraction(1, 4)]
-        else:
-            subs = [[-2, -1, 0], [-1, 0, 1], [0, 1, 2]]
-            dlin = [Fraction(1, 6)] * 3
-        d0 = 1 - sum(dlin)
-        cands = [_embed(_average_fit_matrix(s, len(s) - 1), self.stencil, s, m)
+        stencil = list(range(-self.radius, self.radius + 1))
+        # the one-sided candidates share half of the linear weight; the
+        # central polynomial takes the rest
+        subs = {1: [], 3: [[-1, 0], [0, 1]],
+                5: [[-2, -1, 0], [-1, 0, 1], [0, 1, 2]]}[order]
+        dlin = [Fraction(1, 2 * len(subs)) for _ in subs]
+        cands = [_embed(_average_fit_matrix(s, len(s) - 1), stencil, s, order)
                  for s in subs]
-        central = [[(opt[r][c] - sum(d * cand[r][c] for d, cand in zip(dlin, cands))) / d0
-                    for c in range(m)] for r in range(m)]
-        self._matrices = np.array([[[float(x) for x in row] for row in mat]
-                                   for mat in cands + [central]])
-        self._n_cand = self._matrices.shape[0]
-        # (m, q*m) layout so all candidates come out of one matrix product
-        self._matrices_flat = np.ascontiguousarray(
-            self._matrices.transpose(2, 0, 1).reshape(m, -1))
-        self._dlin = np.array([float(d) for d in dlin] + [float(d0)])
-        self._beta_form = _smoothness_form_1d(m)
+        self._set_candidates(
+            _embed(_average_fit_matrix(stencil, order - 1), stencil, stencil,
+                   order),
+            cands, dlin, _smoothness_form_1d(order),
+            self.dx ** np.arange(order, dtype=float))
 
     def reconstruct_stencils(self, window):
         """Stencil values (..., m) -> physical coefficients (..., m)."""
-        window = np.asarray(window, dtype=float)
-        if self.order == 1:
-            return window[..., :1].copy()
-        # work on deviations from the central average: every candidate
-        # reproduces constants exactly, so this removes cancellation noise
-        lead = window.shape[:-1]
-        m = self.order
-        flat = window.reshape(-1, m)
-        center = flat[:, self.radius]
-        deviation = flat - center[:, None]
-        # all candidates in one product: (cells, m) @ (m, q*m)
-        coeffs = (deviation @ self._matrices_flat).reshape(-1, self._n_cand, m)
-        tmp = (coeffs.reshape(-1, m) @ self._beta_form).reshape(coeffs.shape)
-        beta = (tmp * coeffs).sum(axis=-1)
-        alpha = self._dlin / (self.eps_w + beta) ** 2
-        weights = alpha / alpha.sum(axis=1, keepdims=True)
-        scaled = weights[:, 0, None] * coeffs[:, 0]
-        for q in range(1, self._n_cand):
-            scaled += weights[:, q, None] * coeffs[:, q]
-        scaled[:, 0] += center
-        return (scaled / self._dx_pow).reshape(lead + (m,))
+        return self._blend(window)
 
     def coefficients(self, values):
         """Per-cell polynomials for a whole field (..., n_tot).
@@ -279,7 +286,7 @@ def _smoothness_form_2d(ratio):
     return form
 
 
-class Cweno2D:
+class Cweno2D(_CwenoBlend):
     """Third-order CWENO on a 3x3 stencil, total degree 2.
 
     One central quadratic (linear weight 1/2) plus four one-sided planes
@@ -294,40 +301,14 @@ class Cweno2D:
         self.eps_w = float(eps_w) if eps_w is not None else self.dx * self.dy
         planes = [_plane_matrix_2d(sx, sy)
                   for sx, sy in ((-1, -1), (1, -1), (-1, 1), (1, 1))]
-        dlin = [Fraction(1, 8)] * 4
-        d0 = 1 - sum(dlin)
-        opt = _optimal_matrix_2d()
-        n = len(MONOMIALS_DEG2)
-        central = [[(opt[r][c] - sum(d * p[r][c] for d, p in zip(dlin, planes))) / d0
-                    for c in range(9)] for r in range(n)]
-        self._matrices = np.array([[[float(x) for x in row] for row in mat]
-                                   for mat in planes + [central]])
-        self._n_cand = self._matrices.shape[0]
-        self._matrices_flat = np.ascontiguousarray(
-            self._matrices.transpose(2, 0, 1).reshape(9, -1))
-        self._dlin = np.array([float(d) for d in dlin] + [float(d0)])
-        self._beta_form = _smoothness_form_2d(self.dy / self.dx)
-        self._scale = np.array([self.dx ** a * self.dy ** b
-                                for (a, b) in MONOMIALS_DEG2])
+        self._set_candidates(
+            _optimal_matrix_2d(), planes, [Fraction(1, 8)] * 4,
+            _smoothness_form_2d(self.dy / self.dx),
+            np.array([self.dx ** a * self.dy ** b for (a, b) in MONOMIALS_DEG2]))
 
     def reconstruct_stencils(self, window):
         """Stencil values (..., 9) ordered by (x offset, y offset) -> coeffs (..., 6)."""
-        window = np.asarray(window, dtype=float)
-        lead = window.shape[:-1]
-        n = len(MONOMIALS_DEG2)
-        flat = window.reshape(-1, 9)
-        center = flat[:, 4]
-        deviation = flat - center[:, None]
-        coeffs = (deviation @ self._matrices_flat).reshape(-1, self._n_cand, n)
-        tmp = (coeffs.reshape(-1, n) @ self._beta_form).reshape(coeffs.shape)
-        beta = (tmp * coeffs).sum(axis=-1)
-        alpha = self._dlin / (self.eps_w + beta) ** 2
-        weights = alpha / alpha.sum(axis=1, keepdims=True)
-        scaled = weights[:, 0, None] * coeffs[:, 0]
-        for q in range(1, self._n_cand):
-            scaled += weights[:, q, None] * coeffs[:, q]
-        scaled[:, 0] += center
-        return (scaled / self._scale).reshape(lead + (n,))
+        return self._blend(window)
 
     def coefficients(self, values):
         """Field (..., nx, ny) -> per-cell coefficients (..., nx, ny, 6)."""

@@ -1,7 +1,7 @@
-"""Local hydrostatic equilibrium profiles and equilibrium-preserving
-reconstruction (1-D), and the anchor solvers and pressure glue shared with
-the 1-D ghost fill, the discrete equilibrium initializer and the 2-D
-operator.
+"""Local hydrostatic equilibria and the equilibrium-preserving energy
+reconstruction shared by the 1-D and 2-D operators, plus the anchor solvers
+and pressure glue shared with the 1-D ghost fill and the discrete
+equilibrium initializer.
 
 Step 1 builds, for every cell, a local equilibrium: the density is the
 standard reconstruction polynomial; the pressure is the anchor value p0 plus
@@ -18,6 +18,15 @@ momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
 for the reconstruction polynomials.
 
+Each cell's equilibrium is evaluated once, at one fixed node set: the Gauss
+nodes of every stencil cell, cell after cell in stencil order, then the
+cell's own faces (1-D: cells -r..r, then the left and right face; 2-D: the
+3x3 cells by (x offset, y offset), then the two Gauss nodes of each face
+xl, xr, yl, yr).  Both operators hand their node arrays of p and rho to
+`energy_deviations` (one EoS call over every node) and to
+`hydrostatic_energy_faces`; the 1-D arrays come from `build_profiles`, the
+2-D ones from the operator's own product-basis tables.
+
 The anchor solvers take node values: the pressure offset p - p0 (the
 integrated source) and the density at a cell's quadrature nodes, plus the
 weights that turn node values into the cell mean (Gauss weights divided by
@@ -28,16 +37,13 @@ single node of weight one.
 import numpy as np
 
 from .physics import physical_state
-from .poly import poly_antiderivative, poly_eval, poly_mul
-from .quadrature import gauss_nodes_weights_centered
+from .poly import poly_eval
+# the benchmark tracer (perfbench/spans.py) counts polynomial calls through
+# these names
+from .poly import poly_antiderivative, poly_mul  # noqa: F401
 
 ANCHOR_TOL = 1e-13
 ANCHOR_MAX_ITER = 50
-
-
-def build_source_coeffs(rho_coeffs, g_coeffs):
-    """Per-cell source polynomial rho^rec * g^int (degree <= 2(m-1))."""
-    return poly_mul(rho_coeffs, g_coeffs)
 
 
 def glued_constants(anti_left, anti_right, ref, p_ref):
@@ -55,69 +61,6 @@ def glued_constants(anti_left, anti_right, ref, p_ref):
     out[..., :ref] = p_ref - np.cumsum(step[..., :ref][..., ::-1],
                                        axis=-1)[..., ::-1]
     return out
-
-
-class EquilibriumProfile1D:
-    """Batched per-cell hydrostatic profiles over a ghosted 1-D grid.
-
-    Arrays are indexed by the PROFILE cell i; evaluation in a neighbor cell
-    i+d is requested through the relative offset d.
-    """
-
-    def __init__(self, grid, eos, rho_coeffs, source_coeffs, piecewise):
-        self.eos = eos
-        self.piecewise = piecewise
-        self.rho_coeffs = np.asarray(rho_coeffs)
-        self.source_coeffs = np.asarray(source_coeffs)
-        self.anti = poly_antiderivative(self.source_coeffs)
-        h = grid.dx
-        self.h = h
-        self.anti_left = poly_eval(self.anti, -0.5 * h)
-        self.anti_right = poly_eval(self.anti, 0.5 * h)
-        self.cell_integral = self.anti_right - self.anti_left
-        if piecewise:
-            self._glued = glued_constants(self.anti_left, self.anti_right, 0,
-                                          0.0)
-        self.p0 = np.zeros(self.rho_coeffs.shape[0])
-
-    def _roll(self, arr, d):
-        return np.roll(arr, -d, axis=0) if d else arr
-
-    def offset_constant(self, d):
-        """C with p_i^eq(x) = C + A_{i+d}(x - x_{i+d}) on cell i+d (piecewise)."""
-        if d == 0:
-            return self.p0
-        return self.p0 + (self._roll(self._glued, d) - self._glued)
-
-    def pressure_at(self, d, xi):
-        """p_i^eq in cell i+d at offsets xi from that cell's center.
-
-        Result axis 0 runs over the profile cell i; `xi` may be scalar or a
-        trailing node axis.
-        """
-        xi = np.asarray(xi, dtype=float)
-        if self.piecewise:
-            anti = self._roll(self.anti, d)
-            base = self.offset_constant(d)
-        else:
-            anti = self.anti
-            base = self.p0
-            xi = xi + d * self.h
-        if xi.ndim > 0:
-            return base[:, None] + poly_eval(anti[:, None, :], xi)
-        return base + poly_eval(anti, xi)
-
-    def density_at(self, d, xi):
-        """Equilibrium density in cell i+d at offsets xi from its center."""
-        xi = np.asarray(xi, dtype=float)
-        if self.piecewise:
-            coeffs = self._roll(self.rho_coeffs, d)
-        else:
-            coeffs = self.rho_coeffs
-            xi = xi + d * self.h
-        if xi.ndim > 0:
-            return poly_eval(coeffs[:, None, :], xi)
-        return poly_eval(coeffs, xi)
 
 
 def eps_hat_estimate(e_hat, rec_nodes, weights):
@@ -178,108 +121,110 @@ def anchor_pressure_simplified(rec_center, eos):
     return np.where(good, p0, -1.0)
 
 
-def solve_anchor(scheme, eos, offset_nodes, rho_nodes, rho_hat, eps_hat,
-                 weights, center=None):
-    """Anchor pressure p0 of each cell's equilibrium profile.
+def solve_anchor(eos, offset_nodes, rho_nodes, rho_hat, eps_hat, weights):
+    """Anchor pressure p0 matching the cell-averaged internal energy
+    `eps_hat`: closed form for the ideal gas, Newton iteration otherwise.
 
-    The '-S' schemes evaluate the EoS at the reconstructed cell-center state
-    `center`; the others match the cell-averaged internal energy `eps_hat`,
-    in closed form for the ideal gas and by Newton iteration otherwise.
     Returns (p0, ok); ok is False where the solve did not converge, its
     inputs were non-physical, or p0 <= 0.
     """
-    if scheme.simplified_anchor:
-        p0 = anchor_pressure_simplified(center, eos)
-    elif eos.name == "ideal":
+    if eos.name == "ideal":
         p0 = anchor_pressure_ideal(offset_nodes, eps_hat, eos.gamma, weights)
+        return p0, p0 > 0.0
+    return anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat,
+                                  eos, weights)
+
+
+def node_offsets(radius, nodes, h):
+    """Offsets of the 1-D node set from its cell's center: the Gauss `nodes`
+    of stencil cells -radius..radius, cell after cell, then the two faces."""
+    return np.concatenate([d * h + nodes for d in range(-radius, radius + 1)]
+                          + [np.array([-0.5 * h, 0.5 * h])])
+
+
+def build_profiles(scheme, eos, rec_coeffs, anti, rho_hat, e_hat, xi, weights,
+                   wrap):
+    """Pressure and density of every cell's local equilibrium at its node set.
+
+    `anti` is the antiderivative of each cell's source rho^rec * g^int, `xi`
+    the node-set offsets (`node_offsets`), `weights` the cell-mean weights of
+    the Gauss nodes and `wrap[i, d + r] = (i + d) % n` the stencil cells.
+    DWB evaluates each piece once, at its own nodes and faces, and gathers
+    the neighbours through `wrap`, offset by the glued constants; LA
+    evaluates cell i's own piece at every offset.  The anchor sees the
+    node-set columns of the cell itself.  Returns (p, rho, ok): ok flags
+    cells whose anchor solve converged to a positive pressure and whose
+    density is positive at their own nodes; callers fall back to the
+    standard reconstruction elsewhere.
+    """
+    n, n_stencil = wrap.shape
+    nq = weights.size
+    own = slice(n_stencil // 2 * nq, (n_stencil // 2 + 1) * nq)
+    if scheme.piecewise_source:
+        xi = np.concatenate([xi[own], xi[-2:]])
+        own = slice(0, nq)
+    rho_mom = poly_eval(rec_coeffs[:2, :, None, :], xi)
+    offsets = poly_eval(anti[:, None, :], xi)
+    rho_pos = rho_mom[0, :, own] > 0.0
+    if scheme.simplified_anchor:
+        p0 = anchor_pressure_simplified(rec_coeffs[..., 0], eos)
+        ok = p0 > 0.0
     else:
-        return anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat,
-                                      eps_hat, eos, weights)
-    return p0, p0 > 0.0
+        rec_nodes = np.where(rho_pos, rho_mom[:, :, own], 1.0)
+        eps_hat = eps_hat_estimate(e_hat, rec_nodes, weights)
+        p0, ok = solve_anchor(eos, offsets[:, own], rho_mom[0, :, own], rho_hat,
+                              eps_hat, weights)
+    ok &= np.all(rho_pos, axis=-1)
+    p0 = np.where(ok, p0, 1.0)
+    if not scheme.piecewise_source:
+        return p0[:, None] + offsets, rho_mom[0], ok
+    # stencil cell d: piece i+d at its own nodes, shifted by the glue; the
+    # faces are cell i's own
+    glued = glued_constants(offsets[:, -2], offsets[:, -1], 0, 0.0)
+    base = p0[:, None] + (glued[wrap] - glued[:, None])
+    p = np.concatenate([(base[..., None] + offsets[wrap, :nq]).reshape(n, -1),
+                        p0[:, None] + offsets[:, nq:]], axis=1)
+    rho = np.concatenate([rho_mom[0][wrap, :nq].reshape(n, -1),
+                          rho_mom[0, :, nq:]], axis=1)
+    return p, rho, ok
 
 
-def energy_deviations(profile, e_hat, radius, nodes, weights):
-    """Cell averages of the equilibrium perturbation in energy.
+def energy_deviations(eos, p, rho, e_window, weights):
+    """Energy deviations from the equilibrium, and its face internal energy.
 
-    delta[i, d + radius] = E_hat[i+d] - mean over cell i+d of the profile's
-    internal energy (same quadrature as the anchor matching).  Also returns a
-    validity mask (positive profile pressure and density at every node).
+    `p` and `rho` hold the equilibrium at a node set (`weights.size` nodes
+    per stencil cell, cell after cell, then the faces); `e_window` the
+    energy averages of the stencil cells.  delta = E_hat - cell mean of
+    eps(rho, p), with one EoS call over every node.  Returns (delta,
+    eps_faces, ok); ok flags cells with positive p and rho at every node.
     """
-    n = e_hat.shape[0]
-    delta = np.zeros((n, 2 * radius + 1))
-    valid = np.ones(n, dtype=bool)
-    eos = profile.eos
-    for d in range(-radius, radius + 1):
-        p = profile.pressure_at(d, nodes)
-        rho = profile.density_at(d, nodes)
-        ok = np.all((p > 0.0) & (rho > 0.0), axis=-1)
-        valid &= ok
-        eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
-                                  np.where(p > 0.0, p, 1.0))
-        avg = np.einsum("a,...a->...", weights, eps) / profile.h
-        delta[:, d + radius] = np.roll(e_hat, -d) - avg
-    return delta, valid
+    ok = np.all((p > 0.0) & (rho > 0.0), axis=-1)
+    eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
+                              np.where(p > 0.0, p, 1.0))
+    n_stencil, nq = e_window.shape[-1], weights.size
+    cells = eps[..., :n_stencil * nq].reshape(eps.shape[:-1] + (n_stencil, nq))
+    return e_window - cells @ weights, eps[..., n_stencil * nq:], ok
 
 
-def hydrostatic_energy_faces(profile, delta_coeffs):
-    """Left/right face values of the hydrostatically reconstructed energy.
+def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_table):
+    """Face energies eps(rho^rec, p^eq) + delta-polynomial; `face_table`
+    holds the monomials of `delta_coeffs` at the faces."""
+    return eps_faces + delta_coeffs @ face_table
 
-    E^rec(x) = eps(rho^rec(x), p^eq(x)) + delta-polynomial(x), evaluated at
-    the two cell faces.  Returns (E_left, E_right, face_ok).
+
+def monotonicity_probe(offset_nodes, rho_nodes, p0, eos, weights,
+                       n_samples=32):
+    """Check that one cell's anchor residual is strictly monotone around p0.
+
+    Takes the cell's pressure offsets and densities at its nodes, like the
+    anchor solvers, and samples the derivative sign of the matching function
+    over a bracket [p0/2, 2 p0]; a sign change signals a
+    phase-transition-like EoS and non-unique anchors.
     """
-    h = profile.h
-    faces = np.array([-0.5 * h, 0.5 * h])
-    p_f = profile.pressure_at(0, faces)
-    rho_f = profile.density_at(0, faces)
-    ok = np.all((p_f > 0.0) & (rho_f > 0.0), axis=-1)
-    eps_f = profile.eos.internal_energy(np.where(rho_f > 0.0, rho_f, 1.0),
-                                        np.where(p_f > 0.0, p_f, 1.0))
-    delta_f = poly_eval(delta_coeffs[:, None, :], faces)
-    total = eps_f + delta_f
-    return total[:, 0], total[:, 1], ok
-
-
-def build_profiles(grid, scheme, eos, rec_coeffs, g_coeffs, rho_hat, e_hat):
-    """Assemble profiles and anchors for every cell that has a reconstruction.
-
-    Returns (profile, anchor_valid, nodes, weights): anchor_valid flags cells
-    whose anchor solve converged to a positive pressure; callers fall back to
-    the standard reconstruction elsewhere.
-    """
-    source = build_source_coeffs(rec_coeffs[0], g_coeffs)
-    profile = EquilibriumProfile1D(grid, eos, rec_coeffs[0], source,
-                                   scheme.piecewise_source)
-    nodes, weights = gauss_nodes_weights_centered(scheme.n_quad, grid.dx)
-    mean = weights / grid.dx
-    rec_nodes = poly_eval(rec_coeffs[:, :, None, :], nodes)
-    rho_nodes_pos = rec_nodes[0] > 0.0
-    eps_hat = eps_hat_estimate(e_hat, np.where(rho_nodes_pos, rec_nodes, 1.0),
-                               mean)
-    offsets = poly_eval(profile.anti[:, None, :], nodes)
-    p0, ok = solve_anchor(scheme, eos, offsets, rec_nodes[0], rho_hat,
-                          eps_hat, mean, center=rec_coeffs[:, :, 0])
-    ok &= np.all(rho_nodes_pos, axis=-1)
-    profile.p0 = np.where(ok, p0, 1.0)
-    return profile, ok, nodes, weights
-
-
-def monotonicity_probe(profile, i, eos=None, n_samples=32):
-    """Check that the anchor residual is strictly monotone around p0[i].
-
-    Samples the derivative sign of the matching function over a bracket
-    [p0/2, 2 p0]; a sign change signals a phase-transition-like EoS and
-    non-unique anchors.
-    """
-    eos = eos or profile.eos
-    nodes, weights = gauss_nodes_weights_centered(2, profile.h)
-    anti = poly_eval(profile.anti[i][None, :], nodes)
-    rho = poly_eval(profile.rho_coeffs[i][None, :], nodes)
-    p0 = profile.p0[i]
     for p in np.linspace(0.5 * p0, 2.0 * p0, n_samples):
-        p_nodes = p + anti
+        p_nodes = p + offset_nodes
         if np.any(p_nodes <= 0.0):
             continue
-        deriv = -np.sum(weights * eos.deps_dp(rho, p_nodes)) / profile.h
-        if deriv >= 0.0:
+        if eos.deps_dp(rho_nodes, p_nodes) @ weights <= 0.0:
             return False
     return True

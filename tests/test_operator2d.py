@@ -151,3 +151,21 @@ def test_scheme_dimension_validation():
         run(scen, Scheme("dwb", 3), 8, t_end=0.01)
     with pytest.raises(ConfigurationError):
         run(scen, Scheme("la", 5), 8, t_end=0.01)
+
+
+@pytest.mark.parametrize("n_x, n_y", [(1, 1), (1, 8), (8, 1)])
+def test_grid_smaller_than_ghost_width_rejected(n_x, n_y):
+    # the periodic and mirror fills read n_ghost interior cells per axis;
+    # fewer would leave stale ghosts
+    from hydrobal.errors import ConfigurationError
+
+    scen = polytrope_2d()
+    scheme = Scheme("la", 3)
+    with pytest.raises(ConfigurationError,
+                       match=rf"n = {n_x} x {n_y} cells .*LA-O3 with 2 ghost"):
+        SpatialOperator2D(Grid2D(0, 1, 0, 1, n_x, n_y, scheme.n_ghost),
+                          scheme, scen.eos, scen.gravity, scen.boundary)
+    with pytest.raises(ConfigurationError, match="n = 1 x 1 cells"):
+        run(scen, scheme, 1, t_end=0.01)
+    SpatialOperator2D(Grid2D(0, 1, 0, 1, 2, 2, scheme.n_ghost), scheme,
+                      scen.eos, scen.gravity, scen.boundary)
