@@ -2,8 +2,9 @@
 
 Each check prints one pass/fail line; the suite returns the number of
 failures.  These mirror the library's core guarantees: contact property,
-EoS round trips, quadrature exactness, reconstruction conservation,
-anchor-solver agreement, and measured ODE orders.
+EoS round trips, quadrature exactness, reconstruction conservation, the
+factored CWENO indicators, anchor-solver agreement, and measured ODE
+orders.
 """
 
 import numpy as np
@@ -20,7 +21,12 @@ from .poly import (
     poly_mul,
 )
 from .quadrature import gauss_legendre, gauss_nodes_weights_centered
-from .reconstruct import Cweno1D
+from .reconstruct import (
+    Cweno1D,
+    Cweno2D,
+    _smoothness_form_1d,
+    _smoothness_form_2d,
+)
 from .wellbalance import (
     anchor_pressure_ideal,
     anchor_pressure_newton,
@@ -131,6 +137,24 @@ def run_checks(seed=0, trials=1000):
     order5 = _measured_ode_order(RK5)
     record("rk3 measured ODE order", abs(order3 - 3.0) < 0.15, f"{order3:.3f}")
     record("rk5 measured ODE order", abs(order5 - 5.0) < 0.15, f"{order5:.3f}")
+
+    # CWENO indicators: the cached factor L reproduces the exact form A,
+    # and beta = |L^T u|^2 is non-negative and equals u^T A u
+    ok = True
+    worst = 0.0
+    for scheme, form in ((Cweno1D(3, 0.02), _smoothness_form_1d(3)),
+                         (Cweno1D(5, 0.02), _smoothness_form_1d(5)),
+                         (Cweno2D(0.02, 0.01), _smoothness_form_2d(0.5))):
+        factor = scheme._factor
+        dev = np.abs(factor @ factor.T - form).max() / np.abs(form).max()
+        worst = max(worst, dev)
+        window = rng.standard_normal((scheme._table.shape[1], 200))
+        coeffs, beta = scheme._candidates(window - window[len(window) // 2])
+        exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
+        ok &= dev <= 1e-15 and np.all(beta >= 0.0) \
+            and np.allclose(beta, exact, rtol=1e-12, atol=0.0)
+    record("cweno indicator factorization", ok,
+           f"max |L L^T - A| / max |A| {worst:.2e}")
 
     return results
 

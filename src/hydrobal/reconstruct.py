@@ -3,15 +3,20 @@
 1-D orders 3 and 5 (plus the degenerate piecewise-constant order 1 used by
 the first-order reference scheme) and the 3x3-stencil third-order 2-D
 variant.  Candidate-polynomial matrices and smoothness-indicator quadratic
-forms are assembled once per scheme with exact rational arithmetic, so the
-per-cell work reduces to a few batched matrix products.
+forms are built with exact rational arithmetic and cached per order (2-D:
+per aspect ratio dy/dx) as read-only tables; the grid spacing enters only
+through the scale vectors and eps_w.  Each indicator form is factored as
+A = L L^T, so an indicator is a sum of squares of rows folded into the
+candidate table, and the per-cell work reduces to one matrix product and a
+few contiguous passes.
 
 Coefficients come out in cell-local coordinates: scaled internally
 (powers of (x - x_i)/dx), physical (powers of (x - x_i)) at the API.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 
@@ -78,50 +83,114 @@ def _embed(matrix, stencil_offsets, sub_offsets, n_coeff):
     return out
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _blend_table(opt, cands, dlin, form):
+    """Read-only (table, linear weights, factor) of one CWENO scheme.
+
+    The central candidate is built from the optimal polynomial so that the
+    linear-weight blend reproduces it, (opt - sum_k d_k cand_k) / d_0, and
+    goes last.  The factor L (n_coeff, rank) gives form = L L^T; it keeps
+    the eigenvalues above 1e-14 of the largest, which drops the null
+    direction of the constant term (rank 0 for order 1).  The table stacks
+    the q candidate matrices (q*n_coeff rows) over the rows L^T cand_k
+    (q*rank rows), all over the n_window stencil entries.
+    """
+    d0 = 1 - sum(dlin)
+    central = [[(opt[r][c] - sum(d * cand[r][c]
+                                 for d, cand in zip(dlin, cands))) / d0
+                for c in range(len(opt[0]))] for r in range(len(opt))]
+    matrices = np.array([[[float(x) for x in row] for row in mat]
+                         for mat in cands + [central]])
+    lam, vec = np.linalg.eigh(form)
+    keep = lam > 1e-14 * lam.max()
+    factor = vec[:, keep] * np.sqrt(lam[keep])
+    n_window = matrices.shape[-1]
+    rows = np.einsum("kr,qkw->qrw", factor, matrices)
+    table = np.concatenate([matrices.reshape(-1, n_window),
+                            rows.reshape(-1, n_window)])
+    return _frozen(table, np.array([float(d) for d in dlin] + [float(d0)]),
+                   factor)
+
+
 class _CwenoBlend:
     """The CWENO nonlinear-weight blend shared by `Cweno1D` and `Cweno2D`.
 
-    `_set_candidates` stores the candidate matrices, the central one built
-    from the optimal polynomial so that the linear-weight blend reproduces
-    it: (opt - sum_k d_k cand_k) / d_0.  `_blend` maps stencil windows
-    (..., n_window), centered on the middle entry, to physical coefficients
-    (..., n_coeff).
+    `_blend` maps stencil windows (..., n_window), centered on the middle
+    entry, to physical coefficients (..., n_coeff), with cells on the last
+    axis throughout.  The windows become deviations (n_window, cells) from
+    the central average; one product with the cached table (`_blend_table`)
+    gives every candidate's scaled coefficients (q, n_coeff, cells) and its
+    indicator rows (q, rank, cells).  beta_k is the sum of squares of
+    candidate k's rows, so beta_k = u_k^T A u_k >= 0 without forming A.
+    The weights are normalised in place, the blend is q multiply-adds of
+    contiguous (n_coeff, cells) blocks, and the result is transposed back.
     """
 
-    def _set_candidates(self, opt, cands, dlin, beta_form, scale):
-        d0 = 1 - sum(dlin)
-        central = [[(opt[r][c] - sum(d * cand[r][c]
-                                     for d, cand in zip(dlin, cands))) / d0
-                    for c in range(len(opt[0]))] for r in range(len(opt))]
-        matrices = np.array([[[float(x) for x in row] for row in mat]
-                             for mat in cands + [central]])
-        self._n_cand, _, n_window = matrices.shape
-        # (n_window, q*n_coeff) layout: all candidates from one product
-        self._matrices_flat = np.ascontiguousarray(
-            matrices.transpose(2, 0, 1).reshape(n_window, -1))
-        self._dlin = np.array([float(d) for d in dlin] + [float(d0)])
-        self._beta_form = beta_form
-        self._scale = scale
+    def _set_table(self, tables, scale):
+        self._table, self._dlin, self._factor = tables
+        self._scale = scale[:, None]
+
+    def _candidates(self, deviation):
+        """Deviations (n_window, cells) from the central average -> scaled
+        candidate coefficients (q, n_coeff, cells) and indicators (q, cells).
+        """
+        q, n = self._dlin.size, self._scale.shape[0]
+        cells = deviation.shape[1]
+        rows = self._table @ deviation
+        indicator = rows[q * n:]
+        np.square(indicator, out=indicator)
+        return (rows[:q * n].reshape(q, n, cells),
+                indicator.reshape(q, self._factor.shape[1], cells).sum(axis=1))
 
     def _blend(self, window):
         window = np.asarray(window, dtype=float)
         lead, n_window = window.shape[:-1], window.shape[-1]
-        n = self._scale.size
-        # work on deviations from the central average: every candidate
-        # reproduces constants exactly, so this removes cancellation noise
-        flat = window.reshape(-1, n_window)
-        center = flat[:, n_window // 2]
-        deviation = flat - center[:, None]
-        coeffs = (deviation @ self._matrices_flat).reshape(-1, self._n_cand, n)
-        tmp = (coeffs.reshape(-1, n) @ self._beta_form).reshape(coeffs.shape)
-        beta = (tmp * coeffs).sum(axis=-1)
-        alpha = self._dlin / (self.eps_w + beta) ** 2
-        weights = alpha / alpha.sum(axis=1, keepdims=True)
-        scaled = weights[:, 0, None] * coeffs[:, 0]
-        for q in range(1, self._n_cand):
-            scaled += weights[:, q, None] * coeffs[:, q]
-        scaled[:, 0] += center
-        return (scaled / self._scale).reshape(lead + (n,))
+        # deviations from the central average: every candidate reproduces
+        # constants exactly, so this removes cancellation noise
+        cols = np.moveaxis(window, -1, 0)
+        deviation = np.empty(cols.shape)
+        np.subtract(cols, cols[n_window // 2], out=deviation)
+        deviation = deviation.reshape(n_window, -1)
+        cells = deviation.shape[1]
+        if cells == 1:
+            # one column would take BLAS's matrix-vector path, which rounds
+            # differently: a cell's coefficients must not depend on its batch
+            deviation = np.repeat(deviation, 2, axis=1)
+        # weights holds beta, then alpha = d / (eps_w + beta)^2, then the
+        # normalised weights
+        coeffs, weights = self._candidates(deviation)
+        weights += self.eps_w
+        np.square(weights, out=weights)
+        np.divide(self._dlin[:, None], weights, out=weights)
+        weights /= weights.sum(axis=0)
+        coeffs *= weights[:, None, :]
+        out = coeffs[0, :, :cells]
+        for k in range(1, len(coeffs)):
+            out += coeffs[k, :, :cells]
+        out[0] += cols[n_window // 2].reshape(-1)
+        out /= self._scale
+        return out.T.reshape(lead + (self._scale.shape[0],))
+
+
+@lru_cache(maxsize=None)
+def _cweno_1d_table(order):
+    stencil = list(range(-(order // 2), order // 2 + 1))
+    # the one-sided candidates share half of the linear weight; the
+    # central polynomial takes the rest
+    subs = {1: [], 3: [[-1, 0], [0, 1]],
+            5: [[-2, -1, 0], [-1, 0, 1], [0, 1, 2]]}[order]
+    cands = [_embed(_average_fit_matrix(s, len(s) - 1), stencil, s, order)
+             for s in subs]
+    return _blend_table(
+        _embed(_average_fit_matrix(stencil, order - 1), stencil, stencil,
+               order),
+        cands, [Fraction(1, 2 * len(subs)) for _ in subs],
+        _smoothness_form_1d(order))
 
 
 class Cweno1D(_CwenoBlend):
@@ -141,19 +210,8 @@ class Cweno1D(_CwenoBlend):
         self.dx = float(dx)
         self.radius = (order - 1) // 2
         self.eps_w = float(eps_w) if eps_w is not None else self.dx ** 2
-        stencil = list(range(-self.radius, self.radius + 1))
-        # the one-sided candidates share half of the linear weight; the
-        # central polynomial takes the rest
-        subs = {1: [], 3: [[-1, 0], [0, 1]],
-                5: [[-2, -1, 0], [-1, 0, 1], [0, 1, 2]]}[order]
-        dlin = [Fraction(1, 2 * len(subs)) for _ in subs]
-        cands = [_embed(_average_fit_matrix(s, len(s) - 1), stencil, s, order)
-                 for s in subs]
-        self._set_candidates(
-            _embed(_average_fit_matrix(stencil, order - 1), stencil, stencil,
-                   order),
-            cands, dlin, _smoothness_form_1d(order),
-            self.dx ** np.arange(order, dtype=float))
+        self._set_table(_cweno_1d_table(order),
+                        self.dx ** np.arange(order, dtype=float))
 
     def reconstruct_stencils(self, window):
         """Stencil values (..., m) -> physical coefficients (..., m)."""
@@ -174,6 +232,18 @@ class Cweno1D(_CwenoBlend):
         return out
 
 
+@lru_cache(maxsize=None)
+def _nodal_fit(points, exps):
+    """Read-only exact map from values at integer `points` to the
+    coefficients of the monomials `exps` (tuples of per-axis exponents)."""
+    vand = [[prod(Fraction(x) ** a for x, a in zip(pt, e))
+             for e in exps] for pt in points]
+    ident = [[Fraction(int(i == j)) for j in range(len(points))]
+             for i in range(len(points))]
+    matrix, = _frozen(np.array(_fraction_solve(vand, ident), dtype=float))
+    return matrix
+
+
 class GravityInterp1D:
     """Degree m-1 interpolation of cell-centered gravity point values."""
 
@@ -183,10 +253,9 @@ class GravityInterp1D:
         self.order = order
         self.dx = float(dx)
         self.radius = (order - 1) // 2
-        offsets = range(-self.radius, self.radius + 1)
-        vand = [[Fraction(j) ** k for k in range(order)] for j in offsets]
-        ident = [[Fraction(int(i == j)) for j in range(order)] for i in range(order)]
-        self._matrix = np.array(_fraction_solve(vand, ident), dtype=float)
+        self._matrix = _nodal_fit(
+            tuple((j,) for j in range(-self.radius, self.radius + 1)),
+            tuple((k,) for k in range(order)))
         self._dx_pow = self.dx ** np.arange(order, dtype=float)
 
     def coefficients(self, values):
@@ -286,6 +355,14 @@ def _smoothness_form_2d(ratio):
     return form
 
 
+@lru_cache(maxsize=None)
+def _cweno_2d_table(ratio):
+    planes = [_plane_matrix_2d(sx, sy)
+              for sx, sy in ((-1, -1), (1, -1), (-1, 1), (1, 1))]
+    return _blend_table(_optimal_matrix_2d(), planes, [Fraction(1, 8)] * 4,
+                        _smoothness_form_2d(ratio))
+
+
 class Cweno2D(_CwenoBlend):
     """Third-order CWENO on a 3x3 stencil, total degree 2.
 
@@ -299,11 +376,8 @@ class Cweno2D(_CwenoBlend):
         self.dx = float(dx)
         self.dy = float(dy)
         self.eps_w = float(eps_w) if eps_w is not None else self.dx * self.dy
-        planes = [_plane_matrix_2d(sx, sy)
-                  for sx, sy in ((-1, -1), (1, -1), (-1, 1), (1, 1))]
-        self._set_candidates(
-            _optimal_matrix_2d(), planes, [Fraction(1, 8)] * 4,
-            _smoothness_form_2d(self.dy / self.dx),
+        self._set_table(
+            _cweno_2d_table(self.dy / self.dx),
             np.array([self.dx ** a * self.dy ** b for (a, b) in MONOMIALS_DEG2]))
 
     def reconstruct_stencils(self, window):
@@ -338,12 +412,9 @@ class GravityInterp2D:
         self.dx = float(dx)
         self.dy = float(dy)
         self.exps = MONOMIALS_BIQUAD
-        offsets = [(jx, jy) for jx in (-1, 0, 1) for jy in (-1, 0, 1)]
-        vand = [[Fraction(jx) ** a * Fraction(jy) ** b for (a, b) in self.exps]
-                for (jx, jy) in offsets]
-        ident = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
-        self._matrix = np.array([[float(x) for x in row]
-                                 for row in _fraction_solve(vand, ident)])
+        self._matrix = _nodal_fit(
+            tuple((jx, jy) for jx in (-1, 0, 1) for jy in (-1, 0, 1)),
+            tuple(self.exps))
         self._scale = np.array([self.dx ** a * self.dy ** b
                                 for (a, b) in self.exps])
 

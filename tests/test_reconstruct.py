@@ -10,6 +10,8 @@ from hydrobal.reconstruct import (
     Cweno2D,
     GravityInterp1D,
     GravityInterp2D,
+    _smoothness_form_1d,
+    _smoothness_form_2d,
 )
 
 
@@ -249,3 +251,162 @@ class TestGravityInterp2D:
             errors.append(np.max(np.abs(vals - exact)))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert rates[-1] > 2.7
+
+
+# ---------------------------------------------------------------------------
+# factored indicators, layouts and cached tables
+# ---------------------------------------------------------------------------
+
+def _reference_blend(scheme, form, window):
+    """The blend with beta = u^T A u on each candidate's scaled coefficients
+    u, cells first, from the scheme's candidate rows and the exact form A."""
+    q, n = scheme._dlin.size, scheme._scale.shape[0]
+    m = window.shape[-1]
+    flat = window.reshape(-1, m)
+    center = flat[:, m // 2]
+    matrices = scheme._table[:q * n].reshape(q, n, m)
+    coeffs = np.einsum("qkw,cw->cqk", matrices, flat - center[:, None])
+    beta = np.einsum("cqk,kl,cql->cq", coeffs, form, coeffs)
+    alpha = scheme._dlin / (scheme.eps_w + beta) ** 2
+    weights = alpha / alpha.sum(axis=1, keepdims=True)
+    scaled = np.einsum("cq,cqk->ck", weights, coeffs)
+    scaled[:, 0] += center
+    return (scaled / scheme._scale[:, 0]).reshape(window.shape[:-1] + (n,))
+
+
+# (scheme, its exact indicator form): 1-D orders 3 and 5, 2-D dy/dx 1, 0.5, 3
+BLEND_CASES = [(Cweno1D(order, 0.02), _smoothness_form_1d(order))
+               for order in (3, 5)] \
+    + [(Cweno2D(0.02, 0.02 * ratio), _smoothness_form_2d(ratio))
+       for ratio in (1.0, 0.5, 3.0)]
+BLEND_IDS = ["1d-o3", "1d-o5", "2d-1", "2d-0.5", "2d-3"]
+
+
+def _test_windows(m, rng):
+    smooth = np.cumsum(rng.standard_normal((40, m)), axis=-1) * 0.1 + 2.0
+    step = np.where(np.arange(m) < rng.integers(1, m, (40, 1)), 1.0, 10.0)
+    near_constant = 1.0 + 1e-10 * rng.standard_normal((40, m))
+    return {"smooth": smooth, "step": step, "near-constant": near_constant}
+
+
+class TestFactoredBlend:
+    @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
+    def test_matches_quadratic_form_oracle(self, case):
+        scheme, form = BLEND_CASES[case]
+        m = scheme._table.shape[1]
+        rng = np.random.default_rng(60 + case)
+        for label, window in _test_windows(m, rng).items():
+            got = scheme.reconstruct_stencils(window)
+            ref = _reference_blend(scheme, form, window)
+            # compare scaled coefficients against the window scale
+            scale = np.abs(window).max()
+            dev = np.abs((got - ref) * scheme._scale[:, 0]).max() / scale
+            assert dev <= 1e-14, (label, dev)
+
+    @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
+    def test_factor_reproduces_form(self, case):
+        scheme, form = BLEND_CASES[case]
+        factor = scheme._factor
+        assert factor.shape == (form.shape[0], form.shape[0] - 1)
+        assert np.abs(factor @ factor.T - form).max() \
+            <= 1e-15 * np.abs(form).max()
+
+    @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
+    def test_indicators_nonnegative_and_exact(self, case):
+        scheme, form = BLEND_CASES[case]
+        m = scheme._table.shape[1]
+        rng = np.random.default_rng(70 + case)
+        for label, window in _test_windows(m, rng).items():
+            deviation = (window - window[:, m // 2, None]).T.copy()
+            coeffs, beta = scheme._candidates(deviation)
+            assert np.all(beta >= 0.0), label
+            exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
+            np.testing.assert_allclose(beta, exact, rtol=1e-12,
+                                       atol=1e-15 * np.abs(exact).max())
+
+
+class TestBlendLayouts:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_1d_layouts_identical(self, order):
+        rng = np.random.default_rng(80 + order)
+        scheme = Cweno1D(order, 0.03)
+        values = np.cumsum(rng.standard_normal((3, 40)), axis=-1)
+        strided = np.lib.stride_tricks.sliding_window_view(values, order,
+                                                           axis=-1)
+        self._assert_layouts(scheme, strided)
+
+    def test_2d_layouts_identical(self):
+        rng = np.random.default_rng(90)
+        scheme = Cweno2D(0.03, 0.05)
+        values = np.cumsum(rng.standard_normal((3, 9, 9)), axis=-1)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            values, (3, 3), axis=(-2, -1)).reshape(3, 49, 9)
+        # a strided view: every other row of a batch with each window twice
+        self._assert_layouts(scheme, np.repeat(windows, 2, axis=1)[:, ::2])
+
+    @staticmethod
+    def _assert_layouts(scheme, strided):
+        """Leading shape (3, n, m): strided view, contiguous, Fortran-ordered,
+        flattened and window-by-window calls give identical coefficients."""
+        assert strided.ndim == 3 and not strided.flags.c_contiguous
+        m = strided.shape[-1]
+        ref = scheme.reconstruct_stencils(np.ascontiguousarray(strided))
+        assert ref.shape == strided.shape[:-1] + (len(scheme._scale),)
+        for variant in (strided, np.asfortranarray(strided)):
+            np.testing.assert_array_equal(
+                scheme.reconstruct_stencils(variant), ref)
+        np.testing.assert_array_equal(
+            scheme.reconstruct_stencils(strided.reshape(-1, m)),
+            ref.reshape(-1, ref.shape[-1]))
+        for i in range(strided.shape[0]):
+            for j in range(strided.shape[1]):
+                single = scheme.reconstruct_stencils(strided[i, j])
+                assert single.shape == ref.shape[-1:]
+                np.testing.assert_array_equal(single, ref[i, j])
+
+    def test_order_one_is_the_cell_average(self):
+        scheme = Cweno1D(1, 0.3)
+        values = np.random.default_rng(5).standard_normal((3, 17))
+        coeffs = scheme.reconstruct_stencils(values[..., None])
+        assert coeffs.shape == (3, 17, 1)
+        np.testing.assert_array_equal(coeffs[..., 0], values)
+        np.testing.assert_array_equal(scheme.coefficients(values)[..., 0],
+                                      values)
+
+
+class TestCachedTables:
+    def test_cweno_1d_tables_shared_and_read_only(self):
+        a, b = Cweno1D(5, 0.1), Cweno1D(5, 0.037)
+        for name in ("_table", "_dlin", "_factor"):
+            assert getattr(a, name) is getattr(b, name)
+            with pytest.raises(ValueError):
+                getattr(a, name)[0] = 1.0
+        assert Cweno1D(3, 0.1)._table is not a._table
+
+    def test_cweno_2d_tables_shared_by_aspect_ratio(self):
+        a, b = Cweno2D(0.1, 0.05), Cweno2D(0.2, 0.1)
+        assert a._table is b._table and a._factor is b._factor
+        assert Cweno2D(0.1, 0.1)._table is not a._table
+        with pytest.raises(ValueError):
+            a._table[0, 0] = 1.0
+
+    def test_gravity_tables_shared(self):
+        a, b = GravityInterp1D(5, 0.1), GravityInterp1D(5, 0.3)
+        assert a._matrix is b._matrix
+        assert GravityInterp1D(3, 0.1)._matrix is not a._matrix
+        c, d = GravityInterp2D(0.1, 0.2), GravityInterp2D(0.3, 0.3)
+        assert c._matrix is d._matrix
+        for table in (a._matrix, c._matrix):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_coefficient_k_scales_as_dx_power(self):
+        rng = np.random.default_rng(12)
+        window = np.cumsum(rng.standard_normal((30, 5)), axis=-1)
+        h = 0.013
+        coarse = Cweno1D(5, h, eps_w=1e-3).reconstruct_stencils(window)
+        for factor in (2.0, 0.1, 7.0):
+            fine = Cweno1D(5, factor * h, eps_w=1e-3).reconstruct_stencils(
+                window)
+            np.testing.assert_allclose(fine * factor ** np.arange(5), coarse,
+                                       rtol=1e-14, atol=0.0)
