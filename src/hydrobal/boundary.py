@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .poly import poly_antiderivative, poly_eval
+from .reconstruct import product_tables
 
 KINDS_1D = ("periodic", "dirichlet", "hydrostatic-extrapolation", "solid-wall")
 KINDS_2D = KINDS_1D + ("background-deviation-extrapolation",)
@@ -92,7 +92,7 @@ def extrapolated_strips(cweno, data, sides, n_ghost):
     The extrapolated polynomial is the reconstruction of cell n_ghost + r,
     the innermost cell whose stencil holds interior cells only; each ghost
     gets its exact average, a difference of one antiderivative evaluated at
-    the ghost interfaces.
+    the ghost interfaces (the product-basis line table of rec x 1).
     """
     r, h = cweno.radius, cweno.dx
     width = n_ghost + 2 * r + 1
@@ -100,7 +100,7 @@ def extrapolated_strips(cweno, data, sides, n_ghost):
                        else data[:, :-width - 1:-1] * MIRROR_SIGN
                        for side in sides], axis=1)
     coeffs = cweno.reconstruct_stencils(strips[..., n_ghost:])
-    edges = (np.arange(n_ghost + 1) - (n_ghost + r + 0.5)) * h
-    anti = poly_eval(poly_antiderivative(coeffs)[..., None, :], edges)
+    edges = tuple((j - (n_ghost + r + 0.5),) for j in range(n_ghost + 1))
+    anti = coeffs @ product_tables(cweno.exps, ((0,),), edges, (h,)).line[0]
     strips[..., :n_ghost] = np.diff(anti, axis=-1) / h
     return strips

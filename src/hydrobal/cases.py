@@ -20,10 +20,9 @@ from .boundary import (
 from .eos import IdealGas, IdealGasRadiation
 from .errors import ConfigurationError, InitializationError
 from .grid import CellField, Grid1D, Grid2D
-from .poly import poly_antiderivative, poly_eval, poly_mul
 from .quadrature import gauss_nodes_weights_centered
-from .reconstruct import Cweno1D, GravityInterp1D
-from .wellbalance import glued_constants
+from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
+from .wellbalance import equilibrium_points, glued_constants
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -87,7 +86,7 @@ def isothermal_1d(potential="10x", gamma=1.4):
         grav = lambda x: -2.0 * np.pi * np.cos(2.0 * np.pi * np.asarray(x, dtype=float))
         bc = BoundarySpec1D("periodic", "periodic")
     else:
-        raise ValueError(f"unknown potential choice {potential!r}")
+        raise ConfigurationError(f"unknown potential choice {potential!r}")
 
     rho = lambda x: np.exp(-phi(x))
 
@@ -143,6 +142,8 @@ def polytropic_radiation_1d(perturbation=None, gamma=1.4, nu=None):
     profile is hydrostatic for any nu, here nu = gamma.
     """
     nu = gamma if nu is None else nu
+    if nu <= 1.0:
+        raise ConfigurationError(f"polytropic index nu = {nu} must exceed 1")
     phi = lambda x: -np.asarray(x, dtype=float)
     grav = lambda x: np.ones_like(np.asarray(x, dtype=float))
     theta = lambda x: 1.0 - (nu - 1.0) / nu * phi(x)
@@ -335,7 +336,8 @@ SCENARIOS = {
 
 def make_scenario(name, **kwargs):
     if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
     factory = SCENARIOS[name]
     accepted = inspect.signature(factory).parameters
     unknown = sorted(set(kwargs) - set(accepted))
@@ -425,23 +427,26 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
         set_edge_ghosts(data, sides,
                         extrapolated_strips(cweno, data, sides, ng), ng)
 
-    rec_rho = cweno.coefficients(data[0])
-    g_coeffs = GravityInterp1D(scheme.order, h).coefficients(
+    rec_rho = cweno.coefficients(data[0])[r:n_tot - r]
+    ginterp = GravityInterp1D(scheme.order, h)
+    g_coeffs = ginterp.coefficients(
         np.asarray(scenario.gravity(centers), dtype=float) * np.ones(n_tot))
-    anti = poly_antiderivative(poly_mul(rec_rho, g_coeffs))
-    ends = poly_eval(anti[r:n_tot - r, None, :], np.array([-0.5 * h, 0.5 * h]))
+    # every piece at the Gauss nodes of its stencil cells and at its faces
+    tables = product_tables(cweno.exps, ginterp.exps,
+                            equilibrium_points(scheme.n_quad, r), (h,))
+    anti = product_terms(rec_rho, g_coeffs[r:n_tot - r]) @ tables.line[0]
     anchor = ng if anchor_cell is None else int(anchor_cell)
-    const = glued_constants(ends[:, 0], ends[:, 1], anchor - r,
+    const = glued_constants(anti[:, -2], anti[:, -1], anchor - r,
                             p_bg(centers[anchor]))
 
     # cell k averages piece k; the outermost r ghosts on each side, which
     # have no full stencil, continue the innermost piece
     cells = np.arange(n_tot)
-    piece = np.clip(cells, r, n_tot - 1 - r)
-    offsets = ((cells - piece) * h)[:, None] + nodes
-    rho = poly_eval(rec_rho[piece, None, :], offsets)
-    p = const[piece - r, None] + poly_eval(anti[piece, None, :], offsets)
-    bad = (const[piece - r] <= 0.0) \
+    piece = np.clip(cells, r, n_tot - 1 - r) - r
+    nodes_of = (cells - piece)[:, None] * weights.size + np.arange(weights.size)
+    rho = (rec_rho @ tables.values)[piece[:, None], nodes_of]
+    p = const[piece, None] + anti[piece[:, None], nodes_of]
+    bad = (const[piece] <= 0.0) \
         | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
     if np.any(bad):
         n = grid.n_cells

@@ -86,7 +86,7 @@ def cmd_study(args):
         out = _out_dir(cfg)
         write_report_csv(report, out / "report.csv")
         (out / "table.txt").write_text(format_table(report) + "\n")
-        write_meta(cfg, out / "meta.json")
+        write_meta(cfg, out / "meta.json", extra={"rows": report["rows"]})
     failed = [r for r in report["rows"] if r.get("failure")]
     return 1 if failed and len(failed) == len(report["rows"]) else 0
 

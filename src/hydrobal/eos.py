@@ -8,7 +8,7 @@ vectorized over numpy arrays, and stateless.
 
 import numpy as np
 
-from .errors import EosFailure
+from .errors import ConfigurationError, EosFailure
 
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
@@ -21,7 +21,7 @@ class IdealGas:
 
     def __init__(self, gamma=1.4):
         if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+            raise ConfigurationError(f"gamma = {gamma} must exceed 1")
         self.gamma = float(gamma)
 
     def pressure(self, rho, eps):
@@ -55,7 +55,7 @@ class IdealGasRadiation:
 
     def __init__(self, gamma=1.4):
         if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+            raise ConfigurationError(f"gamma = {gamma} must exceed 1")
         self.gamma = float(gamma)
 
     # -- temperature inversions ------------------------------------------

@@ -5,8 +5,8 @@ class HydrobalError(Exception):
     """Base class for all solver errors."""
 
 
-class ConfigurationError(HydrobalError):
-    """Invalid run configuration (bad scheme/order/boundary combination, ...)."""
+class ConfigurationError(HydrobalError, ValueError):
+    """Invalid run configuration or parameter; also a ValueError."""
 
 
 class EosFailure(HydrobalError):

@@ -49,7 +49,7 @@ def run_single(cfg):
 
 
 def run_convergence_study(cfg):
-    """Errors and rates over cfg.resolutions; failures recorded per row."""
+    """Errors and rates (as lists) over cfg.resolutions; failures per row."""
     scenario = scenario_from_config(cfg)
     scheme = scheme_from_config(cfg)
     reference = _reference_run(cfg, scenario)
@@ -60,7 +60,8 @@ def run_convergence_study(cfg):
                          init=cfg.init, eps_w=cfg.eps_w, damping=cfg.damping)
             errors = result.errors_vs(reference) if reference is not None \
                 else result.errors_vs_initial()
-            rows.append({"n": n, "errors": errors, "steps": result.stats.steps,
+            rows.append({"n": n, "errors": errors.tolist(),
+                         "steps": result.stats.steps,
                          "wall_time": result.wall_time,
                          "fallback_cells": result.stats.fallback_cells,
                          "failure": None})
@@ -72,7 +73,8 @@ def run_convergence_study(cfg):
     for prev, row in zip(rows, rows[1:]):
         if (row["errors"] is not None and prev["errors"] is not None
                 and row["n"] == 2 * prev["n"]):
-            row["rates"] = convergence_rate(prev["errors"], row["errors"])
+            row["rates"] = convergence_rate(prev["errors"],
+                                            row["errors"]).tolist()
     return {"config": cfg, "scheme_label": scheme.label, "rows": rows}
 
 

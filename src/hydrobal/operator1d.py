@@ -5,16 +5,18 @@ import numpy as np
 from .boundary import extrapolated_strips, fill_periodic_axis, set_edge_ghosts
 from .errors import ConfigurationError
 from .physics import get_flux, physical_state, wall_boundary_flux
-from .poly import poly_antiderivative, poly_eval, poly_mul
+# the benchmark tracer (perfbench/spans.py) counts polynomial calls through
+# these names; the solver evaluates through `product_tables`
+from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
-from .reconstruct import Cweno1D, GravityInterp1D
+from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
 from .wellbalance import (
     build_profiles,
     energy_deviations,
     eps_hat_estimate,
+    equilibrium_points,
     glued_constants,
     hydrostatic_energy_faces,
-    node_offsets,
     solve_anchor,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
@@ -30,7 +32,8 @@ class SpatialOperator1D:
     """Evaluates L(Q) = -(F_{i+1/2} - F_{i-1/2})/dx + S_i on a ghosted grid.
 
     Holds everything static for a run: scheme, EoS, gravity samples and
-    their interpolants, CWENO tables, quadrature, and boundary handling.
+    their interpolants, CWENO and product-basis tables, quadrature, and
+    boundary handling.
     """
 
     def __init__(self, grid, scheme, eos, gravity, boundary, eps_w=None):
@@ -58,11 +61,15 @@ class SpatialOperator1D:
         self._mean = self.quad_weights / grid.dx
         # the equilibrium node set and the stencil cells (i + d) % n_tot
         r = scheme.radius
-        self._node_offsets = node_offsets(r, self.quad_nodes, grid.dx)
+        self._exps = (self.cweno.exps, ginterp.exps)
+        self._tables = product_tables(
+            *self._exps, equilibrium_points(scheme.n_quad,
+                                            0 if scheme.piecewise_source else r),
+            (grid.dx,))
         self._stencil = (np.arange(grid.n_tot)[:, None]
                          + np.arange(-r, r + 1)) % grid.n_tot
-        self._face_table = (np.array([-0.5, 0.5]) * grid.dx) \
-            ** np.arange(scheme.order)[:, None]
+        self._face_table = self._tables.values[:, -2:]
+        self._source_means = self._tables.means.reshape(scheme.order, -1)
         self._dirichlet_ghosts = None
         self.fallback_cells = 0
         if self._hydro_sides:
@@ -73,23 +80,23 @@ class SpatialOperator1D:
 
         The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
         innermost cell with a full stencil; LA: first = n_ghost, the boundary
-        cell only).  Ghost j uses piece max(j, r) (DWB) or n_ghost (LA),
-        evaluated at the Gauss nodes of its own cell.
+        cell only).  Ghost j uses piece max(j, first) at the Gauss nodes of
+        its own cell, columns `_ghost_nodes` of the tables over -ng..ng.
         """
-        ng, r, h = self.grid.n_ghost, self.scheme.radius, self.grid.dx
+        ng, r, nq = self.grid.n_ghost, self.scheme.radius, self.scheme.n_quad
         first = r if self.scheme.piecewise_source else ng
         tables = {"left": self.g_coeffs,
                   "right": ginterp.coefficients(-self.g_centers[::-1])}
         self._g_pieces = np.stack([tables[side][first:ng + 1]
                                    for side in self._hydro_sides])
-        m = self.scheme.order
         self._piece_windows = np.arange(first - r, ng - r + 1)[:, None] \
-            + np.arange(m)
+            + np.arange(self.scheme.order)
         j = np.arange(ng)
-        piece = np.maximum(j, r) if self.scheme.piecewise_source \
-            else np.full(ng, ng)
-        self._ghost_piece = piece - first
-        self._ghost_nodes = ((j - piece) * h)[:, None] + self.quad_nodes
+        piece = np.maximum(j, first)
+        self._ghost_piece = piece[:, None] - first
+        self._ghost_nodes = (j - piece + ng)[:, None] * nq + np.arange(nq)
+        self._fill_tables = product_tables(
+            *self._exps, equilibrium_points(nq, ng), (self.grid.dx,))
 
     # -- boundaries --------------------------------------------------------
 
@@ -133,7 +140,8 @@ class SpatialOperator1D:
         summed outward from the boundary cell's C_b = p0); piece k serves
         ghost k for k >= r, and the outer r ghosts, which have no full
         stencil, evaluate piece r at offsets shifted by whole cells.  LA
-        extends the boundary cell's piece over every ghost.  A ghost energy
+        extends the boundary cell's piece over every ghost (a one-piece
+        glue).  A ghost energy
         is the Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec),
         one EoS call for all of them.
 
@@ -144,38 +152,39 @@ class SpatialOperator1D:
         positive keeps the extrapolated energies and counts its ghosts in
         `fallback_cells`.
         """
-        scheme, eos = self.scheme, self.eos
+        eos = self.eos
         ng, h = self.grid.n_ghost, self.grid.dx
-        m = scheme.order
-        nodes, weights = self.quad_nodes, self.quad_weights
+        m, nq = self.scheme.order, self.scheme.n_quad
         sides = self._hydro_sides
         strips = extrapolated_strips(self.cweno, data, sides, ng)
 
-        # one CWENO call: density and momentum of every piece
+        # one CWENO call: density and momentum of every piece, then every
+        # piece at every node
         pieces = strips[:2, :, self._piece_windows]
         rec = self.cweno.reconstruct_stencils(pieces.reshape(-1, m)) \
             .reshape(pieces.shape)
-        anti = poly_antiderivative(poly_mul(rec[0], self._g_pieces))
+        rec_nodes = rec @ self._fill_tables.values
+        offsets = product_terms(rec[0], self._g_pieces) \
+            @ self._fill_tables.line[0]
 
-        rec_nodes = poly_eval(rec[:, :, -1, None, :], nodes)
-        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes, self._mean)
-        p0, ok = solve_anchor(eos, poly_eval(anti[:, -1, None, :], nodes),
-                              rec_nodes[0], strips[0, :, ng], eps_hat,
-                              self._mean)
-        const = p0[:, None]
-        if scheme.piecewise_source:
-            ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
-            const = glued_constants(ends[..., 0], ends[..., 1],
-                                    anti.shape[1] - 1, p0)
+        own = slice(ng * nq, (ng + 1) * nq)
+        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes[:, :, -1, own],
+                                   self._mean)
+        p0, ok = solve_anchor(eos, offsets[:, -1, own], rec_nodes[0, :, -1, own],
+                              strips[0, :, ng], eps_hat, self._mean)
+        # LA glues a single piece: its constant is the anchor
+        const = glued_constants(offsets[..., -2], offsets[..., -1],
+                                offsets.shape[1] - 1, p0)
 
-        piece, xi = self._ghost_piece, self._ghost_nodes
-        rho, mom = poly_eval(rec[:, :, piece, None, :], xi)
-        p = const[:, piece, None] + poly_eval(anti[:, piece, None, :], xi)
+        piece, nodes = self._ghost_piece, self._ghost_nodes
+        rho, mom = rec_nodes[:, :, piece, nodes]
+        p = const[:, piece] + offsets[:, piece, nodes]
         positive = (rho > 0.0) & (p > 0.0)
         ok &= np.all(positive, axis=(1, 2))
         rho = np.where(positive, rho, 1.0)
         eps = eos.internal_energy(rho, np.where(positive, p, 1.0))
-        energy = np.sum(weights * (eps + 0.5 * mom ** 2 / rho), axis=-1) / h
+        energy = np.sum(self.quad_weights * (eps + 0.5 * mom ** 2 / rho),
+                        axis=-1) / h
         strips[2, :, :ng] = np.where(ok[:, None], energy, strips[2, :, :ng])
         self.fallback_cells += ng * int(np.sum(~ok))
         set_edge_ghosts(data, sides, strips, ng)
@@ -189,17 +198,18 @@ class SpatialOperator1D:
         self.fill_ghosts(data)
 
         rec = self.cweno.coefficients(data)        # (3, n_tot, m)
-        face_l = poly_eval(rec, -0.5 * h)          # values at x_{i-1/2}+
-        face_r = poly_eval(rec, 0.5 * h)           # values at x_{i+1/2}-
-        # antiderivatives of rho g and (rho u) g, and their cell means
-        anti = poly_antiderivative(poly_mul(rec[:2], self.g_coeffs))
-        ends = poly_eval(anti[..., None, :], np.array([-0.5 * h, 0.5 * h]))
-        source = (ends[..., 1] - ends[..., 0]) / h
+        face_l = rec @ self._face_table[:, 0]      # values at x_{i-1/2}+
+        face_r = rec @ self._face_table[:, 1]      # values at x_{i+1/2}-
+        # exact cell means of rho g and (rho u) g: the product-basis means
+        # as a bilinear form in the rec and gravity coefficients
+        source = np.sum((rec[:2] @ self._source_means) * self.g_coeffs, axis=-1)
 
         if scheme.well_balanced:
-            p, rho, ok = build_profiles(scheme, self.eos, rec, anti[0],
-                                        data[0], data[2], self._node_offsets,
-                                        self._mean, self._stencil)
+            p, rho, ok = build_profiles(
+                scheme, self.eos,
+                product_terms(rec[0], self.g_coeffs) @ self._tables.line[0],
+                rec[:2] @ self._tables.values, rec[..., 0], data[0], data[2],
+                self._mean, self._stencil)
             delta, eps_faces, ok_eq = energy_deviations(
                 self.eos, p, rho, data[2][self._stencil], self._mean)
             e_faces = hydrostatic_energy_faces(

@@ -7,10 +7,10 @@ polynomials, extrapolated across the 3x3 stencil; only the energy is
 reconstructed as equilibrium plus CWENO of the deviations.
 
 The equilibrium algebra is organized around the product basis
-rec-monomial x gravity-monomial: every line integral, node evaluation, and
-exact cell moment of the source field becomes one matrix product against
-precomputed tables, which keeps the per-stage cost at a few BLAS calls over
-the whole grid.
+rec-monomial x gravity-monomial, with the table builder the 1-D operator
+shares (`reconstruct.product_tables`): every line integral, node evaluation,
+and exact cell mean of the source field becomes one matrix product against
+precomputed tables, a few BLAS calls over the whole grid per stage.
 """
 
 import numpy as np
@@ -19,25 +19,16 @@ from .boundary import fill_periodic_axis
 from .errors import ConfigurationError
 from .physics import get_flux, physical_state, wall_boundary_flux
 from .quadrature import gauss_nodes_weights_centered
-from .reconstruct import MONOMIALS_DEG2, Cweno2D, GravityInterp2D
+from .reconstruct import Cweno2D, GravityInterp2D, product_tables, product_terms
 from .wellbalance import (
     anchor_pressure_ideal,
     anchor_pressure_newton,
     anchor_pressure_simplified,
     energy_deviations,
+    eps_hat_estimate,
+    equilibrium_points,
     hydrostatic_energy_faces,
 )
-
-
-def _mono_vander(exps, xi, eta):
-    """Matrix of monomial values at a fixed node set: (n_mono, n_nodes)."""
-    xi = np.asarray(xi, dtype=float).ravel()
-    eta = np.asarray(eta, dtype=float).ravel()
-    return np.array([xi ** a * eta ** b for (a, b) in exps])
-
-
-def _axis_moment(a, width):
-    return 0.0 if a % 2 else (0.5 * width) ** a / (a + 1.0)
 
 
 class SpatialOperator2D:
@@ -61,7 +52,6 @@ class SpatialOperator2D:
         self._dirichlet_frame = None
         self._background = background
         self._bg_avgs_cache = None
-        self._outer_cache = None
 
         xx, yy = grid.center_mesh()
         gx, gy = gravity(xx, yy)
@@ -69,78 +59,27 @@ class SpatialOperator2D:
         self._exps_g = interp.exps
         self.gx_coeffs = interp.coefficients(gx * np.ones_like(xx))
         self.gy_coeffs = interp.coefficients(gy * np.ones_like(xx))
-        self._exps2 = MONOMIALS_DEG2
         self._build_tables()
+        if scheme.well_balanced:
+            # product terms of s_x and s_y, reused: no allocator churn
+            self._outers = np.empty((2, xx.size, len(self.cweno.exps),
+                                     len(self._exps_g)))
 
     def _build_tables(self):
-        grid, scheme = self.grid, self.scheme
-        hx, hy = grid.dx, grid.dy
-
-        nq = scheme.n_quad
-        nodes_x, w_x = gauss_nodes_weights_centered(nq, hx)
-        nodes_y, w_y = gauss_nodes_weights_centered(nq, hy)
-        self._wq = np.outer(w_x, w_y).ravel() / (hx * hy)
-        qx, qy = np.meshgrid(nodes_x, nodes_y, indexing="ij")
-        quad_xi, quad_eta = qx.ravel(), qy.ravel()
-        self._nq2 = quad_xi.size
-
-        fx, wfx = gauss_nodes_weights_centered(2, hx)
-        fy, wfy = gauss_nodes_weights_centered(2, hy)
-        self._face_wx = wfx / hx
-        self._face_wy = wfy / hy
-
-        # evaluation node sets, concatenated: 9 neighbor quadratures then the
-        # four faces (xl, xr, yl, yr with 2 Gauss nodes each)
-        sets = {}
-        xi_all, eta_all = [], []
-        pos = 0
-
-        def add(name, xi, eta):
-            nonlocal pos
-            xi = np.asarray(xi, dtype=float).ravel()
-            sets[name] = slice(pos, pos + xi.size)
-            xi_all.append(xi)
-            eta_all.append(np.asarray(eta, dtype=float).ravel())
-            pos += xi.size
-
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                add(("nb", ox, oy), ox * hx + quad_xi, oy * hy + quad_eta)
-        add("xl", np.full(2, -hx / 2), fy)
-        add("xr", np.full(2, hx / 2), fy)
-        add("yl", fx, np.full(2, -hy / 2))
-        add("yr", fx, np.full(2, hy / 2))
-        self._sets = sets
-        xi_all = np.concatenate(xi_all)
-        eta_all = np.concatenate(eta_all)
-
-        # plain deg-2 monomials at all nodes (reconstruction evaluations)
-        self._v2_all = _mono_vander(self._exps2, xi_all, eta_all)
-        self._face_table = self._v2_all[:, sets["xl"].start:]
-
-        # product-basis tables: pair (i, j) -> rec monomial (a1,b1) times
-        # gravity monomial (a2,b2); the radial line integral of that term of
-        # s_x is xi^(a+1) eta^b / (a+b+1), of s_y is xi^a eta^(b+1) / (a+b+1)
-        pairs = [(e1, e2) for e1 in self._exps2 for e2 in self._exps_g]
-        self._n_pairs = len(pairs)
-        tx = np.empty((len(pairs), xi_all.size))
-        ty = np.empty((len(pairs), xi_all.size))
-        mom_line_x = np.empty(len(pairs))
-        mom_line_y = np.empty(len(pairs))
-        mom_cell = np.empty(len(pairs))
-        for m, ((a1, b1), (a2, b2)) in enumerate(pairs):
-            a, b = a1 + a2, b1 + b2
-            inv = 1.0 / (a + b + 1.0)
-            tx[m] = xi_all ** (a + 1) * eta_all ** b * inv
-            ty[m] = xi_all ** a * eta_all ** (b + 1) * inv
-            mom_line_x[m] = _axis_moment(a + 1, hx) * _axis_moment(b, hy) * inv
-            mom_line_y[m] = _axis_moment(a, hx) * _axis_moment(b + 1, hy) * inv
-            mom_cell[m] = _axis_moment(a, hx) * _axis_moment(b, hy)
-        self._t_line_x = np.ascontiguousarray(tx)     # (pairs, nodes)
-        self._t_line_y = np.ascontiguousarray(ty)
-        self._mom_line_x = mom_line_x
-        self._mom_line_y = mom_line_y
-        self._mom_cell = mom_cell
+        """Product-basis tables at the node set `equilibrium_points`: the
+        Gauss nodes of the 3x3 stencil cells by (x offset, y offset), then
+        those of the faces xl, xr, yl, yr, one contiguous table per face."""
+        nq = self.scheme.n_quad
+        self._face_w = gauss_nodes_weights_centered(nq, 1.0)[1]
+        self._wq = np.outer(self._face_w, self._face_w).ravel()
+        self._tables = product_tables(
+            self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
+            (self.grid.dx, self.grid.dy))
+        self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
+        self._face_table = self._tables.values[:, 9 * nq * nq:]
+        self._face_values = {
+            key: np.ascontiguousarray(self._face_table[:, k * nq:(k + 1) * nq])
+            for k, key in enumerate(("xl", "xr", "yl", "yr"))}
 
     # -- boundaries ---------------------------------------------------------
 
@@ -253,38 +192,36 @@ class SpatialOperator2D:
         scheme, eos = self.scheme, self.eos
         shape = data.shape[1:]
 
+        tables = self._tables
+        # product-basis coefficients of s_x and s_y: (cells, terms)
         rec0 = self._flat(rec[0])
-        # product-basis coefficients of s_x and s_y: (cells, pairs)
-        outer_x, outer_y = self._source_outers(rec)
+        outer_x = product_terms(rec0, self._flat(self.gx_coeffs), self._outers[0])
+        outer_y = product_terms(rec0, self._flat(self.gy_coeffs), self._outers[1])
 
         # line integrals of the source field at every node set at once
-        line_all = outer_x @ self._t_line_x + outer_y @ self._t_line_y
-        rho_nodes_all = rec0 @ self._v2_all
+        line_all = outer_x @ tables.line[0] + outer_y @ tables.line[1]
+        rho_nodes_all = rec0 @ tables.values
 
-        own = self._sets[("nb", 0, 0)]
-        v2_own = self._v2_all[:, own.start:own.stop]
-        rho_own = rho_nodes_all[:, own.start:own.stop]
-        rho_pos_own = rho_own > 0.0
-        rho_safe = np.where(rho_pos_own, rho_own, 1.0)
-        kinetic = 0.5 * ((self._flat(rec[1]) @ v2_own) ** 2
-                         + (self._flat(rec[2]) @ v2_own) ** 2) / rho_safe
-        eps_hat = data[3].reshape(-1) - kinetic @ self._wq
+        own = self._own
+        rec_own = rec[:3].reshape(3, -1, rec.shape[-1]) @ tables.values[:, own]
+        rho_pos_own = rec_own[0] > 0.0
+        rec_own = np.where(rho_pos_own, rec_own, 1.0)
+        eps_hat = eps_hat_estimate(data[3].reshape(-1), rec_own, self._wq)
 
         if scheme.simplified_anchor:
             p0 = anchor_pressure_simplified(rec[..., 0].reshape(4, -1), eos)
             good_anchor = p0 > 0.0
         elif eos.name == "ideal":
-            # exact cell average of the line-integral polynomial (the moment
-            # tables are normalized per axis, so this is already a mean), as
-            # one node of weight one
-            mean_line = outer_x @ self._mom_line_x + outer_y @ self._mom_line_y
+            # exact cell mean of the line-integral polynomial, as one node
+            # of weight one
+            mean_line = outer_x @ tables.line_means[0] \
+                + outer_y @ tables.line_means[1]
             p0 = anchor_pressure_ideal(mean_line[:, None], eps_hat, eos.gamma,
                                        np.ones(1))
             good_anchor = p0 > 0.0
         else:
             p0, good_anchor = self._newton_anchor(
-                eps_hat, rho_safe, line_all[:, own.start:own.stop],
-                data[0].reshape(-1))
+                eps_hat, rec_own[0], line_all[:, own], data[0].reshape(-1))
         good = good_anchor & np.all(rho_pos_own, axis=-1)
 
         # energy deviations over the wrapped 3x3 stencil (ordered like the
@@ -309,37 +246,17 @@ class SpatialOperator2D:
 
     # -- sources --------------------------------------------------------------
 
-    def _source_outers(self, rec):
-        """Product-basis coefficients of s_x and s_y, cached per stage."""
-        if self._outer_cache is not None and self._outer_cache[0] is rec:
-            return self._outer_cache[1], self._outer_cache[2]
-        n_cells = rec[0, ..., 0].size
-        rec0 = self._flat(rec[0])
-        gx = self._flat(self.gx_coeffs)
-        gy = self._flat(self.gy_coeffs)
-        outer_x = (rec0[:, :, None] * gx[:, None, :]).reshape(n_cells, -1)
-        outer_y = (rec0[:, :, None] * gy[:, None, :]).reshape(n_cells, -1)
-        self._outer_cache = (rec, outer_x, outer_y)
-        return outer_x, outer_y
-
     def _sources(self, rec):
-        """Exact cell averages of (0, s_x, s_y, v.s) from the product basis."""
-        n_cells = rec[0, ..., 0].size
+        """Exact cell means of (0, s_x, s_y, v.s): the product-basis means
+        as a bilinear form in the rec and gravity coefficients."""
         shape = rec.shape[1:-1]
-        gx = self._flat(self.gx_coeffs)
-        gy = self._flat(self.gy_coeffs)
-        outer_x, outer_y = self._source_outers(rec)
-
-        def avg(coeffs, g_coeffs):
-            # the moment table is normalized per axis: this is a cell mean
-            outer = (self._flat(coeffs)[:, :, None]
-                     * g_coeffs[:, None, :]).reshape(n_cells, -1)
-            return (outer @ self._mom_cell).reshape(shape)
-
+        means = self._tables.means.reshape(rec.shape[-1], -1)
+        rho, mx, my = rec[:3].reshape(3, -1, rec.shape[-1]) @ means
+        gx, gy = self._flat(self.gx_coeffs), self._flat(self.gy_coeffs)
         out = np.zeros((4,) + shape)
-        out[1] = (outer_x @ self._mom_cell).reshape(shape)
-        out[2] = (outer_y @ self._mom_cell).reshape(shape)
-        out[3] = avg(rec[1], gx) + avg(rec[2], gy)
+        out[1] = np.sum(rho * gx, axis=-1).reshape(shape)
+        out[2] = np.sum(rho * gy, axis=-1).reshape(shape)
+        out[3] = np.sum(mx * gx + my * gy, axis=-1).reshape(shape)
         return out
 
     # -- right-hand side ------------------------------------------------------
@@ -350,16 +267,12 @@ class SpatialOperator2D:
         hx, hy = grid.dx, grid.dy
         data = state.copy()
         self.fill_ghosts(data)
-        self._outer_cache = None
 
         rec = self.cweno.coefficients(data)  # (4, X, Y, 6)
         shape = data.shape[1:]
-        faces = {}
-        for key in ("xl", "xr", "yl", "yr"):
-            sl = self._sets[key]
-            faces[key] = np.stack([
-                (self._flat(rec[c]) @ self._v2_all[:, sl.start:sl.stop])
-                .reshape(shape + (2,)) for c in range(4)])
+        flat = rec.reshape(4, -1, rec.shape[-1])
+        faces = {key: (flat @ table).reshape((4,) + shape + (2,))
+                 for key, table in self._face_values.items()}
 
         if scheme.well_balanced:
             good = self._profiles_and_faces(rec, data, faces)
@@ -385,31 +298,31 @@ class SpatialOperator2D:
         ql = faces["xr"][:, g - 1:g + nx, g:g + ny]
         qr = faces["xl"][:, g:g + nx + 1, g:g + ny]
         fx = self.flux_fn(ql, qr, eos)
-        fx = fx @ self._face_wy
+        fx = fx @ self._face_w
 
         # y-direction: the flux treats component 2 as the normal momentum
         ql = faces["yr"][:, g:g + nx, g - 1:g + ny]
         qr = faces["yl"][:, g:g + nx, g:g + ny + 1]
         fy = self.flux_fn(ql, qr, eos, normal=2)
-        fy = fy @ self._face_wx
+        fy = fy @ self._face_w
 
         bc = self.boundary
         if bc.x_lo == "solid-wall":
             q_wall = faces["xl"][:, g, g:g + ny]
             fx[:, 0] = wall_boundary_flux(q_wall, eos, self.flux_fn,
-                                          "left") @ self._face_wy
+                                          "left") @ self._face_w
         if bc.x_hi == "solid-wall":
             q_wall = faces["xr"][:, g + nx - 1, g:g + ny]
             fx[:, -1] = wall_boundary_flux(q_wall, eos, self.flux_fn,
-                                           "right") @ self._face_wy
+                                           "right") @ self._face_w
         if bc.y_lo == "solid-wall":
             q_wall = faces["yl"][:, g:g + nx, g]
             fy[:, :, 0] = wall_boundary_flux(q_wall, eos, self.flux_fn,
-                                             "left", normal=2) @ self._face_wx
+                                             "left", normal=2) @ self._face_w
         if bc.y_hi == "solid-wall":
             q_wall = faces["yr"][:, g:g + nx, g + ny - 1]
             fy[:, :, -1] = wall_boundary_flux(q_wall, eos, self.flux_fn,
-                                              "right", normal=2) @ self._face_wx
+                                              "right", normal=2) @ self._face_w
 
         out = np.zeros_like(data)
         interior = (slice(g, g + nx), slice(g, g + ny))

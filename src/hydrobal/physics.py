@@ -9,7 +9,7 @@ the Rusanov control - satisfy the contact property: a stationary contact
 
 import numpy as np
 
-from .errors import FluxEvaluationError
+from .errors import ConfigurationError, FluxEvaluationError
 
 
 def physical_state(q):
@@ -77,7 +77,7 @@ def _roe_averages(q_l, q_r, p_l, p_r, eos, normal=1):
     return np.sqrt(rho_l * rho_r), vel_hat, h_hat
 
 
-def roe_flux(q_l, q_r, eos, entropy_fix=0.0, normal=1):
+def roe_flux(q_l, q_r, eos, normal=1):
     """Roe-type flux; the classic linearization for ideal gas, and a
     general-EoS variant with the effective sound speed evaluated at the
     arithmetic-average state otherwise."""
@@ -109,10 +109,6 @@ def roe_flux(q_l, q_r, eos, entropy_fix=0.0, normal=1):
     lam_minus = np.abs(u_hat - c)
     lam_contact = np.abs(u_hat)
     lam_plus = np.abs(u_hat + c)
-    if entropy_fix > 0.0:
-        delta = entropy_fix * c
-        fix = lambda lam: np.where(lam < delta, (lam * lam + delta * delta) / (2 * delta), lam)
-        lam_minus, lam_contact, lam_plus = fix(lam_minus), fix(lam_contact), fix(lam_plus)
 
     ncomp = q_l.shape[0]
     order = _momentum_order(ncomp, normal)
@@ -204,7 +200,8 @@ FLUXES = {"roe": roe_flux, "hllc": hllc_flux, "rusanov": rusanov_flux}
 
 def get_flux(name):
     if name not in FLUXES:
-        raise ValueError(f"unknown flux {name!r}; expected one of {sorted(FLUXES)}")
+        raise ConfigurationError(
+            f"unknown flux {name!r}; expected one of {sorted(FLUXES)}")
     return FLUXES[name]
 
 

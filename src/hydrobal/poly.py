@@ -4,7 +4,8 @@ Polynomials are stored as coefficient arrays over powers of (x - x0), where
 x0 is the anchor (normally a cell center).  Keeping the anchor local keeps
 coefficients well scaled at small cell widths.  All helpers operate on the
 trailing axis so batches of per-cell polynomials vectorize naturally.
-The 2-D operator keeps its own monomial tables (`operator2d`).
+The solver evaluates through `reconstruct.product_tables`; these Horner
+helpers are the reference that `checks.py` and the tests compare against.
 """
 
 import numpy as np

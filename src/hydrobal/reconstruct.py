@@ -1,4 +1,5 @@
-"""CWENO reconstruction of cell averages and gravity interpolation.
+"""CWENO reconstruction of cell averages, gravity interpolation, and the
+product-basis tables of their products.
 
 1-D orders 3 and 5 (plus the degenerate piecewise-constant order 1 used by
 the first-order reference scheme) and the 3x3-stencil third-order 2-D
@@ -14,6 +15,7 @@ Coefficients come out in cell-local coordinates: scaled internally
 (powers of (x - x_i)/dx), physical (powers of (x - x_i)) at the API.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -87,6 +89,28 @@ def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def monomials_1d(order):
+    """Exponent tuples of the 1-D monomials 1, x, ..., x^(order - 1)."""
+    return tuple((k,) for k in range(order))
+
+
+def _windowed_fit(values, width, n_coeff, fit):
+    """Per-cell coefficients (..., *grid, n_coeff) of a field (..., *grid):
+    `fit` maps the flattened windows of shape `width` to coefficients; cells
+    whose stencil does not fit, or is one cell, keep a constant."""
+    values = np.asarray(values, dtype=float)
+    grid = values.shape[values.ndim - len(width):]
+    out = np.zeros(values.shape + (n_coeff,))
+    out[..., 0] = values
+    if max(width) > 1 and all(n >= w for n, w in zip(grid, width)):
+        win = np.lib.stride_tricks.sliding_window_view(
+            values, width, axis=tuple(range(-len(width), 0)))
+        inner = tuple(slice(w // 2, n - w // 2) for n, w in zip(grid, width))
+        out[(Ellipsis,) + inner + (slice(None),)] = fit(
+            win.reshape(win.shape[:values.ndim] + (-1,)))
+    return out
 
 
 def _blend_table(opt, cands, dlin, form):
@@ -207,6 +231,7 @@ class Cweno1D(_CwenoBlend):
         if order not in (1, 3, 5):
             raise ConfigurationError(f"unsupported reconstruction order {order}")
         self.order = order
+        self.exps = monomials_1d(order)
         self.dx = float(dx)
         self.radius = (order - 1) // 2
         self.eps_w = float(eps_w) if eps_w is not None else self.dx ** 2
@@ -218,18 +243,9 @@ class Cweno1D(_CwenoBlend):
         return self._blend(window)
 
     def coefficients(self, values):
-        """Per-cell polynomials for a whole field (..., n_tot).
-
-        Cells whose stencil does not fit keep a constant polynomial.
-        """
-        values = np.asarray(values, dtype=float)
-        n = values.shape[-1]
-        out = np.zeros(values.shape + (self.order,))
-        out[..., 0] = values
-        if self.radius > 0 and n >= self.order:
-            win = np.lib.stride_tricks.sliding_window_view(values, self.order, axis=-1)
-            out[..., self.radius:n - self.radius, :] = self.reconstruct_stencils(win)
-        return out
+        """Per-cell polynomials for a whole field (..., n_tot)."""
+        return _windowed_fit(values, (self.order,), self.order,
+                             self.reconstruct_stencils)
 
 
 @lru_cache(maxsize=None)
@@ -244,33 +260,36 @@ def _nodal_fit(points, exps):
     return matrix
 
 
-class GravityInterp1D:
+class _GravityInterp:
+    """Gravity interpolation: the exact nodal fit `_matrix` of the point
+    values' deviations from the center over the stencil `_width`."""
+
+    def coefficients(self, values):
+        """Point values (..., *grid) -> physical coefficients (..., *grid, n)."""
+        return _windowed_fit(values, self._width, self._scale.size, self._fit)
+
+    def _fit(self, win):
+        center = win[..., win.shape[-1] // 2]
+        scaled = (win - center[..., None]) @ self._matrix.T
+        scaled[..., 0] += center
+        return scaled / self._scale
+
+
+class GravityInterp1D(_GravityInterp):
     """Degree m-1 interpolation of cell-centered gravity point values."""
 
     def __init__(self, order, dx):
         if order not in (1, 3, 5):
             raise ConfigurationError(f"unsupported interpolation order {order}")
         self.order = order
+        self.exps = monomials_1d(order)
         self.dx = float(dx)
         self.radius = (order - 1) // 2
+        self._width = (order,)
         self._matrix = _nodal_fit(
             tuple((j,) for j in range(-self.radius, self.radius + 1)),
-            tuple((k,) for k in range(order)))
-        self._dx_pow = self.dx ** np.arange(order, dtype=float)
-
-    def coefficients(self, values):
-        """Point values (n_tot,) -> physical coefficients (n_tot, m)."""
-        values = np.asarray(values, dtype=float)
-        n = values.shape[-1]
-        out = np.zeros(values.shape + (self.order,))
-        out[..., 0] = values
-        if self.radius > 0 and n >= self.order:
-            win = np.lib.stride_tricks.sliding_window_view(values, self.order, axis=-1)
-            center = win[..., self.radius]
-            scaled = np.einsum("kj,...j->...k", self._matrix, win - center[..., None])
-            scaled[..., 0] += center
-            out[..., self.radius:n - self.radius, :] = scaled / self._dx_pow
-        return out
+            self.exps)
+        self._scale = self.dx ** np.arange(order, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +297,7 @@ class GravityInterp1D:
 # ---------------------------------------------------------------------------
 
 # exponents (a, b) of x^a y^b with a + b <= 2, ordered by total degree
-MONOMIALS_DEG2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+MONOMIALS_DEG2 = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _optimal_matrix_2d():
@@ -372,6 +391,7 @@ class Cweno2D(_CwenoBlend):
 
     def __init__(self, dx, dy, eps_w=None):
         self.order = 3
+        self.exps = MONOMIALS_DEG2
         self.radius = 1
         self.dx = float(dx)
         self.dy = float(dy)
@@ -386,21 +406,14 @@ class Cweno2D(_CwenoBlend):
 
     def coefficients(self, values):
         """Field (..., nx, ny) -> per-cell coefficients (..., nx, ny, 6)."""
-        values = np.asarray(values, dtype=float)
-        nx, ny = values.shape[-2:]
-        out = np.zeros(values.shape + (len(MONOMIALS_DEG2),))
-        out[..., 0] = values
-        if nx >= 3 and ny >= 3:
-            win = np.lib.stride_tricks.sliding_window_view(values, (3, 3), axis=(-2, -1))
-            win = win.reshape(win.shape[:-2] + (9,))
-            out[..., 1:nx - 1, 1:ny - 1, :] = self.reconstruct_stencils(win)
-        return out
+        return _windowed_fit(values, (3, 3), len(self.exps),
+                             self.reconstruct_stencils)
 
 
-MONOMIALS_BIQUAD = [(a, b) for a in range(3) for b in range(3)]
+MONOMIALS_BIQUAD = tuple((a, b) for a in range(3) for b in range(3))
 
 
-class GravityInterp2D:
+class GravityInterp2D(_GravityInterp):
     """Tensor biquadratic interpolation of 3x3 cell-centered point values.
 
     Matches all nine nodal values exactly (so in particular reproduces any
@@ -412,23 +425,69 @@ class GravityInterp2D:
         self.dx = float(dx)
         self.dy = float(dy)
         self.exps = MONOMIALS_BIQUAD
+        self._width = (3, 3)
         self._matrix = _nodal_fit(
             tuple((jx, jy) for jx in (-1, 0, 1) for jy in (-1, 0, 1)),
-            tuple(self.exps))
+            self.exps)
         self._scale = np.array([self.dx ** a * self.dy ** b
                                 for (a, b) in self.exps])
 
-    def coefficients(self, values):
-        """Point values (..., nx, ny) -> coefficients (..., nx, ny, 9)."""
-        values = np.asarray(values, dtype=float)
-        nx, ny = values.shape[-2:]
-        out = np.zeros(values.shape + (len(self.exps),))
-        out[..., 0] = values
-        if nx >= 3 and ny >= 3:
-            win = np.lib.stride_tricks.sliding_window_view(values, (3, 3), axis=(-2, -1))
-            win = win.reshape(win.shape[:-2] + (9,))
-            center = win[..., 4]
-            scaled = np.einsum("kj,...j->...k", self._matrix, win - center[..., None])
-            scaled[..., 0] += center
-            out[..., 1:nx - 1, 1:ny - 1, :] = scaled / self._scale
-        return out
+
+# ---------------------------------------------------------------------------
+# product basis: reconstruction monomial x gravity monomial
+# ---------------------------------------------------------------------------
+
+ProductTables = namedtuple("ProductTables", "values line means line_means")
+
+
+@lru_cache(maxsize=None)
+def _unit_product_tables(rec_exps, g_exps, points):
+    """Read-only unit-cell tables of `product_tables`, and for each table
+    the exponents whose powers of the spacing scale its entries."""
+    pts = np.array(points, dtype=float).T
+    dim = pts.shape[0]
+    rec = np.array(rec_exps)
+    terms = (rec[:, None] + np.array(g_exps)[None, :]).reshape(-1, dim)
+    steps = terms[None] + np.eye(dim, dtype=int)[:, None]
+    inv = 1.0 / (terms.sum(axis=-1) + 1.0)
+
+    def at_points(exps):
+        return np.prod(pts ** exps[..., None], axis=-2)
+
+    def means(exps):
+        return np.prod(np.where(exps % 2, 0.0, 0.5 ** exps / (exps + 1.0)),
+                       axis=-1)
+
+    unit = _frozen(at_points(rec), at_points(steps) * inv[:, None],
+                   means(terms), means(steps) * inv)
+    return ProductTables(*unit), ProductTables(
+        *_frozen(rec[:, None], steps[..., None, :], terms, steps))
+
+
+def product_tables(rec_exps, g_exps, points, spacing):
+    """Tables of the product basis rec-monomial x gravity-monomial at one
+    node set, in physical units.
+
+    Product term (i, j), rec-major (`product_terms`), is x^e with
+    e = rec_exps[i] + g_exps[j]; `points` are the node offsets from the cell
+    center in units of `spacing`, one tuple per node.  The `ProductTables`:
+    `values` (n_rec, nodes), the reconstruction monomials; `line` (dim,
+    n_terms, nodes), the straight-line integral from the center of each term
+    times the k-th unit vector, x^(e + e_k) / (|e| + 1) (1-D: the
+    antiderivative vanishing at the center); `means` (n_terms,) and
+    `line_means` (dim, n_terms), the exact cell means of terms and lines.
+    The unit-cell tables are cached per (exponents, points) and read-only;
+    the spacing enters only through the power scale h^e of each entry.
+    """
+    unit, exps = _unit_product_tables(rec_exps, g_exps, points)
+    h = np.asarray(spacing, dtype=float)
+    return ProductTables(*(table * np.multiply.reduce(h ** e, axis=-1)
+                           for table, e in zip(unit, exps)))
+
+
+def product_terms(rec, g, out=None):
+    """Coefficients of rec * g over the product basis (..., n_rec * n_g),
+    batched over the broadcast leading axes; `out` (..., n_rec, n_g) is an
+    optional work buffer."""
+    outer = np.multiply(rec[..., :, None], g[..., None, :], out=out)
+    return outer.reshape(outer.shape[:-2] + (-1,))

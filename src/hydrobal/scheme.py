@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .physics import get_flux
 
 KINDS_1D = ("standard", "dwb", "dwb-s", "la", "la-s")
 KINDS_2D = ("standard", "la", "la-s")
@@ -29,6 +30,7 @@ class Scheme:
             raise ConfigurationError(f"unsupported order {self.order}")
         if self.order == 1 and self.kind != "standard":
             raise ConfigurationError("order 1 is only available as a standard scheme")
+        get_flux(self.flux)
 
     @property
     def radius(self):

@@ -18,14 +18,12 @@ momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
 for the reconstruction polynomials.
 
-Each cell's equilibrium is evaluated once, at one fixed node set: the Gauss
-nodes of every stencil cell, cell after cell in stencil order, then the
-cell's own faces (1-D: cells -r..r, then the left and right face; 2-D: the
-3x3 cells by (x offset, y offset), then the two Gauss nodes of each face
-xl, xr, yl, yr).  Both operators hand their node arrays of p and rho to
-`energy_deviations` (one EoS call over every node) and to
-`hydrostatic_energy_faces`; the 1-D arrays come from `build_profiles`, the
-2-D ones from the operator's own product-basis tables.
+Each cell's equilibrium is evaluated once, at one fixed node set
+(`equilibrium_points`), through the product-basis tables
+(`reconstruct.product_tables`) that both operators share.  Both hand their
+node arrays of p and rho to `energy_deviations` (one EoS call over every
+node) and to `hydrostatic_energy_faces`; in 1-D, `build_profiles` anchors
+and glues them first.
 
 The anchor solvers take node values: the pressure offset p - p0 (the
 integrated source) and the density at a cell's quadrature nodes, plus the
@@ -34,13 +32,16 @@ the cell size).  A caller with an exact mean of the offset may pass it as a
 single node of weight one.
 """
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 from .physics import physical_state
-from .poly import poly_eval
 # the benchmark tracer (perfbench/spans.py) counts polynomial calls through
-# these names
-from .poly import poly_antiderivative, poly_mul  # noqa: F401
+# these names; the solver evaluates through `reconstruct.product_tables`
+from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
+from .quadrature import gauss_nodes_weights_centered
 
 ANCHOR_TOL = 1e-13
 ANCHOR_MAX_ITER = 50
@@ -67,11 +68,11 @@ def eps_hat_estimate(e_hat, rec_nodes, weights):
     """Cell-averaged internal energy from conserved averages.
 
     Subtracts the mean of the reconstructed kinetic energy
-    ((rho u)^rec)^2 / rho^rec over the node values `rec_nodes`; the integrand
-    is rational, so the same Gauss rule as the energy matching is used rather
-    than exact integration.
+    |(rho u)^rec|^2 / (2 rho^rec) over the node values `rec_nodes` (density,
+    then any number of momenta); the integrand is rational, so the same
+    Gauss rule as the energy matching is used rather than exact integration.
     """
-    kinetic = 0.5 * rec_nodes[1] ** 2 / rec_nodes[0]
+    kinetic = 0.5 * np.sum(rec_nodes[1:] ** 2, axis=0) / rec_nodes[0]
     return e_hat - kinetic @ weights
 
 
@@ -135,57 +136,64 @@ def solve_anchor(eos, offset_nodes, rho_nodes, rho_hat, eps_hat, weights):
                                   eos, weights)
 
 
-def node_offsets(radius, nodes, h):
-    """Offsets of the 1-D node set from its cell's center: the Gauss `nodes`
-    of stencil cells -radius..radius, cell after cell, then the two faces."""
-    return np.concatenate([d * h + nodes for d in range(-radius, radius + 1)]
-                          + [np.array([-0.5 * h, 0.5 * h])])
+@lru_cache(maxsize=None)
+def equilibrium_points(n_quad, reach, dim=1):
+    """Node set of a cell, in cell widths from its center: the Gauss nodes
+    (`n_quad` per axis) of stencil cells -reach..reach per axis, cell after
+    cell, then of the faces (1-D: left, right; 2-D: xl, xr, yl, yr); the
+    last axis runs fastest."""
+    unit = [float(x) for x in gauss_nodes_weights_centered(n_quad, 1.0)[0]]
+    points = [tuple(c + x for c, x in zip(cell, node))
+              for cell in product(range(-reach, reach + 1), repeat=dim)
+              for node in product(unit, repeat=dim)]
+    for axis in range(dim):
+        for side in (-0.5, 0.5):
+            points += [node[:axis] + (side,) + node[axis:]
+                       for node in product(unit, repeat=dim - 1)]
+    return tuple(points)
 
 
-def build_profiles(scheme, eos, rec_coeffs, anti, rho_hat, e_hat, xi, weights,
-                   wrap):
+def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
+                   e_hat, weights, wrap):
     """Pressure and density of every cell's local equilibrium at its node set.
 
-    `anti` is the antiderivative of each cell's source rho^rec * g^int, `xi`
-    the node-set offsets (`node_offsets`), `weights` the cell-mean weights of
-    the Gauss nodes and `wrap[i, d + r] = (i + d) % n` the stencil cells.
-    DWB evaluates each piece once, at its own nodes and faces, and gathers
-    the neighbours through `wrap`, offset by the glued constants; LA
-    evaluates cell i's own piece at every offset.  The anchor sees the
-    node-set columns of the cell itself.  Returns (p, rho, ok): ok flags
-    cells whose anchor solve converged to a positive pressure and whose
-    density is positive at their own nodes; callers fall back to the
+    `offsets` (n, nodes) is each cell's antiderivative of rho^rec * g^int
+    and `rec_nodes` (2, n, nodes) its density and momentum, at its
+    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` is the
+    reconstructed center state, `weights` the cell-mean weights of the Gauss
+    nodes and `wrap[i, d + r] = (i + d) % n` the stencil cells.  DWB gathers
+    the neighbours' pieces through `wrap`, offset by the glued constants; LA
+    extrapolates cell i's own piece.  The anchor sees the node-set columns
+    of the cell itself.  Returns (p, rho, ok) over the stencil node set: ok
+    flags cells whose anchor solve converged to a positive pressure and
+    whose density is positive at their own nodes; callers fall back to the
     standard reconstruction elsewhere.
     """
-    n, n_stencil = wrap.shape
+    n = wrap.shape[0]
     nq = weights.size
-    own = slice(n_stencil // 2 * nq, (n_stencil // 2 + 1) * nq)
-    if scheme.piecewise_source:
-        xi = np.concatenate([xi[own], xi[-2:]])
-        own = slice(0, nq)
-    rho_mom = poly_eval(rec_coeffs[:2, :, None, :], xi)
-    offsets = poly_eval(anti[:, None, :], xi)
-    rho_pos = rho_mom[0, :, own] > 0.0
+    reach = (offsets.shape[-1] - 2) // nq // 2
+    own = slice(reach * nq, (reach + 1) * nq)
+    rho_pos = rec_nodes[0, :, own] > 0.0
     if scheme.simplified_anchor:
-        p0 = anchor_pressure_simplified(rec_coeffs[..., 0], eos)
+        p0 = anchor_pressure_simplified(rec_center, eos)
         ok = p0 > 0.0
     else:
-        rec_nodes = np.where(rho_pos, rho_mom[:, :, own], 1.0)
-        eps_hat = eps_hat_estimate(e_hat, rec_nodes, weights)
-        p0, ok = solve_anchor(eos, offsets[:, own], rho_mom[0, :, own], rho_hat,
-                              eps_hat, weights)
+        eps_hat = eps_hat_estimate(
+            e_hat, np.where(rho_pos, rec_nodes[:, :, own], 1.0), weights)
+        p0, ok = solve_anchor(eos, offsets[:, own], rec_nodes[0, :, own],
+                              rho_hat, eps_hat, weights)
     ok &= np.all(rho_pos, axis=-1)
     p0 = np.where(ok, p0, 1.0)
     if not scheme.piecewise_source:
-        return p0[:, None] + offsets, rho_mom[0], ok
+        return p0[:, None] + offsets, rec_nodes[0], ok
     # stencil cell d: piece i+d at its own nodes, shifted by the glue; the
     # faces are cell i's own
     glued = glued_constants(offsets[:, -2], offsets[:, -1], 0, 0.0)
     base = p0[:, None] + (glued[wrap] - glued[:, None])
     p = np.concatenate([(base[..., None] + offsets[wrap, :nq]).reshape(n, -1),
                         p0[:, None] + offsets[:, nq:]], axis=1)
-    rho = np.concatenate([rho_mom[0][wrap, :nq].reshape(n, -1),
-                          rho_mom[0, :, nq:]], axis=1)
+    rho = np.concatenate([rec_nodes[0][wrap, :nq].reshape(n, -1),
+                          rec_nodes[0, :, nq:]], axis=1)
     return p, rho, ok
 
 

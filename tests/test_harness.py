@@ -178,6 +178,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("config, args, named", [
+        ({}, ["--scenario", "nope"], "'nope'"),
+        ({}, ["--flux", "bogus"], "'bogus'"),
+        ({"scenario_params": {"gamma": 0.5}}, [], "gamma = 0.5"),
+        ({"scenario": "polytropic-radiation", "scenario_params": {"nu": 1}},
+         [], "nu = 1"),
+    ], ids=["scenario", "flux", "gamma", "nu"])
+    def test_bad_value_names_the_input(self, tmp_path, capsys, config, args,
+                                       named):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "isothermal-10x", "n": 16,
+                                    "t_end": 0.02, **config}))
+        rc = cli_main(["run", "--config", str(path), *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_study_meta_records_every_row(self, tmp_path):
+        rc = cli_main(["study", "--scenario", "isothermal-10x",
+                       "--scheme", "dwb", "--order", "3",
+                       "--resolutions", "2", "16", "--t-end", "0.02",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        rows = json.loads((tmp_path / "meta.json").read_text())["rows"]
+        assert [row["n"] for row in rows] == [2, 16]
+        failed, ok = rows
+        assert failed["failure"].startswith("ConfigurationError")
+        assert failed["steps"] is None and failed["errors"] is None
+        assert ok["failure"] is None and ok["steps"] > 0
+        assert ok["wall_time"] > 0.0 and ok["fallback_cells"] == 0
+        assert len(ok["errors"]) == 3
+
     def test_missing_scenario_errors(self, capsys):
         rc = cli_main(["run", "--n", "16"])
         assert rc == 2

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hydrobal.eos import IdealGas, IdealGasRadiation
-from hydrobal.errors import FluxEvaluationError
+from hydrobal.errors import ConfigurationError, FluxEvaluationError
 from hydrobal.physics import (
     contact_property_check,
+    get_flux,
     hllc_flux,
     physical_flux,
     roe_flux,
@@ -88,6 +89,13 @@ def test_nonphysical_input_raises():
     bad = np.array([-1.0, 0.0, 1.0])
     with pytest.raises(FluxEvaluationError):
         roe_flux(bad, good, eos)
+
+
+def test_unknown_flux_rejected_at_scheme_construction():
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        get_flux("bogus")
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        Scheme("dwb", 3, "bogus")
 
 
 def test_wall_flux_at_rest_is_pure_pressure():

@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -6,13 +9,21 @@ from hydrobal.eos import IdealGas
 from hydrobal.grid import Grid2D
 from hydrobal.operator2d import SpatialOperator2D
 from hydrobal.poly import (
+    poly_antiderivative,
     poly_cell_average,
     poly_eval,
     poly_integrate,
     poly_mul,
 )
-from hydrobal.reconstruct import MONOMIALS_DEG2
+from hydrobal.reconstruct import (
+    MONOMIALS_DEG2,
+    _unit_product_tables,
+    monomials_1d,
+    product_tables,
+    product_terms,
+)
 from hydrobal.scheme import Scheme
+from hydrobal.wellbalance import equilibrium_points
 
 
 def test_constant_integral():
@@ -75,12 +86,9 @@ def line_integrals(op, rho):
     """Line integrals of (rho g_x, rho g_y) from the cell center to every
     evaluation node of the operator, with the node offsets (xi, eta);
     `rho` holds the density's coefficients over MONOMIALS_DEG2."""
-    rec = np.zeros((4,) + op.grid.shape_tot + (6,))
-    rec[0] = rho
-    outer_x, outer_y = op._source_outers(rec)
-    cell = np.ravel_multi_index((3, 3), op.grid.shape_tot)
-    line = outer_x[cell] @ op._t_line_x + outer_y[cell] @ op._t_line_y
-    xi, eta = (op._v2_all[MONOMIALS_DEG2.index(e)] for e in ((1, 0), (0, 1)))
+    line = sum(product_terms(rho, g[3, 3]) @ table
+               for g, table in zip((op.gx_coeffs, op.gy_coeffs), op._tables.line))
+    xi, eta = (op._tables.values[MONOMIALS_DEG2.index(e)] for e in ((1, 0), (0, 1)))
     return line, xi, eta
 
 
@@ -101,8 +109,9 @@ def test_cell_average_2d_neighbor_offset():
     hx, hy = 0.1, 0.2
     op = operator_2d(lambda x, y: (0 * x, 0 * y), hx, hy)
     for ox, oy in ((1, 0), (-1, 1), (0, -1)):
-        sl = op._sets[("nb", ox, oy)]
-        table = (coeffs @ op._v2_all[:, sl]) @ op._wq
+        cell = 3 * (ox + 1) + (oy + 1)
+        sl = slice(4 * cell, 4 * cell + 4)   # 2 x 2 Gauss nodes per cell
+        table = (coeffs @ op._tables.values[:, sl]) @ op._wq
         xs = np.linspace(ox * hx - hx / 2, ox * hx + hx / 2, 801)
         ys = np.linspace(oy * hy - hy / 2, oy * hy + hy / 2, 801)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
@@ -156,3 +165,151 @@ class TestLineIntegral2D:
                 split = split + (hi - lo) / 2 * (weights
                                                  @ (sx * xi + sy * eta))
             np.testing.assert_allclose(line, split, rtol=1e-12, atol=1e-15)
+
+
+# one product-basis table builder for both operators; the Horner helpers
+# above are its reference only
+
+def _horner_guard(monkeypatch):
+    """Make every Horner helper raise, in `hydrobal.poly` and in each
+    hydrobal module that imports one."""
+    import hydrobal
+
+    def make(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} called on the solver path")
+        return refuse
+
+    names = ("poly_eval", "poly_mul", "poly_antiderivative")
+    for info in pkgutil.iter_modules(hydrobal.__path__):
+        module = importlib.import_module(f"hydrobal.{info.name}")
+        for name in names:
+            if getattr(module, name, None) is getattr(hydrobal.poly, name):
+                monkeypatch.setattr(module, name, make(name))
+    for name in names:
+        monkeypatch.setattr(hydrobal.poly, name, make(name))
+
+
+def test_solver_has_one_polynomial_path(monkeypatch):
+    from hydrobal.boundary import BoundarySpec1D
+    from hydrobal.cases import (discrete_equilibrium_init, grid_for,
+                                init_cell_averages, make_scenario)
+    from hydrobal.runner import make_operator
+
+    _horner_guard(monkeypatch)
+    with pytest.raises(AssertionError, match="solver path"):
+        importlib.import_module("hydrobal.operator1d").poly_eval(np.ones(2), 0.5)
+    sides = (("isothermal-sin", ("periodic", "periodic")),
+             ("isothermal-10x", ("dirichlet", "dirichlet")),
+             ("isothermal-10x", ("hydrostatic-extrapolation", "solid-wall")))
+    for name, bc in sides:
+        for kind in ("standard", "dwb", "dwb-s", "la", "la-s"):
+            for order in (3, 5):
+                scen = make_scenario(name)
+                scen.boundary = BoundarySpec1D(*bc)
+                scheme = Scheme(kind, order)
+                grid = grid_for(scen, 32, scheme.n_ghost)
+                data = init_cell_averages(scen, grid).data
+                op = make_operator(scen, grid, scheme)
+                op.set_initial_state(data)
+                assert np.all(np.isfinite(op.rhs(data)))
+    scen = make_scenario("polytropic-radiation")
+    scen.boundary = BoundarySpec1D("hydrostatic-extrapolation", "solid-wall")
+    for order in (3, 5):
+        scheme = Scheme("dwb", order)
+        field = discrete_equilibrium_init(scen, grid_for(scen, 64, scheme.n_ghost),
+                                          scheme)
+        assert np.all(np.isfinite(field.data))
+    scen = make_scenario("polytrope-2d", perturbation=1e-3)
+    for kind in ("standard", "la"):
+        scheme = Scheme(kind, 3)
+        grid = grid_for(scen, 8, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        assert np.all(np.isfinite(op.rhs(data)))
+
+
+def _within(got, expected, tol=1e-14):
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(got - expected)) <= tol * scale
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_product_tables_match_horner_reference(order):
+    # random polynomials at node sets inside and outside the cell, and at a
+    # batched (cells, nodes) set gathered from the table columns
+    rng = np.random.default_rng(order)
+    h, exps = 0.37, monomials_1d(order)
+    rec = rng.standard_normal((7, order))
+    g = rng.standard_normal((7, order))
+    inside = tuple((x,) for x in rng.uniform(-0.5, 0.5, 5))
+    outside = tuple((x,) for x in rng.uniform(-3.5, 3.5, 5)) + ((-0.5,), (0.5,))
+    reference = poly_antiderivative(poly_mul(rec, g))
+    for points in (inside, outside, equilibrium_points(3, 2)):
+        tables = product_tables(exps, exps, points, (h,))
+        x = h * np.ravel(points)
+        _within(rec @ tables.values, poly_eval(rec[:, None, :], x))
+        _within(product_terms(rec, g) @ tables.line[0],
+                poly_eval(reference[:, None, :], x))
+        _within(product_terms(rec, g) @ tables.means,
+                poly_cell_average(poly_mul(rec, g), h))
+    # cell i at its own shift d_i in -2..2: columns of `equilibrium_points`
+    shift = rng.integers(-2, 3, rec.shape[0])
+    cols = (shift + 2)[:, None] * 3 + np.arange(3)
+    x = h * np.ravel(equilibrium_points(3, 2))[cols]
+    rows = np.arange(rec.shape[0])[:, None]
+    _within((rec @ tables.values)[rows, cols], poly_eval(rec[:, None, :], x))
+    _within((product_terms(rec, g) @ tables.line[0])[rows, cols],
+            poly_eval(reference[:, None, :], x))
+
+
+def test_unit_tables_are_cached_read_only_and_shared():
+    points = equilibrium_points(3, 2)
+    exps = monomials_1d(5)
+    unit = _unit_product_tables(exps, exps, points)
+    assert _unit_product_tables(exps, exps, points) is unit
+    for table in unit[0]:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    # a second operator of the same order reuses every cached table
+    from hydrobal.grid import Grid1D
+    from hydrobal.operator1d import SpatialOperator1D
+    from hydrobal.boundary import BoundarySpec1D
+
+    def build(dx_cells):
+        scheme = Scheme("la", 5)
+        return SpatialOperator1D(
+            Grid1D(0.0, 1.0, dx_cells, scheme.n_ghost), scheme, IdealGas(1.4),
+            lambda x: -np.ones_like(x),
+            BoundarySpec1D("hydrostatic-extrapolation", "solid-wall"))
+
+    build(32)
+    before = _unit_product_tables.cache_info()
+    build(48)
+    after = _unit_product_tables.cache_info()
+    assert after.currsize == before.currsize and after.hits > before.hits
+
+
+def test_physical_tables_scale_as_spacing_powers():
+    # h -> 2h multiplies every entry by 2^k, k its power of the spacing
+    exps = monomials_1d(5)
+    points = equilibrium_points(3, 2)
+    a = product_tables(exps, exps, points, (0.125,))
+    b = product_tables(exps, exps, points, (0.25,))
+    k = np.arange(5)
+    terms = (k[:, None] + k).ravel()
+    np.testing.assert_array_equal(b.values, a.values * 2.0 ** k[:, None])
+    np.testing.assert_array_equal(b.line[0],
+                                  a.line[0] * 2.0 ** (terms + 1)[:, None])
+    np.testing.assert_array_equal(b.means, a.means * 2.0 ** terms)
+    a2 = product_tables(MONOMIALS_DEG2, MONOMIALS_DEG2, ((0.3, -0.2),),
+                        (0.125, 0.5))
+    b2 = product_tables(MONOMIALS_DEG2, MONOMIALS_DEG2, ((0.3, -0.2),),
+                        (0.25, 0.5))
+    ax = np.array([a for a, _ in MONOMIALS_DEG2])
+    tx = (ax[:, None] + ax).ravel()
+    np.testing.assert_array_equal(b2.line[0],
+                                  a2.line[0] * 2.0 ** (tx + 1)[:, None])
+    np.testing.assert_array_equal(b2.line[1], a2.line[1] * 2.0 ** tx[:, None])
+    np.testing.assert_array_equal(b2.line_means[1], a2.line_means[1] * 2.0 ** tx)

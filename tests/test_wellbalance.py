@@ -16,6 +16,7 @@ from hydrobal.grid import Grid1D
 from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
+from hydrobal.reconstruct import product_terms
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import (
     anchor_pressure_ideal,
@@ -23,6 +24,7 @@ from hydrobal.wellbalance import (
     anchor_pressure_simplified,
     build_profiles,
     energy_deviations,
+    equilibrium_points,
     hydrostatic_energy_faces,
     monotonicity_probe,
 )
@@ -38,13 +40,22 @@ def reconstruction_setup(scenario, n, scheme):
 
 
 def profiles(op, data):
-    """The operator's equilibrium at its node set, as its `rhs` builds it:
-    (p, rho, ok, rec, anti)."""
+    """The operator's equilibrium at its node set, as its `rhs` builds it
+    from its product-basis tables: (p, rho, ok, rec, anti), with `anti` the
+    Horner reference coefficients of each cell's source antiderivative."""
     rec = op.cweno.coefficients(data)
-    anti = poly_antiderivative(poly_mul(rec[0], op.g_coeffs))
-    p, rho, ok = build_profiles(op.scheme, op.eos, rec, anti, data[0], data[2],
-                                op._node_offsets, op._mean, op._stencil)
-    return p, rho, ok, rec, anti
+    tables = op._tables
+    p, rho, ok = build_profiles(
+        op.scheme, op.eos, product_terms(rec[0], op.g_coeffs) @ tables.line[0],
+        rec[:2] @ tables.values, rec[..., 0], data[0], data[2], op._mean,
+        op._stencil)
+    return p, rho, ok, rec, poly_antiderivative(poly_mul(rec[0], op.g_coeffs))
+
+
+def node_offsets(op):
+    """Offsets of the full stencil node set of `profiles` from the center."""
+    points = equilibrium_points(op.scheme.n_quad, op.scheme.radius)
+    return op.grid.dx * np.ravel(points)
 
 
 def own_nodes(op):
@@ -79,7 +90,7 @@ class TestSources:
         np.testing.assert_allclose(anti[:, 2:], 0.0, atol=1e-15)
         inner = p[2:-2]
         np.testing.assert_allclose(
-            inner, np.broadcast_to(1.0 - op._node_offsets, inner.shape),
+            inner, np.broadcast_to(1.0 - node_offsets(op), inner.shape),
             atol=1e-14)
         np.testing.assert_allclose(rho, 1.0)
 
