@@ -8,6 +8,7 @@ from hydrobal.physics import (
     get_flux,
     hllc_flux,
     physical_flux,
+    physical_state,
     roe_flux,
     rusanov_flux,
     split_conserved,
@@ -225,3 +226,102 @@ class TestSourceAverages:
         expected = [0.0, mean(rho * gx), mean(rho * gy),
                     mean(mx * gx + my * gy)]
         np.testing.assert_allclose(s, expected, rtol=1e-12, atol=1e-14)
+
+
+class TestPositivityFallback:
+    """A near-vacuum cell inside the used band: every cell whose
+    reconstructed face states are non-physical drops to its average, is
+    counted once, and the RHS stays finite."""
+
+    @staticmethod
+    def _probe(scenario, n):
+        from hydrobal.cases import grid_for, init_cell_averages, make_scenario
+        from hydrobal.runner import make_operator
+
+        scen = make_scenario(scenario)
+        scheme = Scheme("standard", 3)
+        grid = grid_for(scen, n, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        calls = []
+        raw_flux = op.flux_fn
+
+        def recording_flux(q_l, q_r, eos, **kw):
+            out = raw_flux(q_l, q_r, eos, **kw)
+            calls.append((q_l, q_r, kw, out))
+            return out
+
+        op.flux_fn = recording_flux
+        return scen, grid, data, op, calls
+
+    @staticmethod
+    def _assert_cell_fluxes(flux_call, raw_flux, eos, avg, right, left):
+        # the cell's average is the left state of its right face and the
+        # right state of its left face; each flux is the flux function of
+        # that pair
+        q_l, q_r, kw, out = flux_call
+        for face, own, other in ((right, q_l, q_r), (left, q_r, q_l)):
+            np.testing.assert_array_equal(own[face], np.broadcast_to(
+                avg.reshape(avg.shape + (1,) * (own[face].ndim - 1)),
+                own[face].shape))
+            pair = (own[face], other[face]) if own is q_l \
+                else (other[face], own[face])
+            np.testing.assert_array_equal(
+                out[face], raw_flux(*pair, eos, **kw))
+
+    def test_1d(self):
+        from hydrobal.poly import poly_eval
+
+        scen, grid, data, op, calls = self._probe("isothermal-10x", 32)
+        ng, n, h = grid.n_ghost, grid.n_cells, grid.dx
+        i = ng + 12
+        data[:, i] = [1e-10, 0.0, 1e-10]
+        filled = data.copy()
+        op.fill_ghosts(filled)
+        rec = op.cweno.coefficients(filled)
+        physical = physical_state(poly_eval(rec, -0.5 * h))[1] \
+            & physical_state(poly_eval(rec, 0.5 * h))[1]
+        flagged = ~physical[ng - 1:ng + n + 1]
+        assert flagged[i - ng + 1]
+
+        out = op.rhs(data)
+        assert np.all(np.isfinite(out))
+        assert op.fallback_cells == int(np.sum(flagged))
+        (call,) = calls
+        raw = get_flux(Scheme("standard", 3).flux)
+        k = i - ng
+        self._assert_cell_fluxes(call, raw, scen.eos, data[:, i],
+                                 (slice(None), k + 1), (slice(None), k))
+
+    def test_2d(self):
+        scen, grid, data, op, calls = self._probe("polytrope-2d", 12)
+        g, hx, hy = grid.n_ghost, grid.dx, grid.dy
+        i, j = g + 5, g + 7
+        data[:, i, j] = [1e-10, 0.0, 0.0, 1e-10]
+        filled = data.copy()
+        op.fill_ghosts(filled)
+        rec = op.cweno.coefficients(filled)
+        nodes_x, _ = gauss_nodes_weights_centered(2, hx)
+        nodes_y, _ = gauss_nodes_weights_centered(2, hy)
+        physical = np.ones(grid.shape_tot, dtype=bool)
+        for x, y in ((-0.5 * hx, nodes_y), (0.5 * hx, nodes_y),
+                     (nodes_x, -0.5 * hy), (nodes_x, 0.5 * hy)):
+            x, y = np.broadcast_arrays(x, y)
+            face = sum(rec[..., k, None] * x ** a * y ** b
+                       for k, (a, b) in enumerate(MONOMIALS_DEG2))
+            physical &= np.all(physical_state(face)[1], axis=-1)
+        band = (slice(g - 1, g + grid.n_x + 1), slice(g - 1, g + grid.n_y + 1))
+        flagged = ~physical[band]
+        assert flagged[i - g + 1, j - g + 1]
+
+        out = op.rhs(data)
+        assert np.all(np.isfinite(out))
+        assert op.fallback_cells == int(np.sum(flagged))
+        x_call, y_call = calls
+        raw = get_flux(Scheme("standard", 3).flux)
+        a, b = i - g, j - g
+        self._assert_cell_fluxes(x_call, raw, scen.eos, data[:, i, j],
+                                 (slice(None), a + 1, b), (slice(None), a, b))
+        self._assert_cell_fluxes(y_call, raw, scen.eos, data[:, i, j],
+                                 (slice(None), a, b + 1), (slice(None), a, b))
