@@ -15,12 +15,13 @@ from .boundary import (
     BoundarySpec1D,
     BoundarySpec2D,
     extrapolated_strips,
+    ghost_edge_line,
     set_edge_ghosts,
 )
 from .eos import IdealGas, IdealGasRadiation
 from .errors import ConfigurationError, InitializationError
 from .grid import CellField, Grid1D, Grid2D
-from .quadrature import gauss_nodes_weights_centered
+from .quadrature import cell_averages, gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
 from .wellbalance import equilibrium_points, glued_constants
 
@@ -317,8 +318,7 @@ def radial_rayleigh_taylor_2d(gamma=1.4, r0=0.2, a=1.0, b=2.0):
         potential=phi,
         initial=initial,
         background=(rho_out, p_out),
-        params={"r0": r0, "a": a, "b": b, "c": float(c),
-                "rho_out": rho_out, "p_out": p_out},
+        params={"r0": r0, "a": a, "b": b, "c": float(c)},
     )
 
 
@@ -360,34 +360,15 @@ def grid_for(scenario, n, n_ghost):
     return Grid2D(x0, x1, y0, y1, n, n, n_ghost)
 
 
-def _conserved_1d(scenario, x):
-    rho, u, p = scenario.initial(x)
-    eps = scenario.eos.internal_energy(rho, p)
-    return np.stack([rho, rho * u, eps + 0.5 * rho * u ** 2])
-
-
-def _conserved_2d(scenario, x, y):
-    rho, u, v, p = scenario.initial(x, y)
-    eps = scenario.eos.internal_energy(rho, p)
-    return np.stack([rho, rho * u, rho * v,
-                     eps + 0.5 * rho * (u ** 2 + v ** 2)])
-
-
 def init_cell_averages(scenario, grid, quad_order=5):
     """CellField of conserved averages via per-cell Gauss quadrature."""
-    if scenario.dimension == 1:
-        nodes, weights = gauss_nodes_weights_centered(quad_order, grid.dx)
-        x = grid.centers()[:, None] + nodes[None, :]
-        q = _conserved_1d(scenario, x)
-        data = np.einsum("a,c...a->c...", weights, q) / grid.dx
-        return CellField(grid, data)
-    nx, wx = gauss_nodes_weights_centered(quad_order, grid.dx)
-    ny, wy = gauss_nodes_weights_centered(quad_order, grid.dy)
-    cx = grid.centers_x()[:, None, None, None] + nx[None, None, :, None]
-    cy = grid.centers_y()[None, :, None, None] + ny[None, None, None, :]
-    q = _conserved_2d(scenario, cx, cy)
-    data = np.einsum("a,b,cxyab->cxy", wx, wy, q) / (grid.dx * grid.dy)
-    return CellField(grid, data)
+    def conserved(*x):
+        rho, *vel, p = scenario.initial(*x)
+        kinetic = 0.5 * rho * sum(u ** 2 for u in vel)
+        return np.stack([rho, *(rho * u for u in vel),
+                         scenario.eos.internal_energy(rho, p) + kinetic])
+
+    return CellField(grid, cell_averages(conserved, grid, quad_order))
 
 
 def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
@@ -414,18 +395,17 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     ng, r = grid.n_ghost, scheme.radius
     n_tot = grid.n_tot
     centers = grid.centers()
-    nodes, weights = gauss_nodes_weights_centered(scheme.n_quad, h)
+    weights = gauss_nodes_weights_centered(scheme.n_quad, h)[1]
 
     data = np.zeros((3, n_tot))
-    data[0] = np.einsum("a,ca->c", weights,
-                        rho_bg(centers[:, None] + nodes[None, :])) / h
+    data[0] = cell_averages(rho_bg, grid, scheme.n_quad)
 
     cweno = Cweno1D(scheme.order, h)
     sides = scenario.boundary.hydrostatic_sides
     if sides:
         # regenerate ghost densities exactly as the boundary fill will
-        set_edge_ghosts(data, sides,
-                        extrapolated_strips(cweno, data, sides, ng), ng)
+        set_edge_ghosts(data, sides, extrapolated_strips(
+            cweno, data, sides, ng, ghost_edge_line(cweno, ng)), ng)
 
     rec_rho = cweno.coefficients(data[0])[r:n_tot - r]
     ginterp = GravityInterp1D(scheme.order, h)

@@ -100,7 +100,7 @@ def cmd_bench(args):
     if cfg.out:
         out = _out_dir(cfg)
         write_efficiency_csv(report, out / "report.csv")
-        write_meta(cfg, out / "meta.json")
+        write_meta(cfg, out / "meta.json", extra={"rows": report["rows"]})
     return 0
 
 

@@ -27,6 +27,10 @@ class Grid1D:
         return (self.x_max - self.x_min) / self.n_cells
 
     @property
+    def spacing(self):
+        return (self.dx,)
+
+    @property
     def n_tot(self):
         return self.n_cells + 2 * self.n_ghost
 
@@ -38,6 +42,9 @@ class Grid1D:
         lo = -self.n_ghost if include_ghosts else 0
         hi = self.n_cells + (self.n_ghost if include_ghosts else 0)
         return self.x_min + (np.arange(lo, hi) + 0.5) * self.dx
+
+    def center_mesh(self, include_ghosts=True):
+        return (self.centers(include_ghosts),)
 
     def require_ghosts(self, needed):
         if self.n_ghost < needed:
@@ -75,6 +82,10 @@ class Grid2D:
         return (self.y_max - self.y_min) / self.n_y
 
     @property
+    def spacing(self):
+        return (self.dx, self.dy)
+
+    @property
     def shape_tot(self):
         return (self.n_x + 2 * self.n_ghost, self.n_y + 2 * self.n_ghost)
 
@@ -104,6 +115,11 @@ class Grid2D:
             )
 
 
+def interior_index(grid):
+    """Index of the interior cells of a state (C, *cells) on `grid`."""
+    return (slice(None),) + np.index_exp[grid.interior]
+
+
 @dataclass
 class CellField:
     """Conserved cell averages on a grid, ghost cells included.
@@ -124,7 +140,4 @@ class CellField:
             )
 
     def interior(self):
-        if isinstance(self.grid, Grid1D):
-            return self.data[:, self.grid.interior]
-        sx, sy = self.grid.interior
-        return self.data[:, sx, sy]
+        return self.data[interior_index(self.grid)]

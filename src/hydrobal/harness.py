@@ -95,7 +95,7 @@ def run_efficiency_study(cfg):
                 else result.errors_vs_initial()
         rows.append({
             "n": n,
-            "errors": errors,
+            "errors": errors.tolist(),
             "mean_time": float(np.mean(times)),
             "var_time": float(np.var(times)),
         })

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EosFailure, FluxEvaluationError, StepFailure
-from .physics import physical_state
+from .grid import interior_index
+from .physics import cfl_rate, physical_state
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,9 @@ def damp_momentum(data, delta, dt, momentum_components=(1,)):
 
 
 def cfl_dt(operator, data, cfl):
-    """dx / max(|u| + c) in 1-D; the additive per-axis bound in 2-D."""
-    speed = operator.max_signal_speed(data)
-    if hasattr(operator.grid, "dy"):
-        dt = cfl / speed  # operator returns sum of per-axis signal rates
-    else:
-        dt = cfl * operator.grid.dx / speed
+    """cfl / max over the interior of sum_a (|u_a| + c) / h_a."""
+    grid = operator.grid
+    dt = cfl / cfl_rate(data[interior_index(grid)], operator.eos, grid.spacing)
     if not np.isfinite(dt) or dt <= 0.0:
         raise StepFailure("non-positive time step")
     return dt
@@ -109,7 +107,7 @@ class RunStats:
 
 
 def _check_state(data, interior, time, step):
-    q = data[(slice(None),) + interior]
+    q = data[interior]
     if not np.all(np.isfinite(q)):
         raise StepFailure("non-finite state", time=time, step=step)
     if not np.all(physical_state(q)[1]):
@@ -124,18 +122,13 @@ def advance(operator, data, controller, damping=0.0, stop_condition=None):
     exponential in a symmetric split around each RK step.  The state is
     checked for positivity after every accepted step.
     """
-    grid = operator.grid
-    if hasattr(grid, "dy"):
-        interior = grid.interior
-        momenta = (1, 2)
-    else:
-        interior = (grid.interior,)
-        momenta = (1,)
+    interior = interior_index(operator.grid)
     tableau = tableau_for_order(operator.scheme.order)
     operator.fallback_cells = 0
     stats = RunStats()
     t = 0.0
     data = np.array(data, dtype=float)
+    momenta = range(1, data.shape[0] - 1)
     tiny = 1e-12 * max(controller.t_end, 1.0)
     while t < controller.t_end - tiny:
         if stats.steps >= controller.max_steps:

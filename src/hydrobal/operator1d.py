@@ -2,11 +2,18 @@
 
 import numpy as np
 
-from .boundary import extrapolated_strips, fill_periodic_axis, set_edge_ghosts
+from .boundary import (
+    HYDROSTATIC_1D,
+    extrapolated_strips,
+    fill_sides,
+    ghost_edge_line,
+    set_edge_ghosts,
+)
 from .errors import ConfigurationError
-from .physics import get_flux, physical_state, wall_boundary_flux
-# the benchmark tracer (perfbench/spans.py) counts polynomial calls through
-# these names; the solver evaluates through `product_tables`
+from .physics import flux_divergence, get_flux, positivity_fallback
+# names the benchmark tracer (perfbench/spans.py) patches: the solver calls
+# the wall flux through `flux_divergence` and no Horner helper at all
+from .physics import wall_boundary_flux  # noqa: F401
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
@@ -70,7 +77,11 @@ class SpatialOperator1D:
                          + np.arange(-r, r + 1)) % grid.n_tot
         self._face_table = self._tables.values[:, -2:]
         self._source_means = self._tables.means.reshape(scheme.order, -1)
-        self._dirichlet_ghosts = None
+        # the shared side fill skips the hydrostatic sides, filled here
+        self._fill_axes = tuple(
+            tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
+            for pair in boundary.axes)
+        self._frozen = None
         self.fallback_cells = 0
         if self._hydro_sides:
             self._init_hydrostatic_fill(ginterp)
@@ -97,30 +108,16 @@ class SpatialOperator1D:
         self._ghost_nodes = (j - piece + ng)[:, None] * nq + np.arange(nq)
         self._fill_tables = product_tables(
             *self._exps, equilibrium_points(nq, ng), (self.grid.dx,))
+        self._edge_line = ghost_edge_line(self.cweno, ng)
 
     # -- boundaries --------------------------------------------------------
 
     def set_initial_state(self, data):
-        """Capture frozen ghost values for Dirichlet boundaries."""
-        ng = self.grid.n_ghost
-        self._dirichlet_ghosts = (data[:, :ng].copy(), data[:, -ng:].copy())
+        """Freeze a copy of the initial state for Dirichlet boundaries."""
+        self._frozen = data.copy()
 
     def fill_ghosts(self, data):
-        grid = self.grid
-        ng, n = grid.n_ghost, grid.n_cells
-        if self.boundary.periodic:
-            fill_periodic_axis(data, ng, n, axis=1)
-            return
-        for side in ("left", "right"):
-            if getattr(self.boundary, side) != "dirichlet":
-                continue
-            if self._dirichlet_ghosts is None:
-                raise ConfigurationError(
-                    "Dirichlet boundaries need set_initial_state() first")
-            if side == "left":
-                data[:, :ng] = self._dirichlet_ghosts[0]
-            else:
-                data[:, -ng:] = self._dirichlet_ghosts[1]
+        fill_sides(data, self._fill_axes, self.grid.n_ghost, self._frozen)
         if self._hydro_sides:
             self._hydrostatic_fill(data)
 
@@ -156,7 +153,8 @@ class SpatialOperator1D:
         ng, h = self.grid.n_ghost, self.grid.dx
         m, nq = self.scheme.order, self.scheme.n_quad
         sides = self._hydro_sides
-        strips = extrapolated_strips(self.cweno, data, sides, ng)
+        strips = extrapolated_strips(self.cweno, data, sides, ng,
+                                     self._edge_line)
 
         # one CWENO call: density and momentum of every piece, then every
         # piece at every node
@@ -193,7 +191,7 @@ class SpatialOperator1D:
 
     def rhs(self, state):
         grid, scheme = self.grid, self.scheme
-        ng, n, h = grid.n_ghost, grid.n_cells, grid.dx
+        ng, n = grid.n_ghost, grid.n_cells
         data = state.copy()
         self.fill_ghosts(data)
 
@@ -221,38 +219,11 @@ class SpatialOperator1D:
             used = slice(ng - 1, ng + n + 1)
             self.fallback_cells += int(np.sum(~good[used]))
 
-        # positivity fallback: cells whose reconstructed face states are
-        # non-physical drop to their cell average (first order, never abort)
-        physical = physical_state(face_l)[1] & physical_state(face_r)[1]
-        if not np.all(physical):
-            bad = ~physical
-            face_l[:, bad] = data[:, bad]
-            face_r[:, bad] = data[:, bad]
-            self.fallback_cells += int(np.sum(bad[ng - 1:ng + n + 1]))
-
-        q_left = face_r[:, ng - 1:ng + n]          # interfaces ng-1/2 .. ng+n-1/2
-        q_right = face_l[:, ng:ng + n + 1]
-        fluxes = self.flux_fn(q_left, q_right, self.eos)
-
-        if not self.boundary.periodic:
-            if self.boundary.left == "solid-wall":
-                fluxes[:, 0] = wall_boundary_flux(face_l[:, ng], self.eos,
-                                                  self.flux_fn, "left")
-            if self.boundary.right == "solid-wall":
-                fluxes[:, -1] = wall_boundary_flux(face_r[:, ng + n - 1],
-                                                   self.eos, self.flux_fn,
-                                                   "right")
-
+        faces = ((face_l, face_r),)
+        self.fallback_cells += positivity_fallback(faces, data, ng)
         out = np.zeros_like(data)
         interior = slice(ng, ng + n)
-        out[:, interior] = -(fluxes[:, 1:] - fluxes[:, :-1]) / h
+        out[:, interior] = flux_divergence(faces, self.flux_fn, self.eos,
+                                           self.boundary.axes, grid.spacing, ng)
         out[1:, interior] += source[:, interior]
         return out
-
-    def max_signal_speed(self, data):
-        interior = self.grid.interior
-        rho = data[0, interior]
-        u = data[1, interior] / rho
-        eps = data[2, interior] - 0.5 * rho * u ** 2
-        p = self.eos.pressure(rho, eps)
-        return np.max(np.abs(u) + self.eos.sound_speed(rho, p))

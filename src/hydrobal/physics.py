@@ -1,10 +1,16 @@
-"""Numerical fluxes, wall fluxes, and the physical-state predicate.
+"""Numerical fluxes, wall fluxes, the physical-state predicate, and the
+dimension-independent finite-volume frame of both spatial operators.
 
-Flux functions act on conserved states stacked on the leading axis with the
-NORMAL momentum as component 1; 2-D callers permute components for
-y-direction faces.  All fluxes are consistent, Lipschitz, and - except for
+Flux functions act on conserved states stacked on the leading axis; the
+`normal` argument names the momentum component that faces the interface
+(1 for x, 2 for y).  All fluxes are consistent, Lipschitz, and - except for
 the Rusanov control - satisfy the contact property: a stationary contact
 (u = 0, equal pressure) returns exactly (0, p, 0[, 0]).
+
+The frame (positivity fallback, flux divergence, CFL rate) works on states
+(C, *cells), ghosts included, and on face states given per cell axis as a
+(lo, hi) pair: each cell's reconstruction at its lower and upper face along
+that axis, with a trailing axis of Gauss nodes where faces carry them (2-D).
 """
 
 import numpy as np
@@ -217,6 +223,64 @@ def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
     if side == "left":  # wall on the left: ghost state first
         return flux_fn(mirrored, q_state, eos, normal=normal)
     return flux_fn(q_state, mirrored, eos, normal=normal)
+
+
+def positivity_fallback(faces, data, n_ghost):
+    """First-order fallback, in place: every cell with a non-physical face
+    state gets its cell average on all of its faces.  Returns how many such
+    cells lie in the band the flux divergence reads (the interior cells plus
+    one ghost layer per side)."""
+    physical = True
+    for face in (face for pair in faces for face in pair):
+        ok = physical_state(face)[1]
+        physical = physical & (ok if ok.ndim < data.ndim else np.all(ok, axis=-1))
+    if np.all(physical):
+        return 0
+    bad = ~physical
+    average = data[:, bad]
+    for face in (face for pair in faces for face in pair):
+        face[:, bad] = average if face.ndim == data.ndim else average[..., None]
+    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in bad.shape)
+    return int(np.sum(bad[band]))
+
+
+def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
+    """-sum_a (F_a(i + 1/2) - F_a(i - 1/2)) / h_a over the interior cells.
+
+    An interface flux is `flux_fn` of the hi face state of the cell below
+    and the lo face state of the cell above, or `wall_boundary_flux` of the
+    boundary cell on a "solid-wall" side of `axes`; `weights` average the
+    fluxes over the Gauss nodes of faces that carry them.
+    """
+    ng = n_ghost
+    div = 0.0
+    for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
+        # every cell along axis a, the interior cells along the others
+        cut = (slice(None),) + tuple(slice(None) if b == a else slice(ng, -ng)
+                                     for b in range(len(spacing)))
+        lo, hi = lo[cut], hi[cut]
+        along = (slice(None),) * (a + 1)
+        end = lo.shape[a + 1] - ng            # the first upper ghost
+        flux = flux_fn(hi[along + (slice(ng - 1, end),)],
+                       lo[along + (slice(ng, end + 1),)], eos, normal=a + 1)
+        for kind, side, k, cell in ((kinds[0], "left", 0, lo[along + (ng,)]),
+                                    (kinds[1], "right", -1, hi[along + (end - 1,)])):
+            if kind == "solid-wall":
+                flux[along + (k,)] = wall_boundary_flux(cell, eos, flux_fn, side,
+                                                        normal=a + 1)
+        if weights is not None:
+            flux = flux @ weights
+        div = div - np.diff(flux, axis=a + 1) / h
+    return div
+
+
+def cfl_rate(q, eos, spacing):
+    """max over cells of sum_a (|u_a| + c) / h_a; dt = cfl / rate."""
+    rho = q[0]
+    vel = q[1:-1] / rho
+    p = eos.pressure(rho, q[-1] - 0.5 * rho * sum(u ** 2 for u in vel))
+    c = eos.sound_speed(rho, p)
+    return np.max(sum((np.abs(u) + c) / h for u, h in zip(vel, spacing)))
 
 
 def contact_property_check(flux_fn, eos, trials=1000, seed=0, tol=1e-13):

@@ -1,5 +1,7 @@
-"""Gauss-Legendre quadrature rules on arbitrary intervals."""
+"""Gauss-Legendre quadrature rules on arbitrary intervals, and tensor-Gauss
+cell averages on a grid."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -38,3 +40,23 @@ def gauss_legendre(order, interval=(-1.0, 1.0)):
 def gauss_nodes_weights_centered(order, width):
     """Nodes (as offsets from the cell center) and weights for one cell."""
     return gauss_legendre(order, (-0.5 * width, 0.5 * width))
+
+
+def cell_averages(fn, grid, order):
+    """Averages of fn over every cell of `grid`, ghosts included, by the
+    tensor Gauss rule of `order` nodes per axis.
+
+    `fn` takes one coordinate array per axis on the open mesh of (*cells,
+    *nodes) and returns (..., *cells, *nodes); the averages are (..., *cells).
+    """
+    mesh = grid.center_mesh()
+    dim = len(mesh)
+    coords, weights = [], []
+    for a, (center, h) in enumerate(zip(mesh, grid.spacing)):
+        nodes, w = gauss_nodes_weights_centered(order, h)
+        line = center[(0,) * a + (slice(None),) + (0,) * (dim - 1 - a)]
+        shape = [1] * a + [line.size] + [1] * (dim - 1) + [order] + [1] * (dim - 1 - a)
+        coords.append(np.add.outer(line, nodes).reshape(shape))
+        weights += [w, [a]]
+    return np.einsum(*weights, fn(*coords), [..., *range(dim)], [...]) \
+        / math.prod(grid.spacing)

@@ -1,5 +1,6 @@
 """Single-run orchestration: grid + operator + initial data + time loop."""
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -25,9 +26,7 @@ class RunResult:
 
     @property
     def cell_volume(self):
-        if isinstance(self.grid, Grid1D):
-            return self.grid.dx
-        return self.grid.dx * self.grid.dy
+        return math.prod(self.grid.spacing)
 
     def errors_vs_initial(self):
         return l1_error(self.final.interior(), self.initial.interior(),
@@ -56,11 +55,8 @@ def make_operator(scenario, grid, scheme, eps_w=None):
     if scenario.dimension == 1:
         return SpatialOperator1D(grid, scheme, scenario.eos, scenario.gravity,
                                  scenario.boundary, eps_w)
-    background = None
-    if "rho_out" in scenario.params:
-        background = (scenario.params["rho_out"], scenario.params["p_out"])
     return SpatialOperator2D(grid, scheme, scenario.eos, scenario.gravity,
-                             scenario.boundary, eps_w, background=background)
+                             scenario.boundary, eps_w, scenario.background)
 
 
 def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",

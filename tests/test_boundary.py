@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ class TestSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             BoundarySpec1D("reflecting", "reflecting")
+
+    @pytest.mark.parametrize("kind", [EXTRAP, "reflecting"])
+    def test_2d_kind_outside_the_2d_fill_rejected(self, kind):
+        # the 2-D fill handles periodic, Dirichlet, solid-wall (mirror) and
+        # background-deviation sides; anything else fails at construction
+        with pytest.raises(ConfigurationError, match=re.escape(repr(kind))):
+            BoundarySpec2D(kind, DIRICHLET, DIRICHLET, DIRICHLET)
 
     @pytest.mark.parametrize("kind, order, bc, minimum", [
         ("dwb", 5, ("periodic", "periodic"), 5),

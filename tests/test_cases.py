@@ -63,7 +63,7 @@ class TestIsothermal:
 
     def test_boundaries_match_potential_choice(self):
         assert isothermal_1d("10x").boundary.left == "dirichlet"
-        assert isothermal_1d("sin").boundary.periodic
+        assert isothermal_1d("sin").boundary.axes == (("periodic", "periodic"),)
 
 
 class TestPerturbed:

@@ -80,14 +80,17 @@ class TestStudies:
         assert "FAILED" not in format_table(report)
 
     def test_failure_recorded_study_continues(self):
-        # order-1 standard scheme cannot be built as 'dwb': use an invalid
-        # resolution path instead: a resolution so coarse the discrete init
-        # fails is scenario-specific; instead force failure via bad t_end
+        # the discrete isothermal-10x equilibrium has a non-positive ghost
+        # pressure at n = 16 (DWB-O3): that row records the failure, the
+        # finer rows still run, and only the doubled pair 64 -> 128 has rates
         cfg = validate_config({
-            "scenario": "riemann-on-equilibrium", "scheme": "standard",
-            "order": 3, "resolutions": [16, 32], "t_end": 0.001})
-        report = run_convergence_study(cfg)
-        assert len(report["rows"]) == 2  # both attempted
+            "scenario": "isothermal-10x", "scheme": "dwb", "order": 3,
+            "init": "discrete", "resolutions": [16, 64, 128], "t_end": 0.002})
+        failed, coarse, fine = run_convergence_study(cfg)["rows"]
+        assert failed["failure"].startswith("InitializationError")
+        assert failed["errors"] is None and "rates" not in failed
+        assert coarse["failure"] is None and fine["failure"] is None
+        assert "rates" not in coarse and len(fine["rates"]) == 3
 
     def test_determinism_bit_identical(self):
         cfg = validate_config({"scenario": "isothermal-sin", "scheme": "la",
@@ -150,6 +153,11 @@ class TestCli:
                        "--t-end", "0.02", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "report.csv").exists()
+        (row,) = json.loads((tmp_path / "meta.json").read_text())["rows"]
+        assert row["n"] == 16 and row["mean_time"] > 0.0
+        assert row["var_time"] >= 0.0
+        assert len(row["errors"]) == 3
+        assert all(isinstance(err, float) for err in row["errors"])
 
     def test_check_passes(self, capsys):
         rc = cli_main(["check"])
