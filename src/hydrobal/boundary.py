@@ -68,7 +68,7 @@ class BoundarySpec2D:
         return ((self.x_lo, self.x_hi), (self.y_lo, self.y_hi))
 
 
-def fill_sides(data, axes, n_ghost, frozen=None, background=None):
+def fill_sides(data, axes, n_ghost, frozen, background=None):
     """Fill the ghost slabs of `data` (C, *cells) for the (lo, hi) kind
     pairs of `axes`, one pair per cell axis; a side of kind None is left to
     the caller.  Periodic axes go first, then the other sides in axis order,

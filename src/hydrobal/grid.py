@@ -43,8 +43,8 @@ class Grid1D:
         hi = self.n_cells + (self.n_ghost if include_ghosts else 0)
         return self.x_min + (np.arange(lo, hi) + 0.5) * self.dx
 
-    def center_mesh(self, include_ghosts=True):
-        return (self.centers(include_ghosts),)
+    def center_mesh(self):
+        return (self.centers(),)
 
     def require_ghosts(self, needed):
         if self.n_ghost < needed:

@@ -202,6 +202,7 @@ class SpatialOperator1D:
         # as a bilinear form in the rec and gravity coefficients
         source = np.sum((rec[:2] @ self._source_means) * self.g_coeffs, axis=-1)
 
+        good = None
         if scheme.well_balanced:
             p, rho, ok = build_profiles(
                 scheme, self.eos,
@@ -216,11 +217,9 @@ class SpatialOperator1D:
             good = ok & ok_eq
             face_l[2] = np.where(good, e_faces[:, 0], face_l[2])
             face_r[2] = np.where(good, e_faces[:, 1], face_r[2])
-            used = slice(ng - 1, ng + n + 1)
-            self.fallback_cells += int(np.sum(~good[used]))
 
         faces = ((face_l, face_r),)
-        self.fallback_cells += positivity_fallback(faces, data, ng)
+        self.fallback_cells += positivity_fallback(faces, data, ng, good)
         out = np.zeros_like(data)
         interior = slice(ng, ng + n)
         out[:, interior] = flux_divergence(faces, self.flux_fn, self.eos,

@@ -201,12 +201,9 @@ class SpatialOperator2D:
                           for table in self._face_values)
         faces = ((xl, xr), (yl, yr))
 
-        if scheme.well_balanced:
-            good = self._profiles_and_faces(rec, data, faces)
-            used = (slice(g - 1, g + nx + 1), slice(g - 1, g + ny + 1))
-            self.fallback_cells += int(np.sum(~good[used]))
-
-        self.fallback_cells += positivity_fallback(faces, data, g)
+        good = (self._profiles_and_faces(rec, data, faces)
+                if scheme.well_balanced else None)
+        self.fallback_cells += positivity_fallback(faces, data, g, good)
         out = np.zeros_like(data)
         interior = (slice(None), slice(g, g + nx), slice(g, g + ny))
         out[interior] = flux_divergence(

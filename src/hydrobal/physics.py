@@ -225,23 +225,25 @@ def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
     return flux_fn(q_state, mirrored, eos, normal=normal)
 
 
-def positivity_fallback(faces, data, n_ghost):
+def positivity_fallback(faces, data, n_ghost, good=None):
     """First-order fallback, in place: every cell with a non-physical face
-    state gets its cell average on all of its faces.  Returns how many such
-    cells lie in the band the flux divergence reads (the interior cells plus
-    one ghost layer per side)."""
+    state gets its cell average on all of its faces.  Returns how many cells
+    of the band the flux divergence reads (the interior cells plus one ghost
+    layer per side) fell back: those `good` marks False (the cells where the
+    well-balanced reconstruction failed) plus those reset here."""
+    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
+    count = 0 if good is None else int(np.count_nonzero(~good[band]))
     physical = True
     for face in (face for pair in faces for face in pair):
         ok = physical_state(face)[1]
-        physical = physical & (ok if ok.ndim < data.ndim else np.all(ok, axis=-1))
-    if np.all(physical):
-        return 0
+        physical = physical & (ok if ok.ndim < data.ndim else ok.all(axis=-1))
+    if physical.all():
+        return count
     bad = ~physical
     average = data[:, bad]
     for face in (face for pair in faces for face in pair):
         face[:, bad] = average if face.ndim == data.ndim else average[..., None]
-    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in bad.shape)
-    return int(np.sum(bad[band]))
+    return count + int(np.count_nonzero(bad[band]))
 
 
 def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
@@ -270,7 +272,7 @@ def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
                                                         normal=a + 1)
         if weights is not None:
             flux = flux @ weights
-        div = div - np.diff(flux, axis=a + 1) / h
+        div = div - (flux[along + (slice(1, None),)] - flux[along + (slice(-1),)]) / h
     return div
 
 
