@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hydrobal.cli import main as cli_main
+from hydrobal.cases import make_scenario
 from hydrobal.config import load_config, validate_config
 from hydrobal.errors import ConfigurationError
 from hydrobal.harness import (
@@ -13,6 +14,8 @@ from hydrobal.harness import (
     run_efficiency_study,
     run_single,
 )
+from hydrobal.runner import run
+from hydrobal.scheme import Scheme
 
 
 class TestConfig:
@@ -110,6 +113,19 @@ class TestStudies:
                            match=f"n = {n_ref} .* n = {n}"):
             run_single(cfg)
 
+    def test_2d_errors_vs_fine_reference(self):
+        # the fine 2-D reference is block-averaged 2 x 2 onto the run's grid
+        scen = make_scenario("polytrope-2d", perturbation=1e-3)
+        scheme = Scheme("la", 3)
+        coarse = run(scen, scheme, 8, t_end=0.01)
+        fine = run(scen, scheme, 16, t_end=0.01)
+        blocks = fine.final.interior().reshape(4, 8, 2, 8, 2).mean(axis=(2, 4))
+        expected = np.abs(coarse.final.interior() - blocks).sum(axis=(1, 2)) \
+            / 64.0
+        errors = coarse.errors_vs(fine)
+        assert errors.shape == (4,) and np.all(errors > 0.0)
+        assert np.allclose(errors, expected, rtol=1e-14, atol=0.0)
+
     def test_efficiency_single_repetition_zero_variance(self):
         cfg = validate_config({"scenario": "isothermal-10x", "n": 16,
                                "t_end": 0.05, "repetitions": 1,
@@ -135,6 +151,23 @@ class TestCli:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x", "rho", "rho_u", "E"]
         assert len(rows) == 17
+
+    def test_run_writes_2d_fields(self, tmp_path):
+        rc = cli_main(["run", "--scenario", "polytrope-2d", "--scheme", "la",
+                       "--n", "8", "--t-end", "0.01", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "fields_polytrope-2d_8.csv") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["x", "y", "rho", "rho_u", "rho_v", "E"]
+        assert len(rows) == 64
+        q = run(make_scenario("polytrope-2d"), Scheme("la", 3), 8,
+                t_end=0.01).final.interior()
+        centers = -0.5 + (np.arange(8) + 0.5) / 8
+        for k, row in enumerate(rows):
+            i, j = divmod(k, 8)          # x-major: y varies fastest
+            assert float(row[0]) == pytest.approx(centers[i], abs=1e-12)
+            assert float(row[1]) == pytest.approx(centers[j], abs=1e-12)
+            assert [float(v) for v in row[2:]] == q[:, i, j].tolist()
 
     def test_study_writes_report_csv(self, tmp_path):
         rc = cli_main(["study", "--scenario", "isothermal-10x",
