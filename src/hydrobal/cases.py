@@ -1,8 +1,9 @@
 """Scenario library: analytic backgrounds, gravity fields, initializers.
 
-Every scenario with an analytic background satisfies the hydrostatic
-equation exactly; `hydrostatic_residual` samples that as a self-consistency
-gate before any solver test touches the scenario.
+A scenario's dimension is the axis count of its domain.  Every scenario
+with an analytic background satisfies the hydrostatic equation exactly;
+`hydrostatic_residual` samples that, in 1-D and 2-D alike, as a
+self-consistency gate before any solver test touches the scenario.
 """
 
 import inspect
@@ -20,7 +21,7 @@ from .boundary import (
 )
 from .eos import IdealGas, IdealGasRadiation
 from .errors import ConfigurationError, InitializationError
-from .grid import CellField, Grid1D, Grid2D
+from .grid import CellField, Grid
 from .quadrature import cell_averages, gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
 from .wellbalance import equilibrium_points, glued_constants
@@ -33,8 +34,7 @@ class Scenario:
     """A benchmark setup: domain, EoS, gravity, initial state, background."""
 
     name: str
-    dimension: int
-    domain: tuple
+    domain: tuple                      # (lo, hi) per axis, flat
     eos: object
     boundary: object
     t_end: float
@@ -43,6 +43,10 @@ class Scenario:
     initial: object                    # primitives (rho, u[, v], p)
     background: object = None          # (rho_tilde, p_tilde) or None
     params: dict = dc_field(default_factory=dict)
+
+    @property
+    def dimension(self):
+        return len(self.domain) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,6 @@ def isothermal_1d(potential="10x", gamma=1.4):
     tau = np.sqrt(1.0 / gamma)  # sound crossing time: c = sqrt(gamma) here
     return Scenario(
         name=f"isothermal-{potential}",
-        dimension=1,
         domain=(0.0, 1.0),
         eos=IdealGas(gamma),
         boundary=bc,
@@ -123,7 +126,6 @@ def isothermal_perturbed_1d(eta, gamma=1.4):
 
     return Scenario(
         name=f"isothermal-perturbed-{eta:g}",
-        dimension=1,
         domain=(0.0, 1.0),
         eos=base.eos,
         boundary=base.boundary,
@@ -161,7 +163,6 @@ def polytropic_radiation_1d(perturbation=None, gamma=1.4, nu=None):
     tag = "" if perturbation is None else f"-perturbed-{perturbation:g}"
     return Scenario(
         name=f"polytropic-radiation{tag}",
-        dimension=1,
         domain=(0.0, 1.0),
         eos=IdealGasRadiation(gamma),
         boundary=BoundarySpec1D("dirichlet", "dirichlet"),
@@ -199,7 +200,6 @@ def riemann_on_equilibrium_1d(gamma=1.4):
 
     return Scenario(
         name="riemann-on-equilibrium",
-        dimension=1,
         domain=(0.0, 0.25),
         eos=IdealGas(gamma),
         boundary=BoundarySpec1D("dirichlet", "dirichlet"),
@@ -224,7 +224,6 @@ def relaxation_1d(gamma=1.4, delta=0.2, t_end=100.0):
 
     return Scenario(
         name="relaxation",
-        dimension=1,
         domain=(0.0, 1.0),
         eos=IdealGas(gamma),
         boundary=BoundarySpec1D("periodic", "periodic"),
@@ -267,7 +266,6 @@ def polytrope_2d(perturbation=None, gamma=2.0):
     tag = "" if perturbation is None else f"-perturbed-{perturbation:g}"
     return Scenario(
         name=f"polytrope-2d{tag}",
-        dimension=2,
         domain=(-0.5, 0.5, -0.5, 0.5),
         eos=IdealGas(gamma),
         boundary=BoundarySpec2D(*["dirichlet"] * 4),
@@ -308,7 +306,6 @@ def radial_rayleigh_taylor_2d(gamma=1.4, r0=0.2, a=1.0, b=2.0):
 
     return Scenario(
         name="radial-rayleigh-taylor",
-        dimension=2,
         domain=(0.0, 0.5, 0.0, 0.5),
         eos=IdealGas(gamma),
         boundary=BoundarySpec2D("solid-wall", "background-deviation-extrapolation",
@@ -345,6 +342,11 @@ def make_scenario(name, **kwargs):
         raise ConfigurationError(
             f"scenario {name!r} has no parameter(s) {unknown}; "
             f"it takes {sorted(accepted)}")
+    missing = sorted(key for key, spec in accepted.items()
+                     if spec.default is spec.empty and key not in kwargs)
+    if missing:
+        raise ConfigurationError(
+            f"scenario {name!r} needs parameter(s) {missing}")
     return factory(**kwargs)
 
 
@@ -353,11 +355,7 @@ def make_scenario(name, **kwargs):
 # ---------------------------------------------------------------------------
 
 def grid_for(scenario, n, n_ghost):
-    if scenario.dimension == 1:
-        x0, x1 = scenario.domain
-        return Grid1D(x0, x1, n, n_ghost)
-    x0, x1, y0, y1 = scenario.domain
-    return Grid2D(x0, x1, y0, y1, n, n, n_ghost)
+    return Grid(scenario.domain, (n,) * scenario.dimension, n_ghost)
 
 
 def init_cell_averages(scenario, grid, quad_order=5):
@@ -391,9 +389,9 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
             "discrete equilibria need a 1-D scenario with a background")
     rho_bg, p_bg = scenario.background
     eos = scenario.eos
-    h = grid.dx
+    h, = grid.spacing
     ng, r = grid.n_ghost, scheme.radius
-    n_tot = grid.n_tot
+    n_tot, = grid.shape_tot
     centers = grid.centers()
     weights = gauss_nodes_weights_centered(scheme.n_quad, h)[1]
 
@@ -429,7 +427,7 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     bad = (const[piece] <= 0.0) \
         | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
     if np.any(bad):
-        n = grid.n_cells
+        n, = grid.cells
         raise InitializationError(
             f"{scenario.name}, {scheme.label}, n = {n}: the discrete "
             "equilibrium has a non-positive pressure or density in cell "
@@ -439,55 +437,47 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     return CellField(grid, data)
 
 
-def hydrostatic_residual(scenario, n_samples=64, seed=0, h=5e-5):
-    """Max |dp/dx - rho g| / max(1, |rho g|) at random sample points.
+def _sample_points(scenario, n_samples, seed, h):
+    """Uniform random points 2h inside the domain, drawn axis by axis."""
+    rng = np.random.default_rng(seed)
+    lo, hi = scenario.domain[::2], scenario.domain[1::2]
+    return [rng.uniform(a + 2 * h, b - 2 * h, n_samples)
+            for a, b in zip(lo, hi)]
 
-    The pressure derivative comes from fourth-order central differences; the
+
+def _central_gradient(f, points, h):
+    """Fourth-order central differences of f at `points`, one row per axis."""
+    def at(axis, s):
+        return f(*(x + s if a == axis else x for a, x in enumerate(points)))
+    return np.array([(-at(a, 2 * h) + 8 * at(a, h) - 8 * at(a, -h)
+                      + at(a, -2 * h)) / (12 * h) for a in range(len(points))])
+
+
+def _norm(vectors):
+    """Euclidean norm over the leading (axis) dimension."""
+    return np.hypot.reduce(vectors, axis=0, initial=0.0)
+
+
+def hydrostatic_residual(scenario, n_samples=64, seed=0, h=5e-5):
+    """Max |grad p - rho g| / max(1, |rho g|) at random sample points.
+
+    The pressure gradient comes from fourth-order central differences; the
     normalization keeps the gate meaningful for backgrounds spanning many
     orders of magnitude without changing it for order-one profiles.
     """
-    rng = np.random.default_rng(seed)
+    if scenario.background is None:
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} has no background to check")
     rho_bg, p_bg = scenario.background
-    if scenario.dimension == 1:
-        x0, x1 = scenario.domain
-        x = rng.uniform(x0 + 2 * h, x1 - 2 * h, n_samples)
-        dp = (-p_bg(x + 2 * h) + 8 * p_bg(x + h)
-              - 8 * p_bg(x - h) + p_bg(x - 2 * h)) / (12 * h)
-        force = rho_bg(x) * scenario.gravity(x)
-        return float(np.max(np.abs(dp - force) / np.maximum(1.0, np.abs(force))))
-    x0, x1, y0, y1 = scenario.domain
-    x = rng.uniform(x0 + 2 * h, x1 - 2 * h, n_samples)
-    y = rng.uniform(y0 + 2 * h, y1 - 2 * h, n_samples)
-
-    def deriv(f, axis):
-        def shift(s):
-            return (x + s, y) if axis == 0 else (x, y + s)
-        return (-f(*shift(2 * h)) + 8 * f(*shift(h))
-                - 8 * f(*shift(-h)) + f(*shift(-2 * h))) / (12 * h)
-
-    gx, gy = scenario.gravity(x, y)
-    rho = rho_bg(x, y)
-    res = np.hypot(deriv(p_bg, 0) - rho * gx, deriv(p_bg, 1) - rho * gy)
-    return float(np.max(res / np.maximum(1.0, np.hypot(rho * gx, rho * gy))))
+    points = _sample_points(scenario, n_samples, seed, h)
+    force = rho_bg(*points) * np.atleast_2d(scenario.gravity(*points))
+    residual = _norm(_central_gradient(p_bg, points, h) - force)
+    return float(np.max(residual / np.maximum(1.0, _norm(force))))
 
 
 def potential_gradient_residual(scenario, n_samples=64, seed=1, h=2e-4):
     """Check g = -grad(phi) by fourth-order finite differences."""
-    rng = np.random.default_rng(seed)
-    if scenario.dimension == 1:
-        x0, x1 = scenario.domain
-        x = rng.uniform(x0 + 2 * h, x1 - 2 * h, n_samples)
-        phi = scenario.potential
-        dphi = (-phi(x + 2 * h) + 8 * phi(x + h)
-                - 8 * phi(x - h) + phi(x - 2 * h)) / (12 * h)
-        return float(np.max(np.abs(scenario.gravity(x) + dphi)))
-    x0, x1, y0, y1 = scenario.domain
-    x = rng.uniform(x0 + 2 * h, x1 - 2 * h, n_samples)
-    y = rng.uniform(y0 + 2 * h, y1 - 2 * h, n_samples)
-    phi = scenario.potential
-    dpx = (-phi(x + 2 * h, y) + 8 * phi(x + h, y)
-           - 8 * phi(x - h, y) + phi(x - 2 * h, y)) / (12 * h)
-    dpy = (-phi(x, y + 2 * h) + 8 * phi(x, y + h)
-           - 8 * phi(x, y - h) + phi(x, y - 2 * h)) / (12 * h)
-    gx, gy = scenario.gravity(x, y)
-    return float(np.max(np.hypot(gx + dpx, gy + dpy)))
+    points = _sample_points(scenario, n_samples, seed, h)
+    gravity = np.atleast_2d(scenario.gravity(*points))
+    dphi = _central_gradient(scenario.potential, points, h)
+    return float(np.max(_norm(gravity + dphi)))

@@ -10,7 +10,7 @@ orders.
 import numpy as np
 
 from .eos import IdealGas, IdealGasRadiation
-from .grid import Grid1D
+from .grid import Grid
 from .integrate import RK5, SSPRK43, rk_step
 from .physics import contact_property_check, hllc_flux, roe_flux, rusanov_flux
 from .poly import (
@@ -105,12 +105,12 @@ def run_checks(seed=0, trials=1000):
     record("deps_dp matches finite differences <= 1e-6", ok)
 
     # Newton anchor equals the ideal-gas closed form
-    grid = Grid1D(0.0, 1.0, 32, 2)
-    h = grid.dx
+    grid = Grid((0.0, 1.0), (32,), 2)
+    h, = grid.spacing
     centers = grid.centers()
     cweno = Cweno1D(3, h)
     rho_coeffs = cweno.coefficients(np.exp(-2.0 * centers))
-    g_coeffs = np.zeros((grid.n_tot, 3))
+    g_coeffs = np.zeros(grid.shape_tot + (3,))
     g_coeffs[:, 0] = -2.0
     anti = poly_antiderivative(poly_mul(rho_coeffs, g_coeffs))
     nodes, weights = gauss_nodes_weights_centered(2, h)

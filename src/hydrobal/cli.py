@@ -7,6 +7,7 @@ from pathlib import Path
 from .config import RunConfig, load_config, validate_config
 from .errors import HydrobalError
 from .harness import (
+    COMPONENT_NAMES,
     format_table,
     run_convergence_study,
     run_efficiency_study,
@@ -27,7 +28,7 @@ def _add_common(parser):
     parser.add_argument("--flux", help="roe|hllc|rusanov")
     parser.add_argument("--cfl", type=float)
     parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int)
 
 
@@ -39,16 +40,10 @@ def _build_config(args):
         if raw.get("scenario_params") == {}:
             raw.pop("scenario_params", None)
     for key in ("scenario", "scheme", "order", "n", "flux", "cfl",
-                "t_end", "seed"):
+                "t_end", "seed", "out", "resolutions", "repetitions"):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
-    if args.out is not None:
-        raw["out"] = str(args.out)
-    if getattr(args, "resolutions", None):
-        raw["resolutions"] = args.resolutions
-    if getattr(args, "repetitions", None):
-        raw["repetitions"] = args.repetitions
     if "scenario" not in raw:
         raise HydrobalError("a scenario is required (--scenario or --config)")
     return validate_config(raw)
@@ -65,8 +60,7 @@ def cmd_run(args):
     result, errors = run_single(cfg)
     print(f"scenario={cfg.scenario} scheme={result.scheme.label} n={cfg.n} "
           f"t={result.stats.time:.6g} steps={result.stats.steps}")
-    for name, err in zip(("rho", "rho_u", "rho_v", "E")[:len(errors) - 1]
-                         + ("E",), errors):
+    for name, err in zip(COMPONENT_NAMES[len(errors)], errors):
         print(f"  L1[{name}] = {err:.6e}")
     if cfg.out:
         out = _out_dir(cfg)
@@ -128,7 +122,7 @@ def main(argv=None):
     p_bench = sub.add_parser("bench", help="efficiency study (time vs error)")
     _add_common(p_bench)
     p_bench.add_argument("--resolutions", type=int, nargs="+")
-    p_bench.add_argument("--repetitions", type=int, default=1)
+    p_bench.add_argument("--repetitions", type=int)
     p_bench.set_defaults(func=cmd_bench)
 
     p_check = sub.add_parser("check", help="fast property suite")

@@ -12,7 +12,7 @@ Top-level keys (unknown keys are rejected):
   cfl               float in (0, 1]
   t_end             float (defaults to the scenario's final time)
   init              'averages' | 'discrete'
-  eps_w             float, CWENO regularization (default dx^2 resp. dx*dy)
+  eps_w             float > 0, CWENO regularization (default dx^2 resp. dx*dy)
   damping           float >= 0 (momentum damping rate)
   seed              int, seed for randomized property checks
   repetitions       int >= 1 (efficiency studies)
@@ -102,8 +102,16 @@ def validate_config(raw):
             _check_type(f"reference.{key}", value, _REFERENCE_KEYS[key])
         if ref.get("kind") not in ("initial", "fine"):
             raise ConfigurationError("reference.kind must be 'initial' or 'fine'")
+        if ref["kind"] == "fine" and "n" not in ref:
+            raise ConfigurationError("a fine reference needs reference.n")
     if "init" in raw and raw["init"] not in ("averages", "discrete"):
         raise ConfigurationError("init must be 'averages' or 'discrete'")
+    if raw.get("repetitions", 1) < 1:
+        raise ConfigurationError("repetitions must be >= 1")
+    if raw.get("eps_w", 1.0) <= 0.0:
+        raise ConfigurationError("eps_w must be positive")
+    if raw.get("damping", 0.0) < 0.0:
+        raise ConfigurationError("damping must be non-negative")
     return RunConfig(**raw)
 
 

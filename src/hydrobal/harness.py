@@ -11,7 +11,6 @@ import numpy as np
 from . import __version__
 from .cases import make_scenario
 from .errors import HydrobalError
-from .grid import Grid1D
 from .metrics import convergence_rate
 from .runner import run
 from .scheme import Scheme
@@ -166,21 +165,12 @@ def write_fields_csv(result, path):
     names = COMPONENT_NAMES[q.shape[0]]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if isinstance(grid, Grid1D):
-            writer.writerow(["x", *names])
-            x = grid.centers(include_ghosts=False)
-            for i in range(grid.n_cells):
-                writer.writerow([f"{x[i]:.10e}"] +
-                                [f"{q[c, i]:.16e}" for c in range(q.shape[0])])
-        else:
-            writer.writerow(["x", "y", *names])
-            xs = grid.centers_x(include_ghosts=False)
-            ys = grid.centers_y(include_ghosts=False)
-            for i in range(grid.n_x):
-                for j in range(grid.n_y):
-                    writer.writerow(
-                        [f"{xs[i]:.10e}", f"{ys[j]:.10e}"]
-                        + [f"{q[c, i, j]:.16e}" for c in range(q.shape[0])])
+        centers = [grid.centers(a, include_ghosts=False)
+                   for a in range(len(grid.cells))]
+        writer.writerow([*"xy"[:len(centers)], *names])
+        for cell in np.ndindex(*grid.cells):
+            writer.writerow([f"{x[i]:.10e}" for x, i in zip(centers, cell)]
+                            + [f"{v:.16e}" for v in q[(slice(None),) + cell]])
 
 
 def write_meta(cfg, path, extra=None):

@@ -71,12 +71,9 @@ def rk_step(state, dt, rhs, tableau):
 
 def damp_momentum(data, delta, dt, momentum_components=(1,)):
     """Exact integral of d(rho u)/dt = -delta * rho u over dt (in place)."""
-    if delta < 0.0:
-        raise ConfigurationError("damping rate must be non-negative")
-    if delta > 0.0:
-        factor = np.exp(-delta * dt)
-        for comp in momentum_components:
-            data[comp] *= factor
+    factor = np.exp(-delta * dt)
+    for comp in momentum_components:
+        data[comp] *= factor
 
 
 def cfl_dt(operator, data, cfl):
@@ -122,6 +119,8 @@ def advance(operator, data, controller, damping=0.0, stop_condition=None):
     exponential in a symmetric split around each RK step.  The state is
     checked for positivity after every accepted step.
     """
+    if damping < 0.0:
+        raise ConfigurationError("damping rate must be non-negative")
     interior = interior_index(operator.grid)
     tableau = tableau_for_order(operator.scheme.order)
     operator.fallback_cells = 0

@@ -25,19 +25,14 @@ def convergence_rate(error_coarse, error_fine):
     return np.log2(np.asarray(error_coarse) / np.asarray(error_fine))
 
 
-def restrict_1d(fine, ratio):
-    """Conservative block average of fine cell averages onto a coarse grid."""
+def restrict(fine, ratio, dim):
+    """Conservative block average of fine cell averages over the trailing
+    `dim` axes onto a grid `ratio` times coarser on each of them."""
     fine = np.asarray(fine)
-    n = fine.shape[-1]
-    if n % ratio:
-        raise ConfigurationError(f"restriction ratio {ratio} does not divide {n}")
-    return fine.reshape(fine.shape[:-1] + (n // ratio, ratio)).mean(axis=-1)
-
-
-def restrict_2d(fine, ratio):
-    fine = np.asarray(fine)
-    nx, ny = fine.shape[-2:]
-    if nx % ratio or ny % ratio:
-        raise ConfigurationError(f"restriction ratio {ratio} does not divide {fine.shape}")
-    shaped = fine.reshape(fine.shape[:-2] + (nx // ratio, ratio, ny // ratio, ratio))
-    return shaped.mean(axis=(-3, -1))
+    cells = fine.shape[fine.ndim - dim:]
+    if any(n % ratio for n in cells):
+        raise ConfigurationError(
+            f"restriction ratio {ratio} does not divide {cells}")
+    blocks = sum(((n // ratio, ratio) for n in cells), ())
+    return fine.reshape(fine.shape[:fine.ndim - dim] + blocks) \
+        .mean(axis=tuple(range(1 - 2 * dim, 0, 2)))

@@ -50,31 +50,32 @@ class SpatialOperator1D:
         self.eos = eos
         self.boundary = boundary
         ng = grid.n_ghost
+        (h,), (n,), (n_tot,) = grid.spacing, grid.cells, grid.shape_tot
         self._hydro_sides = boundary.hydrostatic_sides
         min_cells = max(ng, scheme.order if self._hydro_sides else 0)
-        if grid.n_cells < min_cells:
+        if n < min_cells:
             raise ConfigurationError(
-                f"n = {grid.n_cells} cells is too small for the ghost fill: "
+                f"n = {n} cells is too small for the ghost fill: "
                 f"{scheme.label} with {ng} ghost cells and boundaries "
                 f"({boundary.left}, {boundary.right}) needs n >= {min_cells}")
         self.flux_fn = get_flux(scheme.flux)
-        self.cweno = Cweno1D(scheme.order, grid.dx, eps_w)
+        self.cweno = Cweno1D(scheme.order, h, eps_w)
         self.g_centers = np.asarray(gravity(grid.centers()), dtype=float) \
-            * np.ones(grid.n_tot)
-        ginterp = GravityInterp1D(scheme.order, grid.dx)
+            * np.ones(n_tot)
+        ginterp = GravityInterp1D(scheme.order, h)
         self.g_coeffs = ginterp.coefficients(self.g_centers)
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
-            scheme.n_quad, grid.dx)
-        self._mean = self.quad_weights / grid.dx
+            scheme.n_quad, h)
+        self._mean = self.quad_weights / h
         # the equilibrium node set and the stencil cells (i + d) % n_tot
         r = scheme.radius
         self._exps = (self.cweno.exps, ginterp.exps)
         self._tables = product_tables(
             *self._exps, equilibrium_points(scheme.n_quad,
                                             0 if scheme.piecewise_source else r),
-            (grid.dx,))
-        self._stencil = (np.arange(grid.n_tot)[:, None]
-                         + np.arange(-r, r + 1)) % grid.n_tot
+            grid.spacing)
+        self._stencil = (np.arange(n_tot)[:, None]
+                         + np.arange(-r, r + 1)) % n_tot
         self._face_table = self._tables.values[:, -2:]
         self._source_means = self._tables.means.reshape(scheme.order, -1)
         # the shared side fill skips the hydrostatic sides, filled here
@@ -107,7 +108,7 @@ class SpatialOperator1D:
         self._ghost_piece = piece[:, None] - first
         self._ghost_nodes = (j - piece + ng)[:, None] * nq + np.arange(nq)
         self._fill_tables = product_tables(
-            *self._exps, equilibrium_points(nq, ng), (self.grid.dx,))
+            *self._exps, equilibrium_points(nq, ng), self.grid.spacing)
         self._edge_line = ghost_edge_line(self.cweno, ng)
 
     # -- boundaries --------------------------------------------------------
@@ -150,7 +151,7 @@ class SpatialOperator1D:
         `fallback_cells`.
         """
         eos = self.eos
-        ng, h = self.grid.n_ghost, self.grid.dx
+        ng, (h,) = self.grid.n_ghost, self.grid.spacing
         m, nq = self.scheme.order, self.scheme.n_quad
         sides = self._hydro_sides
         strips = extrapolated_strips(self.cweno, data, sides, ng,
@@ -191,7 +192,7 @@ class SpatialOperator1D:
 
     def rhs(self, state):
         grid, scheme = self.grid, self.scheme
-        ng, n = grid.n_ghost, grid.n_cells
+        ng = grid.n_ghost
         data = state.copy()
         self.fill_ghosts(data)
 
@@ -221,7 +222,7 @@ class SpatialOperator1D:
         faces = ((face_l, face_r),)
         self.fallback_cells += positivity_fallback(faces, data, ng, good)
         out = np.zeros_like(data)
-        interior = slice(ng, ng + n)
+        interior = grid.interior
         out[:, interior] = flux_divergence(faces, self.flux_fn, self.eos,
                                            self.boundary.axes, grid.spacing, ng)
         out[1:, interior] += source[:, interior]

@@ -41,9 +41,10 @@ class SpatialOperator2D:
         scheme.validate_dimension(2)
         grid.require_ghosts(scheme.n_ghost)
         g = grid.n_ghost
-        if min(grid.n_x, grid.n_y) < g:
+        if min(grid.cells) < g:
+            nx, ny = grid.cells
             raise ConfigurationError(
-                f"n = {grid.n_x} x {grid.n_y} cells is too small for the ghost "
+                f"n = {nx} x {ny} cells is too small for the ghost "
                 f"fill: {scheme.label} with {g} ghost cells needs n >= {g} "
                 "on both axes")
         self.grid = grid
@@ -51,7 +52,7 @@ class SpatialOperator2D:
         self.eos = eos
         self.boundary = boundary
         self.flux_fn = get_flux(scheme.flux)
-        self.cweno = Cweno2D(grid.dx, grid.dy, eps_w)
+        self.cweno = Cweno2D(*grid.spacing, eps_w)
         self.fallback_cells = 0
         self._frozen = None
         # cell averages of the analytic background (rho, p) at rest, which
@@ -70,7 +71,7 @@ class SpatialOperator2D:
 
         xx, yy = grid.center_mesh()
         gx, gy = gravity(xx, yy)
-        interp = GravityInterp2D(grid.dx, grid.dy)
+        interp = GravityInterp2D(*grid.spacing)
         self._exps_g = interp.exps
         self.gx_coeffs = interp.coefficients(gx * np.ones_like(xx))
         self.gy_coeffs = interp.coefficients(gy * np.ones_like(xx))
@@ -89,7 +90,7 @@ class SpatialOperator2D:
         self._wq = np.outer(self._face_w, self._face_w).ravel()
         self._tables = product_tables(
             self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
-            (self.grid.dx, self.grid.dy))
+            self.grid.spacing)
         self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
         self._face_table = self._tables.values[:, 9 * nq * nq:]
         self._face_values = [np.ascontiguousarray(
@@ -190,7 +191,7 @@ class SpatialOperator2D:
 
     def rhs(self, state):
         grid, scheme = self.grid, self.scheme
-        g, nx, ny = grid.n_ghost, grid.n_x, grid.n_y
+        g = grid.n_ghost
         data = state.copy()
         self.fill_ghosts(data)
 
@@ -205,7 +206,7 @@ class SpatialOperator2D:
                 if scheme.well_balanced else None)
         self.fallback_cells += positivity_fallback(faces, data, g, good)
         out = np.zeros_like(data)
-        interior = (slice(None), slice(g, g + nx), slice(g, g + ny))
+        interior = (slice(None),) + grid.interior
         out[interior] = flux_divergence(
             faces, self.flux_fn, self.eos, self.boundary.axes, grid.spacing,
             g, self._face_w) + self._sources(rec)[interior]

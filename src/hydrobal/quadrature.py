@@ -49,12 +49,11 @@ def cell_averages(fn, grid, order):
     `fn` takes one coordinate array per axis on the open mesh of (*cells,
     *nodes) and returns (..., *cells, *nodes); the averages are (..., *cells).
     """
-    mesh = grid.center_mesh()
-    dim = len(mesh)
+    dim = len(grid.cells)
     coords, weights = [], []
-    for a, (center, h) in enumerate(zip(mesh, grid.spacing)):
+    for a, h in enumerate(grid.spacing):
         nodes, w = gauss_nodes_weights_centered(order, h)
-        line = center[(0,) * a + (slice(None),) + (0,) * (dim - 1 - a)]
+        line = grid.centers(a)
         shape = [1] * a + [line.size] + [1] * (dim - 1) + [order] + [1] * (dim - 1 - a)
         coords.append(np.add.outer(line, nodes).reshape(shape))
         weights += [w, [a]]

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .cases import discrete_equilibrium_init, grid_for, init_cell_averages
 from .errors import ConfigurationError
-from .grid import CellField, Grid1D
+from .grid import CellField
 from .integrate import StepController, advance
-from .metrics import l1_error, restrict_1d, restrict_2d
+from .metrics import l1_error, restrict
 from .operator1d import SpatialOperator1D
 from .operator2d import SpatialOperator2D
 
@@ -46,8 +46,7 @@ class RunResult:
                 f"reference resolution n = {n_ref} is not an integer multiple "
                 f"of the run's n = {n}")
         if n_ref != n:
-            restrict = restrict_1d if isinstance(self.grid, Grid1D) else restrict_2d
-            ref = restrict(ref, n_ref // n)
+            ref = restrict(ref, n_ref // n, len(self.grid.cells))
         return l1_error(mine, ref, self.cell_volume)
 
 

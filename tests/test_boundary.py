@@ -12,7 +12,7 @@ from hydrobal.cases import (
     make_scenario,
 )
 from hydrobal.errors import ConfigurationError
-from hydrobal.grid import Grid1D
+from hydrobal.grid import Grid
 from hydrobal.poly import poly_antiderivative, poly_cell_average, poly_eval, poly_mul
 from hydrobal.reconstruct import GravityInterp1D
 from hydrobal.runner import make_operator, run
@@ -56,13 +56,14 @@ class TestSpecs:
         scheme = Scheme(kind, order)
         with pytest.raises(ConfigurationError, match=f"n = {minimum - 1} .*"
                            f"needs n >= {minimum}"):
-            make_operator(scen, Grid1D(0.0, 1.0, minimum - 1, scheme.n_ghost),
-                          scheme)
-        make_operator(scen, Grid1D(0.0, 1.0, minimum, scheme.n_ghost), scheme)
+            make_operator(scen, Grid((0.0, 1.0), (minimum - 1,),
+                                     scheme.n_ghost), scheme)
+        make_operator(scen, Grid((0.0, 1.0), (minimum,), scheme.n_ghost),
+                      scheme)
 
     def test_ghost_sufficiency_checked_at_configuration(self):
         scen = isothermal_1d("10x")
-        grid = Grid1D(0.0, 1.0, 32, 2)  # DWB order 3 needs 3 ghosts
+        grid = Grid((0.0, 1.0), (32,), 2)  # DWB order 3 needs 3 ghosts
         with pytest.raises(ConfigurationError):
             make_operator(scen, grid, Scheme("dwb", 3))
         make_operator(scen, grid, Scheme("la", 3))  # radius+1 = 2 fits
@@ -72,7 +73,8 @@ class TestPeriodicFill:
     def test_constant_field(self):
         scen = isothermal_1d("sin")
         grid = grid_for(scen, 16, 2)
-        data = np.arange(3 * grid.n_tot, dtype=float).reshape(3, grid.n_tot)
+        n_tot, = grid.shape_tot
+        data = np.arange(3 * n_tot, dtype=float).reshape(3, n_tot)
         make_operator(scen, grid, Scheme("standard", 3)).fill_ghosts(data)
         np.testing.assert_allclose(data[:, :2], data[:, 16:18])
         np.testing.assert_allclose(data[:, -2:], data[:, 2:4])
@@ -141,7 +143,7 @@ def test_mixed_boundaries_preserve_equilibrium(scenario, n, bc, kind, order):
 def _reference_left_fill(op, data, g_centers):
     """The hydrostatic fill of the left side, one ghost cell at a time."""
     scheme, eos, cweno = op.scheme, op.eos, op.cweno
-    ng, r, h = op.grid.n_ghost, scheme.radius, op.grid.dx
+    ng, r, h = op.grid.n_ghost, scheme.radius, op.grid.spacing[0]
     nodes, weights = op.quad_nodes, op.quad_weights
     ginterp = GravityInterp1D(scheme.order, h)
     c = ng + r
@@ -224,7 +226,7 @@ def test_failed_ghost_anchor_keeps_extrapolated_energies(scenario):
     scen.boundary = BoundarySpec1D(EXTRAP, WALL)
     scheme = Scheme("dwb", 3)
     grid = grid_for(scen, 32, scheme.n_ghost)
-    ng = grid.n_ghost
+    ng, (h,) = grid.n_ghost, grid.spacing
     data = init_cell_averages(scen, grid).data
     op = make_operator(scen, grid, scheme)
     reference = data.copy()
@@ -240,7 +242,7 @@ def test_failed_ghost_anchor_keeps_extrapolated_energies(scenario):
     coeffs = op.cweno.reconstruct_stencils(work[2, c - r:c + r + 1])
     for j in range(ng):
         assert work[2, j] == pytest.approx(
-            poly_cell_average(coeffs, grid.dx, offset=(j - c) * grid.dx),
+            poly_cell_average(coeffs, h, offset=(j - c) * h),
             rel=1e-13)
     np.testing.assert_array_equal(work[:, -ng:], reference[:, -ng:])
 
@@ -266,11 +268,11 @@ def test_hydrostatic_extrapolation_dynamic_consistency():
                                field.data[:, grid.interior])
     # ghost densities equal the exact averages of the extrapolated polynomial
     from hydrobal.poly import poly_cell_average
-    r = scheme.radius
+    r, (h,) = scheme.radius, grid.spacing
     c = grid.n_ghost + r
     coeffs = op.cweno.reconstruct_stencils(work[:, c - r:c + r + 1])
     for j in range(grid.n_ghost):
-        expected = poly_cell_average(coeffs[0], grid.dx, offset=(j - c) * grid.dx)
+        expected = poly_cell_average(coeffs[0], h, offset=(j - c) * h)
         assert work[0, j] == pytest.approx(expected, rel=1e-13)
     # ghost energies positive and finite after the correction
     assert np.all(np.isfinite(work[2, :grid.n_ghost]))
@@ -290,11 +292,12 @@ class TestBackgroundDeviationFill2D:
         op.fill_ghosts(work)
         g = grid.n_ghost
         bg = op._bg_avgs
-        edge = g + grid.n_x - 1
-        dev_edge = work[:, edge, g:g + grid.n_y] - bg[:, edge, g:g + grid.n_y]
+        edge = g + grid.cells[0] - 1
+        inner_y = slice(g, g + grid.cells[1])
+        dev_edge = work[:, edge, inner_y] - bg[:, edge, inner_y]
         for k in range(g):
             ghost = edge + 1 + k
-            dev_ghost = work[:, ghost, g:g + grid.n_y] - bg[:, ghost, g:g + grid.n_y]
+            dev_ghost = work[:, ghost, inner_y] - bg[:, ghost, inner_y]
             np.testing.assert_allclose(dev_ghost, dev_edge, atol=1e-9 * np.max(np.abs(work[3])))
 
     def test_mirror_wall_fill(self):

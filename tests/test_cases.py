@@ -15,7 +15,7 @@ from hydrobal.cases import (
     relaxation_1d,
     riemann_on_equilibrium_1d,
 )
-from hydrobal.errors import InitializationError
+from hydrobal.errors import ConfigurationError, InitializationError
 
 
 ALL_BACKGROUND_SCENARIOS = [
@@ -47,6 +47,11 @@ def test_riemann_background_hydrostatic_away_from_jump():
     # the jump sits at x0; both smooth pieces are hydrostatic
     scen = riemann_on_equilibrium_1d()
     assert hydrostatic_residual(scen, h=1e-4) < 1e-8  # FD cannot cross x0 cells
+
+
+def test_hydrostatic_residual_needs_background():
+    with pytest.raises(ConfigurationError, match="'relaxation'"):
+        hydrostatic_residual(relaxation_1d())
 
 
 class TestIsothermal:
@@ -208,7 +213,7 @@ class TestDiscreteEquilibriumErrors:
 
         # strong constant gravity drives the propagated pressure below zero
         scen = Scenario(
-            name="collapse", dimension=1, domain=(0.0, 1.0), eos=IdealGas(1.4),
+            name="collapse", domain=(0.0, 1.0), eos=IdealGas(1.4),
             boundary=BoundarySpec1D("dirichlet", "dirichlet"), t_end=1.0,
             gravity=lambda x: -10.0 * np.ones_like(np.asarray(x, dtype=float)),
             potential=lambda x: 10.0 * np.asarray(x, dtype=float),

@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="'eta'"):
             run_single(cfg)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"reference": {"kind": "fine"}}, "reference.n"),
+        ({"repetitions": 0}, "repetitions"),
+        ({"eps_w": -0.001}, "eps_w"),
+        ({"eps_w": 0}, "eps_w"),
+        ({"damping": -0.5}, "damping"),
+    ])
+    def test_out_of_range_value_names_the_key(self, extra, key):
+        with pytest.raises(ConfigurationError, match=key):
+            validate_config({"scenario": "isothermal-10x", **extra})
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "isothermal-sin",
@@ -192,6 +203,25 @@ class TestCli:
         assert len(row["errors"]) == 3
         assert all(isinstance(err, float) for err in row["errors"])
 
+    def test_bench_takes_repetitions_from_config(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr("hydrobal.harness.run", counted)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "isothermal-10x",
+                                    "repetitions": 3, "t_end": 0.002}))
+        rc = cli_main(["bench", "--config", str(path), "--resolutions", "8",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == [8, 8, 8]
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["config"]["repetitions"] == 3
+
     def test_check_passes(self, capsys):
         rc = cli_main(["check"])
         out = capsys.readouterr().out
@@ -209,6 +239,7 @@ class TestCli:
     @pytest.mark.parametrize("extra, key", [
         ({"order": True}, "order"),
         ({"scenario_params": {"bogus": 1}}, "bogus"),
+        ({"reference": {"kind": "fine"}}, "reference.n"),
     ])
     def test_bad_config_file_errors(self, tmp_path, capsys, extra, key):
         path = tmp_path / "c.json"
@@ -250,6 +281,13 @@ class TestCli:
         assert ok["failure"] is None and ok["steps"] > 0
         assert ok["wall_time"] > 0.0 and ok["fallback_cells"] == 0
         assert len(ok["errors"]) == 3
+
+    def test_missing_scenario_parameter_named(self, capsys):
+        rc = cli_main(["run", "--scenario", "isothermal-perturbed",
+                       "--n", "16", "--t-end", "0.01"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'eta'" in err
 
     def test_missing_scenario_errors(self, capsys):
         rc = cli_main(["run", "--n", "16"])

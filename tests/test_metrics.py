@@ -5,8 +5,7 @@ from hydrobal.errors import ConfigurationError
 from hydrobal.metrics import (
     convergence_rate,
     l1_error,
-    restrict_1d,
-    restrict_2d,
+    restrict,
 )
 
 
@@ -41,7 +40,7 @@ class TestRestriction:
     def test_block_average_conservative(self):
         rng = np.random.default_rng(3)
         fine = rng.random((3, 64))
-        coarse = restrict_1d(fine, 4)
+        coarse = restrict(fine, 4, 1)
         assert coarse.shape == (3, 16)
         np.testing.assert_allclose(coarse.sum(axis=-1) * 4, fine.sum(axis=-1))
 
@@ -51,7 +50,7 @@ class TestRestriction:
         edges = np.linspace(0.0, 1.0, n + 1)
         anti = edges ** 4 / 4  # antiderivative of x^3
         fine = np.diff(anti) / np.diff(edges)
-        coarse = restrict_1d(fine, 4)
+        coarse = restrict(fine, 4, 1)
         edges_c = np.linspace(0.0, 1.0, n // 4 + 1)
         expected = np.diff(edges_c ** 4 / 4) / np.diff(edges_c)
         np.testing.assert_allclose(coarse, expected, rtol=1e-14)
@@ -59,10 +58,10 @@ class TestRestriction:
     def test_2d_shape_and_mean(self):
         rng = np.random.default_rng(4)
         fine = rng.random((4, 32, 32))
-        coarse = restrict_2d(fine, 8)
+        coarse = restrict(fine, 8, 2)
         assert coarse.shape == (4, 4, 4)
         np.testing.assert_allclose(coarse.mean(), fine.mean(), rtol=1e-13)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
-            restrict_1d(np.zeros((3, 10)), 4)
+            restrict(np.zeros((3, 10)), 4, 1)

@@ -10,7 +10,7 @@ from hydrobal.cases import (
     polytrope_2d,
 )
 from hydrobal.eos import IdealGas, IdealGasRadiation
-from hydrobal.grid import Grid2D
+from hydrobal.grid import Grid
 from hydrobal.integrate import StepController, advance, tableau_for_order
 from hydrobal.metrics import l1_error
 from hydrobal.operator2d import SpatialOperator2D
@@ -21,7 +21,7 @@ from hydrobal.scheme import Scheme
 def degenerate_column_scenario():
     """The 1-D isothermal phi=10x state embedded along x, uniform in y."""
     return Scenario(
-        name="iso-column", dimension=2, domain=(0, 1, 0, 1),
+        name="iso-column", domain=(0, 1, 0, 1),
         eos=IdealGas(1.4),
         boundary=BoundarySpec2D("dirichlet", "dirichlet", "periodic", "periodic"),
         t_end=1.0,
@@ -36,7 +36,7 @@ def degenerate_column_scenario():
 @pytest.mark.parametrize("kind", ["standard", "la", "la-s"])
 def test_uniform_gravity_free_state_zero_rhs(kind):
     scen = Scenario(
-        name="uniform2d", dimension=2, domain=(0, 1, 0, 1), eos=IdealGas(1.4),
+        name="uniform2d", domain=(0, 1, 0, 1), eos=IdealGas(1.4),
         boundary=BoundarySpec2D(*["periodic"] * 4), t_end=1.0,
         gravity=lambda x, y: (np.zeros_like(x + y), np.zeros_like(x + y)),
         potential=lambda x, y: np.zeros_like(x + y),
@@ -73,7 +73,7 @@ def test_matches_1d_operator_on_degenerate_column(kind, eos, tol):
 
     scen2 = degenerate_column_scenario()
     scen2.eos = eos
-    grid2 = Grid2D(0, 1, 0, 1, n, n, scheme.n_ghost)
+    grid2 = Grid((0, 1, 0, 1), (n, n), scheme.n_ghost)
     f2 = init_cell_averages(scen2, grid2)
     op2 = SpatialOperator2D(grid2, scheme, scen2.eos, scen2.gravity,
                             scen2.boundary)
@@ -117,7 +117,7 @@ def test_embedded_stratification_transverse_fluxes_balance():
     scen = degenerate_column_scenario()
     scheme = Scheme("la", 3)
     n = 32
-    grid = Grid2D(0, 1, 0, 1, n, n, scheme.n_ghost)
+    grid = Grid((0, 1, 0, 1), (n, n), scheme.n_ghost)
     field = init_cell_averages(scen, grid)
     op = SpatialOperator2D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     op.set_initial_state(field.data)
@@ -163,9 +163,9 @@ def test_grid_smaller_than_ghost_width_rejected(n_x, n_y):
     scheme = Scheme("la", 3)
     with pytest.raises(ConfigurationError,
                        match=rf"n = {n_x} x {n_y} cells .*LA-O3 with 2 ghost"):
-        SpatialOperator2D(Grid2D(0, 1, 0, 1, n_x, n_y, scheme.n_ghost),
+        SpatialOperator2D(Grid((0, 1, 0, 1), (n_x, n_y), scheme.n_ghost),
                           scheme, scen.eos, scen.gravity, scen.boundary)
     with pytest.raises(ConfigurationError, match="n = 1 x 1 cells"):
         run(scen, scheme, 1, t_end=0.01)
-    SpatialOperator2D(Grid2D(0, 1, 0, 1, 2, 2, scheme.n_ghost), scheme,
+    SpatialOperator2D(Grid((0, 1, 0, 1), (2, 2), scheme.n_ghost), scheme,
                       scen.eos, scen.gravity, scen.boundary)

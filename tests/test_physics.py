@@ -15,7 +15,7 @@ from hydrobal.physics import (
     wall_boundary_flux,
 )
 from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D
-from hydrobal.grid import Grid1D, Grid2D
+from hydrobal.grid import Grid
 from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.operator2d import SpatialOperator2D
 from hydrobal.quadrature import gauss_nodes_weights_centered
@@ -130,17 +130,17 @@ def test_roe_2d_contact_and_consistency():
 
 def uniform_rhs_1d(rho, u, g):
     """1-D RHS of a uniform periodic state: the cell-averaged source."""
-    grid = Grid1D(0.0, 1.0, 16, 2)
+    grid = Grid((0.0, 1.0), (16,), 2)
     op = SpatialOperator1D(grid, Scheme("standard", 3), IdealGas(1.4),
                            lambda x: g * np.ones_like(x), BoundarySpec1D())
-    data = np.empty((3, grid.n_tot))
+    data = np.empty((3, grid.shape_tot[0]))
     data[:] = np.array([rho, rho * u, 2.5 + 0.5 * rho * u ** 2])[:, None]
     return op.rhs(data)[:, grid.interior]
 
 
 def sources_2d(rec, gravity, hx=0.1, hy=0.1):
     """Exact 2-D source means of per-cell reconstructions `rec` (4, 6)."""
-    grid = Grid2D(0.0, 6 * hx, 0.0, 6 * hy, 6, 6, 2)
+    grid = Grid((0.0, 6 * hx, 0.0, 6 * hy), (6, 6), 2)
     op = SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
                            lambda x, y: gravity(x + 0 * y, y + 0 * x),
                            BoundarySpec2D(*["periodic"] * 4))
@@ -169,15 +169,15 @@ class TestSourceAverages:
         # source alone.
         errors = []
         for n in (32, 64, 128):
-            grid = Grid1D(0.0, 1.0, n, 2)
+            grid = Grid((0.0, 1.0), (n,), 2)
             op = SpatialOperator1D(
                 grid, Scheme("standard", 3), IdealGas(1.4),
                 lambda x: -2 * np.pi * np.cos(2 * np.pi * x), BoundarySpec1D())
-            h = grid.dx
-            edges = grid.x_min + h * (np.arange(grid.n_tot + 1) - grid.n_ghost)
+            (h,), (n_tot,) = grid.spacing, grid.shape_tot
+            edges = grid.domain[0] + h * (np.arange(n_tot + 1) - grid.n_ghost)
             nodes, weights = np.polynomial.legendre.leggauss(10)
             xq = edges[:-1, None] + 0.5 * h * (nodes[None, :] + 1.0)
-            data = np.zeros((3, grid.n_tot))
+            data = np.zeros((3, grid.shape_tot[0]))
             data[0] = 0.5 * np.sum(weights * np.exp(-np.sin(2 * np.pi * xq)),
                                    axis=1)
             data[2] = 2.5
@@ -274,7 +274,7 @@ class TestPositivityFallback:
         from hydrobal.poly import poly_eval
 
         scen, grid, data, op, calls = self._probe("isothermal-10x", 32)
-        ng, n, h = grid.n_ghost, grid.n_cells, grid.dx
+        ng, n, h = grid.n_ghost, grid.cells[0], grid.spacing[0]
         i = ng + 12
         data[:, i] = [1e-10, 0.0, 1e-10]
         filled = data.copy()
@@ -296,7 +296,7 @@ class TestPositivityFallback:
 
     def test_2d(self):
         scen, grid, data, op, calls = self._probe("polytrope-2d", 12)
-        g, hx, hy = grid.n_ghost, grid.dx, grid.dy
+        g, hx, hy = grid.n_ghost, grid.spacing[0], grid.spacing[1]
         i, j = g + 5, g + 7
         data[:, i, j] = [1e-10, 0.0, 0.0, 1e-10]
         filled = data.copy()
@@ -311,7 +311,7 @@ class TestPositivityFallback:
             face = sum(rec[..., k, None] * x ** a * y ** b
                        for k, (a, b) in enumerate(MONOMIALS_DEG2))
             physical &= np.all(physical_state(face)[1], axis=-1)
-        band = (slice(g - 1, g + grid.n_x + 1), slice(g - 1, g + grid.n_y + 1))
+        band = tuple(slice(g - 1, g + n + 1) for n in grid.cells)
         flagged = ~physical[band]
         assert flagged[i - g + 1, j - g + 1]
 

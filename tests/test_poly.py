@@ -6,7 +6,7 @@ import pytest
 
 from hydrobal.boundary import BoundarySpec2D
 from hydrobal.eos import IdealGas
-from hydrobal.grid import Grid2D
+from hydrobal.grid import Grid
 from hydrobal.operator2d import SpatialOperator2D
 from hydrobal.poly import (
     poly_antiderivative,
@@ -76,7 +76,7 @@ UNIT = np.eye(6)[0]   # rho = 1
 
 def operator_2d(gravity, hx=0.1, hy=0.1):
     # cell (3, 3) of the ghosted arrays is centered at (1.5 hx, 1.5 hy)
-    grid = Grid2D(0.0, 6 * hx, 0.0, 6 * hy, 6, 6, 2)
+    grid = Grid((0.0, 6 * hx, 0.0, 6 * hy), (6, 6), 2)
     return SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
                              lambda x, y: gravity(x + 0 * y, y + 0 * x),
                              BoundarySpec2D(*["periodic"] * 4))
@@ -273,14 +273,15 @@ def test_unit_tables_are_cached_read_only_and_shared():
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
     # a second operator of the same order reuses every cached table
-    from hydrobal.grid import Grid1D
+    from hydrobal.grid import Grid
     from hydrobal.operator1d import SpatialOperator1D
     from hydrobal.boundary import BoundarySpec1D
 
     def build(dx_cells):
         scheme = Scheme("la", 5)
         return SpatialOperator1D(
-            Grid1D(0.0, 1.0, dx_cells, scheme.n_ghost), scheme, IdealGas(1.4),
+            Grid((0.0, 1.0), (dx_cells,), scheme.n_ghost), scheme,
+            IdealGas(1.4),
             lambda x: -np.ones_like(x),
             BoundarySpec1D("hydrostatic-extrapolation", "solid-wall"))
 

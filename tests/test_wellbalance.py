@@ -12,7 +12,7 @@ from hydrobal.cases import (
 )
 from hydrobal.boundary import BoundarySpec1D
 from hydrobal.eos import IdealGas, IdealGasRadiation
-from hydrobal.grid import Grid1D
+from hydrobal.grid import Grid
 from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
@@ -55,7 +55,7 @@ def profiles(op, data):
 def node_offsets(op):
     """Offsets of the full stencil node set of `profiles` from the center."""
     points = equilibrium_points(op.scheme.n_quad, op.scheme.radius)
-    return op.grid.dx * np.ravel(points)
+    return op.grid.spacing[0] * np.ravel(points)
 
 
 def own_nodes(op):
@@ -68,10 +68,10 @@ def uniform_op(kind, order, n, eos, energy):
     """Periodic operator with g = -1 and the uniform state rho = 1, u = 0,
     E = energy."""
     scheme = Scheme(kind, order)
-    grid = Grid1D(0.0, 1.0, n, scheme.n_ghost)
+    grid = Grid((0.0, 1.0), (n,), scheme.n_ghost)
     op = SpatialOperator1D(grid, scheme, eos, lambda x: -np.ones_like(x),
                            BoundarySpec1D())
-    data = np.zeros((3, grid.n_tot))
+    data = np.zeros((3, grid.shape_tot[0]))
     data[0] = 1.0
     data[2] = energy
     return op, data
@@ -96,8 +96,8 @@ class TestSources:
 
     def test_la_and_dwb_agree_for_global_polynomial_source(self):
         # linear rho and constant g: rho^rec * g^int is one global polynomial
-        grid = Grid1D(0.0, 1.0, 16, 3)
-        data = np.zeros((3, grid.n_tot))
+        grid = Grid((0.0, 1.0), (16,), 3)
+        data = np.zeros((3, grid.shape_tot[0]))
         data[0] = 2.0 + 0.5 * grid.centers()  # exact averages of a linear profile
         data[2] = 10.0
         out = []
@@ -111,24 +111,26 @@ class TestSources:
 class TestAnchors:
     def test_ideal_uniform_state(self):
         # rho=1, g=-1, eps_hat=2.5, gamma=1.4: odd integrand cancels -> p0=1
-        from hydrobal.grid import Grid1D
-        grid = Grid1D(0.0, 1.0, 4, 3)
-        n = grid.n_tot
+        from hydrobal.grid import Grid
+        grid = Grid((0.0, 1.0), (4,), 3)
+        n = grid.shape_tot[0]
         source = np.zeros((n, 2))
         source[:, 0] = -1.0
         anti = poly_antiderivative(source)
-        nodes, weights = gauss_nodes_weights_centered(2, grid.dx)
+        h, = grid.spacing
+        nodes, weights = gauss_nodes_weights_centered(2, h)
         p0 = anchor_pressure_ideal(poly_eval(anti[:, None, :], nodes),
-                                   np.full(n, 2.5), 1.4, weights / grid.dx)
+                                   np.full(n, 2.5), 1.4, weights / h)
         np.testing.assert_allclose(p0, 1.0, atol=1e-14)
 
     def test_ideal_zero_gravity(self):
-        from hydrobal.grid import Grid1D
-        grid = Grid1D(0.0, 1.0, 4, 3)
-        offsets = np.zeros((grid.n_tot, 2))
-        _, weights = gauss_nodes_weights_centered(2, grid.dx)
-        p0 = anchor_pressure_ideal(offsets, np.full(grid.n_tot, 2.5), 1.4,
-                                   weights / grid.dx)
+        from hydrobal.grid import Grid
+        grid = Grid((0.0, 1.0), (4,), 3)
+        (h,), (n_tot,) = grid.spacing, grid.shape_tot
+        offsets = np.zeros((n_tot, 2))
+        _, weights = gauss_nodes_weights_centered(2, h)
+        p0 = anchor_pressure_ideal(offsets, np.full(n_tot, 2.5), 1.4,
+                                   weights / h)
         np.testing.assert_allclose(p0, 0.4 * 2.5)
 
     def test_isothermal_anchor_converges_to_point_value(self):
@@ -158,22 +160,22 @@ class TestAnchors:
         p_newton, conv = anchor_pressure_newton(
             offsets, rho[:, own], field.data[0], field.data[2], scen.eos,
             op._mean)
-        inner = slice(2, grid.n_tot - 2)
+        inner = slice(2, grid.shape_tot[0] - 2)
         assert np.all(conv[inner])
         np.testing.assert_allclose(p_newton[inner, None] + offsets[inner],
                                    p[inner, own], rtol=1e-12, atol=1e-12)
 
     def test_newton_zero_gravity_radiation(self):
         # constant state, no gravity: the initial guess is already the root
-        from hydrobal.grid import Grid1D
+        from hydrobal.grid import Grid
         eos = IdealGasRadiation(1.4)
-        grid = Grid1D(0.0, 1.0, 4, 2)
-        n = grid.n_tot
-        _, weights = gauss_nodes_weights_centered(2, grid.dx)
+        grid = Grid((0.0, 1.0), (4,), 2)
+        n = grid.shape_tot[0]
+        _, weights = gauss_nodes_weights_centered(2, grid.spacing[0])
         eps = np.full(n, 5.5)
         p0, conv = anchor_pressure_newton(np.zeros((n, 2)), np.ones((n, 2)),
                                           np.ones(n), eps, eos,
-                                          weights / grid.dx)
+                                          weights / grid.spacing[0])
         assert np.all(conv)
         np.testing.assert_allclose(p0, 2.0, rtol=1e-12)
 
@@ -236,7 +238,7 @@ class TestEquilibriumConsistency:
         p, rho, ok = profiles(op, field.data)[:3]
         delta, eps_faces, valid = energy_deviations(
             scen.eos, p, rho, field.data[2][op._stencil], op._mean)
-        inner = slice(2 * scheme.radius, grid.n_tot - 2 * scheme.radius)
+        inner = slice(2 * scheme.radius, grid.shape_tot[0] - 2 * scheme.radius)
         assert np.all(ok[inner] & valid[inner])
         # the d=0 column is the matching equation itself
         np.testing.assert_allclose(delta[inner, scheme.radius], 0.0, atol=1e-13)
@@ -246,10 +248,10 @@ class TestEquilibriumConsistency:
         scheme = Scheme("dwb", 3)
         grid = grid_for(scen, 32, scheme.n_ghost)
         rng = np.random.default_rng(3)
-        data = np.empty((3, grid.n_tot))
-        data[0] = 1.0 + 0.1 * rng.random(grid.n_tot)
-        data[1] = 0.05 * rng.standard_normal(grid.n_tot)
-        data[2] = 2.0 + 0.1 * rng.random(grid.n_tot)
+        data = np.empty((3, grid.shape_tot[0]))
+        data[0] = 1.0 + 0.1 * rng.random(grid.shape_tot[0])
+        data[1] = 0.05 * rng.standard_normal(grid.shape_tot[0])
+        data[2] = 2.0 + 0.1 * rng.random(grid.shape_tot[0])
         op = SpatialOperator1D(grid, scheme, scen.eos, lambda x: 0.0 * x,
                                scen.boundary)
         p, rho, ok, rec, anti = profiles(op, data)
@@ -257,9 +259,9 @@ class TestEquilibriumConsistency:
             scen.eos, p, rho, data[2][op._stencil], op._mean)
         e_faces = hydrostatic_energy_faces(
             eps_faces, op.cweno.reconstruct_stencils(delta), op._face_table)
-        face_l = poly_eval(rec, -grid.dx / 2)
-        face_r = poly_eval(rec, grid.dx / 2)
-        inner = slice(2, grid.n_tot - 2)
+        face_l = poly_eval(rec, -grid.spacing[0] / 2)
+        face_r = poly_eval(rec, grid.spacing[0] / 2)
+        inner = slice(2, grid.shape_tot[0] - 2)
         np.testing.assert_allclose(e_faces[inner, 0], face_l[2][inner],
                                    rtol=1e-11)
         np.testing.assert_allclose(e_faces[inner, 1], face_r[2][inner],
@@ -287,7 +289,8 @@ class TestTheoremResidual:
         # the last two node-set columns are each profile's own faces
         p = profiles(op, field.data)[0]
         p_left, p_right = p[:, -2], p[:, -1]
-        inner = slice(2 * scheme.radius, grid.n_tot - 2 * scheme.radius - 1)
+        n_tot, = grid.shape_tot
+        inner = slice(2 * scheme.radius, n_tot - 2 * scheme.radius - 1)
         np.testing.assert_allclose(p_right[inner],
                                    p_left[inner.start + 1:inner.stop + 1],
                                    rtol=1e-13, atol=1e-14)
