@@ -454,7 +454,7 @@ def _central_gradient(f, points, h):
 
 
 def _norm(vectors):
-    """Euclidean norm over the leading (axis) dimension."""
+    """Euclidean norm over the leading (axis) dimension; |x| in 1-D."""
     return np.hypot.reduce(vectors, axis=0, initial=0.0)
 
 
@@ -470,6 +470,7 @@ def hydrostatic_residual(scenario, n_samples=64, seed=0, h=5e-5):
             f"scenario {scenario.name!r} has no background to check")
     rho_bg, p_bg = scenario.background
     points = _sample_points(scenario, n_samples, seed, h)
+    # gravity gives one array in 1-D and one per axis in 2-D
     force = rho_bg(*points) * np.atleast_2d(scenario.gravity(*points))
     residual = _norm(_central_gradient(p_bg, points, h) - force)
     return float(np.max(residual / np.maximum(1.0, _norm(force))))

@@ -6,7 +6,7 @@ on a grid is an array (C, *shape_tot), components first.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
@@ -25,31 +25,22 @@ class Grid:
 
     def __post_init__(self):
         lo, hi = self.domain[::2], self.domain[1::2]
-        if len(self.domain) != 2 * len(self.cells) or min(self.cells) < 1 \
+        if len(self.domain) != 2 * len(self.cells) \
+                or min(self.cells, default=0) < 1 \
                 or any(b <= a for a, b in zip(lo, hi)):
             raise ConfigurationError(
                 f"grid needs one (lo, hi) pair with hi > lo and at least one "
                 f"cell per axis; got domain {self.domain}, cells {self.cells}")
         if self.n_ghost < 0:
             raise ConfigurationError("n_ghost must be non-negative")
-
-    # the derived accessors are read every stage: cache them on the instance
-
-    @cached_property
-    def spacing(self):
-        return tuple((hi - lo) / n for lo, hi, n in
-                     zip(self.domain[::2], self.domain[1::2], self.cells))
-
-    @cached_property
-    def shape_tot(self):
-        return tuple(n + 2 * self.n_ghost for n in self.cells)
-
-    @cached_property
-    def interior(self):
-        """Interior slice per axis; a plain slice on a 1-D grid."""
-        g = self.n_ghost
-        index = tuple(slice(g, g + n) for n in self.cells)
-        return index[0] if len(index) == 1 else index
+        # derived once, as plain attributes, since they are read every stage;
+        # the interior is a plain slice on a 1-D grid
+        g, derive = self.n_ghost, partial(object.__setattr__, self)
+        derive("spacing", tuple((b - a) / n
+                                for a, b, n in zip(lo, hi, self.cells)))
+        derive("shape_tot", tuple(n + 2 * g for n in self.cells))
+        interior = tuple(slice(g, g + n) for n in self.cells)
+        derive("interior", interior[0] if len(interior) == 1 else interior)
 
     def centers(self, axis=0, include_ghosts=True):
         g = self.n_ghost if include_ghosts else 0

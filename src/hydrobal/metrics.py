@@ -29,10 +29,10 @@ def restrict(fine, ratio, dim):
     """Conservative block average of fine cell averages over the trailing
     `dim` axes onto a grid `ratio` times coarser on each of them."""
     fine = np.asarray(fine)
-    cells = fine.shape[fine.ndim - dim:]
+    cells = fine.shape[-dim:]
     if any(n % ratio for n in cells):
         raise ConfigurationError(
             f"restriction ratio {ratio} does not divide {cells}")
     blocks = sum(((n // ratio, ratio) for n in cells), ())
-    return fine.reshape(fine.shape[:fine.ndim - dim] + blocks) \
+    return fine.reshape(fine.shape[:-dim] + blocks) \
         .mean(axis=tuple(range(1 - 2 * dim, 0, 2)))

@@ -1,0 +1,34 @@
+import numpy as np
+import pytest
+
+from hydrobal.errors import ConfigurationError
+from hydrobal.grid import CellField, Grid
+
+
+@pytest.mark.parametrize("domain, cells, n_ghost", [
+    ((0.0, 1.0, 0.0), (4,), 2),
+    ((0.0, 1.0), (4, 4), 2),
+    ((1.0, 0.0), (4,), 2),
+    ((0.0, 1.0), (0,), 2),
+    ((0.0, 1.0), (4,), -1),
+], ids=["half-pair", "axes-mismatch", "hi-below-lo", "no-cells",
+        "negative-ghosts"])
+def test_inconsistent_grid_rejected(domain, cells, n_ghost):
+    with pytest.raises(ConfigurationError):
+        Grid(domain, cells, n_ghost)
+
+
+def test_derived_accessors():
+    grid = Grid((0.0, 1.0, -1.0, 1.0), (4, 8), 2)
+    assert grid.spacing == (0.25, 0.25)
+    assert grid.shape_tot == (8, 12)
+    assert grid.interior == (slice(2, 6), slice(2, 10))
+    np.testing.assert_array_equal(grid.centers(1, include_ghosts=False),
+                                  -1.0 + 0.25 * (np.arange(8) + 0.5))
+    xx, yy = grid.center_mesh()
+    assert xx.shape == yy.shape == (8, 12)
+    assert xx[0, 0] == grid.centers(0)[0] and yy[0, -1] == grid.centers(1)[-1]
+    # a 1-D interior is a plain slice, so data[c, grid.interior] indexes
+    assert Grid((0.0, 1.0), (4,), 1).interior == slice(1, 5)
+    with pytest.raises(ConfigurationError, match=r"\(8, 12\)"):
+        CellField(grid, np.zeros((4, 8, 11)))
