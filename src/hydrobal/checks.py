@@ -2,14 +2,14 @@
 
 Each check prints one pass/fail line; the suite returns the number of
 failures.  These mirror the library's core guarantees: contact property,
-EoS round trips, quadrature exactness, reconstruction conservation, the
-factored CWENO indicators, anchor-solver agreement, and measured ODE
-orders.
+EoS round trips and the closed-form temperature, quadrature exactness,
+reconstruction conservation, the factored CWENO indicators, anchor-solver
+agreement, and measured ODE orders.
 """
 
 import numpy as np
 
-from .eos import IdealGas, IdealGasRadiation
+from .eos import IdealGas, IdealGasRadiation, _quartic_root
 from .grid import Grid
 from .integrate import RK5, SSPRK43, rk_step
 from .physics import contact_property_check, hllc_flux, roe_flux, rusanov_flux
@@ -96,6 +96,19 @@ def run_checks(seed=0, trials=1000):
     p = rho * t + t ** 4
     ok = np.allclose(rad.pressure(rho, rad.internal_energy(rho, p)), p, rtol=1e-12)
     record("radiation EoS round trip <= 1e-12", ok)
+    # the closed-form roots of both inversions' quartic x^4 + a x - b
+    # against Newton iterations from the upper bound min(b / a, b^(1/4)),
+    # on the same states
+    gm1 = rad.gamma - 1.0
+    eps = rho * t / gm1 + 3.0 * t ** 4
+    worst = 0.0
+    for a, b in ((rho, p), (rho / (3.0 * gm1), eps / 3.0)):
+        newton = rad._newton(np.minimum(b / a, np.sqrt(np.sqrt(b))), a, b,
+                             lambda T: T ** 4 + a * T - b,
+                             lambda T: 4.0 * T ** 3 + a)
+        worst = max(worst, np.max(np.abs(_quartic_root(a, b) / newton - 1.0)))
+    record("radiation closed-form temperature <= 1e-13", worst <= 1e-13,
+           f"max rel dev {worst:.2e}")
     p_s = 10.0 ** rng.uniform(-2, 2, 20)
     rho_s = 10.0 ** rng.uniform(-2, 2, 20)
     delta = 1e-6 * p_s

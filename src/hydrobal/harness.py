@@ -33,7 +33,7 @@ def _reference_run(cfg, scenario):
     scheme = Scheme(ref.get("scheme", cfg.scheme), ref.get("order", cfg.order),
                     cfg.flux)
     return run(scenario, scheme, ref["n"], cfl=cfg.cfl, t_end=cfg.t_end,
-               eps_w=cfg.eps_w, damping=cfg.damping)
+               init=cfg.init, eps_w=cfg.eps_w, damping=cfg.damping)
 
 
 def run_single(cfg):

@@ -101,8 +101,8 @@ def roe_flux(q_l, q_r, eos, normal=1):
     else:
         rho_bar = 0.5 * (rho_l + rho_r)
         p_bar = 0.5 * (p_l + p_r)
-        c2 = eos.sound_speed(rho_bar, p_bar) ** 2
-        eps_rho = eos.deps_drho(rho_bar, p_bar)
+        c_bar, eps_rho = eos.thermo(rho_bar, p_bar, "sound_speed", "deps_drho")
+        c2 = c_bar ** 2
     c = np.sqrt(c2)
 
     dp = p_r - p_l
@@ -152,14 +152,16 @@ def hllc_flux(q_l, q_r, eos, normal=1):
     rho_l, vel_l, p_l = split_conserved(q_l, eos, normal)
     rho_r, vel_r, p_r = split_conserved(q_r, eos, normal)
     u_l, u_r = vel_l[0], vel_r[0]
-    c_l = eos.sound_speed(rho_l, p_l)
-    c_r = eos.sound_speed(rho_r, p_r)
     rho_hat, vel_hat, h_hat = _roe_averages(q_l, q_r, p_l, p_r, eos, normal)
     if eos.name == "ideal":
+        c_l = eos.sound_speed(rho_l, p_l)
+        c_r = eos.sound_speed(rho_r, p_r)
         c_hat = np.sqrt((eos.gamma - 1.0) *
                         (h_hat - 0.5 * sum(v * v for v in vel_hat)))
-    else:
-        c_hat = eos.sound_speed(0.5 * (rho_l + rho_r), 0.5 * (p_l + p_r))
+    else:  # the left, right and arithmetic-average states in one inversion
+        c_l, c_r, c_hat = eos.thermo(
+            np.stack([rho_l, rho_r, 0.5 * (rho_l + rho_r)]),
+            np.stack([p_l, p_r, 0.5 * (p_l + p_r)]), "sound_speed")[0]
     s_l = np.minimum(u_l - c_l, vel_hat[0] - c_hat)
     s_r = np.maximum(u_r + c_r, vel_hat[0] + c_hat)
 

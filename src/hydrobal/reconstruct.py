@@ -141,6 +141,15 @@ def _blend_table(opt, cands, dlin, form):
                    factor)
 
 
+def _regularization(eps_w, default):
+    """The CWENO regularization eps_w (`default` when None); it divides the
+    nonlinear weights, so it must be positive."""
+    eps_w = default if eps_w is None else float(eps_w)
+    if not eps_w > 0.0:
+        raise ConfigurationError(f"eps_w = {eps_w} must be positive")
+    return eps_w
+
+
 class _CwenoBlend:
     """The CWENO nonlinear-weight blend shared by `Cweno1D` and `Cweno2D`.
 
@@ -234,7 +243,7 @@ class Cweno1D(_CwenoBlend):
         self.exps = monomials_1d(order)
         self.dx = float(dx)
         self.radius = (order - 1) // 2
-        self.eps_w = float(eps_w) if eps_w is not None else self.dx ** 2
+        self.eps_w = _regularization(eps_w, self.dx ** 2)
         self._set_table(_cweno_1d_table(order),
                         self.dx ** np.arange(order, dtype=float))
 
@@ -395,7 +404,7 @@ class Cweno2D(_CwenoBlend):
         self.radius = 1
         self.dx = float(dx)
         self.dy = float(dy)
-        self.eps_w = float(eps_w) if eps_w is not None else self.dx * self.dy
+        self.eps_w = _regularization(eps_w, self.dx * self.dy)
         self._set_table(
             _cweno_2d_table(self.dy / self.dx),
             np.array([self.dx ** a * self.dy ** b for (a, b) in MONOMIALS_DEG2]))

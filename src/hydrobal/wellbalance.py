@@ -90,8 +90,9 @@ def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
     Returns (p0, ok).  The initial guess is the pressure of the
     cell-averaged conserved state (rho_hat, eps_hat); the step
     |f/f'| < 1e-13 stops the iteration and a halving step guards against
-    negative trial pressures.  ok is False where the iteration did not
-    converge, the averaged state is non-physical, or p0 <= 0.
+    negative trial pressures.  Each iteration takes eps and d eps/dp at the
+    nodes from one `eos.thermo` call.  ok is False where the iteration did
+    not converge, the averaged state is non-physical, or p0 <= 0.
     """
     safe = (rho_hat > 0.0) & (eps_hat > 0.0)
     target = np.where(safe, eps_hat, 1.0)
@@ -102,8 +103,10 @@ def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
         p_nodes = p[..., None] + offset_nodes
         ok_nodes = np.all(p_nodes > 0.0, axis=-1) & (p > 0.0)
         p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
-        f = target - eos.internal_energy(rho_nodes, p_nodes) @ weights
-        fp = -(eos.deps_dp(rho_nodes, p_nodes) @ weights)
+        eps_nodes, deps_nodes = eos.thermo(rho_nodes, p_nodes,
+                                           "internal_energy", "deps_dp")
+        f = target - eps_nodes @ weights
+        fp = -(deps_nodes @ weights)
         step = f / fp
         converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL + 1e-15 * np.abs(p))
         p_next = np.where(converged, p, p - step)

@@ -1,12 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrobal.eos import IdealGas, IdealGasRadiation
+from hydrobal.eos import IdealGas, IdealGasRadiation, _quartic_root
+from hydrobal.errors import EosFailure
+
+# a fixed profile keeps the property tests deterministic
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
+                    database=None)
+LOG_UNIFORM = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+GAMMAS = st.one_of(st.just(4.0 / 3.0),
+                   st.floats(1.0, 3.0, exclude_min=True))
 
 
 def bisect_temperature_from_p(rho, p, gamma=1.4):
     """Independent bisection oracle for rho*T + T^4 = p."""
-    lo, hi = 0.0, 2.0 * max(p ** 0.25, p / rho)
+    # both terms are positive, so T lies below p / rho and below p^(1/4)
+    lo, hi = 0.0, min(p ** 0.25, p / rho)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if rho * mid + mid ** 4 > p:
@@ -17,7 +30,7 @@ def bisect_temperature_from_p(rho, p, gamma=1.4):
 
 
 def bisect_temperature_from_eps(rho, eps, gamma=1.4):
-    lo, hi = 0.0, 2.0 * max((eps / 3.0) ** 0.25, (gamma - 1.0) * eps / rho)
+    lo, hi = 0.0, min((eps / 3.0) ** 0.25, (gamma - 1.0) * eps / rho)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if rho * mid / (gamma - 1.0) + 3.0 * mid ** 4 > eps:
@@ -130,3 +143,60 @@ class TestRadiationEos:
         p = 10.0 ** rng.uniform(-8, 8, 100)
         assert np.all(self.eos.deps_dp(rho, p) > 0.0)
 
+
+def newton_evaluations(inversion, *args):
+    """Residual evaluations of the Newton polish during one inversion."""
+    newton = IdealGasRadiation.__dict__["_newton"].__func__
+    calls = []
+
+    def counted(t, rho, target, f, fprime):
+        def f_counted(temp):
+            calls.append(temp)
+            return f(temp)
+        return newton(t, rho, target, f_counted, fprime)
+
+    with mock.patch.object(IdealGasRadiation, "_newton", staticmethod(counted)):
+        inversion(*args)
+    return len(calls)
+
+
+def assert_close(t, oracle, rel=1e-13):
+    assert np.isfinite(t) and abs(t / oracle - 1.0) <= rel
+
+
+class TestRadiationClosedForm:
+    """The closed-form temperature over rho, p and eps in [1e-100, 1e100]."""
+
+    @PROPERTY
+    @given(rho=LOG_UNIFORM, p=LOG_UNIFORM, gamma=GAMMAS)
+    def test_temperature_from_p(self, rho, p, gamma):
+        oracle = bisect_temperature_from_p(rho, p)
+        assert_close(_quartic_root(rho, p), oracle)
+        eos = IdealGasRadiation(gamma)
+        assert_close(eos.temperature_from_p(rho, p), oracle)
+        assert newton_evaluations(eos.temperature_from_p, rho, p) == 1
+
+    @PROPERTY
+    @given(rho=LOG_UNIFORM, eps=LOG_UNIFORM, gamma=GAMMAS)
+    def test_temperature_from_eps(self, rho, eps, gamma):
+        oracle = bisect_temperature_from_eps(rho, eps, gamma)
+        assert_close(_quartic_root(rho / (3.0 * (gamma - 1.0)), eps / 3.0),
+                     oracle)
+        eos = IdealGasRadiation(gamma)
+        assert_close(eos.temperature_from_eps(rho, eps), oracle)
+        assert newton_evaluations(eos.temperature_from_eps, rho, eps) == 1
+
+    def test_thermo_matches_each_method(self):
+        rng = np.random.default_rng(47)
+        rho = 10.0 ** rng.uniform(-6, 6, 100)
+        p = 10.0 ** rng.uniform(-6, 6, 100)
+        names = ("internal_energy", "deps_dp", "deps_drho", "sound_speed")
+        for eos in (IdealGas(1.4), IdealGasRadiation(1.4)):
+            for name, value in zip(names, eos.thermo(rho, p, *names)):
+                np.testing.assert_array_equal(value, getattr(eos, name)(rho, p))
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(EosFailure):
+            IdealGasRadiation._newton(np.array([np.nan]), 1.0, 1.0,
+                                      lambda t: t ** 4 + t - 1.0,
+                                      lambda t: 4.0 * t ** 3 + 1.0)

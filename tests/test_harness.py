@@ -137,6 +137,32 @@ class TestStudies:
         assert errors.shape == (4,) and np.all(errors > 0.0)
         assert np.allclose(errors, expected, rtol=1e-14, atol=0.0)
 
+    def test_fine_reference_uses_the_run_init(self):
+        # with discrete init the fine reference starts from its own discrete
+        # equilibrium, so both runs stay at rest: the momentum error is
+        # roundoff (it read 1e-8 against a quadrature-averages reference)
+        # and the energy error is the discrete state's truncation error
+        cfg = validate_config({
+            "scenario": "isothermal-10x", "scheme": "dwb", "order": 3,
+            "init": "discrete", "n": 64, "t_end": 0.01,
+            "reference": {"kind": "fine", "n": 128}})
+        result, errors = run_single(cfg)
+        fine = run(make_scenario("isothermal-10x"), Scheme("dwb", 3), 128,
+                   t_end=0.01, init="discrete")
+        assert np.array_equal(errors, result.errors_vs(fine))
+        assert errors[1] < 1e-15
+
+    @pytest.mark.parametrize("name, n, eps_w", [
+        ("isothermal-sin", 16, 0.0),
+        ("isothermal-sin", 16, -1e-3),
+        ("polytrope-2d", 8, 0.0),
+        ("polytrope-2d", 8, -1e-3),
+    ])
+    def test_non_positive_eps_w_rejected(self, name, n, eps_w):
+        with pytest.raises(ConfigurationError, match="eps_w"):
+            run(make_scenario(name), Scheme("la", 3), n, t_end=0.01,
+                eps_w=eps_w)
+
     def test_efficiency_single_repetition_zero_variance(self):
         cfg = validate_config({"scenario": "isothermal-10x", "n": 16,
                                "t_end": 0.05, "repetitions": 1,
