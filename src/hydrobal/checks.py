@@ -127,11 +127,13 @@ def run_checks(seed=0, trials=1000):
     g_coeffs[:, 0] = -2.0
     anti = poly_antiderivative(poly_mul(rho_coeffs, g_coeffs))
     nodes, weights = gauss_nodes_weights_centered(2, h)
-    offsets = poly_eval(anti[:, None, :], nodes)
-    rho_nodes = poly_eval(rho_coeffs[:, None, :], nodes)
+    # node values with cells last, as the anchor solvers take them
+    offsets = poly_eval(anti[:, None, :], nodes).T
+    rho_nodes = poly_eval(rho_coeffs[:, None, :], nodes).T
     rho_hat = np.exp(-2.0 * centers)
     eps_hat = rho_hat / (eos.gamma - 1.0)
-    p_ideal = anchor_pressure_ideal(offsets, eps_hat, eos.gamma, weights / h)
+    p_ideal = anchor_pressure_ideal(offsets, eps_hat, eos.deps_dp_constant,
+                                    weights / h)
     p_newton, conv = anchor_pressure_newton(offsets, rho_nodes, rho_hat,
                                             eps_hat, eos, weights / h)
     inner = slice(1, -1)
@@ -141,7 +143,7 @@ def run_checks(seed=0, trials=1000):
 
     # monotonicity probe on cell 10's nodes: positive Grueneisen for both
     # EoS models
-    cell = (offsets[10], rho_nodes[10], abs(p_ideal[10]) + 0.5)
+    cell = (offsets[:, 10], rho_nodes[:, 10], abs(p_ideal[10]) + 0.5)
     ok = monotonicity_probe(*cell, eos, weights / h) \
         and monotonicity_probe(*cell, rad, weights / h)
     record("anchor-residual monotonicity (ideal + radiation)", ok)

@@ -54,6 +54,12 @@ class IdealGas:
             raise ConfigurationError(f"gamma = {gamma} must exceed 1")
         self.gamma = float(gamma)
 
+    @property
+    def deps_dp_constant(self):
+        """b = d eps / dp = 1 / (gamma - 1): eps = b p at every density.  The
+        equilibrium layer then works from cell means (`wellbalance`)."""
+        return 1.0 / (self.gamma - 1.0)
+
     def thermo(self, rho, p, *names):
         """The quantities `names` at the states (rho, p); see
         `IdealGasRadiation.thermo`."""
@@ -93,6 +99,7 @@ class IdealGasRadiation:
     """
 
     name = "ideal-radiation"
+    deps_dp_constant = None     # eps is not proportional to p
 
     def __init__(self, gamma=1.4):
         if gamma <= 1.0:

@@ -24,7 +24,9 @@ from .wellbalance import (
     equilibrium_points,
     glued_constants,
     hydrostatic_energy_faces,
+    periodic_windows,
     solve_anchor,
+    stencil_node_index,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
 # through these names
@@ -63,21 +65,30 @@ class SpatialOperator1D:
         self.g_centers = np.asarray(gravity(grid.centers()), dtype=float) \
             * np.ones(n_tot)
         ginterp = GravityInterp1D(scheme.order, h)
-        self.g_coeffs = ginterp.coefficients(self.g_centers)
+        # the right-hand side runs with cells last: coefficients (m_g, n_tot)
+        self.g_coeffs = ginterp.coefficients(self.g_centers).T.copy()
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
             scheme.n_quad, h)
         self._mean = self.quad_weights / h
-        # the equilibrium node set and the stencil cells (i + d) % n_tot
+        # the equilibrium node set, its tables transposed for cells last:
+        # rows are nodes (faces last) or, for the source means, gravity
+        # monomials
         r = scheme.radius
         self._exps = (self.cweno.exps, ginterp.exps)
         self._tables = product_tables(
             *self._exps, equilibrium_points(scheme.n_quad,
                                             0 if scheme.piecewise_source else r),
             grid.spacing)
-        self._stencil = (np.arange(n_tot)[:, None]
-                         + np.arange(-r, r + 1)) % n_tot
-        self._face_table = self._tables.values[:, -2:]
-        self._source_means = self._tables.means.reshape(scheme.order, -1)
+        self._line_rows = np.ascontiguousarray(self._tables.line[0].T)
+        self._value_rows = np.ascontiguousarray(self._tables.values.T)
+        self._face_rows = self._value_rows[-2:]
+        self._source_rows = np.ascontiguousarray(
+            self._tables.means.reshape(scheme.order, -1).T)
+        # DWB node path only: an EoS with a constant d eps/dp takes cell
+        # means (`wellbalance.build_profiles`)
+        self._node_index = (stencil_node_index(scheme.n_quad, r, n_tot)
+                            if scheme.piecewise_source
+                            and eos.deps_dp_constant is None else None)
         # the shared side fill skips the hydrostatic sides, filled here
         self._fill_axes = tuple(
             tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
@@ -97,7 +108,7 @@ class SpatialOperator1D:
         """
         ng, r, nq = self.grid.n_ghost, self.scheme.radius, self.scheme.n_quad
         first = r if self.scheme.piecewise_source else ng
-        tables = {"left": self.g_coeffs,
+        tables = {"left": self.g_coeffs.T,
                   "right": ginterp.coefficients(-self.g_centers[::-1])}
         self._g_pieces = np.stack([tables[side][first:ng + 1]
                                    for side in self._hydro_sides])
@@ -166,10 +177,11 @@ class SpatialOperator1D:
         offsets = product_terms(rec[0], self._g_pieces) \
             @ self._fill_tables.line[0]
 
+        # the boundary cell's own nodes, nodes first for the anchor
         own = slice(ng * nq, (ng + 1) * nq)
-        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_nodes[:, :, -1, own],
-                                   self._mean)
-        p0, ok = solve_anchor(eos, offsets[:, -1, own], rec_nodes[0, :, -1, own],
+        rec_own = rec_nodes[:, :, -1, own].transpose(0, 2, 1)
+        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_own, self._mean)
+        p0, ok = solve_anchor(eos, offsets[:, -1, own].T, rec_own[0],
                               strips[0, :, ng], eps_hat, self._mean)
         # LA glues a single piece: its constant is the anchor
         const = glued_constants(offsets[..., -2], offsets[..., -1],
@@ -196,28 +208,30 @@ class SpatialOperator1D:
         data = state.copy()
         self.fill_ghosts(data)
 
-        rec = self.cweno.coefficients(data)        # (3, n_tot, m)
-        face_l = rec @ self._face_table[:, 0]      # values at x_{i-1/2}+
-        face_r = rec @ self._face_table[:, 1]      # values at x_{i+1/2}-
+        rec = self.cweno.coefficients(data, cells_last=True)   # (3, m, n_tot)
+        # values at x_{i-1/2}+ and x_{i+1/2}-
+        face_l, face_r = (self._face_rows @ rec).transpose(1, 0, 2)
         # exact cell means of rho g and (rho u) g: the product-basis means
         # as a bilinear form in the rec and gravity coefficients
-        source = np.sum((rec[:2] @ self._source_means) * self.g_coeffs, axis=-1)
+        source = np.sum((self._source_rows @ rec[:2]) * self.g_coeffs, axis=1)
 
         good = None
         if scheme.well_balanced:
+            # product terms (m * m_g, n_tot), rec-major like `product_terms`
+            terms = (rec[0][:, None] * self.g_coeffs).reshape(-1, data.shape[1])
             p, rho, ok = build_profiles(
-                scheme, self.eos,
-                product_terms(rec[0], self.g_coeffs) @ self._tables.line[0],
-                rec[:2] @ self._tables.values, rec[..., 0], data[0], data[2],
-                self._mean, self._stencil)
+                scheme, self.eos, self._line_rows @ terms,
+                self._value_rows @ rec[:2], rec[:, 0], data[0], data[2],
+                self._mean, self._node_index)
             delta, eps_faces, ok_eq = energy_deviations(
-                self.eos, p, rho, data[2][self._stencil], self._mean)
+                self.eos, p, rho, periodic_windows(data[2], scheme.radius),
+                self._mean)
             e_faces = hydrostatic_energy_faces(
-                eps_faces, self.cweno.reconstruct_stencils(delta),
-                self._face_table)
+                eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
+                self._face_rows)
             good = ok & ok_eq
-            face_l[2] = np.where(good, e_faces[:, 0], face_l[2])
-            face_r[2] = np.where(good, e_faces[:, 1], face_r[2])
+            face_l[2] = np.where(good, e_faces[0], face_l[2])
+            face_r[2] = np.where(good, e_faces[1], face_r[2])
 
         faces = ((face_l, face_r),)
         self.fallback_cells += positivity_fallback(faces, data, ng, good)

@@ -23,7 +23,7 @@ from .physics import flux_divergence, get_flux, positivity_fallback
 # the benchmark tracer (perfbench/spans.py) times wall fluxes through this name
 from .physics import wall_boundary_flux  # noqa: F401
 from .quadrature import cell_averages, gauss_nodes_weights_centered
-from .reconstruct import Cweno2D, GravityInterp2D, product_tables, product_terms
+from .reconstruct import Cweno2D, GravityInterp2D, product_tables
 from .wellbalance import (
     anchor_pressure_ideal,
     anchor_pressure_newton,
@@ -75,11 +75,14 @@ class SpatialOperator2D:
         self._exps_g = interp.exps
         self.gx_coeffs = interp.coefficients(gx * np.ones_like(xx))
         self.gy_coeffs = interp.coefficients(gy * np.ones_like(xx))
+        # gravity coefficients with cells last, (2, n_g, cells)
+        self._g_rows = np.stack([self._flat(g).T for g in (self.gx_coeffs,
+                                                           self.gy_coeffs)])
         self._build_tables()
         if scheme.well_balanced:
             # product terms of s_x and s_y, reused: no allocator churn
-            self._outers = np.empty((2, xx.size, len(self.cweno.exps),
-                                     len(self._exps_g)))
+            self._outers = np.empty((2, len(self.cweno.exps),
+                                     len(self._exps_g), xx.size))
 
     def _build_tables(self):
         """Product-basis tables at the node set `equilibrium_points`: the
@@ -92,9 +95,18 @@ class SpatialOperator2D:
             self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
             self.grid.spacing)
         self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
-        self._face_table = self._tables.values[:, 9 * nq * nq:]
+        face_table = self._tables.values[:, 9 * nq * nq:]
         self._face_values = [np.ascontiguousarray(
-            self._face_table[:, k * nq:(k + 1) * nq]) for k in range(4)]
+            face_table[:, k * nq:(k + 1) * nq]) for k in range(4)]
+        # the equilibrium layer runs with cells last, on transposed tables:
+        # both line tables side by side, for the s_x then s_y terms
+        self._value_rows = np.ascontiguousarray(self._tables.values.T)
+        self._face_rows = self._value_rows[9 * nq * nq:]
+        self._line_rows = np.ascontiguousarray(
+            np.concatenate(self._tables.line, axis=0).T)
+        self._line_mean_row = np.concatenate(self._tables.line_means)
+        self._mean_rows = np.ascontiguousarray(
+            self._tables.means.reshape(len(self.cweno.exps), -1).T)
 
     # -- boundaries ---------------------------------------------------------
 
@@ -113,58 +125,57 @@ class SpatialOperator2D:
     def _profiles_and_faces(self, rec, data, faces):
         """LA equilibrium: anchors, energy deviations, face-energy overwrite.
 
-        Returns the validity mask of cells whose faces use the equilibrium
-        decomposition (anchor converged, positive pressure and density at all
-        evaluation nodes).
+        `rec` holds the reconstruction coefficients with cells last,
+        (4, 6, cells).  Returns the validity mask of cells whose faces use
+        the equilibrium decomposition (anchor converged, positive pressure
+        and density at all evaluation nodes).
         """
         scheme, eos = self.scheme, self.eos
         shape = data.shape[1:]
 
-        tables = self._tables
-        # product-basis coefficients of s_x and s_y: (cells, terms)
-        rec0 = self._flat(rec[0])
-        outer_x = product_terms(rec0, self._flat(self.gx_coeffs), self._outers[0])
-        outer_y = product_terms(rec0, self._flat(self.gy_coeffs), self._outers[1])
+        # product-basis coefficients of s_x then s_y, rec-major like
+        # `product_terms`: (2 * terms, cells)
+        terms = np.multiply(rec[0][:, None], self._g_rows[:, None],
+                            out=self._outers).reshape(-1, rec.shape[-1])
 
         # line integrals of the source field at every node set at once
-        line_all = outer_x @ tables.line[0] + outer_y @ tables.line[1]
-        rho_nodes_all = rec0 @ tables.values
+        line_all = self._line_rows @ terms
+        rho_nodes_all = self._value_rows @ rec[0]
 
         own = self._own
-        rec_own = rec[:3].reshape(3, -1, rec.shape[-1]) @ tables.values[:, own]
+        rec_own = self._value_rows[own] @ rec[:3]
         rho_pos_own = rec_own[0] > 0.0
         rec_own = np.where(rho_pos_own, rec_own, 1.0)
         eps_hat = eps_hat_estimate(data[3].reshape(-1), rec_own, self._wq)
 
         if scheme.simplified_anchor:
-            p0 = anchor_pressure_simplified(rec[..., 0].reshape(4, -1), eos)
+            p0 = anchor_pressure_simplified(rec[:, 0], eos)
             good_anchor = p0 > 0.0
-        elif eos.name == "ideal":
+        elif eos.deps_dp_constant is not None:
             # exact cell mean of the line-integral polynomial, as one node
             # of weight one
-            mean_line = outer_x @ tables.line_means[0] \
-                + outer_y @ tables.line_means[1]
-            p0 = anchor_pressure_ideal(mean_line[:, None], eps_hat, eos.gamma,
+            p0 = anchor_pressure_ideal((self._line_mean_row @ terms)[None],
+                                       eps_hat, eos.deps_dp_constant,
                                        np.ones(1))
             good_anchor = p0 > 0.0
         else:
             p0, good_anchor = self._newton_anchor(
-                eps_hat, rec_own[0], line_all[:, own], data[0].reshape(-1))
-        good = good_anchor & np.all(rho_pos_own, axis=-1)
+                eps_hat, rec_own[0], line_all[own], data[0].reshape(-1))
+        good = good_anchor & np.all(rho_pos_own, axis=0)
 
         # energy deviations over the wrapped 3x3 stencil (ordered like the
         # CWENO window), then the face energies
         e_window = np.lib.stride_tricks.sliding_window_view(
-            np.pad(data[3], 1, mode="wrap"), (3, 3)).reshape(-1, 9)
+            np.pad(data[3], 1, mode="wrap"), shape).reshape(9, -1)
         delta, eps_faces, ok = energy_deviations(
-            eos, p0[:, None] + line_all, rho_nodes_all, e_window, self._wq)
+            eos, p0 + line_all, rho_nodes_all, e_window, self._wq)
         good = (good & ok).reshape(shape)
         e_wb = hydrostatic_energy_faces(
-            eps_faces, self.cweno.reconstruct_stencils(delta),
-            self._face_table)
+            eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
+            self._face_rows)
         for k, face in enumerate(face for pair in faces for face in pair):
             face[3] = np.where(good[..., None],
-                               e_wb[:, 2 * k:2 * k + 2].reshape(shape + (2,)),
+                               e_wb[2 * k:2 * k + 2].T.reshape(shape + (2,)),
                                face[3])
         return good
 
@@ -175,16 +186,15 @@ class SpatialOperator2D:
     # -- sources --------------------------------------------------------------
 
     def _sources(self, rec):
-        """Exact cell means of (0, s_x, s_y, v.s): the product-basis means
-        as a bilinear form in the rec and gravity coefficients."""
-        shape = rec.shape[1:-1]
-        means = self._tables.means.reshape(rec.shape[-1], -1)
-        rho, mx, my = rec[:3].reshape(3, -1, rec.shape[-1]) @ means
-        gx, gy = self._flat(self.gx_coeffs), self._flat(self.gy_coeffs)
-        out = np.zeros((4,) + shape)
-        out[1] = np.sum(rho * gx, axis=-1).reshape(shape)
-        out[2] = np.sum(rho * gy, axis=-1).reshape(shape)
-        out[3] = np.sum(mx * gx + my * gy, axis=-1).reshape(shape)
+        """Exact cell means of (0, s_x, s_y, v.s) over the grid: the
+        product-basis means as a bilinear form in the rec coefficients
+        (4, 6, cells) and the gravity coefficients, cells last."""
+        rho, mx, my = self._mean_rows @ rec[:3]
+        gx, gy = self._g_rows
+        out = np.zeros((4,) + self.grid.shape_tot)
+        out[1] = np.sum(rho * gx, axis=0).reshape(self.grid.shape_tot)
+        out[2] = np.sum(rho * gy, axis=0).reshape(self.grid.shape_tot)
+        out[3] = np.sum(mx * gx + my * gy, axis=0).reshape(self.grid.shape_tot)
         return out
 
     # -- right-hand side ------------------------------------------------------
@@ -201,6 +211,8 @@ class SpatialOperator2D:
         xl, xr, yl, yr = ((flat @ table).reshape((4,) + shape + (2,))
                           for table in self._face_values)
         faces = ((xl, xr), (yl, yr))
+        # the equilibrium layer and the sources run with cells last
+        rec = np.ascontiguousarray(flat.transpose(0, 2, 1))
 
         good = (self._profiles_and_faces(rec, data, faces)
                 if scheme.well_balanced else None)

@@ -57,6 +57,14 @@ def split_conserved(q, eos, normal=1):
     return rho, vel, eos.pressure(rho, eps)
 
 
+def _split_pair(q_l, q_r, eos, normal):
+    """`split_conserved` of the left and right states in one call (one EoS
+    inversion for both): ((rho, velocities, p) left, the same right)."""
+    rho, vel, p = split_conserved(np.stack([q_l, q_r], axis=1), eos, normal)
+    return ((rho[0], [v[0] for v in vel], p[0]),
+            (rho[1], [v[1] for v in vel], p[1]))
+
+
 def physical_flux(q, p, normal=1):
     """Euler flux along the chosen normal momentum component."""
     q = np.asarray(q, dtype=float)
@@ -89,8 +97,8 @@ def roe_flux(q_l, q_r, eos, normal=1):
     arithmetic-average state otherwise."""
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
-    rho_l, vel_l, p_l = split_conserved(q_l, eos, normal)
-    rho_r, vel_r, p_r = split_conserved(q_r, eos, normal)
+    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
+                                                           normal)
     rho_hat, vel_hat, h_hat = _roe_averages(q_l, q_r, p_l, p_r, eos, normal)
     u_hat = vel_hat[0]
     ke_hat = 0.5 * sum(v * v for v in vel_hat)
@@ -149,8 +157,8 @@ def hllc_flux(q_l, q_r, eos, normal=1):
     """HLLC flux with Einfeldt-type wave-speed bounds from Roe averages."""
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
-    rho_l, vel_l, p_l = split_conserved(q_l, eos, normal)
-    rho_r, vel_r, p_r = split_conserved(q_r, eos, normal)
+    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
+                                                           normal)
     u_l, u_r = vel_l[0], vel_r[0]
     rho_hat, vel_hat, h_hat = _roe_averages(q_l, q_r, p_l, p_r, eos, normal)
     if eos.name == "ideal":
@@ -195,8 +203,8 @@ def rusanov_flux(q_l, q_r, eos, normal=1):
     """Local Lax-Friedrichs flux; no contact property (negative control)."""
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
-    rho_l, vel_l, p_l = split_conserved(q_l, eos, normal)
-    rho_r, vel_r, p_r = split_conserved(q_r, eos, normal)
+    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
+                                                           normal)
     s = np.maximum(np.abs(vel_l[0]) + eos.sound_speed(rho_l, p_l),
                    np.abs(vel_r[0]) + eos.sound_speed(rho_r, p_r))
     return 0.5 * (physical_flux(q_l, p_l, normal) + physical_flux(q_r, p_r, normal)) \

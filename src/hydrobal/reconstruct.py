@@ -155,13 +155,16 @@ class _CwenoBlend:
 
     `_blend` maps stencil windows (..., n_window), centered on the middle
     entry, to physical coefficients (..., n_coeff), with cells on the last
-    axis throughout.  The windows become deviations (n_window, cells) from
+    axis throughout; with `axis=0` the windows come as (n_window, ...) and
+    the coefficients go out as (n_coeff, ...), cells last, with no
+    transposition.  The windows become deviations (n_window, cells) from
     the central average; one product with the cached table (`_blend_table`)
     gives every candidate's scaled coefficients (q, n_coeff, cells) and its
     indicator rows (q, rank, cells).  beta_k is the sum of squares of
     candidate k's rows, so beta_k = u_k^T A u_k >= 0 without forming A.
     The weights are normalised in place, the blend is q multiply-adds of
-    contiguous (n_coeff, cells) blocks, and the result is transposed back.
+    contiguous (n_coeff, cells) blocks, and the result is transposed back
+    unless the stencil axis came first.
     """
 
     def _set_table(self, tables, scale):
@@ -180,12 +183,11 @@ class _CwenoBlend:
         return (rows[:q * n].reshape(q, n, cells),
                 indicator.reshape(q, self._factor.shape[1], cells).sum(axis=1))
 
-    def _blend(self, window):
-        window = np.asarray(window, dtype=float)
-        lead, n_window = window.shape[:-1], window.shape[-1]
+    def _blend(self, window, axis=-1):
+        cols = np.moveaxis(np.asarray(window, dtype=float), axis, 0)
+        lead, n_window = cols.shape[1:], cols.shape[0]
         # deviations from the central average: every candidate reproduces
         # constants exactly, so this removes cancellation noise
-        cols = np.moveaxis(window, -1, 0)
         deviation = np.empty(cols.shape)
         np.subtract(cols, cols[n_window // 2], out=deviation)
         deviation = deviation.reshape(n_window, -1)
@@ -207,6 +209,8 @@ class _CwenoBlend:
             out += coeffs[k, :, :cells]
         out[0] += cols[n_window // 2].reshape(-1)
         out /= self._scale
+        if axis == 0:
+            return out.reshape((self._scale.shape[0],) + lead)
         return out.T.reshape(lead + (self._scale.shape[0],))
 
 
@@ -247,14 +251,28 @@ class Cweno1D(_CwenoBlend):
         self._set_table(_cweno_1d_table(order),
                         self.dx ** np.arange(order, dtype=float))
 
-    def reconstruct_stencils(self, window):
-        """Stencil values (..., m) -> physical coefficients (..., m)."""
-        return self._blend(window)
+    def reconstruct_stencils(self, window, axis=-1):
+        """Stencil values (..., m) -> physical coefficients (..., m); with
+        `axis=0`, (m, ...) -> (m, ...)."""
+        return self._blend(window, axis)
 
-    def coefficients(self, values):
-        """Per-cell polynomials for a whole field (..., n_tot)."""
-        return _windowed_fit(values, (self.order,), self.order,
-                             self.reconstruct_stencils)
+    def coefficients(self, values, cells_last=False):
+        """Per-cell polynomials for a whole field (..., n_tot): physical
+        coefficients (..., n_tot, m), or (..., m, n_tot) with `cells_last`.
+        Cells whose stencil does not fit keep a constant."""
+        if not cells_last:
+            return _windowed_fit(values, (self.order,), self.order,
+                                 self.reconstruct_stencils)
+        values = np.asarray(values, dtype=float)
+        n, r = values.shape[-1], self.radius
+        out = np.zeros(values.shape[:-1] + (self.order, n))
+        out[..., 0, :] = values
+        if r and n >= self.order:
+            window = np.stack([values[..., d:n - 2 * r + d]
+                               for d in range(self.order)])
+            out[..., r:n - r] = np.moveaxis(
+                self.reconstruct_stencils(window, axis=0), 0, -2)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -409,9 +427,10 @@ class Cweno2D(_CwenoBlend):
             _cweno_2d_table(self.dy / self.dx),
             np.array([self.dx ** a * self.dy ** b for (a, b) in MONOMIALS_DEG2]))
 
-    def reconstruct_stencils(self, window):
-        """Stencil values (..., 9) ordered by (x offset, y offset) -> coeffs (..., 6)."""
-        return self._blend(window)
+    def reconstruct_stencils(self, window, axis=-1):
+        """Stencil values (..., 9) ordered by (x offset, y offset) -> coeffs
+        (..., 6); with `axis=0`, (9, ...) -> (6, ...)."""
+        return self._blend(window, axis)
 
     def coefficients(self, values):
         """Field (..., nx, ny) -> per-cell coefficients (..., nx, ny, 6)."""

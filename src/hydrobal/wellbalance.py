@@ -18,18 +18,38 @@ momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
 for the reconstruction polynomials.
 
-Each cell's equilibrium is evaluated once, at one fixed node set
-(`equilibrium_points`), through the product-basis tables
-(`reconstruct.product_tables`) that both operators share.  Both hand their
-node arrays of p and rho to `energy_deviations` (one EoS call over every
-node) and to `hydrostatic_energy_faces`; in 1-D, `build_profiles` anchors
-and glues them first.
+Layout: cells run along the last axis of every array here, behind the
+node, stencil or face axis (node values (nodes, cells), stencil windows
+(2r + 1, cells)), so that reductions over a stencil or a cell's nodes are
+contiguous passes over rows.  Each cell's equilibrium is evaluated at one
+fixed node set (`equilibrium_points`) through the product-basis tables
+(`reconstruct.product_tables`) that both operators share, transposed once
+at construction.
+
+The DWB glue is stencil-local: the constant of stencil cell i + d relative
+to cell i, Delta_{i,d} = C_{i+d} - C_i, is a sum of at most r interface
+steps A_k(h/2) - A_{k+1}(-h/2) (`local_glue`), never a difference of two
+sums over the whole grid, so its rounding error scales with the pressures
+of the stencil, not with the largest pressure of the grid.
+
+Two paths compute the energy deviations:
+- node values (LA, 2-D, and any EoS without a constant d eps/dp): the
+  pressure p0 + offset and the density at every node of the stencil and
+  the faces, one EoS call over all of them (`energy_deviations`);
+- cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
+  gas) in 1-D DWB: the window entries are E[i+d] - b (Delta_{i,d} +
+  O[i+d]), with O a cell's Gauss mean of its own pressure offset, and the
+  face energies b (face offset) + the deviation polynomial.  The anchor
+  p0 shifts every window entry and face by b p0, which CWENO carries
+  through unchanged, so it cancels and the energy takes no EoS call.  p0
+  still gates positivity, exactly as the node values would, through
+  per-cell minima: p0 + min_d (Delta_{i,d} + min of offset_{i+d}) > 0.
 
 The anchor solvers take node values: the pressure offset p - p0 (the
-integrated source) and the density at a cell's quadrature nodes, plus the
-weights that turn node values into the cell mean (Gauss weights divided by
-the cell size).  A caller with an exact mean of the offset may pass it as a
-single node of weight one.
+integrated source) and the density at a cell's quadrature nodes, nodes
+first, plus the weights that turn node values into the cell mean (Gauss
+weights divided by the cell size).  A caller with an exact mean of the
+offset may pass it as a single node of weight one.
 """
 
 from functools import lru_cache
@@ -48,7 +68,8 @@ ANCHOR_MAX_ITER = 50
 
 
 def glued_constants(anti_left, anti_right, ref, p_ref):
-    """Constants C_k of the continuous piecewise pressure C_k + A_k(x - x_k).
+    """Constants C_k of the continuous piecewise pressure C_k + A_k(x - x_k),
+    for the few pieces of a ghost fill or the whole grid of an initializer.
 
     Pieces run along the last axis; `anti_left`/`anti_right` are the
     antiderivative values A_k(-h/2) and A_k(h/2).  C_ref = p_ref and
@@ -64,22 +85,53 @@ def glued_constants(anti_left, anti_right, ref, p_ref):
     return out
 
 
+def local_glue(anti_left, anti_right, reach):
+    """Constants Delta_{i,d} = C_{i+d} - C_i of the glued pressure, rows
+    d = -reach..reach, cells (periodically wrapped) last.
+
+    `anti_left`/`anti_right` are each cell's antiderivative A_k(-h/2) and
+    A_k(h/2); the interface step C_{k+1} - C_k = A_k(h/2) - A_{k+1}(-h/2)
+    is summed over the at most `reach` interfaces between i and i + d.
+    """
+    step = np.empty(anti_left.shape)
+    np.subtract(anti_right[:-1], anti_left[1:], out=step[:-1])
+    step[-1] = anti_right[-1] - anti_left[0]
+    steps = periodic_windows(step, reach)        # row s: step[i + s - reach]
+    out = np.zeros((2 * reach + 1, step.size))
+    for d in range(1, reach + 1):
+        np.add(out[reach + d - 1], steps[reach + d - 1], out=out[reach + d])
+        np.subtract(out[reach - d + 1], steps[reach - d], out=out[reach - d])
+    return out
+
+
+def periodic_windows(values, reach):
+    """Windows (2 reach + 1, n) of `values` (n,): row d + reach holds
+    values[(i + d) % n] in column i.  The rows overlap in one padded copy
+    of `values`, so the result is for reading only."""
+    if reach == 0:
+        return values[None]
+    padded = np.concatenate((values[-reach:], values, values[:reach]))
+    return np.ndarray((2 * reach + 1, values.size), padded.dtype, padded,
+                      strides=2 * padded.strides)
+
+
 def eps_hat_estimate(e_hat, rec_nodes, weights):
     """Cell-averaged internal energy from conserved averages.
 
     Subtracts the mean of the reconstructed kinetic energy
-    |(rho u)^rec|^2 / (2 rho^rec) over the node values `rec_nodes` (density,
-    then any number of momenta); the integrand is rational, so the same
-    Gauss rule as the energy matching is used rather than exact integration.
+    |(rho u)^rec|^2 / (2 rho^rec) over the node values `rec_nodes`
+    (density, then any number of momenta; each (nodes, cells)); the
+    integrand is rational, so the same Gauss rule as the energy matching is
+    used rather than exact integration.
     """
-    kinetic = 0.5 * np.sum(rec_nodes[1:] ** 2, axis=0) / rec_nodes[0]
-    return e_hat - kinetic @ weights
+    kinetic = 0.5 * (rec_nodes[1:] ** 2).sum(axis=0) / rec_nodes[0]
+    return e_hat - weights @ kinetic
 
 
-def anchor_pressure_ideal(offset_nodes, eps_hat, gamma, weights):
-    """Closed-form anchor for the ideal gas law: (gamma - 1) eps_hat minus
-    the mean pressure offset."""
-    return (gamma - 1.0) * eps_hat - offset_nodes @ weights
+def anchor_pressure_ideal(offset_nodes, eps_hat, deps_dp, weights):
+    """Closed-form anchor of an EoS with eps = b p, b = `deps_dp`:
+    eps_hat / b minus the mean pressure offset."""
+    return eps_hat / deps_dp - weights @ offset_nodes
 
 
 def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
@@ -88,11 +140,12 @@ def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
     mean(eps(rho, p0 + offset)) = eps_hat.
 
     Returns (p0, ok).  The initial guess is the pressure of the
-    cell-averaged conserved state (rho_hat, eps_hat); the step
-    |f/f'| < 1e-13 stops the iteration and a halving step guards against
-    negative trial pressures.  Each iteration takes eps and d eps/dp at the
-    nodes from one `eos.thermo` call.  ok is False where the iteration did
-    not converge, the averaged state is non-physical, or p0 <= 0.
+    cell-averaged conserved state (rho_hat, eps_hat); the relative step
+    |f/f'| < 1e-13 |p0| stops the iteration, so an anchor far below one is
+    as accurate as any other, and a halving step guards against negative
+    trial pressures.  Each iteration takes eps and d eps/dp at the nodes
+    from one `eos.thermo` call.  ok is False where the iteration did not
+    converge, the averaged state is non-physical, or p0 <= 0.
     """
     safe = (rho_hat > 0.0) & (eps_hat > 0.0)
     target = np.where(safe, eps_hat, 1.0)
@@ -100,15 +153,15 @@ def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
     rho_nodes = np.maximum(rho_nodes, 1e-300)
     converged = np.zeros(p.shape, dtype=bool)
     for _ in range(ANCHOR_MAX_ITER):
-        p_nodes = p[..., None] + offset_nodes
-        ok_nodes = np.all(p_nodes > 0.0, axis=-1) & (p > 0.0)
+        p_nodes = p + offset_nodes
+        ok_nodes = np.all(p_nodes > 0.0, axis=0) & (p > 0.0)
         p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
         eps_nodes, deps_nodes = eos.thermo(rho_nodes, p_nodes,
                                            "internal_energy", "deps_dp")
-        f = target - eps_nodes @ weights
-        fp = -(deps_nodes @ weights)
+        f = target - weights @ eps_nodes
+        fp = -(weights @ deps_nodes)
         step = f / fp
-        converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL + 1e-15 * np.abs(p))
+        converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL * np.abs(p))
         p_next = np.where(converged, p, p - step)
         p = np.where(p_next <= 0.0, 0.5 * p, p_next)
         if np.all(converged):
@@ -127,13 +180,15 @@ def anchor_pressure_simplified(rec_center, eos):
 
 def solve_anchor(eos, offset_nodes, rho_nodes, rho_hat, eps_hat, weights):
     """Anchor pressure p0 matching the cell-averaged internal energy
-    `eps_hat`: closed form for the ideal gas, Newton iteration otherwise.
+    `eps_hat`: closed form for an EoS with a constant d eps/dp, Newton
+    iteration otherwise.
 
     Returns (p0, ok); ok is False where the solve did not converge, its
     inputs were non-physical, or p0 <= 0.
     """
-    if eos.name == "ideal":
-        p0 = anchor_pressure_ideal(offset_nodes, eps_hat, eos.gamma, weights)
+    if eos.deps_dp_constant is not None:
+        p0 = anchor_pressure_ideal(offset_nodes, eps_hat, eos.deps_dp_constant,
+                                   weights)
         return p0, p0 > 0.0
     return anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat,
                                   eos, weights)
@@ -156,71 +211,110 @@ def equilibrium_points(n_quad, reach, dim=1):
     return tuple(points)
 
 
-def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
-                   e_hat, weights, wrap):
-    """Pressure and density of every cell's local equilibrium at its node set.
+def stencil_node_index(n_quad, reach, n):
+    """Flat indices into a (n_quad + 2, n) array of own-node then face
+    values that gather the DWB node set of every cell, cells last: the
+    Gauss nodes of stencil cells (i + d) % n, d = -reach..reach, then cell
+    i's own faces."""
+    stencil = (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
+    index = np.empty(((2 * reach + 1) * n_quad + 2, n), dtype=np.intp)
+    index[:-2] = (n * np.arange(n_quad)[:, None] + stencil[:, None]
+                  ).reshape(-1, n)
+    index[-2:] = n * (n_quad + np.arange(2))[:, None] + np.arange(n)
+    return index
 
-    `offsets` (n, nodes) is each cell's antiderivative of rho^rec * g^int
-    and `rec_nodes` (2, n, nodes) its density and momentum, at its
-    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` is the
-    reconstructed center state, `weights` the cell-mean weights of the Gauss
-    nodes and `wrap[i, d + r] = (i + d) % n` the stencil cells.  DWB gathers
-    the neighbours' pieces through `wrap`, offset by the glued constants; LA
-    extrapolates cell i's own piece.  The anchor sees the node-set columns
-    of the cell itself.  Returns (p, rho, ok) over the stencil node set: ok
-    flags cells whose anchor solve converged to a positive pressure and
-    whose density is positive at their own nodes; callers fall back to the
-    standard reconstruction elsewhere.
+
+def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
+                   e_hat, weights, node_index=None):
+    """Pressure and density of every cell's local equilibrium.
+
+    `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
+    and `rec_nodes` (2, nodes, n) its density and momentum, at its
+    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (3, n)
+    is the reconstructed center state and `weights` the cell-mean weights
+    of the Gauss nodes.  Returns (p, rho, ok) for `energy_deviations`; ok
+    flags cells whose anchor is positive (and converged) and whose density
+    is positive at their own nodes; callers fall back to the standard
+    reconstruction elsewhere.
+
+    LA extrapolates cell i's own piece: p and rho are node values over the
+    stencil node set.  DWB takes the neighbours' pieces, offset by the local
+    glue.  With a constant d eps/dp, p is (2r + 3, n): the means of p - p0
+    over the stencil cells, then p - p0 at the faces, and rho is None; ok
+    then also holds the node gate (pressure and density positive at every
+    node of the stencil and the faces).  Otherwise p and rho are gathered
+    at the stencil nodes through `node_index` (`stencil_node_index`).
     """
-    n = wrap.shape[0]
-    nq = weights.size
-    reach = (offsets.shape[-1] - 2) // nq // 2
+    nq, r = weights.size, scheme.radius
+    reach = 0 if scheme.piecewise_source else r
     own = slice(reach * nq, (reach + 1) * nq)
-    rho_pos = rec_nodes[0, :, own] > 0.0
+    rho_own = rec_nodes[0, own]
+    rho_pos = rho_own > 0.0
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec_center, eos)
         ok = p0 > 0.0
     else:
         eps_hat = eps_hat_estimate(
-            e_hat, np.where(rho_pos, rec_nodes[:, :, own], 1.0), weights)
-        p0, ok = solve_anchor(eos, offsets[:, own], rec_nodes[0, :, own],
-                              rho_hat, eps_hat, weights)
-    ok &= np.all(rho_pos, axis=-1)
+            e_hat, np.where(rho_pos, rec_nodes[:, own], 1.0), weights)
+        p0, ok = solve_anchor(eos, offsets[own], rho_own, rho_hat, eps_hat,
+                              weights)
+    ok &= rho_pos.all(axis=0)
     p0 = np.where(ok, p0, 1.0)
     if not scheme.piecewise_source:
-        return p0[:, None] + offsets, rec_nodes[0], ok
-    # stencil cell d: piece i+d at its own nodes, shifted by the glue; the
-    # faces are cell i's own
-    glued = glued_constants(offsets[:, -2], offsets[:, -1], 0, 0.0)
-    base = p0[:, None] + (glued[wrap] - glued[:, None])
-    p = np.concatenate([(base[..., None] + offsets[wrap, :nq]).reshape(n, -1),
-                        p0[:, None] + offsets[:, nq:]], axis=1)
-    rho = np.concatenate([rec_nodes[0][wrap, :nq].reshape(n, -1),
-                          rec_nodes[0, :, nq:]], axis=1)
-    return p, rho, ok
+        return p0 + offsets, rec_nodes[0], ok
+    glue = local_glue(offsets[-2], offsets[-1], r)
+    if eos.deps_dp_constant is not None:
+        faces = offsets[nq:]
+        p = np.empty((2 * r + 3, offsets.shape[-1]))
+        np.add(glue, periodic_windows(weights @ offsets[:nq], r), out=p[:-2])
+        p[-2:] = faces
+        # the node gate through per-cell minima over the stencil and faces
+        low_p = np.minimum(
+            (glue + periodic_windows(offsets[:nq].min(axis=0), r)).min(axis=0),
+            faces.min(axis=0))
+        low_rho = np.minimum(
+            periodic_windows(rho_own.min(axis=0), r).min(axis=0),
+            rec_nodes[0, nq:].min(axis=0))
+        ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
+        return p, None, ok
+    p = np.take(offsets, node_index)
+    stencil = p[:-2].reshape(2 * r + 1, nq, -1)      # a view of p
+    stencil += (p0 + glue)[:, None]
+    p[-2:] += p0
+    return p, np.take(rec_nodes[0], node_index), ok
 
 
 def energy_deviations(eos, p, rho, e_window, weights):
     """Energy deviations from the equilibrium, and its face internal energy.
 
-    `p` and `rho` hold the equilibrium at a node set (`weights.size` nodes
-    per stencil cell, cell after cell, then the faces); `e_window` the
-    energy averages of the stencil cells.  delta = E_hat - cell mean of
-    eps(rho, p), with one EoS call over every node.  Returns (delta,
-    eps_faces, ok); ok flags cells with positive p and rho at every node.
+    `e_window` (n_stencil, cells) holds the energy averages of the stencil
+    cells.  With node values, `p` and `rho` (nodes, cells) hold the
+    equilibrium at a node set (`weights.size` nodes per stencil cell, cell
+    after cell, then the faces): delta = E_hat - cell mean of eps(rho, p),
+    with one EoS call over every node, and ok flags cells with positive p
+    and rho at every node.  With `rho` None, `p` holds the anchor-relative
+    cell means and faces of `build_profiles`' cell-mean path: delta =
+    E_hat - b p and eps_faces = b p_faces, with b = d eps/dp; that path
+    has gated its cells already, so ok is True.  Returns (delta, eps_faces,
+    ok), cells last.
     """
-    ok = np.all((p > 0.0) & (rho > 0.0), axis=-1)
+    n_stencil = e_window.shape[0]
+    if rho is None:
+        b = eos.deps_dp_constant
+        return e_window - b * p[:n_stencil], b * p[n_stencil:], True
+    ok = np.all((p > 0.0) & (rho > 0.0), axis=0)
     eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
                               np.where(p > 0.0, p, 1.0))
-    n_stencil, nq = e_window.shape[-1], weights.size
-    cells = eps[..., :n_stencil * nq].reshape(eps.shape[:-1] + (n_stencil, nq))
-    return e_window - cells @ weights, eps[..., n_stencil * nq:], ok
+    nq = weights.size
+    means = weights @ eps[:n_stencil * nq].reshape(n_stencil, nq, -1)
+    return e_window - means, eps[n_stencil * nq:], ok
 
 
-def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_table):
-    """Face energies eps(rho^rec, p^eq) + delta-polynomial; `face_table`
-    holds the monomials of `delta_coeffs` at the faces."""
-    return eps_faces + delta_coeffs @ face_table
+def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_rows):
+    """Face energies eps(rho^rec, p^eq) + delta-polynomial, cells last;
+    `face_rows` (faces, m) holds the monomials of `delta_coeffs` (m, cells)
+    at the faces."""
+    return eps_faces + face_rows @ delta_coeffs
 
 
 def monotonicity_probe(offset_nodes, rho_nodes, p0, eos, weights,

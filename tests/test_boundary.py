@@ -166,8 +166,9 @@ def _reference_left_fill(op, data, g_centers):
     rho_n, mom_n = poly_eval(rec[:2, None, :], nodes)
     eps_hat = data[2, ng] - np.sum(weights * 0.5 * mom_n ** 2 / rho_n) / h
     offsets = poly_eval(anti, nodes)
-    if eos.name == "ideal":
-        p0 = anchor_pressure_ideal(offsets, eps_hat, eos.gamma, weights / h)
+    if eos.deps_dp_constant is not None:
+        p0 = anchor_pressure_ideal(offsets, eps_hat, eos.deps_dp_constant,
+                                   weights / h)
     else:
         p0 = anchor_pressure_newton(offsets, rho_n, data[0, ng], eps_hat, eos,
                                     weights / h)[0]

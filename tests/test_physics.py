@@ -4,6 +4,7 @@ import pytest
 from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.errors import ConfigurationError, FluxEvaluationError
 from hydrobal.physics import (
+    _split_pair,
     contact_property_check,
     get_flux,
     hllc_flux,
@@ -43,6 +44,28 @@ def test_consistency(flux_fn, eos):
     rho, vel, p = split_conserved(q, eos)
     np.testing.assert_allclose(flux_fn(q, q, eos), physical_flux(q, p),
                                rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("normal", [1, 2])
+@pytest.mark.parametrize("eos, tol", [(IdealGas(1.4), 0.0),
+                                      (IdealGasRadiation(1.4), 1e-13)],
+                         ids=["ideal", "radiation"])
+def test_split_pair_matches_separate_splits(eos, tol, normal):
+    # the fluxes split both sides in one call: exactly the separate splits
+    # for the ideal gas, and within 1e-13 for the radiation inversion
+    rng = np.random.default_rng(4)
+
+    def states_2d():
+        q = random_states(rng, 33, eos)
+        transverse = q[0] * rng.uniform(-1, 1, 33)
+        q[-1] += 0.5 * transverse ** 2 / q[0]
+        return np.insert(q, 2, transverse, axis=0)
+
+    q_l, q_r = states_2d(), states_2d()
+    for got, side in zip(_split_pair(q_l, q_r, eos, normal), (q_l, q_r)):
+        rho, vel, p = split_conserved(side, eos, normal)
+        for a, b in zip((got[0], *got[1], got[2]), (rho, *vel, p)):
+            np.testing.assert_allclose(a, b, rtol=tol, atol=0.0)
 
 
 @pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux])
@@ -144,8 +167,8 @@ def sources_2d(rec, gravity, hx=0.1, hy=0.1):
     op = SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
                            lambda x, y: gravity(x + 0 * y, y + 0 * x),
                            BoundarySpec2D(*["periodic"] * 4))
-    rec = np.broadcast_to(np.asarray(rec, dtype=float)[:, None, None, :],
-                          (4,) + grid.shape_tot + (6,))
+    rec = np.broadcast_to(np.asarray(rec, dtype=float)[:, :, None],
+                          (4, 6, np.prod(grid.shape_tot)))   # cells last
     return op._sources(rec)[:, 4, 4], op
 
 

@@ -96,8 +96,8 @@ def test_cell_average_2d_square():
     # mean of (x - x_i)^2 over an h-square: tensor antiderivative gives h^2/12
     h = 0.37
     op = operator_2d(lambda x, y: (1.0 + 0 * x, 0 * y), h, h)
-    rec = np.zeros((4,) + op.grid.shape_tot + (6,))
-    rec[0, ..., MONOMIALS_DEG2.index((2, 0))] = 1.0
+    rec = np.zeros((4, 6, np.prod(op.grid.shape_tot)))   # cells last
+    rec[0, MONOMIALS_DEG2.index((2, 0))] = 1.0
     assert op._sources(rec)[1, 3, 3] == pytest.approx(h ** 2 / 12.0)
 
 
