@@ -26,7 +26,6 @@ from .wellbalance import (
     hydrostatic_energy_faces,
     periodic_windows,
     solve_anchor,
-    stencil_node_index,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
 # through these names
@@ -84,11 +83,6 @@ class SpatialOperator1D:
         self._face_rows = self._value_rows[-2:]
         self._source_rows = np.ascontiguousarray(
             self._tables.means.reshape(scheme.order, -1).T)
-        # DWB node path only: an EoS with a constant d eps/dp takes cell
-        # means (`wellbalance.build_profiles`)
-        self._node_index = (stencil_node_index(scheme.n_quad, r, n_tot)
-                            if scheme.piecewise_source
-                            and eos.deps_dp_constant is None else None)
         # the shared side fill skips the hydrostatic sides, filled here
         self._fill_axes = tuple(
             tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
@@ -222,7 +216,7 @@ class SpatialOperator1D:
             p, rho, ok = build_profiles(
                 scheme, self.eos, self._line_rows @ terms,
                 self._value_rows @ rec[:2], rec[:, 0], data[0], data[2],
-                self._mean, self._node_index)
+                self._mean)
             delta, eps_faces, ok_eq = energy_deviations(
                 self.eos, p, rho, periodic_windows(data[2], scheme.radius),
                 self._mean)

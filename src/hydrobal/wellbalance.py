@@ -105,14 +105,16 @@ def local_glue(anti_left, anti_right, reach):
 
 
 def periodic_windows(values, reach):
-    """Windows (2 reach + 1, n) of `values` (n,): row d + reach holds
-    values[(i + d) % n] in column i.  The rows overlap in one padded copy
-    of `values`, so the result is for reading only."""
+    """Windows (..., 2 reach + 1, n) of `values` (..., n): row d + reach
+    holds values[..., (i + d) % n] in column i.  The rows overlap in one
+    padded copy of `values`, so the result is for reading only."""
     if reach == 0:
-        return values[None]
-    padded = np.concatenate((values[-reach:], values, values[:reach]))
-    return np.ndarray((2 * reach + 1, values.size), padded.dtype, padded,
-                      strides=2 * padded.strides)
+        return values[..., None, :]
+    padded = np.concatenate(
+        (values[..., -reach:], values, values[..., :reach]), axis=-1)
+    *lead, n = values.shape
+    return np.ndarray((*lead, 2 * reach + 1, n), padded.dtype, padded,
+                      strides=padded.strides[:-1] + 2 * padded.strides[-1:])
 
 
 def eps_hat_estimate(e_hat, rec_nodes, weights):
@@ -211,21 +213,8 @@ def equilibrium_points(n_quad, reach, dim=1):
     return tuple(points)
 
 
-def stencil_node_index(n_quad, reach, n):
-    """Flat indices into a (n_quad + 2, n) array of own-node then face
-    values that gather the DWB node set of every cell, cells last: the
-    Gauss nodes of stencil cells (i + d) % n, d = -reach..reach, then cell
-    i's own faces."""
-    stencil = (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
-    index = np.empty(((2 * reach + 1) * n_quad + 2, n), dtype=np.intp)
-    index[:-2] = (n * np.arange(n_quad)[:, None] + stencil[:, None]
-                  ).reshape(-1, n)
-    index[-2:] = n * (n_quad + np.arange(2))[:, None] + np.arange(n)
-    return index
-
-
 def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
-                   e_hat, weights, node_index=None):
+                   e_hat, weights):
     """Pressure and density of every cell's local equilibrium.
 
     `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
@@ -242,8 +231,8 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
     glue.  With a constant d eps/dp, p is (2r + 3, n): the means of p - p0
     over the stencil cells, then p - p0 at the faces, and rho is None; ok
     then also holds the node gate (pressure and density positive at every
-    node of the stencil and the faces).  Otherwise p and rho are gathered
-    at the stencil nodes through `node_index` (`stencil_node_index`).
+    node of the stencil and the faces).  Otherwise p and rho are node
+    values over the stencil node set, read through `periodic_windows`.
     """
     nq, r = weights.size, scheme.radius
     reach = 0 if scheme.piecewise_source else r
@@ -277,11 +266,17 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
             rec_nodes[0, nq:].min(axis=0))
         ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
         return p, None, ok
-    p = np.take(offsets, node_index)
-    stencil = p[:-2].reshape(2 * r + 1, nq, -1)      # a view of p
-    stencil += (p0 + glue)[:, None]
-    p[-2:] += p0
-    return p, np.take(rec_nodes[0], node_index), ok
+    # stencil cell d: piece i + d at its own nodes, shifted by the glue;
+    # the faces are cell i's own
+    n = offsets.shape[-1]
+    p, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
+    np.add(periodic_windows(offsets[:nq], r).transpose(1, 0, 2),
+           (p0 + glue)[:, None], out=p[:-2].reshape(2 * r + 1, nq, n))
+    np.add(offsets[nq:], p0, out=p[-2:])
+    rho[:-2].reshape(2 * r + 1, nq, n)[...] = periodic_windows(
+        rec_nodes[0, :nq], r).transpose(1, 0, 2)
+    rho[-2:] = rec_nodes[0, nq:]
+    return p, rho, ok
 
 
 def energy_deviations(eos, p, rho, e_window, weights):
