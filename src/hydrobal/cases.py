@@ -405,7 +405,7 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
         set_edge_ghosts(data, sides, extrapolated_strips(
             cweno, data, sides, ng, ghost_edge_line(cweno, ng)), ng)
 
-    rec_rho = cweno.coefficients(data[0])[r:n_tot - r]
+    rec_rho = cweno.coefficients(data[0]).T[r:n_tot - r]
     ginterp = GravityInterp1D(scheme.order, h)
     g_coeffs = ginterp.coefficients(
         np.asarray(scenario.gravity(centers), dtype=float) * np.ones(n_tot))

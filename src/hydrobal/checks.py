@@ -82,7 +82,7 @@ def run_checks(seed=0, trials=1000):
     for order in (3, 5):
         scheme = Cweno1D(order, 0.02)
         data = rng.standard_normal((40,))
-        coeffs = scheme.coefficients(data)
+        coeffs = scheme.coefficients(data).T
         r = scheme.radius
         means = poly_cell_average(coeffs[r:-r], 0.02)
         ok &= np.allclose(means, data[r:-r], rtol=1e-13, atol=1e-13)
@@ -122,7 +122,7 @@ def run_checks(seed=0, trials=1000):
     h, = grid.spacing
     centers = grid.centers()
     cweno = Cweno1D(3, h)
-    rho_coeffs = cweno.coefficients(np.exp(-2.0 * centers))
+    rho_coeffs = cweno.coefficients(np.exp(-2.0 * centers)).T
     g_coeffs = np.zeros(grid.shape_tot + (3,))
     g_coeffs[:, 0] = -2.0
     anti = poly_antiderivative(poly_mul(rho_coeffs, g_coeffs))

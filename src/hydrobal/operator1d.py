@@ -84,6 +84,10 @@ class SpatialOperator1D:
         self._source_rows = np.ascontiguousarray(
             self._tables.means.reshape(scheme.order, -1).T)
         # the shared side fill skips the hydrostatic sides, filled here
+        # DWB with a constant d eps/dp forms its energy deviations from the
+        # anchor-relative cell means of `build_profiles`, with no EoS call
+        self._cell_means = scheme.piecewise_source \
+            and eos.deps_dp_constant is not None
         self._fill_axes = tuple(
             tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
             for pair in boundary.axes)
@@ -202,7 +206,7 @@ class SpatialOperator1D:
         data = state.copy()
         self.fill_ghosts(data)
 
-        rec = self.cweno.coefficients(data, cells_last=True)   # (3, m, n_tot)
+        rec = self.cweno.coefficients(data)   # (3, m, n_tot)
         # values at x_{i-1/2}+ and x_{i+1/2}-
         face_l, face_r = (self._face_rows @ rec).transpose(1, 0, 2)
         # exact cell means of rho g and (rho u) g: the product-basis means
@@ -213,17 +217,23 @@ class SpatialOperator1D:
         if scheme.well_balanced:
             # product terms (m * m_g, n_tot), rec-major like `product_terms`
             terms = (rec[0][:, None] * self.g_coeffs).reshape(-1, data.shape[1])
-            p, rho, ok = build_profiles(
+            p, rho, good = build_profiles(
                 scheme, self.eos, self._line_rows @ terms,
                 self._value_rows @ rec[:2], rec[:, 0], data[0], data[2],
                 self._mean)
-            delta, eps_faces, ok_eq = energy_deviations(
-                self.eos, p, rho, periodic_windows(data[2], scheme.radius),
-                self._mean)
+            e_window = periodic_windows(data[2], scheme.radius)
+            if self._cell_means:
+                # p: the anchor-relative means of the stencil cells, then
+                # the face offsets
+                b = self.eos.deps_dp_constant
+                delta, eps_faces = e_window - b * p[:-2], b * p[-2:]
+            else:
+                delta, eps_faces, ok_eq = energy_deviations(
+                    self.eos, p, rho, e_window, self._mean)
+                good &= ok_eq
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)
-            good = ok & ok_eq
             face_l[2] = np.where(good, e_faces[0], face_l[2])
             face_r[2] = np.where(good, e_faces[1], face_r[2])
 

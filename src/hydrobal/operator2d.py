@@ -73,11 +73,10 @@ class SpatialOperator2D:
         gx, gy = gravity(xx, yy)
         interp = GravityInterp2D(*grid.spacing)
         self._exps_g = interp.exps
-        self.gx_coeffs = interp.coefficients(gx * np.ones_like(xx))
-        self.gy_coeffs = interp.coefficients(gy * np.ones_like(xx))
         # gravity coefficients with cells last, (2, n_g, cells)
-        self._g_rows = np.stack([self._flat(g).T for g in (self.gx_coeffs,
-                                                           self.gy_coeffs)])
+        self._g_rows = np.stack([
+            interp.coefficients(g * np.ones_like(xx)).reshape(xx.size, -1).T
+            for g in (gx, gy)])
         self._build_tables()
         if scheme.well_balanced:
             # product terms of s_x and s_y, reused: no allocator churn
@@ -95,13 +94,13 @@ class SpatialOperator2D:
             self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
             self.grid.spacing)
         self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
-        face_table = self._tables.values[:, 9 * nq * nq:]
-        self._face_values = [np.ascontiguousarray(
-            face_table[:, k * nq:(k + 1) * nq]) for k in range(4)]
         # the equilibrium layer runs with cells last, on transposed tables:
         # both line tables side by side, for the s_x then s_y terms
         self._value_rows = np.ascontiguousarray(self._tables.values.T)
         self._face_rows = self._value_rows[9 * nq * nq:]
+        # the frame's face values, cells first: views of the face rows
+        self._face_values = [self._face_rows[k * nq:(k + 1) * nq].T
+                             for k in range(4)]
         self._line_rows = np.ascontiguousarray(
             np.concatenate(self._tables.line, axis=0).T)
         self._line_mean_row = np.concatenate(self._tables.line_means)
@@ -118,9 +117,6 @@ class SpatialOperator2D:
                    self._bg_avgs)
 
     # -- equilibrium machinery ----------------------------------------------
-
-    def _flat(self, arr):
-        return arr.reshape(-1, arr.shape[-1])
 
     def _profiles_and_faces(self, rec, data, faces):
         """LA equilibrium: anchors, energy deviations, face-energy overwrite.

@@ -96,17 +96,25 @@ def monomials_1d(order):
     return tuple((k,) for k in range(order))
 
 
-def _windowed_fit(values, width, n_coeff, fit):
+def _windowed_fit(values, width, n_coeff, fit, out=None):
     """Per-cell coefficients (..., *grid, n_coeff) of a field (..., *grid):
     `fit` maps the flattened windows of shape `width` to coefficients; cells
-    whose stencil does not fit, or is one cell, keep a constant."""
+    whose stencil does not fit, or is one cell, keep a constant.  `out`, a
+    zeroed array of that shape with any strides, takes the result."""
     values = np.asarray(values, dtype=float)
     grid = values.shape[values.ndim - len(width):]
-    out = np.zeros(values.shape + (n_coeff,))
+    if out is None:
+        out = np.zeros(values.shape + (n_coeff,))
     out[..., 0] = values
     if max(width) > 1 and all(n >= w for n, w in zip(grid, width)):
-        win = np.lib.stride_tricks.sliding_window_view(
-            values, width, axis=tuple(range(-len(width), 0)))
+        # every window as one strided view of the contiguous field, which
+        # costs less than `sliding_window_view`'s checks on small grids
+        values = np.ascontiguousarray(values)
+        win = np.ndarray(
+            values.shape[:-len(width)]
+            + tuple(n - w + 1 for n, w in zip(grid, width)) + tuple(width),
+            float, values, strides=values.strides
+            + values.strides[-len(width):])
         inner = tuple(slice(w // 2, n - w // 2) for n, w in zip(grid, width))
         out[(Ellipsis,) + inner + (slice(None),)] = fit(
             win.reshape(win.shape[:values.ndim] + (-1,)))
@@ -184,7 +192,9 @@ class _CwenoBlend:
                 indicator.reshape(q, self._factor.shape[1], cells).sum(axis=1))
 
     def _blend(self, window, axis=-1):
-        cols = np.moveaxis(np.asarray(window, dtype=float), axis, 0)
+        cols = np.asarray(window, dtype=float)
+        if axis != 0:
+            cols = np.moveaxis(cols, axis, 0)
         lead, n_window = cols.shape[1:], cols.shape[0]
         # deviations from the central average: every candidate reproduces
         # constants exactly, so this removes cancellation noise
@@ -256,22 +266,14 @@ class Cweno1D(_CwenoBlend):
         `axis=0`, (m, ...) -> (m, ...)."""
         return self._blend(window, axis)
 
-    def coefficients(self, values, cells_last=False):
+    def coefficients(self, values):
         """Per-cell polynomials for a whole field (..., n_tot): physical
-        coefficients (..., n_tot, m), or (..., m, n_tot) with `cells_last`.
-        Cells whose stencil does not fit keep a constant."""
-        if not cells_last:
-            return _windowed_fit(values, (self.order,), self.order,
-                                 self.reconstruct_stencils)
+        coefficients (..., m, n_tot), cells last.  Cells whose stencil does
+        not fit keep a constant."""
         values = np.asarray(values, dtype=float)
-        n, r = values.shape[-1], self.radius
-        out = np.zeros(values.shape[:-1] + (self.order, n))
-        out[..., 0, :] = values
-        if r and n >= self.order:
-            window = np.stack([values[..., d:n - 2 * r + d]
-                               for d in range(self.order)])
-            out[..., r:n - r] = np.moveaxis(
-                self.reconstruct_stencils(window, axis=0), 0, -2)
+        out = np.zeros(values.shape[:-1] + (self.order, values.shape[-1]))
+        _windowed_fit(values, (self.order,), self.order,
+                      self.reconstruct_stencils, np.swapaxes(out, -1, -2))
         return out
 
 

@@ -39,7 +39,9 @@ Two paths compute the energy deviations:
 - cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
   gas) in 1-D DWB: the window entries are E[i+d] - b (Delta_{i,d} +
   O[i+d]), with O a cell's Gauss mean of its own pressure offset, and the
-  face energies b (face offset) + the deviation polynomial.  The anchor
+  face energies b (face offset) + the deviation polynomial; the 1-D
+  operator forms both from the anchor-relative means and face offsets
+  that `build_profiles` returns on this path.  The anchor
   p0 shifts every window entry and face by b p0, which CWENO carries
   through unchanged, so it cancels and the energy takes no EoS call.  p0
   still gates positivity, exactly as the node values would, through
@@ -282,21 +284,14 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
 def energy_deviations(eos, p, rho, e_window, weights):
     """Energy deviations from the equilibrium, and its face internal energy.
 
-    `e_window` (n_stencil, cells) holds the energy averages of the stencil
-    cells.  With node values, `p` and `rho` (nodes, cells) hold the
-    equilibrium at a node set (`weights.size` nodes per stencil cell, cell
-    after cell, then the faces): delta = E_hat - cell mean of eps(rho, p),
-    with one EoS call over every node, and ok flags cells with positive p
-    and rho at every node.  With `rho` None, `p` holds the anchor-relative
-    cell means and faces of `build_profiles`' cell-mean path: delta =
-    E_hat - b p and eps_faces = b p_faces, with b = d eps/dp; that path
-    has gated its cells already, so ok is True.  Returns (delta, eps_faces,
-    ok), cells last.
+    `p` and `rho` (nodes, cells) hold the equilibrium at a node set
+    (`weights.size` nodes per stencil cell, cell after cell, then the
+    faces) and `e_window` (n_stencil, cells) the energy averages of the
+    stencil cells.  delta = E_hat - cell mean of eps(rho, p), with one EoS
+    call over every node.  Returns (delta, eps_faces, ok), cells last; ok
+    flags cells with positive p and rho at every node.
     """
     n_stencil = e_window.shape[0]
-    if rho is None:
-        b = eos.deps_dp_constant
-        return e_window - b * p[:n_stencil], b * p[n_stencil:], True
     ok = np.all((p > 0.0) & (rho > 0.0), axis=0)
     eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
                               np.where(p > 0.0, p, 1.0))

@@ -243,8 +243,8 @@ class TestSourceAverages:
         def mean(f):
             return np.einsum("ij,i,j->", f, wx, wy) / (hx * hy)
 
-        gx = value(op.gx_coeffs[4, 4], op._exps_g)
-        gy = value(op.gy_coeffs[4, 4], op._exps_g)
+        cell = np.ravel_multi_index((4, 4), op.grid.shape_tot)
+        gx, gy = (value(g[:, cell], op._exps_g) for g in op._g_rows)
         rho, mx, my = (value(rec[c], MONOMIALS_DEG2) for c in range(3))
         expected = [0.0, mean(rho * gx), mean(rho * gy),
                     mean(mx * gx + my * gy)]
@@ -302,7 +302,7 @@ class TestPositivityFallback:
         data[:, i] = [1e-10, 0.0, 1e-10]
         filled = data.copy()
         op.fill_ghosts(filled)
-        rec = op.cweno.coefficients(filled)
+        rec = np.swapaxes(op.cweno.coefficients(filled), -1, -2)
         physical = physical_state(poly_eval(rec, -0.5 * h))[1] \
             & physical_state(poly_eval(rec, 0.5 * h))[1]
         flagged = ~physical[ng - 1:ng + n + 1]

@@ -82,12 +82,17 @@ def operator_2d(gravity, hx=0.1, hy=0.1):
                              BoundarySpec2D(*["periodic"] * 4))
 
 
+def g_center(op):
+    """Coefficients of (g_x, g_y) in cell (3, 3)."""
+    return op._g_rows[:, :, np.ravel_multi_index((3, 3), op.grid.shape_tot)]
+
+
 def line_integrals(op, rho):
     """Line integrals of (rho g_x, rho g_y) from the cell center to every
     evaluation node of the operator, with the node offsets (xi, eta);
     `rho` holds the density's coefficients over MONOMIALS_DEG2."""
-    line = sum(product_terms(rho, g[3, 3]) @ table
-               for g, table in zip((op.gx_coeffs, op.gy_coeffs), op._tables.line))
+    line = sum(product_terms(rho, g) @ table
+               for g, table in zip(g_center(op), op._tables.line))
     xi, eta = (op._tables.values[MONOMIALS_DEG2.index(e)] for e in ((1, 0), (0, 1)))
     return line, xi, eta
 
@@ -153,8 +158,7 @@ class TestLineIntegral2D:
                 return sum(c * x ** a * y ** b
                            for c, (a, b) in zip(coeffs, exps))
             r = value(rho, MONOMIALS_DEG2)
-            return (r * value(op.gx_coeffs[3, 3], op._exps_g),
-                    r * value(op.gy_coeffs[3, 3], op._exps_g))
+            return tuple(r * value(g, op._exps_g) for g in g_center(op))
 
         nodes, weights = np.polynomial.legendre.leggauss(8)
         for t in (0.25, 0.5, 0.9):

@@ -63,7 +63,7 @@ def profiles(op, data):
     `NodeIdealGas`): (p, rho, ok, rec, anti) with cells first, `rec` the
     coefficients and `anti` the Horner reference coefficients of each
     cell's source antiderivative."""
-    rec = op.cweno.coefficients(data, cells_last=True)
+    rec = op.cweno.coefficients(data)
     terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, rec.shape[-1])
     p, rho, ok = build_profiles(
         op.scheme, node_eos(op.eos), op._line_rows @ terms,
@@ -399,11 +399,16 @@ def test_steep_atmosphere_balanced_to_local_state(k, eos, kind, order, n, bc):
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, n, scheme.n_ghost)
-    try:
-        field = discrete_equilibrium_init(scen, grid, scheme,
-                                          anchor_cell=grid.n_ghost + n - 1)
-    except InitializationError:
-        return      # a grid the init rejects must be rejected this way
+    init = lambda: discrete_equilibrium_init(
+        scen, grid, scheme, anchor_cell=grid.n_ghost + n - 1)
+    if (k, n, bc[0]) == (60, 128, "hydrostatic-extrapolation"):
+        # the only grids the init rejects: the pressure of the piece it
+        # continues over the outer ghosts turns negative in the third ghost
+        # above the top
+        with pytest.raises(InitializationError, match="cell 130"):
+            init()
+        return
+    field = init()
     op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     op.set_initial_state(field.data)
     rhs = op.rhs(field.data)[:, grid.interior]
