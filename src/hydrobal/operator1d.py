@@ -84,8 +84,8 @@ class SpatialOperator1D:
         self._source_rows = np.ascontiguousarray(
             self._tables.means.reshape(scheme.order, -1).T)
         # the shared side fill skips the hydrostatic sides, filled here
-        # DWB with a constant d eps/dp forms its energy deviations from the
-        # anchor-relative cell means of `build_profiles`, with no EoS call
+        # DWB with a constant d eps/dp takes its energy deviations from
+        # `build_profiles`, with no EoS call
         self._cell_means = scheme.piecewise_source \
             and eos.deps_dp_constant is not None
         self._fill_axes = tuple(
@@ -217,20 +217,18 @@ class SpatialOperator1D:
         if scheme.well_balanced:
             # product terms (m * m_g, n_tot), rec-major like `product_terms`
             terms = (rec[0][:, None] * self.g_coeffs).reshape(-1, data.shape[1])
-            p, rho, good = build_profiles(
+            profiles = build_profiles(
                 scheme, self.eos, self._line_rows @ terms,
                 self._value_rows @ rec[:2], rec[:, 0], data[0], data[2],
                 self._mean)
-            e_window = periodic_windows(data[2], scheme.radius)
             if self._cell_means:
-                # p: the anchor-relative means of the stencil cells, then
-                # the face offsets
-                b = self.eos.deps_dp_constant
-                delta, eps_faces = e_window - b * p[:-2], b * p[-2:]
+                delta, eps_faces, good = profiles
             else:
-                delta, eps_faces, ok_eq = energy_deviations(
-                    self.eos, p, rho, e_window, self._mean)
-                good &= ok_eq
+                p, rho, good = profiles
+                delta, eps_faces, ok = energy_deviations(
+                    self.eos, p, rho, periodic_windows(data[2], scheme.radius),
+                    self._mean)
+                good &= ok
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)

@@ -39,13 +39,12 @@ Two paths compute the energy deviations:
 - cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
   gas) in 1-D DWB: the window entries are E[i+d] - b (Delta_{i,d} +
   O[i+d]), with O a cell's Gauss mean of its own pressure offset, and the
-  face energies b (face offset) + the deviation polynomial; the 1-D
-  operator forms both from the anchor-relative means and face offsets
-  that `build_profiles` returns on this path.  The anchor
-  p0 shifts every window entry and face by b p0, which CWENO carries
-  through unchanged, so it cancels and the energy takes no EoS call.  p0
-  still gates positivity, exactly as the node values would, through
-  per-cell minima: p0 + min_d (Delta_{i,d} + min of offset_{i+d}) > 0.
+  face energies b (face offset) + the deviation polynomial, both formed
+  in `build_profiles`.  The anchor p0 shifts every window entry and face
+  by b p0, which CWENO carries through unchanged, so it cancels and the
+  energy takes no EoS call.  p0 still gates positivity, exactly as the
+  node values would, through per-cell minima:
+  p0 + min_d (Delta_{i,d} + min of offset_{i+d}) > 0.
 
 The anchor solvers take node values: the pressure offset p - p0 (the
 integrated source) and the density at a cell's quadrature nodes, nodes
@@ -223,18 +222,20 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
     and `rec_nodes` (2, nodes, n) its density and momentum, at its
     `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (3, n)
     is the reconstructed center state and `weights` the cell-mean weights
-    of the Gauss nodes.  Returns (p, rho, ok) for `energy_deviations`; ok
-    flags cells whose anchor is positive (and converged) and whose density
-    is positive at their own nodes; callers fall back to the standard
-    reconstruction elsewhere.
+    of the Gauss nodes.  Returns (p, rho, ok) for `energy_deviations`: p
+    and rho are node values over the stencil node set, and ok flags cells
+    whose anchor is positive (and converged) and whose density is positive
+    at their own nodes; callers fall back to the standard reconstruction
+    elsewhere.
 
-    LA extrapolates cell i's own piece: p and rho are node values over the
-    stencil node set.  DWB takes the neighbours' pieces, offset by the local
-    glue.  With a constant d eps/dp, p is (2r + 3, n): the means of p - p0
-    over the stencil cells, then p - p0 at the faces, and rho is None; ok
-    then also holds the node gate (pressure and density positive at every
-    node of the stencil and the faces).  Otherwise p and rho are node
-    values over the stencil node set, read through `periodic_windows`.
+    LA extrapolates cell i's own piece.  DWB takes the neighbours' pieces,
+    offset by the local glue, read through `periodic_windows`.  DWB with a
+    constant d eps/dp = b needs no node values: it returns the energy
+    deviations of `energy_deviations` directly, (delta, eps_faces, ok),
+    from the means of p - p0 over the stencil cells and p - p0 at the
+    faces (see the module docstring); ok then also holds the node gate,
+    pressure and density positive at every node of the stencil and the
+    faces.
     """
     nq, r = weights.size, scheme.radius
     reach = 0 if scheme.piecewise_source else r
@@ -255,10 +256,12 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
         return p0 + offsets, rec_nodes[0], ok
     glue = local_glue(offsets[-2], offsets[-1], r)
     if eos.deps_dp_constant is not None:
+        b = eos.deps_dp_constant
         faces = offsets[nq:]
-        p = np.empty((2 * r + 3, offsets.shape[-1]))
-        np.add(glue, periodic_windows(weights @ offsets[:nq], r), out=p[:-2])
-        p[-2:] = faces
+        # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
+        delta = glue + periodic_windows(weights @ offsets[:nq], r)
+        delta *= b
+        np.subtract(periodic_windows(e_hat, r), delta, out=delta)
         # the node gate through per-cell minima over the stencil and faces
         low_p = np.minimum(
             (glue + periodic_windows(offsets[:nq].min(axis=0), r)).min(axis=0),
@@ -267,7 +270,7 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
             periodic_windows(rho_own.min(axis=0), r).min(axis=0),
             rec_nodes[0, nq:].min(axis=0))
         ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
-        return p, None, ok
+        return delta, b * faces, ok
     # stencil cell d: piece i + d at its own nodes, shifted by the glue;
     # the faces are cell i's own
     n = offsets.shape[-1]
