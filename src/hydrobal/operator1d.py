@@ -83,11 +83,11 @@ class SpatialOperator1D:
         self._face_rows = self._value_rows[-2:]
         self._source_rows = np.ascontiguousarray(
             self._tables.means.reshape(scheme.order, -1).T)
-        # the shared side fill skips the hydrostatic sides, filled here
         # DWB with a constant d eps/dp takes its energy deviations from
         # `build_profiles`, with no EoS call
         self._cell_means = scheme.piecewise_source \
             and eos.deps_dp_constant is not None
+        # the shared side fill skips the hydrostatic sides, filled here
         self._fill_axes = tuple(
             tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
             for pair in boundary.axes)
