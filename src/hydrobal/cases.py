@@ -250,17 +250,14 @@ def polytrope_2d(perturbation=None, gamma=2.0):
         gx, gy = radial_sinc_gradient(x, y)
         return 2.0 * gx, 2.0 * gy
 
-    def pres(x, y):
-        p = rho(x, y) ** gamma
-        if perturbation is not None:
-            r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-            p = p * (1.0 + perturbation * np.exp(-r2 / 0.05 ** 2))
-        return p
-
     def initial(x, y):
         r = rho(x, y)
         zeros = np.zeros_like(r)
-        return r, zeros, zeros, pres(x, y)
+        p = r ** gamma
+        if perturbation is not None:
+            r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
+            p = p * (1.0 + perturbation * np.exp(-r2 / 0.05 ** 2))
+        return r, zeros, zeros, p
 
     bg_pres = lambda x, y: rho(x, y) ** gamma
     tag = "" if perturbation is None else f"-perturbed-{perturbation:g}"

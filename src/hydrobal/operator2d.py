@@ -10,9 +10,15 @@ the positivity fallback, flux divergence and CFL rate of `physics`.
 
 The equilibrium algebra is organized around the product basis
 rec-monomial x gravity-monomial, with the table builder the 1-D operator
-shares (`reconstruct.product_tables`): every line integral, node evaluation,
-and exact cell mean of the source field becomes one matrix product against
-precomputed tables, a few BLAS calls over the whole grid per stage.
+shares (`reconstruct.product_tables`).  Gravity is static, so construction
+contracts the tables with each cell's gravity coefficients once: per
+density monomial, the line integral's exact own-cell mean, its Gauss means
+over the stencil cells, its face values, and the sources' cell means, each
+then a short sum over the density coefficients per stage.  With the ideal
+gas these alone give the energy (`wellbalance`); node pressures are
+evaluated where a precomputed bound cannot certify them positive, and for
+every cell with any other EoS.  Arrays run with cells last; the frame takes
+(4, X, Y, nq) views of the face values (4, faces, cells).
 """
 
 import numpy as np
@@ -78,34 +84,48 @@ class SpatialOperator2D:
             interp.coefficients(g * np.ones_like(xx)).reshape(xx.size, -1).T
             for g in (gx, gy)])
         self._build_tables()
-        if scheme.well_balanced:
-            # product terms of s_x and s_y, reused: no allocator churn
-            self._outers = np.empty((2, len(self.cweno.exps),
-                                     len(self._exps_g), xx.size))
 
     def _build_tables(self):
         """Product-basis tables at the node set `equilibrium_points`: the
         Gauss nodes of the 3x3 stencil cells by (x offset, y offset), then
-        those of the faces xl, xr, yl, yr, one contiguous table per face."""
+        those of the faces xl, xr, yl, yr.
+
+        The gravity-contracted rows, each one matrix product with the
+        gravity rows: a cell's value of row k is sum_i rho_i rows[i, k] over
+        its density coefficients rho_i.  `_lines` (m, 18, cells), LA only:
+        the line integral's exact own-cell mean, its Gauss means over the 9
+        stencil cells and its face nodes; `_source_rows` (2, m, cells): the
+        source means s_x and s_y."""
         nq = self.scheme.n_quad
+        m, m_g = len(self.cweno.exps), len(self._exps_g)
         self._face_w = gauss_nodes_weights_centered(nq, 1.0)[1]
         self._wq = np.outer(self._face_w, self._face_w).ravel()
-        self._tables = product_tables(
+        tables = product_tables(
             self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
             self.grid.spacing)
         self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
-        # the equilibrium layer runs with cells last, on transposed tables:
-        # both line tables side by side, for the s_x then s_y terms
-        self._value_rows = np.ascontiguousarray(self._tables.values.T)
+        self._value_rows = np.ascontiguousarray(tables.values.T)
         self._face_rows = self._value_rows[9 * nq * nq:]
-        # the frame's face values, cells first: views of the face rows
-        self._face_values = [self._face_rows[k * nq:(k + 1) * nq].T
-                             for k in range(4)]
+        # s_d = sum_i rho_i sum_j mean_ij g_dj
+        self._source_rows = tables.means.reshape(m, m_g) @ self._g_rows
+        if not self.scheme.well_balanced:
+            return
+        line = tables.line.reshape(2, m, m_g, -1)
+        lines = np.concatenate(
+            [tables.line_means.reshape(2, m, m_g, 1),
+             line[..., :9 * nq * nq].reshape(2, m, m_g, 9, nq * nq) @ self._wq,
+             line[..., 9 * nq * nq:]], axis=-1)
+        # rows (i, k) over the columns (axis d, gravity monomial j)
+        self._lines = (lines.transpose(1, 3, 0, 2).reshape(-1, 2 * m_g)
+                       @ self._g_rows.reshape(2 * m_g, -1)).reshape(
+                           m, lines.shape[-1], -1)
+        # |line integral| <= sum_i |rho_i| bound_i at every node
+        self._bound = np.abs(line).max(axis=-1).transpose(1, 0, 2) \
+            .reshape(m, -1) @ np.abs(self._g_rows).reshape(2 * m_g, -1)
+        # node values of the line integrals from product terms, for the
+        # cells whose pressure positivity the bound leaves open
         self._line_rows = np.ascontiguousarray(
-            np.concatenate(self._tables.line, axis=0).T)
-        self._line_mean_row = np.concatenate(self._tables.line_means)
-        self._mean_rows = np.ascontiguousarray(
-            self._tables.means.reshape(len(self.cweno.exps), -1).T)
+            tables.line.reshape(2 * m * m_g, -1).T)
 
     # -- boundaries ---------------------------------------------------------
 
@@ -118,62 +138,90 @@ class SpatialOperator2D:
 
     # -- equilibrium machinery ----------------------------------------------
 
-    def _profiles_and_faces(self, rec, data, faces):
+    def _profiles_and_faces(self, rec, data, face_values):
         """LA equilibrium: anchors, energy deviations, face-energy overwrite.
 
         `rec` holds the reconstruction coefficients with cells last,
-        (4, 6, cells).  Returns the validity mask of cells whose faces use
-        the equilibrium decomposition (anchor converged, positive pressure
-        and density at all evaluation nodes).
+        (4, 6, cells), and `face_values` (4, faces, cells) the face states,
+        whose energies are overwritten in place.  Returns the validity mask
+        of cells whose faces use the equilibrium decomposition (anchor
+        converged, positive pressure and density at all evaluation nodes).
+
+        With eps = b p (`deps_dp_constant`) the energy comes from the
+        contracted rows, cell means and faces, with no EoS call; p0 then
+        only gates positivity, exactly, through `_pressure_positive`.  Any
+        other EoS evaluates the pressure offsets at every node.
         """
         scheme, eos = self.scheme, self.eos
+        b = eos.deps_dp_constant
         shape = data.shape[1:]
+        rho = rec[0]
 
-        # product-basis coefficients of s_x then s_y, rec-major like
-        # `product_terms`: (2 * terms, cells)
-        terms = np.multiply(rec[0][:, None], self._g_rows[:, None],
-                            out=self._outers).reshape(-1, rec.shape[-1])
-
-        # line integrals of the source field at every node set at once
-        line_all = self._line_rows @ terms
-        rho_nodes_all = self._value_rows @ rec[0]
-
-        own = self._own
-        rec_own = self._value_rows[own] @ rec[:3]
-        rho_pos_own = rec_own[0] > 0.0
-        rec_own = np.where(rho_pos_own, rec_own, 1.0)
-        eps_hat = eps_hat_estimate(data[3].reshape(-1), rec_own, self._wq)
+        if b is None:
+            offsets = self._node_offsets(rho, ...)
+        else:
+            # own-cell mean, 9 stencil-cell means and the face nodes of the
+            # line integral of the source field, (18, cells), in one pass
+            # over the contracted rows
+            lines = np.einsum("ic,ikc->kc", rho, self._lines)
+        rho_nodes = self._value_rows @ rho
+        good = np.all(rho_nodes > 0.0, axis=0)
 
         if scheme.simplified_anchor:
             p0 = anchor_pressure_simplified(rec[:, 0], eos)
-            good_anchor = p0 > 0.0
-        elif eos.deps_dp_constant is not None:
-            # exact cell mean of the line-integral polynomial, as one node
-            # of weight one
-            p0 = anchor_pressure_ideal((self._line_mean_row @ terms)[None],
-                                       eps_hat, eos.deps_dp_constant,
-                                       np.ones(1))
-            good_anchor = p0 > 0.0
+            good &= p0 > 0.0
         else:
-            p0, good_anchor = self._newton_anchor(
-                eps_hat, rec_own[0], line_all[own], data[0].reshape(-1))
-        good = good_anchor & np.all(rho_pos_own, axis=0)
+            own = self._own
+            rec_own = self._value_rows[own] @ rec[:3]
+            rec_own = np.where(rec_own[0] > 0.0, rec_own, 1.0)
+            eps_hat = eps_hat_estimate(data[3].reshape(-1), rec_own, self._wq)
+            if b is not None:
+                # exact cell mean of the line integral, as one node of
+                # weight one
+                p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
+                good &= p0 > 0.0
+            else:
+                p0, ok = self._newton_anchor(eps_hat, rec_own[0], offsets[own],
+                                             data[0].reshape(-1))
+                good &= ok
 
         # energy deviations over the wrapped 3x3 stencil (ordered like the
         # CWENO window), then the face energies
         e_window = np.lib.stride_tricks.sliding_window_view(
             np.pad(data[3], 1, mode="wrap"), shape).reshape(9, -1)
-        delta, eps_faces, ok = energy_deviations(
-            eos, p0 + line_all, rho_nodes_all, e_window, self._wq)
-        good = (good & ok).reshape(shape)
+        if b is None:
+            delta, eps_faces, ok = energy_deviations(
+                eos, p0 + offsets, rho_nodes, e_window, self._wq)
+            good &= ok
+        else:
+            good &= self._pressure_positive(p0, rho)
+            delta = e_window - b * (p0 + lines[1:10])
+            eps_faces = b * (p0 + lines[10:])
         e_wb = hydrostatic_energy_faces(
             eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
             self._face_rows)
-        for k, face in enumerate(face for pair in faces for face in pair):
-            face[3] = np.where(good[..., None],
-                               e_wb[2 * k:2 * k + 2].T.reshape(shape + (2,)),
-                               face[3])
-        return good
+        np.copyto(face_values[3], e_wb, where=good)
+        return good.reshape(shape)
+
+    def _node_offsets(self, rho, cells):
+        """Line integrals of the source field at every node, (nodes, k), of
+        the `cells` (an index) from their density coefficients rho (6, k)."""
+        terms = rho[:, None] * self._g_rows[:, None, :, cells]
+        return self._line_rows @ terms.reshape(-1, terms.shape[-1])
+
+    def _pressure_positive(self, p0, rho):
+        """Cells with p0 + offset > 0 at every node, as the node values
+        decide it.  p0 > bound (1 + 1e-12) certifies a cell, the margin
+        covering the rounding of the node sums; only the other cells
+        evaluate their node offsets."""
+        bound = np.sum(np.abs(rho) * self._bound, axis=0)
+        unsure = np.flatnonzero(~(p0 > bound * (1.0 + 1e-12)))
+        ok = np.ones(p0.shape, dtype=bool)
+        if unsure.size:
+            ok[unsure] = np.all(
+                p0[unsure] + self._node_offsets(rho[:, unsure], unsure) > 0.0,
+                axis=0)
+        return ok
 
     def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
         return anchor_pressure_newton(line_nodes, rho_nodes, rho_hat, eps_hat,
@@ -183,15 +231,14 @@ class SpatialOperator2D:
 
     def _sources(self, rec):
         """Exact cell means of (0, s_x, s_y, v.s) over the grid: the
-        product-basis means as a bilinear form in the rec coefficients
-        (4, 6, cells) and the gravity coefficients, cells last."""
-        rho, mx, my = self._mean_rows @ rec[:3]
-        gx, gy = self._g_rows
-        out = np.zeros((4,) + self.grid.shape_tot)
-        out[1] = np.sum(rho * gx, axis=0).reshape(self.grid.shape_tot)
-        out[2] = np.sum(rho * gy, axis=0).reshape(self.grid.shape_tot)
-        out[3] = np.sum(mx * gx + my * gy, axis=0).reshape(self.grid.shape_tot)
-        return out
+        rec coefficients (4, 6, cells) against the gravity-contracted mean
+        rows (2, 6, cells), cells last."""
+        sx, sy = self._source_rows
+        out = np.zeros((4, rec.shape[-1]))
+        np.einsum("ic,ic->c", rec[0], sx, out=out[1])
+        np.einsum("ic,ic->c", rec[0], sy, out=out[2])
+        np.einsum("dic,dic->c", rec[1:3], self._source_rows, out=out[3])
+        return out.reshape((4,) + self.grid.shape_tot)
 
     # -- right-hand side ------------------------------------------------------
 
@@ -201,17 +248,18 @@ class SpatialOperator2D:
         data = state.copy()
         self.fill_ghosts(data)
 
-        rec = self.cweno.coefficients(data)  # (4, X, Y, 6)
+        # coefficients (4, 6, cells) and face values (4, faces, cells), cells
+        # last; the frame takes views (4, X, Y, nq) of the face values
         shape = data.shape[1:]
-        flat = rec.reshape(4, -1, rec.shape[-1])
-        xl, xr, yl, yr = ((flat @ table).reshape((4,) + shape + (2,))
-                          for table in self._face_values)
-        faces = ((xl, xr), (yl, yr))
-        # the equilibrium layer and the sources run with cells last
-        rec = np.ascontiguousarray(flat.transpose(0, 2, 1))
-
-        good = (self._profiles_and_faces(rec, data, faces)
+        rec = self.cweno.coefficients(data).reshape(
+            4, len(self.cweno.exps), -1)
+        face_values = self._face_rows @ rec
+        good = (self._profiles_and_faces(rec, data, face_values)
                 if scheme.well_balanced else None)
+        # (component, face, node, X, Y) -> (face, component, X, Y, node)
+        xl, xr, yl, yr = face_values.reshape((4, 4, -1) + shape).transpose(
+            1, 0, 3, 4, 2)
+        faces = ((xl, xr), (yl, yr))
         self.fallback_cells += positivity_fallback(faces, data, g, good)
         out = np.zeros_like(data)
         interior = (slice(None),) + grid.interior

@@ -98,11 +98,14 @@ def monomials_1d(order):
 
 def _windowed_fit(values, width, n_coeff, fit, out=None):
     """Per-cell coefficients (..., *grid, n_coeff) of a field (..., *grid):
-    `fit` maps the flattened windows of shape `width` to coefficients; cells
-    whose stencil does not fit, or is one cell, keep a constant.  `out`, a
-    zeroed array of that shape with any strides, takes the result."""
+    `fit` maps the windows of shape `width`, one strided view with the
+    stencil axes first, (*width, ..., *inner), to coefficients
+    (n_coeff, ..., *inner); cells whose stencil does not fit, or is one
+    cell, keep a constant.  `out`, a zeroed array of that shape with any
+    strides, takes the result."""
     values = np.asarray(values, dtype=float)
-    grid = values.shape[values.ndim - len(width):]
+    k = len(width)
+    grid = values.shape[values.ndim - k:]
     if out is None:
         out = np.zeros(values.shape + (n_coeff,))
     out[..., 0] = values
@@ -111,13 +114,13 @@ def _windowed_fit(values, width, n_coeff, fit, out=None):
         # costs less than `sliding_window_view`'s checks on small grids
         values = np.ascontiguousarray(values)
         win = np.ndarray(
-            values.shape[:-len(width)]
-            + tuple(n - w + 1 for n, w in zip(grid, width)) + tuple(width),
-            float, values, strides=values.strides
-            + values.strides[-len(width):])
+            tuple(width) + values.shape[:-k]
+            + tuple(n - w + 1 for n, w in zip(grid, width)),
+            float, values, strides=values.strides[-k:] + values.strides)
         inner = tuple(slice(w // 2, n - w // 2) for n, w in zip(grid, width))
-        out[(Ellipsis,) + inner + (slice(None),)] = fit(
-            win.reshape(win.shape[:values.ndim] + (-1,)))
+        coeffs = fit(win)
+        out[(Ellipsis,) + inner + (slice(None),)] = coeffs.transpose(
+            tuple(range(1, coeffs.ndim)) + (0,))
     return out
 
 
@@ -165,10 +168,14 @@ class _CwenoBlend:
     entry, to physical coefficients (..., n_coeff), with cells on the last
     axis throughout; with `axis=0` the windows come as (n_window, ...) and
     the coefficients go out as (n_coeff, ...), cells last, with no
-    transposition.  The windows become deviations (n_window, cells) from
-    the central average; one product with the cached table (`_blend_table`)
-    gives every candidate's scaled coefficients (q, n_coeff, cells) and its
-    indicator rows (q, rank, cells).  beta_k is the sum of squares of
+    transposition, and with a tuple of leading axes, `axis=(0, 1)`, they
+    come as a stencil laid out over several axes in C order, a 3x3 window
+    as (3, 3, ...), so that a strided view of a field needs no reshape
+    copy.  The windows become deviations (n_window, cells) from the
+    central average, the one copy of the windows; one product with the
+    cached table (`_blend_table`) gives every candidate's scaled
+    coefficients (q, n_coeff, cells) and its indicator rows (q, rank,
+    cells).  beta_k is the sum of squares of
     candidate k's rows, so beta_k = u_k^T A u_k >= 0 without forming A.
     The weights are normalised in place, the blend is q multiply-adds of
     contiguous (n_coeff, cells) blocks, and the result is transposed back
@@ -193,13 +200,17 @@ class _CwenoBlend:
 
     def _blend(self, window, axis=-1):
         cols = np.asarray(window, dtype=float)
-        if axis != 0:
+        leading = axis == 0 or isinstance(axis, tuple)
+        if not leading:
             cols = np.moveaxis(cols, axis, 0)
-        lead, n_window = cols.shape[1:], cols.shape[0]
+        n_axes = len(axis) if isinstance(axis, tuple) else 1
+        stencil, lead = cols.shape[:n_axes], cols.shape[n_axes:]
+        n_window = prod(stencil)
+        center = cols[tuple(s // 2 for s in stencil)]
         # deviations from the central average: every candidate reproduces
         # constants exactly, so this removes cancellation noise
         deviation = np.empty(cols.shape)
-        np.subtract(cols, cols[n_window // 2], out=deviation)
+        np.subtract(cols, center, out=deviation)
         deviation = deviation.reshape(n_window, -1)
         cells = deviation.shape[1]
         if cells == 1:
@@ -217,9 +228,10 @@ class _CwenoBlend:
         out = coeffs[0, :, :cells]
         for k in range(1, len(coeffs)):
             out += coeffs[k, :, :cells]
-        out[0] += cols[n_window // 2].reshape(-1)
+        constant = out[0].reshape(lead)   # a view of the contiguous row
+        constant += center
         out /= self._scale
-        if axis == 0:
+        if leading:
             return out.reshape((self._scale.shape[0],) + lead)
         return out.T.reshape(lead + (self._scale.shape[0],))
 
@@ -273,7 +285,8 @@ class Cweno1D(_CwenoBlend):
         values = np.asarray(values, dtype=float)
         out = np.zeros(values.shape[:-1] + (self.order, values.shape[-1]))
         _windowed_fit(values, (self.order,), self.order,
-                      self.reconstruct_stencils, np.swapaxes(out, -1, -2))
+                      lambda win: self.reconstruct_stencils(win, axis=0),
+                      np.swapaxes(out, -1, -2))
         return out
 
 
@@ -298,10 +311,15 @@ class _GravityInterp:
         return _windowed_fit(values, self._width, self._scale.size, self._fit)
 
     def _fit(self, win):
+        """Windows (*width, ...), stencil axes first -> (n, ...)."""
+        k = len(self._width)
+        win = win.transpose(tuple(range(k, win.ndim)) + tuple(range(k)))
+        win = win.reshape(win.shape[:-k] + (-1,))
         center = win[..., win.shape[-1] // 2]
         scaled = (win - center[..., None]) @ self._matrix.T
         scaled[..., 0] += center
-        return scaled / self._scale
+        scaled /= self._scale
+        return scaled.transpose((-1,) + tuple(range(scaled.ndim - 1)))
 
 
 class GravityInterp1D(_GravityInterp):
@@ -431,13 +449,20 @@ class Cweno2D(_CwenoBlend):
 
     def reconstruct_stencils(self, window, axis=-1):
         """Stencil values (..., 9) ordered by (x offset, y offset) -> coeffs
-        (..., 6); with `axis=0`, (9, ...) -> (6, ...)."""
+        (..., 6); with `axis=0`, (9, ...) -> (6, ...), and with
+        `axis=(0, 1)`, (3, 3, ...) -> (6, ...)."""
         return self._blend(window, axis)
 
     def coefficients(self, values):
-        """Field (..., nx, ny) -> per-cell coefficients (..., nx, ny, 6)."""
-        return _windowed_fit(values, (3, 3), len(self.exps),
-                             self.reconstruct_stencils)
+        """Field (..., nx, ny) -> per-cell coefficients (..., 6, nx, ny),
+        cells last.  Cells whose stencil does not fit keep a constant."""
+        values = np.asarray(values, dtype=float)
+        out = np.zeros(values.shape[:-2] + (len(self.exps),)
+                       + values.shape[-2:])
+        _windowed_fit(values, (3, 3), len(self.exps),
+                      lambda win: self.reconstruct_stencils(win, axis=(0, 1)),
+                      np.moveaxis(out, -3, -1))
+        return out
 
 
 MONOMIALS_BIQUAD = tuple((a, b) for a in range(3) for b in range(3))
@@ -515,9 +540,8 @@ def product_tables(rec_exps, g_exps, points, spacing):
                            for table, e in zip(unit, exps)))
 
 
-def product_terms(rec, g, out=None):
+def product_terms(rec, g):
     """Coefficients of rec * g over the product basis (..., n_rec * n_g),
-    batched over the broadcast leading axes; `out` (..., n_rec, n_g) is an
-    optional work buffer."""
-    outer = np.multiply(rec[..., :, None], g[..., None, :], out=out)
+    batched over the broadcast leading axes."""
+    outer = rec[..., :, None] * g[..., None, :]
     return outer.reshape(outer.shape[:-2] + (-1,))

@@ -33,18 +33,23 @@ sums over the whole grid, so its rounding error scales with the pressures
 of the stencil, not with the largest pressure of the grid.
 
 Two paths compute the energy deviations:
-- node values (LA, 2-D, and any EoS without a constant d eps/dp): the
+- node values (1-D LA, and any EoS without a constant d eps/dp): the
   pressure p0 + offset and the density at every node of the stencil and
   the faces, one EoS call over all of them (`energy_deviations`);
 - cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
-  gas) in 1-D DWB: the window entries are E[i+d] - b (Delta_{i,d} +
-  O[i+d]), with O a cell's Gauss mean of its own pressure offset, and the
-  face energies b (face offset) + the deviation polynomial, both formed
-  in `build_profiles`.  The anchor p0 shifts every window entry and face
-  by b p0, which CWENO carries through unchanged, so it cancels and the
-  energy takes no EoS call.  p0 still gates positivity, exactly as the
-  node values would, through per-cell minima:
-  p0 + min_d (Delta_{i,d} + min of offset_{i+d}) > 0.
+  gas) in 1-D DWB and 2-D LA: the window entries are E[i+d] - b times the
+  mean equilibrium pressure over stencil cell d, and the face energies
+  b times the face pressure plus the deviation polynomial.  The anchor p0
+  shifts every window entry and face by b p0, which CWENO carries through
+  unchanged, so it cancels and the energy takes no EoS call.  1-D DWB
+  leaves it out: its means are Delta_{i,d} + O[i+d], with O a cell's
+  Gauss mean of its own pressure offset, formed in `build_profiles`.  2-D
+  LA keeps it, p0 plus one of the operator's gravity-contracted rows.
+  p0 still gates positivity, exactly as the node values would: in 1-D
+  through per-cell minima, p0 + min_d (Delta_{i,d} + min of offset_{i+d})
+  > 0; in 2-D through a bound |offset| <= B at every node, which
+  certifies cells with p0 > B (1 + 1e-12), the node values being
+  evaluated only for the cells it leaves open.
 
 The anchor solvers take node values: the pressure offset p - p0 (the
 integrated source) and the density at a cell's quadrature nodes, nodes

@@ -331,7 +331,7 @@ class TestPositivityFallback:
         for x, y in ((-0.5 * hx, nodes_y), (0.5 * hx, nodes_y),
                      (nodes_x, -0.5 * hy), (nodes_x, 0.5 * hy)):
             x, y = np.broadcast_arrays(x, y)
-            face = sum(rec[..., k, None] * x ** a * y ** b
+            face = sum(rec[:, k, ..., None] * x ** a * y ** b
                        for k, (a, b) in enumerate(MONOMIALS_DEG2))
             physical &= np.all(physical_state(face)[1], axis=-1)
         band = tuple(slice(g - 1, g + n + 1) for n in grid.cells)

@@ -15,6 +15,7 @@ from hydrobal.poly import (
     poly_integrate,
     poly_mul,
 )
+from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.reconstruct import (
     MONOMIALS_DEG2,
     _unit_product_tables,
@@ -82,18 +83,23 @@ def operator_2d(gravity, hx=0.1, hy=0.1):
                              BoundarySpec2D(*["periodic"] * 4))
 
 
+def center_cell(op):
+    """Column of cell (3, 3) in the operator's cells-last arrays."""
+    return np.ravel_multi_index((3, 3), op.grid.shape_tot)
+
+
 def g_center(op):
     """Coefficients of (g_x, g_y) in cell (3, 3)."""
-    return op._g_rows[:, :, np.ravel_multi_index((3, 3), op.grid.shape_tot)]
+    return op._g_rows[:, :, center_cell(op)]
 
 
 def line_integrals(op, rho):
     """Line integrals of (rho g_x, rho g_y) from the cell center to every
     evaluation node of the operator, with the node offsets (xi, eta);
     `rho` holds the density's coefficients over MONOMIALS_DEG2."""
-    line = sum(product_terms(rho, g) @ table
-               for g, table in zip(g_center(op), op._tables.line))
-    xi, eta = (op._tables.values[MONOMIALS_DEG2.index(e)] for e in ((1, 0), (0, 1)))
+    line = op._node_offsets(rho[:, None], [center_cell(op)])[:, 0]
+    xi, eta = (op._value_rows[:, MONOMIALS_DEG2.index(e)]
+               for e in ((1, 0), (0, 1)))
     return line, xi, eta
 
 
@@ -116,7 +122,7 @@ def test_cell_average_2d_neighbor_offset():
     for ox, oy in ((1, 0), (-1, 1), (0, -1)):
         cell = 3 * (ox + 1) + (oy + 1)
         sl = slice(4 * cell, 4 * cell + 4)   # 2 x 2 Gauss nodes per cell
-        table = (coeffs @ op._tables.values[:, sl]) @ op._wq
+        table = (op._value_rows[sl] @ coeffs) @ op._wq
         xs = np.linspace(ox * hx - hx / 2, ox * hx + hx / 2, 801)
         ys = np.linspace(oy * hy - hy / 2, oy * hy + hy / 2, 801)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
@@ -169,6 +175,33 @@ class TestLineIntegral2D:
                 split = split + (hi - lo) / 2 * (weights
                                                  @ (sx * xi + sy * eta))
             np.testing.assert_allclose(line, split, rtol=1e-12, atol=1e-15)
+
+    def test_gravity_contracted_rows(self):
+        # the rows the ideal gas's equilibrium reads: the exact own-cell
+        # mean of the line integral (against a 3 x 3 Gauss rule, exact for
+        # its degree), the Gauss means over the 9 stencil cells and the
+        # face nodes, all from the node values of the same integral
+        rng = np.random.default_rng(6)
+        op = operator_2d(lambda x, y: (np.sin(3 * x - y), np.cos(2 * x * y)),
+                         0.1, 0.2)
+        rho = rng.standard_normal(6)
+        line, _, _ = line_integrals(op, rho)
+        rows = rho @ op._lines[:, :, center_cell(op)]
+        scale = np.max(np.abs(line))
+        nodes, weights = gauss_nodes_weights_centered(3, 1.0)
+        fine = product_tables(
+            MONOMIALS_DEG2, op._exps_g,
+            tuple((x, y) for x in nodes for y in nodes), op.grid.spacing)
+        own = sum(product_terms(rho, g) @ table
+                  for g, table in zip(g_center(op), fine.line))
+        np.testing.assert_allclose(
+            rows[0], own @ np.outer(weights, weights).ravel(), rtol=0,
+            atol=1e-14 * scale)
+        np.testing.assert_allclose(rows[1:10],
+                                   line[:36].reshape(9, 4) @ op._wq,
+                                   rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(rows[10:], line[36:], rtol=0,
+                                   atol=1e-14 * scale)
 
 
 # one product-basis table builder for both operators; the Horner helpers

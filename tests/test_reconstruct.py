@@ -164,8 +164,8 @@ class TestCweno2D:
         nodes, weights = gauss_nodes_weights_centered(2, 0.1)
         xi, eta = np.meshgrid(nodes, nodes, indexing="ij")
         mono = np.array([xi ** a * eta ** b for a, b in MONOMIALS_DEG2])
-        means = np.einsum("...m,mij,i,j->...", coeffs[:, 1:-1, 1:-1, :], mono,
-                          weights, weights) / 0.1 ** 2
+        means = np.einsum("cm...,mij,i,j->c...", coeffs[..., 1:-1, 1:-1],
+                          mono, weights, weights) / 0.1 ** 2
         np.testing.assert_allclose(means, data[:, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
 
     def test_convergence_order_on_product_wave(self):
@@ -186,7 +186,7 @@ class TestCweno2D:
                 for oj in xi:
                     vals = np.zeros((n - 2, n - 2))
                     for m, (a, b) in enumerate(MONOMIALS_DEG2):
-                        vals += coeffs[1:-1, 1:-1, m] * oi ** a * oj ** b
+                        vals += coeffs[m, 1:-1, 1:-1] * oi ** a * oj ** b
                     exact = (np.sin(2 * np.pi * (centers[1:-1, None] + oi))
                              * np.cos(2 * np.pi * (centers[None, 1:-1] + oj)))
                     worst = max(worst, np.max(np.abs(vals - exact)))
@@ -343,6 +343,26 @@ class TestBlendLayouts:
             values, (3, 3), axis=(-2, -1)).reshape(3, 49, 9)
         # a strided view: every other row of a batch with each window twice
         self._assert_layouts(scheme, np.repeat(windows, 2, axis=1)[:, ::2])
+        # the stencil over two leading axes, as the field's strided view
+        leading = np.moveaxis(windows.reshape(3, 49, 3, 3), (2, 3), (0, 1))
+        np.testing.assert_array_equal(
+            scheme.reconstruct_stencils(leading, axis=(0, 1)),
+            np.moveaxis(scheme.reconstruct_stencils(windows), -1, 0))
+
+    def test_2d_cells_last_is_the_cells_first_fit_moved(self):
+        # the cells-last coefficients are the cells-first fit of every
+        # flattened window with its coefficient axis moved, bit for bit;
+        # the edge cells keep their average
+        rng = np.random.default_rng(91)
+        scheme = Cweno2D(0.03, 0.05)
+        values = np.cumsum(rng.standard_normal((4, 11, 9)), axis=-1)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            values, (3, 3), axis=(-2, -1)).reshape(4, 9, 7, 9)
+        cells_first = np.zeros(values.shape + (6,))
+        cells_first[..., 0] = values
+        cells_first[:, 1:-1, 1:-1] = scheme.reconstruct_stencils(windows)
+        np.testing.assert_array_equal(scheme.coefficients(values),
+                                      np.moveaxis(cells_first, -1, -3))
 
     @staticmethod
     def _assert_layouts(scheme, strided):

@@ -19,6 +19,7 @@ from hydrobal.grid import Grid
 from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
+from hydrobal.runner import make_operator
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import (
     ANCHOR_TOL,
@@ -479,3 +480,71 @@ class TestCellMeanPath:
 
         op, data = perturbed_op(SpyIdealGas(1.4), kind, order)
         assert np.all(np.isfinite(op.rhs(data)))
+
+
+def polytrope_op(eos, kind, scale=None):
+    """`polytrope-2d` operator at n = 24 with `eos` (of the scenario's
+    gamma), and its initial state; with `scale`, every energy is scaled by
+    it with 10% noise, so that the equilibrium pressure of some cells turns
+    negative at their nodes and the gate falls back."""
+    scen = make_scenario("polytrope-2d")
+    scheme = Scheme(kind, 3)
+    grid = grid_for(scen, 24, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    if scale is not None:
+        rng = np.random.default_rng(3)
+        data[3] *= scale * (1.0 + 0.1 * rng.standard_normal(data[3].shape))
+    scen.eos = eos
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    return op, data
+
+
+class TestCellMeanPath2D:
+    """The 2-D ideal gas's energy from the gravity-contracted cell means,
+    with its positivity gate certified by a bound, against the node path
+    that every other EoS takes (`NodeIdealGas`)."""
+
+    @pytest.mark.parametrize("scale", [None, 0.3, 0.1, 0.03],
+                             ids=["smooth", "x0.3", "x0.1", "x0.03"])
+    @pytest.mark.parametrize("kind", ["la", "la-s"])
+    def test_matches_node_path(self, kind, scale):
+        cell, data = polytrope_op(IdealGas(2.0), kind, scale)
+        node, _ = polytrope_op(NodeIdealGas(2.0), kind, scale)
+        scale_h = np.max(np.abs(data)) / min(cell.grid.spacing)
+        np.testing.assert_allclose(cell.rhs(data), node.rhs(data), rtol=0,
+                                   atol=1e-13 * scale_h)
+        assert cell.fallback_cells == node.fallback_cells
+        assert (cell.fallback_cells > 0) == (scale is not None)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.1, 0.03])
+    def test_bound_leaves_every_failing_cell_uncertain(self, scale):
+        op, data = polytrope_op(IdealGas(2.0), "la-s", scale)
+        op.fill_ghosts(data)
+        rec = op.cweno.coefficients(data).reshape(4, 6, -1)
+        rho = rec[0]
+        offsets = op._node_offsets(rho, ...)
+        bound = np.sum(np.abs(rho) * op._bound, axis=0)
+        # the bound is attained where one term dominates; the margin takes
+        # the rounding of the node sums
+        assert np.all(np.abs(offsets) <= bound * (1.0 + 1e-12))
+        # anchors across the bound, and the stressed state's own
+        rng = np.random.default_rng(int(100 * scale))
+        for p0 in (bound * rng.uniform(0.5, 1.5, bound.shape),
+                   anchor_pressure_simplified(rec[:, 0], op.eos)):
+            fails = ~np.all(p0 + offsets > 0.0, axis=0)
+            unsure = ~(p0 > bound * (1.0 + 1e-12))
+            assert np.any(fails & (p0 > 0.0))
+            assert np.all(unsure[fails])
+            np.testing.assert_array_equal(op._pressure_positive(p0, rho),
+                                          ~fails)
+
+    @pytest.mark.parametrize("kind", ["la", "la-s"])
+    def test_no_energy_eos_call(self, kind):
+        class SpyIdealGas(IdealGas):
+            def internal_energy(self, *args):
+                raise AssertionError("EoS energy call in the RHS")
+
+        op, data = polytrope_op(SpyIdealGas(2.0), kind, 0.1)
+        assert np.all(np.isfinite(op.rhs(data)))
+        assert op.fallback_cells > 0
