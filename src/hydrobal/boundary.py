@@ -9,11 +9,12 @@ discrete equilibrium initializer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .reconstruct import product_tables
+from .reconstruct import _cell_average_moment, _frozen
 
 KINDS_1D = ("periodic", "dirichlet", "hydrostatic-extrapolation", "solid-wall")
 KINDS_2D = ("periodic", "dirichlet", "solid-wall",
@@ -116,16 +117,24 @@ def set_edge_ghosts(data, sides, strips, n_ghost):
             data[:, :-n_ghost - 1:-1] = ghosts * MIRROR_SIGN
 
 
-def ghost_edge_line(cweno, n_ghost):
-    """The line table that `extrapolated_strips` takes: the antiderivative
-    of every reconstruction monomial of cell n_ghost + r at the interfaces
-    of ghosts 0..n_ghost - 1 (the product-basis line table of rec x 1)."""
-    edges = tuple((j - (n_ghost + cweno.radius + 0.5),)
-                  for j in range(n_ghost + 1))
-    return product_tables(cweno.exps, ((0,),), edges, (cweno.dx,)).line[0]
+@lru_cache(maxsize=None)
+def _unit_ghost_means(order, n_ghost):
+    center = n_ghost + (order - 1) // 2
+    return _frozen(np.array([[float(_cell_average_moment(j - center, k))
+                              for j in range(n_ghost)]
+                             for k in range(order)]))[0]
 
 
-def extrapolated_strips(cweno, data, sides, n_ghost, edge_line):
+def ghost_mean_table(cweno, n_ghost):
+    """The table (m, n_ghost) that `extrapolated_strips` takes: the exact
+    means over the ghosts of the monomials (x - x_c)^k of cell
+    c = n_ghost + r.  Built once per (order, n_ghost) at unit spacing,
+    like the CWENO tables; the spacing enters as h^k."""
+    return _unit_ghost_means(cweno.order, n_ghost) \
+        * cweno.dx ** np.arange(cweno.order)[:, None]
+
+
+def extrapolated_strips(cweno, data, sides, n_ghost, mean_table):
     """Edge strips (3, len(sides), n_ghost + 2r + 1) of the given sides,
     each seen from its boundary (index 0 is the outermost ghost; the right
     strip is mirrored, momentum negated), with every ghost average replaced
@@ -133,13 +142,15 @@ def extrapolated_strips(cweno, data, sides, n_ghost, edge_line):
 
     The extrapolated polynomial is the reconstruction of cell n_ghost + r,
     the innermost cell whose stencil holds interior cells only; each ghost
-    gets its exact average, a difference of its antiderivative `edge_line`
-    (see `ghost_edge_line`) at the ghost interfaces.
+    gets its exact average through `mean_table` (see `ghost_mean_table`).
     """
     width = n_ghost + 2 * cweno.radius + 1
-    strips = np.stack([data[:, :width] if side == "left"
-                       else data[:, :-width - 1:-1] * MIRROR_SIGN
-                       for side in sides], axis=1)
-    coeffs = cweno.reconstruct_stencils(strips[..., n_ghost:])
-    strips[..., :n_ghost] = np.diff(coeffs @ edge_line, axis=-1) / cweno.dx
+    strips = np.empty((3, len(sides), width))
+    for s, side in enumerate(sides):
+        strips[:, s] = data[:, :width] if side == "left" \
+            else data[:, :-width - 1:-1] * MIRROR_SIGN
+    # the stencil axis first for the blend: transposed views, no copies
+    strips[..., :n_ghost] = cweno.reconstruct_stencils(
+        strips[..., n_ghost:].transpose(2, 0, 1), axis=0).transpose(1, 2, 0) \
+        @ mean_table
     return strips

@@ -16,7 +16,7 @@ from .boundary import (
     BoundarySpec1D,
     BoundarySpec2D,
     extrapolated_strips,
-    ghost_edge_line,
+    ghost_mean_table,
     set_edge_ghosts,
 )
 from .eos import IdealGas, IdealGasRadiation
@@ -400,7 +400,7 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     if sides:
         # regenerate ghost densities exactly as the boundary fill will
         set_edge_ghosts(data, sides, extrapolated_strips(
-            cweno, data, sides, ng, ghost_edge_line(cweno, ng)), ng)
+            cweno, data, sides, ng, ghost_mean_table(cweno, ng)), ng)
 
     rec_rho = cweno.coefficients(data[0]).T[r:n_tot - r]
     ginterp = GravityInterp1D(scheme.order, h)

@@ -7,12 +7,15 @@ reconstruction conservation, the factored CWENO indicators, anchor-solver
 agreement, and measured ODE orders.
 """
 
+from itertools import product
+
 import numpy as np
 
 from .eos import IdealGas, IdealGasRadiation, _quartic_root
 from .grid import Grid
 from .integrate import RK5, SSPRK43, rk_step
-from .physics import contact_property_check, hllc_flux, roe_flux, rusanov_flux
+from .physics import contact_property_check, flux_divergence, hllc_flux
+from .physics import roe_flux, rusanov_flux, wall_boundary_flux
 from .poly import (
     poly_antiderivative,
     poly_cell_average,
@@ -170,6 +173,37 @@ def run_checks(seed=0, trials=1000):
             and np.allclose(beta, exact, rtol=1e-12, atol=0.0)
     record("cweno indicator factorization", ok,
            f"max |L L^T - A| / max |A| {worst:.2e}")
+
+    # a solid wall in the axis's one flux call: the wall flux is the
+    # separate mirrored pair of `wall_boundary_flux`, bit for bit
+    ok = True
+    for flux, model, dim in product((roe_flux, hllc_flux, rusanov_flux),
+                                    (eos, rad), (1, 2)):
+        # lo and hi faces per axis of 6 cells (one ghost), 2 nodes in 2-D
+        rho, p = 10.0 ** rng.uniform(-1, 1, (2, 2 * dim) + (6,) * dim
+                                     + (2,) * (dim - 1))
+        vel = rng.uniform(-1, 1, (dim,) + rho.shape)
+        q = np.stack([rho, *(rho * vel), model.internal_energy(rho, p)
+                      + 0.5 * rho * (vel ** 2).sum(axis=0)])
+        for a, side in product(range(dim), ("left", "right")):
+            calls = []
+            axes = [("dirichlet",) * 2] * dim
+            axes[a] = ("solid-wall", "dirichlet")[::1 if side == "left" else -1]
+            flux_divergence([(q[:, 2 * b].copy(), q[:, 2 * b + 1].copy())
+                             for b in range(dim)],
+                            lambda *args, **kw: calls.append(
+                                flux(*args, **kw)) or calls[-1],
+                            model, axes, (0.1,) * dim, 1,
+                            np.full(2, 0.5) if dim == 2 else None)
+            k = 0 if side == "left" else -1
+            cell = [slice(None)] + [slice(1, -1)] * dim
+            cell[a + 1] = 1 if side == "left" else -2
+            face = q[:, 2 * a + (side == "right")]   # lo or hi
+            wall = wall_boundary_flux(face[tuple(cell)], model, flux, side,
+                                      normal=a + 1)
+            ok &= np.array_equal(calls[a][(slice(None),) * (a + 1) + (k,)],
+                                 wall)
+    record("solid-wall flux in one call", ok)
 
     return results
 

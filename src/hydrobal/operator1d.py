@@ -1,28 +1,29 @@
 """Semi-discrete right-hand side for the 1-D Euler equations with gravity."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from .boundary import (
     HYDROSTATIC_1D,
     extrapolated_strips,
     fill_sides,
-    ghost_edge_line,
+    ghost_mean_table,
     set_edge_ghosts,
 )
 from .errors import ConfigurationError
 from .physics import flux_divergence, get_flux, positivity_fallback
-# names the benchmark tracer (perfbench/spans.py) patches: the solver calls
-# the wall flux through `flux_divergence` and no Horner helper at all
+# names perfbench/spans.py patches, which only have to exist: the solver makes
+# no Horner call, and wall fluxes are timed through the patched `FLUXES` table
 from .physics import wall_boundary_flux  # noqa: F401
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
-from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
+from .reconstruct import Cweno1D, GravityInterp1D, _frozen, product_tables
 from .wellbalance import (
     build_profiles,
     energy_deviations,
     eps_hat_estimate,
     equilibrium_points,
-    glued_constants,
     hydrostatic_energy_faces,
     periodic_windows,
     solve_anchor,
@@ -34,6 +35,24 @@ from .wellbalance import (  # noqa: F401
     anchor_pressure_newton,
     anchor_pressure_simplified,
 )
+
+
+@lru_cache(maxsize=None)
+def _fill_layout(n_ghost, first, n_quad):
+    """Read-only index tables of the hydrostatic fill's slots: each slot's
+    piece, its columns in `equilibrium_points(n_quad, n_ghost)` (its Gauss
+    nodes, its piece's faces), the (pieces, slots) mask of its piece, and
+    the glue C_j = p0 - sum_{piece_j <= i < n_ghost} A_i(h/2) - A_{i+1}(-h/2)
+    from the slots' left and right face values."""
+    slots = np.arange(n_ghost + 1)
+    piece = np.maximum(slots, first)
+    cols = np.append((slots - piece + n_ghost)[:, None] * n_quad
+                     + np.arange(n_quad), [[-2, -1]] * (n_ghost + 1), axis=1)
+    i, k = slots[:, None], piece[:n_ghost]
+    glue = np.stack([i > k, (k <= i) & (i < n_ghost)], axis=1) \
+        * [[1.0], [-1.0]]
+    return _frozen(piece, cols, piece == slots[first:, None],
+                   glue.reshape(-1, n_ghost))
 
 
 class SpatialOperator1D:
@@ -101,24 +120,34 @@ class SpatialOperator1D:
 
         The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
         innermost cell with a full stencil; LA: first = n_ghost, the boundary
-        cell only).  Ghost j uses piece max(j, first) at the Gauss nodes of
-        its own cell, columns `_ghost_nodes` of the tables over -ng..ng.
+        cell only).  Slot j = 0..n_ghost (the ghosts, then the boundary cell)
+        evaluates piece max(j, first) at the Gauss nodes of cell j and at the
+        piece's faces: `_slot_tables` maps the pieces' coefficients to the
+        reconstruction and to the antiderivative of rho^rec * g^int (static
+        gravity contracted in) there, zero off each slot's own piece.
         """
         ng, r, nq = self.grid.n_ghost, self.scheme.radius, self.scheme.n_quad
+        m = self.scheme.order
         first = r if self.scheme.piecewise_source else ng
-        tables = {"left": self.g_coeffs.T,
-                  "right": ginterp.coefficients(-self.g_centers[::-1])}
-        self._g_pieces = np.stack([tables[side][first:ng + 1]
-                                   for side in self._hydro_sides])
-        self._piece_windows = np.arange(first - r, ng - r + 1)[:, None] \
-            + np.arange(self.scheme.order)
-        j = np.arange(ng)
-        piece = np.maximum(j, first)
-        self._ghost_piece = piece[:, None] - first
-        self._ghost_nodes = (j - piece + ng)[:, None] * nq + np.arange(nq)
-        self._fill_tables = product_tables(
-            *self._exps, equilibrium_points(nq, ng), self.grid.spacing)
-        self._edge_line = ghost_edge_line(self.cweno, ng)
+        piece, cols, own, self._glue = _fill_layout(ng, first, nq)
+        # stencil-first windows (m, pieces) of the pieces in a strip
+        self._piece_windows = np.arange(m)[:, None] \
+            + np.arange(first - r, ng - r + 1)
+        # each side's gravity; the right one fitted over cells 0..ng + r of
+        # its strip, which hold the stencils of every piece
+        right = -self.g_centers[:-(ng + r) - 2:-1]
+        g = np.stack([self.g_coeffs[:, piece].T if side == "left"
+                      else ginterp.coefficients(right)[piece]
+                      for side in self._hydro_sides])   # (sides, slots, m_g)
+        tables = product_tables(*self._exps, equilibrium_points(nq, ng),
+                                self.grid.spacing)
+        both = np.empty((len(g), m, ng + 1, 2, nq + 2))
+        both[:, :, :, 0] = tables.values[:, cols]
+        np.einsum("sjb,abjq->sajq", g, tables.line[0][:, cols].reshape(
+            m, m, ng + 1, nq + 2), out=both[:, :, :, 1])
+        self._slot_tables = (own[:, None, :, None, None] * both[:, None]) \
+            .reshape(len(g), len(own) * m, -1)
+        self._edge_means = ghost_mean_table(self.cweno, ng)
 
     # -- boundaries --------------------------------------------------------
 
@@ -143,14 +172,13 @@ class SpatialOperator1D:
         the '-S' anchor would continue a profile off by its O(h^m) error,
         not the discrete equilibrium), and the pressure of piece k is
         C_k + A_k(x), with A_k the antiderivative of rho_k^rec * g_k^int.
-        DWB glues pieces continuously at interfaces (`glued_constants`,
-        summed outward from the boundary cell's C_b = p0); piece k serves
-        ghost k for k >= r, and the outer r ghosts, which have no full
-        stencil, evaluate piece r at offsets shifted by whole cells.  LA
-        extends the boundary cell's piece over every ghost (a one-piece
-        glue).  A ghost energy
-        is the Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec),
-        one EoS call for all of them.
+        DWB glues pieces continuously at interfaces, outward from the
+        boundary cell's C_b = p0 (one product with the static +-1 `_glue`);
+        piece k serves ghost k for k >= r, and the outer r ghosts, which
+        have no full stencil, evaluate piece r at offsets shifted by whole
+        cells.  LA extends the boundary cell's piece over every ghost (a
+        one-piece glue).  A ghost energy is the Gauss average of
+        eps(rho^rec, p) + (rho u)^2 / (2 rho^rec), one EoS call for all.
 
         Only density and momentum are reconstructed on the ghost pieces:
         ghost energies come from the equilibrium pressure, never from an
@@ -160,42 +188,38 @@ class SpatialOperator1D:
         `fallback_cells`.
         """
         eos = self.eos
-        ng, (h,) = self.grid.n_ghost, self.grid.spacing
-        m, nq = self.scheme.order, self.scheme.n_quad
+        ng, nq = self.grid.n_ghost, self.scheme.n_quad
         sides = self._hydro_sides
         strips = extrapolated_strips(self.cweno, data, sides, ng,
-                                     self._edge_line)
+                                     self._edge_means)
 
-        # one CWENO call: density and momentum of every piece, then every
-        # piece at every node
-        pieces = strips[:2, :, self._piece_windows]
-        rec = self.cweno.reconstruct_stencils(pieces.reshape(-1, m)) \
-            .reshape(pieces.shape)
-        rec_nodes = rec @ self._fill_tables.values
-        offsets = product_terms(rec[0], self._g_pieces) \
-            @ self._fill_tables.line[0]
+        # one CWENO call: density and momentum of every piece; one product
+        # evaluates each slot's piece at the slot's nodes and faces
+        rec = self.cweno.reconstruct_stencils(
+            strips[:2, :, self._piece_windows].transpose(2, 0, 1, 3), axis=0)
+        at = (rec.transpose(1, 2, 3, 0).reshape(2, len(sides), 1, -1)
+              @ self._slot_tables) \
+            .reshape(2, len(sides), ng + 1, 2, nq + 2)
+        offsets = at[0, :, :, 1]                  # (sides, slots, nq + 2)
 
         # the boundary cell's own nodes, nodes first for the anchor
-        own = slice(ng * nq, (ng + 1) * nq)
-        rec_own = rec_nodes[:, :, -1, own].transpose(0, 2, 1)
+        rec_own = at[:, :, ng, 0, :nq].transpose(0, 2, 1)
         eps_hat = eps_hat_estimate(strips[2, :, ng], rec_own, self._mean)
-        p0, ok = solve_anchor(eos, offsets[:, -1, own].T, rec_own[0],
+        p0, ok = solve_anchor(eos, offsets[:, ng, :nq].T, rec_own[0],
                               strips[0, :, ng], eps_hat, self._mean)
-        # LA glues a single piece: its constant is the anchor
-        const = glued_constants(offsets[..., -2], offsets[..., -1],
-                                offsets.shape[1] - 1, p0)
+        # LA glues a single piece: `_glue` is zero, every constant the anchor
+        const = p0[:, None] + offsets[..., nq:].reshape(len(sides), -1) \
+            @ self._glue
 
-        piece, nodes = self._ghost_piece, self._ghost_nodes
-        rho, mom = rec_nodes[:, :, piece, nodes]
-        p = const[:, piece] + offsets[:, piece, nodes]
+        rho, mom = at[:, :, :ng, 0, :nq]
+        p = const[..., None] + offsets[:, :ng, :nq]
         positive = (rho > 0.0) & (p > 0.0)
-        ok &= np.all(positive, axis=(1, 2))
+        ok &= positive.all(axis=(1, 2))
         rho = np.where(positive, rho, 1.0)
         eps = eos.internal_energy(rho, np.where(positive, p, 1.0))
-        energy = np.sum(self.quad_weights * (eps + 0.5 * mom ** 2 / rho),
-                        axis=-1) / h
+        energy = (eps + 0.5 * mom ** 2 / rho) @ self._mean
         strips[2, :, :ng] = np.where(ok[:, None], energy, strips[2, :, :ng])
-        self.fallback_cells += ng * int(np.sum(~ok))
+        self.fallback_cells += ng * int(np.count_nonzero(~ok))
         set_edge_ghosts(data, sides, strips, ng)
 
     # -- right-hand side ---------------------------------------------------

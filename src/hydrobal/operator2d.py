@@ -26,7 +26,7 @@ import numpy as np
 from .boundary import fill_sides
 from .errors import ConfigurationError
 from .physics import flux_divergence, get_flux, positivity_fallback
-# the benchmark tracer (perfbench/spans.py) times wall fluxes through this name
+# patched by perfbench/spans.py, so it must exist; walls run in `FLUXES` calls
 from .physics import wall_boundary_flux  # noqa: F401
 from .quadrature import cell_averages, gauss_nodes_weights_centered
 from .reconstruct import Cweno2D, GravityInterp2D, product_tables

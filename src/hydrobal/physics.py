@@ -1,4 +1,4 @@
-"""Numerical fluxes, wall fluxes, the physical-state predicate, and the
+"""Numerical fluxes, the physical-state predicate, and the
 dimension-independent finite-volume frame of both spatial operators.
 
 Flux functions act on conserved states stacked on the leading axis; the
@@ -11,6 +11,9 @@ The frame (positivity fallback, flux divergence, CFL rate) works on states
 (C, *cells), ghosts included, and on face states given per cell axis as a
 (lo, hi) pair: each cell's reconstruction at its lower and upper face along
 that axis, with a trailing axis of Gauss nodes where faces carry them (2-D).
+A solid wall is the flux against the boundary cell's mirror image (Toro,
+Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed., 2009),
+written into the ghost's inner face: one flux call per axis, walls included.
 """
 
 import numpy as np
@@ -222,7 +225,8 @@ def get_flux(name):
 
 
 def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
-    """Solid-wall flux from the wall-side reconstructed state.
+    """Solid-wall flux from the wall-side reconstructed state, in a call of
+    its own: the self-checks' reference for the walls of `flux_divergence`.
 
     Mirrors the normal momentum; mass and energy components vanish by the
     symmetry of the flux, the momentum component is the wall pressure.
@@ -260,9 +264,10 @@ def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
     """-sum_a (F_a(i + 1/2) - F_a(i - 1/2)) / h_a over the interior cells.
 
     An interface flux is `flux_fn` of the hi face state of the cell below
-    and the lo face state of the cell above, or `wall_boundary_flux` of the
-    boundary cell on a "solid-wall" side of `axes`; `weights` average the
-    fluxes over the Gauss nodes of faces that carry them.
+    and the lo face state of the cell above, one call per axis; on a
+    "solid-wall" side of `axes` the ghost's inner face is overwritten by
+    the boundary cell's mirrored face state.  `weights` average the fluxes
+    over the Gauss nodes of faces that carry them.
     """
     ng = n_ghost
     div = 0.0
@@ -273,13 +278,14 @@ def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
         lo, hi = lo[cut], hi[cut]
         along = (slice(None),) * (a + 1)
         end = lo.shape[a + 1] - ng            # the first upper ghost
+        # (ghost face, its index, boundary cell face, its index) per side
+        for kind, (ghost, g, cell, c) in zip(kinds, ((hi, ng - 1, lo, ng),
+                                                     (lo, end, hi, end - 1))):
+            if kind == "solid-wall":
+                ghost[along + (g,)] = cell[along + (c,)]
+                ghost[(a + 1,) + along[1:] + (g,)] *= -1.0
         flux = flux_fn(hi[along + (slice(ng - 1, end),)],
                        lo[along + (slice(ng, end + 1),)], eos, normal=a + 1)
-        for kind, side, k, cell in ((kinds[0], "left", 0, lo[along + (ng,)]),
-                                    (kinds[1], "right", -1, hi[along + (end - 1,)])):
-            if kind == "solid-wall":
-                flux[along + (k,)] = wall_boundary_flux(cell, eos, flux_fn, side,
-                                                        normal=a + 1)
         if weights is not None:
             flux = flux @ weights
         div = div - (flux[along + (slice(1, None),)] - flux[along + (slice(-1),)]) / h

@@ -1,7 +1,7 @@
 """Local hydrostatic equilibria and the equilibrium-preserving energy
 reconstruction shared by the 1-D and 2-D operators, plus the anchor solvers
-and pressure glue shared with the 1-D ghost fill and the discrete
-equilibrium initializer.
+shared with the 1-D ghost fill and the discrete equilibrium initializer, and
+the initializer's pressure glue.
 
 Step 1 builds, for every cell, a local equilibrium: the density is the
 standard reconstruction polynomial; the pressure is the anchor value p0 plus
@@ -75,7 +75,7 @@ ANCHOR_MAX_ITER = 50
 
 def glued_constants(anti_left, anti_right, ref, p_ref):
     """Constants C_k of the continuous piecewise pressure C_k + A_k(x - x_k),
-    for the few pieces of a ghost fill or the whole grid of an initializer.
+    over the whole grid of the discrete equilibrium initializer.
 
     Pieces run along the last axis; `anti_left`/`anti_right` are the
     antiderivative values A_k(-h/2) and A_k(h/2).  C_ref = p_ref and

@@ -186,14 +186,18 @@ def _reference_left_fill(op, data, g_centers):
         data[2, j] = energy(rec, anti, const, (j - r) * h + nodes)
 
 
-@pytest.mark.parametrize("scenario, kind, order", [
-    (name, kind, order) for name in ("isothermal-10x", "polytropic-radiation")
-    for kind in ("dwb", "dwb-s", "la", "la-s") for order in (3, 5)])
-def test_batched_fill_matches_per_cell_fill(scenario, kind, order):
+@pytest.mark.parametrize("scenario, kind, order, bc", [
+    pytest.param(name, kind, order, bc, id="-".join(
+        (name, kind, str(order)) + suffix))
+    for name in ("isothermal-10x", "polytropic-radiation")
+    for kind in ("dwb", "dwb-s", "la", "la-s") for order in (3, 5)
+    for bc, suffix in (((EXTRAP, WALL), ()), ((WALL, EXTRAP), ("wall-extrap",)),
+                       ((WALL, WALL), ("wall-wall",)))])
+def test_batched_fill_matches_per_cell_fill(scenario, kind, order, bc):
     # the batched fill of both sides equals a walk over the ghost cells of
     # each side, the right side seen in its mirrored frame
     scen = make_scenario(scenario)
-    scen.boundary = BoundarySpec1D(EXTRAP, WALL)
+    scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, 48, scheme.n_ghost)
     data = init_cell_averages(scen, grid).data

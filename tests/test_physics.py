@@ -6,6 +6,7 @@ from hydrobal.errors import ConfigurationError, FluxEvaluationError
 from hydrobal.physics import (
     _split_pair,
     contact_property_check,
+    flux_divergence,
     get_flux,
     hllc_flux,
     physical_flux,
@@ -138,6 +139,108 @@ def test_wall_flux_zero_mass_flux_random_states():
         f = wall_boundary_flux(q, eos, roe_flux, side)
         np.testing.assert_allclose(f[0], 0.0, atol=1e-14)
         np.testing.assert_allclose(f[2], 0.0, atol=1e-14)
+
+
+def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing, n_ghost,
+                              weights=None):
+    """`flux_divergence` with each solid-wall flux from its own
+    `wall_boundary_flux` call on the boundary cell's face state."""
+    ng, div = n_ghost, 0.0
+    for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
+        cut = (slice(None),) + tuple(slice(None) if b == a else slice(ng, -ng)
+                                     for b in range(len(spacing)))
+        lo, hi = lo[cut], hi[cut]
+        along = (slice(None),) * (a + 1)
+        end = lo.shape[a + 1] - ng
+        flux = flux_fn(hi[along + (slice(ng - 1, end),)],
+                       lo[along + (slice(ng, end + 1),)], eos, normal=a + 1)
+        for kind, side, k, cell in ((kinds[0], "left", 0, lo[along + (ng,)]),
+                                    (kinds[1], "right", -1,
+                                     hi[along + (end - 1,)])):
+            if kind == "solid-wall":
+                flux[along + (k,)] = wall_boundary_flux(cell, eos, flux_fn,
+                                                        side, normal=a + 1)
+        if weights is not None:
+            flux = flux @ weights
+        div = div - (flux[along + (slice(1, None),)]
+                     - flux[along + (slice(-1),)]) / h
+    return div
+
+
+def random_faces(rng, eos, cells, nodes=()):
+    """Random physical (lo, hi) face states per axis of a ghosted grid of
+    `cells`, with a trailing axis of `nodes` face nodes."""
+    dim = len(cells)
+
+    def state():
+        shape = cells + nodes
+        rho, p = 10.0 ** rng.uniform(-1, 1, (2,) + shape)
+        vel = rng.uniform(-2, 2, (dim,) + shape)
+        return np.stack([rho, *(rho * vel), eos.internal_energy(rho, p)
+                         + 0.5 * rho * (vel ** 2).sum(axis=0)])
+
+    return [(state(), state()) for _ in range(dim)]
+
+
+WALL, OPEN = "solid-wall", "dirichlet"
+SIDES = {"left": (WALL, OPEN), "right": (OPEN, WALL), "both": (WALL, WALL)}
+WALL_CASES = [pytest.param((9,), (pair,), id=f"1d-{name}")
+              for name, pair in SIDES.items()] \
+    + [pytest.param((9, 8), axes, id=f"2d-{xy}-{name}")
+       for name, pair in SIDES.items()
+       for xy, axes in (("x", (pair, (OPEN, OPEN))),
+                        ("y", ((OPEN, OPEN), pair)), ("xy", (pair, pair)))]
+
+
+@pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux, rusanov_flux])
+@pytest.mark.parametrize("cells, axes", WALL_CASES)
+def test_wall_sides_in_one_flux_call(cells, axes, flux_fn):
+    # the mirrored boundary state takes the ghost's inner face, so every
+    # axis makes one flux call, and the divergence equals the per-side
+    # mirrored pairs bit for bit; 2-D faces carry a Gauss-node axis
+    rng = np.random.default_rng(17)
+    ng, spacing = 2, (0.1, 0.07)[:len(cells)]
+    nodes, weights = ((2,), np.array([0.5, 0.5])) if len(cells) == 2 \
+        else ((), None)
+    for eos in (IdealGas(1.4), IdealGasRadiation(1.4)):
+        faces = random_faces(rng, eos, cells, nodes)
+        expected = _mirrored_pair_divergence(faces, flux_fn, eos, axes,
+                                             spacing, ng, weights)
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(kw["normal"])
+            return flux_fn(*args, **kw)
+
+        got = flux_divergence([(lo.copy(), hi.copy()) for lo, hi in faces],
+                              counting, eos, axes, spacing, ng, weights)
+        assert np.array_equal(got, expected)
+        assert calls == list(range(1, len(cells) + 1))
+
+
+@pytest.mark.parametrize("scenario, bc", [
+    ("isothermal-10x", ("hydrostatic-extrapolation", WALL)),
+    ("isothermal-10x", (WALL, WALL)),
+    ("radial-rayleigh-taylor", None)])
+def test_operator_makes_one_flux_call_per_axis(scenario, bc):
+    # a right-hand side with solid walls calls the flux once per axis
+    from hydrobal.cases import grid_for, init_cell_averages, make_scenario
+    from hydrobal.runner import make_operator
+
+    scen = make_scenario(scenario)
+    if bc is not None:
+        scen.boundary = BoundarySpec1D(*bc)
+    assert WALL in (kind for pair in scen.boundary.axes for kind in pair)
+    scheme = Scheme("dwb" if bc else "la", 3)
+    grid = grid_for(scen, 16, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    calls, raw = [], op.flux_fn
+    op.flux_fn = lambda *args, **kw: calls.append(kw["normal"]) \
+        or raw(*args, **kw)
+    assert np.all(np.isfinite(op.rhs(data)))
+    assert calls == list(range(1, len(grid.cells) + 1))
 
 
 def test_roe_2d_contact_and_consistency():
