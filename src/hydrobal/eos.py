@@ -5,8 +5,9 @@ pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
 (`_quartic_root`), polished by one Newton step that also guards against a
 start that is not finite; no conversion iterates.  `thermo` returns
-several quantities of one (rho, p) state from a single temperature.  All
-functions are pure, vectorized over numpy arrays, and stateless.
+several quantities of one (rho, p) state from a single temperature, and
+`thermo_eps` the pressure and those quantities of one (rho, eps) state.
+All functions are pure, vectorized over numpy arrays, and stateless.
 """
 
 import numpy as np
@@ -64,6 +65,11 @@ class IdealGas:
         """The quantities `names` at the states (rho, p); see
         `IdealGasRadiation.thermo`."""
         return tuple(getattr(self, name)(rho, p) for name in names)
+
+    def thermo_eps(self, rho, eps, *names):
+        """The pressure, then `names`, at (rho, eps); see `thermo`."""
+        p = self.pressure(rho, eps)
+        return (p, *(getattr(self, name)(rho, p) for name in names))
 
     def pressure(self, rho, eps):
         return (self.gamma - 1.0) * np.asarray(eps, dtype=float)
@@ -153,9 +159,15 @@ class IdealGasRadiation:
         t = self.temperature_from_p(rho, p)
         return tuple(getattr(self, "_" + name)(rho, p, t) for name in names)
 
-    def pressure(self, rho, eps):
+    def thermo_eps(self, rho, eps, *names):
+        """The pressure, then the quantities `names` of `thermo`, at the
+        states (rho, eps), from one temperature."""
         t = self.temperature_from_eps(rho, eps)
-        return np.asarray(rho) * t + t ** 4
+        p = np.asarray(rho) * t + t ** 4
+        return (p, *(getattr(self, "_" + name)(rho, p, t) for name in names))
+
+    def pressure(self, rho, eps):
+        return self.thermo_eps(rho, eps)[0]
 
     def internal_energy(self, rho, p):
         return self.thermo(rho, p, "internal_energy")[0]

@@ -26,6 +26,7 @@ from .wellbalance import (
     equilibrium_points,
     hydrostatic_energy_faces,
     periodic_windows,
+    rejected_energy_faces,
     solve_anchor,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
@@ -106,6 +107,8 @@ class SpatialOperator1D:
         # `build_profiles`, with no EoS call
         self._cell_means = scheme.piecewise_source \
             and eos.deps_dp_constant is not None
+        # DWB and LA read no reconstructed energy: their state pass skips it
+        self._lean = scheme.well_balanced and not scheme.simplified_anchor
         # the shared side fill skips the hydrostatic sides, filled here
         self._fill_axes = tuple(
             tuple(None if kind in HYDROSTATIC_1D else kind for kind in pair)
@@ -230,9 +233,10 @@ class SpatialOperator1D:
         data = state.copy()
         self.fill_ghosts(data)
 
-        rec = self.cweno.coefficients(data)   # (3, m, n_tot)
-        # values at x_{i-1/2}+ and x_{i+1/2}-
-        face_l, face_r = (self._face_rows @ rec).transpose(1, 0, 2)
+        rec = self.cweno.coefficients(data[:2] if self._lean else data)
+        # the one face buffer (3, 2, n_tot): values at x_{i-1/2}+, x_{i+1/2}-
+        faces = np.empty((3, 2, data.shape[1]))
+        np.matmul(self._face_rows, rec, out=faces[:len(rec)])
         # exact cell means of rho g and (rho u) g: the product-basis means
         # as a bilinear form in the rec and gravity coefficients
         source = np.sum((self._source_rows @ rec[:2]) * self.g_coeffs, axis=1)
@@ -256,14 +260,15 @@ class SpatialOperator1D:
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)
-            face_l[2] = np.where(good, e_faces[0], face_l[2])
-            face_r[2] = np.where(good, e_faces[1], face_r[2])
+            faces[2] = e_faces
+            rejected_energy_faces(self.cweno, data[2], good, ng,
+                                  self._face_rows, faces[2])
 
-        faces = ((face_l, face_r),)
         self.fallback_cells += positivity_fallback(faces, data, ng, good)
         out = np.zeros_like(data)
         interior = grid.interior
-        out[:, interior] = flux_divergence(faces, self.flux_fn, self.eos,
-                                           self.boundary.axes, grid.spacing, ng)
+        out[:, interior] = flux_divergence(
+            ((faces[:, 0], faces[:, 1]),), self.flux_fn, self.eos,
+            self.boundary.axes, grid.spacing, ng)
         out[1:, interior] += source[:, interior]
         return out

@@ -17,8 +17,9 @@ over the stencil cells, its face values, and the sources' cell means, each
 then a short sum over the density coefficients per stage.  With the ideal
 gas these alone give the energy (`wellbalance`); node pressures are
 evaluated where a precomputed bound cannot certify them positive, and for
-every cell with any other EoS.  Arrays run with cells last; the frame takes
-(4, X, Y, nq) views of the face values (4, faces, cells).
+every cell with any other EoS.  Arrays run with cells last; the positivity
+fallback takes the face buffer (4, faces, cells) whole, the flux divergence
+(4, X, Y, nq) views of it.
 """
 
 import numpy as np
@@ -38,6 +39,7 @@ from .wellbalance import (
     eps_hat_estimate,
     equilibrium_points,
     hydrostatic_energy_faces,
+    rejected_energy_faces,
 )
 
 
@@ -59,6 +61,8 @@ class SpatialOperator2D:
         self.boundary = boundary
         self.flux_fn = get_flux(scheme.flux)
         self.cweno = Cweno2D(*grid.spacing, eps_w)
+        # LA reads no reconstructed energy: its state pass skips it
+        self._lean = scheme.well_balanced and not scheme.simplified_anchor
         self.fallback_cells = 0
         self._frozen = None
         # cell averages of the analytic background (rho, p) at rest, which
@@ -142,8 +146,10 @@ class SpatialOperator2D:
         """LA equilibrium: anchors, energy deviations, face-energy overwrite.
 
         `rec` holds the reconstruction coefficients with cells last,
-        (4, 6, cells), and `face_values` (4, faces, cells) the face states,
-        whose energies are overwritten in place.  Returns the validity mask
+        (C, 6, cells), LA's without the energy, and `face_values` (4, faces,
+        cells) the face states, whose energies are written in place: the
+        equilibrium's, the standard ones where the gate fails in the band
+        (`rejected_energy_faces`).  Returns the validity mask
         of cells whose faces use the equilibrium decomposition (anchor
         converged, positive pressure and density at all evaluation nodes).
 
@@ -200,8 +206,11 @@ class SpatialOperator2D:
         e_wb = hydrostatic_energy_faces(
             eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
             self._face_rows)
-        np.copyto(face_values[3], e_wb, where=good)
-        return good.reshape(shape)
+        face_values[3] = e_wb
+        good = good.reshape(shape)
+        rejected_energy_faces(self.cweno, data[3], good, self.grid.n_ghost,
+                              self._face_rows, face_values[3])
+        return good
 
     def _node_offsets(self, rho, cells):
         """Line integrals of the source field at every node, (nodes, k), of
@@ -248,22 +257,23 @@ class SpatialOperator2D:
         data = state.copy()
         self.fill_ghosts(data)
 
-        # coefficients (4, 6, cells) and face values (4, faces, cells), cells
-        # last; the frame takes views (4, X, Y, nq) of the face values
+        # coefficients (C, 6, cells) and the one face buffer (4, faces,
+        # cells), cells last
         shape = data.shape[1:]
-        rec = self.cweno.coefficients(data).reshape(
-            4, len(self.cweno.exps), -1)
-        face_values = self._face_rows @ rec
+        rec = self.cweno.coefficients(data[:3] if self._lean else data) \
+            .reshape(-1, len(self.cweno.exps), data[0].size)
+        face_values = np.empty((4, len(self._face_rows), rec.shape[2]))
+        np.matmul(self._face_rows, rec, out=face_values[:len(rec)])
         good = (self._profiles_and_faces(rec, data, face_values)
                 if scheme.well_balanced else None)
+        faces = face_values.reshape(face_values.shape[:2] + shape)
+        self.fallback_cells += positivity_fallback(faces, data, g, good)
         # (component, face, node, X, Y) -> (face, component, X, Y, node)
         xl, xr, yl, yr = face_values.reshape((4, 4, -1) + shape).transpose(
             1, 0, 3, 4, 2)
-        faces = ((xl, xr), (yl, yr))
-        self.fallback_cells += positivity_fallback(faces, data, g, good)
         out = np.zeros_like(data)
         interior = (slice(None),) + grid.interior
         out[interior] = flux_divergence(
-            faces, self.flux_fn, self.eos, self.boundary.axes, grid.spacing,
-            g, self._face_w) + self._sources(rec)[interior]
+            ((xl, xr), (yl, yr)), self.flux_fn, self.eos, self.boundary.axes,
+            grid.spacing, g, self._face_w) + self._sources(rec)[interior]
         return out

@@ -8,9 +8,12 @@ the Rusanov control - satisfy the contact property: a stationary contact
 (u = 0, equal pressure) returns exactly (0, p, 0[, 0]).
 
 The frame (positivity fallback, flux divergence, CFL rate) works on states
-(C, *cells), ghosts included, and on face states given per cell axis as a
-(lo, hi) pair: each cell's reconstruction at its lower and upper face along
-that axis, with a trailing axis of Gauss nodes where faces carry them (2-D).
+(C, *cells), ghosts included, and on each operator's one face buffer
+(C, face rows, *cells): a cell's reconstruction at all of its faces (1-D:
+lo, hi; 2-D: the Gauss nodes of xl, xr, yl, yr), cells last.  The
+positivity fallback checks the whole buffer in one pass, and the flux
+divergence takes per cell axis a (lo, hi) pair of views of it, with a
+trailing axis of Gauss nodes where faces carry them (2-D).
 A solid wall is the flux against the boundary cell's mirror image (Toro,
 Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed., 2009),
 written into the ghost's inner face: one flux call per axis, walls included.
@@ -34,38 +37,25 @@ def physical_state(q):
     return eps, positive & (eps > 0.0)
 
 
-def _momentum_order(n_comp, normal):
-    """Momentum component indices, normal first."""
-    momenta = list(range(1, n_comp - 1))
-    if normal != 1:
-        momenta.remove(normal)
-        momenta.insert(0, normal)
-    return momenta
+def split_conserved(q, eos, *names):
+    """Conserved -> (rho, velocities, pressure, *quantities). Raises on
+    non-physical input.
 
-
-def split_conserved(q, eos, normal=1):
-    """Conserved -> (rho, velocities, pressure). Raises on non-physical input.
-
-    `normal` selects which momentum component faces the interface; the
-    returned velocity list starts with it.
+    The velocities are one array (momenta..., *cells); `names` asks for
+    `thermo` quantities from the pressure's own temperature.  The fluxes
+    split their left and right states stacked on axis 1: one EoS inversion.
     """
     q = np.asarray(q, dtype=float)
     rho = q[0]
-    if np.any(~np.isfinite(rho)) or np.any(rho <= 0.0):
+    # a NaN is the minimum of an array that holds one and fails both tests;
+    # the initial values let an array with no states pass
+    if not (rho.min(initial=np.inf) > 0.0 and rho.max(initial=0.0) < np.inf):
         raise FluxEvaluationError("non-positive or non-finite density in flux input")
-    vel = [q[m] / rho for m in _momentum_order(q.shape[0], normal)]
+    vel = q[1:-1] / rho
     eps = q[-1] - 0.5 * rho * sum(v * v for v in vel)
-    if np.any(eps <= 0.0):
+    if eps.min(initial=np.inf) <= 0.0:
         raise FluxEvaluationError("non-positive internal energy in flux input")
-    return rho, vel, eos.pressure(rho, eps)
-
-
-def _split_pair(q_l, q_r, eos, normal):
-    """`split_conserved` of the left and right states in one call (one EoS
-    inversion for both): ((rho, velocities, p) left, the same right)."""
-    rho, vel, p = split_conserved(np.stack([q_l, q_r], axis=1), eos, normal)
-    return ((rho[0], [v[0] for v in vel], p[0]),
-            (rho[1], [v[1] for v in vel], p[1]))
+    return (rho, vel) + eos.thermo_eps(rho, eps, *names)
 
 
 def physical_flux(q, p, normal=1):
@@ -82,99 +72,89 @@ def physical_flux(q, p, normal=1):
     return out
 
 
-def _roe_averages(q_l, q_r, p_l, p_r, eos, normal=1):
-    rho_l, rho_r = q_l[0], q_r[0]
-    sq_l, sq_r = np.sqrt(rho_l), np.sqrt(rho_r)
-    norm = sq_l + sq_r
-    vel_hat = [(sq_l * q_l[k] / rho_l + sq_r * q_r[k] / rho_r) / norm
-               for k in _momentum_order(q_l.shape[0], normal)]
-    h_l = (q_l[-1] + p_l) / rho_l
-    h_r = (q_r[-1] + p_r) / rho_r
-    h_hat = (sq_l * h_l + sq_r * h_r) / norm
-    return np.sqrt(rho_l * rho_r), vel_hat, h_hat
+def _roe_averages(rho, momenta, ep):
+    """Roe averages of two sides (axis 0 of `rho` and of E + p `ep`, axis 1
+    of `momenta`): the density, the velocities and the enthalpy."""
+    sq = np.sqrt(rho)
+    norm = sq[0] + sq[1]
+    vel = sq * momenta / rho
+    h = sq * (ep / rho)
+    return (np.sqrt(rho[0] * rho[1]), (vel[:, 0] + vel[:, 1]) / norm,
+            (h[0] + h[1]) / norm)
 
 
 def roe_flux(q_l, q_r, eos, normal=1):
-    """Roe-type flux; the classic linearization for ideal gas, and a
-    general-EoS variant with the effective sound speed evaluated at the
-    arithmetic-average state otherwise."""
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
-                                                           normal)
-    rho_hat, vel_hat, h_hat = _roe_averages(q_l, q_r, p_l, p_r, eos, normal)
-    u_hat = vel_hat[0]
-    ke_hat = 0.5 * sum(v * v for v in vel_hat)
+    """Roe-type flux (Roe, JCP 43, 1981; Toro 2009): the classic
+    linearization for ideal gas, and a general-EoS variant with the sound
+    speed c and d eps/d rho at the arithmetic-average state otherwise.
 
+    The waves are summed per component.  At the Roe average (rho~, u~ with
+    normal component u~_n, H~, ke~), with wave strengths a_-, a_0, a_+ and
+    speeds u~_n - c, u~_n, u~_n + c, let s = |l_-| a_- + |l_+| a_+,
+    d = c (|l_+| a_+ - |l_-| a_-), z = |l_0| a_0, and w the shear
+    |l_0| rho~ (v_R - v_L) in the transverse components and d in the normal
+    one.  The dissipation is z + s for mass, (z + s) u~ + w for momentum and
+    s H~ + z (ke~ + eps_rho) + w . u~ for energy; the flux is
+    (F(q_l) + F(q_r) - D) / 2.
+    """
+    q = np.stack([q_l, q_r], axis=1)
+    rho, vel, p = split_conserved(q, eos)
+    ep = q[-1] + p
+    rho_hat, vel_hat, h_hat = _roe_averages(rho, q[1:-1], ep)
+    k = normal - 1
+    u = vel_hat[k]
+    ke_hat = 0.5 * sum(v * v for v in vel_hat)
     if eos.name == "ideal":
         c2 = (eos.gamma - 1.0) * (h_hat - ke_hat)
-        eps_rho = 0.0
     else:
-        rho_bar = 0.5 * (rho_l + rho_r)
-        p_bar = 0.5 * (p_l + p_r)
-        c_bar, eps_rho = eos.thermo(rho_bar, p_bar, "sound_speed", "deps_drho")
+        c_bar, eps_rho = eos.thermo(0.5 * (rho[0] + rho[1]), 0.5 * (p[0] + p[1]),
+                                    "sound_speed", "deps_drho")
         c2 = c_bar ** 2
+        ke_hat = ke_hat + eps_rho      # the contact vector's energy entry
     c = np.sqrt(c2)
 
-    dp = p_r - p_l
-    du = vel_r[0] - vel_l[0]
-    drho = rho_r - rho_l
-    alpha_minus = (dp - rho_hat * c * du) / (2.0 * c2)
-    alpha_contact = drho - dp / c2
-    alpha_plus = (dp + rho_hat * c * du) / (2.0 * c2)
+    dp = p[1] - p[0]
+    jump = rho_hat * c * (vel[k, 1] - vel[k, 0])
+    minus = np.abs(u - c) * (dp - jump) / (2.0 * c2)
+    plus = np.abs(u + c) * (dp + jump) / (2.0 * c2)
+    speed = np.abs(u)
+    z = speed * (rho[1] - rho[0] - dp / c2)
+    s = minus + plus
+    w = (speed * rho_hat) * (vel[:, 1] - vel[:, 0]) if len(vel) > 1 \
+        else np.empty(vel_hat.shape)     # the shear waves, d in the normal row
+    w[k] = c * (plus - minus)
 
-    lam_minus = np.abs(u_hat - c)
-    lam_contact = np.abs(u_hat)
-    lam_plus = np.abs(u_hat + c)
-
-    ncomp = q_l.shape[0]
-    order = _momentum_order(ncomp, normal)
-    diss = np.zeros_like(q_l)
-
-    def add_wave(lam, alpha, r_vec):
-        # r_vec lists (mass, normal momentum, transverse..., energy)
-        contrib = lam * alpha
-        diss[0] += contrib * r_vec[0]
-        for k, comp in enumerate(order):
-            diss[comp] += contrib * r_vec[1 + k]
-        diss[-1] += contrib * r_vec[-1]
-
-    add_wave(lam_minus, alpha_minus,
-             [1.0, u_hat - c] + vel_hat[1:] + [h_hat - u_hat * c])
-    add_wave(lam_contact, alpha_contact,
-             [1.0, u_hat] + vel_hat[1:] + [ke_hat + eps_rho])
-    for k in range(1, ncomp - 2):  # shear waves carry transverse momentum jumps
-        dw = vel_r[k] - vel_l[k]
-        r_vec = [0.0] * ncomp
-        r_vec[1 + k] = 1.0
-        r_vec[-1] = vel_hat[k]
-        add_wave(lam_contact, rho_hat * dw, r_vec)
-    add_wave(lam_plus, alpha_plus,
-             [1.0, u_hat + c] + vel_hat[1:] + [h_hat + u_hat * c])
-
-    return 0.5 * (physical_flux(q_l, p_l, normal)
-                  + physical_flux(q_r, p_r, normal)) - 0.5 * diss
+    # the physical fluxes of both sides summed, less the dissipation
+    un = vel[k]
+    flux = q * un
+    flux[0] = q[normal]
+    flux[normal] += p
+    flux[-1] = ep * un
+    out = flux[:, 0] + flux[:, 1]
+    zs = z + s
+    out[0] -= zs
+    out[1:-1] -= zs * vel_hat + w
+    out[-1] -= s * h_hat + z * ke_hat + sum(w * vel_hat)
+    out *= 0.5
+    return out
 
 
 def hllc_flux(q_l, q_r, eos, normal=1):
     """HLLC flux with Einfeldt-type wave-speed bounds from Roe averages."""
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
-    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
-                                                           normal)
-    u_l, u_r = vel_l[0], vel_r[0]
-    rho_hat, vel_hat, h_hat = _roe_averages(q_l, q_r, p_l, p_r, eos, normal)
+    q = np.stack([q_l, q_r], axis=1)
+    rho, vel, p, c = split_conserved(q, eos, "sound_speed")
+    (rho_l, rho_r), (p_l, p_r), (c_l, c_r) = rho, p, c
+    u_l, u_r = vel[normal - 1]
+    rho_hat, vel_hat, h_hat = _roe_averages(rho, q[1:-1], q[-1] + p)
     if eos.name == "ideal":
-        c_l = eos.sound_speed(rho_l, p_l)
-        c_r = eos.sound_speed(rho_r, p_r)
         c_hat = np.sqrt((eos.gamma - 1.0) *
                         (h_hat - 0.5 * sum(v * v for v in vel_hat)))
-    else:  # the left, right and arithmetic-average states in one inversion
-        c_l, c_r, c_hat = eos.thermo(
-            np.stack([rho_l, rho_r, 0.5 * (rho_l + rho_r)]),
-            np.stack([p_l, p_r, 0.5 * (p_l + p_r)]), "sound_speed")[0]
-    s_l = np.minimum(u_l - c_l, vel_hat[0] - c_hat)
-    s_r = np.maximum(u_r + c_r, vel_hat[0] + c_hat)
+    else:  # at the arithmetic-average state
+        c_hat = eos.sound_speed(0.5 * (rho_l + rho_r), 0.5 * (p_l + p_r))
+    s_l = np.minimum(u_l - c_l, vel_hat[normal - 1] - c_hat)
+    s_r = np.maximum(u_r + c_r, vel_hat[normal - 1] + c_hat)
 
     denom = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
     s_star = (p_r - p_l + rho_l * u_l * (s_l - u_l)
@@ -204,14 +184,11 @@ def hllc_flux(q_l, q_r, eos, normal=1):
 
 def rusanov_flux(q_l, q_r, eos, normal=1):
     """Local Lax-Friedrichs flux; no contact property (negative control)."""
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = _split_pair(q_l, q_r, eos,
-                                                           normal)
-    s = np.maximum(np.abs(vel_l[0]) + eos.sound_speed(rho_l, p_l),
-                   np.abs(vel_r[0]) + eos.sound_speed(rho_r, p_r))
-    return 0.5 * (physical_flux(q_l, p_l, normal) + physical_flux(q_r, p_r, normal)) \
-        - 0.5 * s * (q_r - q_l)
+    q = np.stack([q_l, q_r], axis=1)
+    rho, vel, p, c = split_conserved(q, eos, "sound_speed")
+    s = (np.abs(vel[normal - 1]) + c).max(axis=0)
+    flux = physical_flux(q, p, normal)
+    return 0.5 * (flux[:, 0] + flux[:, 1]) - 0.5 * s * (q[:, 1] - q[:, 0])
 
 
 FLUXES = {"roe": roe_flux, "hllc": hllc_flux, "rusanov": rusanov_flux}
@@ -241,22 +218,19 @@ def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
 
 def positivity_fallback(faces, data, n_ghost, good=None):
     """First-order fallback, in place: every cell with a non-physical face
-    state gets its cell average on all of its faces.  Returns how many cells
-    of the band the flux divergence reads (the interior cells plus one ghost
-    layer per side) fell back: those `good` marks False (the cells where the
-    well-balanced reconstruction failed) plus those reset here."""
+    state gets its cell average on all of its faces.  `faces` is the
+    operator's one face buffer (C, face rows, *cells), all face states of a
+    cell in its rows.  Returns how many cells of the band the flux
+    divergence reads (the interior cells plus one ghost layer per side)
+    fell back: those `good` marks False (the cells where the well-balanced
+    reconstruction failed) plus those reset here."""
     band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
     count = 0 if good is None else int(np.count_nonzero(~good[band]))
-    physical = True
-    for face in (face for pair in faces for face in pair):
-        ok = physical_state(face)[1]
-        physical = physical & (ok if ok.ndim < data.ndim else ok.all(axis=-1))
+    physical = physical_state(faces)[1].all(axis=0)
     if physical.all():
         return count
     bad = ~physical
-    average = data[:, bad]
-    for face in (face for pair in faces for face in pair):
-        face[:, bad] = average if face.ndim == data.ndim else average[..., None]
+    faces[:, :, bad] = data[:, None, bad]
     return count + int(np.count_nonzero(bad[band]))
 
 
@@ -293,11 +267,12 @@ def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
 
 
 def cfl_rate(q, eos, spacing):
-    """max over cells of sum_a (|u_a| + c) / h_a; dt = cfl / rate."""
+    """max over cells of sum_a (|u_a| + c) / h_a; dt = cfl / rate.  The
+    pressure and sound speed come from one temperature."""
     rho = q[0]
     vel = q[1:-1] / rho
-    p = eos.pressure(rho, q[-1] - 0.5 * rho * sum(u ** 2 for u in vel))
-    c = eos.sound_speed(rho, p)
+    c = eos.thermo_eps(rho, q[-1] - 0.5 * rho * sum(u ** 2 for u in vel),
+                       "sound_speed")[1]
     return np.max(sum((np.abs(u) + c) / h for u, h in zip(vel, spacing)))
 
 

@@ -16,7 +16,10 @@ profile's internal energy are subtracted (same quadrature everywhere), the
 deviations are run through CWENO, and the profile is added back.  Density and
 momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
-for the reconstruction polynomials.
+for the reconstruction polynomials.  The anchors of DWB and LA read no
+reconstructed energy, so their state pass leaves it out; the standard energy
+reconstruction is computed only for the cells of the flux band whose
+equilibrium the gate rejects (`rejected_energy_faces`).
 
 Layout: cells run along the last axis of every array here, behind the
 node, stencil or face axis (node values (nodes, cells), stencil windows
@@ -225,8 +228,9 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
 
     `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
     and `rec_nodes` (2, nodes, n) its density and momentum, at its
-    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (3, n)
-    is the reconstructed center state and `weights` the cell-mean weights
+    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (C, n)
+    is the reconstructed center state, whole for the simplified anchor that
+    alone reads it, and `weights` the cell-mean weights
     of the Gauss nodes.  Returns (p, rho, ok) for `energy_deviations`: p
     and rho are node values over the stencil node set, and ok flags cells
     whose anchor is positive (and converged) and whose density is positive
@@ -313,6 +317,20 @@ def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_rows):
     `face_rows` (faces, m) holds the monomials of `delta_coeffs` (m, cells)
     at the faces."""
     return eps_faces + face_rows @ delta_coeffs
+
+
+def rejected_energy_faces(cweno, energy, good, n_ghost, face_rows, e_faces):
+    """Standard face energies, in place in `e_faces` (faces, cells), of the
+    cells of the flux band (the interior and one ghost layer per side) that
+    `good` (*grid) rejects: the values the full-field CWENO of `energy`
+    (*grid) gives there, from their stencils alone."""
+    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in good.shape)
+    at = tuple(i + n_ghost - 1 for i in np.nonzero(~good[band]))
+    if at[0].size:
+        offsets = np.indices((2 * cweno.radius + 1,) * good.ndim) - cweno.radius
+        window = energy[tuple(i + o[..., None] for i, o in zip(at, offsets))]
+        e_faces[:, np.ravel_multi_index(at, good.shape)] = face_rows @ \
+            cweno.reconstruct_stencils(window, axis=tuple(range(good.ndim)))
 
 
 def monotonicity_probe(offset_nodes, rho_nodes, p0, eos, weights,

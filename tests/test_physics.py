@@ -4,13 +4,14 @@ import pytest
 from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.errors import ConfigurationError, FluxEvaluationError
 from hydrobal.physics import (
-    _split_pair,
+    cfl_rate,
     contact_property_check,
     flux_divergence,
     get_flux,
     hllc_flux,
     physical_flux,
     physical_state,
+    positivity_fallback,
     roe_flux,
     rusanov_flux,
     split_conserved,
@@ -62,11 +63,17 @@ def test_split_pair_matches_separate_splits(eos, tol, normal):
         q[-1] += 0.5 * transverse ** 2 / q[0]
         return np.insert(q, 2, transverse, axis=0)
 
+    # the velocity a flux takes as normal is q[normal] / rho
     q_l, q_r = states_2d(), states_2d()
-    for got, side in zip(_split_pair(q_l, q_r, eos, normal), (q_l, q_r)):
-        rho, vel, p = split_conserved(side, eos, normal)
-        for a, b in zip((got[0], *got[1], got[2]), (rho, *vel, p)):
-            np.testing.assert_allclose(a, b, rtol=tol, atol=0.0)
+    q = np.stack([q_l, q_r], axis=1)
+    rho, vel, p = split_conserved(q, eos)
+    for s, side in enumerate((q_l, q_r)):
+        rho_s, vel_s, p_s = split_conserved(side, eos)
+        np.testing.assert_array_equal(rho[s], rho_s)
+        np.testing.assert_array_equal(vel[:, s], vel_s)
+        np.testing.assert_array_equal(vel[normal - 1, s],
+                                      side[normal] / side[0])
+        np.testing.assert_allclose(p[s], p_s, rtol=tol, atol=0.0)
 
 
 @pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux])
@@ -114,6 +121,202 @@ def test_nonphysical_input_raises():
     bad = np.array([-1.0, 0.0, 1.0])
     with pytest.raises(FluxEvaluationError):
         roe_flux(bad, good, eos)
+
+
+def roe_wave_by_wave(q_l, q_r, eos, normal=1):
+    """The Roe flux with its waves added one by one, each |lambda| alpha r
+    over the components (mass, normal momentum, transverse..., energy): the
+    reference of `roe_flux`, which sums the same waves per component."""
+    order = list(range(1, q_l.shape[0] - 1))
+    order.remove(normal)
+    order.insert(0, normal)
+
+    def split(q):
+        rho = q[0]
+        vel = [q[m] / rho for m in order]
+        return rho, vel, eos.pressure(rho, q[-1] - 0.5 * rho
+                                      * sum(v * v for v in vel))
+
+    (rho_l, vel_l, p_l), (rho_r, vel_r, p_r) = split(q_l), split(q_r)
+    sq_l, sq_r = np.sqrt(rho_l), np.sqrt(rho_r)
+    norm = sq_l + sq_r
+    vel_hat = [(sq_l * q_l[k] / rho_l + sq_r * q_r[k] / rho_r) / norm
+               for k in order]
+    h_hat = (sq_l * (q_l[-1] + p_l) / rho_l
+             + sq_r * (q_r[-1] + p_r) / rho_r) / norm
+    rho_hat, u_hat = np.sqrt(rho_l * rho_r), vel_hat[0]
+    ke_hat = 0.5 * sum(v * v for v in vel_hat)
+    if eos.name == "ideal":
+        c2, eps_rho = (eos.gamma - 1.0) * (h_hat - ke_hat), 0.0
+    else:
+        c_bar, eps_rho = eos.thermo(0.5 * (rho_l + rho_r), 0.5 * (p_l + p_r),
+                                    "sound_speed", "deps_drho")
+        c2 = c_bar ** 2
+    c = np.sqrt(c2)
+    dp, du = p_r - p_l, vel_r[0] - vel_l[0]
+    diss = np.zeros_like(q_l)
+
+    def add_wave(lam, alpha, r_vec):
+        diss[0] += lam * alpha * r_vec[0]
+        for k, comp in enumerate(order):
+            diss[comp] += lam * alpha * r_vec[1 + k]
+        diss[-1] += lam * alpha * r_vec[-1]
+
+    add_wave(np.abs(u_hat - c), (dp - rho_hat * c * du) / (2.0 * c2),
+             [1.0, u_hat - c] + vel_hat[1:] + [h_hat - u_hat * c])
+    add_wave(np.abs(u_hat), rho_r - rho_l - dp / c2,
+             [1.0, u_hat] + vel_hat[1:] + [ke_hat + eps_rho])
+    for k in range(1, len(order)):      # shear waves
+        r_vec = [0.0] * q_l.shape[0]
+        r_vec[1 + k], r_vec[-1] = 1.0, vel_hat[k]
+        add_wave(np.abs(u_hat), rho_hat * (vel_r[k] - vel_l[k]), r_vec)
+    add_wave(np.abs(u_hat + c), (dp + rho_hat * c * du) / (2.0 * c2),
+             [1.0, u_hat + c] + vel_hat[1:] + [h_hat + u_hat * c])
+    return 0.5 * (physical_flux(q_l, p_l, normal)
+                  + physical_flux(q_r, p_r, normal)) - 0.5 * diss
+
+
+def states_with_transverse(rng, n, eos):
+    """Random physical 2-D states (rho, m_x, m_y, E)."""
+    q = random_states(rng, n, eos)
+    transverse = q[0] * rng.uniform(-2, 2, n)
+    q[-1] += 0.5 * transverse ** 2 / q[0]
+    return np.insert(q, 2, transverse, axis=0)
+
+
+@pytest.mark.parametrize("dim, normal", [(1, 1), (2, 1), (2, 2)],
+                         ids=["1d", "2d-x", "2d-y"])
+@pytest.mark.parametrize("eos", [IdealGas(1.4), IdealGasRadiation(1.4)],
+                         ids=["ideal", "radiation"])
+def test_roe_matches_wave_by_wave_reference(eos, dim, normal):
+    # the per-component sums equal the wave-by-wave dissipation within
+    # 1e-14 of the flux scale, in 1-D and along both normals of 2-D states
+    # with transverse momentum
+    rng = np.random.default_rng(23 + normal)
+    make = states_with_transverse if dim == 2 else random_states
+    q_l, q_r = make(rng, 400, eos), make(rng, 400, eos)
+    # a stationary contact, then a pure shear across the normal
+    p = 0.7
+    q_l[:, 0], q_r[:, 0] = ([r] + [0.0] * dim + [eos.internal_energy(r, p)]
+                            for r in (0.3, 2.0))
+    q_r[:, 1] = q_l[:, 1]
+    if dim == 2:
+        shear = 3 - normal                  # the transverse momentum
+        q_r[shear, 1] += 0.5 * q_r[0, 1]
+        q_r[-1, 1] += 0.5 * (q_r[shear, 1] ** 2 - q_l[shear, 1] ** 2) \
+            / q_r[0, 1]
+    expected = roe_wave_by_wave(q_l, q_r, eos, normal)
+    got = roe_flux(q_l, q_r, eos, normal=normal)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    np.testing.assert_allclose(got[:, 0], np.insert(np.zeros(dim + 1),
+                                                    normal, p), atol=1e-15)
+
+
+BAD_SIDES = {
+    "nan-density": lambda q: q.__setitem__((0, 2), np.nan),
+    "inf-density": lambda q: q.__setitem__((0, 2), np.inf),
+    "negative-density": lambda q: q.__setitem__((0, 2), -1.0),
+    "zero-eps": lambda q: q.__setitem__((slice(1, None), 2), 0.0),
+    "negative-eps": lambda q: q.__setitem__((-1, 2), -1.0),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", sorted(BAD_SIDES))
+@pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux, rusanov_flux])
+@pytest.mark.parametrize("eos", [IdealGas(1.4), IdealGasRadiation(1.4)],
+                         ids=["ideal", "radiation"])
+def test_flux_rejects_nonphysical_side(eos, flux_fn, bad, side):
+    rng = np.random.default_rng(29)
+    good, q = random_states(rng, 5, eos), random_states(rng, 5, eos)
+    BAD_SIDES[bad](q)
+    with pytest.raises(FluxEvaluationError):
+        flux_fn(*((q, good) if side == "left" else (good, q)), eos)
+
+
+@pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux, rusanov_flux])
+def test_fluxes_accept_no_states(flux_fn):
+    empty = np.zeros((3, 0))
+    assert flux_fn(empty, empty, IdealGas(1.4)).shape == (3, 0)
+
+
+def count_inversions(monkeypatch):
+    """A list that records every temperature inversion of the radiation EoS."""
+    calls = []
+    for name in ("temperature_from_p", "temperature_from_eps"):
+        raw = getattr(IdealGasRadiation, name)
+        monkeypatch.setattr(IdealGasRadiation, name,
+                            lambda self, *args, _raw=raw, _name=name:
+                            calls.append(_name) or _raw(self, *args))
+    return calls
+
+
+def test_temperature_inversions_per_rhs_and_cfl(monkeypatch):
+    # one 1-D radiation DWB-O3 right-hand side at the benchmark's n = 256:
+    # the anchor's start and two Newton steps, the energy deviations, the
+    # flux split of both sides, and the Roe average state; one CFL rate
+    # takes its pressure and sound speed from one temperature
+    from hydrobal.cases import grid_for, init_cell_averages, make_scenario
+    from hydrobal.runner import make_operator
+
+    scen = make_scenario("polytropic-radiation", perturbation=1e-3)
+    scheme = Scheme("dwb", 3)
+    grid = grid_for(scen, 256, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    calls = count_inversions(monkeypatch)
+    op.rhs(data)
+    assert calls == ["temperature_from_eps"] + ["temperature_from_p"] * 3 \
+        + ["temperature_from_eps", "temperature_from_p"]
+    calls.clear()
+    cfl_rate(data[:, grid.interior], scen.eos, grid.spacing)
+    assert calls == ["temperature_from_eps"]
+
+
+@pytest.mark.parametrize("eos, tol", [(IdealGas(1.4), 0.0),
+                                      (IdealGasRadiation(1.4), 1e-13)],
+                         ids=["ideal", "radiation"])
+def test_cfl_rate_matches_two_inversions(eos, tol):
+    # the sound speed from the pressure's own temperature equals that of a
+    # second inversion from the pressure: exactly for the ideal gas
+    rng = np.random.default_rng(31)
+    q = states_with_transverse(rng, 200, eos).reshape(4, 10, 20)
+    spacing = (0.1, 0.07)
+    rho, vel = q[0], q[1:-1] / q[0]
+    p = eos.pressure(rho, q[-1] - 0.5 * rho * sum(u ** 2 for u in vel))
+    c = eos.sound_speed(rho, p)
+    expected = np.max(sum((np.abs(u) + c) / h for u, h in zip(vel, spacing)))
+    assert abs(cfl_rate(q, eos, spacing) - expected) <= tol * expected
+
+
+@pytest.mark.parametrize("nodes", [(), (2,)], ids=["1d", "2d"])
+def test_positivity_fallback_in_one_pass(nodes):
+    # one pass over the face buffer resets the same cells, on every face,
+    # as a face-by-face pass, and counts them over the band
+    rng = np.random.default_rng(37)
+    eos, cells, ng = IdealGas(1.4), ((12,), (9, 8))[len(nodes) // 2], 2
+    faces = [face for pair in random_faces(rng, eos, cells, nodes)
+             for face in pair]
+    bad = rng.random(cells) < 0.3
+    for face in faces:
+        face[0][bad & (rng.random(cells) < 0.5)] = -1.0
+    data = random_faces(rng, eos, cells)[0][0]
+    good = rng.random(cells) < 0.8
+    # the buffer (C, face rows, *cells), the Gauss nodes as rows
+    buffer = np.stack([np.moveaxis(face, -1, 1) if nodes else face[:, None]
+                       for face in faces], axis=1)
+    buffer = buffer.reshape((buffer.shape[0], -1) + cells)
+    physical = np.all([physical_state(row)[1] for row in
+                       np.moveaxis(buffer, 1, 0)], axis=0)
+    expected = buffer.copy()
+    expected[:, :, ~physical] = data[:, None, ~physical]
+    band = tuple(slice(ng - 1, n + 1 - ng) for n in cells)
+    count = positivity_fallback(buffer, data, ng, good)
+    assert np.array_equal(buffer, expected)
+    assert count == np.count_nonzero(~good[band]) \
+        + np.count_nonzero(~physical[band])
+    assert not physical.all()
 
 
 def test_unknown_flux_rejected_at_scheme_construction():

@@ -16,7 +16,9 @@ from hydrobal.boundary import BoundarySpec1D
 from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.errors import InitializationError
 from hydrobal.grid import Grid
+from hydrobal import operator2d
 from hydrobal.operator1d import SpatialOperator1D
+from hydrobal.physics import flux_divergence, positivity_fallback
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.runner import make_operator
@@ -548,3 +550,123 @@ class TestCellMeanPath2D:
         op, data = polytrope_op(SpyIdealGas(2.0), kind, 0.1)
         assert np.all(np.isfinite(op.rhs(data)))
         assert op.fallback_cells > 0
+
+
+def full_reconstruction_rhs_1d(op, state):
+    """The 1-D right-hand side with every cell's energy reconstructed by the
+    state pass and replaced by the equilibrium where the gate holds
+    (`np.where(good, ...)`): the reference of the lean state pass.  Returns
+    the RHS, the fallback count and the gate."""
+    scheme, ng = op.scheme, op.grid.n_ghost
+    data = state.copy()
+    op.fill_ghosts(data)
+    rec = op.cweno.coefficients(data)
+    faces = op._face_rows @ rec
+    face_l, face_r = faces.transpose(1, 0, 2)
+    source = np.sum((op._source_rows @ rec[:2]) * op.g_coeffs, axis=1)
+    terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, data.shape[1])
+    profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
+                              op._value_rows @ rec[:2], rec[:, 0], data[0],
+                              data[2], op._mean)
+    if op._cell_means:
+        delta, eps_faces, good = profiles
+    else:
+        p, rho, good = profiles
+        delta, eps_faces, ok = energy_deviations(
+            op.eos, p, rho, periodic_windows(data[2], scheme.radius), op._mean)
+        good &= ok
+    e_faces = hydrostatic_energy_faces(
+        eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
+        op._face_rows)
+    face_l[2] = np.where(good, e_faces[0], face_l[2])
+    face_r[2] = np.where(good, e_faces[1], face_r[2])
+    count = positivity_fallback(faces, data, ng, good)
+    out = np.zeros_like(data)
+    out[:, op.grid.interior] = flux_divergence(
+        ((face_l, face_r),), op.flux_fn, op.eos, op.boundary.axes,
+        op.grid.spacing, ng)
+    out[1:, op.grid.interior] += source[:, op.grid.interior]
+    return out, count, good
+
+
+def full_reconstruction_rhs_2d(op, state, monkeypatch):
+    """`full_reconstruction_rhs_1d` for the 2-D operator."""
+    g, shape = op.grid.n_ghost, state.shape[1:]
+    data = state.copy()
+    op.fill_ghosts(data)
+    rec = op.cweno.coefficients(data).reshape(4, 6, -1)
+    faces = op._face_rows @ rec
+    equilibrium = faces.copy()
+    with monkeypatch.context() as patch:   # the equilibrium energy alone
+        patch.setattr(operator2d, "rejected_energy_faces", lambda *args: None)
+        good = op._profiles_and_faces(rec, data, equilibrium)
+    faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
+    count = positivity_fallback(faces.reshape(faces.shape[:2] + shape), data,
+                                g, good)
+    xl, xr, yl, yr = faces.reshape((4, 4, -1) + shape).transpose(
+        1, 0, 3, 4, 2)
+    out = np.zeros_like(data)
+    interior = (slice(None),) + op.grid.interior
+    out[interior] = flux_divergence(
+        ((xl, xr), (yl, yr)), op.flux_fn, op.eos, op.boundary.axes,
+        op.grid.spacing, g, op._face_w) + op._sources(rec)[interior]
+    return out, count, good
+
+
+def rejected_in_band(good, n_ghost):
+    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in good.shape)
+    return int(np.count_nonzero(~good[band]))
+
+
+class TestLeanStatePass:
+    """DWB and LA reconstruct only density and momentum in the state pass,
+    and the standard energy only for the band cells the gate rejects: the
+    right-hand side is bit for bit that of a full reconstruction."""
+
+    @pytest.mark.parametrize("eos", [IdealGas(1.4), NodeIdealGas(1.4)],
+                             ids=["cell-means", "nodes"])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("kind", ["dwb", "la", "dwb-s"])
+    def test_1d_matches_full_reconstruction(self, kind, order, eos):
+        op, data = perturbed_op(eos, kind, order, stressed=True)
+        expected, count, good = full_reconstruction_rhs_1d(op, data)
+        assert rejected_in_band(good, op.grid.n_ghost) > 0
+        assert np.array_equal(op.rhs(data), expected)
+        assert op.fallback_cells == count
+
+    @pytest.mark.parametrize("scale", [0.3, 0.1, 0.03])
+    @pytest.mark.parametrize("kind", ["la", "la-s"])
+    def test_2d_matches_full_reconstruction(self, kind, scale, monkeypatch):
+        op, data = polytrope_op(IdealGas(2.0), kind, scale)
+        expected, count, good = full_reconstruction_rhs_2d(op, data,
+                                                           monkeypatch)
+        assert rejected_in_band(good, op.grid.n_ghost) > 0
+        assert np.array_equal(op.rhs(data), expected)
+        assert op.fallback_cells == count
+
+    @staticmethod
+    def _state_pass_components(op, data, comp_axis):
+        """Component counts of the windows of every CWENO call of one RHS."""
+        seen, raw = [], op.cweno.reconstruct_stencils
+        op.cweno.reconstruct_stencils = lambda window, axis=-1: \
+            seen.append(np.shape(window)) or raw(window, axis)
+        op.rhs(data)
+        assert op.fallback_cells == 0
+        # the state pass comes first: windows (stencil..., C, cells...)
+        return seen[0][comp_axis], len(seen)
+
+    @pytest.mark.parametrize("kind, comps", [
+        ("dwb", 2), ("la", 2), ("dwb-s", 3), ("la-s", 3), ("standard", 3)])
+    def test_1d_state_pass_components(self, kind, comps):
+        op, data = perturbed_op(IdealGas(1.4), kind, 5)
+        # every band cell is good: the state pass, then the deviations'
+        # pass of the well-balanced schemes, and no energy pass
+        assert self._state_pass_components(op, data, 1) == \
+            (comps, 1 if kind == "standard" else 2)
+
+    @pytest.mark.parametrize("kind, comps", [
+        ("la", 3), ("la-s", 4), ("standard", 4)])
+    def test_2d_state_pass_components(self, kind, comps):
+        op, data = polytrope_op(IdealGas(2.0), kind)
+        assert self._state_pass_components(op, data, 2) == \
+            (comps, 1 if kind == "standard" else 2)
