@@ -366,7 +366,8 @@ def init_cell_averages(scenario, grid, quad_order=5):
     return CellField(grid, cell_averages(conserved, grid, quad_order))
 
 
-def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
+def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None,
+                              eps_w=None):
     """Discrete hydrostatic equilibrium consistent with the scheme's own
     equilibrium reconstruction.
 
@@ -379,7 +380,7 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     or wall side the ghost densities are generated by the same extrapolation
     the boundary fill applies (`boundary.extrapolated_strips`), making the
     state an exact fixed point of the discretization whatever the other side
-    is.
+    is.  `eps_w` is the CWENO regularization of the operator it balances.
     """
     if scenario.dimension != 1 or scenario.background is None:
         raise InitializationError(
@@ -395,7 +396,7 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None):
     data = np.zeros((3, n_tot))
     data[0] = cell_averages(rho_bg, grid, scheme.n_quad)
 
-    cweno = Cweno1D(scheme.order, h)
+    cweno = Cweno1D(scheme.order, h, eps_w)
     sides = scenario.boundary.hydrostatic_sides
     if sides:
         # regenerate ghost densities exactly as the boundary fill will

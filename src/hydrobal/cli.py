@@ -1,4 +1,4 @@
-"""Command-line interface: run, study, bench, check."""
+"""Command-line interface: run, study, bench."""
 
 import argparse
 import sys
@@ -29,7 +29,6 @@ def _add_common(parser):
     parser.add_argument("--cfl", type=float)
     parser.add_argument("--t-end", type=float, dest="t_end")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
 
 
 def _build_config(args):
@@ -40,7 +39,7 @@ def _build_config(args):
         if raw.get("scenario_params") == {}:
             raw.pop("scenario_params", None)
     for key in ("scenario", "scheme", "order", "n", "flux", "cfl",
-                "t_end", "seed", "out", "resolutions", "repetitions"):
+                "t_end", "out", "resolutions", "repetitions"):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
@@ -98,12 +97,6 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_check(args):
-    from .checks import main as run_checks_main
-
-    return 1 if run_checks_main(seed=args.seed or 0) else 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hydrobal",
@@ -124,10 +117,6 @@ def main(argv=None):
     p_bench.add_argument("--resolutions", type=int, nargs="+")
     p_bench.add_argument("--repetitions", type=int)
     p_bench.set_defaults(func=cmd_bench)
-
-    p_check = sub.add_parser("check", help="fast property suite")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,6 @@ Top-level keys (unknown keys are rejected):
   init              'averages' | 'discrete'
   eps_w             float > 0, CWENO regularization (default dx^2 resp. dx*dy)
   damping           float >= 0 (momentum damping rate)
-  seed              int, seed for randomized property checks
   repetitions       int >= 1 (efficiency studies)
   reference         object: {"kind": "initial"} or
                     {"kind": "fine", "scheme": ..., "order": ..., "n": ...}
@@ -39,7 +38,6 @@ _ALLOWED = {
     "init": str,
     "eps_w": (int, float),
     "damping": (int, float),
-    "seed": int,
     "repetitions": int,
     "reference": dict,
     "out": str,
@@ -62,7 +60,6 @@ class RunConfig:
     init: str = "averages"
     eps_w: float = None
     damping: float = None
-    seed: int = 0
     repetitions: int = 1
     reference: dict = None
     out: str = None

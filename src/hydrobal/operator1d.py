@@ -14,7 +14,8 @@ from .boundary import (
 from .errors import ConfigurationError
 from .physics import flux_divergence, get_flux, positivity_fallback
 # names perfbench/spans.py patches, which only have to exist: the solver makes
-# no Horner call, and wall fluxes are timed through the patched `FLUXES` table
+# no Horner call and no `wall_boundary_flux` call (walls run in the axis's
+# one `FLUXES` call); they are the tests' reference implementations
 from .physics import wall_boundary_flux  # noqa: F401
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
@@ -260,9 +261,12 @@ class SpatialOperator1D:
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)
-            faces[2] = e_faces
-            rejected_energy_faces(self.cweno, data[2], good, ng,
-                                  self._face_rows, faces[2])
+            if self._lean:
+                faces[2] = e_faces
+                rejected_energy_faces(self.cweno, data[2], good, ng,
+                                      self._face_rows, faces[2])
+            else:   # the state pass holds the standard energy faces
+                np.copyto(faces[2], e_faces, where=good)
 
         self.fallback_cells += positivity_fallback(faces, data, ng, good)
         out = np.zeros_like(data)

@@ -27,7 +27,8 @@ import numpy as np
 from .boundary import fill_sides
 from .errors import ConfigurationError
 from .physics import flux_divergence, get_flux, positivity_fallback
-# patched by perfbench/spans.py, so it must exist; walls run in `FLUXES` calls
+# patched by perfbench/spans.py, so it must exist; the solver never calls
+# it (walls run in `FLUXES` calls), the tests' reference does
 from .physics import wall_boundary_flux  # noqa: F401
 from .quadrature import cell_averages, gauss_nodes_weights_centered
 from .reconstruct import Cweno2D, GravityInterp2D, product_tables
@@ -148,8 +149,9 @@ class SpatialOperator2D:
         `rec` holds the reconstruction coefficients with cells last,
         (C, 6, cells), LA's without the energy, and `face_values` (4, faces,
         cells) the face states, whose energies are written in place: the
-        equilibrium's, the standard ones where the gate fails in the band
-        (`rejected_energy_faces`).  Returns the validity mask
+        equilibrium's, the standard ones where the gate fails (LA-S keeps its
+        state pass's, LA takes the band's from `rejected_energy_faces`).
+        Returns the validity mask
         of cells whose faces use the equilibrium decomposition (anchor
         converged, positive pressure and density at all evaluation nodes).
 
@@ -206,11 +208,14 @@ class SpatialOperator2D:
         e_wb = hydrostatic_energy_faces(
             eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
             self._face_rows)
-        face_values[3] = e_wb
-        good = good.reshape(shape)
-        rejected_energy_faces(self.cweno, data[3], good, self.grid.n_ghost,
-                              self._face_rows, face_values[3])
-        return good
+        if self._lean:
+            face_values[3] = e_wb
+            rejected_energy_faces(self.cweno, data[3], good.reshape(shape),
+                                  self.grid.n_ghost, self._face_rows,
+                                  face_values[3])
+        else:   # the state pass holds the standard energy faces
+            np.copyto(face_values[3], e_wb, where=good)
+        return good.reshape(shape)
 
     def _node_offsets(self, rho, cells):
         """Line integrals of the source field at every node, (nodes, k), of

@@ -203,7 +203,7 @@ def get_flux(name):
 
 def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
     """Solid-wall flux from the wall-side reconstructed state, in a call of
-    its own: the self-checks' reference for the walls of `flux_divergence`.
+    its own: the tests' reference for the walls of `flux_divergence`.
 
     Mirrors the normal momentum; mass and energy components vanish by the
     symmetry of the flux, the momentum component is the wall pressure.
@@ -274,23 +274,3 @@ def cfl_rate(q, eos, spacing):
     c = eos.thermo_eps(rho, q[-1] - 0.5 * rho * sum(u ** 2 for u in vel),
                        "sound_speed")[1]
     return np.max(sum((np.abs(u) + c) / h for u, h in zip(vel, spacing)))
-
-
-def contact_property_check(flux_fn, eos, trials=1000, seed=0, tol=1e-13):
-    """Randomized stationary-contact trials; returns a small report dict."""
-    rng = np.random.default_rng(seed)
-    rho_l = 10.0 ** rng.uniform(-2, 2, trials)
-    rho_r = 10.0 ** rng.uniform(-2, 2, trials)
-    p = 10.0 ** rng.uniform(-2, 2, trials)
-    zeros = np.zeros(trials)
-    q_l = np.stack([rho_l, zeros, eos.internal_energy(rho_l, p)])
-    q_r = np.stack([rho_r, zeros, eos.internal_energy(rho_r, p)])
-    flux = flux_fn(q_l, q_r, eos)
-    dev = np.max(np.abs(flux - np.stack([zeros, p, zeros])) / np.maximum(p, 1.0),
-                 axis=0)
-    return {
-        "trials": trials,
-        "max_deviation": float(np.max(dev)),
-        "passed": int(np.sum(dev <= tol)),
-        "ok": bool(np.all(dev <= tol)),
-    }

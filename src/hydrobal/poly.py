@@ -5,7 +5,7 @@ x0 is the anchor (normally a cell center).  Keeping the anchor local keeps
 coefficients well scaled at small cell widths.  All helpers operate on the
 trailing axis so batches of per-cell polynomials vectorize naturally.
 The solver evaluates through `reconstruct.product_tables`; these Horner
-helpers are the reference that `checks.py` and the tests compare against.
+helpers are the reference that the tests compare against.
 """
 
 import numpy as np

@@ -69,7 +69,7 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     scheme.validate_dimension(scenario.dimension)
     grid = grid_for(scenario, n, scheme.n_ghost)
     if init == "discrete":
-        field = discrete_equilibrium_init(scenario, grid, scheme)
+        field = discrete_equilibrium_init(scenario, grid, scheme, eps_w=eps_w)
     else:
         field = init_cell_averages(scenario, grid)
     operator = make_operator(scenario, grid, scheme, eps_w)

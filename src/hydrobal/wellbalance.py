@@ -68,7 +68,8 @@ import numpy as np
 
 from .physics import physical_state
 # the benchmark tracer (perfbench/spans.py) counts polynomial calls through
-# these names; the solver evaluates through `reconstruct.product_tables`
+# these names, which only have to exist: the solver evaluates through
+# `reconstruct.product_tables`; the Horner helpers are the tests' reference
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
 
@@ -331,21 +332,3 @@ def rejected_energy_faces(cweno, energy, good, n_ghost, face_rows, e_faces):
         window = energy[tuple(i + o[..., None] for i, o in zip(at, offsets))]
         e_faces[:, np.ravel_multi_index(at, good.shape)] = face_rows @ \
             cweno.reconstruct_stencils(window, axis=tuple(range(good.ndim)))
-
-
-def monotonicity_probe(offset_nodes, rho_nodes, p0, eos, weights,
-                       n_samples=32):
-    """Check that one cell's anchor residual is strictly monotone around p0.
-
-    Takes the cell's pressure offsets and densities at its nodes, like the
-    anchor solvers, and samples the derivative sign of the matching function
-    over a bracket [p0/2, 2 p0]; a sign change signals a
-    phase-transition-like EoS and non-unique anchors.
-    """
-    for p in np.linspace(0.5 * p0, 2.0 * p0, n_samples):
-        p_nodes = p + offset_nodes
-        if np.any(p_nodes <= 0.0):
-            continue
-        if eos.deps_dp(rho_nodes, p_nodes) @ weights <= 0.0:
-            return False
-    return True

@@ -323,6 +323,12 @@ class TestFactoredBlend:
             exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
             np.testing.assert_allclose(beta, exact, rtol=1e-12,
                                        atol=1e-15 * np.abs(exact).max())
+        # rough windows hold every indicator away from zero: relative only
+        window = rng.standard_normal((m, 200))
+        coeffs, beta = scheme._candidates(window - window[m // 2])
+        exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
+        assert np.all(beta >= 0.0)
+        np.testing.assert_allclose(beta, exact, rtol=1e-12, atol=0.0)
 
 
 class TestBlendLayouts:

@@ -21,7 +21,7 @@ from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.physics import flux_divergence, positivity_fallback
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
-from hydrobal.runner import make_operator
+from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import (
     ANCHOR_TOL,
@@ -32,7 +32,6 @@ from hydrobal.wellbalance import (
     energy_deviations,
     equilibrium_points,
     hydrostatic_energy_faces,
-    monotonicity_probe,
     periodic_windows,
 )
 
@@ -197,6 +196,11 @@ class TestAnchors:
         assert np.all(conv[inner])
         np.testing.assert_allclose(p_newton[inner, None] + offsets[inner],
                                    p[inner, own], rtol=1e-12, atol=1e-12)
+        # and the anchors themselves against the closed-form anchor
+        p_ideal = anchor_pressure_ideal(offsets.T, field.data[2],
+                                        scen.eos.deps_dp_constant, op._mean)
+        np.testing.assert_allclose(p_newton[inner], p_ideal[inner],
+                                   rtol=1e-12, atol=1e-12)
 
     def test_newton_zero_gravity_radiation(self):
         # constant state, no gravity: the initial guess is already the root
@@ -236,6 +240,24 @@ class TestAnchors:
         rec_center = np.array([[2.0], [0.0], [3.0]])
         p0 = anchor_pressure_simplified(rec_center, IdealGas(1.4))
         np.testing.assert_allclose(p0, [0.4 * 3.0])
+
+
+def monotonicity_probe(offset_nodes, rho_nodes, p0, eos, weights,
+                       n_samples=32):
+    """Whether one cell's anchor residual is strictly monotone around p0.
+
+    Takes the cell's pressure offsets and densities at its nodes, like the
+    anchor solvers, and samples the derivative sign of the matching function
+    over a bracket [p0/2, 2 p0]; a sign change signals a
+    phase-transition-like EoS and non-unique anchors.
+    """
+    for p in np.linspace(0.5 * p0, 2.0 * p0, n_samples):
+        p_nodes = p + offset_nodes
+        if np.any(p_nodes <= 0.0):
+            continue
+        if eos.deps_dp(rho_nodes, p_nodes) @ weights <= 0.0:
+            return False
+    return True
 
 
 class TestMonotonicityProbe:
@@ -366,6 +388,23 @@ def test_discrete_equilibrium_residual(scenario, n, order, kind, bc):
     rhs = op.rhs(field.data)
     assert np.max(np.abs(rhs)) <= 1e-12 * np.max(np.abs(field.data))
     assert op.fallback_cells == 0
+
+
+@pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
+                                ("hydrostatic-extrapolation", "solid-wall")],
+                         ids=["dirichlet", "extrapolation-wall"])
+def test_discrete_init_uses_the_runs_eps_w(bc):
+    # a run's CWENO regularization reaches the initializer's reconstruction
+    # too, so the discrete state is the equilibrium of the run's operator
+    scen = make_scenario("isothermal-10x")
+    scen.boundary = BoundarySpec1D(*bc)
+    scheme = Scheme("dwb", 5)
+    result = run(scen, scheme, 128, t_end=0.0, init="discrete", eps_w=1e-2)
+    data = result.initial.data
+    op = make_operator(scen, result.grid, scheme, eps_w=1e-2)
+    op.set_initial_state(data)
+    h, = result.grid.spacing
+    assert np.max(np.abs(op.rhs(data))) * h <= 1e-13 * np.max(np.abs(data))
 
 
 def steep_isothermal(k, eos):
@@ -645,15 +684,25 @@ class TestLeanStatePass:
         assert op.fallback_cells == count
 
     @staticmethod
-    def _state_pass_components(op, data, comp_axis):
+    def _state_pass_components(op, data, comp_axis, rejects=False):
         """Component counts of the windows of every CWENO call of one RHS."""
         seen, raw = [], op.cweno.reconstruct_stencils
         op.cweno.reconstruct_stencils = lambda window, axis=-1: \
             seen.append(np.shape(window)) or raw(window, axis)
         op.rhs(data)
-        assert op.fallback_cells == 0
+        assert (op.fallback_cells > 0) == rejects
         # the state pass comes first: windows (stencil..., C, cells...)
         return seen[0][comp_axis], len(seen)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_simplified_anchor_reconstructs_energy_once(self, dim):
+        # the -S state pass reconstructs the energy of every cell, so the
+        # cells the gate rejects keep those faces: two CWENO calls, as
+        # without rejections
+        op, data = perturbed_op(IdealGas(1.4), "dwb-s", 5, stressed=True) \
+            if dim == 1 else polytrope_op(IdealGas(2.0), "la-s", 0.1)
+        assert self._state_pass_components(op, data, dim, rejects=True) \
+            == (dim + 2, 2)
 
     @pytest.mark.parametrize("kind, comps", [
         ("dwb", 2), ("la", 2), ("dwb-s", 3), ("la-s", 3), ("standard", 3)])
