@@ -3,11 +3,14 @@
 Two models: the ideal gas law, and an ideal gas subject to radiation
 pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
-(`_quartic_root`), polished by one Newton step that also guards against a
-start that is not finite; no conversion iterates.  `thermo` returns
-several quantities of one (rho, p) state from a single temperature, and
-`thermo_eps` the pressure and those quantities of one (rho, eps) state.
-All functions are pure, vectorized over numpy arrays, and stateless.
+(`_quartic_root`); `_newton` confirms it with one Newton step and guards
+against a start that is not finite; no conversion iterates.  `thermo`
+returns several quantities of one (rho, p) state from a single
+temperature, and `thermo_eps` the pressure and those quantities of one
+(rho, eps) state.  At the sizes of one right-hand side a radiation
+inversion costs about as much per numpy call as per point, so its cost is
+counted in calls.  All functions are pure, stateless, and vectorized over
+numpy arrays of any broadcast mix of shapes.
 """
 
 import numpy as np
@@ -31,18 +34,41 @@ def _quartic_root(a, b):
     where b / s^4 underflows (b below about 1e-308 * a^(4/3), far outside
     [1e-100, 1e100]) is the root lost to zero.
     """
-    s3 = np.maximum(a, b ** 0.75)
+    if np.ndim(a) == np.ndim(b) == 0:    # in-place temporaries need arrays
+        return _quartic_root(np.reshape(a, 1), np.reshape(b, 1))[0]
+    q = np.sqrt(b)
+    s3 = np.maximum(a, q * np.sqrt(q))      # max(a, b^(3/4))
     s = np.cbrt(s3)
-    a = a / s3
-    b4 = 4.0 * b / (s3 * s)
-    c = b4 / 3.0
-    a2 = a * a
-    h = 0.5 * a2
-    u = np.cbrt(h + np.sqrt(h * h + c * c * c))
+    a2 = a / s3
+    a2 *= a2
+    b4 = s3 * s
+    np.divide(4.0 * b, b4, out=b4)
+    c, h = b4 / 3.0, 0.5 * a2
+    u = c * c * c
+    u += h * h
+    u = np.cbrt(np.sqrt(u, out=u) + h)
     v = c / u
-    z = a2 / (u * u + c + v * v)
-    r = np.sqrt(z * z + b4)
-    return s * b4 / ((r + z) * (np.sqrt(z) + np.sqrt(2.0 * r - z)))
+    u *= u
+    u += c
+    u += v * v
+    z = np.divide(a2, u, out=u)             # a^2 / (u^2 + c + v^2)
+    r = z * z
+    r += b4
+    np.sqrt(r, out=r)
+    w = np.sqrt(2.0 * r - z)
+    w += np.sqrt(z)
+    r += z
+    w *= r
+    b4 *= s
+    b4 /= w
+    return b4
+
+
+def _broadcast(value, other):
+    """`value` broadcast against `other`; itself where the shapes agree,
+    so that an ideal-gas field keeps its bits."""
+    same = np.shape(value) == np.shape(other)
+    return value if same else value * np.ones(np.shape(other))
 
 
 class IdealGas:
@@ -72,14 +98,15 @@ class IdealGas:
         return (p, *(getattr(self, name)(rho, p) for name in names))
 
     def pressure(self, rho, eps):
-        return (self.gamma - 1.0) * np.asarray(eps, dtype=float)
+        return _broadcast((self.gamma - 1.0) * np.asarray(eps, dtype=float),
+                          rho)
 
     def internal_energy(self, rho, p):
-        return np.asarray(p, dtype=float) / (self.gamma - 1.0)
+        return _broadcast(np.asarray(p, dtype=float) / (self.gamma - 1.0), rho)
 
     def deps_dp(self, rho, p):
-        rho = np.asarray(rho, dtype=float)
-        return np.full(rho.shape, 1.0 / (self.gamma - 1.0))
+        return np.full(np.broadcast_shapes(np.shape(rho), np.shape(p)),
+                       1.0 / (self.gamma - 1.0))
 
     def deps_drho(self, rho, p):
         return np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(p)))
@@ -97,11 +124,13 @@ class IdealGasRadiation:
     a = rho / (3(gamma-1)), b = eps/3), taken in closed form.  Both
     residuals are increasing and convex in T, so the Newton polish that
     follows converges monotonically from above after its first step.
-    `_newton` is that polish: it returns after one step when the start is
-    good to 1e-14, and it is the guard that raises `EosFailure` when the
-    start is not finite (a negative or NaN input).  It stays a method of
-    its own because the benchmark tracer (perfbench/spans.py) counts its
-    residual evaluations: one per inversion.
+    `_newton` is that polish: one residual evaluation and one step confirm
+    a start good to 1e-14, and it is the guard that raises `EosFailure`
+    when the start is not finite (a negative or NaN input).  It stays a
+    method of its own because the benchmark tracer (perfbench/spans.py)
+    counts its residual evaluations: one per inversion.  The kernels are
+    lean in numpy calls: the root works on in-place temporaries, and the
+    residuals and quantities share T^3 and take no power.
     """
 
     name = "ideal-radiation"
@@ -116,18 +145,18 @@ class IdealGasRadiation:
 
     def temperature_from_eps(self, rho, eps):
         rho, eps = np.asarray(rho, float), np.asarray(eps, float)
-        gm1 = self.gamma - 1.0
-        t = _quartic_root(rho / (3.0 * gm1), eps / 3.0)
+        k = rho / (self.gamma - 1.0)
+        t = _quartic_root(k / 3.0, eps / 3.0)
         return self._newton(t, rho, eps,
-                            lambda T: rho * T / gm1 + 3.0 * T ** 4 - eps,
-                            lambda T: rho / gm1 + 12.0 * T * T * T)
+                            lambda T: T * (k + 3.0 * (T * T * T)) - eps,
+                            lambda T: k + 12.0 * (T * T * T))
 
     def temperature_from_p(self, rho, p):
         rho, p = np.asarray(rho, float), np.asarray(p, float)
         t = _quartic_root(rho, p)
         return self._newton(t, rho, p,
-                            lambda T: rho * T + T ** 4 - p,
-                            lambda T: rho + 4.0 * T * T * T)
+                            lambda T: T * (rho + T * T * T) - p,
+                            lambda T: rho + 4.0 * (T * T * T))
 
     @staticmethod
     def _newton(t, rho, target, f, fprime):
@@ -137,10 +166,9 @@ class IdealGasRadiation:
         for _ in range(_NEWTON_MAX_ITER):
             step = f(t) / fprime(t)
             t_new = t - step
-            bad = t_new <= 0.0
-            if bad.any():
-                t_new = np.where(bad, 0.5 * t, t_new)
-            if (np.abs(t_new - t) <= _NEWTON_TOL * np.abs(t_new)).all():
+            if not t_new.min(initial=np.inf) > 0.0:
+                t_new = np.where(t_new > 0.0, t_new, 0.5 * t)
+            if (np.abs(step) / t_new).max(initial=0.0) <= _NEWTON_TOL:
                 return t_new
             t = t_new
         raise EosFailure("temperature inversion did not converge",
@@ -157,14 +185,19 @@ class IdealGasRadiation:
         """
         rho, p = np.asarray(rho, float), np.asarray(p, float)
         t = self.temperature_from_p(rho, p)
-        return tuple(getattr(self, "_" + name)(rho, p, t) for name in names)
+        t3 = t * t * t
+        return tuple(getattr(self, "_" + name)(rho, p, t, t3)
+                     for name in names)
 
     def thermo_eps(self, rho, eps, *names):
         """The pressure, then the quantities `names` of `thermo`, at the
         states (rho, eps), from one temperature."""
+        rho = np.asarray(rho, float)
         t = self.temperature_from_eps(rho, eps)
-        p = np.asarray(rho) * t + t ** 4
-        return (p, *(getattr(self, "_" + name)(rho, p, t) for name in names))
+        t3 = t * t * t
+        p = t * (rho + t3)
+        return (p, *(getattr(self, "_" + name)(rho, p, t, t3)
+                     for name in names))
 
     def pressure(self, rho, eps):
         return self.thermo_eps(rho, eps)[0]
@@ -181,22 +214,20 @@ class IdealGasRadiation:
     def sound_speed(self, rho, p):
         return self.thermo(rho, p, "sound_speed")[0]
 
-    # -- quantities at a known temperature ---------------------------------
+    # -- quantities at a known temperature T, with t3 = T^3 -----------------
 
-    def _internal_energy(self, rho, p, t):
-        return rho * t / (self.gamma - 1.0) + 3.0 * t ** 4
+    def _internal_energy(self, rho, p, t, t3):
+        return t * (rho / (self.gamma - 1.0) + 3.0 * t3)
 
-    def _deps_dp(self, rho, p, t):
-        gm1 = self.gamma - 1.0
-        t3 = t * t * t
-        return (rho / gm1 + 12.0 * t3) / (rho + 4.0 * t3)
+    def _deps_dp(self, rho, p, t, t3):
+        return (rho / (self.gamma - 1.0) + 12.0 * t3) / (rho + 4.0 * t3)
 
-    def _deps_drho(self, rho, p, t):
-        gm1 = self.gamma - 1.0
-        dt_drho = -t / (rho + 4.0 * t ** 3)
-        return t / gm1 + (rho / gm1 + 12.0 * t ** 3) * dt_drho
+    def _deps_drho(self, rho, p, t, t3):
+        # at fixed p, dT/d rho = -T / (rho + 4T^3): d eps/dT dT/d rho is
+        # -T d eps/dp
+        return t / (self.gamma - 1.0) - t * self._deps_dp(rho, p, t, t3)
 
-    def _sound_speed(self, rho, p, t):
+    def _sound_speed(self, rho, p, t, t3):
         beta = rho * t / p
         gm1 = self.gamma - 1.0
         gamma1 = beta + (4.0 - 3.0 * beta) ** 2 * gm1 / (beta + 12.0 * gm1 * (1.0 - beta))

@@ -21,6 +21,8 @@ from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D, _frozen, product_tables
 from .wellbalance import (
+    anchor_pressure_ideal,
+    anchor_pressure_newton,
     build_profiles,
     energy_deviations,
     eps_hat_estimate,
@@ -28,15 +30,10 @@ from .wellbalance import (
     hydrostatic_energy_faces,
     periodic_windows,
     rejected_energy_faces,
-    solve_anchor,
 )
 # the benchmark tracer (perfbench/spans.py) patches the anchor solves
 # through these names
-from .wellbalance import (  # noqa: F401
-    anchor_pressure_ideal,
-    anchor_pressure_newton,
-    anchor_pressure_simplified,
-)
+from .wellbalance import anchor_pressure_simplified  # noqa: F401
 
 
 @lru_cache(maxsize=None)
@@ -44,17 +41,18 @@ def _fill_layout(n_ghost, first, n_quad):
     """Read-only index tables of the hydrostatic fill's slots: each slot's
     piece, its columns in `equilibrium_points(n_quad, n_ghost)` (its Gauss
     nodes, its piece's faces), the (pieces, slots) mask of its piece, and
-    the glue C_j = p0 - sum_{piece_j <= i < n_ghost} A_i(h/2) - A_{i+1}(-h/2)
-    from the slots' left and right face values."""
+    the glue C_j - p0 = -sum_{piece_j <= i < n_ghost} A_i(h/2) - A_{i+1}(-h/2)
+    of every slot (the boundary cell's zero) from the slots' left and right
+    face values."""
     slots = np.arange(n_ghost + 1)
     piece = np.maximum(slots, first)
     cols = np.append((slots - piece + n_ghost)[:, None] * n_quad
                      + np.arange(n_quad), [[-2, -1]] * (n_ghost + 1), axis=1)
-    i, k = slots[:, None], piece[:n_ghost]
+    i, k = slots[:, None], piece
     glue = np.stack([i > k, (k <= i) & (i < n_ghost)], axis=1) \
         * [[1.0], [-1.0]]
     return _frozen(piece, cols, piece == slots[first:, None],
-                   glue.reshape(-1, n_ghost))
+                   glue.reshape(-1, n_ghost + 1))
 
 
 class SpatialOperator1D:
@@ -182,7 +180,9 @@ class SpatialOperator1D:
         have no full stencil, evaluate piece r at offsets shifted by whole
         cells.  LA extends the boundary cell's piece over every ghost (a
         one-piece glue).  A ghost energy is the Gauss average of
-        eps(rho^rec, p) + (rho u)^2 / (2 rho^rec), one EoS call for all.
+        eps(rho^rec, p) + (rho u)^2 / (2 rho^rec): the Newton anchor's last
+        iteration inverts the ghosts' nodes with the boundary cell's, and
+        the closed-form anchor is followed by one EoS call for all.
 
         Only density and momentum are reconstructed on the ghost pieces:
         ghost energies come from the equilibrium pressure, never from an
@@ -206,21 +206,31 @@ class SpatialOperator1D:
             .reshape(2, len(sides), ng + 1, 2, nq + 2)
         offsets = at[0, :, :, 1]                  # (sides, slots, nq + 2)
 
-        # the boundary cell's own nodes, nodes first for the anchor
+        # the boundary cell's own nodes, nodes first
         rec_own = at[:, :, ng, 0, :nq].transpose(0, 2, 1)
         eps_hat = eps_hat_estimate(strips[2, :, ng], rec_own, self._mean)
-        p0, ok = solve_anchor(eos, offsets[:, ng, :nq].T, rec_own[0],
-                              strips[0, :, ng], eps_hat, self._mean)
-        # LA glues a single piece: `_glue` is zero, every constant the anchor
-        const = p0[:, None] + offsets[..., nq:].reshape(len(sides), -1) \
-            @ self._glue
-
+        # each slot's glued constant less p0, the boundary cell's zero (LA
+        # glues a single piece: `_glue` is zero)
+        glue = offsets[..., nq:].reshape(len(sides), -1) @ self._glue
         rho, mom = at[:, :, :ng, 0, :nq]
-        p = const[..., None] + offsets[:, :ng, :nq]
-        positive = (rho > 0.0) & (p > 0.0)
-        ok &= positive.all(axis=(1, 2))
-        rho = np.where(positive, rho, 1.0)
-        eps = eos.internal_energy(rho, np.where(positive, p, 1.0))
+        if eos.deps_dp_constant is None:
+            # the ghosts' nodes, then the boundary cell's, nodes first: the
+            # anchor's last iteration inverts them all
+            rows = (glue[..., None] + offsets[..., :nq]).reshape(len(sides), -1)
+            p0, ok, eps = anchor_pressure_newton(
+                rows.T, at[0, :, :, 0, :nq].reshape(len(sides), -1).T,
+                slice(ng * nq, None), strips[0, :, ng], eps_hat, eos,
+                self._mean)
+            eps = eps.T.reshape(len(sides), ng + 1, nq)[:, :ng]
+        else:
+            p0 = anchor_pressure_ideal(offsets[:, ng, :nq].T, eps_hat,
+                                       eos.deps_dp_constant, self._mean)
+            p = (p0[:, None] + glue)[:, :ng, None] + offsets[:, :ng, :nq]
+            positive = (rho > 0.0) & (p > 0.0)
+            ok = (p0 > 0.0) & positive.all(axis=(1, 2))
+            eps = eos.internal_energy(np.where(positive, rho, 1.0),
+                                      np.where(positive, p, 1.0))
+        rho = np.where(rho > 0.0, rho, 1.0)
         energy = (eps + 0.5 * mom ** 2 / rho) @ self._mean
         strips[2, :, :ng] = np.where(ok[:, None], energy, strips[2, :, :ng])
         self.fallback_cells += ng * int(np.count_nonzero(~ok))
@@ -253,11 +263,9 @@ class SpatialOperator1D:
             if self._cell_means:
                 delta, eps_faces, good = profiles
             else:
-                p, rho, good = profiles
-                delta, eps_faces, ok = energy_deviations(
-                    self.eos, p, rho, periodic_windows(data[2], scheme.radius),
-                    self._mean)
-                good &= ok
+                *_, eps, good = profiles
+                delta, eps_faces = energy_deviations(
+                    eps, periodic_windows(data[2], scheme.radius), self._mean)
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)

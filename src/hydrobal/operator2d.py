@@ -40,6 +40,7 @@ from .wellbalance import (
     eps_hat_estimate,
     equilibrium_points,
     hydrostatic_energy_faces,
+    node_energies,
     rejected_energy_faces,
 )
 
@@ -178,6 +179,8 @@ class SpatialOperator2D:
         if scheme.simplified_anchor:
             p0 = anchor_pressure_simplified(rec[:, 0], eos)
             good &= p0 > 0.0
+            if b is None:
+                eps, ok = node_energies(eos, p0 + offsets, rho_nodes)
         else:
             own = self._own
             rec_own = self._value_rows[own] @ rec[:3]
@@ -189,18 +192,16 @@ class SpatialOperator2D:
                 p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
                 good &= p0 > 0.0
             else:
-                p0, ok = self._newton_anchor(eps_hat, rec_own[0], offsets[own],
-                                             data[0].reshape(-1))
-                good &= ok
+                p0, ok, eps = self._newton_anchor(eps_hat, rho_nodes, offsets,
+                                                  data[0].reshape(-1))
 
         # energy deviations over the wrapped 3x3 stencil (ordered like the
         # CWENO window), then the face energies
         e_window = np.lib.stride_tricks.sliding_window_view(
             np.pad(data[3], 1, mode="wrap"), shape).reshape(9, -1)
         if b is None:
-            delta, eps_faces, ok = energy_deviations(
-                eos, p0 + offsets, rho_nodes, e_window, self._wq)
             good &= ok
+            delta, eps_faces = energy_deviations(eps, e_window, self._wq)
         else:
             good &= self._pressure_positive(p0, rho)
             delta = e_window - b * (p0 + lines[1:10])
@@ -238,8 +239,8 @@ class SpatialOperator2D:
         return ok
 
     def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
-        return anchor_pressure_newton(line_nodes, rho_nodes, rho_hat, eps_hat,
-                                      self.eos, self._wq)
+        return anchor_pressure_newton(line_nodes, rho_nodes, self._own,
+                                      rho_hat, eps_hat, self.eos, self._wq)
 
     # -- sources --------------------------------------------------------------
 

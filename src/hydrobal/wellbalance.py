@@ -37,8 +37,11 @@ of the stencil, not with the largest pressure of the grid.
 
 Two paths compute the energy deviations:
 - node values (1-D LA, and any EoS without a constant d eps/dp): the
-  pressure p0 + offset and the density at every node of the stencil and
-  the faces, one EoS call over all of them (`energy_deviations`);
+  internal energy at the pressure p0 + offset and the density at every
+  node of the stencil and the faces (`energy_deviations`, no EoS call).
+  The Newton anchor's last iteration inverts the whole node set at the
+  converged p0, so it yields them; after the closed-form and simplified
+  anchors they take one EoS call (`node_energies`);
 - cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
   gas) in 1-D DWB and 2-D LA: the window entries are E[i+d] - b times the
   mean equilibrium pressure over stencil cell d, and the face energies
@@ -54,11 +57,12 @@ Two paths compute the energy deviations:
   certifies cells with p0 > B (1 + 1e-12), the node values being
   evaluated only for the cells it leaves open.
 
-The anchor solvers take node values: the pressure offset p - p0 (the
-integrated source) and the density at a cell's quadrature nodes, nodes
-first, plus the weights that turn node values into the cell mean (Gauss
-weights divided by the cell size).  A caller with an exact mean of the
-offset may pass it as a single node of weight one.
+The anchor solvers take node values, nodes first: the pressure offset
+p - p0 (the integrated source) at a cell's quadrature nodes, plus the
+weights that turn node values into the cell mean (Gauss weights divided by
+the cell size).  A caller with an exact mean of the offset may pass it as
+a single node of weight one.  The Newton anchor takes the caller's whole
+node set with its densities, and a slice of the rows of the matched mean.
 """
 
 from functools import lru_cache
@@ -146,39 +150,49 @@ def anchor_pressure_ideal(offset_nodes, eps_hat, deps_dp, weights):
     return eps_hat / deps_dp - weights @ offset_nodes
 
 
-def anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat, eos,
+def anchor_pressure_newton(c_rows, rho_rows, own, rho_hat, eps_hat, eos,
                            weights):
     """General-EoS anchor via Newton iteration on the matching equation
-    mean(eps(rho, p0 + offset)) = eps_hat.
+    mean(eps(rho, p0 + c)) = eps_hat over the rows `own` of a node set.
 
-    Returns (p0, ok).  The initial guess is the pressure of the
-    cell-averaged conserved state (rho_hat, eps_hat); the relative step
-    |f/f'| < 1e-13 |p0| stops the iteration, so an anchor far below one is
-    as accurate as any other, and a halving step guards against negative
-    trial pressures.  Each iteration takes eps and d eps/dp at the nodes
-    from one `eos.thermo` call.  ok is False where the iteration did not
-    converge, the averaged state is non-physical, or p0 <= 0.
+    `c_rows` (rows, cells) is p - p0 at every node, which does not depend
+    on p0, and `rho_rows` the density there.  Returns (p0, ok, eps), eps at
+    every row at p0: the first iteration inverts the own rows, every later
+    one all rows at the candidate p0, so the iteration that confirms
+    convergence also yields eps at every node.  The initial guess is the
+    pressure of the averaged state (rho_hat, eps_hat); the relative step
+    |f/f'| < 1e-13 p0 stops the iteration, so an anchor far below one is as
+    accurate as any other, and a halving step guards against negative trial
+    pressures.  One `eos.thermo` call per iteration, with 1 in place of a
+    non-positive p or rho.  ok is False where the iteration did not
+    converge, the averaged state is non-physical, or p or rho is not
+    positive at some row.
     """
     safe = (rho_hat > 0.0) & (eps_hat > 0.0)
     target = np.where(safe, eps_hat, 1.0)
     p = eos.pressure(np.where(safe, rho_hat, 1.0), target)
-    rho_nodes = np.maximum(rho_nodes, 1e-300)
+    ok = safe & (rho_rows.min(axis=0) > 0.0)
+    if not ok.all():
+        rho_rows = np.where(rho_rows > 0.0, rho_rows, 1.0)
     converged = np.zeros(p.shape, dtype=bool)
-    for _ in range(ANCHOR_MAX_ITER):
-        p_nodes = p + offset_nodes
-        ok_nodes = np.all(p_nodes > 0.0, axis=0) & (p > 0.0)
-        p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
-        eps_nodes, deps_nodes = eos.thermo(rho_nodes, p_nodes,
-                                           "internal_energy", "deps_dp")
-        f = target - weights @ eps_nodes
-        fp = -(weights @ deps_nodes)
-        step = f / fp
-        converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL * np.abs(p))
-        p_next = np.where(converged, p, p - step)
-        p = np.where(p_next <= 0.0, 0.5 * p, p_next)
-        if np.all(converged):
+    rows, mean = own, slice(None)
+    for it in range(ANCHOR_MAX_ITER):
+        p_rows = p + c_rows[rows]
+        low = p_rows.min(axis=0)
+        if not low.min(initial=np.inf) > 0.0:
+            p_rows = np.where(p_rows > 0.0, p_rows, 1.0)
+        eps, deps = eos.thermo(rho_rows[rows], p_rows, "internal_energy",
+                               "deps_dp")
+        step = (target - weights @ eps[mean]) / (weights @ deps[mean])
+        converged |= np.abs(step) < ANCHOR_TOL * p
+        if it and converged.all():
             break
-    return p, converged & safe & (p > 0.0)
+        p_next = p + step
+        if not p_next.min(initial=np.inf) > 0.0:
+            p_next = np.where(p_next > 0.0, p_next, 0.5 * p)
+        p = np.where(converged, p, p_next)
+        rows, mean = slice(None), own
+    return p, ok & converged & (low > 0.0), eps
 
 
 def anchor_pressure_simplified(rec_center, eos):
@@ -188,22 +202,6 @@ def anchor_pressure_simplified(rec_center, eos):
     p0 = eos.pressure(np.where(good, rec_center[0], 1.0),
                       np.where(good, eps0, 1.0))
     return np.where(good, p0, -1.0)
-
-
-def solve_anchor(eos, offset_nodes, rho_nodes, rho_hat, eps_hat, weights):
-    """Anchor pressure p0 matching the cell-averaged internal energy
-    `eps_hat`: closed form for an EoS with a constant d eps/dp, Newton
-    iteration otherwise.
-
-    Returns (p0, ok); ok is False where the solve did not converge, its
-    inputs were non-physical, or p0 <= 0.
-    """
-    if eos.deps_dp_constant is not None:
-        p0 = anchor_pressure_ideal(offset_nodes, eps_hat, eos.deps_dp_constant,
-                                   weights)
-        return p0, p0 > 0.0
-    return anchor_pressure_newton(offset_nodes, rho_nodes, rho_hat, eps_hat,
-                                  eos, weights)
 
 
 @lru_cache(maxsize=None)
@@ -225,21 +223,22 @@ def equilibrium_points(n_quad, reach, dim=1):
 
 def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
                    e_hat, weights):
-    """Pressure and density of every cell's local equilibrium.
+    """Pressure, density and internal energy of every cell's local
+    equilibrium.
 
     `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
     and `rec_nodes` (2, nodes, n) its density and momentum, at its
     `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (C, n)
     is the reconstructed center state, whole for the simplified anchor that
-    alone reads it, and `weights` the cell-mean weights
-    of the Gauss nodes.  Returns (p, rho, ok) for `energy_deviations`: p
-    and rho are node values over the stencil node set, and ok flags cells
-    whose anchor is positive (and converged) and whose density is positive
-    at their own nodes; callers fall back to the standard reconstruction
-    elsewhere.
+    alone reads it, and `weights` the cell-mean weights of the Gauss nodes.
+    Returns (p, rho, eps, ok) for `energy_deviations`: node values over the
+    stencil node set, and ok flags cells whose anchor is positive (and
+    converged) and whose p and rho are positive at every node; callers
+    fall back to the standard reconstruction elsewhere.
 
     LA extrapolates cell i's own piece.  DWB takes the neighbours' pieces,
-    offset by the local glue, read through `periodic_windows`.  DWB with a
+    offset by the local glue, read through `periodic_windows`, before the
+    anchor, whose last iteration then gives eps at every node.  DWB with a
     constant d eps/dp = b needs no node values: it returns the energy
     deviations of `energy_deviations` directly, (delta, eps_faces, ok),
     from the means of p - p0 over the stencil cells and p - p0 at the
@@ -247,26 +246,41 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
     pressure and density positive at every node of the stencil and the
     faces.
     """
-    nq, r = weights.size, scheme.radius
+    nq, r, b = weights.size, scheme.radius, eos.deps_dp_constant
     reach = 0 if scheme.piecewise_source else r
     own = slice(reach * nq, (reach + 1) * nq)
     rho_own = rec_nodes[0, own]
     rho_pos = rho_own > 0.0
+    cell_means = scheme.piecewise_source and b is not None
+    if scheme.piecewise_source:
+        glue = local_glue(offsets[-2], offsets[-1], r)
+    # the node set relative to p0 and its densities: stencil cell d of DWB
+    # is piece i + d at its own nodes, shifted by the glue, and its faces
+    # are cell i's own
+    c, rho, own_rows = offsets, rec_nodes[0], slice(r * nq, (r + 1) * nq)
+    if scheme.piecewise_source and not cell_means:
+        n = offsets.shape[-1]
+        c, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
+        np.add(periodic_windows(offsets[:nq], r).transpose(1, 0, 2),
+               glue[:, None], out=c[:-2].reshape(2 * r + 1, nq, n))
+        c[-2:] = offsets[nq:]
+        rho[:-2].reshape(2 * r + 1, nq, n)[...] = periodic_windows(
+            rec_nodes[0, :nq], r).transpose(1, 0, 2)
+        rho[-2:] = rec_nodes[0, nq:]
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec_center, eos)
         ok = p0 > 0.0
     else:
         eps_hat = eps_hat_estimate(
             e_hat, np.where(rho_pos, rec_nodes[:, own], 1.0), weights)
-        p0, ok = solve_anchor(eos, offsets[own], rho_own, rho_hat, eps_hat,
-                              weights)
-    ok &= rho_pos.all(axis=0)
-    p0 = np.where(ok, p0, 1.0)
-    if not scheme.piecewise_source:
-        return p0 + offsets, rec_nodes[0], ok
-    glue = local_glue(offsets[-2], offsets[-1], r)
-    if eos.deps_dp_constant is not None:
-        b = eos.deps_dp_constant
+        if b is not None:
+            p0 = anchor_pressure_ideal(offsets[own], eps_hat, b, weights)
+            ok = p0 > 0.0
+        else:
+            p0, ok, eps = anchor_pressure_newton(c, rho, own_rows, rho_hat,
+                                                 eps_hat, eos, weights)
+            return p0 + c, rho, eps, ok
+    if cell_means:
         faces = offsets[nq:]
         # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
         delta = glue + periodic_windows(weights @ offsets[:nq], r)
@@ -281,36 +295,32 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
             rec_nodes[0, nq:].min(axis=0))
         ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
         return delta, b * faces, ok
-    # stencil cell d: piece i + d at its own nodes, shifted by the glue;
-    # the faces are cell i's own
-    n = offsets.shape[-1]
-    p, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
-    np.add(periodic_windows(offsets[:nq], r).transpose(1, 0, 2),
-           (p0 + glue)[:, None], out=p[:-2].reshape(2 * r + 1, nq, n))
-    np.add(offsets[nq:], p0, out=p[-2:])
-    rho[:-2].reshape(2 * r + 1, nq, n)[...] = periodic_windows(
-        rec_nodes[0, :nq], r).transpose(1, 0, 2)
-    rho[-2:] = rec_nodes[0, nq:]
-    return p, rho, ok
+    p = p0 + c
+    eps, positive = node_energies(eos, p, rho)
+    return p, rho, eps, ok & positive
 
 
-def energy_deviations(eos, p, rho, e_window, weights):
+def node_energies(eos, p, rho):
+    """eps(rho, p) at node values (nodes, cells), with 1 in place of a
+    non-positive p or rho, in one EoS call; and the cells whose p and rho
+    are positive at every node."""
+    ok = np.all((p > 0.0) & (rho > 0.0), axis=0)
+    return eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
+                               np.where(p > 0.0, p, 1.0)), ok
+
+
+def energy_deviations(eps, e_window, weights):
     """Energy deviations from the equilibrium, and its face internal energy.
 
-    `p` and `rho` (nodes, cells) hold the equilibrium at a node set
-    (`weights.size` nodes per stencil cell, cell after cell, then the
+    `eps` (nodes, cells) holds the equilibrium's internal energy at a node
+    set (`weights.size` nodes per stencil cell, cell after cell, then the
     faces) and `e_window` (n_stencil, cells) the energy averages of the
-    stencil cells.  delta = E_hat - cell mean of eps(rho, p), with one EoS
-    call over every node.  Returns (delta, eps_faces, ok), cells last; ok
-    flags cells with positive p and rho at every node.
+    stencil cells.  delta = E_hat - cell mean of eps.  Returns (delta,
+    eps_faces), cells last.
     """
-    n_stencil = e_window.shape[0]
-    ok = np.all((p > 0.0) & (rho > 0.0), axis=0)
-    eps = eos.internal_energy(np.where(rho > 0.0, rho, 1.0),
-                              np.where(p > 0.0, p, 1.0))
-    nq = weights.size
+    n_stencil, nq = e_window.shape[0], weights.size
     means = weights @ eps[:n_stencil * nq].reshape(n_stencil, nq, -1)
-    return e_window - means, eps[n_stencil * nq:], ok
+    return e_window - means, eps[n_stencil * nq:]
 
 
 def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_rows):

@@ -170,8 +170,8 @@ def _reference_left_fill(op, data, g_centers):
         p0 = anchor_pressure_ideal(offsets, eps_hat, eos.deps_dp_constant,
                                    weights / h)
     else:
-        p0 = anchor_pressure_newton(offsets, rho_n, data[0, ng], eps_hat, eos,
-                                    weights / h)[0]
+        p0 = anchor_pressure_newton(offsets, rho_n, slice(None), data[0, ng],
+                                    eps_hat, eos, weights / h)[0]
     if not scheme.piecewise_source:
         for j in range(ng):
             data[2, j] = energy(rec, anti, p0, (j - ng) * h + nodes)

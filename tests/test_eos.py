@@ -200,3 +200,84 @@ class TestRadiationClosedForm:
             IdealGasRadiation._newton(np.array([np.nan]), 1.0, 1.0,
                                       lambda t: t ** 4 + t - 1.0,
                                       lambda t: 4.0 * t ** 3 + 1.0)
+
+
+EOS_CLASSES = [IdealGas(1.4), IdealGasRadiation(1.4)]
+POINT_METHODS = ("pressure", "internal_energy", "deps_dp", "deps_drho",
+                 "sound_speed")
+THERMO_NAMES = ("internal_energy", "deps_dp", "deps_drho", "sound_speed")
+# a float (None), a 0-d array, a 1-element array and arrays that broadcast
+SHAPES = st.sampled_from([None, (), (1,), (5,), (3, 1), (1, 5), (3, 5)])
+
+
+def with_shape(value, shape):
+    return value if shape is None else np.full(shape, value)
+
+
+@pytest.mark.parametrize("eos", EOS_CLASSES, ids=["ideal", "radiation"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rho=st.floats(0.1, 10.0), other=st.floats(0.1, 10.0),
+       rho_shape=SHAPES, other_shape=SHAPES)
+def test_results_take_the_broadcast_shape(eos, rho, other, rho_shape,
+                                          other_shape):
+    rho, other = with_shape(rho, rho_shape), with_shape(other, other_shape)
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(other))
+    for method in POINT_METHODS:
+        assert np.shape(getattr(eos, method)(rho, other)) == shape, method
+    for value in eos.thermo(rho, other, *THERMO_NAMES):
+        assert np.shape(value) == shape
+    for value in eos.thermo_eps(rho, other, *THERMO_NAMES):
+        assert np.shape(value) == shape
+
+
+def test_ideal_gas_broadcasts_the_density():
+    eos = IdealGas(1.4)
+    assert eos.deps_dp(1.0, np.ones(5)).shape == (5,)
+    assert eos.pressure(np.ones(5), 1.0).shape == (5,)
+    assert eos.internal_energy(np.ones(5), 1.0).shape == (5,)
+    assert [np.shape(v) for v in eos.thermo(
+        np.ones(5), 1.0, "internal_energy", "deps_dp", "sound_speed")] \
+        == [(5,)] * 3
+    # equal shapes: the value itself, not a copy
+    eps = np.ones(5)
+    assert eos.internal_energy(np.ones(5), eps).base is None
+
+
+class TestScalarInputs:
+    """The in-place radiation kernels give the same bits for a float, a
+    0-d array and a 1-element array, and still reject bad input."""
+
+    @PROPERTY
+    @given(rho=LOG_UNIFORM, other=LOG_UNIFORM)
+    def test_same_bits(self, rho, other):
+        eos = IdealGasRadiation(1.4)
+        for fn in (_quartic_root, eos.temperature_from_p,
+                   eos.temperature_from_eps,
+                   lambda r, q: eos.thermo(r, q, *THERMO_NAMES),
+                   lambda r, q: eos.thermo_eps(r, q, *THERMO_NAMES)):
+            bits = {np.ravel(np.array(fn(cast(rho), cast(other)),
+                                      dtype=float)).tobytes()
+                    for cast in (float, np.array, lambda v: np.array([v]))}
+            assert len(bits) == 1
+
+    @pytest.mark.parametrize("rho, p", [
+        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0),
+        (np.ones(3), np.array([1.0, -2.0, 3.0])),
+        (np.array([1.0, np.nan]), np.ones(2))],
+        ids=["negative", "nan-p", "nan-rho", "array-negative", "array-nan"])
+    def test_bad_input_raises(self, rho, p):
+        eos = IdealGasRadiation(1.4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(EosFailure):
+                eos.temperature_from_p(rho, p)
+            with pytest.raises(EosFailure):
+                eos.thermo(rho, p, "internal_energy")
+
+    @pytest.mark.parametrize("cast", [float, np.array, lambda v: np.array([v])],
+                             ids=["float", "0-d", "1-element"])
+    def test_one_polish_evaluation(self, cast):
+        eos = IdealGasRadiation(1.4)
+        assert newton_evaluations(eos.temperature_from_p, cast(0.7),
+                                  cast(3.0)) == 1
+        assert newton_evaluations(eos.temperature_from_eps, cast(0.7),
+                                  cast(3.0)) == 1

@@ -265,9 +265,10 @@ def count_inversions(monkeypatch):
 
 def test_temperature_inversions_per_rhs_and_cfl(monkeypatch):
     # one 1-D radiation DWB-O3 right-hand side at the benchmark's n = 256:
-    # the anchor's start and two Newton steps, the energy deviations, the
-    # flux split of both sides, and the Roe average state; one CFL rate
-    # takes its pressure and sound speed from one temperature
+    # the anchor's start, its first Newton step at the own nodes and its
+    # second at the whole node set, which also yields the energies of the
+    # deviations; the flux split of both sides, and the Roe average state;
+    # one CFL rate takes its pressure and sound speed from one temperature
     from hydrobal.cases import grid_for, init_cell_averages, make_scenario
     from hydrobal.runner import make_operator
 
@@ -279,11 +280,46 @@ def test_temperature_inversions_per_rhs_and_cfl(monkeypatch):
     op.set_initial_state(data)
     calls = count_inversions(monkeypatch)
     op.rhs(data)
-    assert calls == ["temperature_from_eps"] + ["temperature_from_p"] * 3 \
+    assert calls == ["temperature_from_eps"] + ["temperature_from_p"] * 2 \
         + ["temperature_from_eps", "temperature_from_p"]
     calls.clear()
     cfl_rate(data[:, grid.interior], scen.eos, grid.spacing)
     assert calls == ["temperature_from_eps"]
+
+
+# inversions from eps ("eps") and from p ("p"), in order
+@pytest.mark.parametrize("scenario, kind, n, bc, fill_only, expected", [
+    # the anchor's start and two Newton steps, the second of which gives
+    # the energies of the deviations; the flux split and the Roe average
+    ("polytropic-radiation", "la", 256, None, False,
+     ["eps", "p", "p", "eps", "p"]),
+    # the boundary cells' anchors take three steps, the last two on the
+    # ghosts' nodes too: no separate ghost-energy inversion
+    ("polytropic-radiation", "dwb", 64,
+     ("hydrostatic-extrapolation", "solid-wall"), True, ["eps", "p", "p", "p"]),
+    # three anchor steps, then per axis the flux split and the Roe average
+    ("polytrope-2d", "la", 24, None, False,
+     ["eps", "p", "p", "p", "eps", "p", "eps", "p"]),
+], ids=["la3-rhs", "dwb3-hydrostatic-fill", "la3-2d-rhs"])
+def test_temperature_inversions_per_equilibrium(scenario, kind, n, bc,
+                                                fill_only, expected,
+                                                monkeypatch):
+    from hydrobal.cases import grid_for, init_cell_averages, make_scenario
+    from hydrobal.runner import make_operator
+
+    scen = make_scenario(scenario)
+    scen.eos = IdealGasRadiation(scen.eos.gamma)
+    if bc is not None:
+        scen.boundary = BoundarySpec1D(*bc)
+    scheme = Scheme(kind, 3)
+    grid = grid_for(scen, n, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    calls = count_inversions(monkeypatch)
+    op.fill_ghosts(data) if fill_only else op.rhs(data)
+    assert [name.rsplit("_", 1)[1] for name in calls] == expected
+    assert op.fallback_cells == 0
 
 
 @pytest.mark.parametrize("eos, tol", [(IdealGas(1.4), 0.0),

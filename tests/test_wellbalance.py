@@ -16,7 +16,7 @@ from hydrobal.boundary import BoundarySpec1D
 from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.errors import InitializationError
 from hydrobal.grid import Grid
-from hydrobal import operator2d
+from hydrobal import operator1d, operator2d, wellbalance
 from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.physics import flux_divergence, positivity_fallback
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
@@ -62,26 +62,25 @@ def node_eos(eos):
 def profiles(op, data):
     """The operator's equilibrium at its node set, as its `rhs` builds it
     from its product-basis tables, on the node path (the ideal gas as
-    `NodeIdealGas`): (p, rho, ok, rec, anti) with cells first, `rec` the
-    coefficients and `anti` the Horner reference coefficients of each
-    cell's source antiderivative."""
+    `NodeIdealGas`): (p, rho, ok, rec, anti, eps) with cells first, `rec`
+    the coefficients, `anti` the Horner reference coefficients of each
+    cell's source antiderivative and `eps` the internal energy."""
     rec = op.cweno.coefficients(data)
     terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, rec.shape[-1])
-    p, rho, ok = build_profiles(
+    p, rho, eps, ok = build_profiles(
         op.scheme, node_eos(op.eos), op._line_rows @ terms,
         op._value_rows @ rec[:2], rec[:, 0], data[0], data[2], op._mean)
     rec = np.swapaxes(rec, -1, -2)
     return (p.T, rho.T, ok, rec,
-            poly_antiderivative(poly_mul(rec[0], op.g_coeffs.T)))
+            poly_antiderivative(poly_mul(rec[0], op.g_coeffs.T)), eps.T)
 
 
-def deviations(op, p, rho, data):
-    """`energy_deviations` of cells-first node values `p`, `rho` (from
-    `profiles`): (delta, eps_faces, ok) with cells first."""
-    delta, eps_faces, ok = energy_deviations(
-        node_eos(op.eos), p.T, rho.T,
-        periodic_windows(data[2], op.scheme.radius), op._mean)
-    return delta.T, eps_faces.T, ok
+def deviations(op, eps, data):
+    """`energy_deviations` of the cells-first node energies `eps` (from
+    `profiles`): (delta, eps_faces) with cells first."""
+    delta, eps_faces = energy_deviations(
+        eps.T, periodic_windows(data[2], op.scheme.radius), op._mean)
+    return delta.T, eps_faces.T
 
 
 def node_offsets(op):
@@ -116,7 +115,7 @@ class TestSources:
         # cell i and at its faces; E = 2.5 makes the anchor p0 = 1.  Cells
         # whose stencil wraps around the grid are left out.
         op, data = uniform_op("dwb", 5, 10, IdealGas(1.4), 2.5)
-        p, rho, ok, rec, anti = profiles(op, data)
+        p, rho, ok, rec, anti, _ = profiles(op, data)
         assert np.all(ok)
         np.testing.assert_allclose(anti[:, 1], -1.0)
         np.testing.assert_allclose(anti[:, 2:], 0.0, atol=1e-15)
@@ -186,12 +185,12 @@ class TestAnchors:
         # the closed-form profile of build_profiles, at the cell's own
         # nodes, equals the Newton anchor plus the same pressure offsets
         grid, field, op = reconstruction_setup(scen, 32, scheme)
-        p, rho, ok, rec, anti = profiles(op, field.data)
+        p, rho, ok, rec, anti, _ = profiles(op, field.data)
         own = own_nodes(op)
         offsets = poly_eval(anti[:, None, :], op.quad_nodes)
-        p_newton, conv = anchor_pressure_newton(
-            offsets.T, rho[:, own].T, field.data[0], field.data[2], scen.eos,
-            op._mean)
+        p_newton, conv, _ = anchor_pressure_newton(
+            offsets.T, rho[:, own].T, slice(None), field.data[0],
+            field.data[2], scen.eos, op._mean)
         inner = slice(2, grid.shape_tot[0] - 2)
         assert np.all(conv[inner])
         np.testing.assert_allclose(p_newton[inner, None] + offsets[inner],
@@ -210,11 +209,35 @@ class TestAnchors:
         n = grid.shape_tot[0]
         _, weights = gauss_nodes_weights_centered(2, grid.spacing[0])
         eps = np.full(n, 5.5)
-        p0, conv = anchor_pressure_newton(np.zeros((2, n)), np.ones((2, n)),
-                                          np.ones(n), eps, eos,
-                                          weights / grid.spacing[0])
+        p0, conv, _ = anchor_pressure_newton(
+            np.zeros((2, n)), np.ones((2, n)), slice(None), np.ones(n), eps,
+            eos, weights / grid.spacing[0])
         assert np.all(conv)
         np.testing.assert_allclose(p0, 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("gravity", [0.0, 0.3], ids=["start", "steps"])
+    def test_newton_energies_at_every_row(self, gravity):
+        # the own rows (the middle two) set p0; the other rows take eps at
+        # the converged p0, also when the start is already the root and
+        # the first iteration, at the own rows alone, confirms it
+        eos = IdealGasRadiation(1.4)
+        _, weights = gauss_nodes_weights_centered(2, 1.0)
+        rng = np.random.default_rng(11)
+        c = gravity * rng.uniform(-1.0, 1.0, (6, 5))
+        c[2:4] = gravity * np.array([[-0.3], [0.3]])
+        c[0, 4] = -10.0                      # a non-positive node
+        rho = rng.uniform(0.5, 2.0, (6, 5))
+        rho[3] = rho[2]
+        rho_hat = weights @ rho[2:4]
+        eps_hat = weights @ eos.internal_energy(rho[2:4], 1.0 + c[2:4])
+        p0, ok, eps = anchor_pressure_newton(c, rho, slice(2, 4), rho_hat,
+                                             eps_hat, eos, weights)
+        np.testing.assert_allclose(p0, 1.0, rtol=1e-13)
+        np.testing.assert_array_equal(ok, [True] * 4 + [False])
+        p = p0 + c
+        np.testing.assert_allclose(
+            eps, eos.internal_energy(rho, np.where(p > 0.0, p, 1.0)),
+            rtol=1e-14)
 
     def test_newton_on_radiation_polytrope_order(self):
         scen = polytropic_radiation_1d()
@@ -223,7 +246,7 @@ class TestAnchors:
         errors = []
         for n in (32, 64, 128):
             grid, field, op = reconstruction_setup(scen, n, scheme)
-            p, rho, ok, rec, anti = profiles(op, field.data)
+            p, rho, ok, rec, anti, _ = profiles(op, field.data)
             inner = slice(grid.n_ghost + 2, grid.n_ghost + n - 2)
             _, p_bg = scen.background
             exact = p_bg(grid.centers()[inner, None] + op.quad_nodes)
@@ -290,10 +313,10 @@ class TestEquilibriumConsistency:
         scen = isothermal_1d("10x")
         scheme = Scheme(kind, order)
         grid, field, op = reconstruction_setup(scen, 64, scheme)
-        p, rho, ok = profiles(op, field.data)[:3]
-        delta, eps_faces, valid = deviations(op, p, rho, field.data)
+        _, _, ok, _, _, eps = profiles(op, field.data)
+        delta, eps_faces = deviations(op, eps, field.data)
         inner = slice(2 * scheme.radius, grid.shape_tot[0] - 2 * scheme.radius)
-        assert np.all(ok[inner] & valid[inner])
+        assert np.all(ok[inner])
         # the d=0 column is the matching equation itself
         np.testing.assert_allclose(delta[inner, scheme.radius], 0.0, atol=1e-13)
 
@@ -308,8 +331,8 @@ class TestEquilibriumConsistency:
         data[2] = 2.0 + 0.1 * rng.random(grid.shape_tot[0])
         op = SpatialOperator1D(grid, scheme, scen.eos, lambda x: 0.0 * x,
                                scen.boundary)
-        p, rho, ok, rec, anti = profiles(op, data)
-        delta, eps_faces, valid = deviations(op, p, rho, data)
+        p, rho, ok, rec, anti, eps = profiles(op, data)
+        delta, eps_faces = deviations(op, eps, data)
         e_faces = hydrostatic_energy_faces(
             eps_faces.T, op.cweno.reconstruct_stencils(delta.T, axis=0),
             op._face_rows).T
@@ -469,8 +492,8 @@ def test_newton_anchor_relative_to_small_pressure():
         rho = np.full((2, 1), scale)
         offsets = scale * np.array([[-0.3], [0.3]])
         eps_hat = np.mean(eos.internal_energy(rho, scale + offsets), axis=0)
-        p0, ok = anchor_pressure_newton(offsets, rho, rho[0], eps_hat, eos,
-                                        weights)
+        p0, ok, _ = anchor_pressure_newton(offsets, rho, slice(None), rho[0],
+                                           eps_hat, eos, weights)
         assert ok.all()
         assert abs(p0[0] - scale) <= 100 * ANCHOR_TOL * scale
 
@@ -610,10 +633,9 @@ def full_reconstruction_rhs_1d(op, state):
     if op._cell_means:
         delta, eps_faces, good = profiles
     else:
-        p, rho, good = profiles
-        delta, eps_faces, ok = energy_deviations(
-            op.eos, p, rho, periodic_windows(data[2], scheme.radius), op._mean)
-        good &= ok
+        *_, eps, good = profiles
+        delta, eps_faces = energy_deviations(
+            eps, periodic_windows(data[2], scheme.radius), op._mean)
     e_faces = hydrostatic_energy_faces(
         eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
         op._face_rows)
@@ -719,3 +741,128 @@ class TestLeanStatePass:
         op, data = polytrope_op(IdealGas(2.0), kind)
         assert self._state_pass_components(op, data, 2) == \
             (comps, 1 if kind == "standard" else 2)
+
+
+def own_node_anchor(offset_nodes, rho_nodes, rho_hat, eps_hat, eos, weights):
+    """The Newton anchor that inverts a cell's own nodes alone, in every
+    iteration: the reference of `anchor_pressure_newton`."""
+    safe = (rho_hat > 0.0) & (eps_hat > 0.0)
+    target = np.where(safe, eps_hat, 1.0)
+    p = eos.pressure(np.where(safe, rho_hat, 1.0), target)
+    rho_nodes = np.maximum(rho_nodes, 1e-300)
+    converged = np.zeros(p.shape, dtype=bool)
+    for _ in range(wellbalance.ANCHOR_MAX_ITER):
+        p_nodes = p + offset_nodes
+        ok_nodes = np.all(p_nodes > 0.0, axis=0) & (p > 0.0)
+        p_nodes = np.where(p_nodes > 0.0, p_nodes, 1.0)
+        eps_nodes, deps_nodes = eos.thermo(rho_nodes, p_nodes,
+                                           "internal_energy", "deps_dp")
+        step = (target - weights @ eps_nodes) / -(weights @ deps_nodes)
+        converged |= ok_nodes & (np.abs(step) < ANCHOR_TOL * np.abs(p))
+        p_next = np.where(converged, p, p - step)
+        p = np.where(p_next <= 0.0, 0.5 * p, p_next)
+        if np.all(converged):
+            break
+    return p, converged & safe & (p > 0.0)
+
+
+def two_pass_anchor(node_rejects):
+    """`anchor_pressure_newton` in two passes: `own_node_anchor`, then a
+    separate EoS call over the whole node set.  Appends to `node_rejects`
+    the number of cells whose anchor converged but whose pressure or
+    density is not positive at some other node."""
+    def anchor(c_rows, rho_rows, own, rho_hat, eps_hat, eos, weights):
+        p0, ok = own_node_anchor(c_rows[own], rho_rows[own], rho_hat, eps_hat,
+                                 eos, weights)
+        p = np.where(ok, p0, 1.0) + c_rows
+        positive = np.all((p > 0.0) & (rho_rows > 0.0), axis=0)
+        node_rejects.append(int(np.count_nonzero(ok & ~positive)))
+        eps = eos.internal_energy(np.where(rho_rows > 0.0, rho_rows, 1.0),
+                                  np.where(p > 0.0, p, 1.0))
+        return p0, ok & positive, eps
+    return anchor
+
+
+def radiation_op(kind, order, stress=None, bc=None):
+    """`perturbed_op` with the radiation EoS, or with `bc` the
+    `polytropic-radiation` operator at n = 64 on those sides.  `stress`
+    "block" is `perturbed_op`'s stressed block, whose anchors fail; a
+    number scales every energy by it with 10% noise, so that the pressure
+    at some nodes of converged anchors turns negative."""
+    if bc is None:
+        op, data = perturbed_op(IdealGasRadiation(1.4), kind, order,
+                                stress == "block")
+    else:
+        scen = make_scenario("polytropic-radiation")
+        scen.boundary = BoundarySpec1D(*bc)
+        scheme = Scheme(kind, order)
+        grid = grid_for(scen, 64, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+    if stress not in (None, "block"):
+        rng = np.random.default_rng(5)
+        data[-1] *= stress * (1.0 + 0.1 * rng.standard_normal(data[-1].shape))
+    op.set_initial_state(data)
+    return op, data
+
+
+class TestWholeNodeSetAnchor:
+    """The radiation anchor, whose last iteration inverts the whole node
+    set, against the two passes it replaces (`two_pass_anchor`)."""
+
+    @staticmethod
+    def _two_pass(make, monkeypatch):
+        """An operator from `make` whose every anchor caller runs the two
+        passes, and the cells they rejected at a node other than their own."""
+        node_rejects = []
+        for module in (wellbalance, operator1d, operator2d):
+            monkeypatch.setattr(module, "anchor_pressure_newton",
+                                two_pass_anchor(node_rejects))
+        return make()[0], node_rejects
+
+    def _rhs_against_two_pass(self, make, monkeypatch):
+        op, data = make()
+        rhs = op.rhs(data)
+        ref, node_rejects = self._two_pass(make, monkeypatch)
+        scale = np.max(np.abs(data)) / min(op.grid.spacing)
+        np.testing.assert_allclose(rhs, ref.rhs(data), rtol=0,
+                                   atol=1e-13 * scale)
+        assert op.fallback_cells == ref.fallback_cells
+        return op.fallback_cells, sum(node_rejects)
+
+    @pytest.mark.parametrize("stress", [None, "block", 0.1, 0.03])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("kind", ["dwb", "la"])
+    def test_1d_rhs(self, kind, order, stress, monkeypatch):
+        fallbacks, node_rejects = self._rhs_against_two_pass(
+            lambda: radiation_op(kind, order, stress), monkeypatch)
+        assert (fallbacks > 0) == (stress is not None)
+        assert (node_rejects > 0) == (stress in (0.1, 0.03))
+
+    @pytest.mark.parametrize("scale", [None, 0.3, 0.03],
+                             ids=["smooth", "x0.3", "x0.03"])
+    def test_2d_rhs(self, scale, monkeypatch):
+        fallbacks, node_rejects = self._rhs_against_two_pass(
+            lambda: polytrope_op(IdealGasRadiation(2.0), "la", scale),
+            monkeypatch)
+        assert (fallbacks > 0) == (node_rejects > 0) == (scale is not None)
+
+    @pytest.mark.parametrize("stress", [None, 0.03])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("kind", ["dwb", "la"])
+    def test_hydrostatic_fill(self, kind, order, stress, monkeypatch):
+        # the ghost energies of both sides, and the RHS around them
+        bc = ("hydrostatic-extrapolation", "solid-wall")
+        make = lambda: radiation_op(kind, order, stress, bc)
+        op, data = make()
+        filled = data.copy()
+        op.fill_ghosts(filled)
+        ref, _ = self._two_pass(make, monkeypatch)
+        expected = data.copy()
+        ref.fill_ghosts(expected)
+        np.testing.assert_allclose(filled, expected, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(data)))
+        assert op.fallback_cells == ref.fallback_cells
+        assert (op.fallback_cells > 0) == (stress is not None)
+        monkeypatch.undo()
+        self._rhs_against_two_pass(make, monkeypatch)
