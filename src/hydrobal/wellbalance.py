@@ -171,7 +171,7 @@ def anchor_pressure_newton(c_rows, rho_rows, own, rho_hat, eps_hat, eos,
     safe = (rho_hat > 0.0) & (eps_hat > 0.0)
     target = np.where(safe, eps_hat, 1.0)
     p = eos.pressure(np.where(safe, rho_hat, 1.0), target)
-    ok = safe & (rho_rows.min(axis=0) > 0.0)
+    ok = rho_rows.min(axis=0) > 0.0
     if not ok.all():
         rho_rows = np.where(rho_rows > 0.0, rho_rows, 1.0)
     converged = np.zeros(p.shape, dtype=bool)
@@ -192,7 +192,7 @@ def anchor_pressure_newton(c_rows, rho_rows, own, rho_hat, eps_hat, eos,
             p_next = np.where(p_next > 0.0, p_next, 0.5 * p)
         p = np.where(converged, p, p_next)
         rows, mean = slice(None), own
-    return p, ok & converged & (low > 0.0), eps
+    return p, ok & safe & converged & (low > 0.0), eps
 
 
 def anchor_pressure_simplified(rec_center, eos):
