@@ -16,14 +16,13 @@ from .boundary import (
     BoundarySpec1D,
     BoundarySpec2D,
     extrapolated_strips,
-    ghost_mean_table,
     set_edge_ghosts,
 )
 from .eos import IdealGas, IdealGasRadiation
 from .errors import ConfigurationError, InitializationError
 from .grid import CellField, Grid
-from .quadrature import cell_averages, gauss_nodes_weights_centered
-from .reconstruct import Cweno1D, GravityInterp1D, product_tables, product_terms
+from .quadrature import cell_averages
+from .reconstruct import product_tables
 from .wellbalance import equilibrium_points, glued_constants
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -366,64 +365,59 @@ def init_cell_averages(scenario, grid, quad_order=5):
     return CellField(grid, cell_averages(conserved, grid, quad_order))
 
 
-def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None,
-                              eps_w=None):
-    """Discrete hydrostatic equilibrium consistent with the scheme's own
-    equilibrium reconstruction.
+def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
+    """Discrete hydrostatic equilibrium of `operator`, the 1-D operator the
+    run advances.
 
-    Density averages come from the scheme's quadrature of the background;
-    the anchor pressure is the background point value at the anchor cell and
-    is propagated to every cell by enforcing pressure continuity of the
-    piecewise equilibrium source at interfaces; energies are then the
-    quadrature averages of the profile's internal energy.  Ghost cells are
-    included so Dirichlet boundaries are consistent; on every extrapolation
-    or wall side the ghost densities are generated by the same extrapolation
-    the boundary fill applies (`boundary.extrapolated_strips`), making the
-    state an exact fixed point of the discretization whatever the other side
-    is.  `eps_w` is the CWENO regularization of the operator it balances.
+    The discretization is the operator's own: its CWENO reconstruction
+    (with its `eps_w`), cells-last gravity coefficients, product exponents
+    and, on hydrostatic sides, ghost-mean table; the pieces' products are
+    the RHS's cells-last terms.  Density averages come from the scheme's
+    quadrature of the background; the anchor pressure is the background
+    point value at the anchor cell and is propagated to every cell by
+    enforcing pressure continuity of the piecewise equilibrium source at
+    interfaces; energies are then the quadrature averages of the profile's
+    internal energy.  Ghost cells are included so Dirichlet boundaries are
+    consistent; on every extrapolation or wall side the ghost densities are
+    generated by the same extrapolation the boundary fill applies
+    (`boundary.extrapolated_strips`), making the state an exact fixed point
+    of the discretization whatever the other side is.
     """
     if scenario.dimension != 1 or scenario.background is None:
         raise InitializationError(
             "discrete equilibria need a 1-D scenario with a background")
     rho_bg, p_bg = scenario.background
-    eos = scenario.eos
-    h, = grid.spacing
-    ng, r = grid.n_ghost, scheme.radius
+    grid, scheme, cweno = operator.grid, operator.scheme, operator.cweno
+    ng, r, nq = grid.n_ghost, scheme.radius, scheme.n_quad
     n_tot, = grid.shape_tot
-    centers = grid.centers()
-    weights = gauss_nodes_weights_centered(scheme.n_quad, h)[1]
 
     data = np.zeros((3, n_tot))
-    data[0] = cell_averages(rho_bg, grid, scheme.n_quad)
-
-    cweno = Cweno1D(scheme.order, h, eps_w)
-    sides = scenario.boundary.hydrostatic_sides
+    data[0] = cell_averages(rho_bg, grid, nq)
+    sides = operator.boundary.hydrostatic_sides
     if sides:
         # regenerate ghost densities exactly as the boundary fill will
         set_edge_ghosts(data, sides, extrapolated_strips(
-            cweno, data, sides, ng, ghost_mean_table(cweno, ng)), ng)
+            cweno, data, sides, ng, operator._edge_means), ng)
 
-    rec_rho = cweno.coefficients(data[0]).T[r:n_tot - r]
-    ginterp = GravityInterp1D(scheme.order, h)
-    g_coeffs = ginterp.coefficients(
-        np.asarray(scenario.gravity(centers), dtype=float) * np.ones(n_tot))
+    rec = cweno.coefficients(data[0])
+    # the RHS's product terms (m * m_g, n_tot), rec-major
+    terms = (rec[:, None] * operator.g_coeffs).reshape(-1, n_tot)
     # every piece at the Gauss nodes of its stencil cells and at its faces
-    tables = product_tables(cweno.exps, ginterp.exps,
-                            equilibrium_points(scheme.n_quad, r), (h,))
-    anti = product_terms(rec_rho, g_coeffs[r:n_tot - r]) @ tables.line[0]
+    tables = product_tables(*operator._exps, equilibrium_points(nq, r),
+                            grid.spacing)
+    anti = terms[:, r:n_tot - r].T @ tables.line[0]
     anchor = ng if anchor_cell is None else int(anchor_cell)
     const = glued_constants(anti[:, -2], anti[:, -1], anchor - r,
-                            p_bg(centers[anchor]))
+                            p_bg(grid.centers()[anchor]))
 
     # cell k averages piece k; the outermost r ghosts on each side, which
     # have no full stencil, continue the innermost piece
     cells = np.arange(n_tot)
     piece = np.clip(cells, r, n_tot - 1 - r) - r
-    nodes_of = (cells - piece)[:, None] * weights.size + np.arange(weights.size)
-    rho = (rec_rho @ tables.values)[piece[:, None], nodes_of]
+    nodes_of = (cells - piece)[:, None] * nq + np.arange(nq)
+    rho = (rec.T[r:n_tot - r] @ tables.values)[piece[:, None], nodes_of]
     p = const[piece, None] + anti[piece[:, None], nodes_of]
-    bad = (const[piece] <= 0.0) \
-        | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
+    bad = (const[piece] <= 0.0) | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
     if np.any(bad):
         n, = grid.cells
         raise InitializationError(
@@ -431,7 +425,8 @@ def discrete_equilibrium_init(scenario, grid, scheme, anchor_cell=None,
             "equilibrium has a non-positive pressure or density in cell "
             f"{int(np.argmax(bad)) - ng} (interior cells are 0..{n - 1}); "
             "use a finer grid")
-    data[2] = np.sum(weights * eos.internal_energy(rho, p), axis=-1) / h
+    eps = scenario.eos.internal_energy(rho, p)
+    data[2] = np.sum(operator.quad_weights * eps, axis=-1) / grid.spacing[0]
     return CellField(grid, data)
 
 

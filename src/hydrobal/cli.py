@@ -80,21 +80,23 @@ def cmd_study(args):
         write_report_csv(report, out / "report.csv")
         (out / "table.txt").write_text(format_table(report) + "\n")
         write_meta(cfg, out / "meta.json", extra={"rows": report["rows"]})
-    failed = [r for r in report["rows"] if r.get("failure")]
-    return 1 if failed and len(failed) == len(report["rows"]) else 0
+    return int(all(row["failure"] for row in report["rows"]))
 
 
 def cmd_bench(args):
     cfg = _build_config(args)
     report = run_efficiency_study(cfg)
     for row in report["rows"]:
+        if row["failure"]:
+            print(f"N={row['n']:5d} FAILED: {row['failure']}")
+            continue
         print(f"N={row['n']:5d} mean_time={row['mean_time']:.4f}s "
               f"var={row['var_time']:.2e} E_err={row['errors'][-1]:.4e}")
     if cfg.out:
         out = _out_dir(cfg)
         write_efficiency_csv(report, out / "report.csv")
         write_meta(cfg, out / "meta.json", extra={"rows": report["rows"]})
-    return 0
+    return int(all(row["failure"] for row in report["rows"]))
 
 
 def main(argv=None):

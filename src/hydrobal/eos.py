@@ -167,6 +167,9 @@ class IdealGasRadiation:
             step = f(t) / fprime(t)
             t_new = t - step
             if not t_new.min(initial=np.inf) > 0.0:
+                if not np.isfinite(t_new).all():
+                    raise EosFailure("no temperature for a negative or NaN "
+                                     "input", rho=rho, other=target)
                 t_new = np.where(t_new > 0.0, t_new, 0.5 * t)
             if (np.abs(step) / t_new).max(initial=0.0) <= _NEWTON_TOL:
                 return t_new

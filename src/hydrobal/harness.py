@@ -47,27 +47,44 @@ def run_single(cfg):
     return result, errors
 
 
-def run_convergence_study(cfg):
-    """Errors and rates (as lists) over cfg.resolutions; failures per row."""
+def _study_rows(cfg, repetitions=1):
+    """The study's scheme and one row per resolution of cfg.resolutions:
+    `repetitions` runs at n, their last run's errors (as a list), steps,
+    wall time and fallback cells, and the mean and variance of their wall
+    times.  A `HydrobalError` becomes the row's `failure`, with every other
+    entry None, and the next row still runs."""
     scenario = scenario_from_config(cfg)
     scheme = scheme_from_config(cfg)
     reference = _reference_run(cfg, scenario)
     rows = []
     for n in cfg.resolutions or [cfg.n]:
+        row = {"n": n, **dict.fromkeys((
+            "errors", "steps", "wall_time", "fallback_cells", "mean_time",
+            "var_time", "failure"))}
+        rows.append(row)
         try:
-            result = run(scenario, scheme, n, cfl=cfg.cfl, t_end=cfg.t_end,
-                         init=cfg.init, eps_w=cfg.eps_w, damping=cfg.damping)
+            times = []
+            for _ in range(repetitions):
+                result = run(scenario, scheme, n, cfl=cfg.cfl,
+                             t_end=cfg.t_end, init=cfg.init, eps_w=cfg.eps_w,
+                             damping=cfg.damping)
+                times.append(result.wall_time)
             errors = result.errors_vs(reference) if reference is not None \
                 else result.errors_vs_initial()
-            rows.append({"n": n, "errors": errors.tolist(),
-                         "steps": result.stats.steps,
-                         "wall_time": result.wall_time,
-                         "fallback_cells": result.stats.fallback_cells,
-                         "failure": None})
         except HydrobalError as exc:
-            rows.append({"n": n, "errors": None, "steps": None,
-                         "wall_time": None, "fallback_cells": None,
-                         "failure": f"{type(exc).__name__}: {exc}"})
+            row["failure"] = f"{type(exc).__name__}: {exc}"
+            continue
+        row.update(errors=errors.tolist(), steps=result.stats.steps,
+                   wall_time=result.wall_time,
+                   fallback_cells=result.stats.fallback_cells,
+                   mean_time=float(np.mean(times)),
+                   var_time=float(np.var(times)))
+    return scheme, rows
+
+
+def run_convergence_study(cfg):
+    """Errors and rates (as lists) over cfg.resolutions; failures per row."""
+    scheme, rows = _study_rows(cfg)
     # rates between successive successful resolutions with doubled n
     for prev, row in zip(rows, rows[1:]):
         if (row["errors"] is not None and prev["errors"] is not None
@@ -78,26 +95,9 @@ def run_convergence_study(cfg):
 
 
 def run_efficiency_study(cfg):
-    """Wall-clock statistics vs error per resolution, cfg.repetitions each."""
-    scenario = scenario_from_config(cfg)
-    scheme = scheme_from_config(cfg)
-    reference = _reference_run(cfg, scenario)
-    rows = []
-    for n in cfg.resolutions or [cfg.n]:
-        times = []
-        errors = None
-        for _ in range(cfg.repetitions):
-            result = run(scenario, scheme, n, cfl=cfg.cfl, t_end=cfg.t_end,
-                         init=cfg.init, eps_w=cfg.eps_w, damping=cfg.damping)
-            times.append(result.wall_time)
-            errors = result.errors_vs(reference) if reference is not None \
-                else result.errors_vs_initial()
-        rows.append({
-            "n": n,
-            "errors": errors.tolist(),
-            "mean_time": float(np.mean(times)),
-            "var_time": float(np.var(times)),
-        })
+    """Wall-clock statistics vs error per resolution, cfg.repetitions each;
+    failures per row."""
+    scheme, rows = _study_rows(cfg, cfg.repetitions)
     return {"config": cfg, "scheme_label": scheme.label, "rows": rows}
 
 
@@ -127,6 +127,10 @@ def write_efficiency_csv(report, path):
         writer = csv.writer(handle)
         writer.writerow(["N", "mean_time", "var_time", "component", "error"])
         for row in report["rows"]:
+            if row["failure"]:
+                writer.writerow([row["n"], "", "", "-",
+                                 f"failed: {row['failure']}"])
+                continue
             names = COMPONENT_NAMES[len(row["errors"])]
             for c, name in enumerate(names):
                 writer.writerow([row["n"], f"{row['mean_time']:.6e}",

@@ -254,7 +254,7 @@ class SpatialOperator1D:
 
         good = None
         if scheme.well_balanced:
-            # product terms (m * m_g, n_tot), rec-major like `product_terms`
+            # product terms (m * m_g, n_tot), rec-major (`product_tables`)
             terms = (rec[0][:, None] * self.g_coeffs).reshape(-1, data.shape[1])
             profiles = build_profiles(
                 scheme, self.eos, self._line_rows @ terms,

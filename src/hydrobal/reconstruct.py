@@ -523,7 +523,7 @@ def product_tables(rec_exps, g_exps, points, spacing):
     """Tables of the product basis rec-monomial x gravity-monomial at one
     node set, in physical units.
 
-    Product term (i, j), rec-major (`product_terms`), is x^e with
+    Product term (i, j), rec-major (index i * n_g + j), is x^e with
     e = rec_exps[i] + g_exps[j]; `points` are the node offsets from the cell
     center in units of `spacing`, one tuple per node.  The `ProductTables`:
     `values` (n_rec, nodes), the reconstruction monomials; `line` (dim,
@@ -539,9 +539,3 @@ def product_tables(rec_exps, g_exps, points, spacing):
     return ProductTables(*(table * np.multiply.reduce(h ** e, axis=-1)
                            for table, e in zip(unit, exps)))
 
-
-def product_terms(rec, g):
-    """Coefficients of rec * g over the product basis (..., n_rec * n_g),
-    batched over the broadcast leading axes."""
-    outer = rec[..., :, None] * g[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (-1,))

@@ -62,17 +62,18 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
         damping=None, stop_condition=None, eps_w=None):
     """Run one scenario with one scheme at resolution n.
 
-    init: 'averages' (quadrature of the initial closure) or 'discrete'
-    (discrete hydrostatic equilibrium consistent with the scheme).
+    init: 'averages' (quadrature of the initial closure) or 'discrete' (the
+    discrete hydrostatic equilibrium of the run's operator, built first).
+    The averages come before the operator: the other order faults in more
+    fresh pages and made a 2-D set-up after a run about 20% slower.
     Timing covers the step loop only.
     """
     scheme.validate_dimension(scenario.dimension)
     grid = grid_for(scenario, n, scheme.n_ghost)
-    if init == "discrete":
-        field = discrete_equilibrium_init(scenario, grid, scheme, eps_w=eps_w)
-    else:
-        field = init_cell_averages(scenario, grid)
+    field = None if init == "discrete" else init_cell_averages(scenario, grid)
     operator = make_operator(scenario, grid, scheme, eps_w)
+    if field is None:
+        field = discrete_equilibrium_init(scenario, operator)
     operator.set_initial_state(field.data)
     controller = StepController(
         cfl=cfl, t_end=scenario.t_end if t_end is None else t_end)

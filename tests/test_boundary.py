@@ -87,8 +87,8 @@ class TestDirichlet:
         # the steep profile needs enough cells for the propagated pressure to
         # stay positive through the ghost layer (the paper's setting is 128)
         grid = grid_for(scen, 128, scheme.n_ghost)
-        field = discrete_equilibrium_init(scen, grid, scheme)
         op = make_operator(scen, grid, scheme)
+        field = discrete_equilibrium_init(scen, op)
         op.set_initial_state(field.data)
         work = field.data.copy()
         work[:, :3] = -1.0  # clobber ghosts; fill must restore them
@@ -99,8 +99,8 @@ class TestDirichlet:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", 3)
         grid = grid_for(scen, 64, scheme.n_ghost)
-        field = discrete_equilibrium_init(scen, grid, scheme)
         op = make_operator(scen, grid, scheme)
+        field = discrete_equilibrium_init(scen, op)
         op.set_initial_state(field.data)
         assert np.max(np.abs(op.rhs(field.data))) < 1e-13
 
@@ -250,6 +250,57 @@ def test_failed_ghost_anchor_keeps_extrapolated_energies(scenario):
             poly_cell_average(coeffs, h, offset=(j - c) * h),
             rel=1e-13)
     np.testing.assert_array_equal(work[:, -ng:], reference[:, -ng:])
+
+
+# LA is left out: its fill continues the boundary cell's own piece over
+# the ghosts, not the glued equilibrium the init continues (up to 4.5e-5
+# of the state scale apart)
+@pytest.mark.parametrize("bc", [(EXTRAP, WALL), (WALL, EXTRAP)],
+                         ids=["extrap-wall", "wall-extrap"])
+@pytest.mark.parametrize("kind", ["dwb", "dwb-s"])
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("scenario, n", [("isothermal-10x", 128),
+                                         ("polytropic-radiation", 64)])
+def test_discrete_init_ghosts_are_the_fills_ghosts(scenario, n, order, kind,
+                                                   bc):
+    # the init's ghosts on hydrostatic sides are the ones the operator's
+    # fill writes: the same extrapolated densities and the same equilibrium
+    # energies, continued from the boundary cell's anchor by the fill and
+    # from the whole-grid glue by the init
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(*bc)
+    scheme = Scheme(kind, order)
+    op = make_operator(scen, grid_for(scen, n, scheme.n_ghost), scheme)
+    data = discrete_equilibrium_init(scen, op).data
+    work = data.copy()
+    op.fill_ghosts(work)
+    assert op.fallback_cells == 0
+    assert np.max(np.abs(work - data)) <= 1e-15 * np.max(np.abs(data))
+
+
+@pytest.mark.parametrize("bc", [(DIRICHLET, DIRICHLET), (EXTRAP, WALL)],
+                         ids=["dirichlet", "extrap-wall"])
+def test_discrete_run_builds_one_reconstruction(bc, monkeypatch):
+    # the discrete init reads the run's operator: one CWENO reconstruction
+    # and one gravity interpolant per run
+    import hydrobal.reconstruct as reconstruct
+
+    built = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    spy(reconstruct.Cweno1D)
+    spy(reconstruct.GravityInterp1D)
+    scen = isothermal_1d("10x")
+    scen.boundary = BoundarySpec1D(*bc)
+    run(scen, Scheme("dwb", 5), 128, t_end=0.0, init="discrete")
+    assert sorted(built) == ["Cweno1D", "GravityInterp1D"]
 
 
 def test_hydrostatic_extrapolation_dynamic_consistency():

@@ -209,6 +209,7 @@ class TestDiscreteEquilibriumErrors:
         from hydrobal.cases import Scenario, discrete_equilibrium_init
         from hydrobal.boundary import BoundarySpec1D
         from hydrobal.eos import IdealGas
+        from hydrobal.runner import make_operator
         from hydrobal.scheme import Scheme
 
         # strong constant gravity drives the propagated pressure below zero
@@ -222,9 +223,9 @@ class TestDiscreteEquilibriumErrors:
                                0.1 * np.ones_like(np.asarray(x, dtype=float))),
             background=(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                         lambda x: 0.1 * np.ones_like(np.asarray(x, dtype=float))))
-        grid = grid_for(scen, 32, 3)
+        op = make_operator(scen, grid_for(scen, 32, 3), Scheme("dwb", 3))
         with pytest.raises(InitializationError):
-            discrete_equilibrium_init(scen, grid, Scheme("dwb", 3))
+            discrete_equilibrium_init(scen, op)
 
     @pytest.mark.parametrize("order, bc, n", [
         (3, ("dirichlet", "dirichlet"), 56),
@@ -236,15 +237,20 @@ class TestDiscreteEquilibriumErrors:
         # pressure to stay positive through the top ghost cells
         from hydrobal.boundary import BoundarySpec1D
         from hydrobal.cases import discrete_equilibrium_init
+        from hydrobal.runner import make_operator
         from hydrobal.scheme import Scheme
 
         scen = isothermal_1d("10x")
         scen.boundary = BoundarySpec1D(*bc)
         scheme = Scheme("dwb", order)
+
+        def init(cells):
+            grid = grid_for(scen, cells, scheme.n_ghost)
+            return discrete_equilibrium_init(
+                scen, make_operator(scen, grid, scheme))
+
         with pytest.raises(InitializationError,
                            match=f"isothermal-10x, DWB-O{order}, n = {n}: .* "
                                  r"in cell \d+ .*use a finer grid"):
-            discrete_equilibrium_init(scen, grid_for(scen, n, scheme.n_ghost),
-                                      scheme)
-        discrete_equilibrium_init(scen, grid_for(scen, 2 * n, scheme.n_ghost),
-                                  scheme)
+            init(n)
+        init(2 * n)

@@ -144,8 +144,9 @@ class TestRadiationEos:
         assert np.all(self.eos.deps_dp(rho, p) > 0.0)
 
 
-def newton_evaluations(inversion, *args):
-    """Residual evaluations of the Newton polish during one inversion."""
+def newton_evaluations(inversion, *args, raises=None):
+    """Residual evaluations of the Newton polish during one inversion,
+    which must raise `raises` if given."""
     newton = IdealGasRadiation.__dict__["_newton"].__func__
     calls = []
 
@@ -156,7 +157,11 @@ def newton_evaluations(inversion, *args):
         return newton(t, rho, target, f_counted, fprime)
 
     with mock.patch.object(IdealGasRadiation, "_newton", staticmethod(counted)):
-        inversion(*args)
+        if raises is None:
+            inversion(*args)
+        else:
+            with pytest.raises(raises):
+                inversion(*args)
     return len(calls)
 
 
@@ -272,6 +277,17 @@ class TestScalarInputs:
                 eos.temperature_from_p(rho, p)
             with pytest.raises(EosFailure):
                 eos.thermo(rho, p, "internal_energy")
+
+    @pytest.mark.parametrize("rho, other", [
+        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0),
+        (np.array([1.0, np.nan]), np.ones(2))],
+        ids=["negative", "nan-p", "nan-rho", "array-nan"])
+    def test_bad_input_raises_at_the_first_step(self, rho, other):
+        eos = IdealGasRadiation(1.4)
+        with np.errstate(invalid="ignore"):
+            for invert in (eos.temperature_from_p, eos.temperature_from_eps):
+                assert newton_evaluations(invert, rho, other,
+                                          raises=EosFailure) == 1
 
     @pytest.mark.parametrize("cast", [float, np.array, lambda v: np.array([v])],
                              ids=["float", "0-d", "1-element"])

@@ -230,6 +230,29 @@ class TestCli:
         assert len(row["errors"]) == 3
         assert all(isinstance(err, float) for err in row["errors"])
 
+    def test_bench_records_a_failed_row_and_continues(self, tmp_path,
+                                                      capsys):
+        # n = 3 is too small for DWB-O5's ghost fill: that row records the
+        # failure in every output, n = 16 still runs, and, as with `study`,
+        # the command fails only when every row does
+        args = ["bench", "--scenario", "isothermal-10x", "--scheme", "dwb",
+                "--order", "5", "--t-end", "0.01", "--out", str(tmp_path),
+                "--resolutions", "3"]
+        assert cli_main(args + ["16"]) == 0
+        assert "N=    3 FAILED: ConfigurationError" in capsys.readouterr().out
+        failed, ok = json.loads((tmp_path / "meta.json").read_text())["rows"]
+        assert failed["n"] == 3
+        assert failed["failure"].startswith("ConfigurationError")
+        assert failed["errors"] is None and failed["mean_time"] is None
+        assert ok["n"] == 16 and ok["failure"] is None
+        assert ok["mean_time"] > 0.0 and len(ok["errors"]) == 3
+        with open(tmp_path / "report.csv") as handle:
+            _, first, *rest = list(csv.reader(handle))
+        assert first[:4] == ["3", "", "", "-"]
+        assert first[4].startswith("failed: ConfigurationError")
+        assert [row[0] for row in rest] == ["16"] * 3
+        assert cli_main(args) == 1
+
     def test_bench_takes_repetitions_from_config(self, tmp_path,
                                                  monkeypatch):
         calls = []

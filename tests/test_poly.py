@@ -21,7 +21,6 @@ from hydrobal.reconstruct import (
     _unit_product_tables,
     monomials_1d,
     product_tables,
-    product_terms,
 )
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import equilibrium_points
@@ -192,7 +191,7 @@ class TestLineIntegral2D:
         fine = product_tables(
             MONOMIALS_DEG2, op._exps_g,
             tuple((x, y) for x in nodes for y in nodes), op.grid.spacing)
-        own = sum(product_terms(rho, g) @ table
+        own = sum(np.outer(rho, g).ravel() @ table
                   for g, table in zip(g_center(op), fine.line))
         np.testing.assert_allclose(
             rows[0], own @ np.outer(weights, weights).ravel(), rtol=0,
@@ -254,8 +253,8 @@ def test_solver_has_one_polynomial_path(monkeypatch):
     scen.boundary = BoundarySpec1D("hydrostatic-extrapolation", "solid-wall")
     for order in (3, 5):
         scheme = Scheme("dwb", order)
-        field = discrete_equilibrium_init(scen, grid_for(scen, 64, scheme.n_ghost),
-                                          scheme)
+        op = make_operator(scen, grid_for(scen, 64, scheme.n_ghost), scheme)
+        field = discrete_equilibrium_init(scen, op)
         assert np.all(np.isfinite(field.data))
     scen = make_scenario("polytrope-2d", perturbation=1e-3)
     for kind in ("standard", "la"):
@@ -283,13 +282,15 @@ def test_product_tables_match_horner_reference(order):
     inside = tuple((x,) for x in rng.uniform(-0.5, 0.5, 5))
     outside = tuple((x,) for x in rng.uniform(-3.5, 3.5, 5)) + ((-0.5,), (0.5,))
     reference = poly_antiderivative(poly_mul(rec, g))
+    # coefficients of rec * g over the product basis, rec-major
+    terms = (rec[:, :, None] * g[:, None]).reshape(len(rec), -1)
     for points in (inside, outside, equilibrium_points(3, 2)):
         tables = product_tables(exps, exps, points, (h,))
         x = h * np.ravel(points)
         _within(rec @ tables.values, poly_eval(rec[:, None, :], x))
-        _within(product_terms(rec, g) @ tables.line[0],
+        _within(terms @ tables.line[0],
                 poly_eval(reference[:, None, :], x))
-        _within(product_terms(rec, g) @ tables.means,
+        _within(terms @ tables.means,
                 poly_cell_average(poly_mul(rec, g), h))
     # cell i at its own shift d_i in -2..2: columns of `equilibrium_points`
     shift = rng.integers(-2, 3, rec.shape[0])
@@ -297,7 +298,7 @@ def test_product_tables_match_horner_reference(order):
     x = h * np.ravel(equilibrium_points(3, 2))[cols]
     rows = np.arange(rec.shape[0])[:, None]
     _within((rec @ tables.values)[rows, cols], poly_eval(rec[:, None, :], x))
-    _within((product_terms(rec, g) @ tables.line[0])[rows, cols],
+    _within((terms @ tables.line[0])[rows, cols],
             poly_eval(reference[:, None, :], x))
 
 

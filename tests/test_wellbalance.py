@@ -351,8 +351,8 @@ class TestTheoremResidual:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", order)
         grid = grid_for(scen, 128, scheme.n_ghost)
-        field = discrete_equilibrium_init(scen, grid, scheme)
         op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+        field = discrete_equilibrium_init(scen, op)
         op.set_initial_state(field.data)
         rhs = op.rhs(field.data)
         assert np.max(np.abs(rhs)) < 1e-13
@@ -361,8 +361,8 @@ class TestTheoremResidual:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", 3)
         grid = grid_for(scen, 64, scheme.n_ghost)
-        field = discrete_equilibrium_init(scen, grid, scheme)
         op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+        field = discrete_equilibrium_init(scen, op)
         # the last two node-set columns are each profile's own faces
         p = profiles(op, field.data)[0]
         p_left, p_right = p[:, -2], p[:, -1]
@@ -382,7 +382,7 @@ class TestTheoremResidual:
         op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
         fields = []
         for anchor in (grid.n_ghost, grid.n_ghost + 32, grid.n_ghost + 63):
-            field = discrete_equilibrium_init(scen, grid, scheme, anchor_cell=anchor)
+            field = discrete_equilibrium_init(scen, op, anchor_cell=anchor)
             op.set_initial_state(field.data)
             assert np.max(np.abs(op.rhs(field.data))) < 1e-13
             fields.append(field.data)
@@ -405,8 +405,8 @@ def test_discrete_equilibrium_residual(scenario, n, order, kind, bc):
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, n, scheme.n_ghost)
-    field = discrete_equilibrium_init(scen, grid, scheme)
     op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+    field = discrete_equilibrium_init(scen, op)
     op.set_initial_state(field.data)
     rhs = op.rhs(field.data)
     assert np.max(np.abs(rhs)) <= 1e-12 * np.max(np.abs(field.data))
@@ -464,23 +464,57 @@ def test_steep_atmosphere_balanced_to_local_state(k, eos, kind, order, n, bc):
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, n, scheme.n_ghost)
+    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     init = lambda: discrete_equilibrium_init(
-        scen, grid, scheme, anchor_cell=grid.n_ghost + n - 1)
+        scen, op, anchor_cell=grid.n_ghost + n - 1)
     if (k, n, bc[0]) == (60, 128, "hydrostatic-extrapolation"):
         # the only grids the init rejects: the pressure of the piece it
         # continues over the outer ghosts turns negative in the third ghost
-        # above the top
+        # above the top (the RHS's own fill fails there too, see below)
         with pytest.raises(InitializationError, match="cell 130"):
             init()
         return
     field = init()
-    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     op.set_initial_state(field.data)
     rhs = op.rhs(field.data)[:, grid.interior]
     state = field.data[:, grid.interior]
     local = np.maximum(np.abs(state[0]), np.abs(state[2]))
     assert np.max(np.abs(rhs) / local) <= 1e-11
     assert op.fallback_cells == 0
+
+
+@pytest.mark.parametrize("sides, top", [
+    (("dirichlet", "hydrostatic-extrapolation"), True),
+    (("dirichlet", "solid-wall"), True),
+    (("hydrostatic-extrapolation", "dirichlet"), False),
+    (("solid-wall", "dirichlet"), False)],
+    ids=["top-extrapolation", "top-wall", "bottom-extrapolation",
+         "bottom-wall"])
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("eos, kind", [(IdealGas(1.4), "dwb"),
+                                       (IdealGas(1.4), "dwb-s"),
+                                       (IdealGasRadiation(1.4), "dwb")],
+                         ids=["ideal-dwb", "ideal-dwb-s", "radiation-dwb"])
+def test_steep_grids_the_init_rejects_fail_the_fill_too(eos, kind, order,
+                                                       sides, top):
+    # k = 60, n = 128: the init rejects these grids with hydrostatic sides,
+    # and the RHS's own fill fails on them as well.  The top-anchored state
+    # balanced with Dirichlet sides, handed to an operator with one
+    # hydrostatic side, keeps the extrapolated energies at every fill of
+    # the top side; the bottom side fills without a fallback
+    scen = steep_isothermal(60, eos)
+    scheme = Scheme(kind, order)
+    grid = grid_for(scen, 128, scheme.n_ghost)
+    dirichlet = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity,
+                                  scen.boundary)
+    data = discrete_equilibrium_init(
+        scen, dirichlet, anchor_cell=grid.n_ghost + 127).data
+    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity,
+                           BoundarySpec1D(*sides))
+    op.set_initial_state(data)
+    for _ in range(3):
+        op.fill_ghosts(data.copy())
+    assert op.fallback_cells == (3 * grid.n_ghost if top else 0)
 
 
 def test_newton_anchor_relative_to_small_pressure():
