@@ -379,9 +379,8 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
     interfaces; energies are then the quadrature averages of the profile's
     internal energy.  Ghost cells are included so Dirichlet boundaries are
     consistent; on every extrapolation or wall side the ghost densities are
-    generated by the same extrapolation the boundary fill applies
-    (`boundary.extrapolated_strips`), making the state an exact fixed point
-    of the discretization whatever the other side is.
+    generated by the same extrapolation the boundary fill applies, making
+    the state an exact fixed point of DWB whatever the other side is.
     """
     if scenario.dimension != 1 or scenario.background is None:
         raise InitializationError(
