@@ -12,7 +12,8 @@ Top-level keys (unknown keys are rejected):
   cfl               float in (0, 1]
   t_end             float (defaults to the scenario's final time)
   init              'averages' | 'discrete'
-  eps_w             float > 0, CWENO regularization (default dx^2 resp. dx*dy)
+  eps_w             float > 0 with a normal square, CWENO regularization
+                    (default dx^2 resp. dx*dy)
   damping           float >= 0 (momentum damping rate)
   repetitions       int >= 1 (efficiency studies)
   reference         object: {"kind": "initial"} or
@@ -24,6 +25,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigurationError
+from .reconstruct import _regularization
 
 _ALLOWED = {
     "scenario": str,
@@ -105,8 +107,8 @@ def validate_config(raw):
         raise ConfigurationError("init must be 'averages' or 'discrete'")
     if raw.get("repetitions", 1) < 1:
         raise ConfigurationError("repetitions must be >= 1")
-    if raw.get("eps_w", 1.0) <= 0.0:
-        raise ConfigurationError("eps_w must be positive")
+    if "eps_w" in raw:
+        _regularization(raw["eps_w"], None)
     if raw.get("damping", 0.0) < 0.0:
         raise ConfigurationError("damping must be non-negative")
     return RunConfig(**raw)

@@ -6,10 +6,13 @@ the first-order reference scheme) and the 3x3-stencil third-order 2-D
 variant.  Candidate-polynomial matrices and smoothness-indicator quadratic
 forms are built with exact rational arithmetic and cached per order (2-D:
 per aspect ratio dy/dx) as read-only tables; the grid spacing enters only
-through the scale vectors and eps_w.  Each indicator form is factored as
-A = L L^T, so an indicator is a sum of squares of rows folded into the
-candidate table, and the per-cell work reduces to one matrix product and a
-few contiguous passes.
+through the scale vectors and eps_w.  The blend acts on deviations from
+the central average, so each candidate keeps only the coefficient rows
+that see them (its support).  Where the indicator form restricted to that
+support is diagonal, the indicator is a weighted sum of squares of the
+candidate's own coefficient rows; only the 1-D order-5 central polynomial
+adds the rows of a Cholesky factor A = L L^T.  The per-cell work is three
+small matrix products and a few contiguous passes.
 
 Coefficients come out in cell-local coordinates: scaled internally
 (powers of (x - x_i)/dx), physical (powers of (x - x_i)) at the API.
@@ -25,6 +28,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 HALF = Fraction(1, 2)
+
+BlendTable = namedtuple("BlendTable", "table indicator owner place dlin")
 
 
 def _fraction_solve(a, b):
@@ -125,39 +130,73 @@ def _windowed_fit(values, width, n_coeff, fit, out=None):
 
 
 def _blend_table(opt, cands, dlin, form):
-    """Read-only (table, linear weights, factor) of one CWENO scheme.
+    """Read-only compact `BlendTable` of one CWENO scheme.
 
-    The central candidate is built from the optimal polynomial so that the
-    linear-weight blend reproduces it, (opt - sum_k d_k cand_k) / d_0, and
-    goes last.  The factor L (n_coeff, rank) gives form = L L^T; it keeps
-    the eigenvalues above 1e-14 of the largest, which drops the null
-    direction of the constant term (rank 0 for order 1).  The table stacks
-    the q candidate matrices (q*n_coeff rows) over the rows L^T cand_k
-    (q*rank rows), all over the n_window stencil entries.
+    The central candidate, (opt - sum_k d_k cand_k) / d0, goes last, so the
+    linear-weight blend reproduces opt.  The blend acts on deviations from
+    the central average, so a candidate's support is its coefficient rows
+    that are not zero once the center column is removed.  Where the form A
+    restricted to the support is diagonal, beta_k = sum_j A_jj c_j^2 comes
+    from the candidate's own coefficient rows; elsewhere (the 1-D order-5
+    central polynomial) the candidate adds the rows L^T c of the Cholesky
+    factor of A on the support rows with A_jj > 0.  `table` stacks the
+    coefficient rows, factored candidates first and then the diagonal ones
+    with A_jj = 0 first, over the factor rows, so the rows that carry an
+    indicator are the trailing ones, which `indicator` (q, rows) weighs;
+    `owner` is each coefficient row's candidate and `place` (n_coeff,
+    coefficient rows) sends each row to its coefficient.
     """
     d0 = 1 - sum(dlin)
     central = [[(opt[r][c] - sum(d * cand[r][c]
                                  for d, cand in zip(dlin, cands))) / d0
                 for c in range(len(opt[0]))] for r in range(len(opt))]
-    matrices = np.array([[[float(x) for x in row] for row in mat]
-                         for mat in cands + [central]])
-    lam, vec = np.linalg.eigh(form)
-    keep = lam > 1e-14 * lam.max()
-    factor = vec[:, keep] * np.sqrt(lam[keep])
-    n_window = matrices.shape[-1]
-    rows = np.einsum("kr,qkw->qrw", factor, matrices)
-    table = np.concatenate([matrices.reshape(-1, n_window),
-                            rows.reshape(-1, n_window)])
-    return _frozen(table, np.array([float(d) for d in dlin] + [float(d0)]),
-                   factor)
+    n_window = len(opt[0])
+    live = [c for c in range(n_window) if c != n_window // 2]
+    # rows as (candidate, coefficient or None, row, indicator weight)
+    factored, diagonal, factors = [], [], []
+    for k, mat in enumerate(cands + [central]):
+        support = [r for r in range(len(mat))
+                   if any(mat[r][c] != 0 for c in live)]
+        rows = np.array([[float(x) for x in mat[r]] for r in support])
+        sub = form[np.ix_(support, support)]
+        if np.count_nonzero(sub - np.diag(np.diag(sub))) == 0:
+            diagonal += [(k, r, row, form[r, r])
+                         for r, row in zip(support, rows)]
+        else:
+            factored += [(k, r, row, 0.0) for r, row in zip(support, rows)]
+            pos = [i for i, r in enumerate(support) if form[r, r] > 0.0]
+            chol = np.linalg.cholesky(sub[np.ix_(pos, pos)])
+            factors += [(k, None, row, 1.0) for row in chol.T @ rows[pos]]
+    # rows whose form entry is zero (constants) carry no indicator
+    diagonal.sort(key=lambda entry: entry[3] > 0.0)
+    coefficient = factored + diagonal
+    indicated = [entry for entry in diagonal if entry[3] > 0.0] + factors
+    table = np.array([row for _, _, row, _ in coefficient + factors]
+                     ).reshape(-1, n_window)
+    indicator = np.zeros((len(cands) + 1, len(indicated)))
+    for j, (k, _, _, a) in enumerate(indicated):
+        indicator[k, j] = a
+    place = np.zeros((len(opt), len(coefficient)))
+    for j, (_, r, _, _) in enumerate(coefficient):
+        place[r, j] = 1.0
+    return BlendTable(*_frozen(
+        table, indicator,
+        np.array([k for k, _, _, _ in coefficient], dtype=np.intp), place,
+        np.array([float(d) for d in dlin] + [float(d0)])))
 
 
 def _regularization(eps_w, default):
-    """The CWENO regularization eps_w (`default` when None); it divides the
-    nonlinear weights, so it must be positive."""
+    """The CWENO regularization eps_w (`default` when None).  The weights
+    divide by (eps_w + beta)^2, so eps_w must be positive and eps_w^2 a
+    normal float, which keeps 1 / eps_w^2 finite too: else the weights of
+    smooth data underflow or overflow to NaN."""
     eps_w = default if eps_w is None else float(eps_w)
-    if not eps_w > 0.0:
-        raise ConfigurationError(f"eps_w = {eps_w} must be positive")
+    square = eps_w * eps_w
+    finfo = np.finfo(float)
+    if not (eps_w > 0.0 and finfo.tiny <= square <= finfo.max):
+        raise ConfigurationError(
+            f"eps_w = {eps_w} must be positive, with eps_w^2 a normal float "
+            "and 1/eps_w^2 finite")
     return eps_w
 
 
@@ -172,31 +211,20 @@ class _CwenoBlend:
     come as a stencil laid out over several axes in C order, a 3x3 window
     as (3, 3, ...), so that a strided view of a field needs no reshape
     copy.  The windows become deviations (n_window, cells) from the
-    central average, the one copy of the windows; one product with the
-    cached table (`_blend_table`) gives every candidate's scaled
-    coefficients (q, n_coeff, cells) and its indicator rows (q, rank,
-    cells).  beta_k is the sum of squares of
-    candidate k's rows, so beta_k = u_k^T A u_k >= 0 without forming A.
-    The weights are normalised in place, the blend is q multiply-adds of
-    contiguous (n_coeff, cells) blocks, and the result is transposed back
-    unless the stencil axis came first.
+    central average, the one copy of the windows.  The per-cell work is a
+    fixed sequence on the compact cached table (`_blend_table`): rows =
+    table @ deviation; beta = indicator @ rows^2 over the indicator rows,
+    so beta_k = u_k^T A u_k >= 0 without forming A; the weights, normalised
+    in place; each coefficient row times its candidate's weight; one
+    product with `_collect`, the placement with 1/scale folded in, gives
+    the physical coefficients (n_coeff, cells); the central average goes
+    back into the constant, and the result is transposed back unless the
+    stencil axis came first.
     """
 
     def _set_table(self, tables, scale):
-        self._table, self._dlin, self._factor = tables
-        self._scale = scale[:, None]
-
-    def _candidates(self, deviation):
-        """Deviations (n_window, cells) from the central average -> scaled
-        candidate coefficients (q, n_coeff, cells) and indicators (q, cells).
-        """
-        q, n = self._dlin.size, self._scale.shape[0]
-        cells = deviation.shape[1]
-        rows = self._table @ deviation
-        indicator = rows[q * n:]
-        np.square(indicator, out=indicator)
-        return (rows[:q * n].reshape(q, n, cells),
-                indicator.reshape(q, self._factor.shape[1], cells).sum(axis=1))
+        self._table, self._indicator, self._owner, place, self._dlin = tables
+        self._collect, = _frozen(place / scale[:, None])
 
     def _blend(self, window, axis=-1):
         cols = np.asarray(window, dtype=float)
@@ -205,35 +233,34 @@ class _CwenoBlend:
             cols = np.moveaxis(cols, axis, 0)
         n_axes = len(axis) if isinstance(axis, tuple) else 1
         stencil, lead = cols.shape[:n_axes], cols.shape[n_axes:]
-        n_window = prod(stencil)
         center = cols[tuple(s // 2 for s in stencil)]
         # deviations from the central average: every candidate reproduces
         # constants exactly, so this removes cancellation noise
         deviation = np.empty(cols.shape)
         np.subtract(cols, center, out=deviation)
-        deviation = deviation.reshape(n_window, -1)
+        deviation = deviation.reshape(prod(stencil), -1)
         cells = deviation.shape[1]
         if cells == 1:
             # one column would take BLAS's matrix-vector path, which rounds
             # differently: a cell's coefficients must not depend on its batch
             deviation = np.repeat(deviation, 2, axis=1)
+        rows = self._table @ deviation
         # weights holds beta, then alpha = d / (eps_w + beta)^2, then the
         # normalised weights
-        coeffs, weights = self._candidates(deviation)
+        indicated = rows[rows.shape[0] - self._indicator.shape[1]:]
+        weights = self._indicator @ np.square(indicated)
         weights += self.eps_w
         np.square(weights, out=weights)
         np.divide(self._dlin[:, None], weights, out=weights)
         weights /= weights.sum(axis=0)
-        coeffs *= weights[:, None, :]
-        out = coeffs[0, :, :cells]
-        for k in range(1, len(coeffs)):
-            out += coeffs[k, :, :cells]
+        coeffs = rows[:self._owner.size]
+        coeffs *= weights[self._owner]
+        out = (self._collect @ coeffs)[:, :cells]
         constant = out[0].reshape(lead)   # a view of the contiguous row
         constant += center
-        out /= self._scale
         if leading:
-            return out.reshape((self._scale.shape[0],) + lead)
-        return out.T.reshape(lead + (self._scale.shape[0],))
+            return out.reshape((out.shape[0],) + lead)
+        return out.T.reshape(lead + (out.shape[0],))
 
 
 @lru_cache(maxsize=None)

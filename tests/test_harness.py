@@ -62,6 +62,8 @@ class TestConfig:
         ({"eps_w": -0.001}, "eps_w"),
         ({"eps_w": 0}, "eps_w"),
         ({"damping": -0.5}, "damping"),
+        ({"eps_w": 1e-300}, "eps_w"),
+        ({"eps_w": 1e200}, "eps_w"),
     ])
     def test_out_of_range_value_names_the_key(self, extra, key):
         with pytest.raises(ConfigurationError, match=key):
@@ -162,6 +164,19 @@ class TestStudies:
     def test_non_positive_eps_w_rejected(self, name, n, eps_w):
         with pytest.raises(ConfigurationError, match="eps_w"):
             run(make_scenario(name), Scheme("la", 3), n, t_end=0.01,
+                eps_w=eps_w)
+
+    @pytest.mark.parametrize("eps_w", [1e-300, 1e200, np.inf])
+    @pytest.mark.parametrize("scenario, scheme", [
+        (("isothermal-perturbed", {"eta": 1e-3}), Scheme("dwb", 3)),
+        (("isothermal-10x", {}), Scheme("standard", 3)),
+    ])
+    def test_eps_w_with_a_non_normal_square_rejected(self, scenario, scheme,
+                                                     eps_w):
+        # such an eps_w made NaN weights and a StepFailure at the first stage
+        name, kwargs = scenario
+        with pytest.raises(ConfigurationError, match="eps_w"):
+            run(make_scenario(name, **kwargs), scheme, 32, t_end=0.01,
                 eps_w=eps_w)
 
     def test_efficiency_single_repetition_zero_variance(self):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrobal.errors import ConfigurationError
 from hydrobal.poly import poly_cell_average, poly_eval
@@ -10,9 +14,18 @@ from hydrobal.reconstruct import (
     Cweno2D,
     GravityInterp1D,
     GravityInterp2D,
+    _average_fit_matrix,
+    _cweno_1d_table,
+    _embed,
+    _optimal_matrix_2d,
+    _plane_matrix_2d,
     _smoothness_form_1d,
     _smoothness_form_2d,
 )
+
+# the fixed profile of the property tests: deterministic, bounded
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
+                    database=None)
 
 
 def sine_averages(n, x0=0.0, x1=1.0):
@@ -254,24 +267,65 @@ class TestGravityInterp2D:
 
 
 # ---------------------------------------------------------------------------
-# factored indicators, layouts and cached tables
+# compact blend table, layouts and cached tables
 # ---------------------------------------------------------------------------
+
+def _candidate_matrices(scheme):
+    """Scaled candidate matrices (q, n_coeff, n_window) and linear weights
+    (q,) from the exact fits, without the scheme's table: the one-sided
+    candidates, then the central one, (opt - sum_k d_k cand_k) / d_0."""
+    if isinstance(scheme, Cweno2D):
+        opt = _optimal_matrix_2d()
+        cands = [_plane_matrix_2d(sx, sy)
+                 for sx, sy in ((-1, -1), (1, -1), (-1, 1), (1, 1))]
+    else:
+        order, half = scheme.order, scheme.order // 2
+        stencil = list(range(-half, half + 1))
+        opt = _embed(_average_fit_matrix(stencil, order - 1), stencil,
+                     stencil, order)
+        cands = [_embed(_average_fit_matrix(sub, half), stencil, sub, order)
+                 for sub in (stencil[i:i + half + 1]
+                             for i in range(half + 1))]
+    # 1-D: 1/4 twice or 1/6 three times; 2-D: 1/8 four times; central 1/2
+    dlin = [Fraction(1, 2 * len(cands))] * len(cands)
+    cands = np.array(cands, dtype=object)
+    central = (np.array(opt, dtype=object)
+               - np.tensordot(np.array(dlin, dtype=object), cands, 1)) \
+        / (1 - sum(dlin))
+    return (np.concatenate([cands, central[None]]).astype(float),
+            np.array(dlin + [1 - sum(dlin)], dtype=float))
+
+
+def _physical_scale(scheme):
+    """Scaled -> physical coefficient divisors dx^a (dy^b) per monomial."""
+    spacing = (scheme.dx, scheme.dy) if isinstance(scheme, Cweno2D) \
+        else (scheme.dx,)
+    return np.prod(np.array(spacing) ** np.array(scheme.exps), axis=-1)
+
 
 def _reference_blend(scheme, form, window):
     """The blend with beta = u^T A u on each candidate's scaled coefficients
-    u, cells first, from the scheme's candidate rows and the exact form A."""
-    q, n = scheme._dlin.size, scheme._scale.shape[0]
+    u, cells first, from the exact candidate matrices and the form A."""
+    matrices, dlin = _candidate_matrices(scheme)
     m = window.shape[-1]
     flat = window.reshape(-1, m)
     center = flat[:, m // 2]
-    matrices = scheme._table[:q * n].reshape(q, n, m)
     coeffs = np.einsum("qkw,cw->cqk", matrices, flat - center[:, None])
     beta = np.einsum("cqk,kl,cql->cq", coeffs, form, coeffs)
-    alpha = scheme._dlin / (scheme.eps_w + beta) ** 2
+    alpha = dlin / (scheme.eps_w + beta) ** 2
     weights = alpha / alpha.sum(axis=1, keepdims=True)
     scaled = np.einsum("cq,cqk->ck", weights, coeffs)
     scaled[:, 0] += center
-    return (scaled / scheme._scale[:, 0]).reshape(window.shape[:-1] + (n,))
+    return (scaled / _physical_scale(scheme)).reshape(
+        window.shape[:-1] + (matrices.shape[1],))
+
+
+def _table_indicators(scheme, deviation):
+    """beta (q, cells) of deviations (n_window, cells) from the compact
+    table: the indicator weights times the squares of the trailing rows."""
+    rows = scheme._table @ deviation
+    return scheme._indicator @ rows[rows.shape[0]
+                                    - scheme._indicator.shape[1]:] ** 2
 
 
 # (scheme, its exact indicator form): 1-D orders 3 and 5, 2-D dy/dx 1, 0.5, 3
@@ -289,6 +343,15 @@ def _test_windows(m, rng):
     return {"smooth": smooth, "step": step, "near-constant": near_constant}
 
 
+def _assert_matches_oracle(scheme, form, window, label):
+    got = scheme.reconstruct_stencils(window)
+    ref = _reference_blend(scheme, form, window)
+    # compare scaled coefficients against the window scale
+    scale = np.abs(window).max()
+    dev = np.abs((got - ref) * _physical_scale(scheme)).max() / scale
+    assert dev <= 1e-14, (label, dev)
+
+
 class TestFactoredBlend:
     @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
     def test_matches_quadratic_form_oracle(self, case):
@@ -296,39 +359,109 @@ class TestFactoredBlend:
         m = scheme._table.shape[1]
         rng = np.random.default_rng(60 + case)
         for label, window in _test_windows(m, rng).items():
-            got = scheme.reconstruct_stencils(window)
-            ref = _reference_blend(scheme, form, window)
-            # compare scaled coefficients against the window scale
-            scale = np.abs(window).max()
-            dev = np.abs((got - ref) * scheme._scale[:, 0]).max() / scale
-            assert dev <= 1e-14, (label, dev)
+            _assert_matches_oracle(scheme, form, window, label)
 
     @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
     def test_factor_reproduces_form(self, case):
+        # on deviations (the center column dropped) the rows each candidate
+        # owns give back its coefficients through the placement, and its
+        # weighted squared indicator rows give back the form C^T A C
         scheme, form = BLEND_CASES[case]
-        factor = scheme._factor
-        assert factor.shape == (form.shape[0], form.shape[0] - 1)
-        assert np.abs(factor @ factor.T - form).max() \
-            <= 1e-15 * np.abs(form).max()
+        matrices, _ = _candidate_matrices(scheme)
+        m = matrices.shape[-1]
+        live = np.arange(m) != m // 2
+        table = scheme._table[:, live]
+        n_coeff_rows = scheme._owner.size
+        place = scheme._collect * _physical_scale(scheme)[:, None]
+        indicated = table[table.shape[0] - scheme._indicator.shape[1]:]
+        for k, matrix in enumerate(matrices[:, :, live]):
+            mine = scheme._owner == k
+            np.testing.assert_array_equal(
+                place[:, mine] @ table[:n_coeff_rows][mine], matrix)
+            implied = indicated.T @ (scheme._indicator[k][:, None]
+                                     * indicated)
+            exact = matrix.T @ form @ matrix
+            assert np.abs(implied - exact).max() \
+                <= 1e-15 * np.abs(exact).max()
 
     @pytest.mark.parametrize("case", range(5), ids=BLEND_IDS)
     def test_indicators_nonnegative_and_exact(self, case):
         scheme, form = BLEND_CASES[case]
+        matrices, _ = _candidate_matrices(scheme)
         m = scheme._table.shape[1]
         rng = np.random.default_rng(70 + case)
         for label, window in _test_windows(m, rng).items():
             deviation = (window - window[:, m // 2, None]).T.copy()
-            coeffs, beta = scheme._candidates(deviation)
+            beta = _table_indicators(scheme, deviation)
             assert np.all(beta >= 0.0), label
+            coeffs = matrices @ deviation
             exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
             np.testing.assert_allclose(beta, exact, rtol=1e-12,
                                        atol=1e-15 * np.abs(exact).max())
         # rough windows hold every indicator away from zero: relative only
         window = rng.standard_normal((m, 200))
-        coeffs, beta = scheme._candidates(window - window[m // 2])
+        deviation = window - window[m // 2]
+        beta = _table_indicators(scheme, deviation)
+        coeffs = matrices @ deviation
         exact = np.einsum("qkc,kl,qlc->qc", coeffs, form, coeffs)
         assert np.all(beta >= 0.0)
         np.testing.assert_allclose(beta, exact, rtol=1e-12, atol=0.0)
+
+    def test_rows_are_each_candidates_support(self):
+        # deviations leave 2 rows per plane and 6 central rows in 2-D, and
+        # only the 1-D order-5 central polynomial adds 4 factor rows
+        assert [scheme._table.shape[0] for scheme, _ in BLEND_CASES] \
+            == [5, 18, 14, 14, 14]
+        assert Cweno1D(1, 0.1)._table.shape == (0, 1)
+
+
+def _property_windows(kind, m, magnitude, rng):
+    """Eight windows (8, m) of one kind at one magnitude."""
+    if kind == "smooth":
+        unit = 2.0 + 0.1 * np.cumsum(rng.standard_normal((8, m)), axis=-1)
+    elif kind == "step":
+        unit = np.where(np.arange(m) < rng.integers(1, m, (8, 1)), 1.0, 10.0)
+    elif kind == "flat":
+        unit = 1.0 + 1e-10 * rng.standard_normal((8, m))
+    else:
+        unit = rng.standard_normal((8, m))
+    return magnitude * unit
+
+
+class TestBlendProperty:
+    @PROPERTY
+    @given(case=st.integers(0, 4),
+           kind=st.sampled_from(["smooth", "step", "flat", "rough"]),
+           exponent=st.floats(-8.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blend_matches_oracle_with_unit_weights(self, case, kind,
+                                                    exponent, seed):
+        scheme, form = BLEND_CASES[case]
+        m = scheme._table.shape[1]
+        window = _property_windows(kind, m, 10.0 ** exponent,
+                                   np.random.default_rng(seed))
+        _assert_matches_oracle(scheme, form, window, kind)
+        beta = _table_indicators(scheme, (window - window[:, m // 2, None]).T)
+        assert np.all(beta >= 0.0)
+        alpha = scheme._dlin[:, None] / (scheme.eps_w + beta) ** 2
+        weights = alpha / alpha.sum(axis=0)
+        assert np.all(np.isfinite(weights))
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0.0,
+                                   atol=1e-15)
+
+
+class TestRegularization:
+    @pytest.mark.parametrize("eps_w", [1e-300, 1e200, np.inf, np.nan])
+    def test_overflowing_eps_w_rejected_by_both_schemes(self, eps_w):
+        for make in (lambda: Cweno1D(3, 0.1, eps_w),
+                     lambda: Cweno1D(5, 0.1, eps_w),
+                     lambda: Cweno2D(0.1, 0.2, eps_w)):
+            with pytest.raises(ConfigurationError, match="eps_w"):
+                make()
+
+    @pytest.mark.parametrize("eps_w", [1e-150, 1e150])
+    def test_eps_w_with_a_normal_square_accepted(self, eps_w):
+        assert Cweno1D(3, 0.1, eps_w).eps_w == eps_w
+        assert Cweno2D(0.1, 0.2, eps_w).eps_w == eps_w
 
 
 class TestBlendLayouts:
@@ -377,7 +510,7 @@ class TestBlendLayouts:
         assert strided.ndim == 3 and not strided.flags.c_contiguous
         m = strided.shape[-1]
         ref = scheme.reconstruct_stencils(np.ascontiguousarray(strided))
-        assert ref.shape == strided.shape[:-1] + (len(scheme._scale),)
+        assert ref.shape == strided.shape[:-1] + (len(scheme.exps),)
         for variant in (strided, np.asfortranarray(strided)):
             np.testing.assert_array_equal(
                 scheme.reconstruct_stencils(variant), ref)
@@ -403,15 +536,22 @@ class TestBlendLayouts:
 class TestCachedTables:
     def test_cweno_1d_tables_shared_and_read_only(self):
         a, b = Cweno1D(5, 0.1), Cweno1D(5, 0.037)
-        for name in ("_table", "_dlin", "_factor"):
+        for name in ("_table", "_indicator", "_owner", "_dlin"):
             assert getattr(a, name) is getattr(b, name)
             with pytest.raises(ValueError):
                 getattr(a, name)[0] = 1.0
         assert Cweno1D(3, 0.1)._table is not a._table
+        # the placement is per spacing, 1/scale folded into the cached one
+        for scheme in (a, b):
+            np.testing.assert_array_equal(
+                scheme._collect,
+                _cweno_1d_table(5).place / _physical_scale(scheme)[:, None])
+            with pytest.raises(ValueError):
+                scheme._collect[0, 0] = 1.0
 
     def test_cweno_2d_tables_shared_by_aspect_ratio(self):
         a, b = Cweno2D(0.1, 0.05), Cweno2D(0.2, 0.1)
-        assert a._table is b._table and a._factor is b._factor
+        assert a._table is b._table and a._indicator is b._indicator
         assert Cweno2D(0.1, 0.1)._table is not a._table
         with pytest.raises(ValueError):
             a._table[0, 0] = 1.0
