@@ -359,8 +359,8 @@ def init_cell_averages(scenario, grid, quad_order=5):
     def conserved(*x):
         rho, *vel, p = scenario.initial(*x)
         kinetic = 0.5 * rho * sum(u ** 2 for u in vel)
-        return np.stack([rho, *(rho * u for u in vel),
-                         scenario.eos.internal_energy(rho, p) + kinetic])
+        return [rho, *(rho * u for u in vel),
+                scenario.eos.internal_energy(rho, p) + kinetic]
 
     return CellField(grid, cell_averages(conserved, grid, quad_order))
 
@@ -391,7 +391,7 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
     n_tot, = grid.shape_tot
 
     data = np.zeros((3, n_tot))
-    data[0] = cell_averages(rho_bg, grid, nq)
+    data[0] = cell_averages(lambda x: [rho_bg(x)], grid, nq)[0]
     sides = operator.boundary.hydrostatic_sides
     if sides:
         # regenerate ghost densities exactly as the boundary fill will

@@ -10,11 +10,11 @@ Top-level keys (unknown keys are rejected):
   n                 int, cells per axis (single runs)
   resolutions       [int, ...] (studies; overrides n)
   cfl               float in (0, 1]
-  t_end             float (defaults to the scenario's final time)
+  t_end             finite float >= 0 (defaults to the scenario's final time)
   init              'averages' | 'discrete'
   eps_w             float > 0 with a normal square, CWENO regularization
                     (default dx^2 resp. dx*dy)
-  damping           float >= 0 (momentum damping rate)
+  damping           finite float >= 0 (momentum damping rate)
   repetitions       int >= 1 (efficiency studies)
   reference         object: {"kind": "initial"} or
                     {"kind": "fine", "scheme": ..., "order": ..., "n": ...}
@@ -25,7 +25,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigurationError
+from .integrate import StepController, check_nonnegative
 from .reconstruct import _regularization
+from .runner import check_init
 
 _ALLOWED = {
     "scenario": str,
@@ -103,14 +105,13 @@ def validate_config(raw):
             raise ConfigurationError("reference.kind must be 'initial' or 'fine'")
         if ref["kind"] == "fine" and "n" not in ref:
             raise ConfigurationError("a fine reference needs reference.n")
-    if "init" in raw and raw["init"] not in ("averages", "discrete"):
-        raise ConfigurationError("init must be 'averages' or 'discrete'")
+    check_init(raw.get("init", "averages"))
     if raw.get("repetitions", 1) < 1:
         raise ConfigurationError("repetitions must be >= 1")
     if "eps_w" in raw:
         _regularization(raw["eps_w"], None)
-    if raw.get("damping", 0.0) < 0.0:
-        raise ConfigurationError("damping must be non-negative")
+    StepController(raw.get("cfl", 0.5), raw.get("t_end", 0.0))
+    check_nonnegative("damping", raw.get("damping", 0.0))
     return RunConfig(**raw)
 
 

@@ -85,6 +85,11 @@ def cfl_dt(operator, data, cfl):
     return dt
 
 
+def check_nonnegative(key, value):
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError(f"{key} = {value!r} must be finite and >= 0")
+
+
 @dataclass
 class StepController:
     cfl: float = 0.5
@@ -94,6 +99,7 @@ class StepController:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigurationError("cfl must be in (0, 1]")
+        check_nonnegative("t_end", self.t_end)
 
 
 @dataclass
@@ -119,8 +125,7 @@ def advance(operator, data, controller, damping=0.0, stop_condition=None):
     exponential in a symmetric split around each RK step.  The state is
     checked for positivity after every accepted step.
     """
-    if damping < 0.0:
-        raise ConfigurationError("damping rate must be non-negative")
+    check_nonnegative("damping", damping)
     interior = interior_index(operator.grid)
     tableau = tableau_for_order(operator.scheme.order)
     operator.fallback_cells = 0

@@ -271,8 +271,9 @@ class SpatialOperator1D:
                 self._face_rows)
             if self._lean:
                 faces[2] = e_faces
-                rejected_energy_faces(self.cweno, data[2], good, ng,
-                                      self._face_rows, faces[2])
+                band = slice(ng - 1, data.shape[1] + 1 - ng)
+                rejected_energy_faces(self.cweno, data[2], good[band], ng - 1,
+                                      self._face_rows, faces[2][:, band])
             else:   # the state pass holds the standard energy faces
                 np.copyto(faces[2], e_faces, where=good)
 

@@ -15,11 +15,11 @@ contracts the tables with each cell's gravity coefficients once: per
 density monomial, the line integral's exact own-cell mean, its Gauss means
 over the stencil cells, its face values, and the sources' cell means, each
 then a short sum over the density coefficients per stage.  With the ideal
-gas these alone give the energy (`wellbalance`); node pressures are
-evaluated where a precomputed bound cannot certify them positive, and for
-every cell with any other EoS.  Arrays run with cells last; the positivity
-fallback takes the face buffer (4, faces, cells) whole, the flux divergence
-(4, X, Y, nq) views of it.
+gas these alone give the energy (`wellbalance`); node densities and
+pressures are evaluated where bounds cannot certify them positive, and for
+every cell with any other EoS.  Arrays hold the flux band (the interior and
+one ghost layer per side), cells last; the frame sees it as a state with one
+ghost layer, the face buffer (4, faces, cells) and (4, X, Y, nq) views of it.
 """
 
 import numpy as np
@@ -31,7 +31,8 @@ from .physics import flux_divergence, get_flux, positivity_fallback
 # it (walls run in `FLUXES` calls), the tests' reference does
 from .physics import wall_boundary_flux  # noqa: F401
 from .quadrature import cell_averages, gauss_nodes_weights_centered
-from .reconstruct import Cweno2D, GravityInterp2D, product_tables
+from .reconstruct import (Cweno2D, GravityInterp2D, product_tables,
+                          stencil_windows)
 from .wellbalance import (
     anchor_pressure_ideal,
     anchor_pressure_newton,
@@ -77,18 +78,22 @@ class SpatialOperator2D:
                                          "needs background closures")
             rho_fn, p_fn = background
             self._bg_avgs = np.zeros((4,) + grid.shape_tot)
-            self._bg_avgs[[0, 3]] = cell_averages(lambda x, y: np.stack([
-                rho_fn(x, y), eos.internal_energy(rho_fn(x, y), p_fn(x, y))]),
+            self._bg_avgs[[0, 3]] = cell_averages(lambda x, y: [
+                rho_fn(x, y), eos.internal_energy(rho_fn(x, y), p_fn(x, y))],
                 grid, 5)
 
-        xx, yy = grid.center_mesh()
+        # the band's shape, and the cells its 3x3 stencils read
+        nx, ny = grid.shape_tot
+        self._shape = (nx + 2 - 2 * g, ny + 2 - 2 * g)
+        self._reach = np.index_exp[:, g - 2:nx + 2 - g, g - 2:ny + 2 - g]
+        xx, yy = (c[self._reach[1:]] for c in grid.center_mesh())
         gx, gy = gravity(xx, yy)
         interp = GravityInterp2D(*grid.spacing)
         self._exps_g = interp.exps
-        # gravity coefficients with cells last, (2, n_g, cells)
+        # gravity coefficients of the band cells, (2, n_g, cells)
         self._g_rows = np.stack([
-            interp.coefficients(g * np.ones_like(xx)).reshape(xx.size, -1).T
-            for g in (gx, gy)])
+            interp.fit(stencil_windows(g * np.ones_like(xx), (3, 3))).reshape(
+                len(self._exps_g), -1) for g in (gx, gy)])
         self._build_tables()
 
     def _build_tables(self):
@@ -116,6 +121,8 @@ class SpatialOperator2D:
         self._source_rows = tables.means.reshape(m, m_g) @ self._g_rows
         if not self.scheme.well_balanced:
             return
+        # |rho - rho_0| <= sum_i |rho_i| max |monomial_i| at every node
+        self._rho_bound = np.abs(self._value_rows[:, 1:]).max(axis=0)
         line = tables.line.reshape(2, m, m_g, -1)
         lines = np.concatenate(
             [tables.line_means.reshape(2, m, m_g, 1),
@@ -147,63 +154,57 @@ class SpatialOperator2D:
     def _profiles_and_faces(self, rec, data, face_values):
         """LA equilibrium: anchors, energy deviations, face-energy overwrite.
 
-        `rec` holds the reconstruction coefficients with cells last,
-        (C, 6, cells), LA's without the energy, and `face_values` (4, faces,
-        cells) the face states, whose energies are written in place: the
-        equilibrium's, the standard ones where the gate fails (LA-S keeps its
-        state pass's, LA takes the band's from `rejected_energy_faces`).
-        Returns the validity mask
-        of cells whose faces use the equilibrium decomposition (anchor
-        converged, positive pressure and density at all evaluation nodes).
+        `rec` holds the band's coefficients (C, 6, cells), LA's without the
+        energy, `data` the state of the band plus one layer (`_reach`), and
+        `face_values` (4, faces, cells) the face states, whose energies are
+        written in place: the equilibrium's, the standard ones where the
+        gate fails (LA-S keeps its state pass's, LA takes them from
+        `rejected_energy_faces`).  Returns the validity mask of band cells
+        whose faces use the equilibrium decomposition (anchor converged,
+        positive pressure and density at all evaluation nodes).
 
         With eps = b p (`deps_dp_constant`) the energy comes from the
-        contracted rows, cell means and faces, with no EoS call; p0 then
-        only gates positivity, exactly, through `_pressure_positive`.  Any
-        other EoS evaluates the pressure offsets at every node.
+        contracted rows, cell means and faces, with no EoS call; rho and p0
+        then only gate positivity, exactly, through certified bounds.  Any
+        other EoS evaluates both at every node, and its anchor or energy
+        call gates them.
         """
-        scheme, eos = self.scheme, self.eos
-        b = eos.deps_dp_constant
-        shape = data.shape[1:]
-        rho = rec[0]
+        eos, b, rho = self.eos, self.eos.deps_dp_constant, rec[0]
 
         if b is None:
             offsets = self._node_offsets(rho, ...)
+            rho_nodes = self._value_rows @ rho
         else:
             # own-cell mean, 9 stencil-cell means and the face nodes of the
             # line integral of the source field, (18, cells), in one pass
             # over the contracted rows
             lines = np.einsum("ic,ikc->kc", rho, self._lines)
-        rho_nodes = self._value_rows @ rho
-        good = np.all(rho_nodes > 0.0, axis=0)
+            good = self._density_positive(rho)
 
-        if scheme.simplified_anchor:
+        if self.scheme.simplified_anchor:
             p0 = anchor_pressure_simplified(rec[:, 0], eos)
-            good &= p0 > 0.0
             if b is None:
-                eps, ok = node_energies(eos, p0 + offsets, rho_nodes)
+                eps, good = node_energies(eos, p0 + offsets, rho_nodes)
         else:
-            own = self._own
-            rec_own = self._value_rows[own] @ rec[:3]
+            rec_own = self._value_rows[self._own] @ rec[:3]
             rec_own = np.where(rec_own[0] > 0.0, rec_own, 1.0)
-            eps_hat = eps_hat_estimate(data[3].reshape(-1), rec_own, self._wq)
+            rho_hat, e_hat = data[[0, 3], 1:-1, 1:-1].reshape(2, -1)
+            eps_hat = eps_hat_estimate(e_hat, rec_own, self._wq)
             if b is not None:
-                # exact cell mean of the line integral, as one node of
-                # weight one
+                # the line integral's exact mean, one node of weight one
                 p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
-                good &= p0 > 0.0
             else:
-                p0, ok, eps = self._newton_anchor(eps_hat, rho_nodes, offsets,
-                                                  data[0].reshape(-1))
+                p0, good, eps = self._newton_anchor(eps_hat, rho_nodes,
+                                                    offsets, rho_hat)
+        good &= p0 > 0.0
 
-        # energy deviations over the wrapped 3x3 stencil (ordered like the
-        # CWENO window), then the face energies
-        e_window = np.lib.stride_tricks.sliding_window_view(
-            np.pad(data[3], 1, mode="wrap"), shape).reshape(9, -1)
+        # energy deviations over the band cells' 3x3 stencils (ordered like
+        # the CWENO window), then the face energies
+        e_window = stencil_windows(data[3], (3, 3)).reshape(9, -1)
         if b is None:
-            good &= ok
             delta, eps_faces = energy_deviations(eps, e_window, self._wq)
         else:
-            good &= self._pressure_positive(p0, rho)
+            good = self._pressure_positive(p0, rho, good)
             delta = e_window - b * (p0 + lines[1:10])
             eps_faces = b * (p0 + lines[10:])
         e_wb = hydrostatic_energy_faces(
@@ -211,32 +212,41 @@ class SpatialOperator2D:
             self._face_rows)
         if self._lean:
             face_values[3] = e_wb
-            rejected_energy_faces(self.cweno, data[3], good.reshape(shape),
-                                  self.grid.n_ghost, self._face_rows,
-                                  face_values[3])
+            rejected_energy_faces(self.cweno, data[3], good.reshape(
+                self._shape), 1, self._face_rows, face_values[3])
         else:   # the state pass holds the standard energy faces
             np.copyto(face_values[3], e_wb, where=good)
-        return good.reshape(shape)
+        return good.reshape(self._shape)
 
     def _node_offsets(self, rho, cells):
         """Line integrals of the source field at every node, (nodes, k), of
-        the `cells` (an index) from their density coefficients rho (6, k)."""
+        the band `cells` (an index) from their density coefficients (6, k)."""
         terms = rho[:, None] * self._g_rows[:, None, :, cells]
         return self._line_rows @ terms.reshape(-1, terms.shape[-1])
 
-    def _pressure_positive(self, p0, rho):
-        """Cells with p0 + offset > 0 at every node, as the node values
-        decide it.  p0 > bound (1 + 1e-12) certifies a cell, the margin
-        covering the rounding of the node sums; only the other cells
-        evaluate their node offsets."""
-        bound = np.sum(np.abs(rho) * self._bound, axis=0)
-        unsure = np.flatnonzero(~(p0 > bound * (1.0 + 1e-12)))
-        ok = np.ones(p0.shape, dtype=bool)
-        if unsure.size:
-            ok[unsure] = np.all(
-                p0[unsure] + self._node_offsets(rho[:, unsure], unsure) > 0.0,
-                axis=0)
-        return ok
+    @staticmethod
+    def _certified(good, value, bound, nodes):
+        """`good` and, in place, every node value `nodes(cells)` (nodes, k)
+        positive.  value > bound (1 + 1e-12) certifies a cell, the margin
+        covering the node sums' rounding; other good cells are evaluated."""
+        cells = np.flatnonzero(good & ~(value > bound * (1.0 + 1e-12)))
+        if cells.size:
+            # two columns at least: BLAS rounds a single one differently
+            cells = np.resize(cells, max(cells.size, 2))
+            good[cells] = np.all(nodes(cells) > 0.0, axis=0)
+        return good
+
+    def _density_positive(self, rho):
+        """Cells whose density rho (6, cells) is positive at every node."""
+        return self._certified(np.ones(rho.shape[1], dtype=bool), rho[0],
+                               self._rho_bound @ np.abs(rho[1:]),
+                               lambda cells: self._value_rows @ rho[:, cells])
+
+    def _pressure_positive(self, p0, rho, good):
+        """`good` and p0 + offset > 0 at every node."""
+        return self._certified(
+            good, p0, np.sum(np.abs(rho) * self._bound, axis=0),
+            lambda cells: p0[cells] + self._node_offsets(rho[:, cells], cells))
 
     def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
         return anchor_pressure_newton(line_nodes, rho_nodes, self._own,
@@ -245,41 +255,37 @@ class SpatialOperator2D:
     # -- sources --------------------------------------------------------------
 
     def _sources(self, rec):
-        """Exact cell means of (0, s_x, s_y, v.s) over the grid: the
-        rec coefficients (4, 6, cells) against the gravity-contracted mean
-        rows (2, 6, cells), cells last."""
-        sx, sy = self._source_rows
+        """Exact cell means of (0, s_x, s_y, v.s) over the band, (4, X, Y):
+        the rec coefficients (4, 6, cells) against the gravity-contracted
+        mean rows (2, 6, cells), cells last."""
         out = np.zeros((4, rec.shape[-1]))
-        np.einsum("ic,ic->c", rec[0], sx, out=out[1])
-        np.einsum("ic,ic->c", rec[0], sy, out=out[2])
+        np.einsum("ic,dic->dc", rec[0], self._source_rows, out=out[1:3])
         np.einsum("dic,dic->c", rec[1:3], self._source_rows, out=out[3])
-        return out.reshape((4,) + self.grid.shape_tot)
+        return out.reshape((4,) + self._shape)
 
     # -- right-hand side ------------------------------------------------------
 
     def rhs(self, state):
-        grid, scheme = self.grid, self.scheme
-        g = grid.n_ghost
+        grid = self.grid
         data = state.copy()
         self.fill_ghosts(data)
 
-        # coefficients (C, 6, cells) and the one face buffer (4, faces,
-        # cells), cells last
-        shape = data.shape[1:]
-        rec = self.cweno.coefficients(data[:3] if self._lean else data) \
-            .reshape(-1, len(self.cweno.exps), data[0].size)
+        # the band's coefficients (C, 6, cells) and faces (4, faces, cells)
+        reach = data[self._reach]
+        rec = self.cweno.coefficients(reach[:3] if self._lean else reach) \
+            .reshape(-1, len(self.cweno.exps), np.prod(self._shape))
         face_values = np.empty((4, len(self._face_rows), rec.shape[2]))
         np.matmul(self._face_rows, rec, out=face_values[:len(rec)])
-        good = (self._profiles_and_faces(rec, data, face_values)
-                if scheme.well_balanced else None)
-        faces = face_values.reshape(face_values.shape[:2] + shape)
-        self.fallback_cells += positivity_fallback(faces, data, g, good)
+        good = (self._profiles_and_faces(rec, reach, face_values)
+                if self.scheme.well_balanced else None)
+        faces = face_values.reshape(face_values.shape[:2] + self._shape)
+        self.fallback_cells += positivity_fallback(
+            faces, reach[:, 1:-1, 1:-1], 1, good)
         # (component, face, node, X, Y) -> (face, component, X, Y, node)
-        xl, xr, yl, yr = face_values.reshape((4, 4, -1) + shape).transpose(
-            1, 0, 3, 4, 2)
+        xl, xr, yl, yr = face_values.reshape(
+            (4, 4, -1) + self._shape).transpose(1, 0, 3, 4, 2)
         out = np.zeros_like(data)
-        interior = (slice(None),) + grid.interior
-        out[interior] = flux_divergence(
+        out[(slice(None),) + grid.interior] = flux_divergence(
             ((xl, xr), (yl, yr)), self.flux_fn, self.eos, self.boundary.axes,
-            grid.spacing, g, self._face_w) + self._sources(rec)[interior]
+            grid.spacing, 1, self._face_w) + self._sources(rec)[:, 1:-1, 1:-1]
         return out

@@ -47,7 +47,8 @@ def cell_averages(fn, grid, order):
     tensor Gauss rule of `order` nodes per axis.
 
     `fn` takes one coordinate array per axis on the open mesh of (*cells,
-    *nodes) and returns (..., *cells, *nodes); the averages are (..., *cells).
+    *nodes) and returns fields (*cells, *nodes), each averaged on its own,
+    so that no stack of them is held; the averages are (fields, *cells).
     """
     dim = len(grid.cells)
     coords, weights = [], []
@@ -57,5 +58,8 @@ def cell_averages(fn, grid, order):
         shape = [1] * a + [line.size] + [1] * (dim - 1) + [order] + [1] * (dim - 1 - a)
         coords.append(np.add.outer(line, nodes).reshape(shape))
         weights += [w, [a]]
-    return np.einsum(*weights, fn(*coords), [..., *range(dim)], [...]) \
-        / math.prod(grid.spacing)
+    fields = fn(*coords)
+    out = np.empty((len(fields),) + fields[0].shape[:dim])
+    for f, mean in zip(fields, out):
+        np.einsum(*weights, f, [..., *range(dim)], [...], out=mean)
+    return out / math.prod(grid.spacing)

@@ -101,13 +101,22 @@ def monomials_1d(order):
     return tuple((k,) for k in range(order))
 
 
+def stencil_windows(values, width):
+    """Every full stencil of shape `width` over the trailing axes of
+    `values`, one strided view (*width, ..., *inner) for reading only,
+    which costs less than `sliding_window_view`'s checks on small grids."""
+    values = np.ascontiguousarray(values, dtype=float)
+    k = len(width)
+    inner = tuple(n - w + 1 for n, w in zip(values.shape[-k:], width))
+    return np.ndarray(tuple(width) + values.shape[:-k] + inner, float,
+                      values, strides=values.strides[-k:] + values.strides)
+
+
 def _windowed_fit(values, width, n_coeff, fit, out=None):
     """Per-cell coefficients (..., *grid, n_coeff) of a field (..., *grid):
-    `fit` maps the windows of shape `width`, one strided view with the
-    stencil axes first, (*width, ..., *inner), to coefficients
-    (n_coeff, ..., *inner); cells whose stencil does not fit, or is one
-    cell, keep a constant.  `out`, a zeroed array of that shape with any
-    strides, takes the result."""
+    `fit` maps its `stencil_windows` of shape `width` to (n_coeff, ...,
+    *inner); cells whose stencil does not fit, or is one cell, keep a
+    constant.  `out`, zeroed and of that shape, any strides, takes them."""
     values = np.asarray(values, dtype=float)
     k = len(width)
     grid = values.shape[values.ndim - k:]
@@ -115,15 +124,8 @@ def _windowed_fit(values, width, n_coeff, fit, out=None):
         out = np.zeros(values.shape + (n_coeff,))
     out[..., 0] = values
     if max(width) > 1 and all(n >= w for n, w in zip(grid, width)):
-        # every window as one strided view of the contiguous field, which
-        # costs less than `sliding_window_view`'s checks on small grids
-        values = np.ascontiguousarray(values)
-        win = np.ndarray(
-            tuple(width) + values.shape[:-k]
-            + tuple(n - w + 1 for n, w in zip(grid, width)),
-            float, values, strides=values.strides[-k:] + values.strides)
         inner = tuple(slice(w // 2, n - w // 2) for n, w in zip(grid, width))
-        coeffs = fit(win)
+        coeffs = fit(stencil_windows(values, width))
         out[(Ellipsis,) + inner + (slice(None),)] = coeffs.transpose(
             tuple(range(1, coeffs.ndim)) + (0,))
     return out
@@ -335,10 +337,11 @@ class _GravityInterp:
 
     def coefficients(self, values):
         """Point values (..., *grid) -> physical coefficients (..., *grid, n)."""
-        return _windowed_fit(values, self._width, self._scale.size, self._fit)
+        return _windowed_fit(values, self._width, self._scale.size, self.fit)
 
-    def _fit(self, win):
-        """Windows (*width, ...), stencil axes first -> (n, ...)."""
+    def fit(self, win):
+        """`stencil_windows` (*width, ...) -> physical coefficients (n, ...),
+        cells last."""
         k = len(self._width)
         win = win.transpose(tuple(range(k, win.ndim)) + tuple(range(k)))
         win = win.reshape(win.shape[:-k] + (-1,))
@@ -481,15 +484,11 @@ class Cweno2D(_CwenoBlend):
         return self._blend(window, axis)
 
     def coefficients(self, values):
-        """Field (..., nx, ny) -> per-cell coefficients (..., 6, nx, ny),
-        cells last.  Cells whose stencil does not fit keep a constant."""
-        values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape[:-2] + (len(self.exps),)
-                       + values.shape[-2:])
-        _windowed_fit(values, (3, 3), len(self.exps),
-                      lambda win: self.reconstruct_stencils(win, axis=(0, 1)),
-                      np.moveaxis(out, -3, -1))
-        return out
+        """Field (..., nx, ny) -> coefficients (..., 6, nx - 2, ny - 2) of
+        the cells whose 3x3 stencil fits, cells last: a view of the blend of
+        the field's `stencil_windows`, (6, ..., nx - 2, ny - 2)."""
+        return np.moveaxis(self.reconstruct_stencils(
+            stencil_windows(values, (3, 3)), axis=(0, 1)), 0, -3)
 
 
 MONOMIALS_BIQUAD = tuple((a, b) for a in range(3) for b in range(3))

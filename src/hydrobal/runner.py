@@ -58,6 +58,11 @@ def make_operator(scenario, grid, scheme, eps_w=None):
                              scenario.boundary, eps_w, scenario.background)
 
 
+def check_init(init):
+    if init not in ("averages", "discrete"):
+        raise ConfigurationError(f"init {init!r} is not averages or discrete")
+
+
 def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
         damping=None, stop_condition=None, eps_w=None):
     """Run one scenario with one scheme at resolution n.
@@ -69,15 +74,15 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     Timing covers the step loop only.
     """
     scheme.validate_dimension(scenario.dimension)
+    check_init(init)
+    controller = StepController(cfl, scenario.t_end if t_end is None else t_end)
+    delta = scenario.params.get("damping", 0.0) if damping is None else damping
     grid = grid_for(scenario, n, scheme.n_ghost)
     field = None if init == "discrete" else init_cell_averages(scenario, grid)
     operator = make_operator(scenario, grid, scheme, eps_w)
     if field is None:
         field = discrete_equilibrium_init(scenario, operator)
     operator.set_initial_state(field.data)
-    controller = StepController(
-        cfl=cfl, t_end=scenario.t_end if t_end is None else t_end)
-    delta = scenario.params.get("damping", 0.0) if damping is None else damping
     start = time.perf_counter()
     data, stats = advance(operator, field.data.copy(), controller,
                           damping=delta, stop_condition=stop_condition)

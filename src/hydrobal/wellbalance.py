@@ -330,15 +330,14 @@ def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_rows):
     return eps_faces + face_rows @ delta_coeffs
 
 
-def rejected_energy_faces(cweno, energy, good, n_ghost, face_rows, e_faces):
+def rejected_energy_faces(cweno, energy, good, offset, face_rows, e_faces):
     """Standard face energies, in place in `e_faces` (faces, cells), of the
-    cells of the flux band (the interior and one ghost layer per side) that
-    `good` (*grid) rejects: the values the full-field CWENO of `energy`
-    (*grid) gives there, from their stencils alone."""
-    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in good.shape)
-    at = tuple(i + n_ghost - 1 for i in np.nonzero(~good[band]))
+    flux band's cells (the interior and one ghost layer per side; cell i is
+    cell i + `offset` of `energy` (*grid)) that `good` (*band) rejects: the
+    full-field CWENO values of `energy` there, from their stencils alone."""
+    at = tuple(i + offset for i in np.nonzero(~good))
     if at[0].size:
         offsets = np.indices((2 * cweno.radius + 1,) * good.ndim) - cweno.radius
         window = energy[tuple(i + o[..., None] for i, o in zip(at, offsets))]
-        e_faces[:, np.ravel_multi_index(at, good.shape)] = face_rows @ \
+        e_faces[:, np.flatnonzero(~good)] = face_rows @ \
             cweno.reconstruct_stencils(window, axis=tuple(range(good.ndim)))

@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             validate_config({"scenario": "isothermal-10x", **extra})
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"t_end": float("inf")}, "t_end"), ({"t_end": float("nan")}, "t_end"),
+        ({"t_end": -1.0}, "t_end"), ({"damping": float("nan")}, "damping"),
+        ({"init": "bogus"}, "init")])
+    def test_out_of_range_run_input_names_the_key(self, extra, key):
+        with pytest.raises(ConfigurationError, match=key):
+            validate_config({"scenario": "isothermal-10x", **extra})
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "isothermal-sin",
@@ -332,6 +340,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("config, args, key", [
+        ({"t_end": float("inf")}, [], "t_end"),
+        ({"damping": float("nan")}, [], "damping"),
+        ({}, ["--t-end", "-1"], "t_end")], ids=["inf", "nan", "negative"])
+    def test_out_of_range_run_input_exits_2(self, tmp_path, capsys, config,
+                                            args, key):
+        # JSON's Infinity and NaN literals parse to floats
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scenario": "isothermal-10x", "n": 16,
+                                    **config}))
+        rc = cli_main(["run", "--config", str(path), *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "steps=" not in captured.out
+        assert captured.err.startswith("error: ") and key in captured.err
 
     def test_study_meta_records_every_row(self, tmp_path):
         rc = cli_main(["study", "--scenario", "isothermal-10x",

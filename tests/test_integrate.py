@@ -81,6 +81,41 @@ class TestDamping:
             run(uniform_scenario(), Scheme("standard", 3), 8, damping=-0.1)
 
 
+class TestRunInputs:
+    """A run input out of range raises a ConfigurationError that names it,
+    where it used to run silently: an infinite or NaN t_end gave a NaN loop
+    bound and zero steps, a negative one zero steps, a NaN damping no
+    damping, an unknown init the averages."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", np.inf), ("t_end", np.nan), ("t_end", -1.0),
+        ("damping", np.nan), ("damping", np.inf), ("damping", -0.1),
+        ("init", "bogus")])
+    def test_run_names_the_input(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            run(uniform_scenario(), Scheme("standard", 3), 8, **{key: value})
+
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])
+    def test_controller_rejects_t_end(self, t_end):
+        with pytest.raises(ConfigurationError, match="t_end"):
+            StepController(cfl=0.5, t_end=t_end)
+
+    def test_advance_rejects_nan_damping(self):
+        scen = uniform_scenario()
+        grid = grid_for(scen, 8, 2)
+        op = make_operator(scen, grid, Scheme("standard", 3))
+        data = init_cell_averages(scen, grid).data
+        op.set_initial_state(data)
+        with pytest.raises(ConfigurationError, match="damping"):
+            advance(op, data, StepController(t_end=0.1), damping=np.nan)
+
+    def test_zero_t_end_runs_no_step(self):
+        # the set-up-only runs of the benchmark use it
+        result = run(uniform_scenario(), Scheme("standard", 3), 8, t_end=0)
+        assert result.stats.steps == 0
+        np.testing.assert_array_equal(result.final.data, result.initial.data)
+
+
 def uniform_scenario(gravity=0.0):
     g = float(gravity)
     return Scenario(

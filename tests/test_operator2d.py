@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrobal.boundary import BoundarySpec2D
 from hydrobal.cases import (
@@ -7,6 +9,7 @@ from hydrobal.cases import (
     grid_for,
     init_cell_averages,
     isothermal_1d,
+    make_scenario,
     polytrope_2d,
 )
 from hydrobal.eos import IdealGas, IdealGasRadiation
@@ -14,6 +17,7 @@ from hydrobal.grid import Grid
 from hydrobal.integrate import StepController, advance, tableau_for_order
 from hydrobal.metrics import l1_error
 from hydrobal.operator2d import SpatialOperator2D
+from hydrobal.reconstruct import Cweno2D
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 
@@ -169,3 +173,161 @@ def test_grid_smaller_than_ghost_width_rejected(n_x, n_y):
         run(scen, scheme, 1, t_end=0.01)
     SpatialOperator2D(Grid((0, 1, 0, 1), (2, 2), scheme.n_ghost), scheme,
                       scen.eos, scen.gravity, scen.boundary)
+
+
+# -- the flux band -----------------------------------------------------------
+
+
+def periodic_scenario():
+    """A moving periodic state under a smooth gravity field."""
+    return Scenario(
+        name="periodic-2d", domain=(0, 1, 0, 1), eos=IdealGas(1.4),
+        boundary=BoundarySpec2D(*["periodic"] * 4), t_end=1.0,
+        gravity=lambda x, y: (np.sin(2 * np.pi * x) + 0 * y,
+                              np.cos(2 * np.pi * y) + 0 * x),
+        potential=lambda x, y: np.zeros_like(x + y),
+        initial=lambda x, y: (1.0 + 0.2 * np.sin(2 * np.pi * (x + y)),
+                              0.1 * np.cos(2 * np.pi * y) + 0 * x,
+                              0.1 * np.sin(2 * np.pi * x) + 0 * y,
+                              2.0 + 0.3 * np.cos(2 * np.pi * x) + 0 * y),
+        background=None)
+
+
+@pytest.mark.parametrize("kind", ["standard", "la", "la-s"])
+@pytest.mark.parametrize("name", ["periodic", "polytrope-2d"])
+def test_wider_ghost_layer_gives_the_same_rhs(name, kind):
+    # the operator works on the flux band and the cells its stencils read,
+    # so ghost cells beyond those change nothing
+    scen = periodic_scenario() if name == "periodic" \
+        else make_scenario("polytrope-2d", perturbation=1e-3)
+    scheme = Scheme(kind, 3)
+    rhs = []
+    for g in (2, 4):
+        grid = Grid(scen.domain, (12, 12), g)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        rhs.append(op.rhs(data)[(slice(None),) + grid.interior])
+    np.testing.assert_array_equal(*rhs)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("la", {16: 195, 24: 174, 32: 0}), ("la-s", {16: 195, 24: 174, 32: 0})])
+def test_radial_rayleigh_taylor_fallback_counts(kind, expected):
+    # solid-wall and background-deviation sides; the cells the gate rejects
+    # (non-positive equilibrium densities at nodes on the steep grids) take
+    # their standard energy faces from `rejected_energy_faces` on the band
+    for n, count in expected.items():
+        scen = make_scenario("radial-rayleigh-taylor")
+        scheme = Scheme(kind, 3)
+        grid = grid_for(scen, n, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        assert np.all(np.isfinite(op.rhs(data)))
+        assert op.fallback_cells == count, n
+
+
+class TestTracedEntryPoints:
+    """The benchmark tracer times the 2-D layers by patching these methods;
+    the RHS must call them, or their layers would read zero."""
+
+    @staticmethod
+    def _calls(kind, monkeypatch):
+        counts = {}
+        for cls, name in ((SpatialOperator2D, "_profiles_and_faces"),
+                          (SpatialOperator2D, "_sources"),
+                          (Cweno2D, "reconstruct_stencils")):
+            def spy(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cls, name, spy)
+        scen = make_scenario("polytrope-2d", perturbation=1e-3)
+        scheme = Scheme(kind, 3)
+        grid = grid_for(scen, 16, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        op.rhs(data)
+        assert op.fallback_cells == 0
+        return counts
+
+    def test_la_rhs(self, monkeypatch):
+        assert self._calls("la", monkeypatch) == {
+            "_profiles_and_faces": 1, "_sources": 1, "reconstruct_stencils": 2}
+
+    def test_standard_rhs(self, monkeypatch):
+        assert self._calls("standard", monkeypatch) == {
+            "_sources": 1, "reconstruct_stencils": 1}
+
+
+def _density_cells(value_rows, cells):
+    """Density coefficients (6, k) from (m_0..m_5, exponent, shift) per cell:
+    rho_0 = 5 m_0 10^e, and term i > 0 reaches at most |m_i| 10^e over the
+    nodes, so that the bound certifies some cells and not others; a shift
+    puts the smallest node value that many ulps of rho_0 from zero."""
+    reach = np.abs(value_rows).max(axis=0) * [0.2, 1, 1, 1, 1, 1]
+    rho = np.empty((6, len(cells)))
+    for k, (m, e, shift) in enumerate(cells):
+        rho[:, k] = np.array(m) * 10.0 ** e / reach
+        if shift is not None:
+            rho[0, k] = -np.min(value_rows[:, 1:] @ rho[1:, k])
+            rho[0, k] += shift * np.spacing(rho[0, k])
+    return rho
+
+
+UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cells=st.lists(st.tuples(
+    st.lists(UNIT, min_size=6, max_size=6), st.floats(-30.0, 30.0),
+    st.one_of(st.none(), st.integers(-4, 4))), min_size=2, max_size=6))
+def test_certified_density_gate_is_exact(cells):
+    # cells the bound certifies have positive node values; the others are
+    # evaluated, so the gate decides as the node values do, one open cell
+    # alone included.  Two cells at least: the reference product of a
+    # single column would take BLAS's matrix-vector path, which rounds
+    # differently from the band's matrix product
+    rho = _density_cells(DENSITY_OP._value_rows, cells)
+    expected = np.all(DENSITY_OP._value_rows @ rho > 0.0, axis=0)
+    np.testing.assert_array_equal(DENSITY_OP._density_positive(rho), expected)
+
+
+def test_density_bound_holds_at_every_node():
+    rng = np.random.default_rng(7)
+    rho = rng.standard_normal((6, 500)) * 10.0 ** rng.uniform(-3, 3, 500)
+    spread = np.abs(DENSITY_OP._value_rows[:, 1:] @ rho[1:])
+    # attained where one term dominates; the margin takes the rounding
+    bound = DENSITY_OP._rho_bound @ np.abs(rho[1:])
+    assert np.all(spread <= bound * (1.0 + 1e-12))
+    # shifted to within a few ulps of zero, a cell is never certified
+    near = _density_cells(DENSITY_OP._value_rows,
+                          [(list(r), 0.0, 1) for r in rho[:, :50].T])
+    bound = DENSITY_OP._rho_bound @ np.abs(near[1:])
+    assert not np.any(near[0] > bound * (1.0 + 1e-12))
+
+
+def test_density_gate_single_open_cell():
+    # beside a certified cell, a cell within ulps of zero is the one cell
+    # evaluated, and decides as in the product over every cell
+    rng = np.random.default_rng(8)
+    near = _density_cells(DENSITY_OP._value_rows, [
+        (list(rng.uniform(-1, 1, 6)), rng.uniform(-3, 3), rng.integers(-3, 4))
+        for _ in range(300)])
+    certain = np.zeros(6)
+    certain[0] = 1.0
+    expected = np.all(DENSITY_OP._value_rows @ near > 0.0, axis=0)
+    assert 0 < np.count_nonzero(expected) < expected.size
+    for k in range(near.shape[1]):
+        pair = np.stack([certain, near[:, k]], axis=1)
+        assert DENSITY_OP._density_positive(pair)[1] == expected[k], k
+
+
+def _density_operator():
+    scen = make_scenario("polytrope-2d")
+    scheme = Scheme("la", 3)
+    return make_operator(scen, grid_for(scen, 16, scheme.n_ghost), scheme)
+
+
+DENSITY_OP = _density_operator()

@@ -521,9 +521,10 @@ def sources_2d(rec, gravity, hx=0.1, hy=0.1):
     op = SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
                            lambda x, y: gravity(x + 0 * y, y + 0 * x),
                            BoundarySpec2D(*["periodic"] * 4))
+    # cells last, over the flux band: ghosted cell (4, 4) is band cell (3, 3)
     rec = np.broadcast_to(np.asarray(rec, dtype=float)[:, :, None],
-                          (4, 6, np.prod(grid.shape_tot)))   # cells last
-    return op._sources(rec)[:, 4, 4], op
+                          (4, 6, np.prod(op._shape)))
+    return op._sources(rec)[:, 3, 3], op
 
 
 class TestSourceAverages:
@@ -597,7 +598,7 @@ class TestSourceAverages:
         def mean(f):
             return np.einsum("ij,i,j->", f, wx, wy) / (hx * hy)
 
-        cell = np.ravel_multi_index((4, 4), op.grid.shape_tot)
+        cell = np.ravel_multi_index((3, 3), op._shape)   # of the band
         gx, gy = (value(g[:, cell], op._exps_g) for g in op._g_rows)
         rho, mx, my = (value(rec[c], MONOMIALS_DEG2) for c in range(3))
         expected = [0.0, mean(rho * gx), mean(rho * gy),
@@ -678,18 +679,17 @@ class TestPositivityFallback:
         data[:, i, j] = [1e-10, 0.0, 0.0, 1e-10]
         filled = data.copy()
         op.fill_ghosts(filled)
-        rec = op.cweno.coefficients(filled)
+        rec = op.cweno.coefficients(filled)   # the flux band's cells
         nodes_x, _ = gauss_nodes_weights_centered(2, hx)
         nodes_y, _ = gauss_nodes_weights_centered(2, hy)
-        physical = np.ones(grid.shape_tot, dtype=bool)
+        physical = np.ones(rec.shape[2:], dtype=bool)
         for x, y in ((-0.5 * hx, nodes_y), (0.5 * hx, nodes_y),
                      (nodes_x, -0.5 * hy), (nodes_x, 0.5 * hy)):
             x, y = np.broadcast_arrays(x, y)
             face = sum(rec[:, k, ..., None] * x ** a * y ** b
                        for k, (a, b) in enumerate(MONOMIALS_DEG2))
             physical &= np.all(physical_state(face)[1], axis=-1)
-        band = tuple(slice(g - 1, g + n + 1) for n in grid.cells)
-        flagged = ~physical[band]
+        flagged = ~physical
         assert flagged[i - g + 1, j - g + 1]
 
         out = op.rhs(data)

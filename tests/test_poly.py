@@ -75,7 +75,8 @@ UNIT = np.eye(6)[0]   # rho = 1
 
 
 def operator_2d(gravity, hx=0.1, hy=0.1):
-    # cell (3, 3) of the ghosted arrays is centered at (1.5 hx, 1.5 hy)
+    # cell (3, 3) of the ghosted arrays, band cell (2, 2) of the operator's
+    # tables, is centered at (1.5 hx, 1.5 hy)
     grid = Grid((0.0, 6 * hx, 0.0, 6 * hy), (6, 6), 2)
     return SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
                              lambda x, y: gravity(x + 0 * y, y + 0 * x),
@@ -83,8 +84,8 @@ def operator_2d(gravity, hx=0.1, hy=0.1):
 
 
 def center_cell(op):
-    """Column of cell (3, 3) in the operator's cells-last arrays."""
-    return np.ravel_multi_index((3, 3), op.grid.shape_tot)
+    """Column of cell (3, 3) in the operator's cells-last band arrays."""
+    return np.ravel_multi_index((2, 2), op._shape)
 
 
 def g_center(op):
@@ -106,9 +107,9 @@ def test_cell_average_2d_square():
     # mean of (x - x_i)^2 over an h-square: tensor antiderivative gives h^2/12
     h = 0.37
     op = operator_2d(lambda x, y: (1.0 + 0 * x, 0 * y), h, h)
-    rec = np.zeros((4, 6, np.prod(op.grid.shape_tot)))   # cells last
+    rec = np.zeros((4, 6, np.prod(op._shape)))   # band cells last
     rec[0, MONOMIALS_DEG2.index((2, 0))] = 1.0
-    assert op._sources(rec)[1, 3, 3] == pytest.approx(h ** 2 / 12.0)
+    assert op._sources(rec)[1, 2, 2] == pytest.approx(h ** 2 / 12.0)
 
 
 def test_cell_average_2d_neighbor_offset():
