@@ -7,6 +7,8 @@ self-consistency gate before any solver test touches the scenario.
 """
 
 import inspect
+import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -98,11 +100,12 @@ def isothermal_1d(potential="10x", gamma=1.4):
         r = rho(x)
         return r, np.zeros_like(r), r
 
+    eos = IdealGas(gamma)   # rejects gamma <= 1 before tau reads it
     tau = np.sqrt(1.0 / gamma)  # sound crossing time: c = sqrt(gamma) here
     return Scenario(
         name=f"isothermal-{potential}",
         domain=(0.0, 1.0),
-        eos=IdealGas(gamma),
+        eos=eos,
         boundary=bc,
         t_end=2.0 * tau,
         gravity=grav,
@@ -343,6 +346,14 @@ def make_scenario(name, **kwargs):
     if missing:
         raise ConfigurationError(
             f"scenario {name!r} needs parameter(s) {missing}")
+    for key, value in kwargs.items():
+        if not (value is None and accepted[key].default is None
+                or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise ConfigurationError(
+                f"scenario {name!r}: parameter {key!r} must be a finite "
+                f"real number, got {value!r}")
     return factory(**kwargs)
 
 

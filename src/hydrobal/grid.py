@@ -7,6 +7,7 @@ on a grid is an array (C, *shape_tot), components first.
 
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -26,11 +27,13 @@ class Grid:
     def __post_init__(self):
         lo, hi = self.domain[::2], self.domain[1::2]
         if len(self.domain) != 2 * len(self.cells) \
+                or not all(isinstance(n, Integral) for n in self.cells) \
                 or min(self.cells, default=0) < 1 \
                 or any(b <= a for a, b in zip(lo, hi)):
             raise ConfigurationError(
-                f"grid needs one (lo, hi) pair with hi > lo and at least one "
-                f"cell per axis; got domain {self.domain}, cells {self.cells}")
+                f"grid needs one (lo, hi) pair with hi > lo and a whole "
+                f"number of cells, at least one, per axis; got domain "
+                f"{self.domain}, cells {self.cells}")
         if self.n_ghost < 0:
             raise ConfigurationError("n_ghost must be non-negative")
         # derived once, as plain attributes, since they are read every stage;

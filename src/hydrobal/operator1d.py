@@ -21,6 +21,7 @@ from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
 from .reconstruct import Cweno1D, GravityInterp1D, _frozen, product_tables
 from .wellbalance import (
+    LocalEquilibrium,
     anchor_pressure_ideal,
     anchor_pressure_newton,
     build_profiles,
@@ -88,24 +89,25 @@ class SpatialOperator1D:
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
             scheme.n_quad, h)
         self._mean = self.quad_weights / h
-        # the equilibrium node set, its tables transposed for cells last:
-        # rows are nodes (faces last) or, for the source means, gravity
-        # monomials
+        # the equilibrium node set (reach r for LA, the cell's own nodes
+        # otherwise), its tables transposed for cells last: rows are nodes
+        # (faces last) or, for the source means, gravity monomials
         r = scheme.radius
         self._exps = (self.cweno.exps, ginterp.exps)
-        self._tables = product_tables(
-            *self._exps, equilibrium_points(scheme.n_quad,
-                                            0 if scheme.piecewise_source else r),
+        la = scheme.well_balanced and not scheme.piecewise_source
+        tables = product_tables(
+            *self._exps, equilibrium_points(scheme.n_quad, r if la else 0),
             grid.spacing)
-        self._line_rows = np.ascontiguousarray(self._tables.line[0].T)
-        self._value_rows = np.ascontiguousarray(self._tables.values.T)
+        self._value_rows = np.ascontiguousarray(tables.values.T)
         self._face_rows = self._value_rows[-2:]
         self._source_rows = np.ascontiguousarray(
-            self._tables.means.reshape(scheme.order, -1).T)
-        # DWB with a constant d eps/dp takes its energy deviations from
-        # `build_profiles`, with no EoS call
-        self._cell_means = scheme.piecewise_source \
-            and eos.deps_dp_constant is not None
+            tables.means.reshape(scheme.order, -1).T)
+        if la:
+            self._equilibrium = LocalEquilibrium(
+                scheme, eos, self.cweno, tables, self._value_rows,
+                self.g_coeffs[None])
+        elif scheme.piecewise_source:
+            self._line_rows = np.ascontiguousarray(tables.line[0].T)
         # DWB and LA read no reconstructed energy: their state pass skips it
         self._lean = scheme.well_balanced and not scheme.simplified_anchor
         # the shared side fill skips the hydrostatic sides, filled here
@@ -253,14 +255,14 @@ class SpatialOperator1D:
         source = np.sum((self._source_rows @ rec[:2]) * self.g_coeffs, axis=1)
 
         good = None
-        if scheme.well_balanced:
+        if scheme.piecewise_source:
             # product terms (m * m_g, n_tot), rec-major (`product_tables`)
             terms = (rec[0][:, None] * self.g_coeffs).reshape(-1, data.shape[1])
             profiles = build_profiles(
                 scheme, self.eos, self._line_rows @ terms,
                 self._value_rows @ rec[:2], rec[:, 0], data[0], data[2],
                 self._mean)
-            if self._cell_means:
+            if self.eos.deps_dp_constant is not None:   # no EoS call
                 delta, eps_faces, good = profiles
             else:
                 *_, eps, good = profiles
@@ -269,6 +271,10 @@ class SpatialOperator1D:
             e_faces = hydrostatic_energy_faces(
                 eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
                 self._face_rows)
+        elif scheme.well_balanced:
+            e_faces, good = self._equilibrium(
+                rec, data[0], data[2], periodic_windows(data[2], scheme.radius))
+        if good is not None:
             if self._lean:
                 faces[2] = e_faces
                 band = slice(ng - 1, data.shape[1] + 1 - ng)

@@ -1,25 +1,13 @@
-"""Semi-discrete right-hand side for the 2-D Euler equations with gravity.
+"""Semi-discrete right-hand side for the 2-D Euler equations with gravity:
+the standard third-order scheme, and LA and LA-S through the equilibrium
+stage `wellbalance.LocalEquilibrium` that the 1-D operator shares.
 
-Implements the standard third-order scheme and the local-approximation
-well-balanced variants (LA, LA-S): per cell, the hydrostatic pressure is the
-anchor value plus the exact straight-line integral of the cell's own source
-polynomials, extrapolated across the 3x3 stencil; only the energy is
-reconstructed as equilibrium plus CWENO of the deviations.  The frame around
-it is shared with the 1-D operator: the side fill `boundary.fill_sides`, and
-the positivity fallback, flux divergence and CFL rate of `physics`.
-
-The equilibrium algebra is organized around the product basis
-rec-monomial x gravity-monomial, with the table builder the 1-D operator
-shares (`reconstruct.product_tables`).  Gravity is static, so construction
-contracts the tables with each cell's gravity coefficients once: per
-density monomial, the line integral's exact own-cell mean, its Gauss means
-over the stencil cells, its face values, and the sources' cell means, each
-then a short sum over the density coefficients per stage.  With the ideal
-gas these alone give the energy (`wellbalance`); node densities and
-pressures are evaluated where bounds cannot certify them positive, and for
-every cell with any other EoS.  Arrays hold the flux band (the interior and
-one ghost layer per side), cells last; the frame sees it as a state with one
-ghost layer, the face buffer (4, faces, cells) and (4, X, Y, nq) views of it.
+Every per-cell layer runs on the flux band, the interior and one ghost
+layer per side, cells last: the coefficients (C, 6, cells), the static
+tables, the energy windows (a strided view of the ghosted energy) and the
+face buffer (4, faces, cells).  The shared frame (`boundary.fill_sides` and
+`physics`' positivity fallback, flux divergence and CFL rate) sees the band
+as a state with one ghost layer, through (4, X, Y, nq) views of the faces.
 """
 
 import numpy as np
@@ -33,17 +21,8 @@ from .physics import wall_boundary_flux  # noqa: F401
 from .quadrature import cell_averages, gauss_nodes_weights_centered
 from .reconstruct import (Cweno2D, GravityInterp2D, product_tables,
                           stencil_windows)
-from .wellbalance import (
-    anchor_pressure_ideal,
-    anchor_pressure_newton,
-    anchor_pressure_simplified,
-    energy_deviations,
-    eps_hat_estimate,
-    equilibrium_points,
-    hydrostatic_energy_faces,
-    node_energies,
-    rejected_energy_faces,
-)
+from .wellbalance import (LocalEquilibrium, equilibrium_points,
+                          rejected_energy_faces)
 
 
 class SpatialOperator2D:
@@ -94,51 +73,19 @@ class SpatialOperator2D:
         self._g_rows = np.stack([
             interp.fit(stencil_windows(g * np.ones_like(xx), (3, 3))).reshape(
                 len(self._exps_g), -1) for g in (gx, gy)])
-        self._build_tables()
-
-    def _build_tables(self):
-        """Product-basis tables at the node set `equilibrium_points`: the
-        Gauss nodes of the 3x3 stencil cells by (x offset, y offset), then
-        those of the faces xl, xr, yl, yr.
-
-        The gravity-contracted rows, each one matrix product with the
-        gravity rows: a cell's value of row k is sum_i rho_i rows[i, k] over
-        its density coefficients rho_i.  `_lines` (m, 18, cells), LA only:
-        the line integral's exact own-cell mean, its Gauss means over the 9
-        stencil cells and its face nodes; `_source_rows` (2, m, cells): the
-        source means s_x and s_y."""
-        nq = self.scheme.n_quad
-        m, m_g = len(self.cweno.exps), len(self._exps_g)
+        # product-basis tables at the Gauss nodes of the 3x3 stencil cells
+        # by (x offset, y offset), then of the faces xl, xr, yl, yr
+        nq, m_g = scheme.n_quad, len(self._exps_g)
         self._face_w = gauss_nodes_weights_centered(nq, 1.0)[1]
-        self._wq = np.outer(self._face_w, self._face_w).ravel()
-        tables = product_tables(
-            self.cweno.exps, self._exps_g, equilibrium_points(nq, 1, dim=2),
-            self.grid.spacing)
-        self._own = slice(4 * nq * nq, 5 * nq * nq)   # the center cell
-        self._value_rows = np.ascontiguousarray(tables.values.T)
-        self._face_rows = self._value_rows[9 * nq * nq:]
-        # s_d = sum_i rho_i sum_j mean_ij g_dj
-        self._source_rows = tables.means.reshape(m, m_g) @ self._g_rows
-        if not self.scheme.well_balanced:
-            return
-        # |rho - rho_0| <= sum_i |rho_i| max |monomial_i| at every node
-        self._rho_bound = np.abs(self._value_rows[:, 1:]).max(axis=0)
-        line = tables.line.reshape(2, m, m_g, -1)
-        lines = np.concatenate(
-            [tables.line_means.reshape(2, m, m_g, 1),
-             line[..., :9 * nq * nq].reshape(2, m, m_g, 9, nq * nq) @ self._wq,
-             line[..., 9 * nq * nq:]], axis=-1)
-        # rows (i, k) over the columns (axis d, gravity monomial j)
-        self._lines = (lines.transpose(1, 3, 0, 2).reshape(-1, 2 * m_g)
-                       @ self._g_rows.reshape(2 * m_g, -1)).reshape(
-                           m, lines.shape[-1], -1)
-        # |line integral| <= sum_i |rho_i| bound_i at every node
-        self._bound = np.abs(line).max(axis=-1).transpose(1, 0, 2) \
-            .reshape(m, -1) @ np.abs(self._g_rows).reshape(2 * m_g, -1)
-        # node values of the line integrals from product terms, for the
-        # cells whose pressure positivity the bound leaves open
-        self._line_rows = np.ascontiguousarray(
-            tables.line.reshape(2 * m * m_g, -1).T)
+        tables = product_tables(self.cweno.exps, self._exps_g,
+                                equilibrium_points(nq, 1, dim=2), grid.spacing)
+        value_rows = np.ascontiguousarray(tables.values.T)
+        self._face_rows = value_rows[9 * nq * nq:]
+        # source means (2, m, cells): s_d = sum_i rho_i sum_j mean_ij g_dj
+        self._source_rows = tables.means.reshape(-1, m_g) @ self._g_rows
+        if scheme.well_balanced:
+            self._equilibrium = LocalEquilibrium(
+                scheme, eos, self.cweno, tables, value_rows, self._g_rows)
 
     # -- boundaries ---------------------------------------------------------
 
@@ -152,64 +99,18 @@ class SpatialOperator2D:
     # -- equilibrium machinery ----------------------------------------------
 
     def _profiles_and_faces(self, rec, data, face_values):
-        """LA equilibrium: anchors, energy deviations, face-energy overwrite.
+        """LA equilibrium of the band, the stage on its 3x3 energy windows.
 
         `rec` holds the band's coefficients (C, 6, cells), LA's without the
         energy, `data` the state of the band plus one layer (`_reach`), and
         `face_values` (4, faces, cells) the face states, whose energies are
         written in place: the equilibrium's, the standard ones where the
         gate fails (LA-S keeps its state pass's, LA takes them from
-        `rejected_energy_faces`).  Returns the validity mask of band cells
-        whose faces use the equilibrium decomposition (anchor converged,
-        positive pressure and density at all evaluation nodes).
-
-        With eps = b p (`deps_dp_constant`) the energy comes from the
-        contracted rows, cell means and faces, with no EoS call; rho and p0
-        then only gate positivity, exactly, through certified bounds.  Any
-        other EoS evaluates both at every node, and its anchor or energy
-        call gates them.
+        `rejected_energy_faces`).  Returns the gate (X, Y).
         """
-        eos, b, rho = self.eos, self.eos.deps_dp_constant, rec[0]
-
-        if b is None:
-            offsets = self._node_offsets(rho, ...)
-            rho_nodes = self._value_rows @ rho
-        else:
-            # own-cell mean, 9 stencil-cell means and the face nodes of the
-            # line integral of the source field, (18, cells), in one pass
-            # over the contracted rows
-            lines = np.einsum("ic,ikc->kc", rho, self._lines)
-            good = self._density_positive(rho)
-
-        if self.scheme.simplified_anchor:
-            p0 = anchor_pressure_simplified(rec[:, 0], eos)
-            if b is None:
-                eps, good = node_energies(eos, p0 + offsets, rho_nodes)
-        else:
-            rec_own = self._value_rows[self._own] @ rec[:3]
-            rec_own = np.where(rec_own[0] > 0.0, rec_own, 1.0)
-            rho_hat, e_hat = data[[0, 3], 1:-1, 1:-1].reshape(2, -1)
-            eps_hat = eps_hat_estimate(e_hat, rec_own, self._wq)
-            if b is not None:
-                # the line integral's exact mean, one node of weight one
-                p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
-            else:
-                p0, good, eps = self._newton_anchor(eps_hat, rho_nodes,
-                                                    offsets, rho_hat)
-        good &= p0 > 0.0
-
-        # energy deviations over the band cells' 3x3 stencils (ordered like
-        # the CWENO window), then the face energies
-        e_window = stencil_windows(data[3], (3, 3)).reshape(9, -1)
-        if b is None:
-            delta, eps_faces = energy_deviations(eps, e_window, self._wq)
-        else:
-            good = self._pressure_positive(p0, rho, good)
-            delta = e_window - b * (p0 + lines[1:10])
-            eps_faces = b * (p0 + lines[10:])
-        e_wb = hydrostatic_energy_faces(
-            eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
-            self._face_rows)
+        e_wb, good = self._equilibrium(
+            rec, *data[[0, 3], 1:-1, 1:-1].reshape(2, -1),
+            stencil_windows(data[3], (3, 3)).reshape(9, -1))
         if self._lean:
             face_values[3] = e_wb
             rejected_energy_faces(self.cweno, data[3], good.reshape(
@@ -218,39 +119,8 @@ class SpatialOperator2D:
             np.copyto(face_values[3], e_wb, where=good)
         return good.reshape(self._shape)
 
-    def _node_offsets(self, rho, cells):
-        """Line integrals of the source field at every node, (nodes, k), of
-        the band `cells` (an index) from their density coefficients (6, k)."""
-        terms = rho[:, None] * self._g_rows[:, None, :, cells]
-        return self._line_rows @ terms.reshape(-1, terms.shape[-1])
-
-    @staticmethod
-    def _certified(good, value, bound, nodes):
-        """`good` and, in place, every node value `nodes(cells)` (nodes, k)
-        positive.  value > bound (1 + 1e-12) certifies a cell, the margin
-        covering the node sums' rounding; other good cells are evaluated."""
-        cells = np.flatnonzero(good & ~(value > bound * (1.0 + 1e-12)))
-        if cells.size:
-            # two columns at least: BLAS rounds a single one differently
-            cells = np.resize(cells, max(cells.size, 2))
-            good[cells] = np.all(nodes(cells) > 0.0, axis=0)
-        return good
-
-    def _density_positive(self, rho):
-        """Cells whose density rho (6, cells) is positive at every node."""
-        return self._certified(np.ones(rho.shape[1], dtype=bool), rho[0],
-                               self._rho_bound @ np.abs(rho[1:]),
-                               lambda cells: self._value_rows @ rho[:, cells])
-
-    def _pressure_positive(self, p0, rho, good):
-        """`good` and p0 + offset > 0 at every node."""
-        return self._certified(
-            good, p0, np.sum(np.abs(rho) * self._bound, axis=0),
-            lambda cells: p0[cells] + self._node_offsets(rho[:, cells], cells))
-
-    def _newton_anchor(self, eps_hat, rho_nodes, line_nodes, rho_hat):
-        return anchor_pressure_newton(line_nodes, rho_nodes, self._own,
-                                      rho_hat, eps_hat, self.eos, self._wq)
+    def _newton_anchor(self):
+        """Never called: perfbench/spans.py patches it (ROADMAP item 1)."""
 
     # -- sources --------------------------------------------------------------
 

@@ -5,11 +5,12 @@ the initializer's pressure glue.
 
 Step 1 builds, for every cell, a local equilibrium: the density is the
 standard reconstruction polynomial; the pressure is the anchor value p0 plus
-the exact antiderivative of a source representation s_i.  For the piecewise
-variant (DWB) s_i restricted to a stencil cell k is that cell's own
-rho_k^rec * g_k^int and the pressure is glued continuously at interfaces; for
-the local-approximation variant (LA) cell i's single source polynomial is
-extrapolated across the stencil.
+the exact integral of a source representation s_i.  For the piecewise
+variant (DWB, 1-D, `build_profiles`) s_i restricted to a stencil cell k is
+that cell's own rho_k^rec * g_k^int and the pressure is glued continuously
+at interfaces; for the local-approximation variant (LA, 1-D and 2-D,
+`LocalEquilibrium`) cell i's single source polynomial is extrapolated
+across the stencil.
 
 Step 2 reconstructs only the ENERGY hydrostatically: the cell averages of the
 profile's internal energy are subtracted (same quadrature everywhere), the
@@ -18,16 +19,13 @@ momentum keep the standard reconstruction: the equilibrium momentum vanishes
 and the density deviations vanish identically because the quadrature is exact
 for the reconstruction polynomials.  The anchors of DWB and LA read no
 reconstructed energy, so their state pass leaves it out; the standard energy
-reconstruction is computed only for the cells of the flux band whose
-equilibrium the gate rejects (`rejected_energy_faces`).
+of the flux band's cells that the gate rejects is `rejected_energy_faces`.
 
 Layout: cells run along the last axis of every array here, behind the
-node, stencil or face axis (node values (nodes, cells), stencil windows
-(2r + 1, cells)), so that reductions over a stencil or a cell's nodes are
-contiguous passes over rows.  Each cell's equilibrium is evaluated at one
-fixed node set (`equilibrium_points`) through the product-basis tables
-(`reconstruct.product_tables`) that both operators share, transposed once
-at construction.
+node, stencil or face axis, so that reductions over a stencil or a cell's
+nodes are contiguous passes over rows.  Each cell's equilibrium is
+evaluated at one node set (`equilibrium_points`) through the product-basis
+tables (`reconstruct.product_tables`), transposed once at construction.
 
 The DWB glue is stencil-local: the constant of stencil cell i + d relative
 to cell i, Delta_{i,d} = C_{i+d} - C_i, is a sum of at most r interface
@@ -36,25 +34,20 @@ sums over the whole grid, so its rounding error scales with the pressures
 of the stencil, not with the largest pressure of the grid.
 
 Two paths compute the energy deviations:
-- node values (1-D LA, and any EoS without a constant d eps/dp): the
-  internal energy at the pressure p0 + offset and the density at every
-  node of the stencil and the faces (`energy_deviations`, no EoS call).
-  The Newton anchor's last iteration inverts the whole node set at the
-  converged p0, so it yields them; after the closed-form and simplified
-  anchors they take one EoS call (`node_energies`);
-- cell means, for an EoS with eps = b p (`deps_dp_constant`, the ideal
-  gas) in 1-D DWB and 2-D LA: the window entries are E[i+d] - b times the
-  mean equilibrium pressure over stencil cell d, and the face energies
-  b times the face pressure plus the deviation polynomial.  The anchor p0
-  shifts every window entry and face by b p0, which CWENO carries through
-  unchanged, so it cancels and the energy takes no EoS call.  1-D DWB
-  leaves it out: its means are Delta_{i,d} + O[i+d], with O a cell's
-  Gauss mean of its own pressure offset, formed in `build_profiles`.  2-D
-  LA keeps it, p0 plus one of the operator's gravity-contracted rows.
-  p0 still gates positivity, exactly as the node values would: in 1-D
-  through per-cell minima, p0 + min_d (Delta_{i,d} + min of offset_{i+d})
-  > 0; in 2-D through a bound |offset| <= B at every node, which
-  certifies cells with p0 > B (1 + 1e-12), the node values being
+- node values, for an EoS without a constant d eps/dp: the internal energy
+  at the pressure p0 + offset and the density at every node of the stencil
+  and the faces (`energy_deviations`).  The Newton anchor's last iteration
+  inverts the whole node set at the converged p0, so it yields them; after
+  the simplified anchor they take one EoS call (`node_energies`);
+- cell means, for eps = b p (`deps_dp_constant`, the ideal gas): the window
+  entries are E[i+d] - b times the mean equilibrium pressure over stencil
+  cell d, and the face energies b times the face pressure plus the
+  deviation polynomial.  p0 shifts every window entry and face by b p0,
+  which CWENO carries through unchanged, so the energy takes no EoS call
+  (DWB leaves p0 out).  p0 still gates positivity, exactly as the node
+  values would: DWB through per-cell minima, p0 + min_d (Delta_{i,d} + min
+  of offset_{i+d}) > 0; LA through a bound |offset| <= B at every node,
+  which certifies cells with p0 > B (1 + 1e-12), the node values being
   evaluated only for the cells it leaves open.
 
 The anchor solvers take node values, nodes first: the pressure offset
@@ -65,7 +58,7 @@ a single node of weight one.  The Newton anchor takes the caller's whole
 node set with its densities, and a slice of the rows of the matched mean.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -223,81 +216,67 @@ def equilibrium_points(n_quad, reach, dim=1):
 
 def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
                    e_hat, weights):
-    """Pressure, density and internal energy of every cell's local
-    equilibrium.
+    """Pressure, density and internal energy of every cell's DWB
+    equilibrium (LA's is `LocalEquilibrium`).
 
     `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
-    and `rec_nodes` (2, nodes, n) its density and momentum, at its
-    `equilibrium_points` (reach 0 for DWB, r for LA); `rec_center` (C, n)
-    is the reconstructed center state, whole for the simplified anchor that
-    alone reads it, and `weights` the cell-mean weights of the Gauss nodes.
-    Returns (p, rho, eps, ok) for `energy_deviations`: node values over the
-    stencil node set, and ok flags cells whose anchor is positive (and
-    converged) and whose p and rho are positive at every node; callers
-    fall back to the standard reconstruction elsewhere.
-
-    LA extrapolates cell i's own piece.  DWB takes the neighbours' pieces,
-    offset by the local glue, read through `periodic_windows`, before the
-    anchor, whose last iteration then gives eps at every node.  DWB with a
-    constant d eps/dp = b needs no node values: it returns the energy
-    deviations of `energy_deviations` directly, (delta, eps_faces, ok),
-    from the means of p - p0 over the stencil cells and p - p0 at the
-    faces (see the module docstring); ok then also holds the node gate,
-    pressure and density positive at every node of the stencil and the
-    faces.
+    and `rec_nodes` (2, nodes, n) its density and momentum, at its own
+    Gauss nodes and faces; `rec_center` (C, n) is the reconstructed center
+    state, whole for the simplified anchor that alone reads it, and
+    `weights` the Gauss nodes' cell-mean weights.  Stencil cell d takes
+    piece i + d, offset by the local glue.  Returns (p, rho, eps, ok) for
+    `energy_deviations`, node values over the stencil node set, ok flagging
+    cells whose anchor is positive (and converged) and whose p and rho are
+    positive at every node; with a constant d eps/dp = b, the energy
+    deviations directly, (delta, eps_faces, ok).
     """
     nq, r, b = weights.size, scheme.radius, eos.deps_dp_constant
-    reach = 0 if scheme.piecewise_source else r
-    own = slice(reach * nq, (reach + 1) * nq)
-    rho_own = rec_nodes[0, own]
-    rho_pos = rho_own > 0.0
-    cell_means = scheme.piecewise_source and b is not None
-    if scheme.piecewise_source:
-        glue = local_glue(offsets[-2], offsets[-1], r)
-    # the node set relative to p0 and its densities: stencil cell d of DWB
-    # is piece i + d at its own nodes, shifted by the glue, and its faces
-    # are cell i's own
-    c, rho, own_rows = offsets, rec_nodes[0], slice(r * nq, (r + 1) * nq)
-    if scheme.piecewise_source and not cell_means:
+    rho_own = rec_nodes[0, :nq]
+    glue = local_glue(offsets[-2], offsets[-1], r)
+    if b is None:
+        # the node set relative to p0 and its densities: stencil cell d is
+        # piece i + d at its own nodes, shifted by the glue, and its faces
+        # are cell i's own
         n = offsets.shape[-1]
         c, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
         np.add(periodic_windows(offsets[:nq], r).transpose(1, 0, 2),
                glue[:, None], out=c[:-2].reshape(2 * r + 1, nq, n))
         c[-2:] = offsets[nq:]
         rho[:-2].reshape(2 * r + 1, nq, n)[...] = periodic_windows(
-            rec_nodes[0, :nq], r).transpose(1, 0, 2)
+            rho_own, r).transpose(1, 0, 2)
         rho[-2:] = rec_nodes[0, nq:]
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec_center, eos)
         ok = p0 > 0.0
     else:
         eps_hat = eps_hat_estimate(
-            e_hat, np.where(rho_pos, rec_nodes[:, own], 1.0), weights)
+            e_hat, np.where(rho_own > 0.0, rec_nodes[:, :nq], 1.0), weights)
         if b is not None:
-            p0 = anchor_pressure_ideal(offsets[own], eps_hat, b, weights)
+            p0 = anchor_pressure_ideal(offsets[:nq], eps_hat, b, weights)
             ok = p0 > 0.0
         else:
-            p0, ok, eps = anchor_pressure_newton(c, rho, own_rows, rho_hat,
-                                                 eps_hat, eos, weights)
+            p0, ok, eps = anchor_pressure_newton(
+                c, rho, slice(r * nq, (r + 1) * nq), rho_hat, eps_hat, eos,
+                weights)
             return p0 + c, rho, eps, ok
-    if cell_means:
-        faces = offsets[nq:]
-        # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
-        delta = glue + periodic_windows(weights @ offsets[:nq], r)
-        delta *= b
-        np.subtract(periodic_windows(e_hat, r), delta, out=delta)
-        # the node gate through per-cell minima over the stencil and faces
-        low_p = np.minimum(
-            (glue + periodic_windows(offsets[:nq].min(axis=0), r)).min(axis=0),
-            faces.min(axis=0))
-        low_rho = np.minimum(
-            periodic_windows(rho_own.min(axis=0), r).min(axis=0),
-            rec_nodes[0, nq:].min(axis=0))
-        ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
-        return delta, b * faces, ok
-    p = p0 + c
-    eps, positive = node_energies(eos, p, rho)
-    return p, rho, eps, ok & positive
+    if b is None:
+        p = p0 + c
+        eps, positive = node_energies(eos, p, rho)
+        return p, rho, eps, ok & positive
+    faces = offsets[nq:]
+    # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
+    delta = glue + periodic_windows(weights @ offsets[:nq], r)
+    delta *= b
+    np.subtract(periodic_windows(e_hat, r), delta, out=delta)
+    # the node gate through per-cell minima over the stencil and faces
+    low_p = np.minimum(
+        (glue + periodic_windows(offsets[:nq].min(axis=0), r)).min(axis=0),
+        faces.min(axis=0))
+    low_rho = np.minimum(
+        periodic_windows(rho_own.min(axis=0), r).min(axis=0),
+        rec_nodes[0, nq:].min(axis=0))
+    ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
+    return delta, b * faces, ok
 
 
 def node_energies(eos, p, rho):
@@ -328,6 +307,135 @@ def hydrostatic_energy_faces(eps_faces, delta_coeffs, face_rows):
     `face_rows` (faces, m) holds the monomials of `delta_coeffs` (m, cells)
     at the faces."""
     return eps_faces + face_rows @ delta_coeffs
+
+
+class LocalEquilibrium:
+    """The LA and LA-S equilibrium of every cell, in 1-D or 2-D: the anchor
+    p0 plus the straight-line integral from the cell center of its own
+    source polynomial rho^rec g^int, extrapolated over its stencil.
+
+    Built from the operator's product-basis `tables` at
+    `equilibrium_points(n_quad, r, dim)`, their transpose `value_rows`
+    (nodes, m) and the static gravity rows `g_rows` (dim, m_g, cells),
+    cells last, contracted once: a cell's row k of `_lines` (m, rows,
+    cells) is sum_i rho_i rows[i, k], the line integral's exact own-cell
+    mean, Gauss means over the stencil cells and face values; `_bound` and
+    `_rho_bound` bound the offset and rho - rho_0 at every node;
+    `_line_rows` (nodes, terms) give the offsets there.
+    """
+
+    def __init__(self, scheme, eos, cweno, tables, value_rows, g_rows):
+        self.eos, self.cweno = eos, cweno
+        self._simplified = scheme.simplified_anchor
+        nq, dim, m_g = scheme.n_quad, len(g_rows), g_rows.shape[1]
+        m, cell_nodes = len(value_rows[0]), nq ** dim
+        self._stencil = (2 * scheme.radius + 1) ** dim
+        at = self._stencil * cell_nodes      # the first face node
+        self._wq = reduce(np.multiply.outer, [
+            gauss_nodes_weights_centered(nq, 1.0)[1]] * dim).ravel()
+        mid = self._stencil // 2 * cell_nodes
+        self._own = slice(mid, mid + cell_nodes)     # the center cell
+        self._value_rows, self._face_rows = value_rows, value_rows[at:]
+        self._g_rows = g_rows
+        self._rho_bound = np.abs(value_rows[:, 1:]).max(axis=0)
+        line = tables.line.reshape(dim, m, m_g, -1)
+        lines = np.concatenate(
+            [tables.line_means.reshape(dim, m, m_g, 1),
+             line[..., :at].reshape(dim, m, m_g, self._stencil, cell_nodes)
+             @ self._wq, line[..., at:]], axis=-1)
+        # rows (i, k) over the columns (axis d, gravity monomial j)
+        self._lines = (lines.transpose(1, 3, 0, 2).reshape(-1, dim * m_g)
+                       @ g_rows.reshape(dim * m_g, -1)).reshape(
+                           m, lines.shape[-1], -1)
+        self._bound = np.abs(line).max(axis=-1).transpose(1, 0, 2) \
+            .reshape(m, -1) @ np.abs(g_rows).reshape(dim * m_g, -1)
+        self._line_rows = np.ascontiguousarray(
+            tables.line.reshape(dim * m * m_g, -1).T)
+
+    def __call__(self, rec, rho_hat, e_hat, e_window):
+        """Equilibrium face energies (faces, cells) and the gate (cells,),
+        from the coefficients `rec` (C, m, cells), LA's without the energy,
+        the cells' density and energy averages `rho_hat` and `e_hat`, and
+        their stencils' energy averages `e_window` (stencil cells, cells).
+
+        The gate flags the cells whose anchor converged and whose pressure
+        and density are positive at every node.  With eps = b p certified
+        bounds gate rho and p0, and the energy takes no EoS call; any other
+        EoS evaluates both at every node, and its anchor or energy call
+        gates them.
+        """
+        eos, b, rho = self.eos, self.eos.deps_dp_constant, rec[0]
+        if b is None:
+            offsets = self._line_rows @ self._terms(rho, ...)
+            rho_nodes = self._value_rows @ rho
+        else:
+            # own-cell mean, stencil-cell means and face values of the
+            # line integral, (rows, cells), in one pass
+            lines = np.einsum("ic,ikc->kc", rho, self._lines)
+            good = self._density_positive(rho)
+
+        if self._simplified:
+            p0 = anchor_pressure_simplified(rec[:, 0], eos)
+            if b is None:
+                eps, good = node_energies(eos, p0 + offsets, rho_nodes)
+        else:
+            rec_own = self._value_rows[self._own] \
+                @ rec[:len(self._g_rows) + 1]    # rho and momenta
+            rec_own = np.where(rec_own[0] > 0.0, rec_own, 1.0)
+            eps_hat = eps_hat_estimate(e_hat, rec_own, self._wq)
+            if b is not None:
+                # the line integral's exact mean, one node of weight one
+                p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
+            else:
+                p0, good, eps = anchor_pressure_newton(
+                    offsets, rho_nodes, self._own, rho_hat, eps_hat, eos,
+                    self._wq)
+        good &= p0 > 0.0
+
+        if b is None:
+            delta, eps_faces = energy_deviations(eps, e_window, self._wq)
+        else:
+            good = self._pressure_positive(p0, rho, good)
+            delta = e_window - b * (p0 + lines[1:self._stencil + 1])
+            eps_faces = b * (p0 + lines[self._stencil + 1:])
+        return hydrostatic_energy_faces(
+            eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
+            self._face_rows), good
+
+    def _terms(self, rho, cells):
+        """Product terms (terms, k), the columns of `_line_rows`, of the
+        cells `cells` (an index) from their density coefficients (m, k)."""
+        terms = rho[:, None] * self._g_rows[:, None, :, cells]
+        return terms.reshape(-1, terms.shape[-1])
+
+    @staticmethod
+    def _certified(good, value, bound, rows, columns):
+        """`good` and, in place, value + rows @ column > 0 at every node,
+        for each cell's column of `columns(cells)` (terms, k).
+
+        value > bound (1 + 1e-12) certifies a cell, the margin covering the
+        node sums' rounding; the other good cells are evaluated, one
+        vector-matrix product per cell: the blocking of one matrix product
+        over them all would make a cell's node values, and so its
+        decision, depend on how many other cells are open."""
+        cells = np.flatnonzero(good & ~(value > bound * (1.0 + 1e-12)))
+        if cells.size:
+            nodes = np.matmul(columns(cells).T[:, None], rows.T)[:, 0]
+            good[cells] = np.all(value[cells, None] + nodes > 0.0, axis=1)
+        return good
+
+    def _density_positive(self, rho):
+        """Cells whose density rho (m, cells) is positive at every node."""
+        return self._certified(
+            np.ones(rho.shape[1], dtype=bool), rho[0],
+            self._rho_bound @ np.abs(rho[1:]), self._value_rows[:, 1:],
+            lambda cells: rho[1:, cells])
+
+    def _pressure_positive(self, p0, rho, good):
+        """`good` and p0 + offset > 0 at every node."""
+        return self._certified(
+            good, p0, np.sum(np.abs(rho) * self._bound, axis=0),
+            self._line_rows, lambda cells: self._terms(rho[:, cells], cells))
 
 
 def rejected_energy_faces(cweno, energy, good, offset, face_rows, e_faces):

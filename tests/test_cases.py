@@ -1,7 +1,11 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
 from hydrobal.cases import (
+    SCENARIOS,
     grid_for,
     hydrostatic_residual,
     init_cell_averages,
@@ -202,6 +206,39 @@ class TestInitCellAverages:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             make_scenario("does-not-exist")
+
+
+BAD_PARAMS = ["big", float("nan"), float("inf"), -float("inf"), True,
+              np.bool_(False), [1.0], None]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_parameter_is_checked(name):
+    # a finite real number (Python or numpy), or None where that is the
+    # default; anything else names the scenario and the key
+    params = inspect.signature(SCENARIOS[name]).parameters
+    required = {key: 1e-3 for key, spec in params.items()
+                if spec.default is spec.empty}
+    for key, spec in params.items():
+        for value in BAD_PARAMS:
+            if value is None and spec.default is None:
+                continue
+            with pytest.raises(ConfigurationError,
+                               match=f"scenario '{name}': parameter '{key}'"):
+                make_scenario(name, **{**required, key: value})
+    assert make_scenario(name, **required).dimension in (1, 2)
+    numpy_values = {key: np.float64(spec.default) for key, spec
+                    in params.items() if isinstance(spec.default, float)}
+    assert make_scenario(name, **{**required, **numpy_values}).params \
+        == make_scenario(name, **required).params
+
+
+def test_gamma_rejected_before_any_warning():
+    # the EoS rejects gamma before the sound crossing time takes its root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="gamma = -1"):
+            make_scenario("isothermal-sin", gamma=-1)
 
 
 class TestDiscreteEquilibriumErrors:

@@ -330,7 +330,11 @@ class TestCli:
         ({"scenario_params": {"gamma": 0.5}}, [], "gamma = 0.5"),
         ({"scenario": "polytropic-radiation", "scenario_params": {"nu": 1}},
          [], "nu = 1"),
-    ], ids=["scenario", "flux", "gamma", "nu"])
+        ({"scenario": "isothermal-perturbed",
+          "scenario_params": {"eta": "big"}}, [], "'eta'"),
+        ({"scenario": "isothermal-perturbed",
+          "scenario_params": {"eta": float("nan")}}, [], "'eta'"),
+    ], ids=["scenario", "flux", "gamma", "nu", "eta-string", "eta-nan"])
     def test_bad_value_names_the_input(self, tmp_path, capsys, config, args,
                                        named):
         path = tmp_path / "c.json"

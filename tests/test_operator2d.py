@@ -16,10 +16,12 @@ from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.grid import Grid
 from hydrobal.integrate import StepController, advance, tableau_for_order
 from hydrobal.metrics import l1_error
+from hydrobal import operator1d, wellbalance
 from hydrobal.operator2d import SpatialOperator2D
 from hydrobal.reconstruct import Cweno2D
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
+from hydrobal.wellbalance import LocalEquilibrium
 
 
 def degenerate_column_scenario():
@@ -229,20 +231,28 @@ def test_radial_rayleigh_taylor_fallback_counts(kind, expected):
 
 
 class TestTracedEntryPoints:
-    """The benchmark tracer times the 2-D layers by patching these methods;
-    the RHS must call them, or their layers would read zero."""
+    """The benchmark tracer times the layers by patching these entry points
+    (the anchors on `wellbalance`, where the LA stage calls them); the RHS
+    must call them, or their layers would read zero."""
 
-    @staticmethod
-    def _calls(kind, monkeypatch):
+    TARGETS = {"_profiles_and_faces": (SpatialOperator2D,
+                                       "_profiles_and_faces"),
+               "_sources": (SpatialOperator2D, "_sources"),
+               "reconstruct_stencils": (Cweno2D, "reconstruct_stencils"),
+               "stage": (LocalEquilibrium, "__call__"),
+               "build_profiles": (operator1d, "build_profiles"),
+               "anchor_pressure_ideal": (wellbalance, "anchor_pressure_ideal"),
+               "anchor_pressure_newton": (wellbalance,
+                                          "anchor_pressure_newton")}
+
+    def _calls(self, kind, monkeypatch, scen=None):
         counts = {}
-        for cls, name in ((SpatialOperator2D, "_profiles_and_faces"),
-                          (SpatialOperator2D, "_sources"),
-                          (Cweno2D, "reconstruct_stencils")):
-            def spy(*args, _fn=getattr(cls, name), _name=name, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
+        for label, (owner, name) in self.TARGETS.items():
+            def spy(*args, _fn=getattr(owner, name), _label=label, **kwargs):
+                counts[_label] = counts.get(_label, 0) + 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(cls, name, spy)
-        scen = make_scenario("polytrope-2d", perturbation=1e-3)
+            monkeypatch.setattr(owner, name, spy)
+        scen = scen or make_scenario("polytrope-2d", perturbation=1e-3)
         scheme = Scheme(kind, 3)
         grid = grid_for(scen, 16, scheme.n_ghost)
         data = init_cell_averages(scen, grid).data
@@ -254,11 +264,27 @@ class TestTracedEntryPoints:
 
     def test_la_rhs(self, monkeypatch):
         assert self._calls("la", monkeypatch) == {
-            "_profiles_and_faces": 1, "_sources": 1, "reconstruct_stencils": 2}
+            "_profiles_and_faces": 1, "stage": 1, "anchor_pressure_ideal": 1,
+            "_sources": 1, "reconstruct_stencils": 2}
+
+    def test_radiation_la_rhs(self, monkeypatch):
+        scen = make_scenario("polytrope-2d", perturbation=1e-3)
+        scen.eos = IdealGasRadiation(2.0)
+        assert self._calls("la", monkeypatch, scen) == {
+            "_profiles_and_faces": 1, "stage": 1, "anchor_pressure_newton": 1,
+            "_sources": 1, "reconstruct_stencils": 2}
 
     def test_standard_rhs(self, monkeypatch):
         assert self._calls("standard", monkeypatch) == {
             "_sources": 1, "reconstruct_stencils": 1}
+
+    @pytest.mark.parametrize("kind, layer", [("la", "stage"),
+                                             ("dwb", "build_profiles")])
+    def test_1d_rhs(self, kind, layer, monkeypatch):
+        # 1-D LA runs the 2-D operator's stage, DWB `build_profiles`
+        scen = make_scenario("isothermal-perturbed", eta=1e-3)
+        assert self._calls(kind, monkeypatch, scen) == {
+            layer: 1, "anchor_pressure_ideal": 1}
 
 
 def _density_cells(value_rows, cells):
@@ -276,58 +302,65 @@ def _density_cells(value_rows, cells):
     return rho
 
 
+def _node_densities(rho):
+    """Each cell's density at every node, (nodes, k), from its own
+    coefficients alone: the gate's evaluation of a single open cell."""
+    return np.stack([rho[0, k] + np.matmul(
+        rho[None, 1:, k], DENSITY._value_rows[:, 1:].T)[0]
+        for k in range(rho.shape[1])], axis=1)
+
+
 UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(cells=st.lists(st.tuples(
     st.lists(UNIT, min_size=6, max_size=6), st.floats(-30.0, 30.0),
-    st.one_of(st.none(), st.integers(-4, 4))), min_size=2, max_size=6))
+    st.one_of(st.none(), st.integers(-4, 4))), min_size=1, max_size=6))
 def test_certified_density_gate_is_exact(cells):
     # cells the bound certifies have positive node values; the others are
     # evaluated, so the gate decides as the node values do, one open cell
-    # alone included.  Two cells at least: the reference product of a
-    # single column would take BLAS's matrix-vector path, which rounds
-    # differently from the band's matrix product
-    rho = _density_cells(DENSITY_OP._value_rows, cells)
-    expected = np.all(DENSITY_OP._value_rows @ rho > 0.0, axis=0)
-    np.testing.assert_array_equal(DENSITY_OP._density_positive(rho), expected)
+    # alone included
+    rho = _density_cells(DENSITY._value_rows, cells)
+    expected = np.all(_node_densities(rho) > 0.0, axis=0)
+    np.testing.assert_array_equal(DENSITY._density_positive(rho), expected)
 
 
 def test_density_bound_holds_at_every_node():
     rng = np.random.default_rng(7)
     rho = rng.standard_normal((6, 500)) * 10.0 ** rng.uniform(-3, 3, 500)
-    spread = np.abs(DENSITY_OP._value_rows[:, 1:] @ rho[1:])
+    spread = np.abs(DENSITY._value_rows[:, 1:] @ rho[1:])
     # attained where one term dominates; the margin takes the rounding
-    bound = DENSITY_OP._rho_bound @ np.abs(rho[1:])
+    bound = DENSITY._rho_bound @ np.abs(rho[1:])
     assert np.all(spread <= bound * (1.0 + 1e-12))
     # shifted to within a few ulps of zero, a cell is never certified
-    near = _density_cells(DENSITY_OP._value_rows,
+    near = _density_cells(DENSITY._value_rows,
                           [(list(r), 0.0, 1) for r in rho[:, :50].T])
-    bound = DENSITY_OP._rho_bound @ np.abs(near[1:])
+    bound = DENSITY._rho_bound @ np.abs(near[1:])
     assert not np.any(near[0] > bound * (1.0 + 1e-12))
 
 
 def test_density_gate_single_open_cell():
     # beside a certified cell, a cell within ulps of zero is the one cell
-    # evaluated, and decides as in the product over every cell
+    # evaluated, and decides as its own node values do
     rng = np.random.default_rng(8)
-    near = _density_cells(DENSITY_OP._value_rows, [
+    near = _density_cells(DENSITY._value_rows, [
         (list(rng.uniform(-1, 1, 6)), rng.uniform(-3, 3), rng.integers(-3, 4))
         for _ in range(300)])
     certain = np.zeros(6)
     certain[0] = 1.0
-    expected = np.all(DENSITY_OP._value_rows @ near > 0.0, axis=0)
+    expected = np.all(_node_densities(near) > 0.0, axis=0)
     assert 0 < np.count_nonzero(expected) < expected.size
     for k in range(near.shape[1]):
         pair = np.stack([certain, near[:, k]], axis=1)
-        assert DENSITY_OP._density_positive(pair)[1] == expected[k], k
+        assert DENSITY._density_positive(pair)[1] == expected[k], k
 
 
-def _density_operator():
+def _density_stage():
     scen = make_scenario("polytrope-2d")
     scheme = Scheme("la", 3)
-    return make_operator(scen, grid_for(scen, 16, scheme.n_ghost), scheme)
+    return make_operator(scen, grid_for(scen, 16, scheme.n_ghost),
+                         scheme)._equilibrium
 
 
-DENSITY_OP = _density_operator()
+DENSITY = _density_stage()

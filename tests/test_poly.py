@@ -95,12 +95,13 @@ def g_center(op):
 
 def line_integrals(op, rho):
     """Line integrals of (rho g_x, rho g_y) from the cell center to every
-    evaluation node of the operator, with the node offsets (xi, eta);
-    `rho` holds the density's coefficients over MONOMIALS_DEG2."""
-    line = op._node_offsets(rho[:, None], [center_cell(op)])[:, 0]
-    xi, eta = (op._value_rows[:, MONOMIALS_DEG2.index(e)]
+    evaluation node of the operator's LA stage, with the node offsets
+    (xi, eta); `rho` holds the density's coefficients over MONOMIALS_DEG2."""
+    stage = op._equilibrium
+    line = stage._line_rows @ stage._terms(rho[:, None], [center_cell(op)])
+    xi, eta = (stage._value_rows[:, MONOMIALS_DEG2.index(e)]
                for e in ((1, 0), (0, 1)))
-    return line, xi, eta
+    return line[:, 0], xi, eta
 
 
 def test_cell_average_2d_square():
@@ -122,7 +123,8 @@ def test_cell_average_2d_neighbor_offset():
     for ox, oy in ((1, 0), (-1, 1), (0, -1)):
         cell = 3 * (ox + 1) + (oy + 1)
         sl = slice(4 * cell, 4 * cell + 4)   # 2 x 2 Gauss nodes per cell
-        table = (op._value_rows[sl] @ coeffs) @ op._wq
+        table = (op._equilibrium._value_rows[sl] @ coeffs) \
+            @ op._equilibrium._wq
         xs = np.linspace(ox * hx - hx / 2, ox * hx + hx / 2, 801)
         ys = np.linspace(oy * hy - hy / 2, oy * hy + hy / 2, 801)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
@@ -186,7 +188,7 @@ class TestLineIntegral2D:
                          0.1, 0.2)
         rho = rng.standard_normal(6)
         line, _, _ = line_integrals(op, rho)
-        rows = rho @ op._lines[:, :, center_cell(op)]
+        rows = rho @ op._equilibrium._lines[:, :, center_cell(op)]
         scale = np.max(np.abs(line))
         nodes, weights = gauss_nodes_weights_centered(3, 1.0)
         fine = product_tables(
@@ -198,7 +200,8 @@ class TestLineIntegral2D:
             rows[0], own @ np.outer(weights, weights).ravel(), rtol=0,
             atol=1e-14 * scale)
         np.testing.assert_allclose(rows[1:10],
-                                   line[:36].reshape(9, 4) @ op._wq,
+                                   line[:36].reshape(9, 4)
+                                   @ op._equilibrium._wq,
                                    rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(rows[10:], line[36:], rtol=0,
                                    atol=1e-14 * scale)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -64,15 +65,39 @@ def profiles(op, data):
     from its product-basis tables, on the node path (the ideal gas as
     `NodeIdealGas`): (p, rho, ok, rec, anti, eps) with cells first, `rec`
     the coefficients, `anti` the Horner reference coefficients of each
-    cell's source antiderivative and `eps` the internal energy."""
+    cell's source antiderivative and `eps` the internal energy.  DWB's
+    come from `build_profiles`, LA's from the operator's stage."""
     rec = op.cweno.coefficients(data)
-    terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, rec.shape[-1])
-    p, rho, eps, ok = build_profiles(
-        op.scheme, node_eos(op.eos), op._line_rows @ terms,
-        op._value_rows @ rec[:2], rec[:, 0], data[0], data[2], op._mean)
+    if op.scheme.piecewise_source:
+        terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, rec.shape[-1])
+        p, rho, eps, ok = build_profiles(
+            op.scheme, node_eos(op.eos), op._line_rows @ terms,
+            op._value_rows @ rec[:2], rec[:, 0], data[0], data[2], op._mean)
+    else:
+        p, rho, eps, ok = la_node_values(op, rec, data)
     rec = np.swapaxes(rec, -1, -2)
     return (p.T, rho.T, ok, rec,
             poly_antiderivative(poly_mul(rec[0], op.g_coeffs.T)), eps.T)
+
+
+def la_node_values(op, rec, data):
+    """(p, rho, eps, ok), nodes first, of the 1-D LA operator's stage on
+    the node path, read from its `anchor_pressure_newton` call (the name
+    the stage calls on `wellbalance`, which the tracer patches too)."""
+    stage = copy.copy(op._equilibrium)
+    stage.eos = node_eos(op.eos)
+    seen = []
+
+    def anchor(c_rows, rho_rows, *args):
+        p0, ok, eps = anchor_pressure_newton(c_rows, rho_rows, *args)
+        seen.append((p0 + c_rows, rho_rows, eps, ok))
+        return p0, ok, eps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wellbalance, "anchor_pressure_newton", anchor)
+        stage(rec, data[0], data[2],
+              periodic_windows(data[2], op.scheme.radius))
+    return seen[0]
 
 
 def deviations(op, eps, data):
@@ -552,12 +577,13 @@ def perturbed_op(eos, kind, order, stressed=False):
 
 class TestCellMeanPath:
     """The ideal gas's cell-mean energy reconstruction against the node
-    path that every other EoS takes (`NodeIdealGas`)."""
+    path that every other EoS takes (`NodeIdealGas`), in DWB and in the LA
+    stage that the 2-D operator shares."""
 
     @pytest.mark.parametrize("stressed", [False, True],
                              ids=["smooth", "stressed"])
     @pytest.mark.parametrize("order", [3, 5])
-    @pytest.mark.parametrize("kind", ["dwb", "dwb-s"])
+    @pytest.mark.parametrize("kind", ["dwb", "dwb-s", "la", "la-s"])
     def test_matches_node_path(self, kind, order, stressed):
         cell, data = perturbed_op(IdealGas(1.4), kind, order, stressed)
         node, _ = perturbed_op(NodeIdealGas(1.4), kind, order, stressed)
@@ -568,7 +594,7 @@ class TestCellMeanPath:
         assert (cell.fallback_cells > 0) == stressed
 
     @pytest.mark.parametrize("order", [3, 5])
-    @pytest.mark.parametrize("kind", ["dwb", "dwb-s"])
+    @pytest.mark.parametrize("kind", ["dwb", "dwb-s", "la", "la-s"])
     def test_no_energy_eos_call(self, kind, order):
         class SpyIdealGas(IdealGas):
             def _forbidden(self, *args):
@@ -620,9 +646,9 @@ class TestCellMeanPath2D:
         op, data = polytrope_op(IdealGas(2.0), "la-s", scale)
         op.fill_ghosts(data)
         rec = op.cweno.coefficients(data).reshape(4, 6, -1)
-        rho = rec[0]
-        offsets = op._node_offsets(rho, ...)
-        bound = np.sum(np.abs(rho) * op._bound, axis=0)
+        rho, stage = rec[0], op._equilibrium
+        offsets = stage._line_rows @ stage._terms(rho, ...)
+        bound = np.sum(np.abs(rho) * stage._bound, axis=0)
         # the bound is attained where one term dominates; the margin takes
         # the rounding of the node sums
         assert np.all(np.abs(offsets) <= bound * (1.0 + 1e-12))
@@ -635,8 +661,30 @@ class TestCellMeanPath2D:
             assert np.any(fails & (p0 > 0.0))
             assert np.all(unsure[fails])
             np.testing.assert_array_equal(
-                op._pressure_positive(p0, rho, np.ones(p0.shape, dtype=bool)),
+                stage._pressure_positive(p0, rho,
+                                         np.ones(p0.shape, dtype=bool)),
                 ~fails)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.1, 0.03])
+    def test_gate_decides_each_cell_from_its_own_data(self, scale):
+        # anchors within an ulp of each cell's smallest node offset leave
+        # every cell open; over random subsets of them the gate decides
+        # each cell as over all of them, so a cell's decision does not
+        # depend on which other cells are open
+        op, data = polytrope_op(IdealGas(2.0), "la-s", scale)
+        op.fill_ghosts(data)
+        rho, stage = op.cweno.coefficients(data)[0], op._equilibrium
+        rho = rho.reshape(6, -1)
+        rng = np.random.default_rng(int(100 * scale))
+        p0 = -(stage._line_rows @ stage._terms(rho, ...)).min(axis=0)
+        p0 += rng.integers(-1, 2, p0.shape) * np.spacing(p0)
+        every = stage._pressure_positive(p0, rho, np.ones(p0.shape, bool))
+        assert 0 < np.count_nonzero(every) < every.size
+        for fraction in rng.uniform(0.002, 0.9, 20):
+            subset = rng.random(p0.shape) < fraction
+            np.testing.assert_array_equal(
+                stage._pressure_positive(p0, rho, subset.copy())[subset],
+                every[subset])
 
     @pytest.mark.parametrize("kind", ["la", "la-s"])
     def test_no_energy_eos_call(self, kind):
@@ -661,19 +709,23 @@ def full_reconstruction_rhs_1d(op, state):
     faces = op._face_rows @ rec
     face_l, face_r = faces.transpose(1, 0, 2)
     source = np.sum((op._source_rows @ rec[:2]) * op.g_coeffs, axis=1)
-    terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, data.shape[1])
-    profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
-                              op._value_rows @ rec[:2], rec[:, 0], data[0],
-                              data[2], op._mean)
-    if op._cell_means:
-        delta, eps_faces, good = profiles
+    if scheme.piecewise_source:
+        terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, data.shape[1])
+        profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
+                                  op._value_rows @ rec[:2], rec[:, 0],
+                                  data[0], data[2], op._mean)
+        if op.eos.deps_dp_constant is not None:
+            delta, eps_faces, good = profiles
+        else:
+            *_, eps, good = profiles
+            delta, eps_faces = energy_deviations(
+                eps, periodic_windows(data[2], scheme.radius), op._mean)
+        e_faces = hydrostatic_energy_faces(
+            eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
+            op._face_rows)
     else:
-        *_, eps, good = profiles
-        delta, eps_faces = energy_deviations(
-            eps, periodic_windows(data[2], scheme.radius), op._mean)
-    e_faces = hydrostatic_energy_faces(
-        eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
-        op._face_rows)
+        e_faces, good = op._equilibrium(
+            rec, data[0], data[2], periodic_windows(data[2], scheme.radius))
     face_l[2] = np.where(good, e_faces[0], face_l[2])
     face_r[2] = np.where(good, e_faces[1], face_r[2])
     count = positivity_fallback(faces, data, ng, good)
@@ -851,7 +903,7 @@ class TestWholeNodeSetAnchor:
         """An operator from `make` whose every anchor caller runs the two
         passes, and the cells they rejected at a node other than their own."""
         node_rejects = []
-        for module in (wellbalance, operator1d, operator2d):
+        for module in (wellbalance, operator1d):
             monkeypatch.setattr(module, "anchor_pressure_newton",
                                 two_pass_anchor(node_rejects))
         return make()[0], node_rejects
