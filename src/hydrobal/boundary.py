@@ -1,11 +1,12 @@
-"""Boundary specifications, the side ghost fill of both operators, and the
-edge strips of the 1-D hydrostatic fills.
+"""Boundary specifications, the side ghost fill of the spatial operator in
+1-D and 2-D, and the edge strips of the 1-D hydrostatic fills.
 
 The 1-D hydrostatic-extrapolation and solid-wall fills correct the ghost
-energies with the scheme's equilibrium machinery, so the 1-D operator fills
-those sides itself and leaves the others to `fill_sides`.  The density and
-momentum extrapolation those fills start from is here, shared with the
-discrete equilibrium initializer.
+energies with the scheme's equilibrium machinery, so the operator fills
+those sides itself (a spec's `hydrostatic_sides`; 2-D has none) and leaves
+the others to `fill_sides`.  The density and momentum extrapolation those
+fills start from is here, shared with the discrete equilibrium
+initializer.
 """
 
 from dataclasses import dataclass
@@ -67,6 +68,10 @@ class BoundarySpec2D:
     @property
     def axes(self):
         return ((self.x_lo, self.x_hi), (self.y_lo, self.y_hi))
+
+    # 2-D walls mirror the interior (`fill_sides`): no side takes the 1-D
+    # hydrostatic fill
+    hydrostatic_sides = ()
 
 
 def fill_sides(data, axes, n_ghost, frozen, background=None):

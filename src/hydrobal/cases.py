@@ -289,7 +289,15 @@ def radial_rayleigh_taylor_2d(gamma=1.4, r0=0.2, a=1.0, b=2.0):
         gx, gy = radial_sinc_gradient(x, y)
         return 20.0 * gx, 20.0 * gy
 
-    c = np.exp((a - b) * phi(r0, 0.0))
+    # the density scale of the inner state; a finite (a - b) phi(r0) can
+    # still overflow it
+    with np.errstate(over="ignore"):
+        c = np.exp((a - b) * phi(r0, 0.0))
+    if not np.isfinite(c):
+        raise ConfigurationError(
+            f"scenario 'radial-rayleigh-taylor': a = {a}, b = {b} and "
+            f"r0 = {r0} give a non-finite inner density scale "
+            "c = exp((a - b) phi(r0))")
     rho_in = lambda x, y: a * c * np.exp(-a * phi(x, y))
     rho_out = lambda x, y: b * np.exp(-b * phi(x, y))
     p_in = lambda x, y: c * np.exp(-a * phi(x, y))
@@ -366,9 +374,24 @@ def grid_for(scenario, n, n_ghost):
 
 
 def init_cell_averages(scenario, grid, quad_order=5):
-    """CellField of conserved averages via per-cell Gauss quadrature."""
+    """CellField of conserved averages via per-cell Gauss quadrature.
+
+    A density or pressure that is not positive at a quadrature node raises
+    an `InitializationError` naming the scenario, its parameters and the
+    first such point, before any EoS call.
+    """
     def conserved(*x):
         rho, *vel, p = scenario.initial(*x)
+        # a NaN is the minimum of an array that holds one and fails the test
+        if not (np.min(rho) > 0.0 and np.min(p) > 0.0):
+            bad, *point = np.broadcast_arrays(~((rho > 0.0) & (p > 0.0)), *x)
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InitializationError(
+                f"scenario {scenario.name!r} with parameters "
+                f"{scenario.params}: the initial density or pressure is not "
+                f"positive at x = {tuple(float(c[at]) for c in point)} "
+                f"(rho = {np.broadcast_to(rho, bad.shape)[at]:g}, "
+                f"p = {np.broadcast_to(p, bad.shape)[at]:g})")
         kinetic = 0.5 * rho * sum(u ** 2 for u in vel)
         return [rho, *(rho * u for u in vel),
                 scenario.eos.internal_energy(rho, p) + kinetic]
@@ -377,11 +400,11 @@ def init_cell_averages(scenario, grid, quad_order=5):
 
 
 def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
-    """Discrete hydrostatic equilibrium of `operator`, the 1-D operator the
-    run advances.
+    """Discrete hydrostatic equilibrium of `operator`, the operator the run
+    advances, on a 1-D grid.
 
     The discretization is the operator's own: its CWENO reconstruction
-    (with its `eps_w`), cells-last gravity coefficients, product exponents
+    (with its `eps_w`), the gravity rows of its band, product exponents
     and, on hydrostatic sides, ghost-mean table; the pieces' products are
     the RHS's cells-last terms.  Density averages come from the scheme's
     quadrature of the background; the anchor pressure is the background
@@ -409,23 +432,25 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
         set_edge_ghosts(data, sides, extrapolated_strips(
             cweno, data, sides, ng, operator._edge_means), ng)
 
-    rec = cweno.coefficients(data[0])
-    # the RHS's product terms (m * m_g, n_tot), rec-major
-    terms = (rec[:, None] * operator.g_coeffs).reshape(-1, n_tot)
+    # the pieces of the operator's band, the cells from `first` on whose
+    # stencil fits, and the RHS's product terms (m * m_g, cells), rec-major
+    first = operator._reach[1].start + r
+    rec = cweno.coefficients(data[0][operator._reach[1:]])
+    terms = (rec[:, None] * operator._g_rows[0]).reshape(-1, rec.shape[-1])
     # every piece at the Gauss nodes of its stencil cells and at its faces
-    tables = product_tables(*operator._exps, equilibrium_points(nq, r),
+    tables = product_tables(*operator._exps, equilibrium_points(nq, first),
                             grid.spacing)
-    anti = terms[:, r:n_tot - r].T @ tables.line[0]
+    anti = terms.T @ tables.line[0]
     anchor = ng if anchor_cell is None else int(anchor_cell)
-    const = glued_constants(anti[:, -2], anti[:, -1], anchor - r,
+    const = glued_constants(anti[:, -2], anti[:, -1], anchor - first,
                             p_bg(grid.centers()[anchor]))
 
-    # cell k averages piece k; the outermost r ghosts on each side, which
-    # have no full stencil, continue the innermost piece
+    # cell k averages piece k; the outer ghosts on each side, which have no
+    # piece, continue the innermost piece
     cells = np.arange(n_tot)
-    piece = np.clip(cells, r, n_tot - 1 - r) - r
+    piece = np.clip(cells, first, n_tot - 1 - first) - first
     nodes_of = (cells - piece)[:, None] * nq + np.arange(nq)
-    rho = (rec.T[r:n_tot - r] @ tables.values)[piece[:, None], nodes_of]
+    rho = (rec.T @ tables.values)[piece[:, None], nodes_of]
     p = const[piece, None] + anti[piece[:, None], nodes_of]
     bad = (const[piece] <= 0.0) | np.any((p <= 0.0) | (rho <= 0.0), axis=-1)
     if np.any(bad):

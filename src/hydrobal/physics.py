@@ -1,5 +1,5 @@
 """Numerical fluxes, the physical-state predicate, and the
-dimension-independent finite-volume frame of both spatial operators.
+dimension-independent finite-volume frame of the spatial operator.
 
 Flux functions act on conserved states stacked on the leading axis; the
 `normal` argument names the momentum component that faces the interface
@@ -8,7 +8,7 @@ the Rusanov control - satisfy the contact property: a stationary contact
 (u = 0, equal pressure) returns exactly (0, p, 0[, 0]).
 
 The frame (positivity fallback, flux divergence, CFL rate) works on states
-(C, *cells), ghosts included, and on each operator's one face buffer
+(C, *cells), ghosts included, and on the operator's one face buffer
 (C, face rows, *cells): a cell's reconstruction at all of its faces (1-D:
 lo, hi; 2-D: the Gauss nodes of xl, xr, yl, yr), cells last.  The
 positivity fallback checks the whole buffer in one pass, and the flux

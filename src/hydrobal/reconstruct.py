@@ -112,25 +112,6 @@ def stencil_windows(values, width):
                       values, strides=values.strides[-k:] + values.strides)
 
 
-def _windowed_fit(values, width, n_coeff, fit, out=None):
-    """Per-cell coefficients (..., *grid, n_coeff) of a field (..., *grid):
-    `fit` maps its `stencil_windows` of shape `width` to (n_coeff, ...,
-    *inner); cells whose stencil does not fit, or is one cell, keep a
-    constant.  `out`, zeroed and of that shape, any strides, takes them."""
-    values = np.asarray(values, dtype=float)
-    k = len(width)
-    grid = values.shape[values.ndim - k:]
-    if out is None:
-        out = np.zeros(values.shape + (n_coeff,))
-    out[..., 0] = values
-    if max(width) > 1 and all(n >= w for n, w in zip(grid, width)):
-        inner = tuple(slice(w // 2, n - w // 2) for n, w in zip(grid, width))
-        coeffs = fit(stencil_windows(values, width))
-        out[(Ellipsis,) + inner + (slice(None),)] = coeffs.transpose(
-            tuple(range(1, coeffs.ndim)) + (0,))
-    return out
-
-
 def _blend_table(opt, cands, dlin, form):
     """Read-only compact `BlendTable` of one CWENO scheme.
 
@@ -224,6 +205,18 @@ class _CwenoBlend:
     stencil axis came first.
     """
 
+    def coefficients(self, values):
+        """Per-cell polynomials of a field (..., *grid): coefficients (...,
+        m, *inner) of the cells whose stencil fits, cells last, a view of
+        the blend of the field's `stencil_windows`."""
+        dim = len(self.exps[0])
+        out = self.reconstruct_stencils(
+            stencil_windows(values, (2 * self.radius + 1,) * dim),
+            axis=tuple(range(dim)))
+        lead = out.ndim - 1 - dim
+        return out.transpose(*range(1, lead + 1), 0,
+                             *range(lead + 1, out.ndim))
+
     def _set_table(self, tables, scale):
         self._table, self._indicator, self._owner, place, self._dlin = tables
         self._collect, = _frozen(place / scale[:, None])
@@ -304,19 +297,8 @@ class Cweno1D(_CwenoBlend):
 
     def reconstruct_stencils(self, window, axis=-1):
         """Stencil values (..., m) -> physical coefficients (..., m); with
-        `axis=0`, (m, ...) -> (m, ...)."""
+        `axis=0` or `axis=(0,)`, (m, ...) -> (m, ...)."""
         return self._blend(window, axis)
-
-    def coefficients(self, values):
-        """Per-cell polynomials for a whole field (..., n_tot): physical
-        coefficients (..., m, n_tot), cells last.  Cells whose stencil does
-        not fit keep a constant."""
-        values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape[:-1] + (self.order, values.shape[-1]))
-        _windowed_fit(values, (self.order,), self.order,
-                      lambda win: self.reconstruct_stencils(win, axis=0),
-                      np.swapaxes(out, -1, -2))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -334,10 +316,6 @@ def _nodal_fit(points, exps):
 class _GravityInterp:
     """Gravity interpolation: the exact nodal fit `_matrix` of the point
     values' deviations from the center over the stencil `_width`."""
-
-    def coefficients(self, values):
-        """Point values (..., *grid) -> physical coefficients (..., *grid, n)."""
-        return _windowed_fit(values, self._width, self._scale.size, self.fit)
 
     def fit(self, win):
         """`stencil_windows` (*width, ...) -> physical coefficients (n, ...),
@@ -482,13 +460,6 @@ class Cweno2D(_CwenoBlend):
         (..., 6); with `axis=0`, (9, ...) -> (6, ...), and with
         `axis=(0, 1)`, (3, 3, ...) -> (6, ...)."""
         return self._blend(window, axis)
-
-    def coefficients(self, values):
-        """Field (..., nx, ny) -> coefficients (..., 6, nx - 2, ny - 2) of
-        the cells whose 3x3 stencil fits, cells last: a view of the blend of
-        the field's `stencil_windows`, (6, ..., nx - 2, ny - 2)."""
-        return np.moveaxis(self.reconstruct_stencils(
-            stencil_windows(values, (3, 3)), axis=(0, 1)), 0, -3)
 
 
 MONOMIALS_BIQUAD = tuple((a, b) for a in range(3) for b in range(3))

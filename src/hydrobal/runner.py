@@ -9,8 +9,7 @@ from .errors import ConfigurationError
 from .grid import CellField
 from .integrate import StepController, advance
 from .metrics import l1_error, restrict
-from .operator1d import SpatialOperator1D
-from .operator2d import SpatialOperator2D
+from .operator1d import SpatialOperator, check_grid
 
 
 @dataclass
@@ -51,11 +50,9 @@ class RunResult:
 
 
 def make_operator(scenario, grid, scheme, eps_w=None):
-    if scenario.dimension == 1:
-        return SpatialOperator1D(grid, scheme, scenario.eos, scenario.gravity,
-                                 scenario.boundary, eps_w)
-    return SpatialOperator2D(grid, scheme, scenario.eos, scenario.gravity,
-                             scenario.boundary, eps_w, scenario.background)
+    """The spatial operator of `scenario` on `grid`, in either dimension."""
+    return SpatialOperator(grid, scheme, scenario.eos, scenario.gravity,
+                           scenario.boundary, eps_w, scenario.background)
 
 
 def check_init(init):
@@ -68,9 +65,11 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     """Run one scenario with one scheme at resolution n.
 
     init: 'averages' (quadrature of the initial closure) or 'discrete' (the
-    discrete hydrostatic equilibrium of the run's operator, built first).
-    The averages come before the operator: the other order faults in more
-    fresh pages and made a 2-D set-up after a run about 20% slower.
+    discrete hydrostatic equilibrium of the run's operator, built first;
+    1-D only).  The operator is the one spatial operator of both
+    dimensions (`make_operator`).  The averages come before it: the other
+    order faults in more fresh pages and made a 2-D set-up after a run
+    about 20% slower.
     Timing covers the step loop only.
     """
     scheme.validate_dimension(scenario.dimension)
@@ -78,6 +77,7 @@ def run(scenario, scheme, n, cfl=0.5, t_end=None, init="averages",
     controller = StepController(cfl, scenario.t_end if t_end is None else t_end)
     delta = scenario.params.get("damping", 0.0) if damping is None else damping
     grid = grid_for(scenario, n, scheme.n_ghost)
+    check_grid(grid, scheme, scenario.boundary)
     field = None if init == "discrete" else init_cell_averages(scenario, grid)
     operator = make_operator(scenario, grid, scheme, eps_w)
     if field is None:

@@ -1,7 +1,7 @@
 """Local hydrostatic equilibria and the equilibrium-preserving energy
-reconstruction shared by the 1-D and 2-D operators, plus the anchor solvers
-shared with the 1-D ghost fill and the discrete equilibrium initializer, and
-the initializer's pressure glue.
+reconstruction of the spatial operator in 1-D and 2-D, plus the anchor
+solvers shared with the 1-D ghost fill and the discrete equilibrium
+initializer, and the initializer's pressure glue.
 
 Step 1 builds, for every cell, a local equilibrium: the density is the
 standard reconstruction polynomial; the pressure is the anchor value p0 plus
@@ -439,13 +439,14 @@ class LocalEquilibrium:
 
 
 def rejected_energy_faces(cweno, energy, good, offset, face_rows, e_faces):
-    """Standard face energies, in place in `e_faces` (faces, cells), of the
+    """Standard face energies, in place in `e_faces` (faces, *band), of the
     flux band's cells (the interior and one ghost layer per side; cell i is
     cell i + `offset` of `energy` (*grid)) that `good` (*band) rejects: the
     full-field CWENO values of `energy` there, from their stencils alone."""
-    at = tuple(i + offset for i in np.nonzero(~good))
-    if at[0].size:
+    rejected = np.nonzero(~good)
+    if rejected[0].size:
+        at = tuple(i + offset for i in rejected)
         offsets = np.indices((2 * cweno.radius + 1,) * good.ndim) - cweno.radius
         window = energy[tuple(i + o[..., None] for i, o in zip(at, offsets))]
-        e_faces[:, np.flatnonzero(~good)] = face_rows @ \
+        e_faces[(slice(None),) + rejected] = face_rows @ \
             cweno.reconstruct_stencils(window, axis=tuple(range(good.ndim)))

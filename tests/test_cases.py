@@ -241,6 +241,35 @@ def test_gamma_rejected_before_any_warning():
             make_scenario("isothermal-sin", gamma=-1)
 
 
+def test_overflowing_density_scale_names_its_parameters():
+    # a finite b overflows the inner state's density scale in the factory
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match=r"a = 1\.0, b = 100\.0 and r0 = 0\.2"):
+            make_scenario("radial-rayleigh-taylor", b=100.0)
+
+
+@pytest.mark.parametrize("name, params, where", [
+    ("radial-rayleigh-taylor", {"a": 0.0}, "'a': 0.0"),
+    ("radial-rayleigh-taylor", {"a": -1.0}, "'a': -1.0"),
+    ("isothermal-perturbed", {"eta": -2.0}, "'eta': -2.0"),
+    ("polytropic-radiation", {"perturbation": -2.0}, "'eta': -2.0"),
+    ("polytrope-2d", {"perturbation": -2.0}, "'amplitude': -2.0"),
+], ids=["rt-a-zero", "rt-a-negative", "isothermal-eta", "radiation-eta",
+        "polytrope-amplitude"])
+def test_non_physical_initial_state_names_its_input(name, params, where):
+    # a density or pressure that is not positive at a quadrature node is
+    # rejected before any EoS call, naming the scenario, its parameters and
+    # the point
+    scen = make_scenario(name, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InitializationError,
+                           match=rf"'{name}.*{where}.*not positive at x = "):
+            init_cell_averages(scen, grid_for(scen, 16, 2))
+
+
 class TestDiscreteEquilibriumErrors:
     def test_negative_pressure_rejected(self):
         from hydrobal.cases import Scenario, discrete_equilibrium_init

@@ -1,10 +1,15 @@
 """Every top-level function and class, and every private method, of the
-package has a caller in it."""
+package has a caller in it, and every name it keeps only for the benchmark
+tracer is one that the tracer patches."""
 
 import ast
+import importlib.util
+from importlib import import_module
 from pathlib import Path
 
 import hydrobal
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 # reference implementations with no caller in the package, which the tests
 # compare against: the scenario self-checks; the Horner product and the exact
@@ -18,11 +23,12 @@ ALLOWED = {"hydrostatic_residual", "potential_gradient_residual",
 # private methods reached without their name in the source:
 # `IdealGasRadiation.thermo` and `thermo_eps` call the radiation kernels
 # through getattr(self, "_" + name); perfbench/spans.py patches
-# `_newton_anchor`, which the solver no longer calls, until ROADMAP item 1
+# `_newton_anchor` (TRACER_METHODS), which the solver no longer calls,
+# until ROADMAP item 1
+TRACER_METHODS = {"SpatialOperator._newton_anchor"}
 PRIVATE_ALLOWED = {"IdealGasRadiation._internal_energy",
                    "IdealGasRadiation._deps_drho",
-                   "IdealGasRadiation._sound_speed",
-                   "SpatialOperator2D._newton_anchor"}
+                   "IdealGasRadiation._sound_speed"} | TRACER_METHODS
 
 
 def _definitions_and_loads():
@@ -72,3 +78,49 @@ def test_every_exemption_is_defined_and_unused_in_src():
     assert sorted(PRIVATE_ALLOWED - set(private)) == []
     assert sorted(name for name in PRIVATE_ALLOWED
                   if name.split(".")[1] in used) == []
+
+
+def _tracer_targets():
+    """(module, attribute path) of every entry point perfbench/spans.py
+    patches, the tracer loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {(module, path) for module, path, _ in spans.Tracer()._targets()}
+
+
+def _tracer_only_names():
+    """(module, name) of every name the package binds only for the tracer:
+    each import marked `# noqa: F401` and each module-level alias
+    `name = other`."""
+    names = set()
+    for path in sorted(Path(hydrobal.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines, module = source.splitlines(), f"hydrobal.{path.stem}"
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                names |= {(module, alias.asname or alias.name)
+                          for alias in node.names}
+            elif isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Name):
+                names |= {(module, target.id) for target in node.targets}
+    return names
+
+
+def test_every_tracer_only_name_is_a_tracer_target():
+    # a name kept for the tracer that it no longer patches fails here, so
+    # no such name outlives the tracer's use of it
+    targets = _tracer_targets()
+    patched = {(module, path.split(".")[0]) for module, path in targets}
+    names = _tracer_only_names()
+    assert ("hydrobal.operator2d", "SpatialOperator2D") in names
+    assert sorted(names - patched) == []
+    for name in sorted(TRACER_METHODS):
+        owner, method = name.split(".")
+        assert any(
+            path.split(".")[-1] == method and getattr(getattr(
+                import_module(module), path.split(".")[0], None),
+                "__name__", None) == owner
+            for module, path in targets), name

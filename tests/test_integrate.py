@@ -16,7 +16,6 @@ from hydrobal.integrate import (
     rk_step,
     tableau_for_order,
 )
-from hydrobal.operator1d import SpatialOperator1D
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 
@@ -207,8 +206,8 @@ class TestConservation:
 
 class TestRhsLinearity:
     def test_flux_and_source_scaling(self):
-        # scaling the flux function and the gravity interpolants by the same
-        # factor scales the standard-scheme RHS by that factor
+        # scaling the flux function and the gravity-contracted source rows
+        # by the same factor scales the standard-scheme RHS by that factor
         from hydrobal.cases import isothermal_1d
         scen = isothermal_1d("10x")
         grid = grid_for(scen, 32, 2)
@@ -219,7 +218,7 @@ class TestRhsLinearity:
         lam = 2.5
         raw_flux = op.flux_fn
         op.flux_fn = lambda ql, qr, eos, **kw: lam * raw_flux(ql, qr, eos, **kw)
-        op.g_coeffs = lam * op.g_coeffs
+        op._source_rows = lam * op._source_rows
         scaled = op.rhs(field.data)
         np.testing.assert_allclose(scaled, lam * base, rtol=1e-12, atol=1e-13)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrobal.boundary import BoundarySpec2D
+from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D
 from hydrobal.cases import (
     Scenario,
     grid_for,
@@ -17,8 +17,8 @@ from hydrobal.grid import Grid
 from hydrobal.integrate import StepController, advance, tableau_for_order
 from hydrobal.metrics import l1_error
 from hydrobal import operator1d, wellbalance
-from hydrobal.operator2d import SpatialOperator2D
-from hydrobal.reconstruct import Cweno2D
+from hydrobal.operator1d import SpatialOperator
+from hydrobal.reconstruct import Cweno1D, Cweno2D
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import LocalEquilibrium
@@ -81,8 +81,8 @@ def test_matches_1d_operator_on_degenerate_column(kind, eos, tol):
     scen2.eos = eos
     grid2 = Grid((0, 1, 0, 1), (n, n), scheme.n_ghost)
     f2 = init_cell_averages(scen2, grid2)
-    op2 = SpatialOperator2D(grid2, scheme, scen2.eos, scen2.gravity,
-                            scen2.boundary)
+    op2 = SpatialOperator(grid2, scheme, scen2.eos, scen2.gravity,
+                          scen2.boundary)
     op2.set_initial_state(f2.data)
     rhs2 = op2.rhs(f2.data)
     g1, g2 = grid1.n_ghost, grid2.n_ghost
@@ -125,7 +125,7 @@ def test_embedded_stratification_transverse_fluxes_balance():
     n = 32
     grid = Grid((0, 1, 0, 1), (n, n), scheme.n_ghost)
     field = init_cell_averages(scen, grid)
-    op = SpatialOperator2D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+    op = SpatialOperator(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     op.set_initial_state(field.data)
     rhs = op.rhs(field.data)
     g = grid.n_ghost
@@ -169,12 +169,12 @@ def test_grid_smaller_than_ghost_width_rejected(n_x, n_y):
     scheme = Scheme("la", 3)
     with pytest.raises(ConfigurationError,
                        match=rf"n = {n_x} x {n_y} cells .*LA-O3 with 2 ghost"):
-        SpatialOperator2D(Grid((0, 1, 0, 1), (n_x, n_y), scheme.n_ghost),
-                          scheme, scen.eos, scen.gravity, scen.boundary)
+        SpatialOperator(Grid((0, 1, 0, 1), (n_x, n_y), scheme.n_ghost),
+                        scheme, scen.eos, scen.gravity, scen.boundary)
     with pytest.raises(ConfigurationError, match="n = 1 x 1 cells"):
         run(scen, scheme, 1, t_end=0.01)
-    SpatialOperator2D(Grid((0, 1, 0, 1), (2, 2), scheme.n_ghost), scheme,
-                      scen.eos, scen.gravity, scen.boundary)
+    SpatialOperator(Grid((0, 1, 0, 1), (2, 2), scheme.n_ghost), scheme,
+                    scen.eos, scen.gravity, scen.boundary)
 
 
 # -- the flux band -----------------------------------------------------------
@@ -213,6 +213,27 @@ def test_wider_ghost_layer_gives_the_same_rhs(name, kind):
     np.testing.assert_array_equal(*rhs)
 
 
+@pytest.mark.parametrize("sides", [("periodic", "periodic"),
+                                   ("dirichlet", "dirichlet")])
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("kind", ["standard", "dwb", "dwb-s", "la", "la-s"])
+def test_wider_ghost_layer_gives_the_same_rhs_1d(kind, order, sides):
+    # the one operator reads `scheme.n_ghost` ghost layers of a 1-D grid as
+    # of a 2-D one, so wider layers change nothing
+    scen = make_scenario("isothermal-perturbed", eta=1e-2)
+    scen.boundary = BoundarySpec1D(*sides)
+    scheme = Scheme(kind, order)
+    rhs = []
+    for g in (scheme.n_ghost, scheme.n_ghost + 2):
+        grid = Grid(scen.domain, (24,), g)
+        data = init_cell_averages(scen, grid).data
+        data[1] = 0.1 * data[0] * np.sin(2 * np.pi * grid.centers())
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        rhs.append(op.rhs(data)[:, grid.interior])
+    np.testing.assert_array_equal(*rhs)
+
+
 @pytest.mark.parametrize("kind, expected", [
     ("la", {16: 195, 24: 174, 32: 0}), ("la-s", {16: 195, 24: 174, 32: 0})])
 def test_radial_rayleigh_taylor_fallback_counts(kind, expected):
@@ -232,20 +253,29 @@ def test_radial_rayleigh_taylor_fallback_counts(kind, expected):
 
 class TestTracedEntryPoints:
     """The benchmark tracer times the layers by patching these entry points
-    (the anchors on `wellbalance`, where the LA stage calls them); the RHS
-    must call them, or their layers would read zero."""
+    (the RHS's anchors on `wellbalance`, where the LA stage and
+    `build_profiles` call them; the 1-D fill's on `operator1d`, which the
+    tracer times as `wb.anchor` too); the RHS must call them, or their
+    layers would read zero.  One operator serves both dimensions, so
+    every well-balanced RHS passes through `_profiles_and_faces` and every
+    RHS through `_sources`."""
 
-    TARGETS = {"_profiles_and_faces": (SpatialOperator2D,
+    TARGETS = {"_profiles_and_faces": (SpatialOperator,
                                        "_profiles_and_faces"),
-               "_sources": (SpatialOperator2D, "_sources"),
+               "_sources": (SpatialOperator, "_sources"),
                "reconstruct_stencils": (Cweno2D, "reconstruct_stencils"),
+               "reconstruct_stencils_1d": (Cweno1D, "reconstruct_stencils"),
                "stage": (LocalEquilibrium, "__call__"),
                "build_profiles": (operator1d, "build_profiles"),
+               "hydrostatic_energy_faces": (operator1d,
+                                            "hydrostatic_energy_faces"),
                "anchor_pressure_ideal": (wellbalance, "anchor_pressure_ideal"),
                "anchor_pressure_newton": (wellbalance,
-                                          "anchor_pressure_newton")}
+                                          "anchor_pressure_newton"),
+               "fill_anchor_ideal": (operator1d, "anchor_pressure_ideal"),
+               "fill_anchor_newton": (operator1d, "anchor_pressure_newton")}
 
-    def _calls(self, kind, monkeypatch, scen=None):
+    def _calls(self, kind, monkeypatch, scen=None, order=3):
         counts = {}
         for label, (owner, name) in self.TARGETS.items():
             def spy(*args, _fn=getattr(owner, name), _label=label, **kwargs):
@@ -253,7 +283,7 @@ class TestTracedEntryPoints:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
         scen = scen or make_scenario("polytrope-2d", perturbation=1e-3)
-        scheme = Scheme(kind, 3)
+        scheme = Scheme(kind, order)
         grid = grid_for(scen, 16, scheme.n_ghost)
         data = init_cell_averages(scen, grid).data
         op = make_operator(scen, grid, scheme)
@@ -278,13 +308,33 @@ class TestTracedEntryPoints:
         assert self._calls("standard", monkeypatch) == {
             "_sources": 1, "reconstruct_stencils": 1}
 
-    @pytest.mark.parametrize("kind, layer", [("la", "stage"),
-                                             ("dwb", "build_profiles")])
-    def test_1d_rhs(self, kind, layer, monkeypatch):
+    @pytest.mark.parametrize("kind, layers", [
+        pytest.param("la", {"stage": 1}, id="la-stage"),
+        pytest.param("dwb", {"build_profiles": 1,
+                             "hydrostatic_energy_faces": 1},
+                     id="dwb-build_profiles")])
+    def test_1d_rhs(self, kind, layers, monkeypatch):
         # 1-D LA runs the 2-D operator's stage, DWB `build_profiles`
         scen = make_scenario("isothermal-perturbed", eta=1e-3)
         assert self._calls(kind, monkeypatch, scen) == {
-            layer: 1, "anchor_pressure_ideal": 1}
+            **layers, "_profiles_and_faces": 1, "anchor_pressure_ideal": 1,
+            "_sources": 1, "reconstruct_stencils_1d": 2}
+
+    @pytest.mark.parametrize("eos, anchor", [
+        (IdealGas(1.4), "ideal"), (IdealGasRadiation(1.4), "newton")])
+    def test_1d_wall_rhs(self, eos, anchor, monkeypatch):
+        # the hydrostatic fill of both sides makes one anchor call through
+        # `operator1d`'s name and two CWENO calls (the extrapolation and
+        # the pieces)
+        scen = make_scenario("isothermal-perturbed", eta=1e-3)
+        scen.boundary = BoundarySpec1D("hydrostatic-extrapolation",
+                                       "solid-wall")
+        scen.eos = eos
+        assert self._calls("dwb", monkeypatch, scen, order=5) == {
+            "_profiles_and_faces": 1, "build_profiles": 1,
+            "hydrostatic_energy_faces": 1, f"anchor_pressure_{anchor}": 1,
+            f"fill_anchor_{anchor}": 1, "_sources": 1,
+            "reconstruct_stencils_1d": 4}
 
 
 def _density_cells(value_rows, cells):

@@ -18,8 +18,7 @@ from hydrobal.physics import (
 )
 from hydrobal.boundary import BoundarySpec1D, BoundarySpec2D
 from hydrobal.grid import Grid
-from hydrobal.operator1d import SpatialOperator1D
-from hydrobal.operator2d import SpatialOperator2D
+from hydrobal.operator1d import SpatialOperator
 from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.reconstruct import MONOMIALS_DEG2
 from hydrobal.scheme import Scheme
@@ -508,8 +507,8 @@ def test_roe_2d_contact_and_consistency():
 def uniform_rhs_1d(rho, u, g):
     """1-D RHS of a uniform periodic state: the cell-averaged source."""
     grid = Grid((0.0, 1.0), (16,), 2)
-    op = SpatialOperator1D(grid, Scheme("standard", 3), IdealGas(1.4),
-                           lambda x: g * np.ones_like(x), BoundarySpec1D())
+    op = SpatialOperator(grid, Scheme("standard", 3), IdealGas(1.4),
+                         lambda x: g * np.ones_like(x), BoundarySpec1D())
     data = np.empty((3, grid.shape_tot[0]))
     data[:] = np.array([rho, rho * u, 2.5 + 0.5 * rho * u ** 2])[:, None]
     return op.rhs(data)[:, grid.interior]
@@ -518,9 +517,9 @@ def uniform_rhs_1d(rho, u, g):
 def sources_2d(rec, gravity, hx=0.1, hy=0.1):
     """Exact 2-D source means of per-cell reconstructions `rec` (4, 6)."""
     grid = Grid((0.0, 6 * hx, 0.0, 6 * hy), (6, 6), 2)
-    op = SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
-                           lambda x, y: gravity(x + 0 * y, y + 0 * x),
-                           BoundarySpec2D(*["periodic"] * 4))
+    op = SpatialOperator(grid, Scheme("la", 3), IdealGas(1.4),
+                         lambda x, y: gravity(x + 0 * y, y + 0 * x),
+                         BoundarySpec2D(*["periodic"] * 4))
     # cells last, over the flux band: ghosted cell (4, 4) is band cell (3, 3)
     rec = np.broadcast_to(np.asarray(rec, dtype=float)[:, :, None],
                           (4, 6, np.prod(op._shape)))
@@ -548,7 +547,7 @@ class TestSourceAverages:
         errors = []
         for n in (32, 64, 128):
             grid = Grid((0.0, 1.0), (n,), 2)
-            op = SpatialOperator1D(
+            op = SpatialOperator(
                 grid, Scheme("standard", 3), IdealGas(1.4),
                 lambda x: -2 * np.pi * np.cos(2 * np.pi * x), BoundarySpec1D())
             (h,), (n_tot,) = grid.spacing, grid.shape_tot
@@ -599,7 +598,7 @@ class TestSourceAverages:
             return np.einsum("ij,i,j->", f, wx, wy) / (hx * hy)
 
         cell = np.ravel_multi_index((3, 3), op._shape)   # of the band
-        gx, gy = (value(g[:, cell], op._exps_g) for g in op._g_rows)
+        gx, gy = (value(g[:, cell], op._exps[1]) for g in op._g_rows)
         rho, mx, my = (value(rec[c], MONOMIALS_DEG2) for c in range(3))
         expected = [0.0, mean(rho * gx), mean(rho * gy),
                     mean(mx * gx + my * gy)]
@@ -657,10 +656,12 @@ class TestPositivityFallback:
         data[:, i] = [1e-10, 0.0, 1e-10]
         filled = data.copy()
         op.fill_ghosts(filled)
+        # the cells whose stencil fits, from cell r on
         rec = np.swapaxes(op.cweno.coefficients(filled), -1, -2)
         physical = physical_state(poly_eval(rec, -0.5 * h))[1] \
             & physical_state(poly_eval(rec, 0.5 * h))[1]
-        flagged = ~physical[ng - 1:ng + n + 1]
+        r = op.scheme.radius
+        flagged = ~physical[ng - 1 - r:ng + n + 1 - r]
         assert flagged[i - ng + 1]
 
         out = op.rhs(data)

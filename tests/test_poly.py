@@ -7,7 +7,7 @@ import pytest
 from hydrobal.boundary import BoundarySpec2D
 from hydrobal.eos import IdealGas
 from hydrobal.grid import Grid
-from hydrobal.operator2d import SpatialOperator2D
+from hydrobal.operator1d import SpatialOperator
 from hydrobal.poly import (
     poly_antiderivative,
     poly_cell_average,
@@ -78,9 +78,9 @@ def operator_2d(gravity, hx=0.1, hy=0.1):
     # cell (3, 3) of the ghosted arrays, band cell (2, 2) of the operator's
     # tables, is centered at (1.5 hx, 1.5 hy)
     grid = Grid((0.0, 6 * hx, 0.0, 6 * hy), (6, 6), 2)
-    return SpatialOperator2D(grid, Scheme("la", 3), IdealGas(1.4),
-                             lambda x, y: gravity(x + 0 * y, y + 0 * x),
-                             BoundarySpec2D(*["periodic"] * 4))
+    return SpatialOperator(grid, Scheme("la", 3), IdealGas(1.4),
+                           lambda x, y: gravity(x + 0 * y, y + 0 * x),
+                           BoundarySpec2D(*["periodic"] * 4))
 
 
 def center_cell(op):
@@ -166,7 +166,7 @@ class TestLineIntegral2D:
                 return sum(c * x ** a * y ** b
                            for c, (a, b) in zip(coeffs, exps))
             r = value(rho, MONOMIALS_DEG2)
-            return tuple(r * value(g, op._exps_g) for g in g_center(op))
+            return tuple(r * value(g, op._exps[1]) for g in g_center(op))
 
         nodes, weights = np.polynomial.legendre.leggauss(8)
         for t in (0.25, 0.5, 0.9):
@@ -192,7 +192,7 @@ class TestLineIntegral2D:
         scale = np.max(np.abs(line))
         nodes, weights = gauss_nodes_weights_centered(3, 1.0)
         fine = product_tables(
-            MONOMIALS_DEG2, op._exps_g,
+            MONOMIALS_DEG2, op._exps[1],
             tuple((x, y) for x in nodes for y in nodes), op.grid.spacing)
         own = sum(np.outer(rho, g).ravel() @ table
                   for g, table in zip(g_center(op), fine.line))
@@ -316,12 +316,12 @@ def test_unit_tables_are_cached_read_only_and_shared():
             table[(0,) * table.ndim] = 1.0
     # a second operator of the same order reuses every cached table
     from hydrobal.grid import Grid
-    from hydrobal.operator1d import SpatialOperator1D
+    from hydrobal.operator1d import SpatialOperator
     from hydrobal.boundary import BoundarySpec1D
 
     def build(dx_cells):
         scheme = Scheme("la", 5)
-        return SpatialOperator1D(
+        return SpatialOperator(
             Grid((0.0, 1.0), (dx_cells,), scheme.n_ghost), scheme,
             IdealGas(1.4),
             lambda x: -np.ones_like(x),

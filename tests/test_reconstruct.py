@@ -21,6 +21,7 @@ from hydrobal.reconstruct import (
     _plane_matrix_2d,
     _smoothness_form_1d,
     _smoothness_form_2d,
+    stencil_windows,
 )
 
 # the fixed profile of the property tests: deterministic, bounded
@@ -60,9 +61,10 @@ class TestCweno1D:
         h = 0.02
         scheme = Cweno1D(order, h)
         data = rng.standard_normal((6, 40))
+        # the cells whose stencil fits
         coeffs = np.swapaxes(scheme.coefficients(data), -1, -2)
         r = scheme.radius
-        means = poly_cell_average(coeffs[:, r:-r, :], h)
+        means = poly_cell_average(coeffs, h)
         np.testing.assert_allclose(means, data[:, r:-r], rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("order", [3, 5])
@@ -75,7 +77,7 @@ class TestCweno1D:
             r = scheme.radius
             xi = np.linspace(-h / 2, h / 2, 9)
             centers = (np.arange(n) + 0.5) * h
-            vals = poly_eval(coeffs[r:n - r, None, :], xi[None, :])
+            vals = poly_eval(coeffs[:, None, :], xi[None, :])
             exact = np.sin(2 * np.pi * (centers[r:n - r, None] + xi[None, :]))
             errors.append(np.max(np.abs(vals - exact)))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -89,8 +91,8 @@ class TestCweno1D:
             data = np.where(np.arange(20) < 10, 0.0, 1.0).astype(float)
             coeffs = np.swapaxes(scheme.coefficients(data), -1, -2)
             r = scheme.radius
-            faces = np.stack([poly_eval(coeffs[r:-r], -h / 2),
-                              poly_eval(coeffs[r:-r], h / 2)])
+            faces = np.stack([poly_eval(coeffs, -h / 2),
+                              poly_eval(coeffs, h / 2)])
             assert faces.min() > -0.1
             assert faces.max() < 1.1
 
@@ -105,20 +107,27 @@ class TestCweno1D:
             Cweno1D(4, 0.1)
 
 
+def fitted(interp, values):
+    """The interpolants (*inner, n) of the cells of `values` (*grid) whose
+    stencil fits, as the operator fits its gravity rows."""
+    coeffs = interp.fit(stencil_windows(values, interp._width))
+    return np.moveaxis(coeffs, 0, -1)
+
+
 class TestGravityInterp1D:
     def test_constant(self):
         interp = GravityInterp1D(3, 0.1)
-        coeffs = interp.coefficients(np.full(7, -1.0))
-        np.testing.assert_allclose(coeffs[1:-1, 0], -1.0)
-        np.testing.assert_allclose(coeffs[1:-1, 1:], 0.0, atol=1e-14)
+        coeffs = fitted(interp, np.full(7, -1.0))
+        np.testing.assert_allclose(coeffs[:, 0], -1.0)
+        np.testing.assert_allclose(coeffs[:, 1:], 0.0, atol=1e-14)
 
     def test_linear_exact(self):
         h = 0.2
         centers = np.arange(5) * h
-        coeffs = GravityInterp1D(3, h).coefficients(centers)
+        coeffs = fitted(GravityInterp1D(3, h), centers)
         xi = np.linspace(-h, h, 11)
         for i in (1, 2, 3):
-            np.testing.assert_allclose(poly_eval(coeffs[i], xi),
+            np.testing.assert_allclose(poly_eval(coeffs[i - 1], xi),
                                        centers[i] + xi, atol=1e-14)
 
     def test_nodal_values_matched(self):
@@ -127,7 +136,7 @@ class TestGravityInterp1D:
         for order in (3, 5):
             vals = rng.standard_normal(order)
             r = (order - 1) // 2
-            coeffs = GravityInterp1D(order, h).coefficients(vals)[r]
+            coeffs = fitted(GravityInterp1D(order, h), vals)[0]
             offs = (np.arange(order) - r) * h
             np.testing.assert_allclose(poly_eval(coeffs, offs), vals,
                                        atol=1e-12)
@@ -140,9 +149,9 @@ class TestGravityInterp1D:
             h = 1.0 / n
             centers = (np.arange(n) + 0.5) * h
             interp = GravityInterp1D(5, h)
-            coeffs = interp.coefficients(g(centers))
+            coeffs = fitted(interp, g(centers))
             xi = np.linspace(-h / 2, h / 2, 7)
-            vals = poly_eval(coeffs[2:-2, None, :], xi[None, :])
+            vals = poly_eval(coeffs[:, None, :], xi[None, :])
             exact = g(centers[2:-2, None] + xi[None, :])
             errors.append(np.max(np.abs(vals - exact)))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -212,12 +221,12 @@ class TestCweno2D:
 class TestGravityInterp2D:
     def test_constant_and_linear_exact(self):
         interp = GravityInterp2D(0.2, 0.2)
-        flat = interp.coefficients(np.full((5, 5), 3.0))
-        np.testing.assert_allclose(flat[1:-1, 1:-1, 0], 3.0)
+        flat = fitted(interp, np.full((5, 5), 3.0))
+        np.testing.assert_allclose(flat[..., 0], 3.0)
         xs = np.arange(5) * 0.2
         field = xs[:, None] + 0.5 * xs[None, :]
-        coeffs = interp.coefficients(field)
-        got = coeffs[2, 2]
+        coeffs = fitted(interp, field)
+        got = coeffs[1, 1]
         expected = np.zeros(len(interp.exps))
         expected[interp.exps.index((0, 0))] = field[2, 2]
         expected[interp.exps.index((1, 0))] = 1.0
@@ -229,11 +238,11 @@ class TestGravityInterp2D:
         interp = GravityInterp2D(h, h)
         xs = np.arange(7) * h
         field = xs[:, None] ** 2 + xs[:, None] * xs[None, :] - 2 * xs[None, :] ** 2
-        coeffs = interp.coefficients(field)
+        coeffs = fitted(interp, field)
         xi, eta = 0.03, -0.04
         val = 0.0
         for m, (a, b) in enumerate(interp.exps):
-            val += coeffs[3, 3, m] * xi ** a * eta ** b
+            val += coeffs[2, 2, m] * xi ** a * eta ** b
         x, y = xs[3] + xi, xs[3] + eta
         assert val == pytest.approx(x ** 2 + x * y - 2 * y ** 2, abs=1e-13)
 
@@ -242,10 +251,10 @@ class TestGravityInterp2D:
         h = 0.1
         interp = GravityInterp2D(h, h)
         field = rng.standard_normal((5, 5))
-        coeffs = interp.coefficients(field)
+        coeffs = fitted(interp, field)
         for jx in (-1, 0, 1):
             for jy in (-1, 0, 1):
-                val = sum(coeffs[2, 2, m] * (jx * h) ** a * (jy * h) ** b
+                val = sum(coeffs[1, 1, m] * (jx * h) ** a * (jy * h) ** b
                           for m, (a, b) in enumerate(interp.exps))
                 assert val == pytest.approx(field[2 + jx, 2 + jy], abs=1e-12)
 
@@ -256,11 +265,11 @@ class TestGravityInterp2D:
             h = 1.0 / n
             c = (np.arange(n) + 0.5) * h
             interp = GravityInterp2D(h, h)
-            coeffs = interp.coefficients(g(c[:, None], c[None, :]))
+            coeffs = fitted(interp, g(c[:, None], c[None, :]))
             xi = h / 3.0
             vals = np.zeros((n - 2, n - 2))
             for m, (a, b) in enumerate(interp.exps):
-                vals += coeffs[1:-1, 1:-1, m] * xi ** a * xi ** b
+                vals += coeffs[..., m] * xi ** a * xi ** b
             exact = g(c[1:-1, None] + xi, c[None, 1:-1] + xi)
             errors.append(np.max(np.abs(vals - exact)))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -488,6 +497,18 @@ class TestBlendLayouts:
         np.testing.assert_array_equal(
             scheme.reconstruct_stencils(leading, axis=(0, 1)),
             np.moveaxis(scheme.reconstruct_stencils(windows), -1, 0))
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_1d_cells_last_is_the_cells_first_fit_moved(self, order):
+        # as in 2-D: the cells whose stencil fits, bit for bit
+        rng = np.random.default_rng(95 + order)
+        scheme = Cweno1D(order, 0.03)
+        values = np.cumsum(rng.standard_normal((3, 17)), axis=-1)
+        windows = np.lib.stride_tricks.sliding_window_view(values, order,
+                                                           axis=-1)
+        np.testing.assert_array_equal(
+            scheme.coefficients(values),
+            np.moveaxis(scheme.reconstruct_stencils(windows), -1, -2))
 
     def test_2d_cells_last_is_the_cells_first_fit_moved(self):
         # the cells-last coefficients are the cells-first fit of every

@@ -17,11 +17,13 @@ from hydrobal.boundary import BoundarySpec1D
 from hydrobal.eos import IdealGas, IdealGasRadiation
 from hydrobal.errors import InitializationError
 from hydrobal.grid import Grid
-from hydrobal import operator1d, operator2d, wellbalance
-from hydrobal.operator1d import SpatialOperator1D
+from hydrobal import operator1d, wellbalance
+from hydrobal.grid import interior_index
+from hydrobal.operator1d import SpatialOperator
 from hydrobal.physics import flux_divergence, positivity_fallback
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
+from hydrobal.reconstruct import stencil_windows
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import (
@@ -33,7 +35,6 @@ from hydrobal.wellbalance import (
     energy_deviations,
     equilibrium_points,
     hydrostatic_energy_faces,
-    periodic_windows,
 )
 
 
@@ -47,8 +48,8 @@ class NodeIdealGas(IdealGas):
 def reconstruction_setup(scenario, n, scheme):
     grid = grid_for(scenario, n, scheme.n_ghost)
     field = init_cell_averages(scenario, grid)
-    op = SpatialOperator1D(grid, scheme, scenario.eos, scenario.gravity,
-                           scenario.boundary)
+    op = SpatialOperator(grid, scheme, scenario.eos, scenario.gravity,
+                         scenario.boundary)
     op.set_initial_state(field.data)
     return grid, field, op
 
@@ -60,24 +61,38 @@ def node_eos(eos):
     return NodeIdealGas(eos.gamma)
 
 
+def band(op):
+    """The grid cells of the 1-D operator's band, whose stencil fits."""
+    first = op._reach[1].start + op.scheme.radius
+    return slice(first, op.grid.shape_tot[0] - first)
+
+
+def windows(op, values):
+    """The stencils of the band cells over `values` (*grid), (stencil
+    cells, band cells)."""
+    return stencil_windows(values[op._reach[1]], (2 * op.scheme.radius + 1,))
+
+
 def profiles(op, data):
     """The operator's equilibrium at its node set, as its `rhs` builds it
     from its product-basis tables, on the node path (the ideal gas as
-    `NodeIdealGas`): (p, rho, ok, rec, anti, eps) with cells first, `rec`
-    the coefficients, `anti` the Horner reference coefficients of each
-    cell's source antiderivative and `eps` the internal energy.  DWB's
-    come from `build_profiles`, LA's from the operator's stage."""
-    rec = op.cweno.coefficients(data)
+    `NodeIdealGas`): (p, rho, ok, rec, anti, eps) with the band's cells
+    (`band`) first, `rec` the coefficients, `anti` the Horner reference
+    coefficients of each cell's source antiderivative and `eps` the
+    internal energy.  DWB's come from `build_profiles`, LA's from the
+    operator's stage."""
+    rec = op.cweno.coefficients(data[:, op._reach[1]])
     if op.scheme.piecewise_source:
-        terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, rec.shape[-1])
+        terms = (rec[0][:, None] * op._g_rows[0]).reshape(-1, rec.shape[-1])
         p, rho, eps, ok = build_profiles(
             op.scheme, node_eos(op.eos), op._line_rows @ terms,
-            op._value_rows @ rec[:2], rec[:, 0], data[0], data[2], op._mean)
+            op._value_rows @ rec[:2], rec[:, 0], data[0, band(op)],
+            data[2, band(op)], op._mean)
     else:
         p, rho, eps, ok = la_node_values(op, rec, data)
     rec = np.swapaxes(rec, -1, -2)
     return (p.T, rho.T, ok, rec,
-            poly_antiderivative(poly_mul(rec[0], op.g_coeffs.T)), eps.T)
+            poly_antiderivative(poly_mul(rec[0], op._g_rows[0].T)), eps.T)
 
 
 def la_node_values(op, rec, data):
@@ -95,16 +110,15 @@ def la_node_values(op, rec, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wellbalance, "anchor_pressure_newton", anchor)
-        stage(rec, data[0], data[2],
-              periodic_windows(data[2], op.scheme.radius))
+        stage(rec, data[0, band(op)], data[2, band(op)], windows(op, data[2]))
     return seen[0]
 
 
 def deviations(op, eps, data):
     """`energy_deviations` of the cells-first node energies `eps` (from
     `profiles`): (delta, eps_faces) with cells first."""
-    delta, eps_faces = energy_deviations(
-        eps.T, periodic_windows(data[2], op.scheme.radius), op._mean)
+    delta, eps_faces = energy_deviations(eps.T, windows(op, data[2]),
+                                         op._mean)
     return delta.T, eps_faces.T
 
 
@@ -125,8 +139,8 @@ def uniform_op(kind, order, n, eos, energy):
     E = energy."""
     scheme = Scheme(kind, order)
     grid = Grid((0.0, 1.0), (n,), scheme.n_ghost)
-    op = SpatialOperator1D(grid, scheme, eos, lambda x: -np.ones_like(x),
-                           BoundarySpec1D())
+    op = SpatialOperator(grid, scheme, eos, lambda x: -np.ones_like(x),
+                         BoundarySpec1D())
     data = np.zeros((3, grid.shape_tot[0]))
     data[0] = 1.0
     data[2] = energy
@@ -158,9 +172,11 @@ class TestSources:
         data[2] = 10.0
         out = []
         for kind in ("dwb", "la"):
-            op = SpatialOperator1D(grid, Scheme(kind, 3), IdealGas(1.4),
-                                   lambda x: -np.ones_like(x), BoundarySpec1D())
-            out.append(profiles(op, data)[0][4:-4])
+            op = SpatialOperator(grid, Scheme(kind, 3), IdealGas(1.4),
+                                 lambda x: -np.ones_like(x), BoundarySpec1D())
+            # grid cells 5..16, whose stencils hold no wrapped cell
+            first = band(op).start
+            out.append(profiles(op, data)[0][5 - first:17 - first])
         np.testing.assert_allclose(out[0], out[1], rtol=1e-12, atol=1e-12)
 
 
@@ -200,7 +216,9 @@ class TestAnchors:
             p = profiles(op, field.data)[0][:, own_nodes(op)]
             inner = slice(grid.n_ghost + 2, grid.n_ghost + n - 2)
             x = grid.centers()[inner, None] + op.quad_nodes
-            errors.append(np.max(np.abs(p[inner] - np.exp(-10.0 * x))))
+            on_band = slice(inner.start - band(op).start,
+                            inner.stop - band(op).start)
+            errors.append(np.max(np.abs(p[on_band] - np.exp(-10.0 * x))))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert rates[-1] > 2.5
 
@@ -213,15 +231,16 @@ class TestAnchors:
         p, rho, ok, rec, anti, _ = profiles(op, field.data)
         own = own_nodes(op)
         offsets = poly_eval(anti[:, None, :], op.quad_nodes)
+        cells = band(op)
         p_newton, conv, _ = anchor_pressure_newton(
-            offsets.T, rho[:, own].T, slice(None), field.data[0],
-            field.data[2], scen.eos, op._mean)
-        inner = slice(2, grid.shape_tot[0] - 2)
+            offsets.T, rho[:, own].T, slice(None), field.data[0, cells],
+            field.data[2, cells], scen.eos, op._mean)
+        inner = slice(1, -1)    # the band cells whose stencil holds no wrap
         assert np.all(conv[inner])
         np.testing.assert_allclose(p_newton[inner, None] + offsets[inner],
                                    p[inner, own], rtol=1e-12, atol=1e-12)
         # and the anchors themselves against the closed-form anchor
-        p_ideal = anchor_pressure_ideal(offsets.T, field.data[2],
+        p_ideal = anchor_pressure_ideal(offsets.T, field.data[2, cells],
                                         scen.eos.deps_dp_constant, op._mean)
         np.testing.assert_allclose(p_newton[inner], p_ideal[inner],
                                    rtol=1e-12, atol=1e-12)
@@ -275,8 +294,10 @@ class TestAnchors:
             inner = slice(grid.n_ghost + 2, grid.n_ghost + n - 2)
             _, p_bg = scen.background
             exact = p_bg(grid.centers()[inner, None] + op.quad_nodes)
-            assert np.all(ok[inner])
-            errors.append(np.max(np.abs(p[inner, own_nodes(op)] - exact)))
+            on_band = slice(inner.start - band(op).start,
+                            inner.stop - band(op).start)
+            assert np.all(ok[on_band])
+            errors.append(np.max(np.abs(p[on_band, own_nodes(op)] - exact)))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert rates[-1] > 2.4
 
@@ -340,7 +361,8 @@ class TestEquilibriumConsistency:
         grid, field, op = reconstruction_setup(scen, 64, scheme)
         _, _, ok, _, _, eps = profiles(op, field.data)
         delta, eps_faces = deviations(op, eps, field.data)
-        inner = slice(2 * scheme.radius, grid.shape_tot[0] - 2 * scheme.radius)
+        # the band cells whose stencil holds no wrapped cell
+        inner = slice(scheme.radius, -scheme.radius)
         assert np.all(ok[inner])
         # the d=0 column is the matching equation itself
         np.testing.assert_allclose(delta[inner, scheme.radius], 0.0, atol=1e-13)
@@ -354,8 +376,8 @@ class TestEquilibriumConsistency:
         data[0] = 1.0 + 0.1 * rng.random(grid.shape_tot[0])
         data[1] = 0.05 * rng.standard_normal(grid.shape_tot[0])
         data[2] = 2.0 + 0.1 * rng.random(grid.shape_tot[0])
-        op = SpatialOperator1D(grid, scheme, scen.eos, lambda x: 0.0 * x,
-                               scen.boundary)
+        op = SpatialOperator(grid, scheme, scen.eos, lambda x: 0.0 * x,
+                             scen.boundary)
         p, rho, ok, rec, anti, eps = profiles(op, data)
         delta, eps_faces = deviations(op, eps, data)
         e_faces = hydrostatic_energy_faces(
@@ -363,7 +385,7 @@ class TestEquilibriumConsistency:
             op._face_rows).T
         face_l = poly_eval(rec, -grid.spacing[0] / 2)
         face_r = poly_eval(rec, grid.spacing[0] / 2)
-        inner = slice(2, grid.shape_tot[0] - 2)
+        inner = slice(1, -1)    # the band cells whose stencil holds no wrap
         np.testing.assert_allclose(e_faces[inner, 0], face_l[2][inner],
                                    rtol=1e-11)
         np.testing.assert_allclose(e_faces[inner, 1], face_r[2][inner],
@@ -376,7 +398,8 @@ class TestTheoremResidual:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", order)
         grid = grid_for(scen, 128, scheme.n_ghost)
-        op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+        op = SpatialOperator(grid, scheme, scen.eos, scen.gravity,
+                             scen.boundary)
         field = discrete_equilibrium_init(scen, op)
         op.set_initial_state(field.data)
         rhs = op.rhs(field.data)
@@ -386,13 +409,14 @@ class TestTheoremResidual:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", 3)
         grid = grid_for(scen, 64, scheme.n_ghost)
-        op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+        op = SpatialOperator(grid, scheme, scen.eos, scen.gravity,
+                             scen.boundary)
         field = discrete_equilibrium_init(scen, op)
         # the last two node-set columns are each profile's own faces
         p = profiles(op, field.data)[0]
         p_left, p_right = p[:, -2], p[:, -1]
-        n_tot, = grid.shape_tot
-        inner = slice(2 * scheme.radius, n_tot - 2 * scheme.radius - 1)
+        # the band cells whose stencil holds no wrapped cell
+        inner = slice(scheme.radius, len(p) - scheme.radius - 1)
         np.testing.assert_allclose(p_right[inner],
                                    p_left[inner.start + 1:inner.stop + 1],
                                    rtol=1e-13, atol=1e-14)
@@ -404,7 +428,8 @@ class TestTheoremResidual:
         scen = isothermal_1d("10x")
         scheme = Scheme("dwb", 3)
         grid = grid_for(scen, 64, scheme.n_ghost)
-        op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+        op = SpatialOperator(grid, scheme, scen.eos, scen.gravity,
+                             scen.boundary)
         fields = []
         for anchor in (grid.n_ghost, grid.n_ghost + 32, grid.n_ghost + 63):
             field = discrete_equilibrium_init(scen, op, anchor_cell=anchor)
@@ -430,7 +455,7 @@ def test_discrete_equilibrium_residual(scenario, n, order, kind, bc):
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, n, scheme.n_ghost)
-    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+    op = SpatialOperator(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     field = discrete_equilibrium_init(scen, op)
     op.set_initial_state(field.data)
     rhs = op.rhs(field.data)
@@ -489,7 +514,7 @@ def test_steep_atmosphere_balanced_to_local_state(k, eos, kind, order, n, bc):
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, n, scheme.n_ghost)
-    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity, scen.boundary)
+    op = SpatialOperator(grid, scheme, scen.eos, scen.gravity, scen.boundary)
     init = lambda: discrete_equilibrium_init(
         scen, op, anchor_cell=grid.n_ghost + n - 1)
     if (k, n, bc[0]) == (60, 128, "hydrostatic-extrapolation"):
@@ -530,12 +555,12 @@ def test_steep_grids_the_init_rejects_fail_the_fill_too(eos, kind, order,
     scen = steep_isothermal(60, eos)
     scheme = Scheme(kind, order)
     grid = grid_for(scen, 128, scheme.n_ghost)
-    dirichlet = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity,
-                                  scen.boundary)
+    dirichlet = SpatialOperator(grid, scheme, scen.eos, scen.gravity,
+                                scen.boundary)
     data = discrete_equilibrium_init(
         scen, dirichlet, anchor_cell=grid.n_ghost + 127).data
-    op = SpatialOperator1D(grid, scheme, scen.eos, scen.gravity,
-                           BoundarySpec1D(*sides))
+    op = SpatialOperator(grid, scheme, scen.eos, scen.gravity,
+                         BoundarySpec1D(*sides))
     op.set_initial_state(data)
     for _ in range(3):
         op.fill_ghosts(data.copy())
@@ -570,7 +595,7 @@ def perturbed_op(eos, kind, order, stressed=False):
         block = slice(20, 26)
         data[1, block] = 2.0 * data[0, block]
         data[2, block] = 0.5 * data[1, block] ** 2 / data[0, block] * 1.001
-    op = SpatialOperator1D(grid, scheme, eos, scen.gravity, scen.boundary)
+    op = SpatialOperator(grid, scheme, eos, scen.gravity, scen.boundary)
     op.set_initial_state(data)
     return op, data
 
@@ -697,68 +722,31 @@ class TestCellMeanPath2D:
         assert op.fallback_cells > 0
 
 
-def full_reconstruction_rhs_1d(op, state):
-    """The 1-D right-hand side with every cell's energy reconstructed by the
-    state pass and replaced by the equilibrium where the gate holds
+def full_reconstruction_rhs(op, state, monkeypatch):
+    """The right-hand side with every band cell's energy reconstructed by
+    the state pass and replaced by the equilibrium where the gate holds
     (`np.where(good, ...)`): the reference of the lean state pass.  Returns
-    the RHS, the fallback count and the gate."""
-    scheme, ng = op.scheme, op.grid.n_ghost
+    the RHS, the fallback count and the gate (*band)."""
     data = state.copy()
     op.fill_ghosts(data)
-    rec = op.cweno.coefficients(data)
-    faces = op._face_rows @ rec
-    face_l, face_r = faces.transpose(1, 0, 2)
-    source = np.sum((op._source_rows @ rec[:2]) * op.g_coeffs, axis=1)
-    if scheme.piecewise_source:
-        terms = (rec[0][:, None] * op.g_coeffs).reshape(-1, data.shape[1])
-        profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
-                                  op._value_rows @ rec[:2], rec[:, 0],
-                                  data[0], data[2], op._mean)
-        if op.eos.deps_dp_constant is not None:
-            delta, eps_faces, good = profiles
-        else:
-            *_, eps, good = profiles
-            delta, eps_faces = energy_deviations(
-                eps, periodic_windows(data[2], scheme.radius), op._mean)
-        e_faces = hydrostatic_energy_faces(
-            eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
-            op._face_rows)
-    else:
-        e_faces, good = op._equilibrium(
-            rec, data[0], data[2], periodic_windows(data[2], scheme.radius))
-    face_l[2] = np.where(good, e_faces[0], face_l[2])
-    face_r[2] = np.where(good, e_faces[1], face_r[2])
-    count = positivity_fallback(faces, data, ng, good)
-    out = np.zeros_like(data)
-    out[:, op.grid.interior] = flux_divergence(
-        ((face_l, face_r),), op.flux_fn, op.eos, op.boundary.axes,
-        op.grid.spacing, ng)
-    out[1:, op.grid.interior] += source[:, op.grid.interior]
-    return out, count, good
-
-
-def full_reconstruction_rhs_2d(op, state, monkeypatch):
-    """`full_reconstruction_rhs_1d` for the 2-D operator, on its flux band
-    (the interior and one ghost layer per side)."""
-    shape = op._shape
-    data = state.copy()
-    op.fill_ghosts(data)
-    rec = op.cweno.coefficients(data).reshape(4, 6, -1)   # the band's cells
+    reach = data[op._reach]
+    rec = op.cweno.coefficients(reach).reshape(
+        len(data), len(op.cweno.exps), -1)
     faces = op._face_rows @ rec
     equilibrium = faces.copy()
     with monkeypatch.context() as patch:   # the equilibrium energy alone
-        patch.setattr(operator2d, "rejected_energy_faces", lambda *args: None)
-        good = op._profiles_and_faces(rec, data[op._reach], equilibrium)
-    faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
+        patch.setattr(operator1d, "rejected_energy_faces", lambda *args: None)
+        good = op._profiles_and_faces(rec, reach, equilibrium)
+    faces[-1] = np.where(good.reshape(-1), equilibrium[-1], faces[-1])
+    shape, bg = op._shape, op._band_ghosts
     count = positivity_fallback(faces.reshape(faces.shape[:2] + shape),
-                                data[op._reach][:, 1:-1, 1:-1], 1, good)
-    xl, xr, yl, yr = faces.reshape((4, 4, -1) + shape).transpose(
-        1, 0, 3, 4, 2)
+                                reach[op._band], bg, good)
+    pair_shape, axes = op._pairs
     out = np.zeros_like(data)
-    interior = (slice(None),) + op.grid.interior
-    out[interior] = flux_divergence(
-        ((xl, xr), (yl, yr)), op.flux_fn, op.eos, op.boundary.axes,
-        op.grid.spacing, 1, op._face_w) + op._sources(rec)[:, 1:-1, 1:-1]
+    out[interior_index(op.grid)] = flux_divergence(
+        faces.reshape((len(data),) + pair_shape).transpose(axes), op.flux_fn,
+        op.eos, op.boundary.axes, op.grid.spacing, bg, op._face_w) \
+        + op._sources(rec)[(slice(None),) + (slice(bg, -bg),) * len(shape)]
     return out, count, good
 
 
@@ -776,10 +764,11 @@ class TestLeanStatePass:
                              ids=["cell-means", "nodes"])
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("kind", ["dwb", "la", "dwb-s"])
-    def test_1d_matches_full_reconstruction(self, kind, order, eos):
+    def test_1d_matches_full_reconstruction(self, kind, order, eos,
+                                            monkeypatch):
         op, data = perturbed_op(eos, kind, order, stressed=True)
-        expected, count, good = full_reconstruction_rhs_1d(op, data)
-        assert rejected_in_band(good, op.grid.n_ghost) > 0
+        expected, count, good = full_reconstruction_rhs(op, data, monkeypatch)
+        assert rejected_in_band(good, op._band_ghosts) > 0
         assert np.array_equal(op.rhs(data), expected)
         assert op.fallback_cells == count
 
@@ -787,8 +776,7 @@ class TestLeanStatePass:
     @pytest.mark.parametrize("kind", ["la", "la-s"])
     def test_2d_matches_full_reconstruction(self, kind, scale, monkeypatch):
         op, data = polytrope_op(IdealGas(2.0), kind, scale)
-        expected, count, good = full_reconstruction_rhs_2d(op, data,
-                                                           monkeypatch)
+        expected, count, good = full_reconstruction_rhs(op, data, monkeypatch)
         assert rejected_in_band(good, 1) > 0   # `good` covers the band
         assert np.array_equal(op.rhs(data), expected)
         assert op.fallback_cells == count
