@@ -77,9 +77,11 @@ def check_grid(grid, scheme, boundary):
     n_ghost interior cells per axis, a hydrostatic edge strip `order`)."""
     scheme.validate_dimension(len(grid.cells))
     grid.require_ghosts(scheme.n_ghost)
-    ng, hydro = grid.n_ghost, boundary.hydrostatic_sides
-    min_cells = max(ng, scheme.order if hydro else 0)
-    if min(grid.cells) < min_cells:
+    ng, n = grid.n_ghost, min(grid.cells)
+    if n >= max(ng, scheme.order):     # enough for every side kind
+        return
+    min_cells = max(ng, scheme.order if boundary.hydrostatic_sides else 0)
+    if n < min_cells:
         raise ConfigurationError(
             f"n = {' x '.join(map(str, grid.cells))} cells is too small for "
             f"the ghost fill: {scheme.label} with {ng} ghost cells and "
@@ -146,11 +148,11 @@ class SpatialOperator:
         self._inner = (slice(None),) + (slice(bg, -bg),) * dim
         self._flux_band = (slice(None),) \
             + (slice(bg - 1, 1 - bg or None),) * dim
-        # gravity at every cell center (1-D: one array, 2-D: one per axis),
-        # from the centers' open mesh
-        accel = gravity(*np.ix_(*map(grid.centers, range(dim))))
-        accel = [a * np.ones(grid.shape_tot)
-                 for a in (accel if dim > 1 else (accel,))]
+        # gravity at every cell center, one array per axis (2-D: from the
+        # centers' open mesh)
+        accel = (gravity(grid.centers()),) if dim == 1 else \
+            gravity(*np.ix_(grid.centers(0), grid.centers(1)))
+        accel = [a * np.ones(grid.shape_tot) for a in accel]
         interp = GravityInterp1D(scheme.order, *grid.spacing) if dim == 1 \
             else GravityInterp2D(*grid.spacing)
         self._exps = (self.cweno.exps, interp.exps)

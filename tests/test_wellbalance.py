@@ -23,7 +23,8 @@ from hydrobal.operator1d import SpatialOperator
 from hydrobal.physics import flux_divergence, positivity_fallback
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.quadrature import gauss_nodes_weights_centered
-from hydrobal.reconstruct import stencil_windows
+from hydrobal.reconstruct import (GravityInterp1D, product_tables,
+                                  stencil_windows)
 from hydrobal.runner import make_operator, run
 from hydrobal.scheme import Scheme
 from hydrobal.wellbalance import (
@@ -151,17 +152,14 @@ class TestSources:
     def test_constant_density_constant_gravity(self):
         # rho = 1, g = -1: the source is -1 on every stencil cell, so the
         # glued pressure is p0 - (x - x_i) at every node of the stencil of
-        # cell i and at its faces; E = 2.5 makes the anchor p0 = 1.  Cells
-        # whose stencil wraps around the grid are left out.
+        # cell i and at its faces; E = 2.5 makes the anchor p0 = 1.
         op, data = uniform_op("dwb", 5, 10, IdealGas(1.4), 2.5)
         p, rho, ok, rec, anti, _ = profiles(op, data)
         assert np.all(ok)
         np.testing.assert_allclose(anti[:, 1], -1.0)
         np.testing.assert_allclose(anti[:, 2:], 0.0, atol=1e-15)
-        inner = p[2:-2]
         np.testing.assert_allclose(
-            inner, np.broadcast_to(1.0 - node_offsets(op), inner.shape),
-            atol=1e-14)
+            p, np.broadcast_to(1.0 - node_offsets(op), p.shape), atol=1e-14)
         np.testing.assert_allclose(rho, 1.0)
 
     def test_la_and_dwb_agree_for_global_polynomial_source(self):
@@ -174,9 +172,10 @@ class TestSources:
         for kind in ("dwb", "la"):
             op = SpatialOperator(grid, Scheme(kind, 3), IdealGas(1.4),
                                  lambda x: -np.ones_like(x), BoundarySpec1D())
-            # grid cells 5..16, whose stencils hold no wrapped cell
+            # grid cells 2..19: LA's band, and DWB's without its outer
+            # cells, whose profiles glue pieces wrapped around the band
             first = band(op).start
-            out.append(profiles(op, data)[0][5 - first:17 - first])
+            out.append(profiles(op, data)[0][2 - first:20 - first])
         np.testing.assert_allclose(out[0], out[1], rtol=1e-12, atol=1e-12)
 
 
@@ -235,15 +234,14 @@ class TestAnchors:
         p_newton, conv, _ = anchor_pressure_newton(
             offsets.T, rho[:, own].T, slice(None), field.data[0, cells],
             field.data[2, cells], scen.eos, op._mean)
-        inner = slice(1, -1)    # the band cells whose stencil holds no wrap
-        assert np.all(conv[inner])
-        np.testing.assert_allclose(p_newton[inner, None] + offsets[inner],
-                                   p[inner, own], rtol=1e-12, atol=1e-12)
+        assert np.all(conv)
+        np.testing.assert_allclose(p_newton[:, None] + offsets, p[:, own],
+                                   rtol=1e-12, atol=1e-12)
         # and the anchors themselves against the closed-form anchor
         p_ideal = anchor_pressure_ideal(offsets.T, field.data[2, cells],
                                         scen.eos.deps_dp_constant, op._mean)
-        np.testing.assert_allclose(p_newton[inner], p_ideal[inner],
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(p_newton, p_ideal, rtol=1e-12,
+                                   atol=1e-12)
 
     def test_newton_zero_gravity_radiation(self):
         # constant state, no gravity: the initial guess is already the root
@@ -361,7 +359,8 @@ class TestEquilibriumConsistency:
         grid, field, op = reconstruction_setup(scen, 64, scheme)
         _, _, ok, _, _, eps = profiles(op, field.data)
         delta, eps_faces = deviations(op, eps, field.data)
-        # the band cells whose stencil holds no wrapped cell
+        # the band cells whose DWB profile glues no piece wrapped around the
+        # band (`build_profiles` takes its neighbours periodically)
         inner = slice(scheme.radius, -scheme.radius)
         assert np.all(ok[inner])
         # the d=0 column is the matching equation itself
@@ -385,11 +384,8 @@ class TestEquilibriumConsistency:
             op._face_rows).T
         face_l = poly_eval(rec, -grid.spacing[0] / 2)
         face_r = poly_eval(rec, grid.spacing[0] / 2)
-        inner = slice(1, -1)    # the band cells whose stencil holds no wrap
-        np.testing.assert_allclose(e_faces[inner, 0], face_l[2][inner],
-                                   rtol=1e-11)
-        np.testing.assert_allclose(e_faces[inner, 1], face_r[2][inner],
-                                   rtol=1e-11)
+        np.testing.assert_allclose(e_faces[:, 0], face_l[2], rtol=1e-11)
+        np.testing.assert_allclose(e_faces[:, 1], face_r[2], rtol=1e-11)
 
 
 class TestTheoremResidual:
@@ -415,11 +411,8 @@ class TestTheoremResidual:
         # the last two node-set columns are each profile's own faces
         p = profiles(op, field.data)[0]
         p_left, p_right = p[:, -2], p[:, -1]
-        # the band cells whose stencil holds no wrapped cell
-        inner = slice(scheme.radius, len(p) - scheme.radius - 1)
-        np.testing.assert_allclose(p_right[inner],
-                                   p_left[inner.start + 1:inner.stop + 1],
-                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(p_right[:-1], p_left[1:], rtol=1e-13,
+                                   atol=1e-14)
 
     def test_anchor_insensitive_preservation(self):
         # different anchor cells pin the background at different points, so
@@ -722,31 +715,81 @@ class TestCellMeanPath2D:
         assert op.fallback_cells > 0
 
 
-def full_reconstruction_rhs(op, state, monkeypatch):
-    """The right-hand side with every band cell's energy reconstructed by
-    the state pass and replaced by the equilibrium where the gate holds
-    (`np.where(good, ...)`): the reference of the lean state pass.  Returns
-    the RHS, the fallback count and the gate (*band)."""
+def full_reconstruction_rhs_1d(op, state):
+    """The 1-D right-hand side with every band cell's energy reconstructed
+    by the state pass and replaced by the equilibrium where the gate holds
+    (`np.where(good, ...)`): the reference of the lean state pass, built
+    from `build_profiles` or the LA stage, the product tables' source means
+    and the frame's `positivity_fallback` and `flux_divergence`.  Returns
+    the RHS, the fallback count and the gate (band cells)."""
+    scheme, grid, r = op.scheme, op.grid, op.scheme.radius
+    crop = grid.n_ghost - scheme.n_ghost
+    reach = slice(crop, grid.shape_tot[0] - crop)
+    cells = slice(crop + r, grid.shape_tot[0] - crop - r)
+    bg = scheme.n_ghost - r     # the band's ghost layers
+    data = state.copy()
+    op.fill_ghosts(data)
+    rec = op.cweno.coefficients(data[:, reach])     # (C, m, band cells)
+    faces = op._face_rows @ rec
+    face_l, face_r = faces.transpose(1, 0, 2)
+    g = op._g_rows[0]                               # (m_g, band cells)
+    e_window = stencil_windows(data[2, reach], (2 * r + 1,))
+    if scheme.piecewise_source:
+        terms = (rec[0][:, None] * g).reshape(-1, g.shape[-1])
+        profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
+                                  op._value_rows @ rec[:2], rec[:, 0],
+                                  data[0, cells], data[2, cells], op._mean)
+        if op.eos.deps_dp_constant is not None:
+            delta, eps_faces, good = profiles
+        else:
+            *_, eps, good = profiles
+            delta, eps_faces = energy_deviations(eps, e_window, op._mean)
+        e_faces = hydrostatic_energy_faces(
+            eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
+            op._face_rows)
+    else:
+        e_faces, good = op._equilibrium(rec, data[0, cells], data[2, cells],
+                                        e_window)
+    face_l[2] = np.where(good, e_faces[0], face_l[2])
+    face_r[2] = np.where(good, e_faces[1], face_r[2])
+    count = positivity_fallback(faces, data[:, cells], bg, good)
+    # the exact source means: s = sum_ij q_i mean_ij g_j for q = rho, rho u
+    la = scheme.well_balanced and not scheme.piecewise_source
+    means = product_tables(
+        op.cweno.exps, GravityInterp1D(scheme.order, *grid.spacing).exps,
+        equilibrium_points(scheme.n_quad, r if la else 0),
+        grid.spacing).means.reshape(len(rec[0]), len(g))
+    source = np.einsum("dic,ic->dc", rec[:2], means @ g)
+    out = np.zeros_like(data)
+    out[:, grid.interior] = flux_divergence(
+        ((face_l, face_r),), op.flux_fn, op.eos, op.boundary.axes,
+        grid.spacing, bg)
+    out[1:, grid.interior] += source[:, bg:-bg]
+    return out, count, good
+
+
+def full_reconstruction_rhs_2d(op, state, monkeypatch):
+    """`full_reconstruction_rhs_1d` for the 2-D operator on its flux band,
+    from the operator's own `_profiles_and_faces` (without the rejected
+    cells' energy faces) and `_sources`."""
     data = state.copy()
     op.fill_ghosts(data)
     reach = data[op._reach]
-    rec = op.cweno.coefficients(reach).reshape(
-        len(data), len(op.cweno.exps), -1)
+    rec = op.cweno.coefficients(reach).reshape(4, 6, -1)   # the band's cells
     faces = op._face_rows @ rec
     equilibrium = faces.copy()
     with monkeypatch.context() as patch:   # the equilibrium energy alone
         patch.setattr(operator1d, "rejected_energy_faces", lambda *args: None)
         good = op._profiles_and_faces(rec, reach, equilibrium)
-    faces[-1] = np.where(good.reshape(-1), equilibrium[-1], faces[-1])
-    shape, bg = op._shape, op._band_ghosts
-    count = positivity_fallback(faces.reshape(faces.shape[:2] + shape),
-                                reach[op._band], bg, good)
-    pair_shape, axes = op._pairs
+    faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
+    count = positivity_fallback(faces.reshape(faces.shape[:2] + op._shape),
+                                reach[:, 1:-1, 1:-1], 1, good)
+    xl, xr, yl, yr = faces.reshape((4, 4, -1) + op._shape).transpose(
+        1, 0, 3, 4, 2)
     out = np.zeros_like(data)
     out[interior_index(op.grid)] = flux_divergence(
-        faces.reshape((len(data),) + pair_shape).transpose(axes), op.flux_fn,
-        op.eos, op.boundary.axes, op.grid.spacing, bg, op._face_w) \
-        + op._sources(rec)[(slice(None),) + (slice(bg, -bg),) * len(shape)]
+        ((xl, xr), (yl, yr)), op.flux_fn, op.eos, op.boundary.axes,
+        op.grid.spacing, 1, op._face_w) + op._sources(rec)[:, 1:-1, 1:-1]
     return out, count, good
 
 
@@ -764,11 +807,10 @@ class TestLeanStatePass:
                              ids=["cell-means", "nodes"])
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("kind", ["dwb", "la", "dwb-s"])
-    def test_1d_matches_full_reconstruction(self, kind, order, eos,
-                                            monkeypatch):
+    def test_1d_matches_full_reconstruction(self, kind, order, eos):
         op, data = perturbed_op(eos, kind, order, stressed=True)
-        expected, count, good = full_reconstruction_rhs(op, data, monkeypatch)
-        assert rejected_in_band(good, op._band_ghosts) > 0
+        expected, count, good = full_reconstruction_rhs_1d(op, data)
+        assert rejected_in_band(good, op.scheme.n_ghost - op.scheme.radius) > 0
         assert np.array_equal(op.rhs(data), expected)
         assert op.fallback_cells == count
 
@@ -776,7 +818,8 @@ class TestLeanStatePass:
     @pytest.mark.parametrize("kind", ["la", "la-s"])
     def test_2d_matches_full_reconstruction(self, kind, scale, monkeypatch):
         op, data = polytrope_op(IdealGas(2.0), kind, scale)
-        expected, count, good = full_reconstruction_rhs(op, data, monkeypatch)
+        expected, count, good = full_reconstruction_rhs_2d(op, data,
+                                                           monkeypatch)
         assert rejected_in_band(good, 1) > 0   # `good` covers the band
         assert np.array_equal(op.rhs(data), expected)
         assert op.fallback_cells == count
