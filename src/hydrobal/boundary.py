@@ -156,6 +156,6 @@ def extrapolated_strips(cweno, data, sides, n_ghost, mean_table):
             else data[:, :-width - 1:-1] * MIRROR_SIGN
     # the stencil axis first for the blend: transposed views, no copies
     strips[..., :n_ghost] = cweno.reconstruct_stencils(
-        strips[..., n_ghost:].transpose(2, 0, 1), axis=0).transpose(1, 2, 0) \
+        strips[..., n_ghost:].transpose(2, 0, 1)).transpose(1, 2, 0) \
         @ mean_table
     return strips

@@ -1,9 +1,9 @@
 """Scenario library: analytic backgrounds, gravity fields, initializers.
 
 A scenario's dimension is the axis count of its domain.  Every scenario
-with an analytic background satisfies the hydrostatic equation exactly;
-`hydrostatic_residual` samples that, in 1-D and 2-D alike, as a
-self-consistency gate before any solver test touches the scenario.
+with an analytic background satisfies the hydrostatic equation exactly,
+which the tests check by sampling, in 1-D and 2-D alike, before any
+solver test touches the scenario.
 """
 
 import inspect
@@ -411,9 +411,10 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
     advances, on a 1-D grid.
 
     The discretization is the operator's own: its CWENO reconstruction
-    (with its `eps_w`), the gravity rows of its band, product exponents
-    and, on hydrostatic sides, ghost-mean table; the pieces' products are
-    the RHS's cells-last terms.  Density averages come from the scheme's
+    (with its `eps_w`), the gravity rows of its band (every cell from r
+    on whose stencil fits: the grid has the scheme's ghost width), product
+    exponents and, on hydrostatic sides, ghost-mean table; the pieces'
+    products are the RHS's cells-last terms.  Density averages come from the scheme's
     quadrature of the background; the anchor pressure is the background
     point value at the anchor cell and is propagated to every cell by
     enforcing pressure continuity of the piecewise equilibrium source at
@@ -439,23 +440,22 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
         set_edge_ghosts(data, sides, extrapolated_strips(
             cweno, data, sides, ng, operator._edge_means), ng)
 
-    # the pieces of the operator's band, the cells from `first` on whose
-    # stencil fits, and the RHS's product terms (m * m_g, cells), rec-major
-    first = operator._reach[1].start + r
-    rec = cweno.coefficients(data[0][operator._reach[1:]])
+    # the pieces of the operator's band, the cells from r on whose stencil
+    # fits, and the RHS's product terms (m * m_g, cells), rec-major
+    rec = cweno.coefficients(data[0])
     terms = (rec[:, None] * operator._g_rows[0]).reshape(-1, rec.shape[-1])
     # every piece at the Gauss nodes of its stencil cells and at its faces
-    tables = product_tables(*operator._exps, equilibrium_points(nq, first),
+    tables = product_tables(*operator._exps, equilibrium_points(nq, r),
                             grid.spacing)
     anti = terms.T @ tables.line[0]
     anchor = ng if anchor_cell is None else int(anchor_cell)
-    const = glued_constants(anti[:, -2], anti[:, -1], anchor - first,
+    const = glued_constants(anti[:, -2], anti[:, -1], anchor - r,
                             p_bg(grid.centers()[anchor]))
 
     # cell k averages piece k; the outer ghosts on each side, which have no
     # piece, continue the innermost piece
     cells = np.arange(n_tot)
-    piece = np.clip(cells, first, n_tot - 1 - first) - first
+    piece = np.clip(cells, r, n_tot - 1 - r) - r
     nodes_of = (cells - piece)[:, None] * nq + np.arange(nq)
     rho = (rec.T @ tables.values)[piece[:, None], nodes_of]
     p = const[piece, None] + anti[piece[:, None], nodes_of]
@@ -470,50 +470,3 @@ def discrete_equilibrium_init(scenario, operator, anchor_cell=None):
     eps = scenario.eos.internal_energy(rho, p)
     data[2] = np.sum(operator.quad_weights * eps, axis=-1) / grid.spacing[0]
     return CellField(grid, data)
-
-
-def _sample_points(scenario, n_samples, seed, h):
-    """Uniform random points 2h inside the domain, drawn axis by axis."""
-    rng = np.random.default_rng(seed)
-    lo, hi = scenario.domain[::2], scenario.domain[1::2]
-    return [rng.uniform(a + 2 * h, b - 2 * h, n_samples)
-            for a, b in zip(lo, hi)]
-
-
-def _central_gradient(f, points, h):
-    """Fourth-order central differences of f at `points`, one row per axis."""
-    def at(axis, s):
-        return f(*(x + s if a == axis else x for a, x in enumerate(points)))
-    return np.array([(-at(a, 2 * h) + 8 * at(a, h) - 8 * at(a, -h)
-                      + at(a, -2 * h)) / (12 * h) for a in range(len(points))])
-
-
-def _norm(vectors):
-    """Euclidean norm over the leading (axis) dimension; |x| in 1-D."""
-    return np.hypot.reduce(vectors, axis=0, initial=0.0)
-
-
-def hydrostatic_residual(scenario, n_samples=64, seed=0, h=5e-5):
-    """Max |grad p - rho g| / max(1, |rho g|) at random sample points.
-
-    The pressure gradient comes from fourth-order central differences; the
-    normalization keeps the gate meaningful for backgrounds spanning many
-    orders of magnitude without changing it for order-one profiles.
-    """
-    if scenario.background is None:
-        raise ConfigurationError(
-            f"scenario {scenario.name!r} has no background to check")
-    rho_bg, p_bg = scenario.background
-    points = _sample_points(scenario, n_samples, seed, h)
-    # gravity gives one array in 1-D and one per axis in 2-D
-    force = rho_bg(*points) * np.atleast_2d(scenario.gravity(*points))
-    residual = _norm(_central_gradient(p_bg, points, h) - force)
-    return float(np.max(residual / np.maximum(1.0, _norm(force))))
-
-
-def potential_gradient_residual(scenario, n_samples=64, seed=1, h=2e-4):
-    """Check g = -grad(phi) by fourth-order finite differences."""
-    points = _sample_points(scenario, n_samples, seed, h)
-    gravity = np.atleast_2d(scenario.gravity(*points))
-    dphi = _central_gradient(scenario.potential, points, h)
-    return float(np.max(_norm(gravity + dphi)))

@@ -4,8 +4,8 @@ Two models: the ideal gas law, and an ideal gas subject to radiation
 pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
 (`_quartic_root`); `_newton` confirms it with one Newton step and guards
-against a start that is not finite; no conversion iterates.  `thermo`
-returns several quantities of one (rho, p) state from a single
+against a start that is not finite or zero; no conversion iterates.
+`thermo` returns several quantities of one (rho, p) state from a single
 temperature, and `thermo_eps` the pressure and those quantities of one
 (rho, eps) state.  At the sizes of one right-hand side a radiation
 inversion costs about as much per numpy call as per point, so its cost is
@@ -126,11 +126,12 @@ class IdealGasRadiation:
     follows converges monotonically from above after its first step.
     `_newton` is that polish: one residual evaluation and one step confirm
     a start good to 1e-14, and it is the guard that raises `EosFailure`
-    when the start is not finite (a negative or NaN input).  It stays a
-    method of its own because the benchmark tracer (perfbench/spans.py)
-    counts its residual evaluations: one per inversion.  The kernels are
-    lean in numpy calls: the root works on in-place temporaries, and the
-    residuals and quantities share T^3 and take no power.
+    when the start is not finite (a negative or NaN input) or zero (a zero
+    pressure or energy).  It stays a method of its own because the
+    benchmark tracer (perfbench/spans.py) counts its residual evaluations:
+    one per inversion.  The kernels are lean in numpy calls: the root works
+    on in-place temporaries, and the residuals and quantities share T^3 and
+    take no power.
     """
 
     name = "ideal-radiation"
@@ -171,6 +172,9 @@ class IdealGasRadiation:
                     raise EosFailure("no temperature for a negative or NaN "
                                      "input", rho=rho, other=target)
                 t_new = np.where(t_new > 0.0, t_new, 0.5 * t)
+                if not t_new.min(initial=np.inf) > 0.0:   # a zero start
+                    raise EosFailure("no temperature for a zero pressure or "
+                                     "energy", rho=rho, other=target)
             if (np.abs(step) / t_new).max(initial=0.0) <= _NEWTON_TOL:
                 return t_new
             t = t_new

@@ -56,7 +56,7 @@ class Grid:
                            indexing="ij")
 
     def require_ghosts(self, needed):
-        if self.n_ghost < needed:
+        if self.n_ghost != needed:
             raise ConfigurationError(
                 f"scheme needs {needed} ghost cells but the grid has {self.n_ghost}"
             )

@@ -1,12 +1,12 @@
 """Semi-discrete right-hand side of the Euler equations with gravity, in
 1-D and 2-D: one spatial operator for every scheme.
 
+The grid has exactly the `scheme.n_ghost` ghost layers the scheme reads.
 Every per-cell layer runs on the band, the cells whose stencil fits inside
-the `scheme.n_ghost` ghost layers the operator reads (a wider grid is
-cropped to them), cells last: the coefficients (C, m, cells), the gravity
-rows, the product tables, the gravity-contracted source rows, the energy
-windows (a strided view of the ghosted energy) and the face buffer (C,
-face rows, cells).  The shared frame (`boundary.fill_sides` and
+them, cells last: the coefficients (C, m, cells), the gravity rows, the
+product tables, the gravity-contracted source rows, the energy windows (a
+strided view of the ghosted energy) and the face buffer (C, face rows,
+cells).  The shared frame (`boundary.fill_sides` and
 `physics`' positivity fallback, flux divergence and CFL rate) sees the
 band as a state with n_ghost - r ghost layers.  The scheme selects the
 equilibrium (DWB: `build_profiles`; LA and LA-S: the stage
@@ -72,9 +72,10 @@ def _fill_layout(n_ghost, first, n_quad):
 
 
 def check_grid(grid, scheme, boundary):
-    """Reject a grid that `scheme` cannot run on with `boundary`: too few
-    ghost layers, or too few cells for the ghost fill (the side fills read
-    n_ghost interior cells per axis, a hydrostatic edge strip `order`)."""
+    """Reject a grid that `scheme` cannot run on with `boundary`: a ghost
+    width other than the scheme's, or too few cells for the ghost fill (the
+    side fills read n_ghost interior cells per axis, a hydrostatic edge
+    strip `order`)."""
     scheme.validate_dimension(len(grid.cells))
     grid.require_ghosts(scheme.n_ghost)
     ng, n = grid.n_ghost, min(grid.cells)
@@ -134,13 +135,9 @@ class SpatialOperator:
                 rho_fn(*x), eos.internal_energy(rho_fn(*x), p_fn(*x))],
                 grid, 5)
 
-        # the cells the operator reads, and within them the band, which
-        # the frame sees with n_ghost - r ghost layers
-        crop = ng - scheme.n_ghost
-        self._reach = (slice(None),) + tuple(slice(crop, n - crop)
-                                             for n in grid.shape_tot)
+        # the band, which the frame sees with n_ghost - r ghost layers
         self._band = (slice(None),) + (slice(r, -r or None),) * dim
-        self._band_ghosts = bg = scheme.n_ghost - r
+        self._band_ghosts = bg = ng - r
         self._shape = tuple(n + 2 * bg for n in grid.cells)
         # the interior cells of the grid and of the band, and the band's
         # flux band: its interior and one ghost layer per side
@@ -161,7 +158,7 @@ class SpatialOperator:
         self._g_rows = np.empty((dim, m_g, prod(self._shape)))
         for rows, a in zip(self._g_rows, accel):
             rows[...] = interp.fit(stencil_windows(
-                a[self._reach[1:]], (2 * r + 1,) * dim)).reshape(m_g, -1)
+                a, (2 * r + 1,) * dim)).reshape(m_g, -1)
         self.quad_nodes, self.quad_weights = gauss_nodes_weights_centered(
             nq, grid.spacing[0])
         self._mean = self.quad_weights / grid.spacing[0]
@@ -280,7 +277,7 @@ class SpatialOperator:
         # one CWENO call: density and momentum of every piece; one product
         # evaluates each slot's piece at the slot's nodes and faces
         rec = self.cweno.reconstruct_stencils(
-            strips[:2, :, self._piece_windows].transpose(2, 0, 1, 3), axis=0)
+            strips[:2, :, self._piece_windows].transpose(2, 0, 1, 3))
         at = (rec.transpose(1, 2, 3, 0).reshape(2, len(sides), 1, -1)
               @ self._slot_tables) \
             .reshape(2, len(sides), ng + 1, 2, nq + 2)
@@ -322,11 +319,11 @@ class SpatialOperator:
         """The equilibrium of the band, its energy faces written in place.
 
         `rec` holds the band's coefficients (C, m, cells), DWB's and LA's
-        without the energy, `data` the state of the cells the operator
-        reads (`_reach`), and `faces` (C, face rows, cells) the face states,
-        whose energies are written in place: the equilibrium's, the
-        standard ones where the gate fails (the -S variants keep their
-        state pass's, DWB and LA take them from `rejected_energy_faces`).
+        without the energy, `data` the ghosted state, and `faces` (C, face
+        rows, cells) the face states, whose energies are written in place:
+        the equilibrium's, the standard ones where the gate fails (the -S
+        variants keep their state pass's, DWB and LA take them from
+        `rejected_energy_faces`).
         Returns the gate (*cells).
         """
         scheme, eos, r = self.scheme, self.eos, self.scheme.radius
@@ -353,7 +350,7 @@ class SpatialOperator:
                 delta, eps_faces = energy_deviations(eps, e_window(),
                                                      self._mean)
             e_wb = hydrostatic_energy_faces(
-                eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
+                eps_faces, self.cweno.reconstruct_stencils(delta),
                 self._face_rows)
         else:
             e_wb, good = self._equilibrium(rec, rho_hat, e_hat, e_window())
@@ -391,15 +388,14 @@ class SpatialOperator:
         self.fill_ghosts(data)
 
         # the band's coefficients (C, m, cells) and faces (C, faces, cells)
-        reach = data[self._reach]
-        rec = self.cweno.coefficients(reach[:-1] if self._lean else reach) \
+        rec = self.cweno.coefficients(data[:-1] if self._lean else data) \
             .reshape(-1, len(self.cweno.exps), self._g_rows.shape[-1])
         faces = np.empty((len(data), len(self._face_rows), rec.shape[2]))
         np.matmul(self._face_rows, rec, out=faces[:len(rec)])
-        good = (self._profiles_and_faces(rec, reach, faces)
+        good = (self._profiles_and_faces(rec, data, faces)
                 if self.scheme.well_balanced else None)
         self.fallback_cells += positivity_fallback(
-            faces.reshape(faces.shape[:2] + self._shape), reach[self._band],
+            faces.reshape(faces.shape[:2] + self._shape), data[self._band],
             self._band_ghosts, good)
         shape, axes = self._pairs
         out = np.zeros_like(data)

@@ -5,7 +5,9 @@ x0 is the anchor (normally a cell center).  Keeping the anchor local keeps
 coefficients well scaled at small cell widths.  All helpers operate on the
 trailing axis so batches of per-cell polynomials vectorize naturally.
 The solver evaluates through `reconstruct.product_tables`; these Horner
-helpers are the reference that the tests compare against.
+helpers are the reference that the tests compare against.  They stay in
+the package while the benchmark tracer (perfbench/spans.py) patches them
+by name; the exact integral and cell mean are test oracles only.
 """
 
 import numpy as np
@@ -30,15 +32,6 @@ def poly_antiderivative(coeffs):
     return out
 
 
-def poly_integrate(coeffs, a, b):
-    """Exact definite integral between offsets a and b from the anchor.
-
-    Extrapolation (offsets outside the cell) is legal.
-    """
-    anti = poly_antiderivative(coeffs)
-    return poly_eval(anti, b) - poly_eval(anti, a)
-
-
 def poly_mul(c1, c2):
     """Product of two polynomials sharing an anchor."""
     c1 = np.asarray(c1)
@@ -49,10 +42,3 @@ def poly_mul(c1, c2):
         for j in range(n2):
             out[..., i + j] += c1[..., i] * c2[..., j]
     return out
-
-
-def poly_cell_average(coeffs, width, offset=0.0):
-    """Exact mean over an interval of the given width centered at `offset`."""
-    lo = offset - 0.5 * width
-    hi = offset + 0.5 * width
-    return poly_integrate(coeffs, lo, hi) / width

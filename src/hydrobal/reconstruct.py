@@ -186,23 +186,20 @@ def _regularization(eps_w, default):
 class _CwenoBlend:
     """The CWENO nonlinear-weight blend shared by `Cweno1D` and `Cweno2D`.
 
-    `_blend` maps stencil windows (..., n_window), centered on the middle
-    entry, to physical coefficients (..., n_coeff), with cells on the last
-    axis throughout; with `axis=0` the windows come as (n_window, ...) and
-    the coefficients go out as (n_coeff, ...), cells last, with no
-    transposition, and with a tuple of leading axes, `axis=(0, 1)`, they
-    come as a stencil laid out over several axes in C order, a 3x3 window
-    as (3, 3, ...), so that a strided view of a field needs no reshape
-    copy.  The windows become deviations (n_window, cells) from the
-    central average, the one copy of the windows.  The per-cell work is a
-    fixed sequence on the compact cached table (`_blend_table`): rows =
-    table @ deviation; beta = indicator @ rows^2 over the indicator rows,
-    so beta_k = u_k^T A u_k >= 0 without forming A; the weights, normalised
-    in place; each coefficient row times its candidate's weight; one
-    product with `_collect`, the placement with 1/scale folded in, gives
-    the physical coefficients (n_coeff, cells); the central average goes
-    back into the constant, and the result is transposed back unless the
-    stencil axis came first.
+    `_blend` maps stencil windows, stencil first and centered on the
+    middle entry, to physical coefficients (n_coeff, ...), cells last.
+    With `axis=0` the windows come as (n_window, ...); with a tuple of
+    leading axes, `axis=(0, 1)`, as a stencil laid out over several axes
+    in C order, a 3x3 window as (3, 3, ...), so that a strided view of a
+    field needs no reshape copy.  The windows become deviations (n_window,
+    cells) from the central average, the one copy of the windows.  The
+    per-cell work is a fixed sequence on the compact cached table
+    (`_blend_table`): rows = table @ deviation; beta = indicator @ rows^2
+    over the indicator rows, so beta_k = u_k^T A u_k >= 0 without forming
+    A; the weights, normalised in place; each coefficient row times its
+    candidate's weight; one product with `_collect`, the placement with
+    1/scale folded in, gives the physical coefficients (n_coeff, cells);
+    the central average goes back into the constant.
     """
 
     def coefficients(self, values):
@@ -221,11 +218,8 @@ class _CwenoBlend:
         self._table, self._indicator, self._owner, place, self._dlin = tables
         self._collect, = _frozen(place / scale[:, None])
 
-    def _blend(self, window, axis=-1):
+    def _blend(self, window, axis):
         cols = np.asarray(window, dtype=float)
-        leading = axis == 0 or isinstance(axis, tuple)
-        if not leading:
-            cols = np.moveaxis(cols, axis, 0)
         n_axes = len(axis) if isinstance(axis, tuple) else 1
         stencil, lead = cols.shape[:n_axes], cols.shape[n_axes:]
         center = cols[tuple(s // 2 for s in stencil)]
@@ -253,9 +247,7 @@ class _CwenoBlend:
         out = (self._collect @ coeffs)[:, :cells]
         constant = out[0].reshape(lead)   # a view of the contiguous row
         constant += center
-        if leading:
-            return out.reshape((out.shape[0],) + lead)
-        return out.T.reshape(lead + (out.shape[0],))
+        return out.reshape((out.shape[0],) + lead)
 
 
 @lru_cache(maxsize=None)
@@ -295,9 +287,8 @@ class Cweno1D(_CwenoBlend):
         self._set_table(_cweno_1d_table(order),
                         self.dx ** np.arange(order, dtype=float))
 
-    def reconstruct_stencils(self, window, axis=-1):
-        """Stencil values (..., m) -> physical coefficients (..., m); with
-        `axis=0` or `axis=(0,)`, (m, ...) -> (m, ...)."""
+    def reconstruct_stencils(self, window, axis=0):
+        """Stencil values (m, ...) -> physical coefficients (m, ...)."""
         return self._blend(window, axis)
 
 
@@ -455,10 +446,9 @@ class Cweno2D(_CwenoBlend):
             _cweno_2d_table(self.dy / self.dx),
             np.array([self.dx ** a * self.dy ** b for (a, b) in MONOMIALS_DEG2]))
 
-    def reconstruct_stencils(self, window, axis=-1):
-        """Stencil values (..., 9) ordered by (x offset, y offset) -> coeffs
-        (..., 6); with `axis=0`, (9, ...) -> (6, ...), and with
-        `axis=(0, 1)`, (3, 3, ...) -> (6, ...)."""
+    def reconstruct_stencils(self, window, axis=0):
+        """Stencil values (9, ...) ordered by (x offset, y offset) -> coeffs
+        (6, ...); with `axis=(0, 1)`, (3, 3, ...) -> (6, ...)."""
         return self._blend(window, axis)
 
 

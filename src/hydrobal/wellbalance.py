@@ -399,7 +399,7 @@ class LocalEquilibrium:
             delta = e_window - b * (p0 + lines[1:self._stencil + 1])
             eps_faces = b * (p0 + lines[self._stencil + 1:])
         return hydrostatic_energy_faces(
-            eps_faces, self.cweno.reconstruct_stencils(delta, axis=0),
+            eps_faces, self.cweno.reconstruct_stencils(delta),
             self._face_rows), good
 
     def _terms(self, rho, cells):

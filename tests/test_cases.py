@@ -7,14 +7,12 @@ import pytest
 from hydrobal.cases import (
     SCENARIOS,
     grid_for,
-    hydrostatic_residual,
     init_cell_averages,
     isothermal_1d,
     isothermal_perturbed_1d,
     make_scenario,
     polytrope_2d,
     polytropic_radiation_1d,
-    potential_gradient_residual,
     radial_rayleigh_taylor_2d,
     relaxation_1d,
     riemann_on_equilibrium_1d,
@@ -23,6 +21,8 @@ from hydrobal.errors import ConfigurationError, InitializationError
 from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.runner import run
 from hydrobal.scheme import Scheme
+
+from oracles import hydrostatic_residual, potential_gradient_residual
 
 
 ALL_BACKGROUND_SCENARIOS = [

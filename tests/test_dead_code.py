@@ -12,13 +12,12 @@ import hydrobal
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 # reference implementations with no caller in the package, which the tests
-# compare against: the scenario self-checks; the Horner product and the exact
-# cell mean of `poly`; the solid-wall flux in a call of its own.
-# perfbench/spans.py patches `poly_mul` and `wall_boundary_flux` by name, so
-# they stay in the package until the tracer stops patching them (ROADMAP
-# item 1)
-ALLOWED = {"hydrostatic_residual", "potential_gradient_residual",
-           "poly_mul", "poly_cell_average", "wall_boundary_flux"}
+# compare against: the Horner helpers of `poly` and the solid-wall flux in a
+# call of its own.  perfbench/spans.py patches them by name, so they stay in
+# the package until the tracer stops patching them (ROADMAP item 1); every
+# other test-only name lives in the tests (`tests/oracles.py`)
+ALLOWED = {"poly_eval", "poly_antiderivative", "poly_mul",
+           "wall_boundary_flux"}
 
 # private methods reached without their name in the source:
 # `IdealGasRadiation.thermo` and `thermo_eps` call the radiation kernels
@@ -107,6 +106,12 @@ def _tracer_only_names():
                     and isinstance(node.value, ast.Name):
                 names |= {(module, target.id) for target in node.targets}
     return names
+
+
+def test_every_exemption_is_a_tracer_target():
+    # test-only code stays in the package only where the tracer pins it
+    patched = {path.split(".")[0] for _, path in _tracer_targets()}
+    assert sorted(ALLOWED - patched) == []
 
 
 def test_every_tracer_only_name_is_a_tracer_target():

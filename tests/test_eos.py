@@ -266,10 +266,11 @@ class TestScalarInputs:
             assert len(bits) == 1
 
     @pytest.mark.parametrize("rho, p", [
-        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0),
+        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
         (np.ones(3), np.array([1.0, -2.0, 3.0])),
         (np.array([1.0, np.nan]), np.ones(2))],
-        ids=["negative", "nan-p", "nan-rho", "array-negative", "array-nan"])
+        ids=["negative", "nan-p", "nan-rho", "zero", "array-negative",
+             "array-nan"])
     def test_bad_input_raises(self, rho, p):
         eos = IdealGasRadiation(1.4)
         with np.errstate(invalid="ignore"):
@@ -279,15 +280,23 @@ class TestScalarInputs:
                 eos.thermo(rho, p, "internal_energy")
 
     @pytest.mark.parametrize("rho, other", [
-        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0),
+        (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
         (np.array([1.0, np.nan]), np.ones(2))],
-        ids=["negative", "nan-p", "nan-rho", "array-nan"])
+        ids=["negative", "nan-p", "nan-rho", "zero", "array-nan"])
     def test_bad_input_raises_at_the_first_step(self, rho, other):
         eos = IdealGasRadiation(1.4)
         with np.errstate(invalid="ignore"):
             for invert in (eos.temperature_from_p, eos.temperature_from_eps):
                 assert newton_evaluations(invert, rho, other,
                                           raises=EosFailure) == 1
+
+    @pytest.mark.parametrize("name", ["temperature_from_p", "pressure",
+                                      "internal_energy"])
+    def test_zero_input_is_named(self, name):
+        # a zero pressure or energy has the root T = 0, where the polish's
+        # relative step would divide 0 by 0
+        with pytest.raises(EosFailure, match="zero pressure or energy"):
+            getattr(IdealGasRadiation(1.4), name)(1.0, 0.0)
 
     @pytest.mark.parametrize("cast", [float, np.array, lambda v: np.array([v])],
                              ids=["float", "0-d", "1-element"])

@@ -180,58 +180,31 @@ def test_grid_smaller_than_ghost_width_rejected(n_x, n_y):
 # -- the flux band -----------------------------------------------------------
 
 
-def periodic_scenario():
-    """A moving periodic state under a smooth gravity field."""
-    return Scenario(
-        name="periodic-2d", domain=(0, 1, 0, 1), eos=IdealGas(1.4),
-        boundary=BoundarySpec2D(*["periodic"] * 4), t_end=1.0,
-        gravity=lambda x, y: (np.sin(2 * np.pi * x) + 0 * y,
-                              np.cos(2 * np.pi * y) + 0 * x),
-        potential=lambda x, y: np.zeros_like(x + y),
-        initial=lambda x, y: (1.0 + 0.2 * np.sin(2 * np.pi * (x + y)),
-                              0.1 * np.cos(2 * np.pi * y) + 0 * x,
-                              0.1 * np.sin(2 * np.pi * x) + 0 * y,
-                              2.0 + 0.3 * np.cos(2 * np.pi * x) + 0 * y),
-        background=None)
+@pytest.mark.parametrize("name, kind, order, sides", [
+    pytest.param("isothermal-sin", "dwb", 5, ("periodic", "periodic"),
+                 id="1d-periodic"),
+    pytest.param("isothermal-10x", "la", 3,
+                 ("hydrostatic-extrapolation", "solid-wall"),
+                 id="1d-hydrostatic"),
+    pytest.param("polytrope-2d", "la", 3, None, id="2d")])
+@pytest.mark.parametrize("delta", [-1, 1], ids=["narrower", "wider"])
+def test_grid_of_another_ghost_width_rejected(name, kind, order, sides,
+                                              delta):
+    # the operator reads exactly the scheme's ghost layers: a hydrostatic
+    # fill or a stencil on a grid of any other width would read the wrong
+    # cells, so such a grid is rejected, naming both widths
+    from hydrobal.errors import ConfigurationError
 
-
-@pytest.mark.parametrize("kind", ["standard", "la", "la-s"])
-@pytest.mark.parametrize("name", ["periodic", "polytrope-2d"])
-def test_wider_ghost_layer_gives_the_same_rhs(name, kind):
-    # the operator works on the flux band and the cells its stencils read,
-    # so ghost cells beyond those change nothing
-    scen = periodic_scenario() if name == "periodic" \
-        else make_scenario("polytrope-2d", perturbation=1e-3)
-    scheme = Scheme(kind, 3)
-    rhs = []
-    for g in (2, 4):
-        grid = Grid(scen.domain, (12, 12), g)
-        data = init_cell_averages(scen, grid).data
-        op = make_operator(scen, grid, scheme)
-        op.set_initial_state(data)
-        rhs.append(op.rhs(data)[(slice(None),) + grid.interior])
-    np.testing.assert_array_equal(*rhs)
-
-
-@pytest.mark.parametrize("sides", [("periodic", "periodic"),
-                                   ("dirichlet", "dirichlet")])
-@pytest.mark.parametrize("order", [3, 5])
-@pytest.mark.parametrize("kind", ["standard", "dwb", "dwb-s", "la", "la-s"])
-def test_wider_ghost_layer_gives_the_same_rhs_1d(kind, order, sides):
-    # the one operator reads `scheme.n_ghost` ghost layers of a 1-D grid as
-    # of a 2-D one, so wider layers change nothing
-    scen = make_scenario("isothermal-perturbed", eta=1e-2)
-    scen.boundary = BoundarySpec1D(*sides)
+    scen = make_scenario(name)
+    if sides is not None:
+        scen.boundary = BoundarySpec1D(*sides)
     scheme = Scheme(kind, order)
-    rhs = []
-    for g in (scheme.n_ghost, scheme.n_ghost + 2):
-        grid = Grid(scen.domain, (24,), g)
-        data = init_cell_averages(scen, grid).data
-        data[1] = 0.1 * data[0] * np.sin(2 * np.pi * grid.centers())
-        op = make_operator(scen, grid, scheme)
-        op.set_initial_state(data)
-        rhs.append(op.rhs(data)[:, grid.interior])
-    np.testing.assert_array_equal(*rhs)
+    width = scheme.n_ghost + delta
+    grid = grid_for(scen, 24, width)
+    with pytest.raises(ConfigurationError,
+                       match=f"needs {scheme.n_ghost} ghost cells but the "
+                             f"grid has {width}"):
+        make_operator(scen, grid, scheme)
 
 
 @pytest.mark.parametrize("kind, expected", [

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hydrobal.errors import ConfigurationError
-from hydrobal.poly import poly_integrate
 from hydrobal.quadrature import gauss_legendre
+
+from oracles import poly_integrate
 
 
 def test_midpoint_rule():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrobal.errors import ConfigurationError
-from hydrobal.poly import poly_cell_average, poly_eval
+from hydrobal.poly import poly_eval
 from hydrobal.quadrature import gauss_nodes_weights_centered
 from hydrobal.reconstruct import (
     MONOMIALS_DEG2,
@@ -23,6 +23,8 @@ from hydrobal.reconstruct import (
     _smoothness_form_2d,
     stencil_windows,
 )
+
+from oracles import poly_cell_average
 
 # the fixed profile of the property tests: deterministic, bounded
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
@@ -354,7 +356,7 @@ def _test_windows(m, rng):
 
 
 def _assert_matches_oracle(scheme, form, window, label):
-    got = scheme.reconstruct_stencils(window)
+    got = scheme.reconstruct_stencils(window.T).T
     ref = _reference_blend(scheme, form, window)
     # compare scaled coefficients against the window scale
     scale = np.abs(window).max()
@@ -482,21 +484,21 @@ class TestBlendLayouts:
         values = np.cumsum(rng.standard_normal((3, 40)), axis=-1)
         strided = np.lib.stride_tricks.sliding_window_view(values, order,
                                                            axis=-1)
-        self._assert_layouts(scheme, strided)
+        self._assert_layouts(scheme, np.moveaxis(strided, -1, 0))
 
     def test_2d_layouts_identical(self):
         rng = np.random.default_rng(90)
         scheme = Cweno2D(0.03, 0.05)
         values = np.cumsum(rng.standard_normal((3, 9, 9)), axis=-1)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            values, (3, 3), axis=(-2, -1)).reshape(3, 49, 9)
+        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+            values, (3, 3), axis=(-2, -1)).reshape(3, 49, 9), -1, 0)
         # a strided view: every other row of a batch with each window twice
-        self._assert_layouts(scheme, np.repeat(windows, 2, axis=1)[:, ::2])
+        self._assert_layouts(scheme, np.repeat(windows, 2, axis=2)[..., ::2])
         # the stencil over two leading axes, as the field's strided view
-        leading = np.moveaxis(windows.reshape(3, 49, 3, 3), (2, 3), (0, 1))
+        leading = windows.reshape(3, 3, 3, 49)
         np.testing.assert_array_equal(
             scheme.reconstruct_stencils(leading, axis=(0, 1)),
-            np.moveaxis(scheme.reconstruct_stencils(windows), -1, 0))
+            scheme.reconstruct_stencils(windows))
 
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_1d_cells_last_is_the_cells_first_fit_moved(self, order):
@@ -508,7 +510,8 @@ class TestBlendLayouts:
                                                            axis=-1)
         np.testing.assert_array_equal(
             scheme.coefficients(values),
-            np.moveaxis(scheme.reconstruct_stencils(windows), -1, -2))
+            np.moveaxis(scheme.reconstruct_stencils(
+                np.moveaxis(windows, -1, 0)), 0, -2))
 
     def test_2d_cells_last_is_the_cells_first_fit_moved(self):
         # the cells-last coefficients are the cells-first fit of every
@@ -519,36 +522,37 @@ class TestBlendLayouts:
         values = np.cumsum(rng.standard_normal((4, 11, 9)), axis=-1)
         windows = np.lib.stride_tricks.sliding_window_view(
             values, (3, 3), axis=(-2, -1)).reshape(4, 9, 7, 9)
-        cells_first = scheme.reconstruct_stencils(windows)
+        fit = scheme.reconstruct_stencils(np.moveaxis(windows, -1, 0))
         np.testing.assert_array_equal(scheme.coefficients(values),
-                                      np.moveaxis(cells_first, -1, -3))
+                                      np.moveaxis(fit, 0, -3))
 
     @staticmethod
     def _assert_layouts(scheme, strided):
-        """Leading shape (3, n, m): strided view, contiguous, Fortran-ordered,
-        flattened and window-by-window calls give identical coefficients."""
+        """Stencil-first shape (m, 3, n): strided view, contiguous,
+        Fortran-ordered, flattened and window-by-window calls give identical
+        coefficients."""
         assert strided.ndim == 3 and not strided.flags.c_contiguous
-        m = strided.shape[-1]
+        m = strided.shape[0]
         ref = scheme.reconstruct_stencils(np.ascontiguousarray(strided))
-        assert ref.shape == strided.shape[:-1] + (len(scheme.exps),)
+        assert ref.shape == (len(scheme.exps),) + strided.shape[1:]
         for variant in (strided, np.asfortranarray(strided)):
             np.testing.assert_array_equal(
                 scheme.reconstruct_stencils(variant), ref)
         np.testing.assert_array_equal(
-            scheme.reconstruct_stencils(strided.reshape(-1, m)),
-            ref.reshape(-1, ref.shape[-1]))
-        for i in range(strided.shape[0]):
-            for j in range(strided.shape[1]):
-                single = scheme.reconstruct_stencils(strided[i, j])
-                assert single.shape == ref.shape[-1:]
-                np.testing.assert_array_equal(single, ref[i, j])
+            scheme.reconstruct_stencils(strided.reshape(m, -1)),
+            ref.reshape(ref.shape[0], -1))
+        for i in range(strided.shape[1]):
+            for j in range(strided.shape[2]):
+                single = scheme.reconstruct_stencils(strided[:, i, j])
+                assert single.shape == ref.shape[:1]
+                np.testing.assert_array_equal(single, ref[:, i, j])
 
     def test_order_one_is_the_cell_average(self):
         scheme = Cweno1D(1, 0.3)
         values = np.random.default_rng(5).standard_normal((3, 17))
-        coeffs = scheme.reconstruct_stencils(values[..., None])
-        assert coeffs.shape == (3, 17, 1)
-        np.testing.assert_array_equal(coeffs[..., 0], values)
+        coeffs = scheme.reconstruct_stencils(values[None])
+        assert coeffs.shape == (1, 3, 17)
+        np.testing.assert_array_equal(coeffs[0], values)
         np.testing.assert_array_equal(scheme.coefficients(values)[..., 0, :],
                                       values)
 
@@ -590,9 +594,10 @@ class TestCachedTables:
         rng = np.random.default_rng(12)
         window = np.cumsum(rng.standard_normal((30, 5)), axis=-1)
         h = 0.013
-        coarse = Cweno1D(5, h, eps_w=1e-3).reconstruct_stencils(window)
+        coarse = Cweno1D(5, h, eps_w=1e-3).reconstruct_stencils(window.T)
         for factor in (2.0, 0.1, 7.0):
             fine = Cweno1D(5, factor * h, eps_w=1e-3).reconstruct_stencils(
-                window)
-            np.testing.assert_allclose(fine * factor ** np.arange(5), coarse,
-                                       rtol=1e-14, atol=0.0)
+                window.T)
+            np.testing.assert_allclose(
+                fine * factor ** np.arange(5)[:, None], coarse, rtol=1e-14,
+                atol=0.0)

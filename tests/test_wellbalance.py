@@ -7,7 +7,6 @@ import pytest
 from hydrobal.cases import (
     discrete_equilibrium_init,
     grid_for,
-    hydrostatic_residual,
     init_cell_averages,
     isothermal_1d,
     make_scenario,
@@ -38,6 +37,8 @@ from hydrobal.wellbalance import (
     hydrostatic_energy_faces,
 )
 
+from oracles import hydrostatic_residual
+
 
 class NodeIdealGas(IdealGas):
     """The ideal gas without its constant d eps/dp, so the equilibrium
@@ -64,14 +65,14 @@ def node_eos(eos):
 
 def band(op):
     """The grid cells of the 1-D operator's band, whose stencil fits."""
-    first = op._reach[1].start + op.scheme.radius
-    return slice(first, op.grid.shape_tot[0] - first)
+    r = op.scheme.radius
+    return slice(r, op.grid.shape_tot[0] - r)
 
 
 def windows(op, values):
     """The stencils of the band cells over `values` (*grid), (stencil
     cells, band cells)."""
-    return stencil_windows(values[op._reach[1]], (2 * op.scheme.radius + 1,))
+    return stencil_windows(values, (2 * op.scheme.radius + 1,))
 
 
 def profiles(op, data):
@@ -82,7 +83,7 @@ def profiles(op, data):
     coefficients of each cell's source antiderivative and `eps` the
     internal energy.  DWB's come from `build_profiles`, LA's from the
     operator's stage."""
-    rec = op.cweno.coefficients(data[:, op._reach[1]])
+    rec = op.cweno.coefficients(data)
     if op.scheme.piecewise_source:
         terms = (rec[0][:, None] * op._g_rows[0]).reshape(-1, rec.shape[-1])
         p, rho, eps, ok = build_profiles(
@@ -164,18 +165,19 @@ class TestSources:
 
     def test_la_and_dwb_agree_for_global_polynomial_source(self):
         # linear rho and constant g: rho^rec * g^int is one global polynomial
-        grid = Grid((0.0, 1.0), (16,), 3)
-        data = np.zeros((3, grid.shape_tot[0]))
-        data[0] = 2.0 + 0.5 * grid.centers()  # exact averages of a linear profile
-        data[2] = 10.0
         out = []
         for kind in ("dwb", "la"):
-            op = SpatialOperator(grid, Scheme(kind, 3), IdealGas(1.4),
+            scheme = Scheme(kind, 3)
+            grid = Grid((0.0, 1.0), (16,), scheme.n_ghost)
+            data = np.zeros((3, grid.shape_tot[0]))
+            data[0] = 2.0 + 0.5 * grid.centers()  # exact linear averages
+            data[2] = 10.0
+            op = SpatialOperator(grid, scheme, IdealGas(1.4),
                                  lambda x: -np.ones_like(x), BoundarySpec1D())
-            # grid cells 2..19: LA's band, and DWB's without its outer
-            # cells, whose profiles glue pieces wrapped around the band
-            first = band(op).start
-            out.append(profiles(op, data)[0][2 - first:20 - first])
+            # cells -1..16: LA's band, and DWB's without its outer cells,
+            # whose profiles glue pieces wrapped around the band
+            first = grid.n_ghost - 1 - band(op).start
+            out.append(profiles(op, data)[0][first:first + 18])
         np.testing.assert_allclose(out[0], out[1], rtol=1e-12, atol=1e-12)
 
 
@@ -380,7 +382,7 @@ class TestEquilibriumConsistency:
         p, rho, ok, rec, anti, eps = profiles(op, data)
         delta, eps_faces = deviations(op, eps, data)
         e_faces = hydrostatic_energy_faces(
-            eps_faces.T, op.cweno.reconstruct_stencils(delta.T, axis=0),
+            eps_faces.T, op.cweno.reconstruct_stencils(delta.T),
             op._face_rows).T
         face_l = poly_eval(rec, -grid.spacing[0] / 2)
         face_r = poly_eval(rec, grid.spacing[0] / 2)
@@ -434,8 +436,13 @@ class TestTheoremResidual:
 
 
 @pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
-                                ("hydrostatic-extrapolation", "solid-wall")],
-                         ids=["dirichlet", "extrapolation-wall"])
+                                ("hydrostatic-extrapolation", "solid-wall"),
+                                ("solid-wall", "hydrostatic-extrapolation"),
+                                ("hydrostatic-extrapolation", "dirichlet"),
+                                ("dirichlet", "solid-wall")],
+                         ids=["dirichlet", "extrapolation-wall",
+                              "wall-extrapolation", "extrapolation-dirichlet",
+                              "dirichlet-wall"])
 @pytest.mark.parametrize("kind", ["dwb", "dwb-s"])
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("scenario, n", [("isothermal-10x", 128),
@@ -443,7 +450,8 @@ class TestTheoremResidual:
                                          ("riemann-on-equilibrium", 64)])
 def test_discrete_equilibrium_residual(scenario, n, order, kind, bc):
     # the discrete equilibrium of each scheme is a fixed point of its RHS,
-    # ghost fills included, for both EoS and across the Riemann jump
+    # ghost fills included, for both EoS and across the Riemann jump, with
+    # hydrostatic sides on either end, mirrored or beside a Dirichlet side
     scen = make_scenario(scenario)
     scen.boundary = BoundarySpec1D(*bc)
     scheme = Scheme(kind, order)
@@ -723,17 +731,15 @@ def full_reconstruction_rhs_1d(op, state):
     and the frame's `positivity_fallback` and `flux_divergence`.  Returns
     the RHS, the fallback count and the gate (band cells)."""
     scheme, grid, r = op.scheme, op.grid, op.scheme.radius
-    crop = grid.n_ghost - scheme.n_ghost
-    reach = slice(crop, grid.shape_tot[0] - crop)
-    cells = slice(crop + r, grid.shape_tot[0] - crop - r)
+    cells = slice(r, grid.shape_tot[0] - r)
     bg = scheme.n_ghost - r     # the band's ghost layers
     data = state.copy()
     op.fill_ghosts(data)
-    rec = op.cweno.coefficients(data[:, reach])     # (C, m, band cells)
+    rec = op.cweno.coefficients(data)               # (C, m, band cells)
     faces = op._face_rows @ rec
     face_l, face_r = faces.transpose(1, 0, 2)
     g = op._g_rows[0]                               # (m_g, band cells)
-    e_window = stencil_windows(data[2, reach], (2 * r + 1,))
+    e_window = stencil_windows(data[2], (2 * r + 1,))
     if scheme.piecewise_source:
         terms = (rec[0][:, None] * g).reshape(-1, g.shape[-1])
         profiles = build_profiles(scheme, op.eos, op._line_rows @ terms,
@@ -745,7 +751,7 @@ def full_reconstruction_rhs_1d(op, state):
             *_, eps, good = profiles
             delta, eps_faces = energy_deviations(eps, e_window, op._mean)
         e_faces = hydrostatic_energy_faces(
-            eps_faces, op.cweno.reconstruct_stencils(delta, axis=0),
+            eps_faces, op.cweno.reconstruct_stencils(delta),
             op._face_rows)
     else:
         e_faces, good = op._equilibrium(rec, data[0, cells], data[2, cells],
@@ -774,16 +780,15 @@ def full_reconstruction_rhs_2d(op, state, monkeypatch):
     cells' energy faces) and `_sources`."""
     data = state.copy()
     op.fill_ghosts(data)
-    reach = data[op._reach]
-    rec = op.cweno.coefficients(reach).reshape(4, 6, -1)   # the band's cells
+    rec = op.cweno.coefficients(data).reshape(4, 6, -1)    # the band's cells
     faces = op._face_rows @ rec
     equilibrium = faces.copy()
     with monkeypatch.context() as patch:   # the equilibrium energy alone
         patch.setattr(operator1d, "rejected_energy_faces", lambda *args: None)
-        good = op._profiles_and_faces(rec, reach, equilibrium)
+        good = op._profiles_and_faces(rec, data, equilibrium)
     faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
     count = positivity_fallback(faces.reshape(faces.shape[:2] + op._shape),
-                                reach[:, 1:-1, 1:-1], 1, good)
+                                data[:, 1:-1, 1:-1], 1, good)
     xl, xr, yl, yr = faces.reshape((4, 4, -1) + op._shape).transpose(
         1, 0, 3, 4, 2)
     out = np.zeros_like(data)
@@ -828,7 +833,7 @@ class TestLeanStatePass:
     def _state_pass_components(op, data, comp_axis, rejects=False):
         """Component counts of the windows of every CWENO call of one RHS."""
         seen, raw = [], op.cweno.reconstruct_stencils
-        op.cweno.reconstruct_stencils = lambda window, axis=-1: \
+        op.cweno.reconstruct_stencils = lambda window, axis=0: \
             seen.append(np.shape(window)) or raw(window, axis)
         op.rhs(data)
         assert (op.fallback_cells > 0) == rejects
