@@ -3,8 +3,9 @@
 Two models: the ideal gas law, and an ideal gas subject to radiation
 pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
-(`_quartic_root`); `_newton` confirms it with one Newton step and guards
-against a start that is not finite or zero; no conversion iterates.
+(`_quartic_root`) of a positive density and pressure or energy;
+`_newton` confirms it with one Newton step and guards against a start that
+is not finite or zero; no conversion iterates.
 `thermo` returns several quantities of one (rho, p) state from a single
 temperature, and `thermo_eps` the pressure and those quantities of one
 (rho, eps) state.  At the sizes of one right-hand side a radiation
@@ -62,6 +63,21 @@ def _quartic_root(a, b):
     b4 *= s
     b4 /= w
     return b4
+
+
+def _reject_state(rho, other, name):
+    """Raise `EosFailure` naming the first state whose density or `name`
+    (pressure or energy) is not positive, or NaN, which has no temperature.
+    The inversions call it when their inputs' minimum is not positive."""
+    rho_b, other_b = np.broadcast_arrays(rho, other)
+    for label, values in (("density", rho_b), (name, other_b)):
+        bad = ~(values > 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EosFailure(
+                f"no temperature at density {float(rho_b.flat[i])!r}, "
+                f"{name} {float(other_b.flat[i])!r}: the {label} is not a "
+                "positive number", rho=rho, other=other)
 
 
 def _broadcast(value, other):
@@ -124,10 +140,12 @@ class IdealGasRadiation:
     a = rho / (3(gamma-1)), b = eps/3), taken in closed form.  Both
     residuals are increasing and convex in T, so the Newton polish that
     follows converges monotonically from above after its first step.
-    `_newton` is that polish: one residual evaluation and one step confirm
-    a start good to 1e-14, and it is the guard that raises `EosFailure`
-    when the start is not finite (a negative or NaN input) or zero (a zero
-    pressure or energy).  It stays a method of its own because the
+    In front of the root, one minimum and one reduction send a density,
+    pressure or energy that is not positive (or NaN) to `_reject_state`,
+    which names it; a +inf passes, overflows the root and fails the polish.
+    `_newton` is the polish: one residual evaluation and one step confirm
+    a start good to 1e-14, and it raises `EosFailure` when the start is
+    not finite or zero.  It stays a method of its own because the
     benchmark tracer (perfbench/spans.py) counts its residual evaluations:
     one per inversion.  The kernels are lean in numpy calls: the root works
     on in-place temporaries, and the residuals and quantities share T^3 and
@@ -146,6 +164,8 @@ class IdealGasRadiation:
 
     def temperature_from_eps(self, rho, eps):
         rho, eps = np.asarray(rho, float), np.asarray(eps, float)
+        if not np.minimum.reduce(np.minimum(rho, eps), axis=None) > 0.0:
+            _reject_state(rho, eps, "energy")
         k = rho / (self.gamma - 1.0)
         t = _quartic_root(k / 3.0, eps / 3.0)
         return self._newton(t, rho, eps,
@@ -154,6 +174,8 @@ class IdealGasRadiation:
 
     def temperature_from_p(self, rho, p):
         rho, p = np.asarray(rho, float), np.asarray(p, float)
+        if not np.minimum.reduce(np.minimum(rho, p), axis=None) > 0.0:
+            _reject_state(rho, p, "pressure")
         t = _quartic_root(rho, p)
         return self._newton(t, rho, p,
                             lambda T: T * (rho + T * T * T) - p,
@@ -169,7 +191,7 @@ class IdealGasRadiation:
             t_new = t - step
             if not t_new.min(initial=np.inf) > 0.0:
                 if not np.isfinite(t_new).all():
-                    raise EosFailure("no temperature for a negative or NaN "
+                    raise EosFailure("no temperature for an infinite or NaN "
                                      "input", rho=rho, other=target)
                 t_new = np.where(t_new > 0.0, t_new, 0.5 * t)
                 if not t_new.min(initial=np.inf) > 0.0:   # a zero start

@@ -9,9 +9,17 @@ strided view of the ghosted energy) and the face buffer (C, face rows,
 cells).  The shared frame (`boundary.fill_sides` and
 `physics`' positivity fallback, flux divergence and CFL rate) sees the
 band as a state with n_ghost - r ghost layers.  The scheme selects the
-equilibrium (DWB: `build_profiles`; LA and LA-S: the stage
+equilibrium stage, one call on the band that yields the flux band's energy
+faces and gate (DWB and DWB-S: `PiecewiseEquilibrium`; LA and LA-S:
 `wellbalance.LocalEquilibrium`), the boundary kinds the 1-D hydrostatic
 fill and the 2-D background averages.
+
+With 1-D hydrostatic sides the RHS of DWB and LA runs in this order: the
+extrapolated ghost averages; the band's density and momentum
+coefficients, which serve as the state pass; the ghost energies from the
+pieces among them; then the equilibrium stage, which reads the energy
+windows.  The -S variants and Std reconstruct the energy in their state
+pass, which therefore follows the whole fill.
 """
 
 from functools import lru_cache
@@ -71,6 +79,16 @@ def _fill_layout(n_ghost, first, n_quad):
                    glue.reshape(-1, n_ghost + 1))
 
 
+@lru_cache(maxsize=None)
+def _strip_cells(n_tot, n_slots, right):
+    """Read-only grid cells (sides, n_slots) of the first slots of each
+    edge strip, in strip order: cell j from the left edge, n_tot - 1 - j
+    from the right one (`right` flags the right sides)."""
+    slots = np.arange(n_slots)
+    return _frozen(np.array([n_tot - 1 - slots if mirrored else slots
+                             for mirrored in right]))[0]
+
+
 def check_grid(grid, scheme, boundary):
     """Reject a grid that `scheme` cannot run on with `boundary`: a ghost
     width other than the scheme's, or too few cells for the ghost fill (the
@@ -88,6 +106,45 @@ def check_grid(grid, scheme, boundary):
             f"the ghost fill: {scheme.label} with {ng} ghost cells and "
             f"boundaries {boundary.axes} needs n >= {min_cells} on every "
             "axis")
+
+
+class PiecewiseEquilibrium:
+    """The DWB and DWB-S equilibrium stage, called like `LocalEquilibrium`
+    and built from the same tables, at `equilibrium_points(n_quad, 0)`, and
+    the Gauss nodes' cell-mean `weights`: each cell's pressure is glued
+    over the pieces of its stencil cells.  Only the band's inner cells, the
+    flux band, have all of them.  Its body is `build_profiles`, the
+    benchmark tracer's `wb.profile`.
+    """
+
+    def __init__(self, scheme, eos, cweno, tables, value_rows, g_rows,
+                 weights):
+        self.scheme, self.eos, self.cweno = scheme, eos, cweno
+        self._line_rows = np.ascontiguousarray(tables.line[0].T)
+        self._value_rows, self._face_rows = value_rows, value_rows[-2:]
+        self._g_rows, self._mean = g_rows[0], weights
+        self._inner = slice(scheme.radius, -scheme.radius)
+
+    def __call__(self, rec, rho_hat, e_hat, e_window):
+        """Face energies (faces, flux band) and gate (flux band,) from the
+        band's inputs of `LocalEquilibrium.__call__`."""
+        # product terms (m * m_g, cells), rec-major (`product_tables`)
+        terms = (rec[0][:, None] * self._g_rows).reshape(-1, rho_hat.size)
+        profiles = build_profiles(
+            self.scheme, self.eos, self._line_rows @ terms,
+            self._value_rows @ rec[:2], rec[:, 0], rho_hat, e_hat, e_window,
+            self._mean)
+        if self.eos.deps_dp_constant is not None:   # no EoS call
+            delta, eps_faces, good = profiles
+        else:
+            *_, eps, good = profiles
+            delta, eps_faces = energy_deviations(eps, e_window, self._mean)
+            delta, eps_faces, good = (
+                delta[:, self._inner], eps_faces[:, self._inner],
+                good[self._inner])
+        return hydrostatic_energy_faces(
+            eps_faces, self.cweno.reconstruct_stencils(delta),
+            self._face_rows), good
 
 
 class SpatialOperator:
@@ -145,6 +202,9 @@ class SpatialOperator:
         self._inner = (slice(None),) + (slice(bg, -bg),) * dim
         self._flux_band = (slice(None),) \
             + (slice(bg - 1, 1 - bg or None),) * dim
+        # the band's cells beyond it per side, DWB's r (1-D only)
+        self._outer = () if bg == 1 else \
+            ((slice(None), slice(bg - 1)), (slice(None), slice(1 - bg, None)))
         # gravity at every cell center, one array per axis (2-D: from the
         # centers' open mesh)
         accel = (gravity(grid.centers()),) if dim == 1 else \
@@ -187,7 +247,9 @@ class SpatialOperator:
                 scheme, eos, self.cweno, tables, self._value_rows,
                 self._g_rows)
         elif scheme.piecewise_source:
-            self._line_rows = np.ascontiguousarray(tables.line[0].T)
+            self._equilibrium = PiecewiseEquilibrium(
+                scheme, eos, self.cweno, tables, self._value_rows,
+                self._g_rows, self._mean)
         if self._hydro_sides:
             self._init_hydrostatic_fill(interp, *accel)
 
@@ -196,25 +258,29 @@ class SpatialOperator:
 
         The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
         innermost cell with a full stencil; LA: first = n_ghost, the boundary
-        cell only).  Slot j = 0..n_ghost (the ghosts, then the boundary cell)
-        evaluates piece max(j, first) at the Gauss nodes of cell j and at the
-        piece's faces: `_slot_tables` maps the pieces' coefficients to the
-        reconstruction and to the antiderivative of rho^rec * g^int (static
-        gravity contracted in) there, zero off each slot's own piece.
+        cell only), the state pass's coefficients of those cells of each
+        edge (`_piece_cells`, band indices).  Slot j = 0..n_ghost (the
+        ghosts, then the boundary cell) evaluates piece max(j, first) at the
+        Gauss nodes of cell j and at the piece's faces: `_slot_tables` maps
+        the pieces' coefficients to the reconstruction and to the
+        antiderivative of rho^rec * g^int (static gravity contracted in)
+        there, zero off each slot's own piece.  A right side's table flips
+        the odd powers of its grid-frame pieces, mirroring the density (the
+        momentum enters squared only).
         """
         ng, r, nq = self.grid.n_ghost, self.scheme.radius, self.scheme.n_quad
-        m = self.scheme.order
+        m, n_tot = self.scheme.order, self.grid.shape_tot[0]
         first = r if self.scheme.piecewise_source else ng
         piece, cols, own, self._glue = _fill_layout(ng, first, nq)
-        # stencil-first windows (m, pieces) of the pieces in a strip
-        self._piece_windows = np.arange(m)[:, None] \
-            + np.arange(first - r, ng - r + 1)
+        right = tuple(side == "right" for side in self._hydro_sides)
+        strip = _strip_cells(n_tot, ng + 1, right)
+        self._ghost_cells, self._edge_cells = strip[:, :ng], strip[:, ng]
+        self._piece_cells = strip[:, first:] - r
         # each side's gravity (`accel` at every cell), fitted over cells
         # 0..ng + r of its strip (the right one mirrored), which hold the
         # stencils of every piece
-        strips = np.stack([accel[:ng + r + 1] if side == "left"
-                           else -accel[:-(ng + r) - 2:-1]
-                           for side in self._hydro_sides])
+        strips = np.stack([-accel[:-(ng + r) - 2:-1] if mirrored
+                           else accel[:ng + r + 1] for mirrored in right])
         g = np.ascontiguousarray(ginterp.fit(stencil_windows(
             strips, (m,)))[:, :, piece - r].transpose(1, 2, 0))
         tables = product_tables(*self._exps, equilibrium_points(nq, ng),
@@ -223,6 +289,10 @@ class SpatialOperator:
         both[:, :, :, 0] = tables.values[:, cols]
         np.einsum("sjb,abjq->sajq", g, tables.line[0][:, cols].reshape(
             m, m, ng + 1, nq + 2), out=both[:, :, :, 1])
+        parity = (-1.0) ** np.arange(m)[:, None, None, None]
+        for table, mirrored in zip(both, right):
+            if mirrored:
+                table *= parity
         self._slot_tables = (own[:, None, :, None, None] * both[:, None]) \
             .reshape(len(g), len(own) * m, -1)
         self._edge_means = ghost_mean_table(self.cweno, ng)
@@ -234,71 +304,80 @@ class SpatialOperator:
         self._frozen = data.copy()
 
     def fill_ghosts(self, data):
+        """Fill every ghost of `data` in place; on hydrostatic sides the
+        extrapolated averages, then the ghost energies from the band's
+        density and momentum coefficients, which it returns (2, m, cells;
+        None without a hydrostatic side)."""
         fill_sides(data, self._fill_axes, self.grid.n_ghost, self._frozen,
                    self._bg_avgs)
-        if self._hydro_sides:
-            self._hydrostatic_fill(data)
+        if not self._hydro_sides:
+            return None
+        sides, ng = self._hydro_sides, self.grid.n_ghost
+        set_edge_ghosts(data, sides, extrapolated_strips(
+            self.cweno, data, sides, ng, self._edge_means), ng)
+        rec = self.cweno.coefficients(data[:2])
+        self._hydrostatic_fill(data, rec)
+        return rec
 
-    def _hydrostatic_fill(self, data):
-        """Fill the ghosts of every hydrostatic side in one batched pass.
+    def _hydrostatic_fill(self, data, rec):
+        """Replace the extrapolated ghost energies of every hydrostatic side
+        in one batched pass, from the band's density and momentum
+        coefficients `rec` (2, m, band cells).
 
         Each side is handled as an edge strip seen from its boundary (the
-        right one mirrored, momentum negated).  Density and momentum ghosts
-        are the extrapolated averages of the innermost fully interior
-        reconstruction.  Ghost energies continue the boundary cell's discrete
-        equilibrium: the anchor p0 of boundary cell b = n_ghost matches its
-        averaged internal energy (closed form or Newton, for every scheme:
-        the '-S' anchor would continue a profile off by its O(h^m) error,
-        not the discrete equilibrium), and the pressure of piece k is
-        C_k + A_k(x), with A_k the antiderivative of rho_k^rec * g_k^int.
-        DWB glues pieces continuously at interfaces, outward from the
-        boundary cell's C_b = p0 (one product with the static +-1 `_glue`);
-        piece k serves ghost k for k >= r, and the outer r ghosts, which
-        have no full stencil, evaluate piece r at offsets shifted by whole
-        cells.  LA extends the boundary cell's piece over every ghost (a
-        one-piece glue).  A ghost energy is the Gauss average of
-        eps(rho^rec, p) + (rho u)^2 / (2 rho^rec): the Newton anchor's last
-        iteration inverts the ghosts' nodes with the boundary cell's, and
-        the closed-form anchor is followed by one EoS call for all.
+        right one mirrored).  Density and momentum ghosts are already the
+        extrapolated averages of the innermost fully interior
+        reconstruction, and `rec` holds the pieces of their cells.  Ghost
+        energies continue the boundary cell's discrete equilibrium: the
+        anchor p0 of boundary cell b = n_ghost matches its averaged internal
+        energy (closed form or Newton, for every scheme: the '-S' anchor
+        would continue a profile off by its O(h^m) error, not the discrete
+        equilibrium), and the pressure of piece k is C_k + A_k(x), with A_k
+        the antiderivative of rho_k^rec * g_k^int.  DWB glues pieces
+        continuously at interfaces, outward from the boundary cell's C_b =
+        p0 (one product with the static +-1 `_glue`); piece k serves ghost
+        k for k >= r, and the outer r ghosts, which have no full stencil,
+        evaluate piece r at offsets shifted by whole cells.  LA extends the
+        boundary cell's piece over every ghost (a one-piece glue).  A ghost
+        energy is the Gauss average of eps(rho^rec, p) + (rho u)^2 /
+        (2 rho^rec): the Newton anchor's last iteration inverts the ghosts'
+        nodes with the boundary cell's, and the closed-form anchor is
+        followed by one EoS call for all.
 
-        Only density and momentum are reconstructed on the ghost pieces:
-        ghost energies come from the equilibrium pressure, never from an
-        energy reconstruction, so no piece waits for a corrected neighbour.
-        A side whose anchor fails or whose ghost pressure or density is not
-        positive keeps the extrapolated energies and counts its ghosts in
+        Ghost energies come from the equilibrium pressure, never from an
+        energy reconstruction, so no piece waits for a corrected neighbour,
+        and the energy windows are read only after this fill.  A side whose
+        anchor fails or whose ghost pressure or density is not positive
+        keeps the extrapolated energies and counts its ghosts in
         `fallback_cells`.
         """
         eos = self.eos
         ng, nq = self.grid.n_ghost, self.scheme.n_quad
-        sides = self._hydro_sides
-        strips = extrapolated_strips(self.cweno, data, sides, ng,
-                                     self._edge_means)
+        n_sides = len(self._hydro_sides)
 
-        # one CWENO call: density and momentum of every piece; one product
-        # evaluates each slot's piece at the slot's nodes and faces
-        rec = self.cweno.reconstruct_stencils(
-            strips[:2, :, self._piece_windows].transpose(2, 0, 1, 3))
-        at = (rec.transpose(1, 2, 3, 0).reshape(2, len(sides), 1, -1)
-              @ self._slot_tables) \
-            .reshape(2, len(sides), ng + 1, 2, nq + 2)
+        # one product evaluates each slot's piece, (2, sides, pieces, m),
+        # at the slot's nodes and faces
+        pieces = rec.transpose(0, 2, 1)[:, self._piece_cells]
+        at = (pieces.reshape(2, n_sides, 1, -1) @ self._slot_tables) \
+            .reshape(2, n_sides, ng + 1, 2, nq + 2)
         offsets = at[0, :, :, 1]                  # (sides, slots, nq + 2)
 
         # the boundary cell's own nodes, nodes first
         rec_own = at[:, :, ng, 0, :nq].transpose(0, 2, 1)
-        eps_hat = eps_hat_estimate(strips[2, :, ng], rec_own, self._mean)
+        rho_hat, e_hat = data[::2, self._edge_cells]
+        eps_hat = eps_hat_estimate(e_hat, rec_own, self._mean)
         # each slot's glued constant less p0, the boundary cell's zero (LA
         # glues a single piece: `_glue` is zero)
-        glue = offsets[..., nq:].reshape(len(sides), -1) @ self._glue
+        glue = offsets[..., nq:].reshape(n_sides, -1) @ self._glue
         rho, mom = at[:, :, :ng, 0, :nq]
         if eos.deps_dp_constant is None:
             # the ghosts' nodes, then the boundary cell's, nodes first: the
             # anchor's last iteration inverts them all
-            rows = (glue[..., None] + offsets[..., :nq]).reshape(len(sides), -1)
+            rows = (glue[..., None] + offsets[..., :nq]).reshape(n_sides, -1)
             p0, ok, eps = anchor_pressure_newton(
-                rows.T, at[0, :, :, 0, :nq].reshape(len(sides), -1).T,
-                slice(ng * nq, None), strips[0, :, ng], eps_hat, eos,
-                self._mean)
-            eps = eps.T.reshape(len(sides), ng + 1, nq)[:, :ng]
+                rows.T, at[0, :, :, 0, :nq].reshape(n_sides, -1).T,
+                slice(ng * nq, None), rho_hat, eps_hat, eos, self._mean)
+            eps = eps.T.reshape(n_sides, ng + 1, nq)[:, :ng]
         else:
             p0 = anchor_pressure_ideal(offsets[:, ng, :nq].T, eps_hat,
                                        eos.deps_dp_constant, self._mean)
@@ -309,9 +388,9 @@ class SpatialOperator:
                                       np.where(positive, p, 1.0))
         rho = np.where(rho > 0.0, rho, 1.0)
         energy = (eps + 0.5 * mom ** 2 / rho) @ self._mean
-        strips[2, :, :ng] = np.where(ok[:, None], energy, strips[2, :, :ng])
+        ghosts = self._ghost_cells
+        data[2, ghosts] = np.where(ok[:, None], energy, data[2, ghosts])
         self.fallback_cells += ng * int(np.count_nonzero(~ok))
-        set_edge_ghosts(data, sides, strips, ng)
 
     # -- equilibrium -------------------------------------------------------
 
@@ -320,49 +399,31 @@ class SpatialOperator:
 
         `rec` holds the band's coefficients (C, m, cells), DWB's and LA's
         without the energy, `data` the ghosted state, and `faces` (C, face
-        rows, cells) the face states, whose energies are written in place:
-        the equilibrium's, the standard ones where the gate fails (the -S
-        variants keep their state pass's, DWB and LA take them from
-        `rejected_energy_faces`).
-        Returns the gate (*cells).
+        rows, cells) the face states, whose energies are written in place
+        on the flux band: the equilibrium's, the standard ones where the
+        gate fails (the -S variants keep their state pass's, DWB and LA
+        take them from `rejected_energy_faces`); DWB's r outer band cells
+        per side take their averages.  Returns the gate (*flux band).
         """
-        scheme, eos, r = self.scheme, self.eos, self.scheme.radius
-        rho_hat, e_hat = (data[(c,) + self._band[1:]].reshape(-1)
-                          for c in (0, -1))
-
-        def e_window():
-            """The energy averages of each cell's stencil, (stencil, cells)."""
-            return stencil_windows(data[-1], (2 * r + 1,) * len(self._shape)) \
-                .reshape(-1, rho_hat.size)
-
-        if scheme.piecewise_source:
-            # product terms (m * m_g, cells), rec-major (`product_tables`)
-            terms = (rec[0][:, None] * self._g_rows[0]).reshape(
-                -1, rho_hat.size)
-            profiles = build_profiles(
-                scheme, eos, self._line_rows @ terms,
-                self._value_rows @ rec[:2], rec[:, 0], rho_hat, e_hat,
-                self._mean)
-            if eos.deps_dp_constant is not None:   # no EoS call
-                delta, eps_faces, good = profiles
-            else:
-                *_, eps, good = profiles
-                delta, eps_faces = energy_deviations(eps, e_window(),
-                                                     self._mean)
-            e_wb = hydrostatic_energy_faces(
-                eps_faces, self.cweno.reconstruct_stencils(delta),
-                self._face_rows)
-        else:
-            e_wb, good = self._equilibrium(rec, rho_hat, e_hat, e_window())
-        good = good.reshape(self._shape)
+        r, flux = self.scheme.radius, self._flux_band
+        # the band's density and energy averages
+        rho_hat, e_hat = data[::len(data) - 1][self._band].reshape(2, -1)
+        # the energy averages of each cell's stencil, (stencil, cells)
+        e_window = stencil_windows(data[-1], (2 * r + 1,) * len(self._shape)) \
+            .reshape(-1, rho_hat.size)
+        e_wb, good = self._equilibrium(rec, rho_hat, e_hat, e_window)
+        e_faces = faces[-1].reshape((-1,) + self._shape)
+        shape = e_faces[flux].shape
+        good = good.reshape(shape[1:])
         if self._lean:
-            faces[-1] = e_wb
-            flux = self._flux_band
-            rejected_energy_faces(
-                self.cweno, data[-1], good[flux[1:]], flux[1].start + r,
-                self._face_rows, faces[-1].reshape((-1,) + self._shape)[flux])
+            for outer in self._outer:
+                e_faces[outer] = e_hat[outer[-1]]
+            e_faces[flux] = e_wb.reshape(shape)
+            rejected_energy_faces(self.cweno, data[-1], good,
+                                  flux[1].start + r, self._face_rows,
+                                  e_faces[flux])
         else:   # the state pass holds the standard energy faces
-            np.copyto(faces[-1], e_wb, where=good.reshape(-1))
+            np.copyto(e_faces[flux], e_wb.reshape(shape), where=good)
         return good
 
     def _newton_anchor(self):
@@ -385,11 +446,14 @@ class SpatialOperator:
 
     def rhs(self, state):
         data = state.copy()
-        self.fill_ghosts(data)
+        # the fill's density and momentum coefficients are the lean state
+        # pass, which reads no energy
+        rec = self.fill_ghosts(data)
+        if rec is None or not self._lean:
+            rec = self.cweno.coefficients(data[:-1] if self._lean else data)
 
         # the band's coefficients (C, m, cells) and faces (C, faces, cells)
-        rec = self.cweno.coefficients(data[:-1] if self._lean else data) \
-            .reshape(-1, len(self.cweno.exps), self._g_rows.shape[-1])
+        rec = rec.reshape(-1, len(self.cweno.exps), self._g_rows.shape[-1])
         faces = np.empty((len(data), len(self._face_rows), rec.shape[2]))
         np.matmul(self._face_rows, rec, out=faces[:len(rec)])
         good = (self._profiles_and_faces(rec, data, faces)

@@ -222,10 +222,11 @@ def positivity_fallback(faces, data, n_ghost, good=None):
     operator's one face buffer (C, face rows, *cells), all face states of a
     cell in its rows.  Returns how many cells of the band the flux
     divergence reads (the interior cells plus one ghost layer per side)
-    fell back: those `good` marks False (the cells where the well-balanced
-    reconstruction failed) plus those reset here."""
+    fell back: those the gate `good` (over that band) marks False (the
+    cells where the well-balanced reconstruction failed) plus those reset
+    here."""
     band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
-    count = 0 if good is None else int(np.count_nonzero(~good[band]))
+    count = 0 if good is None else int(np.count_nonzero(~good))
     physical = physical_state(faces)[1].all(axis=0)
     if physical.all():
         return count

@@ -8,9 +8,11 @@ standard reconstruction polynomial; the pressure is the anchor value p0 plus
 the exact integral of a source representation s_i.  For the piecewise
 variant (DWB, 1-D, `build_profiles`) s_i restricted to a stencil cell k is
 that cell's own rho_k^rec * g_k^int and the pressure is glued continuously
-at interfaces; for the local-approximation variant (LA, 1-D and 2-D,
-`LocalEquilibrium`) cell i's single source polynomial is extrapolated
-across the stencil.
+at interfaces; only the band's inner cells, the flux band, have every
+piece of their stencil, which strided windows over the band
+(`band_windows`) read without a copy.  For the local-approximation
+variant (LA, 1-D and 2-D, `LocalEquilibrium`) cell i's single source
+polynomial is extrapolated across the stencil.
 
 Step 2 reconstructs only the ENERGY hydrostatically: the cell averages of the
 profile's internal energy are subtracted (same quadrature everywhere), the
@@ -69,9 +71,13 @@ from .physics import physical_state
 # `reconstruct.product_tables`; the Horner helpers are the tests' reference
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
+from .reconstruct import _frozen
 
 ANCHOR_TOL = 1e-13
 ANCHOR_MAX_ITER = 50
+# the weight of an exact cell mean passed to `anchor_pressure_ideal` as a
+# single node
+UNIT_WEIGHT, = _frozen(np.ones(1))
 
 
 def glued_constants(anti_left, anti_right, ref, p_ref):
@@ -92,36 +98,31 @@ def glued_constants(anti_left, anti_right, ref, p_ref):
     return out
 
 
+def band_windows(values, width):
+    """The windows of `width` cells along the last axis of the C-contiguous
+    `values` (..., n), a read-only strided view (width, ..., n - width + 1):
+    the 1-D `stencil_windows` without its copy (a non-contiguous `values`
+    raises)."""
+    *lead, n = values.shape
+    return np.ndarray((width, *lead, n - width + 1), float, values,
+                      strides=values.strides[-1:] + values.strides)
+
+
 def local_glue(anti_left, anti_right, reach):
     """Constants Delta_{i,d} = C_{i+d} - C_i of the glued pressure, rows
-    d = -reach..reach, cells (periodically wrapped) last.
+    d = -reach..reach, for the cells i whose pieces i - reach..i + reach
+    all exist (all but the outer `reach` cells per side), cells last.
 
     `anti_left`/`anti_right` are each cell's antiderivative A_k(-h/2) and
     A_k(h/2); the interface step C_{k+1} - C_k = A_k(h/2) - A_{k+1}(-h/2)
     is summed over the at most `reach` interfaces between i and i + d.
     """
-    step = np.empty(anti_left.shape)
-    np.subtract(anti_right[:-1], anti_left[1:], out=step[:-1])
-    step[-1] = anti_right[-1] - anti_left[0]
-    steps = periodic_windows(step, reach)        # row s: step[i + s - reach]
-    out = np.zeros((2 * reach + 1, step.size))
-    for d in range(1, reach + 1):
+    steps = band_windows(anti_right[:-1] - anti_left[1:], 2 * reach)
+    out = np.zeros((2 * reach + 1, steps.shape[1]))
+    for d in range(1, reach + 1):      # row s of steps: step[i + s - reach]
         np.add(out[reach + d - 1], steps[reach + d - 1], out=out[reach + d])
         np.subtract(out[reach - d + 1], steps[reach - d], out=out[reach - d])
     return out
-
-
-def periodic_windows(values, reach):
-    """Windows (..., 2 reach + 1, n) of `values` (..., n): row d + reach
-    holds values[..., (i + d) % n] in column i.  The rows overlap in one
-    padded copy of `values`, so the result is for reading only."""
-    if reach == 0:
-        return values[..., None, :]
-    padded = np.concatenate(
-        (values[..., -reach:], values, values[..., :reach]), axis=-1)
-    *lead, n = values.shape
-    return np.ndarray((*lead, 2 * reach + 1, n), padded.dtype, padded,
-                      strides=padded.strides[:-1] + 2 * padded.strides[-1:])
 
 
 def eps_hat_estimate(e_hat, rec_nodes, weights):
@@ -215,22 +216,28 @@ def equilibrium_points(n_quad, reach, dim=1):
 
 
 def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
-                   e_hat, weights):
-    """Pressure, density and internal energy of every cell's DWB
+                   e_hat, e_window, weights):
+    """Pressure, density and internal energy of every band cell's DWB
     equilibrium (LA's is `LocalEquilibrium`).
 
     `offsets` (nodes, n) is each cell's antiderivative of rho^rec * g^int
     and `rec_nodes` (2, nodes, n) its density and momentum, at its own
     Gauss nodes and faces; `rec_center` (C, n) is the reconstructed center
-    state, whole for the simplified anchor that alone reads it, and
+    state, whole for the simplified anchor that alone reads it, `e_window`
+    (stencil cells, n) the energy averages of each cell's stencil and
     `weights` the Gauss nodes' cell-mean weights.  Stencil cell d takes
-    piece i + d, offset by the local glue.  Returns (p, rho, eps, ok) for
+    piece i + d, offset by the local glue: only the inner cells, all but
+    the outer r per side, have every piece.  Returns (p, rho, eps, ok) for
     `energy_deviations`, node values over the stencil node set, ok flagging
     cells whose anchor is positive (and converged) and whose p and rho are
-    positive at every node; with a constant d eps/dp = b, the energy
-    deviations directly, (delta, eps_faces, ok).
+    positive at every node, for every band cell (the anchor's node sums
+    are matrix products, whose rounding may depend on a cell's column), an
+    outer one repeating its own nodes for every stencil cell; with a constant
+    d eps/dp = b, the energy deviations of the inner cells directly,
+    (delta, eps_faces, ok).
     """
     nq, r, b = weights.size, scheme.radius, eos.deps_dp_constant
+    inner, width = slice(r, -r), 2 * r + 1
     rho_own = rec_nodes[0, :nq]
     glue = local_glue(offsets[-2], offsets[-1], r)
     if b is None:
@@ -239,43 +246,46 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
         # are cell i's own
         n = offsets.shape[-1]
         c, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
-        np.add(periodic_windows(offsets[:nq], r).transpose(1, 0, 2),
-               glue[:, None], out=c[:-2].reshape(2 * r + 1, nq, n))
+        stencil = c[:-2].reshape(2 * r + 1, nq, n)
+        stencil[...] = offsets[:nq]
+        np.add(band_windows(offsets[:nq], width), glue[:, None],
+               out=stencil[..., inner])
         c[-2:] = offsets[nq:]
-        rho[:-2].reshape(2 * r + 1, nq, n)[...] = periodic_windows(
-            rho_own, r).transpose(1, 0, 2)
+        stencil = rho[:-2].reshape(2 * r + 1, nq, n)
+        stencil[...] = rho_own
+        stencil[..., inner] = band_windows(rho_own, width)
         rho[-2:] = rec_nodes[0, nq:]
+    else:
+        mean = weights @ offsets[:nq]
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec_center, eos)
-        ok = p0 > 0.0
     else:
         eps_hat = eps_hat_estimate(
             e_hat, np.where(rho_own > 0.0, rec_nodes[:, :nq], 1.0), weights)
-        if b is not None:
-            p0 = anchor_pressure_ideal(offsets[:nq], eps_hat, b, weights)
-            ok = p0 > 0.0
-        else:
+        if b is None:
             p0, ok, eps = anchor_pressure_newton(
                 c, rho, slice(r * nq, (r + 1) * nq), rho_hat, eps_hat, eos,
                 weights)
             return p0 + c, rho, eps, ok
+        # the mean offset, one node of weight one
+        p0 = anchor_pressure_ideal(mean[None], eps_hat, b, UNIT_WEIGHT)
     if b is None:
         p = p0 + c
         eps, positive = node_energies(eos, p, rho)
-        return p, rho, eps, ok & positive
-    faces = offsets[nq:]
+        return p, rho, eps, (p0 > 0.0) & positive
+    p0, faces = p0[inner], offsets[nq:, inner]
     # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
-    delta = glue + periodic_windows(weights @ offsets[:nq], r)
+    delta = glue + band_windows(mean, width)
     delta *= b
-    np.subtract(periodic_windows(e_hat, r), delta, out=delta)
+    np.subtract(e_window[:, inner], delta, out=delta)
     # the node gate through per-cell minima over the stencil and faces
     low_p = np.minimum(
-        (glue + periodic_windows(offsets[:nq].min(axis=0), r)).min(axis=0),
+        (glue + band_windows(offsets[:nq].min(axis=0), width)).min(axis=0),
         faces.min(axis=0))
     low_rho = np.minimum(
-        periodic_windows(rho_own.min(axis=0), r).min(axis=0),
-        rec_nodes[0, nq:].min(axis=0))
-    ok &= (p0 + low_p > 0.0) & (low_rho > 0.0)
+        band_windows(rho_own.min(axis=0), width).min(axis=0),
+        rec_nodes[0, nq:, inner].min(axis=0))
+    ok = (p0 > 0.0) & (p0 + low_p > 0.0) & (low_rho > 0.0)
     return delta, b * faces, ok
 
 
@@ -385,7 +395,8 @@ class LocalEquilibrium:
             eps_hat = eps_hat_estimate(e_hat, rec_own, self._wq)
             if b is not None:
                 # the line integral's exact mean, one node of weight one
-                p0 = anchor_pressure_ideal(lines[:1], eps_hat, b, np.ones(1))
+                p0 = anchor_pressure_ideal(lines[:1], eps_hat, b,
+                                           UNIT_WEIGHT)
             else:
                 p0, good, eps = anchor_pressure_newton(
                     offsets, rho_nodes, self._own, rho_hat, eps_hat, eos,

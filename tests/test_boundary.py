@@ -306,6 +306,48 @@ def test_discrete_run_builds_one_reconstruction(bc, monkeypatch):
     assert sorted(built) == ["Cweno1D", "GravityInterp1D"]
 
 
+@pytest.mark.parametrize("bc", [(EXTRAP, WALL), (WALL, EXTRAP),
+                                (EXTRAP, EXTRAP)],
+                         ids=["extrap-wall", "wall-extrap", "extrap-extrap"])
+@pytest.mark.parametrize("scenario", ["isothermal-10x", "polytropic-radiation"])
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("kind", ["standard", "dwb", "dwb-s", "la", "la-s"])
+def test_rhs_fill_is_fill_ghosts(kind, order, scenario, bc):
+    # the ghosts the RHS fills inside its stage, read from the array its
+    # state pass reconstructs, are `fill_ghosts`': the left ones bit for
+    # bit, the right ones, whose pieces are mirrored, to roundoff
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(*bc)
+    scheme = Scheme(kind, order)
+    grid = grid_for(scen, 40, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    rng = np.random.default_rng(order)
+    data[:, grid.interior] *= 1.0 + 1e-3 * rng.standard_normal(40)
+    data[1, grid.interior] = 1e-2 * data[0, grid.interior] \
+        * rng.standard_normal(40)
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    seen, coefficients = [], op.cweno.coefficients
+
+    def spy(values):
+        seen.append(values if values.base is None else values.base)
+        return coefficients(values)
+
+    op.cweno.coefficients = spy
+    op.rhs(data)
+    in_stage = seen[-1]
+    assert in_stage.shape == data.shape
+    expected = data.copy()
+    op.fill_ghosts(expected)
+    ng = grid.n_ghost
+    np.testing.assert_array_equal(in_stage[:, :ng], expected[:, :ng])
+    scale = np.max(np.abs(data), axis=1, keepdims=True)
+    assert np.all(np.abs(in_stage[:, -ng:] - expected[:, -ng:])
+                  <= 1e-15 * scale)
+    np.testing.assert_array_equal(in_stage[:, grid.interior],
+                                  data[:, grid.interior])
+
+
 def test_hydrostatic_extrapolation_dynamic_consistency():
     # on a non-equilibrium state the fill keeps density/momentum equal to the
     # extrapolated near-boundary reconstruction averages

@@ -268,9 +268,9 @@ class TestScalarInputs:
     @pytest.mark.parametrize("rho, p", [
         (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
         (np.ones(3), np.array([1.0, -2.0, 3.0])),
-        (np.array([1.0, np.nan]), np.ones(2))],
+        (np.array([1.0, np.nan]), np.ones(2)), (np.inf, 1.0), (1.0, np.inf)],
         ids=["negative", "nan-p", "nan-rho", "zero", "array-negative",
-             "array-nan"])
+             "array-nan", "inf-rho", "inf-p"])
     def test_bad_input_raises(self, rho, p):
         eos = IdealGasRadiation(1.4)
         with np.errstate(invalid="ignore"):
@@ -281,22 +281,39 @@ class TestScalarInputs:
 
     @pytest.mark.parametrize("rho, other", [
         (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
-        (np.array([1.0, np.nan]), np.ones(2))],
-        ids=["negative", "nan-p", "nan-rho", "zero", "array-nan"])
-    def test_bad_input_raises_at_the_first_step(self, rho, other):
+        (np.array([1.0, np.nan]), np.ones(2)), (-0.22, 0.0484),
+        (-0.22, 0.5), (0.0, 1.0), (-np.inf, 1.0)],
+        ids=["negative", "nan-p", "nan-rho", "zero", "array-nan",
+             "negative-rho-p", "negative-rho-eps", "zero-rho", "minus-inf"])
+    def test_bad_input_raises_before_the_polish(self, rho, other):
         eos = IdealGasRadiation(1.4)
-        with np.errstate(invalid="ignore"):
-            for invert in (eos.temperature_from_p, eos.temperature_from_eps):
-                assert newton_evaluations(invert, rho, other,
-                                          raises=EosFailure) == 1
+        for invert in (eos.temperature_from_p, eos.temperature_from_eps):
+            assert newton_evaluations(invert, rho, other,
+                                      raises=EosFailure) == 0
 
     @pytest.mark.parametrize("name", ["temperature_from_p", "pressure",
                                       "internal_energy"])
     def test_zero_input_is_named(self, name):
         # a zero pressure or energy has the root T = 0, where the polish's
         # relative step would divide 0 by 0
-        with pytest.raises(EosFailure, match="zero pressure or energy"):
+        with pytest.raises(EosFailure, match=r"(pressure|energy) 0\.0: the "
+                           r"(pressure|energy) is not a positive number"):
             getattr(IdealGasRadiation(1.4), name)(1.0, 0.0)
+
+    @pytest.mark.parametrize("invert, other, name", [
+        ("temperature_from_eps", 0.5, "energy"),
+        ("temperature_from_p", 0.0484, "pressure")])
+    def test_negative_density_is_named(self, invert, other, name):
+        # a negative density with a positive energy has a positive root of
+        # the quartic, which used to come back as a temperature (from eps)
+        # or run every polish step (from p); the state is named instead
+        rho = np.array([1.0, -0.22, 2.0])
+        with pytest.raises(EosFailure) as error:
+            getattr(IdealGasRadiation(1.4), invert)(rho, other)
+        assert str(error.value) == (
+            f"no temperature at density -0.22, {name} {other!r}: the "
+            "density is not a positive number")
+        assert error.value.rho is not None
 
     @pytest.mark.parametrize("cast", [float, np.array, lambda v: np.array([v])],
                              ids=["float", "0-d", "1-element"])

@@ -297,8 +297,8 @@ class TestTracedEntryPoints:
         (IdealGas(1.4), "ideal"), (IdealGasRadiation(1.4), "newton")])
     def test_1d_wall_rhs(self, eos, anchor, monkeypatch):
         # the hydrostatic fill of both sides makes one anchor call through
-        # `operator1d`'s name and two CWENO calls (the extrapolation and
-        # the pieces)
+        # `operator1d`'s name and one CWENO call of its own (the
+        # extrapolation): its pieces are the lean state pass's
         scen = make_scenario("isothermal-perturbed", eta=1e-3)
         scen.boundary = BoundarySpec1D("hydrostatic-extrapolation",
                                        "solid-wall")
@@ -307,7 +307,7 @@ class TestTracedEntryPoints:
             "_profiles_and_faces": 1, "build_profiles": 1,
             "hydrostatic_energy_faces": 1, f"anchor_pressure_{anchor}": 1,
             f"fill_anchor_{anchor}": 1, "_sources": 1,
-            "reconstruct_stencils_1d": 4}
+            "reconstruct_stencils_1d": 3}
 
 
 def _density_cells(value_rows, cells):

@@ -340,7 +340,8 @@ def test_cfl_rate_matches_two_inversions(eos, tol):
 @pytest.mark.parametrize("nodes", [(), (2,)], ids=["1d", "2d"])
 def test_positivity_fallback_in_one_pass(nodes):
     # one pass over the face buffer resets the same cells, on every face,
-    # as a face-by-face pass, and counts them over the band
+    # as a face-by-face pass, and counts them over the band, where the
+    # gate lies
     rng = np.random.default_rng(37)
     eos, cells, ng = IdealGas(1.4), ((12,), (9, 8))[len(nodes) // 2], 2
     faces = [face for pair in random_faces(rng, eos, cells, nodes)
@@ -359,7 +360,7 @@ def test_positivity_fallback_in_one_pass(nodes):
     expected = buffer.copy()
     expected[:, :, ~physical] = data[:, None, ~physical]
     band = tuple(slice(ng - 1, n + 1 - ng) for n in cells)
-    count = positivity_fallback(buffer, data, ng, good)
+    count = positivity_fallback(buffer, data, ng, good[band])
     assert np.array_equal(buffer, expected)
     assert count == np.count_nonzero(~good[band]) \
         + np.count_nonzero(~physical[band])
