@@ -164,7 +164,8 @@ class IdealGasRadiation:
 
     def temperature_from_eps(self, rho, eps):
         rho, eps = np.asarray(rho, float), np.asarray(eps, float)
-        if not np.minimum.reduce(np.minimum(rho, eps), axis=None) > 0.0:
+        if not np.minimum.reduce(np.minimum(rho, eps), axis=None,
+                                 initial=np.inf) > 0.0:
             _reject_state(rho, eps, "energy")
         k = rho / (self.gamma - 1.0)
         t = _quartic_root(k / 3.0, eps / 3.0)
@@ -174,7 +175,8 @@ class IdealGasRadiation:
 
     def temperature_from_p(self, rho, p):
         rho, p = np.asarray(rho, float), np.asarray(p, float)
-        if not np.minimum.reduce(np.minimum(rho, p), axis=None) > 0.0:
+        if not np.minimum.reduce(np.minimum(rho, p), axis=None,
+                                 initial=np.inf) > 0.0:
             _reject_state(rho, p, "pressure")
         t = _quartic_root(rho, p)
         return self._newton(t, rho, p,

@@ -18,8 +18,9 @@ With 1-D hydrostatic sides the RHS of DWB and LA runs in this order: the
 extrapolated ghost averages; the band's density and momentum
 coefficients, which serve as the state pass; the ghost energies from the
 pieces among them; then the equilibrium stage, which reads the energy
-windows.  The -S variants and Std reconstruct the energy in their state
-pass, which therefore follows the whole fill.
+windows.  The -S variants and Std reconstruct the energy in their state pass,
+which therefore follows the whole fill; their fill makes its own CWENO
+call of the few pieces it reads.
 """
 
 from functools import lru_cache
@@ -258,15 +259,16 @@ class SpatialOperator:
 
         The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
         innermost cell with a full stencil; LA: first = n_ghost, the boundary
-        cell only), the state pass's coefficients of those cells of each
-        edge (`_piece_cells`, band indices).  Slot j = 0..n_ghost (the
-        ghosts, then the boundary cell) evaluates piece max(j, first) at the
-        Gauss nodes of cell j and at the piece's faces: `_slot_tables` maps
-        the pieces' coefficients to the reconstruction and to the
-        antiderivative of rho^rec * g^int (static gravity contracted in)
-        there, zero off each slot's own piece.  A right side's table flips
-        the odd powers of its grid-frame pieces, mirroring the density (the
-        momentum enters squared only).
+        cell only) of each edge: their coefficients in the lean state pass
+        (`_piece_cells`, band indices), or their stencils (`_piece_windows`,
+        grid indices) for the fill's own CWENO call.  Slot j = 0..n_ghost
+        (the ghosts, then the boundary cell) evaluates piece max(j, first)
+        at the Gauss nodes of cell j and at the piece's faces:
+        `_slot_tables` maps the pieces' coefficients to the reconstruction
+        and to the antiderivative of rho^rec * g^int (static gravity
+        contracted in) there, zero off each slot's own piece.  A right
+        side's table flips the odd powers of its grid-frame pieces,
+        mirroring the density (the momentum enters squared only).
         """
         ng, r, nq = self.grid.n_ghost, self.scheme.radius, self.scheme.n_quad
         m, n_tot = self.scheme.order, self.grid.shape_tot[0]
@@ -275,7 +277,13 @@ class SpatialOperator:
         right = tuple(side == "right" for side in self._hydro_sides)
         strip = _strip_cells(n_tot, ng + 1, right)
         self._ghost_cells, self._edge_cells = strip[:, :ng], strip[:, ng]
-        self._piece_cells = strip[:, first:] - r
+        # the pieces' band cells (the lean state pass), or else their
+        # stencils' grid cells (m, sides, pieces)
+        if self._lean:
+            self._piece_cells = strip[:, first:] - r
+        else:
+            self._piece_windows = np.arange(-r, r + 1)[:, None, None] \
+                + strip[:, first:]
         # each side's gravity (`accel` at every cell), fitted over cells
         # 0..ng + r of its strip (the right one mirrored), which hold the
         # stencils of every piece
@@ -305,9 +313,12 @@ class SpatialOperator:
 
     def fill_ghosts(self, data):
         """Fill every ghost of `data` in place; on hydrostatic sides the
-        extrapolated averages, then the ghost energies from the band's
-        density and momentum coefficients, which it returns (2, m, cells;
-        None without a hydrostatic side)."""
+        extrapolated averages, then the ghost energies from the density
+        and momentum pieces of the cells next to the boundary.  DWB and LA
+        take the pieces from the band's density and momentum coefficients,
+        their lean state pass, which it returns (2, m, cells); the other
+        schemes, whose state pass reads the energies written here, from a
+        CWENO call of the pieces alone.  None where it made no band pass."""
         fill_sides(data, self._fill_axes, self.grid.n_ghost, self._frozen,
                    self._bg_avgs)
         if not self._hydro_sides:
@@ -315,34 +326,42 @@ class SpatialOperator:
         sides, ng = self._hydro_sides, self.grid.n_ghost
         set_edge_ghosts(data, sides, extrapolated_strips(
             self.cweno, data, sides, ng, self._edge_means), ng)
-        rec = self.cweno.coefficients(data[:2])
-        self._hydrostatic_fill(data, rec)
+        if self._lean:
+            rec = self.cweno.coefficients(data[:2])
+            pieces = rec.transpose(0, 2, 1)[:, self._piece_cells]
+        else:
+            rec = None
+            pieces = self.cweno.reconstruct_stencils(
+                data[:2, self._piece_windows].swapaxes(0, 1)) \
+                .transpose(1, 2, 3, 0)
+        self._hydrostatic_fill(data, pieces)
         return rec
 
-    def _hydrostatic_fill(self, data, rec):
+    def _hydrostatic_fill(self, data, pieces):
         """Replace the extrapolated ghost energies of every hydrostatic side
-        in one batched pass, from the band's density and momentum
-        coefficients `rec` (2, m, band cells).
+        in one batched pass, from the density and momentum coefficients
+        `pieces` (2, sides, pieces, m) of each side's cells first..n_ghost
+        (in strip order, grid frame).
 
         Each side is handled as an edge strip seen from its boundary (the
         right one mirrored).  Density and momentum ghosts are already the
         extrapolated averages of the innermost fully interior
-        reconstruction, and `rec` holds the pieces of their cells.  Ghost
-        energies continue the boundary cell's discrete equilibrium: the
-        anchor p0 of boundary cell b = n_ghost matches its averaged internal
-        energy (closed form or Newton, for every scheme: the '-S' anchor
-        would continue a profile off by its O(h^m) error, not the discrete
-        equilibrium), and the pressure of piece k is C_k + A_k(x), with A_k
-        the antiderivative of rho_k^rec * g_k^int.  DWB glues pieces
-        continuously at interfaces, outward from the boundary cell's C_b =
-        p0 (one product with the static +-1 `_glue`); piece k serves ghost
-        k for k >= r, and the outer r ghosts, which have no full stencil,
-        evaluate piece r at offsets shifted by whole cells.  LA extends the
-        boundary cell's piece over every ghost (a one-piece glue).  A ghost
-        energy is the Gauss average of eps(rho^rec, p) + (rho u)^2 /
-        (2 rho^rec): the Newton anchor's last iteration inverts the ghosts'
-        nodes with the boundary cell's, and the closed-form anchor is
-        followed by one EoS call for all.
+        reconstruction.  Ghost energies continue the boundary cell's
+        discrete equilibrium: the anchor p0 of boundary cell b = n_ghost
+        matches its averaged internal energy (closed form or Newton, for
+        every scheme: the '-S' anchor would continue a profile off by its
+        O(h^m) error, not the discrete equilibrium), and the pressure of
+        piece k is C_k + A_k(x), with A_k the antiderivative of
+        rho_k^rec * g_k^int.  DWB glues pieces continuously at interfaces,
+        outward from the boundary cell's C_b = p0 (one product with the
+        static +-1 `_glue`); piece k serves ghost k for k >= r, and the
+        outer r ghosts, which have no full stencil, evaluate piece r at
+        offsets shifted by whole cells.  LA extends the boundary cell's
+        piece over every ghost (a one-piece glue).  A ghost energy is the
+        Gauss average of eps(rho^rec, p) + (rho u)^2 / (2 rho^rec): the
+        Newton anchor's last iteration inverts the ghosts' nodes with the
+        boundary cell's, and the closed-form anchor is followed by one EoS
+        call for all.
 
         Ghost energies come from the equilibrium pressure, never from an
         energy reconstruction, so no piece waits for a corrected neighbour,
@@ -355,9 +374,8 @@ class SpatialOperator:
         ng, nq = self.grid.n_ghost, self.scheme.n_quad
         n_sides = len(self._hydro_sides)
 
-        # one product evaluates each slot's piece, (2, sides, pieces, m),
-        # at the slot's nodes and faces
-        pieces = rec.transpose(0, 2, 1)[:, self._piece_cells]
+        # one product evaluates each slot's piece at the slot's nodes and
+        # faces
         at = (pieces.reshape(2, n_sides, 1, -1) @ self._slot_tables) \
             .reshape(2, n_sides, ng + 1, 2, nq + 2)
         offsets = at[0, :, :, 1]                  # (sides, slots, nq + 2)
@@ -449,7 +467,7 @@ class SpatialOperator:
         # the fill's density and momentum coefficients are the lean state
         # pass, which reads no energy
         rec = self.fill_ghosts(data)
-        if rec is None or not self._lean:
+        if rec is None:
             rec = self.cweno.coefficients(data[:-1] if self._lean else data)
 
         # the band's coefficients (C, m, cells) and faces (C, faces, cells)

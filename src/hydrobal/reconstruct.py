@@ -102,13 +102,13 @@ def monomials_1d(order):
 
 
 def stencil_windows(values, width):
-    """Every full stencil of shape `width` over the trailing axes of
-    `values`, one strided view (*width, ..., *inner) for reading only,
-    which costs less than `sliding_window_view`'s checks on small grids."""
-    values = np.ascontiguousarray(values, dtype=float)
+    """Every full stencil of shape `width` over the trailing axes of the
+    C-contiguous array `values` (any other raises), one strided view
+    (*width, ..., *inner) whose windows overlap, to be read, not written;
+    it costs less than `sliding_window_view`'s checks on small grids."""
     k = len(width)
     inner = tuple(n - w + 1 for n, w in zip(values.shape[-k:], width))
-    return np.ndarray(tuple(width) + values.shape[:-k] + inner, float,
+    return np.ndarray(tuple(width) + values.shape[:-k] + inner, values.dtype,
                       values, strides=values.strides[-k:] + values.strides)
 
 
@@ -208,7 +208,8 @@ class _CwenoBlend:
         the blend of the field's `stencil_windows`."""
         dim = len(self.exps[0])
         out = self.reconstruct_stencils(
-            stencil_windows(values, (2 * self.radius + 1,) * dim),
+            stencil_windows(np.ascontiguousarray(values, dtype=float),
+                            (2 * self.radius + 1,) * dim),
             axis=tuple(range(dim)))
         lead = out.ndim - 1 - dim
         return out.transpose(*range(1, lead + 1), 0,

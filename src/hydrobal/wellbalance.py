@@ -10,9 +10,9 @@ variant (DWB, 1-D, `build_profiles`) s_i restricted to a stencil cell k is
 that cell's own rho_k^rec * g_k^int and the pressure is glued continuously
 at interfaces; only the band's inner cells, the flux band, have every
 piece of their stencil, which strided windows over the band
-(`band_windows`) read without a copy.  For the local-approximation
-variant (LA, 1-D and 2-D, `LocalEquilibrium`) cell i's single source
-polynomial is extrapolated across the stencil.
+(`reconstruct.stencil_windows`) read without a copy.  For the
+local-approximation variant (LA, 1-D and 2-D, `LocalEquilibrium`) cell
+i's single source polynomial is extrapolated across the stencil.
 
 Step 2 reconstructs only the ENERGY hydrostatically: the cell averages of the
 profile's internal energy are subtracted (same quadrature everywhere), the
@@ -71,7 +71,7 @@ from .physics import physical_state
 # `reconstruct.product_tables`; the Horner helpers are the tests' reference
 from .poly import poly_antiderivative, poly_eval, poly_mul  # noqa: F401
 from .quadrature import gauss_nodes_weights_centered
-from .reconstruct import _frozen
+from .reconstruct import _frozen, stencil_windows
 
 ANCHOR_TOL = 1e-13
 ANCHOR_MAX_ITER = 50
@@ -98,16 +98,6 @@ def glued_constants(anti_left, anti_right, ref, p_ref):
     return out
 
 
-def band_windows(values, width):
-    """The windows of `width` cells along the last axis of the C-contiguous
-    `values` (..., n), a read-only strided view (width, ..., n - width + 1):
-    the 1-D `stencil_windows` without its copy (a non-contiguous `values`
-    raises)."""
-    *lead, n = values.shape
-    return np.ndarray((width, *lead, n - width + 1), float, values,
-                      strides=values.strides[-1:] + values.strides)
-
-
 def local_glue(anti_left, anti_right, reach):
     """Constants Delta_{i,d} = C_{i+d} - C_i of the glued pressure, rows
     d = -reach..reach, for the cells i whose pieces i - reach..i + reach
@@ -117,11 +107,13 @@ def local_glue(anti_left, anti_right, reach):
     A_k(h/2); the interface step C_{k+1} - C_k = A_k(h/2) - A_{k+1}(-h/2)
     is summed over the at most `reach` interfaces between i and i + d.
     """
-    steps = band_windows(anti_right[:-1] - anti_left[1:], 2 * reach)
-    out = np.zeros((2 * reach + 1, steps.shape[1]))
-    for d in range(1, reach + 1):      # row s of steps: step[i + s - reach]
-        np.add(out[reach + d - 1], steps[reach + d - 1], out=out[reach + d])
-        np.subtract(out[reach - d + 1], steps[reach - d], out=out[reach - d])
+    steps = anti_right[:-1] - anti_left[1:]
+    m = steps.size - 2 * reach + 1
+    out = np.zeros((2 * reach + 1, m))
+    for d in range(1, reach + 1):      # steps[s:s + m]: step[i + s - reach]
+        up, down = reach + d - 1, reach - d
+        np.add(out[up], steps[up:up + m], out=out[up + 1])
+        np.subtract(out[down + 1], steps[down:down + m], out=out[down])
     return out
 
 
@@ -240,23 +232,27 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
     inner, width = slice(r, -r), 2 * r + 1
     rho_own = rec_nodes[0, :nq]
     glue = local_glue(offsets[-2], offsets[-1], r)
+    n = offsets.shape[-1]
     if b is None:
         # the node set relative to p0 and its densities: stencil cell d is
-        # piece i + d at its own nodes, shifted by the glue, and its faces
-        # are cell i's own
-        n = offsets.shape[-1]
-        c, rho = np.empty((2, (2 * r + 1) * nq + 2, n))
-        stencil = c[:-2].reshape(2 * r + 1, nq, n)
-        stencil[...] = offsets[:nq]
-        np.add(band_windows(offsets[:nq], width), glue[:, None],
-               out=stencil[..., inner])
+        # piece i + d at its own nodes, the glue added to the offset, and
+        # its faces are cell i's own; both windowed in one view
+        own = np.empty((2, nq, n))
+        own[0], own[1] = offsets[:nq], rho_own
+        c, rho = nodes = np.empty((2, width * nq + 2, n))
+        stencil = nodes[:, :-2].reshape(2, width, nq, n)
+        stencil[...] = own[:, None]
+        stencil[..., inner] = stencil_windows(own, (width,)).swapaxes(0, 1)
+        stencil[0, ..., inner] += glue[:, None]
         c[-2:] = offsets[nq:]
-        stencil = rho[:-2].reshape(2 * r + 1, nq, n)
-        stencil[...] = rho_own
-        stencil[..., inner] = band_windows(rho_own, width)
         rho[-2:] = rec_nodes[0, nq:]
     else:
-        mean = weights @ offsets[:nq]
+        # each cell's mean offset and its minima of the offset and the
+        # density over its nodes, windowed in one view below
+        own = np.empty((3, n))
+        mean = np.matmul(weights, offsets[:nq], out=own[0])
+        offsets[:nq].min(axis=0, out=own[1])
+        rho_own.min(axis=0, out=own[2])
     if scheme.simplified_anchor:
         p0 = anchor_pressure_simplified(rec_center, eos)
     else:
@@ -274,17 +270,17 @@ def build_profiles(scheme, eos, offsets, rec_nodes, rec_center, rho_hat,
         eps, positive = node_energies(eos, p, rho)
         return p, rho, eps, (p0 > 0.0) & positive
     p0, faces = p0[inner], offsets[nq:, inner]
+    # the three per-cell values over each stencil, (width, inner cells)
+    means, offset_lows, rho_lows = stencil_windows(
+        own, (width,)).swapaxes(0, 1)
     # E[i+d] - b (Delta_{i,d} + O[i+d]): p0 cancels
-    delta = glue + band_windows(mean, width)
+    delta = glue + means
     delta *= b
     np.subtract(e_window[:, inner], delta, out=delta)
     # the node gate through per-cell minima over the stencil and faces
-    low_p = np.minimum(
-        (glue + band_windows(offsets[:nq].min(axis=0), width)).min(axis=0),
-        faces.min(axis=0))
-    low_rho = np.minimum(
-        band_windows(rho_own.min(axis=0), width).min(axis=0),
-        rec_nodes[0, nq:, inner].min(axis=0))
+    low_p = np.minimum((glue + offset_lows).min(axis=0), faces.min(axis=0))
+    low_rho = np.minimum(rho_lows.min(axis=0),
+                         rec_nodes[0, nq:, inner].min(axis=0))
     ok = (p0 > 0.0) & (p0 + low_p > 0.0) & (low_rho > 0.0)
     return delta, b * faces, ok
 

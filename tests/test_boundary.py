@@ -348,6 +348,44 @@ def test_rhs_fill_is_fill_ghosts(kind, order, scenario, bc):
                                   data[:, grid.interior])
 
 
+@pytest.mark.parametrize("bc", [(EXTRAP, WALL), (WALL, EXTRAP),
+                                (EXTRAP, EXTRAP)],
+                         ids=["extrap-wall", "wall-extrap", "extrap-extrap"])
+@pytest.mark.parametrize("scenario", ["isothermal-10x", "polytropic-radiation"])
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("kind", ["dwb", "la"])
+def test_fill_from_the_state_pass_is_the_pieces_fill(kind, order, scenario,
+                                                     bc):
+    # DWB and LA read the fill's pieces from their lean state pass, their
+    # -S twins from a CWENO call of the pieces alone; both anchor every
+    # side alike, so the ghosts agree: the left ones bit for bit, the
+    # right ones, whose pieces are mirrored, to roundoff; a side falls
+    # back in both or in neither
+    scen = make_scenario(scenario)
+    scen.boundary = BoundarySpec1D(*bc)
+    filled, fallbacks = [], []
+    for variant in (kind, kind + "-s"):
+        scheme = Scheme(variant, order)
+        grid = grid_for(scen, 40, scheme.n_ghost)
+        data = init_cell_averages(scen, grid).data
+        rng = np.random.default_rng(order)
+        data[:, grid.interior] *= 1.0 + 1e-3 * rng.standard_normal(40)
+        data[1, grid.interior] = 1e-2 * data[0, grid.interior] \
+            * rng.standard_normal(40)
+        op = make_operator(scen, grid, scheme)
+        op.set_initial_state(data)
+        rec = op.fill_ghosts(data)
+        assert (rec is None) == variant.endswith("-s")
+        filled.append(data)
+        fallbacks.append(op.fallback_cells)
+    assert fallbacks[0] == fallbacks[1]
+    lean, pieces = filled
+    ng = grid.n_ghost
+    np.testing.assert_array_equal(lean[:, :ng], pieces[:, :ng])
+    scale = np.max(np.abs(pieces), axis=1, keepdims=True)
+    assert np.all(np.abs(lean[:, -ng:] - pieces[:, -ng:]) <= 1e-15 * scale)
+
+
 def test_hydrostatic_extrapolation_dynamic_consistency():
     # on a non-equilibrium state the fill keeps density/momentum equal to the
     # extrapolated near-boundary reconstruction averages

@@ -291,6 +291,13 @@ class TestScalarInputs:
             assert newton_evaluations(invert, rho, other,
                                       raises=EosFailure) == 0
 
+    @pytest.mark.parametrize("name", ["temperature_from_p",
+                                      "temperature_from_eps"])
+    def test_no_states_pass_the_guard(self, name):
+        empty = np.zeros(0)
+        assert getattr(IdealGasRadiation(1.4), name)(empty, empty).shape \
+            == (0,)
+
     @pytest.mark.parametrize("name", ["temperature_from_p", "pressure",
                                       "internal_energy"])
     def test_zero_input_is_named(self, name):

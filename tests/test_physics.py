@@ -245,10 +245,15 @@ def test_flux_rejects_nonphysical_side(eos, flux_fn, bad, side):
         flux_fn(*((q, good) if side == "left" else (good, q)), eos)
 
 
-@pytest.mark.parametrize("flux_fn", [roe_flux, hllc_flux, rusanov_flux])
-def test_fluxes_accept_no_states(flux_fn):
+@pytest.mark.parametrize("flux_fn, eos", [
+    (flux_fn, eos) for eos in (IdealGas(1.4), IdealGasRadiation(1.4))
+    for flux_fn in (roe_flux, hllc_flux, rusanov_flux)], ids=[
+    name + suffix for suffix in ("", "-radiation")
+    for name in ("roe_flux", "hllc_flux", "rusanov_flux")])
+def test_fluxes_accept_no_states(flux_fn, eos):
+    # the radiation inversions' input guard passes an array with no states
     empty = np.zeros((3, 0))
-    assert flux_fn(empty, empty, IdealGas(1.4)).shape == (3, 0)
+    assert flux_fn(empty, empty, eos).shape == (3, 0)
 
 
 def count_inversions(monkeypatch):

@@ -731,8 +731,9 @@ def full_reconstruction_rhs_1d(op, state):
     """The 1-D right-hand side with every band cell's energy reconstructed
     by the state pass and replaced by the equilibrium where the gate holds
     (`np.where(good, ...)`): the reference of the lean state pass, built
-    from the operator's equilibrium stage (DWB's or LA's), the product
-    tables' source means and the frame's `positivity_fallback` and
+    from `build_profiles` (DWB: product terms, node tables and the crop to
+    the flux band written out here) or the LA stage, the product tables'
+    source means and the frame's `positivity_fallback` and
     `flux_divergence`.  Returns the RHS, the fallback count and the gate
     (flux band cells)."""
     scheme, grid, r = op.scheme, op.grid, op.scheme.radius
@@ -743,20 +744,37 @@ def full_reconstruction_rhs_1d(op, state):
     rec = op.cweno.coefficients(data)               # (C, m, band cells)
     faces = op._face_rows @ rec
     face_l, face_r = faces.transpose(1, 0, 2)
+    flux = slice(bg - 1, face_l.shape[1] + 1 - bg)  # the band's flux band
     g = op._g_rows[0]                               # (m_g, band cells)
     e_window = stencil_windows(data[2], (2 * r + 1,))
-    e_faces, good = op._equilibrium(rec, data[0, cells], data[2, cells],
-                                    e_window)
-    flux = slice(bg - 1, face_l.shape[1] + 1 - bg)  # the band's flux band
+    la = scheme.well_balanced and not scheme.piecewise_source
+    tables = product_tables(
+        op.cweno.exps, GravityInterp1D(scheme.order, *grid.spacing).exps,
+        equilibrium_points(scheme.n_quad, r if la else 0), grid.spacing)
+    if scheme.piecewise_source:
+        values = np.ascontiguousarray(tables.values.T)  # (nodes, m)
+        terms = (rec[0][:, None] * g).reshape(-1, g.shape[-1])
+        profiles = build_profiles(
+            scheme, op.eos, np.ascontiguousarray(tables.line[0].T) @ terms,
+            values @ rec[:2], rec[:, 0], data[0, cells], data[2, cells],
+            e_window, op._mean)
+        if op.eos.deps_dp_constant is not None:     # the flux band's
+            delta, eps_faces, good = profiles
+        else:                                       # every band cell's
+            *_, eps, good = profiles
+            delta, eps_faces = energy_deviations(eps, e_window, op._mean)
+            delta, eps_faces, good = delta[:, r:-r], eps_faces[:, r:-r], \
+                good[r:-r]
+        e_faces = hydrostatic_energy_faces(
+            eps_faces, op.cweno.reconstruct_stencils(delta), values[-2:])
+    else:
+        e_faces, good = op._equilibrium(rec, data[0, cells], data[2, cells],
+                                        e_window)
     face_l[2, flux] = np.where(good, e_faces[0], face_l[2, flux])
     face_r[2, flux] = np.where(good, e_faces[1], face_r[2, flux])
     count = positivity_fallback(faces, data[:, cells], bg, good)
     # the exact source means: s = sum_ij q_i mean_ij g_j for q = rho, rho u
-    la = scheme.well_balanced and not scheme.piecewise_source
-    means = product_tables(
-        op.cweno.exps, GravityInterp1D(scheme.order, *grid.spacing).exps,
-        equilibrium_points(scheme.n_quad, r if la else 0),
-        grid.spacing).means.reshape(len(rec[0]), len(g))
+    means = tables.means.reshape(len(rec[0]), len(g))
     source = np.einsum("dic,ic->dc", rec[:2], means @ g)
     out = np.zeros_like(data)
     out[:, grid.interior] = flux_divergence(
