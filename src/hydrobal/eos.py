@@ -3,9 +3,11 @@
 Two models: the ideal gas law, and an ideal gas subject to radiation
 pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
-(`_quartic_root`) of a positive density and pressure or energy;
-`_newton` confirms it with one Newton step and guards against a start that
-is not finite or zero; no conversion iterates.
+(`_quartic_root`) of a positive density and pressure or energy.  Its
+conversions guard their input and confirm the root with one Newton step
+(`_newton`), which the fluxes' contact property needs; no conversion
+iterates.  `closed_form` is the same EoS without guard and polish, for the
+Newton anchor alone (`wellbalance.anchor_pressure_newton`).
 `thermo` returns several quantities of one (rho, p) state from a single
 temperature, and `thermo_eps` the pressure and those quantities of one
 (rho, eps) state.  At the sizes of one right-hand side a radiation
@@ -13,6 +15,8 @@ inversion costs about as much per numpy call as per point, so its cost is
 counted in calls.  All functions are pure, stateless, and vectorized over
 numpy arrays of any broadcast mix of shapes.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -65,19 +69,26 @@ def _quartic_root(a, b):
     return b4
 
 
-def _reject_state(rho, other, name):
+def _guard(rho, other, name):
     """Raise `EosFailure` naming the first state whose density or `name`
-    (pressure or energy) is not positive, or NaN, which has no temperature.
-    The inversions call it when their inputs' minimum is not positive."""
+    (pressure or energy) is not a finite positive number, which has no
+    temperature.  A valid input costs one elementwise minimum and maximum
+    and their reductions; one with no states passes."""
+    if np.minimum.reduce(np.minimum(rho, other), axis=None,
+                         initial=np.inf) > 0.0 \
+            and np.maximum.reduce(np.maximum(rho, other), axis=None,
+                                  initial=0.0) < np.inf:
+        return
     rho_b, other_b = np.broadcast_arrays(rho, other)
     for label, values in (("density", rho_b), (name, other_b)):
-        bad = ~(values > 0.0)
+        bad = ~((values > 0.0) & (values < np.inf))
         if bad.any():
             i = int(np.argmax(bad))
+            kind = "finite" if values.flat[i] > 0.0 else "positive"
             raise EosFailure(
                 f"no temperature at density {float(rho_b.flat[i])!r}, "
                 f"{name} {float(other_b.flat[i])!r}: the {label} is not a "
-                "positive number", rho=rho, other=other)
+                f"{kind} number", rho=rho, other=other)
 
 
 def _broadcast(value, other):
@@ -113,6 +124,12 @@ class IdealGas:
         p = self.pressure(rho, eps)
         return (p, *(getattr(self, name)(rho, p) for name in names))
 
+    @property
+    def closed_form(self):
+        """This EoS: its `thermo` and `thermo_eps` are exact; see
+        `IdealGasRadiation.closed_form`."""
+        return self
+
     def pressure(self, rho, eps):
         return _broadcast((self.gamma - 1.0) * np.asarray(eps, dtype=float),
                           rho)
@@ -140,9 +157,8 @@ class IdealGasRadiation:
     a = rho / (3(gamma-1)), b = eps/3), taken in closed form.  Both
     residuals are increasing and convex in T, so the Newton polish that
     follows converges monotonically from above after its first step.
-    In front of the root, one minimum and one reduction send a density,
-    pressure or energy that is not positive (or NaN) to `_reject_state`,
-    which names it; a +inf passes, overflows the root and fails the polish.
+    In front of the root, `_guard` names a density, pressure or energy
+    that is not a finite positive number (NaN, zero, negative or +inf).
     `_newton` is the polish: one residual evaluation and one step confirm
     a start good to 1e-14, and it raises `EosFailure` when the start is
     not finite or zero.  It stays a method of its own because the
@@ -150,6 +166,11 @@ class IdealGasRadiation:
     one per inversion.  The kernels are lean in numpy calls: the root works
     on in-place temporaries, and the residuals and quantities share T^3 and
     take no power.
+
+    The polish is for the fluxes: without it the contact property misses
+    its 1e-13 bound.  The fluxes, the CFL rate, the -S anchors' node
+    energies and every public conversion are guarded and polished; the
+    Newton anchor alone evaluates `closed_form`.
     """
 
     name = "ideal-radiation"
@@ -164,9 +185,7 @@ class IdealGasRadiation:
 
     def temperature_from_eps(self, rho, eps):
         rho, eps = np.asarray(rho, float), np.asarray(eps, float)
-        if not np.minimum.reduce(np.minimum(rho, eps), axis=None,
-                                 initial=np.inf) > 0.0:
-            _reject_state(rho, eps, "energy")
+        _guard(rho, eps, "energy")
         k = rho / (self.gamma - 1.0)
         t = _quartic_root(k / 3.0, eps / 3.0)
         return self._newton(t, rho, eps,
@@ -175,9 +194,7 @@ class IdealGasRadiation:
 
     def temperature_from_p(self, rho, p):
         rho, p = np.asarray(rho, float), np.asarray(p, float)
-        if not np.minimum.reduce(np.minimum(rho, p), axis=None,
-                                 initial=np.inf) > 0.0:
-            _reject_state(rho, p, "pressure")
+        _guard(rho, p, "pressure")
         t = _quartic_root(rho, p)
         return self._newton(t, rho, p,
                             lambda T: T * (rho + T * T * T) - p,
@@ -204,6 +221,16 @@ class IdealGasRadiation:
             t = t_new
         raise EosFailure("temperature inversion did not converge",
                          rho=rho, other=target)
+
+    @cached_property
+    def closed_form(self):
+        """This EoS with every temperature the closed-form root, with no
+        input guard and no polish: within 1.2e-15 of the polished root over
+        [1e-100, 1e100] (2e5 log-uniform samples per input pair).  For the
+        Newton anchor alone, which makes its rows positive and whose next
+        step confirms its result; a non-positive or infinite input gives NaN
+        or a warning, not `EosFailure`."""
+        return _ClosedFormRadiation(self.gamma)
 
     # -- public conversions ----------------------------------------------
 
@@ -263,3 +290,15 @@ class IdealGasRadiation:
         gm1 = self.gamma - 1.0
         gamma1 = beta + (4.0 - 3.0 * beta) ** 2 * gm1 / (beta + 12.0 * gm1 * (1.0 - beta))
         return np.sqrt(gamma1 * p / rho)
+
+
+class _ClosedFormRadiation(IdealGasRadiation):
+    """`IdealGasRadiation.closed_form`: its temperatures are the quartic's
+    closed-form root alone."""
+
+    def temperature_from_eps(self, rho, eps):
+        k = rho / (self.gamma - 1.0)
+        return _quartic_root(k / 3.0, np.asarray(eps, float) / 3.0)
+
+    def temperature_from_p(self, rho, p):
+        return _quartic_root(rho, p)

@@ -149,14 +149,19 @@ def anchor_pressure_newton(c_rows, rho_rows, own, rho_hat, eps_hat, eos,
     pressure of the averaged state (rho_hat, eps_hat); the relative step
     |f/f'| < 1e-13 p0 stops the iteration, so an anchor far below one is as
     accurate as any other, and a halving step guards against negative trial
-    pressures.  One `eos.thermo` call per iteration, with 1 in place of a
-    non-positive p or rho.  ok is False where the iteration did not
-    converge, the averaged state is non-physical, or p or rho is not
-    positive at some row.
+    pressures.  Every EoS evaluation, the start's `thermo_eps` and one
+    `thermo` per iteration, is at `eos.closed_form`, without guard and
+    polish: 1 stands in for a non-positive p or rho and for a non-finite
+    averaged state, and the next iteration confirms the last one's
+    temperatures.  ok is False where the iteration did not converge, the
+    averaged state is not finite and positive, or p or rho is not positive
+    at some row.
     """
-    safe = (rho_hat > 0.0) & (eps_hat > 0.0)
+    eos = eos.closed_form
+    safe = (np.minimum(rho_hat, eps_hat) > 0.0) \
+        & (np.maximum(rho_hat, eps_hat) < np.inf)
     target = np.where(safe, eps_hat, 1.0)
-    p = eos.pressure(np.where(safe, rho_hat, 1.0), target)
+    p, = eos.thermo_eps(np.where(safe, rho_hat, 1.0), target)
     ok = rho_rows.min(axis=0) > 0.0
     if not ok.all():
         rho_rows = np.where(rho_rows > 0.0, rho_rows, 1.0)

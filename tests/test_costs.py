@@ -24,18 +24,31 @@ PINNED_ON = ((3, 11), "2.")
 WALL = ("hydrostatic-extrapolation", "solid-wall")
 
 # (scenario, parameters, sides or None for the scenario's own, kind, order)
-# -> (profiled calls, opcodes), at n = 48 from the averaged initial state
+# -> (profiled calls, opcodes), at n = 48 (2-D: 16 x 16) from the averaged
+# initial state
 PINS = {
     ("isothermal-perturbed", "eta", None, "dwb", 5): (211, 3445),
     ("isothermal-perturbed", "eta", None, "standard", 5): (134, 2211),
+    ("isothermal-perturbed", "eta", None, "dwb", 3): (211, 3390),
+    ("isothermal-perturbed", "eta", None, "standard", 3): (134, 2211),
+    ("isothermal-perturbed", "eta", None, "la", 3): (225, 3308),
+    ("isothermal-perturbed", "eta", None, "la", 5): (225, 3308),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 3): (220, 3474),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 5): (220, 3529),
+    ("isothermal-perturbed", "eta", None, "la-s", 3): (233, 3404),
+    ("isothermal-perturbed", "eta", None, "la-s", 5): (233, 3404),
     ("isothermal-10x", None, None, "dwb", 5): (207, 3328),
     ("isothermal-10x", None, None, "standard", 5): (130, 2094),
     ("isothermal-10x", None, WALL, "dwb", 5): (259, 4284),
     ("isothermal-10x", None, WALL, "standard", 5): (197, 3292),
-    ("polytropic-radiation", "perturbation", None, "dwb", 3): (379, 6403),
+    ("polytropic-radiation", "perturbation", None, "dwb", 3): (335, 5882),
     ("polytropic-radiation", "perturbation", None, "standard", 3):
-        (171, 2951),
+        (175, 3005),
+    ("polytrope-2d", None, None, "standard", 3): (185, 3293),
+    ("polytrope-2d", None, None, "la", 3): (277, 4402),
+    ("polytrope-2d", None, None, "la-s", 3): (285, 4498),
 }
+SIZES = {"polytrope-2d": 16}
 
 
 @pytest.mark.skipif(
@@ -51,7 +64,7 @@ def test_rhs_costs(case):
     if sides:
         scenario.boundary = BoundarySpec1D(*sides)
     scheme = Scheme(kind, order)
-    grid = grid_for(scenario, 48, scheme.n_ghost)
+    grid = grid_for(scenario, SIZES.get(name, 48), scheme.n_ghost)
     data = init_cell_averages(scenario, grid).data
     op = make_operator(scenario, grid, scheme)
     op.set_initial_state(data)

@@ -180,6 +180,10 @@ class TestRadiationClosedForm:
         eos = IdealGasRadiation(gamma)
         assert_close(eos.temperature_from_p(rho, p), oracle)
         assert newton_evaluations(eos.temperature_from_p, rho, p) == 1
+        # the anchor's closed form: the root alone, next to the polished one
+        closed = eos.closed_form.temperature_from_p
+        assert_close(closed(rho, p), eos.temperature_from_p(rho, p), 1e-14)
+        assert newton_evaluations(closed, rho, p) == 0
 
     @PROPERTY
     @given(rho=LOG_UNIFORM, eps=LOG_UNIFORM, gamma=GAMMAS)
@@ -190,6 +194,14 @@ class TestRadiationClosedForm:
         eos = IdealGasRadiation(gamma)
         assert_close(eos.temperature_from_eps(rho, eps), oracle)
         assert newton_evaluations(eos.temperature_from_eps, rho, eps) == 1
+        closed = eos.closed_form.temperature_from_eps
+        assert_close(closed(rho, eps), eos.temperature_from_eps(rho, eps),
+                     1e-14)
+        assert newton_evaluations(closed, rho, eps) == 0
+
+    def test_ideal_gas_closed_form_is_exact(self):
+        eos = IdealGas(1.4)
+        assert eos.closed_form is eos
 
     def test_thermo_matches_each_method(self):
         rng = np.random.default_rng(47)
@@ -272,19 +284,21 @@ class TestScalarInputs:
         ids=["negative", "nan-p", "nan-rho", "zero", "array-negative",
              "array-nan", "inf-rho", "inf-p"])
     def test_bad_input_raises(self, rho, p):
+        # before any arithmetic: no RuntimeWarning either
         eos = IdealGasRadiation(1.4)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(EosFailure):
-                eos.temperature_from_p(rho, p)
-            with pytest.raises(EosFailure):
-                eos.thermo(rho, p, "internal_energy")
+        with pytest.raises(EosFailure):
+            eos.temperature_from_p(rho, p)
+        with pytest.raises(EosFailure):
+            eos.thermo(rho, p, "internal_energy")
 
     @pytest.mark.parametrize("rho, other", [
         (1.0, -1.0), (1.0, np.nan), (np.nan, 1.0), (1.0, 0.0),
         (np.array([1.0, np.nan]), np.ones(2)), (-0.22, 0.0484),
-        (-0.22, 0.5), (0.0, 1.0), (-np.inf, 1.0)],
+        (-0.22, 0.5), (0.0, 1.0), (-np.inf, 1.0), (1.0, np.inf),
+        (np.inf, 1.0), (np.array([1.0, np.inf]), np.ones(2))],
         ids=["negative", "nan-p", "nan-rho", "zero", "array-nan",
-             "negative-rho-p", "negative-rho-eps", "zero-rho", "minus-inf"])
+             "negative-rho-p", "negative-rho-eps", "zero-rho", "minus-inf",
+             "inf", "inf-rho", "array-inf-rho"])
     def test_bad_input_raises_before_the_polish(self, rho, other):
         eos = IdealGasRadiation(1.4)
         for invert in (eos.temperature_from_p, eos.temperature_from_eps):
@@ -306,6 +320,20 @@ class TestScalarInputs:
         with pytest.raises(EosFailure, match=r"(pressure|energy) 0\.0: the "
                            r"(pressure|energy) is not a positive number"):
             getattr(IdealGasRadiation(1.4), name)(1.0, 0.0)
+
+    @pytest.mark.parametrize("invert, rho, other, message", [
+        ("temperature_from_p", 1.0, np.inf,
+         "density 1.0, pressure inf: the pressure is not a finite number"),
+        ("temperature_from_eps", 1.0, np.inf,
+         "density 1.0, energy inf: the energy is not a finite number"),
+        ("temperature_from_p", np.inf, 1.0,
+         "density inf, pressure 1.0: the density is not a finite number")],
+        ids=["p", "eps", "rho"])
+    def test_infinite_input_is_named(self, invert, rho, other, message):
+        # +inf passes a minimum check, and the root would divide inf by inf
+        with pytest.raises(EosFailure) as error:
+            getattr(IdealGasRadiation(1.4), invert)(rho, other)
+        assert str(error.value) == "no temperature at " + message
 
     @pytest.mark.parametrize("invert, other, name", [
         ("temperature_from_eps", 0.5, "energy"),

@@ -257,22 +257,29 @@ def test_fluxes_accept_no_states(flux_fn, eos):
 
 
 def count_inversions(monkeypatch):
-    """A list that records every temperature inversion of the radiation EoS."""
-    calls = []
-    for name in ("temperature_from_p", "temperature_from_eps"):
-        raw = getattr(IdealGasRadiation, name)
-        monkeypatch.setattr(IdealGasRadiation, name,
-                            lambda self, *args, _raw=raw, _name=name:
-                            calls.append(_name) or _raw(self, *args))
-    return calls
+    """Two lists that record every temperature inversion of the radiation
+    EoS by its input, "eps" or "p", in order: the guarded and polished
+    inversions, and those of its `closed_form` (the closed-form root
+    alone)."""
+    polished, closed = [], []
+    closed_form = type(IdealGasRadiation(1.4).closed_form)
+    for cls, calls in ((IdealGasRadiation, polished), (closed_form, closed)):
+        for name in ("temperature_from_p", "temperature_from_eps"):
+            monkeypatch.setattr(
+                cls, name,
+                lambda self, *args, _raw=cls.__dict__[name], _calls=calls,
+                _kind=name.rsplit("_", 1)[1]:
+                _calls.append(_kind) or _raw(self, *args))
+    return polished, closed
 
 
 def test_temperature_inversions_per_rhs_and_cfl(monkeypatch):
     # one 1-D radiation DWB-O3 right-hand side at the benchmark's n = 256:
     # the anchor's start, its first Newton step at the own nodes and its
     # second at the whole node set, which also yields the energies of the
-    # deviations; the flux split of both sides, and the Roe average state;
-    # one CFL rate takes its pressure and sound speed from one temperature
+    # deviations, all in closed form; the flux split of both sides, and the
+    # Roe average state, polished; one CFL rate takes its pressure and
+    # sound speed from one polished temperature
     from hydrobal.cases import grid_for, init_cell_averages, make_scenario
     from hydrobal.runner import make_operator
 
@@ -282,31 +289,42 @@ def test_temperature_inversions_per_rhs_and_cfl(monkeypatch):
     data = init_cell_averages(scen, grid).data
     op = make_operator(scen, grid, scheme)
     op.set_initial_state(data)
-    calls = count_inversions(monkeypatch)
+    polished, closed = count_inversions(monkeypatch)
     op.rhs(data)
-    assert calls == ["temperature_from_eps"] + ["temperature_from_p"] * 2 \
-        + ["temperature_from_eps", "temperature_from_p"]
-    calls.clear()
+    assert polished == ["eps", "p"]
+    assert closed == ["eps", "p", "p"]
+    polished.clear()
     cfl_rate(data[:, grid.interior], scen.eos, grid.spacing)
-    assert calls == ["temperature_from_eps"]
+    assert polished == ["eps"]
+    assert closed == ["eps", "p", "p"]
 
 
-# inversions from eps ("eps") and from p ("p"), in order
-@pytest.mark.parametrize("scenario, kind, n, bc, fill_only, expected", [
+# inversions from eps ("eps") and from p ("p"), in order: polished, and in
+# closed form
+@pytest.mark.parametrize(
+    "scenario, kind, n, bc, fill_only, polished, closed", [
     # the anchor's start and two Newton steps, the second of which gives
     # the energies of the deviations; the flux split and the Roe average
     ("polytropic-radiation", "la", 256, None, False,
-     ["eps", "p", "p", "eps", "p"]),
+     ["eps", "p"], ["eps", "p", "p"]),
     # the boundary cells' anchors take three steps, the last two on the
     # ghosts' nodes too: no separate ghost-energy inversion
     ("polytropic-radiation", "dwb", 64,
-     ("hydrostatic-extrapolation", "solid-wall"), True, ["eps", "p", "p", "p"]),
+     ("hydrostatic-extrapolation", "solid-wall"), True, [],
+     ["eps", "p", "p", "p"]),
     # three anchor steps, then per axis the flux split and the Roe average
     ("polytrope-2d", "la", 24, None, False,
-     ["eps", "p", "p", "p", "eps", "p", "eps", "p"]),
-], ids=["la3-rhs", "dwb3-hydrostatic-fill", "la3-2d-rhs"])
+     ["eps", "p", "eps", "p"], ["eps", "p", "p", "p"]),
+    # the simplified anchor's pressure and the node energies stay polished,
+    # besides the flux split and the Roe average
+    ("polytropic-radiation", "dwb-s", 256, None, False,
+     ["eps", "p", "eps", "p"], []),
+    ("polytropic-radiation", "la-s", 256, None, False,
+     ["eps", "p", "eps", "p"], []),
+], ids=["la3-rhs", "dwb3-hydrostatic-fill", "la3-2d-rhs", "dwb-s3-rhs",
+        "la-s3-rhs"])
 def test_temperature_inversions_per_equilibrium(scenario, kind, n, bc,
-                                                fill_only, expected,
+                                                fill_only, polished, closed,
                                                 monkeypatch):
     from hydrobal.cases import grid_for, init_cell_averages, make_scenario
     from hydrobal.runner import make_operator
@@ -322,7 +340,7 @@ def test_temperature_inversions_per_equilibrium(scenario, kind, n, bc,
     op.set_initial_state(data)
     calls = count_inversions(monkeypatch)
     op.fill_ghosts(data) if fill_only else op.rhs(data)
-    assert [name.rsplit("_", 1)[1] for name in calls] == expected
+    assert calls == (polished, closed)
     assert op.fallback_cells == 0
 
 

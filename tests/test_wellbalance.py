@@ -47,6 +47,13 @@ class NodeIdealGas(IdealGas):
     deps_dp_constant = None
 
 
+# (density, pressure) scales of anchor states: far above one, then one
+# where radiation dominates (T^4 >> rho T) and one where the gas does
+STATE_SCALES = [(1.0, 1.0), (1e20, 1e20), (1e60, 1e60), (1e-6, 1e8),
+                (1e8, 1e8)]
+STATE_SCALE_IDS = ["1", "1e20", "1e60", "radiation", "gas"]
+
+
 def reconstruction_setup(scenario, n, scheme):
     grid = grid_for(scenario, n, scheme.n_ghost)
     field = init_cell_averages(scenario, grid)
@@ -263,24 +270,28 @@ class TestAnchors:
         assert np.all(conv)
         np.testing.assert_allclose(p0, 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("rho_scale, p_scale", STATE_SCALES,
+                             ids=STATE_SCALE_IDS)
     @pytest.mark.parametrize("gravity", [0.0, 0.3], ids=["start", "steps"])
-    def test_newton_energies_at_every_row(self, gravity):
+    def test_newton_energies_at_every_row(self, gravity, rho_scale, p_scale):
         # the own rows (the middle two) set p0; the other rows take eps at
         # the converged p0, also when the start is already the root and
-        # the first iteration, at the own rows alone, confirms it
+        # the first iteration, at the own rows alone, confirms it; the
+        # anchor's closed-form temperatures give the polished energies
         eos = IdealGasRadiation(1.4)
         _, weights = gauss_nodes_weights_centered(2, 1.0)
         rng = np.random.default_rng(11)
         c = gravity * rng.uniform(-1.0, 1.0, (6, 5))
         c[2:4] = gravity * np.array([[-0.3], [0.3]])
         c[0, 4] = -10.0                      # a non-positive node
-        rho = rng.uniform(0.5, 2.0, (6, 5))
+        c *= p_scale
+        rho = rho_scale * rng.uniform(0.5, 2.0, (6, 5))
         rho[3] = rho[2]
         rho_hat = weights @ rho[2:4]
-        eps_hat = weights @ eos.internal_energy(rho[2:4], 1.0 + c[2:4])
+        eps_hat = weights @ eos.internal_energy(rho[2:4], p_scale + c[2:4])
         p0, ok, eps = anchor_pressure_newton(c, rho, slice(2, 4), rho_hat,
                                              eps_hat, eos, weights)
-        np.testing.assert_allclose(p0, 1.0, rtol=1e-13)
+        np.testing.assert_allclose(p0, p_scale, rtol=1e-13)
         np.testing.assert_array_equal(ok, [True] * 4 + [False])
         p = p0 + c
         np.testing.assert_allclose(
@@ -572,19 +583,42 @@ def test_steep_grids_the_init_rejects_fail_the_fill_too(eos, kind, order,
     assert op.fallback_cells == (3 * grid.n_ghost if top else 0)
 
 
-def test_newton_anchor_relative_to_small_pressure():
-    # an anchor far below one converges to the same relative accuracy as
-    # one of order one
+@pytest.mark.parametrize("rho_scale, p_scale", [
+    (1e-8, 1e-8), (1e-20, 1e-20)] + STATE_SCALES,
+    ids=["1e-8", "1e-20"] + STATE_SCALE_IDS)
+def test_newton_anchor_relative_to_small_pressure(rho_scale, p_scale):
+    # an anchor far below or far above one converges to the same relative
+    # accuracy as one of order one, and its closed-form energies are the
+    # polished ones, whichever of gas and radiation dominates
     eos = IdealGasRadiation(1.4)
     _, weights = gauss_nodes_weights_centered(2, 1.0)
-    for scale in (1.0, 1e-8, 1e-20):
-        rho = np.full((2, 1), scale)
-        offsets = scale * np.array([[-0.3], [0.3]])
-        eps_hat = np.mean(eos.internal_energy(rho, scale + offsets), axis=0)
-        p0, ok, _ = anchor_pressure_newton(offsets, rho, slice(None), rho[0],
-                                           eps_hat, eos, weights)
-        assert ok.all()
-        assert abs(p0[0] - scale) <= 100 * ANCHOR_TOL * scale
+    rho = np.full((2, 1), rho_scale)
+    offsets = p_scale * np.array([[-0.3], [0.3]])
+    eps_hat = np.mean(eos.internal_energy(rho, p_scale + offsets), axis=0)
+    p0, ok, eps = anchor_pressure_newton(offsets, rho, slice(None), rho[0],
+                                         eps_hat, eos, weights)
+    assert ok.all()
+    assert abs(p0[0] - p_scale) <= 100 * ANCHOR_TOL * p_scale
+    np.testing.assert_allclose(eps, eos.internal_energy(rho, p0 + offsets),
+                               rtol=1e-14)
+
+
+def test_newton_anchor_infinite_energy_is_not_physical():
+    # an infinite averaged energy has no start: its cell is rejected, and
+    # its neighbours' anchors and energies are those of a finite one
+    eos = IdealGasRadiation(1.4)
+    _, weights = gauss_nodes_weights_centered(2, 1.0)
+    rho = np.array([[0.8, 1.0, 1.2], [0.9, 1.1, 1.3]])
+    offsets = np.array([[-0.3, -0.2, -0.1], [0.3, 0.2, 0.1]])
+    eps_hat = weights @ eos.internal_energy(rho, 1.0 + offsets)
+    finite = anchor_pressure_newton(offsets, rho, slice(None), weights @ rho,
+                                    eps_hat, eos, weights)
+    eps_hat[1] = np.inf
+    p0, ok, eps = anchor_pressure_newton(offsets, rho, slice(None),
+                                         weights @ rho, eps_hat, eos, weights)
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_array_equal(p0[::2], finite[0][::2])
+    np.testing.assert_array_equal(eps[:, ::2], finite[2][:, ::2])
 
 
 def perturbed_op(eos, kind, order, stressed=False):
