@@ -224,14 +224,15 @@ class SpatialOperator:
             nq, grid.spacing[0])
         self._mean = self.quad_weights / grid.spacing[0]
         # the flux's face pairs: the face buffer (C, axis, side, *node,
-        # *cells) as (axis, side, C, *cells, *node), a face's Gauss nodes
-        # last with their weights (a 1-D face is one point)
+        # *cells) as (axis, side, C, *node, *cells), a face's Gauss nodes
+        # (with their weights; a 1-D face is one point) ahead of the cells
+        # as the face product writes them, so every side's view is
+        # C-ordered with no copy
         node = (nq,) * (dim - 1)
         self._face_w = gauss_nodes_weights_centered(nq, 1.0)[1] if node \
             else None
         self._pairs = ((dim, 2) + node + self._shape,
-                       (1, 2, 0, *range(2 + dim, 2 + 2 * dim),
-                        *range(3, 2 + dim)))
+                       (1, 2, 0, *range(3, 2 + 2 * dim)))
         # product-basis tables at the equilibrium node set: LA's stencil
         # cells (reach r), the cell's own nodes otherwise, then the faces;
         # transposed for cells last, rows are nodes

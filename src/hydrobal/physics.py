@@ -5,7 +5,8 @@ Flux functions act on conserved states stacked on the leading axis; the
 `normal` argument names the momentum component that faces the interface
 (1 for x, 2 for y).  All fluxes are consistent, Lipschitz, and - except for
 the Rusanov control - satisfy the contact property: a stationary contact
-(u = 0, equal pressure) returns exactly (0, p, 0[, 0]).
+(u = 0, equal pressure) returns exactly (0, p, 0[, 0]).  Each stacks its
+two sides into one C-ordered pair and splits it in one call.
 
 The frame (positivity fallback, flux divergence, CFL rate) works on states
 (C, *cells), ghosts included, and on the operator's one face buffer
@@ -13,7 +14,8 @@ The frame (positivity fallback, flux divergence, CFL rate) works on states
 lo, hi; 2-D: the Gauss nodes of xl, xr, yl, yr), cells last.  The
 positivity fallback checks the whole buffer in one pass, and the flux
 divergence takes per cell axis a (lo, hi) pair of views of it, with a
-trailing axis of Gauss nodes where faces carry them (2-D).
+leading axis of Gauss nodes, after the components, where faces carry them
+(2-D): each view is then C-ordered, as the flux's pair.
 A solid wall is the flux against the boundary cell's mirror image (Toro,
 Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed., 2009),
 written into the ghost's inner face: one flux call per axis, walls included.
@@ -37,23 +39,33 @@ def physical_state(q):
     return eps, positive & (eps > 0.0)
 
 
+def stacked_pair(q_l, q_r):
+    """The two sides of a flux call as one C-ordered array (C, 2, *faces)."""
+    shape = np.shape(q_l)
+    q = np.empty((shape[0], 2) + shape[1:])
+    q[:, 0] = q_l
+    q[:, 1] = q_r
+    return q
+
+
 def split_conserved(q, eos, *names):
     """Conserved -> (rho, velocities, pressure, *quantities). Raises on
     non-physical input.
 
     The velocities are one array (momenta..., *cells); `names` asks for
     `thermo` quantities from the pressure's own temperature.  The fluxes
-    split their left and right states stacked on axis 1: one EoS inversion.
+    split their `stacked_pair`: one EoS inversion for both sides.  The
+    checks are direct reductions, and rho |u|^2 is m . u.
     """
-    q = np.asarray(q, dtype=float)
     rho = q[0]
     # a NaN is the minimum of an array that holds one and fails both tests;
     # the initial values let an array with no states pass
-    if not (rho.min(initial=np.inf) > 0.0 and rho.max(initial=0.0) < np.inf):
+    if not (np.minimum.reduce(rho, None, initial=np.inf) > 0.0
+            and np.maximum.reduce(rho, None, initial=0.0) < np.inf):
         raise FluxEvaluationError("non-positive or non-finite density in flux input")
     vel = q[1:-1] / rho
-    eps = q[-1] - 0.5 * rho * sum(v * v for v in vel)
-    if eps.min(initial=np.inf) <= 0.0:
+    eps = q[-1] - 0.5 * np.add.reduce(q[1:-1] * vel)
+    if np.minimum.reduce(eps, None, initial=np.inf) <= 0.0:
         raise FluxEvaluationError("non-positive internal energy in flux input")
     return (rho, vel) + eos.thermo_eps(rho, eps, *names)
 
@@ -61,26 +73,23 @@ def split_conserved(q, eos, *names):
 def physical_flux(q, p, normal=1):
     """Euler flux along the chosen normal momentum component."""
     q = np.asarray(q, dtype=float)
-    rho = q[0]
-    u = q[normal] / rho
-    out = np.empty_like(q)
+    u = q[normal] / q[0]
+    out = q * u
     out[0] = q[normal]
-    for k in range(1, q.shape[0] - 1):
-        out[k] = q[k] * u
     out[normal] += p
     out[-1] = (q[-1] + p) * u
     return out
 
 
-def _roe_averages(rho, momenta, ep):
-    """Roe averages of two sides (axis 0 of `rho` and of E + p `ep`, axis 1
-    of `momenta`): the density, the velocities and the enthalpy."""
+def _roe_means(q, rho, p):
+    """sqrt(rho) and the Roe averages (velocities..., H) of a stacked pair:
+    the weights sqrt(rho) / (sqrt(rho_l) + sqrt(rho_r)), per unit density,
+    applied to (momenta..., E + p) in one weighted sum."""
     sq = np.sqrt(rho)
-    norm = sq[0] + sq[1]
-    vel = sq * momenta / rho
-    h = sq * (ep / rho)
-    return (np.sqrt(rho[0] * rho[1]), (vel[:, 0] + vel[:, 1]) / norm,
-            (h[0] + h[1]) / norm)
+    weight = 1.0 / (sq * (sq[0] + sq[1]))
+    terms = q[1:] * weight
+    terms[-1] += p * weight
+    return sq, terms[:, 0] + terms[:, 1]
 
 
 def roe_flux(q_l, q_r, eos, normal=1):
@@ -97,96 +106,105 @@ def roe_flux(q_l, q_r, eos, normal=1):
     s H~ + z (ke~ + eps_rho) + w . u~ for energy; the flux is
     (F(q_l) + F(q_r) - D) / 2.
     """
-    q = np.stack([q_l, q_r], axis=1)
+    q = stacked_pair(q_l, q_r)
     rho, vel, p = split_conserved(q, eos)
-    ep = q[-1] + p
-    rho_hat, vel_hat, h_hat = _roe_averages(rho, q[1:-1], ep)
+    sq, hat = _roe_means(q, rho, p)
+    vel_hat, h_hat = hat[:-1], hat[-1]
     k = normal - 1
     u = vel_hat[k]
-    ke_hat = 0.5 * sum(v * v for v in vel_hat)
+    ke_hat = 0.5 * np.add.reduce(vel_hat * vel_hat)
     if eos.name == "ideal":
         c2 = (eos.gamma - 1.0) * (h_hat - ke_hat)
     else:
         c_bar, eps_rho = eos.thermo(0.5 * (rho[0] + rho[1]), 0.5 * (p[0] + p[1]),
                                     "sound_speed", "deps_drho")
-        c2 = c_bar ** 2
+        c2 = c_bar * c_bar
         ke_hat = ke_hat + eps_rho      # the contact vector's energy entry
     c = np.sqrt(c2)
 
-    dp = p[1] - p[0]
-    jump = rho_hat * c * (vel[k, 1] - vel[k, 0])
-    minus = np.abs(u - c) * (dp - jump) / (2.0 * c2)
-    plus = np.abs(u + c) * (dp + jump) / (2.0 * c2)
+    # the acoustic waves share 0.5 / c^2: a_-+ = a -+ b with a = dp / (2 c^2)
+    # and b = rho~ c du / (2 c^2), rho~ = sqrt(rho_l) sqrt(rho_r)
+    half = 0.5 / c2
+    rho_hat = sq[0] * sq[1]
+    dv = vel[:, 1] - vel[:, 0]
+    a = p[1] - p[0]
+    a *= half
+    b = rho_hat * c
+    b *= dv[k]
+    b *= half
+    minus = np.abs(u - c)
+    minus *= a - b
+    plus = np.abs(u + c)
+    plus *= a + b
     speed = np.abs(u)
-    z = speed * (rho[1] - rho[0] - dp / c2)
+    z = rho[1] - rho[0]
+    z -= a + a
+    z *= speed
     s = minus + plus
-    w = (speed * rho_hat) * (vel[:, 1] - vel[:, 0]) if len(vel) > 1 \
-        else np.empty(vel_hat.shape)     # the shear waves, d in the normal row
-    w[k] = c * (plus - minus)
+    w = (speed * rho_hat) * dv if len(vel) > 1 \
+        else np.empty(dv.shape)     # the shear waves, d in the normal row
+    plus -= minus
+    w[k] = c * plus
 
     # the physical fluxes of both sides summed, less the dissipation
     un = vel[k]
-    flux = q * un
-    flux[0] = q[normal]
-    flux[normal] += p
-    flux[-1] = ep * un
-    out = flux[:, 0] + flux[:, 1]
-    zs = z + s
-    out[0] -= zs
-    out[1:-1] -= zs * vel_hat + w
-    out[-1] -= s * h_hat + z * ke_hat + sum(w * vel_hat)
+    flux = q[1:] * un
+    flux[k] += p
+    flux[-1] += p * un
+    out = np.empty((len(q),) + np.shape(u))
+    out[0] = q[normal, 0] + q[normal, 1]
+    np.add(flux[:, 0], flux[:, 1], out=out[1:])
+    energy = s * h_hat
+    energy += z * ke_hat
+    energy += np.add.reduce(w * vel_hat)
+    out[-1] -= energy
+    z += s
+    out[0] -= z
+    w += z * vel_hat
+    out[1:-1] -= w
     out *= 0.5
     return out
 
 
 def hllc_flux(q_l, q_r, eos, normal=1):
     """HLLC flux with Einfeldt-type wave-speed bounds from Roe averages."""
-    q_l = np.asarray(q_l, dtype=float)
-    q_r = np.asarray(q_r, dtype=float)
-    q = np.stack([q_l, q_r], axis=1)
+    q = stacked_pair(q_l, q_r)
     rho, vel, p, c = split_conserved(q, eos, "sound_speed")
-    (rho_l, rho_r), (p_l, p_r), (c_l, c_r) = rho, p, c
-    u_l, u_r = vel[normal - 1]
-    rho_hat, vel_hat, h_hat = _roe_averages(rho, q[1:-1], q[-1] + p)
+    k = normal - 1
+    u = vel[k]
+    hat = _roe_means(q, rho, p)[1]
     if eos.name == "ideal":
         c_hat = np.sqrt((eos.gamma - 1.0) *
-                        (h_hat - 0.5 * sum(v * v for v in vel_hat)))
+                        (hat[-1] - 0.5 * np.add.reduce(hat[:-1] * hat[:-1])))
     else:  # at the arithmetic-average state
-        c_hat = eos.sound_speed(0.5 * (rho_l + rho_r), 0.5 * (p_l + p_r))
-    s_l = np.minimum(u_l - c_l, vel_hat[normal - 1] - c_hat)
-    s_r = np.maximum(u_r + c_r, vel_hat[normal - 1] + c_hat)
+        c_hat = eos.sound_speed(0.5 * (rho[0] + rho[1]), 0.5 * (p[0] + p[1]))
+    # the left and right wave speeds, and rho (s - u) of each side
+    s = np.empty(rho.shape)
+    s[0] = np.minimum(u[0] - c[0], hat[k] - c_hat)
+    s[1] = np.maximum(u[1] + c[1], hat[k] + c_hat)
+    rs = rho * (s - u)
+    s_star = (p[1] - p[0] + rs[0] * u[0] - rs[1] * u[1]) / (rs[0] - rs[1])
 
-    denom = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
-    s_star = (p_r - p_l + rho_l * u_l * (s_l - u_l)
-              - rho_r * u_r * (s_r - u_r)) / denom
-
-    def star_state(q, rho, u, p, s):
-        factor = rho * (s - u) / (s - s_star)
-        out = np.empty_like(q)
-        out[0] = factor
-        for k in range(1, q.shape[0] - 1):
-            out[k] = factor * q[k] / rho
-        out[normal] = factor * s_star
-        out[-1] = factor * (q[-1] / rho
-                            + (s_star - u) * (s_star + p / (rho * (s - u))))
-        return out
-
-    f_l = physical_flux(q_l, p_l, normal)
-    f_r = physical_flux(q_r, p_r, normal)
-    f_star_l = f_l + s_l * (star_state(q_l, rho_l, u_l, p_l, s_l) - q_l)
-    f_star_r = f_r + s_r * (star_state(q_r, rho_r, u_r, p_r, s_r) - q_r)
-
-    out = np.where(s_l >= 0.0, f_l,
-                   np.where(s_star >= 0.0, f_star_l,
-                            np.where(s_r >= 0.0, f_star_r, f_r)))
-    return out
+    # the star fluxes F + s (q* - q) of both sides, in place
+    flux = physical_flux(q, p, normal)
+    factor = rs / (s - s_star)
+    star = q * (factor / rho)
+    star[0] = factor
+    star[normal] = factor * s_star
+    star[-1] = factor * (q[-1] / rho + (s_star - u) * (s_star + p / rs))
+    star -= q
+    star *= s
+    star += flux
+    return np.where(s[0] >= 0.0, flux[:, 0],
+                    np.where(s_star >= 0.0, star[:, 0],
+                             np.where(s[1] >= 0.0, star[:, 1], flux[:, 1])))
 
 
 def rusanov_flux(q_l, q_r, eos, normal=1):
     """Local Lax-Friedrichs flux; no contact property (negative control)."""
-    q = np.stack([q_l, q_r], axis=1)
+    q = stacked_pair(q_l, q_r)
     rho, vel, p, c = split_conserved(q, eos, "sound_speed")
-    s = (np.abs(vel[normal - 1]) + c).max(axis=0)
+    s = np.maximum.reduce(np.abs(vel[normal - 1]) + c)
     flux = physical_flux(q, p, normal)
     return 0.5 * (flux[:, 0] + flux[:, 1]) - 0.5 * s * (q[:, 1] - q[:, 0])
 
@@ -220,50 +238,73 @@ def positivity_fallback(faces, data, n_ghost, good=None):
     """First-order fallback, in place: every cell with a non-physical face
     state gets its cell average on all of its faces.  `faces` is the
     operator's one face buffer (C, face rows, *cells), all face states of a
-    cell in its rows.  Returns how many cells of the band the flux
-    divergence reads (the interior cells plus one ghost layer per side)
-    fell back: those the gate `good` (over that band) marks False (the
-    cells where the well-balanced reconstruction failed) plus those reset
-    here."""
-    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
-    count = 0 if good is None else int(np.count_nonzero(~good))
-    physical = physical_state(faces)[1].all(axis=0)
-    if physical.all():
+    cell in its rows.  A face state is physical by `physical_state`'s
+    predicate, in its rounding order, so every decision is the same: its
+    eps > 0 is E > 0.5 |m|^2 / rho (x - y > 0 iff x > y, with gradual
+    underflow), with the temporaries in place and rho = 1 substituted only
+    when some density is not positive.  Returns how many cells of the band
+    the flux divergence reads (the interior cells plus one ghost layer per
+    side) fell back: those the gate `good` (over that band) marks False
+    (the cells where the well-balanced reconstruction failed) plus those
+    reset here."""
+    count = 0 if good is None else good.size - int(np.count_nonzero(good))
+    rho = faces[0]
+    # a NaN is the minimum of an array that holds one (see `split_conserved`)
+    all_positive = np.minimum.reduce(rho, None, initial=np.inf) > 0.0
+    if not all_positive:
+        positive = rho > 0.0
+        rho = np.where(positive, rho, 1.0)
+    kinetic = np.add.reduce(np.square(faces[1:-1]))
+    kinetic *= 0.5
+    kinetic /= rho
+    physical = faces[-1] > kinetic
+    if not all_positive:
+        physical &= positive
+    if np.logical_and.reduce(physical, None):
         return count
-    bad = ~physical
+    bad = ~np.logical_and.reduce(physical)      # over a cell's faces
     faces[:, :, bad] = data[:, None, bad]
+    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
     return count + int(np.count_nonzero(bad[band]))
 
 
 def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
     """-sum_a (F_a(i + 1/2) - F_a(i - 1/2)) / h_a over the interior cells.
 
-    An interface flux is `flux_fn` of the hi face state of the cell below
-    and the lo face state of the cell above, one call per axis; on a
-    "solid-wall" side of `axes` the ghost's inner face is overwritten by
-    the boundary cell's mirrored face state.  `weights` average the fluxes
-    over the Gauss nodes of faces that carry them.
+    `faces` holds per cell axis a (lo, hi) pair of face states (C, *cells),
+    or (C, nodes, *cells) where faces carry Gauss nodes (2-D), whose
+    `weights` average the fluxes over the node axis.  Node-major face
+    states keep the flux's stacked pair C-ordered.  An interface flux is
+    `flux_fn` of the hi face state of the cell below and the lo face state
+    of the cell above, one call per axis; on a "solid-wall" side of `axes`
+    the ghost's inner face is overwritten by the boundary cell's mirrored
+    face state.
     """
-    ng = n_ghost
-    div = 0.0
+    ng, dim = n_ghost, len(spacing)
+    # the axes ahead of the cell axes: the components, then the nodes
+    lead = (slice(None),) * (1 if weights is None else 2)
     for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
         # every cell along axis a, the interior cells along the others
-        cut = (slice(None),) + tuple(slice(None) if b == a else slice(ng, -ng)
-                                     for b in range(len(spacing)))
-        lo, hi = lo[cut], hi[cut]
-        along = (slice(None),) * (a + 1)
-        end = lo.shape[a + 1] - ng            # the first upper ghost
+        before = lead + (slice(ng, -ng),) * a
+        after = (slice(ng, -ng),) * (dim - 1 - a)
+        end = lo.shape[len(before)] - ng      # the first upper ghost
         # (ghost face, its index, boundary cell face, its index) per side
         for kind, (ghost, g, cell, c) in zip(kinds, ((hi, ng - 1, lo, ng),
                                                      (lo, end, hi, end - 1))):
             if kind == "solid-wall":
-                ghost[along + (g,)] = cell[along + (c,)]
-                ghost[(a + 1,) + along[1:] + (g,)] *= -1.0
-        flux = flux_fn(hi[along + (slice(ng - 1, end),)],
-                       lo[along + (slice(ng, end + 1),)], eos, normal=a + 1)
-        if weights is not None:
-            flux = flux @ weights
-        div = div - (flux[along + (slice(1, None),)] - flux[along + (slice(-1),)]) / h
+                ghost[before + (g,) + after] = cell[before + (c,) + after]
+                ghost[(a + 1,) + before[1:] + (g,) + after] *= -1.0
+        flux = flux_fn(hi[before + (slice(ng - 1, end),) + after],
+                       lo[before + (slice(ng, end + 1),) + after], eos,
+                       normal=a + 1)
+        if weights is not None:     # contract the node axis
+            shape = (len(flux),) + flux.shape[2:]
+            flux = (weights @ flux.reshape(len(flux), len(weights), -1)) \
+                .reshape(shape)
+        along = (slice(None),) * (a + 1)
+        step = flux[along + (slice(-1),)] - flux[along + (slice(1, None),)]
+        step /= h
+        div = div + step if a else step
     return div
 
 

@@ -23,30 +23,35 @@ PINNED_ON = ((3, 11), "2.")
 
 WALL = ("hydrostatic-extrapolation", "solid-wall")
 
-# (scenario, parameters, sides or None for the scenario's own, kind, order)
-# -> (profiled calls, opcodes), at n = 48 (2-D: 16 x 16) from the averaged
-# initial state
+# (scenario, parameters, sides or None for the scenario's own, kind, order,
+# flux) -> (profiled calls, opcodes), at n = 48 (2-D: 16 x 16) from the
+# averaged initial state
 PINS = {
-    ("isothermal-perturbed", "eta", None, "dwb", 5): (211, 3445),
-    ("isothermal-perturbed", "eta", None, "standard", 5): (134, 2211),
-    ("isothermal-perturbed", "eta", None, "dwb", 3): (211, 3390),
-    ("isothermal-perturbed", "eta", None, "standard", 3): (134, 2211),
-    ("isothermal-perturbed", "eta", None, "la", 3): (225, 3308),
-    ("isothermal-perturbed", "eta", None, "la", 5): (225, 3308),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 3): (220, 3474),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 5): (220, 3529),
-    ("isothermal-perturbed", "eta", None, "la-s", 3): (233, 3404),
-    ("isothermal-perturbed", "eta", None, "la-s", 5): (233, 3404),
-    ("isothermal-10x", None, None, "dwb", 5): (207, 3328),
-    ("isothermal-10x", None, None, "standard", 5): (130, 2094),
-    ("isothermal-10x", None, WALL, "dwb", 5): (259, 4284),
-    ("isothermal-10x", None, WALL, "standard", 5): (197, 3292),
-    ("polytropic-radiation", "perturbation", None, "dwb", 3): (335, 5882),
-    ("polytropic-radiation", "perturbation", None, "standard", 3):
-        (175, 3005),
-    ("polytrope-2d", None, None, "standard", 3): (185, 3293),
-    ("polytrope-2d", None, None, "la", 3): (277, 4402),
-    ("polytrope-2d", None, None, "la-s", 3): (285, 4498),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "roe"): (181, 3206),
+    ("isothermal-perturbed", "eta", None, "standard", 5, "roe"): (104, 1970),
+    ("isothermal-perturbed", "eta", None, "dwb", 3, "roe"): (181, 3151),
+    ("isothermal-perturbed", "eta", None, "standard", 3, "roe"): (104, 1970),
+    ("isothermal-perturbed", "eta", None, "la", 3, "roe"): (195, 3069),
+    ("isothermal-perturbed", "eta", None, "la", 5, "roe"): (195, 3069),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 3, "roe"): (190, 3235),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 5, "roe"): (190, 3290),
+    ("isothermal-perturbed", "eta", None, "la-s", 3, "roe"): (203, 3165),
+    ("isothermal-perturbed", "eta", None, "la-s", 5, "roe"): (203, 3165),
+    ("isothermal-10x", None, None, "dwb", 5, "roe"): (177, 3089),
+    ("isothermal-10x", None, None, "standard", 5, "roe"): (100, 1853),
+    ("isothermal-10x", None, WALL, "dwb", 5, "roe"): (229, 4051),
+    ("isothermal-10x", None, WALL, "standard", 5, "roe"): (167, 3057),
+    ("polytropic-radiation", "perturbation", None, "dwb", 3, "roe"):
+        (305, 5643),
+    ("polytropic-radiation", "perturbation", None, "standard", 3, "roe"):
+        (145, 2764),
+    ("polytrope-2d", None, None, "standard", 3, "roe"): (141, 2919),
+    ("polytrope-2d", None, None, "la", 3, "roe"): (233, 4030),
+    ("polytrope-2d", None, None, "la-s", 3, "roe"): (241, 4126),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "hllc"): (185, 3197),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "rusanov"): (180, 2935),
+    ("polytrope-2d", None, None, "la", 3, "hllc"): (243, 4012),
+    ("polytrope-2d", None, None, "la", 3, "rusanov"): (233, 3488),
 }
 SIZES = {"polytrope-2d": 16}
 
@@ -57,13 +62,14 @@ SIZES = {"polytrope-2d": 16}
     reason="the counts are pinned for Python 3.11 and numpy 2")
 @pytest.mark.parametrize("case", list(PINS), ids=[
     f"{name}-{'wall' if sides else 'own'}-{kind}{order}"
-    for name, _, sides, kind, order in PINS])
+    + ("" if flux == "roe" else f"-{flux}")
+    for name, _, sides, kind, order, flux in PINS])
 def test_rhs_costs(case):
-    name, param, sides, kind, order = case
+    name, param, sides, kind, order, flux = case
     scenario = make_scenario(name, **({param: 1e-3} if param else {}))
     if sides:
         scenario.boundary = BoundarySpec1D(*sides)
-    scheme = Scheme(kind, order)
+    scheme = Scheme(kind, order, flux)
     grid = grid_for(scenario, SIZES.get(name, 48), scheme.n_ghost)
     data = init_cell_averages(scenario, grid).data
     op = make_operator(scenario, grid, scheme)

@@ -100,21 +100,43 @@ def test_matches_1d_operator_on_degenerate_column(kind, eos, tol):
     assert np.max(np.abs(rhs2[2, g2:g2 + n, g2:g2 + n])) < 1e-15
 
 
-@pytest.mark.parametrize("kind", ["standard", "la", "la-s"])
-def test_transpose_and_mirror_symmetry(kind):
+# (kind, side kind, moving); Dirichlet at rest keeps the bare kind as its id
+SYMMETRY_CASES = [
+    pytest.param(kind, side, moving, id=kind if (side, moving) == (
+        "dirichlet", False) else f"{kind}-{side}-{('rest', 'moving')[moving]}")
+    for kind in ("standard", "la", "la-s")
+    for side in ("dirichlet", "periodic", "solid-wall",
+                 "background-deviation-extrapolation")
+    for moving in (False, True)]
+
+
+@pytest.mark.parametrize("kind, side, moving", SYMMETRY_CASES)
+def test_transpose_and_mirror_symmetry(kind, side, moving):
+    # the polytrope is symmetric under x <-> y and under x -> -x; so is a
+    # momentum field odd in x and even in y along x, and its transpose
+    # along y; the RHS keeps both symmetries on every side kind
     scen = polytrope_2d()
+    scen.boundary = BoundarySpec2D(*[side] * 4)
     scheme = Scheme(kind, 3)
     grid = grid_for(scen, 16, scheme.n_ghost)
-    field = init_cell_averages(scen, grid)
+    data = init_cell_averages(scen, grid).data
+    if moving:
+        h = np.random.default_rng(43).standard_normal(data.shape[1:])
+        h = h - h[::-1]
+        h = h + h[:, ::-1]
+        data[1] = 0.1 * data[0] * h
+        data[2] = data[1].T
+        data[3] += 0.5 * (data[1] ** 2 + data[2] ** 2) / data[0]
     op = make_operator(scen, grid, scheme)
-    op.set_initial_state(field.data)
-    rhs = op.rhs(field.data)
+    op.set_initial_state(data)
+    rhs = op.rhs(data)
     g = grid.n_ghost
     r = rhs[:, g:g + 16, g:g + 16]
     np.testing.assert_allclose(r[0], r[0].T, atol=1e-13)
     np.testing.assert_allclose(r[1], r[2].T, atol=1e-13)
     np.testing.assert_allclose(r[3], r[3].T, atol=1e-13)
-    np.testing.assert_allclose(r[1], -r[1][::-1], atol=1e-13)
+    for c, sign in enumerate((1.0, -1.0, 1.0, 1.0)):
+        np.testing.assert_allclose(r[c], sign * r[c][::-1], atol=1e-13)
 
 
 def test_embedded_stratification_transverse_fluxes_balance():

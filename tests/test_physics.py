@@ -371,12 +371,12 @@ def test_positivity_fallback_in_one_pass(nodes):
              for face in pair]
     bad = rng.random(cells) < 0.3
     for face in faces:
-        face[0][bad & (rng.random(cells) < 0.5)] = -1.0
+        face[0, ..., bad & (rng.random(cells) < 0.5)] = -1.0
     data = random_faces(rng, eos, cells)[0][0]
     good = rng.random(cells) < 0.8
     # the buffer (C, face rows, *cells), the Gauss nodes as rows
-    buffer = np.stack([np.moveaxis(face, -1, 1) if nodes else face[:, None]
-                       for face in faces], axis=1)
+    buffer = np.stack([face if nodes else face[:, None] for face in faces],
+                      axis=1)
     buffer = buffer.reshape((buffer.shape[0], -1) + cells)
     physical = np.all([physical_state(row)[1] for row in
                        np.moveaxis(buffer, 1, 0)], axis=0)
@@ -388,6 +388,38 @@ def test_positivity_fallback_in_one_pass(nodes):
     assert count == np.count_nonzero(~good[band]) \
         + np.count_nonzero(~physical[band])
     assert not physical.all()
+
+
+@pytest.mark.parametrize("nodes", [(), (2,)], ids=["1d", "2d"])
+def test_positivity_fallback_is_the_physical_state_predicate(nodes):
+    # the gate flags exactly the cells with a face that `physical_state`
+    # rejects, over face buffers (C, face rows, *cells) with zero,
+    # negative, NaN and infinite densities and energies, and eps = 0 or
+    # one ulp of the energy above it, at random faces
+    rng = np.random.default_rng(41)
+    eos, cells, ng = IdealGas(1.4), ((40,), (12, 11))[len(nodes)], 2
+    rows = 2 * len(cells) * (nodes[0] if nodes else 1)
+    special = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300]
+    band = tuple(slice(ng - 1, n + 1 - ng) for n in cells)
+    for _ in range(10):
+        faces = random_faces(rng, eos, cells, (rows,))[0][0]
+        # eps = 0 exactly (the energy is the kinetic energy), or one ulp
+        # above it
+        kinetic = 0.5 * np.sum(faces[1:-1] ** 2, axis=0) / faces[0]
+        for energy in (kinetic, np.nextafter(kinetic, np.inf)):
+            planted = rng.random(faces.shape[1:]) < 0.1
+            faces[-1][planted] = energy[planted]
+        for comp in (0, -1):        # density, energy
+            planted = rng.random(faces.shape[1:]) < 0.1
+            faces[comp][planted] = rng.choice(special,
+                                              np.count_nonzero(planted))
+        data = random_faces(rng, eos, cells)[0][0]
+        rejected = ~physical_state(faces)[1].all(axis=0)
+        expected = faces.copy()
+        expected[:, :, rejected] = data[:, None, rejected]
+        count = positivity_fallback(faces, data, ng)
+        assert np.array_equal(faces, expected, equal_nan=True)
+        assert count == np.count_nonzero(rejected[band]) > 0
 
 
 def test_unknown_flux_rejected_at_scheme_construction():
@@ -418,14 +450,16 @@ def test_wall_flux_zero_mass_flux_random_states():
 def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing, n_ghost,
                               weights=None):
     """`flux_divergence` with each solid-wall flux from its own
-    `wall_boundary_flux` call on the boundary cell's face state."""
+    `wall_boundary_flux` call on the boundary cell's face state; face
+    states (C, *nodes, *cells)."""
     ng, div = n_ghost, 0.0
+    lead = (slice(None),) * (1 if weights is None else 2)
     for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
-        cut = (slice(None),) + tuple(slice(None) if b == a else slice(ng, -ng)
-                                     for b in range(len(spacing)))
+        cut = lead + tuple(slice(None) if b == a else slice(ng, -ng)
+                           for b in range(len(spacing)))
         lo, hi = lo[cut], hi[cut]
-        along = (slice(None),) * (a + 1)
-        end = lo.shape[a + 1] - ng
+        along = lead + (slice(None),) * a
+        end = lo.shape[len(along)] - ng
         flux = flux_fn(hi[along + (slice(ng - 1, end),)],
                        lo[along + (slice(ng, end + 1),)], eos, normal=a + 1)
         for kind, side, k, cell in ((kinds[0], "left", 0, lo[along + (ng,)]),
@@ -435,7 +469,9 @@ def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing, n_ghost,
                 flux[along + (k,)] = wall_boundary_flux(cell, eos, flux_fn,
                                                         side, normal=a + 1)
         if weights is not None:
-            flux = flux @ weights
+            flux = (weights @ flux.reshape(len(flux), len(weights), -1)) \
+                .reshape((len(flux),) + flux.shape[2:])
+        along = (slice(None),) * (a + 1)
         div = div - (flux[along + (slice(1, None),)]
                      - flux[along + (slice(-1),)]) / h
     return div
@@ -443,11 +479,11 @@ def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing, n_ghost,
 
 def random_faces(rng, eos, cells, nodes=()):
     """Random physical (lo, hi) face states per axis of a ghosted grid of
-    `cells`, with a trailing axis of `nodes` face nodes."""
+    `cells`, (C, *nodes, *cells): the face nodes ahead of the cells."""
     dim = len(cells)
 
     def state():
-        shape = cells + nodes
+        shape = nodes + cells
         rho, p = 10.0 ** rng.uniform(-1, 1, (2,) + shape)
         vel = rng.uniform(-2, 2, (dim,) + shape)
         return np.stack([rho, *(rho * vel), eos.internal_energy(rho, p)
@@ -471,7 +507,8 @@ WALL_CASES = [pytest.param((9,), (pair,), id=f"1d-{name}")
 def test_wall_sides_in_one_flux_call(cells, axes, flux_fn):
     # the mirrored boundary state takes the ghost's inner face, so every
     # axis makes one flux call, and the divergence equals the per-side
-    # mirrored pairs bit for bit; 2-D faces carry a Gauss-node axis
+    # mirrored pairs bit for bit; 2-D faces carry a Gauss-node axis ahead
+    # of the cells
     rng = np.random.default_rng(17)
     ng, spacing = 2, (0.1, 0.07)[:len(cells)]
     nodes, weights = ((2,), np.array([0.5, 0.5])) if len(cells) == 2 \
@@ -513,6 +550,49 @@ def test_operator_makes_one_flux_call_per_axis(scenario, bc):
     calls, raw = [], op.flux_fn
     op.flux_fn = lambda *args, **kw: calls.append(kw["normal"]) \
         or raw(*args, **kw)
+    assert np.all(np.isfinite(op.rhs(data)))
+    assert calls == list(range(1, len(grid.cells) + 1))
+
+
+@pytest.mark.parametrize("scenario, kind, bc", [
+    ("isothermal-perturbed", "dwb", None),
+    ("isothermal-10x", "dwb", ("hydrostatic-extrapolation", WALL)),
+    ("polytrope-2d", "la", None),
+    ("polytrope-2d", "standard", (WALL,) * 4),
+    ("radial-rayleigh-taylor", "la-s", None)],
+    ids=["1d-periodic", "1d-wall", "2d-dirichlet", "2d-wall", "2d-background"])
+@pytest.mark.parametrize("flux", ["roe", "hllc", "rusanov"])
+def test_operator_flux_pairs_are_c_ordered(scenario, kind, bc, flux,
+                                           monkeypatch):
+    # every flux call of the operator takes face states whose stacked pair
+    # is C-ordered (a 2-D face's Gauss-node axis ahead of its cells, not
+    # strided by the cell count): a spy on the flux table fails otherwise
+    from hydrobal import physics
+    from hydrobal.cases import grid_for, init_cell_averages, make_scenario
+    from hydrobal.runner import make_operator
+
+    calls = []
+
+    def spy(fn):
+        def checked(q_l, q_r, eos, normal=1):
+            pair = np.stack([q_l, q_r], axis=1)
+            assert pair.flags.c_contiguous, [q.strides for q in (q_l, q_r)]
+            calls.append(normal)
+            return fn(q_l, q_r, eos, normal=normal)
+        return checked
+
+    for name, fn in physics.FLUXES.items():
+        monkeypatch.setitem(physics.FLUXES, name, spy(fn))
+    scen = make_scenario(scenario, **({"eta": 1e-3} if "perturbed" in
+                                      scenario else {}))
+    if bc is not None:
+        scen.boundary = (BoundarySpec1D if len(bc) == 2 else
+                         BoundarySpec2D)(*bc)
+    scheme = Scheme(kind, 3, flux)
+    grid = grid_for(scen, 16, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
     assert np.all(np.isfinite(op.rhs(data)))
     assert calls == list(range(1, len(grid.cells) + 1))
 
@@ -723,7 +803,9 @@ class TestPositivityFallback:
         x_call, y_call = calls
         raw = get_flux(Scheme("standard", 3).flux)
         a, b = i - g, j - g
+        # the face states (C, nodes, X, Y)
+        nodes = (slice(None), slice(None))
         self._assert_cell_fluxes(x_call, raw, scen.eos, data[:, i, j],
-                                 (slice(None), a + 1, b), (slice(None), a, b))
+                                 nodes + (a + 1, b), nodes + (a, b))
         self._assert_cell_fluxes(y_call, raw, scen.eos, data[:, i, j],
-                                 (slice(None), a, b + 1), (slice(None), a, b))
+                                 nodes + (a, b + 1), nodes + (a, b))

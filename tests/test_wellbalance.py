@@ -833,8 +833,8 @@ def full_reconstruction_rhs_2d(op, state, monkeypatch):
     faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
     count = positivity_fallback(faces.reshape(faces.shape[:2] + op._shape),
                                 data[:, 1:-1, 1:-1], 1, good)
-    xl, xr, yl, yr = faces.reshape((4, 4, -1) + op._shape).transpose(
-        1, 0, 3, 4, 2)
+    # per face (C, nodes, X, Y), the nodes ahead of the cells
+    xl, xr, yl, yr = faces.reshape((4, 4, -1) + op._shape).swapaxes(0, 1)
     out = np.zeros_like(data)
     out[interior_index(op.grid)] = flux_divergence(
         ((xl, xr), (yl, yr)), op.flux_fn, op.eos, op.boundary.axes,
