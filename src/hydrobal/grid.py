@@ -50,11 +50,6 @@ class Grid:
         return self.domain[2 * axis] \
             + (np.arange(-g, self.cells[axis] + g) + 0.5) * self.spacing[axis]
 
-    def center_mesh(self):
-        """Cell centers, ghosts included, as one array per axis."""
-        return np.meshgrid(*(self.centers(a) for a in range(len(self.cells))),
-                           indexing="ij")
-
     def require_ghosts(self, needed):
         if self.n_ghost != needed:
             raise ConfigurationError(

@@ -4,23 +4,24 @@
 The grid has exactly the `scheme.n_ghost` ghost layers the scheme reads.
 Every per-cell layer runs on the band, the cells whose stencil fits inside
 them, cells last: the coefficients (C, m, cells), the gravity rows, the
-product tables, the gravity-contracted source rows, the energy windows (a
-strided view of the ghosted energy) and the face buffer (C, face rows,
-cells).  The shared frame (`boundary.fill_sides` and
-`physics`' positivity fallback, flux divergence and CFL rate) sees the
-band as a state with n_ghost - r ghost layers.  The scheme selects the
+product tables, the gravity-contracted source rows and the energy windows
+(a strided view of the ghosted energy).  The face buffer (C, face rows,
+cells) and the shared frame (`physics`' positivity fallback and flux
+divergence) cover the flux band, the interior cells and one ghost layer
+per side: the whole band in 2-D and for Std, LA and LA-S, the band of DWB
+and DWB-S less its r outer cells per side.  The scheme selects the
 equilibrium stage, one call on the band that yields the flux band's energy
 faces and gate (DWB and DWB-S: `PiecewiseEquilibrium`; LA and LA-S:
 `wellbalance.LocalEquilibrium`), the boundary kinds the 1-D hydrostatic
 fill and the 2-D background averages.
 
-With 1-D hydrostatic sides the RHS of DWB and LA runs in this order: the
-extrapolated ghost averages; the band's density and momentum
-coefficients, which serve as the state pass; the ghost energies from the
-pieces among them; then the equilibrium stage, which reads the energy
-windows.  The -S variants and Std reconstruct the energy in their state pass,
-which therefore follows the whole fill; their fill makes its own CWENO
-call of the few pieces it reads.
+With 1-D hydrostatic sides the RHS runs in this order: the extrapolated
+ghost averages; the band's density and momentum coefficients; the ghost
+energies from the pieces among them; then the rest of the state pass,
+which reads the filled energies.  DWB and LA reconstruct no energy, so the
+density and momentum pass is their state pass and the equilibrium stage
+follows; Std and the -S variants reconstruct the energy alone after the
+fill.
 """
 
 from functools import lru_cache
@@ -114,8 +115,8 @@ class PiecewiseEquilibrium:
     and built from the same tables, at `equilibrium_points(n_quad, 0)`, and
     the Gauss nodes' cell-mean `weights`: each cell's pressure is glued
     over the pieces of its stencil cells.  Only the band's inner cells, the
-    flux band, have all of them.  Its body is `build_profiles`, the
-    benchmark tracer's `wb.profile`.
+    flux band, have all of them, and the stage returns theirs alone.  Its
+    body is `build_profiles`, the benchmark tracer's `wb.profile`.
     """
 
     def __init__(self, scheme, eos, cweno, tables, value_rows, g_rows,
@@ -193,19 +194,19 @@ class SpatialOperator:
                 rho_fn(*x), eos.internal_energy(rho_fn(*x), p_fn(*x))],
                 grid, 5)
 
-        # the band, which the frame sees with n_ghost - r ghost layers
+        # the band, with bg ghost layers, and the interior cells of the
+        # grid and of the band
         self._band = (slice(None),) + (slice(r, -r or None),) * dim
-        self._band_ghosts = bg = ng - r
+        bg = ng - r
         self._shape = tuple(n + 2 * bg for n in grid.cells)
-        # the interior cells of the grid and of the band, and the band's
-        # flux band: its interior and one ghost layer per side
         self._interior = interior_index(grid)
         self._inner = (slice(None),) + (slice(bg, -bg),) * dim
-        self._flux_band = (slice(None),) \
-            + (slice(bg - 1, 1 - bg or None),) * dim
-        # the band's cells beyond it per side, DWB's r (1-D only)
-        self._outer = () if bg == 1 else \
-            ((slice(None), slice(bg - 1)), (slice(None), slice(1 - bg, None)))
+        # the flux band, the interior cells and one ghost layer per side:
+        # its grid cells, its shape and its cells of the flat band (every
+        # 2-D band is one: 2-D runs Std and LA at O3)
+        self._flux_band = (slice(None),) + (slice(ng - 1, 1 - ng),) * dim
+        self._flux_shape = tuple(n + 2 for n in grid.cells)
+        self._flux_cells = slice(bg - 1, 1 - bg or None)
         # gravity at every cell center, one array per axis (2-D: from the
         # centers' open mesh)
         accel = (gravity(grid.centers()),) if dim == 1 else \
@@ -231,7 +232,7 @@ class SpatialOperator:
         node = (nq,) * (dim - 1)
         self._face_w = gauss_nodes_weights_centered(nq, 1.0)[1] if node \
             else None
-        self._pairs = ((dim, 2) + node + self._shape,
+        self._pairs = ((dim, 2) + node + self._flux_shape,
                        (1, 2, 0, *range(3, 2 + 2 * dim)))
         # product-basis tables at the equilibrium node set: LA's stencil
         # cells (reach r), the cell's own nodes otherwise, then the faces;
@@ -260,9 +261,8 @@ class SpatialOperator:
 
         The fill uses the pieces of cells first..n_ghost (DWB: first = r, the
         innermost cell with a full stencil; LA: first = n_ghost, the boundary
-        cell only) of each edge: their coefficients in the lean state pass
-        (`_piece_cells`, band indices), or their stencils (`_piece_windows`,
-        grid indices) for the fill's own CWENO call.  Slot j = 0..n_ghost
+        cell only) of each edge: their coefficients in the band's density
+        and momentum pass (`_piece_cells`, band indices).  Slot j = 0..n_ghost
         (the ghosts, then the boundary cell) evaluates piece max(j, first)
         at the Gauss nodes of cell j and at the piece's faces:
         `_slot_tables` maps the pieces' coefficients to the reconstruction
@@ -278,13 +278,7 @@ class SpatialOperator:
         right = tuple(side == "right" for side in self._hydro_sides)
         strip = _strip_cells(n_tot, ng + 1, right)
         self._ghost_cells, self._edge_cells = strip[:, :ng], strip[:, ng]
-        # the pieces' band cells (the lean state pass), or else their
-        # stencils' grid cells (m, sides, pieces)
-        if self._lean:
-            self._piece_cells = strip[:, first:] - r
-        else:
-            self._piece_windows = np.arange(-r, r + 1)[:, None, None] \
-                + strip[:, first:]
+        self._piece_cells = strip[:, first:] - r      # (sides, pieces)
         # each side's gravity (`accel` at every cell), fitted over cells
         # 0..ng + r of its strip (the right one mirrored), which hold the
         # stencils of every piece
@@ -315,11 +309,11 @@ class SpatialOperator:
     def fill_ghosts(self, data):
         """Fill every ghost of `data` in place; on hydrostatic sides the
         extrapolated averages, then the ghost energies from the density
-        and momentum pieces of the cells next to the boundary.  DWB and LA
-        take the pieces from the band's density and momentum coefficients,
-        their lean state pass, which it returns (2, m, cells); the other
-        schemes, whose state pass reads the energies written here, from a
-        CWENO call of the pieces alone.  None where it made no band pass."""
+        and momentum pieces of the cells next to the boundary.  The pieces
+        come from the band's density and momentum coefficients (2, m,
+        cells), which it returns: DWB's and LA's state pass, to which Std
+        and the -S variants add the energy, which reads the ghosts written
+        here.  None where it made no band pass."""
         fill_sides(data, self._fill_axes, self.grid.n_ghost, self._frozen,
                    self._bg_avgs)
         if not self._hydro_sides:
@@ -327,15 +321,9 @@ class SpatialOperator:
         sides, ng = self._hydro_sides, self.grid.n_ghost
         set_edge_ghosts(data, sides, extrapolated_strips(
             self.cweno, data, sides, ng, self._edge_means), ng)
-        if self._lean:
-            rec = self.cweno.coefficients(data[:2])
-            pieces = rec.transpose(0, 2, 1)[:, self._piece_cells]
-        else:
-            rec = None
-            pieces = self.cweno.reconstruct_stencils(
-                data[:2, self._piece_windows].swapaxes(0, 1)) \
-                .transpose(1, 2, 3, 0)
-        self._hydrostatic_fill(data, pieces)
+        rec = self.cweno.coefficients(data[:2])
+        self._hydrostatic_fill(data,
+                               rec.transpose(0, 2, 1)[:, self._piece_cells])
         return rec
 
     def _hydrostatic_fill(self, data, pieces):
@@ -418,31 +406,27 @@ class SpatialOperator:
 
         `rec` holds the band's coefficients (C, m, cells), DWB's and LA's
         without the energy, `data` the ghosted state, and `faces` (C, face
-        rows, cells) the face states, whose energies are written in place
-        on the flux band: the equilibrium's, the standard ones where the
-        gate fails (the -S variants keep their state pass's, DWB and LA
-        take them from `rejected_energy_faces`); DWB's r outer band cells
-        per side take their averages.  Returns the gate (*flux band).
+        rows, cells) the flux band's face states, whose energies take the
+        stage's faces as they come: the equilibrium's, the standard ones
+        where the gate fails (the -S variants keep their state pass's, DWB
+        and LA take them from `rejected_energy_faces`).  Returns the gate
+        (*flux band).
         """
-        r, flux = self.scheme.radius, self._flux_band
+        r = self.scheme.radius
         # the band's density and energy averages
         rho_hat, e_hat = data[::len(data) - 1][self._band].reshape(2, -1)
         # the energy averages of each cell's stencil, (stencil, cells)
         e_window = stencil_windows(data[-1], (2 * r + 1,) * len(self._shape)) \
             .reshape(-1, rho_hat.size)
         e_wb, good = self._equilibrium(rec, rho_hat, e_hat, e_window)
-        e_faces = faces[-1].reshape((-1,) + self._shape)
-        shape = e_faces[flux].shape
-        good = good.reshape(shape[1:])
-        if self._lean:
-            for outer in self._outer:
-                e_faces[outer] = e_hat[outer[-1]]
-            e_faces[flux] = e_wb.reshape(shape)
-            rejected_energy_faces(self.cweno, data[-1], good,
-                                  flux[1].start + r, self._face_rows,
-                                  e_faces[flux])
-        else:   # the state pass holds the standard energy faces
-            np.copyto(e_faces[flux], e_wb.reshape(shape), where=good)
+        if not self._lean:     # the state pass holds the standard faces
+            np.copyto(faces[-1], e_wb, where=good)
+            return good.reshape(self._flux_shape)
+        faces[-1] = e_wb
+        good = good.reshape(self._flux_shape)
+        rejected_energy_faces(
+            self.cweno, data[-1], good, self.grid.n_ghost - 1,
+            self._face_rows, faces[-1].reshape((-1,) + self._flux_shape))
         return good
 
     def _newton_anchor(self):
@@ -465,27 +449,31 @@ class SpatialOperator:
 
     def rhs(self, state):
         data = state.copy()
-        # the fill's density and momentum coefficients are the lean state
-        # pass, which reads no energy
+        # the fill's density and momentum pass is the lean state pass; the
+        # other schemes add the energy, which reads the filled ghosts
         rec = self.fill_ghosts(data)
         if rec is None:
             rec = self.cweno.coefficients(data[:-1] if self._lean else data)
+        elif not self._lean:
+            rec = np.concatenate((rec, self.cweno.coefficients(data[-1:])))
 
-        # the band's coefficients (C, m, cells) and faces (C, faces, cells)
+        # the band's coefficients (C, m, cells), the flux band's faces
+        # (C, faces, cells)
         rec = rec.reshape(-1, len(self.cweno.exps), self._g_rows.shape[-1])
-        faces = np.empty((len(data), len(self._face_rows), rec.shape[2]))
-        np.matmul(self._face_rows, rec, out=faces[:len(rec)])
+        flux_rec = rec[..., self._flux_cells]
+        faces = np.empty((len(data), len(self._face_rows), flux_rec.shape[2]))
+        np.matmul(self._face_rows, flux_rec, out=faces[:len(rec)])
         good = (self._profiles_and_faces(rec, data, faces)
                 if self.scheme.well_balanced else None)
         self.fallback_cells += positivity_fallback(
-            faces.reshape(faces.shape[:2] + self._shape), data[self._band],
-            self._band_ghosts, good)
+            faces.reshape(faces.shape[:2] + self._flux_shape),
+            data[self._flux_band], good)
         shape, axes = self._pairs
         out = np.zeros_like(data)
         out[self._interior] = flux_divergence(
             faces.reshape((len(data),) + shape).transpose(axes), self.flux_fn,
             self.eos, self.boundary.axes, self.grid.spacing,
-            self._band_ghosts, self._face_w) + self._sources(rec)[self._inner]
+            self._face_w) + self._sources(rec)[self._inner]
         return out
 
 

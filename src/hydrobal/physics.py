@@ -8,10 +8,11 @@ the Rusanov control - satisfy the contact property: a stationary contact
 (u = 0, equal pressure) returns exactly (0, p, 0[, 0]).  Each stacks its
 two sides into one C-ordered pair and splits it in one call.
 
-The frame (positivity fallback, flux divergence, CFL rate) works on states
-(C, *cells), ghosts included, and on the operator's one face buffer
-(C, face rows, *cells): a cell's reconstruction at all of its faces (1-D:
-lo, hi; 2-D: the Gauss nodes of xl, xr, yl, yr), cells last.  The
+The frame (positivity fallback, flux divergence) works on the flux band,
+the interior cells and one ghost layer per side: on its states (C, *cells)
+and on the operator's one face buffer (C, face rows, *cells), a cell's
+reconstruction at all of its faces (1-D: lo, hi; 2-D: the Gauss nodes of
+xl, xr, yl, yr), cells last.  The CFL rate reads the interior states.  The
 positivity fallback checks the whole buffer in one pass, and the flux
 divergence takes per cell axis a (lo, hi) pair of views of it, with a
 leading axis of Gauss nodes, after the components, where faces carry them
@@ -65,8 +66,10 @@ def split_conserved(q, eos, *names):
         raise FluxEvaluationError("non-positive or non-finite density in flux input")
     vel = q[1:-1] / rho
     eps = q[-1] - 0.5 * np.add.reduce(q[1:-1] * vel)
-    if np.minimum.reduce(eps, None, initial=np.inf) <= 0.0:
-        raise FluxEvaluationError("non-positive internal energy in flux input")
+    if not (np.minimum.reduce(eps, None, initial=np.inf) > 0.0
+            and np.maximum.reduce(eps, None, initial=0.0) < np.inf):
+        raise FluxEvaluationError(
+            "non-positive or non-finite internal energy in flux input")
     return (rho, vel) + eos.thermo_eps(rho, eps, *names)
 
 
@@ -234,7 +237,7 @@ def wall_boundary_flux(q_state, eos, flux_fn, side, normal=1):
     return flux_fn(q_state, mirrored, eos, normal=normal)
 
 
-def positivity_fallback(faces, data, n_ghost, good=None):
+def positivity_fallback(faces, data, good=None):
     """First-order fallback, in place: every cell with a non-physical face
     state gets its cell average on all of its faces.  `faces` is the
     operator's one face buffer (C, face rows, *cells), all face states of a
@@ -242,11 +245,10 @@ def positivity_fallback(faces, data, n_ghost, good=None):
     predicate, in its rounding order, so every decision is the same: its
     eps > 0 is E > 0.5 |m|^2 / rho (x - y > 0 iff x > y, with gradual
     underflow), with the temporaries in place and rho = 1 substituted only
-    when some density is not positive.  Returns how many cells of the band
-    the flux divergence reads (the interior cells plus one ghost layer per
-    side) fell back: those the gate `good` (over that band) marks False
-    (the cells where the well-balanced reconstruction failed) plus those
-    reset here."""
+    when some density is not positive.  Returns how many of the cells fell
+    back: those the gate `good` (over the same cells) marks False (the
+    cells where the well-balanced reconstruction failed) plus those reset
+    here."""
     count = 0 if good is None else good.size - int(np.count_nonzero(good))
     rho = faces[0]
     # a NaN is the minimum of an array that holds one (see `split_conserved`)
@@ -264,38 +266,37 @@ def positivity_fallback(faces, data, n_ghost, good=None):
         return count
     bad = ~np.logical_and.reduce(physical)      # over a cell's faces
     faces[:, :, bad] = data[:, None, bad]
-    band = tuple(slice(n_ghost - 1, n + 1 - n_ghost) for n in data.shape[1:])
-    return count + int(np.count_nonzero(bad[band]))
+    return count + int(np.count_nonzero(bad))
 
 
-def flux_divergence(faces, flux_fn, eos, axes, spacing, n_ghost, weights=None):
+def flux_divergence(faces, flux_fn, eos, axes, spacing, weights=None):
     """-sum_a (F_a(i + 1/2) - F_a(i - 1/2)) / h_a over the interior cells.
 
     `faces` holds per cell axis a (lo, hi) pair of face states (C, *cells),
     or (C, nodes, *cells) where faces carry Gauss nodes (2-D), whose
-    `weights` average the fluxes over the node axis.  Node-major face
-    states keep the flux's stacked pair C-ordered.  An interface flux is
+    `weights` average the fluxes over the node axis, on the flux band: the
+    interior cells and one ghost layer per side.  Node-major face states
+    keep the flux's stacked pair C-ordered.  An interface flux is
     `flux_fn` of the hi face state of the cell below and the lo face state
     of the cell above, one call per axis; on a "solid-wall" side of `axes`
-    the ghost's inner face is overwritten by the boundary cell's mirrored
-    face state.
+    the ghost's inner face (index 0 or -1) is overwritten by the boundary
+    cell's (index 1 or -2) mirrored face state.
     """
-    ng, dim = n_ghost, len(spacing)
+    dim = len(spacing)
     # the axes ahead of the cell axes: the components, then the nodes
     lead = (slice(None),) * (1 if weights is None else 2)
     for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
         # every cell along axis a, the interior cells along the others
-        before = lead + (slice(ng, -ng),) * a
-        after = (slice(ng, -ng),) * (dim - 1 - a)
-        end = lo.shape[len(before)] - ng      # the first upper ghost
+        before = lead + (slice(1, -1),) * a
+        after = (slice(1, -1),) * (dim - 1 - a)
         # (ghost face, its index, boundary cell face, its index) per side
-        for kind, (ghost, g, cell, c) in zip(kinds, ((hi, ng - 1, lo, ng),
-                                                     (lo, end, hi, end - 1))):
+        for kind, (ghost, g, cell, c) in zip(kinds, ((hi, 0, lo, 1),
+                                                     (lo, -1, hi, -2))):
             if kind == "solid-wall":
                 ghost[before + (g,) + after] = cell[before + (c,) + after]
                 ghost[(a + 1,) + before[1:] + (g,) + after] *= -1.0
-        flux = flux_fn(hi[before + (slice(ng - 1, end),) + after],
-                       lo[before + (slice(ng, end + 1),) + after], eos,
+        flux = flux_fn(hi[before + (slice(-1),) + after],
+                       lo[before + (slice(1, None),) + after], eos,
                        normal=a + 1)
         if weights is not None:     # contract the node axis
             shape = (len(flux),) + flux.shape[2:]

@@ -353,37 +353,54 @@ def test_rhs_fill_is_fill_ghosts(kind, order, scenario, bc):
                          ids=["extrap-wall", "wall-extrap", "extrap-extrap"])
 @pytest.mark.parametrize("scenario", ["isothermal-10x", "polytropic-radiation"])
 @pytest.mark.parametrize("order", [3, 5])
-@pytest.mark.parametrize("kind", ["dwb", "la"])
+@pytest.mark.parametrize("kind", ["standard", "dwb", "dwb-s", "la", "la-s"])
 def test_fill_from_the_state_pass_is_the_pieces_fill(kind, order, scenario,
-                                                     bc):
-    # DWB and LA read the fill's pieces from their lean state pass, their
-    # -S twins from a CWENO call of the pieces alone; both anchor every
-    # side alike, so the ghosts agree: the left ones bit for bit, the
-    # right ones, whose pieces are mirrored, to roundoff; a side falls
-    # back in both or in neither
+                                                     bc, monkeypatch):
+    # the fill reads its pieces from the band's density and momentum pass;
+    # fed the pieces of a CWENO call of their stencils alone (the oracle),
+    # `_hydrostatic_fill` writes the same ghosts: the left ones bit for
+    # bit, the right ones, whose pieces are mirrored, to roundoff; a side
+    # falls back in both or in neither
     scen = make_scenario(scenario)
     scen.boundary = BoundarySpec1D(*bc)
+    scheme = Scheme(kind, order)
+    grid = grid_for(scen, 40, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    rng = np.random.default_rng(order)
+    data[:, grid.interior] *= 1.0 + 1e-3 * rng.standard_normal(40)
+    data[1, grid.interior] = 1e-2 * data[0, grid.interior] \
+        * rng.standard_normal(40)
     filled, fallbacks = [], []
-    for variant in (kind, kind + "-s"):
-        scheme = Scheme(variant, order)
-        grid = grid_for(scen, 40, scheme.n_ghost)
-        data = init_cell_averages(scen, grid).data
-        rng = np.random.default_rng(order)
-        data[:, grid.interior] *= 1.0 + 1e-3 * rng.standard_normal(40)
-        data[1, grid.interior] = 1e-2 * data[0, grid.interior] \
-            * rng.standard_normal(40)
+    for oracle in (False, True):
         op = make_operator(scen, grid, scheme)
         op.set_initial_state(data)
-        rec = op.fill_ghosts(data)
-        assert (rec is None) == variant.endswith("-s")
-        filled.append(data)
+        work = data.copy()
+        if not oracle:
+            rec = op.fill_ghosts(work)
+            assert rec.shape[:2] == (2, scheme.order)
+        else:
+            # the extrapolated averages alone, then the pieces of cells
+            # first..n_ghost of each edge (DWB: first = r, else n_ghost),
+            # from their stencils, in strip order
+            fill = op._hydrostatic_fill
+            with monkeypatch.context() as patch:
+                patch.setattr(op, "_hydrostatic_fill", lambda *args: None)
+                op.fill_ghosts(work)
+            ng, r, n_tot = grid.n_ghost, scheme.radius, grid.shape_tot[0]
+            slots = np.arange(r if scheme.piecewise_source else ng, ng + 1)
+            cells = np.array([n_tot - 1 - slots if side == "right" else slots
+                              for side in scen.boundary.hydrostatic_sides])
+            windows = np.arange(-r, r + 1)[:, None, None] + cells
+            fill(work, op.cweno.reconstruct_stencils(
+                work[:2, windows].swapaxes(0, 1)).transpose(1, 2, 3, 0))
+        filled.append(work)
         fallbacks.append(op.fallback_cells)
     assert fallbacks[0] == fallbacks[1]
-    lean, pieces = filled
+    band, pieces = filled
     ng = grid.n_ghost
-    np.testing.assert_array_equal(lean[:, :ng], pieces[:, :ng])
+    np.testing.assert_array_equal(band[:, :ng], pieces[:, :ng])
     scale = np.max(np.abs(pieces), axis=1, keepdims=True)
-    assert np.all(np.abs(lean[:, -ng:] - pieces[:, -ng:]) <= 1e-15 * scale)
+    assert np.all(np.abs(band[:, -ng:] - pieces[:, -ng:]) <= 1e-15 * scale)
 
 
 def test_hydrostatic_extrapolation_dynamic_consistency():

@@ -27,31 +27,31 @@ WALL = ("hydrostatic-extrapolation", "solid-wall")
 # flux) -> (profiled calls, opcodes), at n = 48 (2-D: 16 x 16) from the
 # averaged initial state
 PINS = {
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "roe"): (181, 3206),
-    ("isothermal-perturbed", "eta", None, "standard", 5, "roe"): (104, 1970),
-    ("isothermal-perturbed", "eta", None, "dwb", 3, "roe"): (181, 3151),
-    ("isothermal-perturbed", "eta", None, "standard", 3, "roe"): (104, 1970),
-    ("isothermal-perturbed", "eta", None, "la", 3, "roe"): (195, 3069),
-    ("isothermal-perturbed", "eta", None, "la", 5, "roe"): (195, 3069),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 3, "roe"): (190, 3235),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 5, "roe"): (190, 3290),
-    ("isothermal-perturbed", "eta", None, "la-s", 3, "roe"): (203, 3165),
-    ("isothermal-perturbed", "eta", None, "la-s", 5, "roe"): (203, 3165),
-    ("isothermal-10x", None, None, "dwb", 5, "roe"): (177, 3089),
-    ("isothermal-10x", None, None, "standard", 5, "roe"): (100, 1853),
-    ("isothermal-10x", None, WALL, "dwb", 5, "roe"): (229, 4051),
-    ("isothermal-10x", None, WALL, "standard", 5, "roe"): (167, 3057),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "roe"): (180, 3153),
+    ("isothermal-perturbed", "eta", None, "standard", 5, "roe"): (104, 1964),
+    ("isothermal-perturbed", "eta", None, "dwb", 3, "roe"): (180, 3098),
+    ("isothermal-perturbed", "eta", None, "standard", 3, "roe"): (104, 1964),
+    ("isothermal-perturbed", "eta", None, "la", 3, "roe"): (194, 3038),
+    ("isothermal-perturbed", "eta", None, "la", 5, "roe"): (194, 3038),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 3, "roe"): (188, 3201),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 5, "roe"): (188, 3256),
+    ("isothermal-perturbed", "eta", None, "la-s", 3, "roe"): (201, 3131),
+    ("isothermal-perturbed", "eta", None, "la-s", 5, "roe"): (201, 3131),
+    ("isothermal-10x", None, None, "dwb", 5, "roe"): (176, 3036),
+    ("isothermal-10x", None, None, "standard", 5, "roe"): (100, 1847),
+    ("isothermal-10x", None, WALL, "dwb", 5, "roe"): (228, 3994),
+    ("isothermal-10x", None, WALL, "standard", 5, "roe"): (176, 3208),
     ("polytropic-radiation", "perturbation", None, "dwb", 3, "roe"):
-        (305, 5643),
+        (304, 5590),
     ("polytropic-radiation", "perturbation", None, "standard", 3, "roe"):
-        (145, 2764),
-    ("polytrope-2d", None, None, "standard", 3, "roe"): (141, 2919),
-    ("polytrope-2d", None, None, "la", 3, "roe"): (233, 4030),
-    ("polytrope-2d", None, None, "la-s", 3, "roe"): (241, 4126),
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "hllc"): (185, 3197),
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "rusanov"): (180, 2935),
-    ("polytrope-2d", None, None, "la", 3, "hllc"): (243, 4012),
-    ("polytrope-2d", None, None, "la", 3, "rusanov"): (233, 3488),
+        (145, 2758),
+    ("polytrope-2d", None, None, "standard", 3, "roe"): (141, 2905),
+    ("polytrope-2d", None, None, "la", 3, "roe"): (232, 3991),
+    ("polytrope-2d", None, None, "la-s", 3, "roe"): (239, 4084),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "hllc"): (184, 3144),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "rusanov"): (179, 2882),
+    ("polytrope-2d", None, None, "la", 3, "hllc"): (242, 3973),
+    ("polytrope-2d", None, None, "la", 3, "rusanov"): (232, 3449),
 }
 SIZES = {"polytrope-2d": 16}
 

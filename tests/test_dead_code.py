@@ -1,6 +1,6 @@
-"""Every top-level function and class, and every private method, of the
-package has a caller in it, and every name it keeps only for the benchmark
-tracer is one that the tracer patches."""
+"""Every top-level function and class, and every method and property, of
+the package has a caller in it, and every name it keeps only for the
+benchmark tracer is one that the tracer patches."""
 
 import ast
 import importlib.util
@@ -32,46 +32,61 @@ PRIVATE_ALLOWED = {"IdealGasRadiation._internal_energy",
 
 def _definitions_and_loads():
     """Top-level definitions {name: module}, private methods
-    {"Class._name": module} and every name and attribute loaded."""
-    defined, private, used = {}, {}, set()
+    {"Class._name": module}, every name and attribute loaded, and public
+    methods and properties {"Class.name": module}."""
+    defined, private, used, public = {}, {}, set(), {}
     for path in sorted(Path(hydrobal.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
             if isinstance(node, ast.ClassDef):
-                private.update(
-                    (f"{node.name}.{item.name}", path.name)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and item.name.startswith("_")
-                    and not item.name.endswith("__"))
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.endswith("__"):
+                        methods = private if item.name.startswith("_") \
+                            else public
+                        methods[f"{node.name}.{item.name}"] = path.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-    return defined, private, used
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) and node.value.isidentifier():
+                # a name in a string is reached through getattr (the
+                # quantities `thermo` takes)
+                used.add(node.value)
+    return defined, private, used, public
 
 
 def test_every_top_level_definition_is_used_in_src():
-    defined, _, used = _definitions_and_loads()
+    defined, _, used, _ = _definitions_and_loads()
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used | ALLOWED)
     assert unused == []
 
 
 def test_every_private_method_is_called_in_src():
-    _, private, used = _definitions_and_loads()
+    _, private, used, _ = _definitions_and_loads()
     unused = sorted(f"{module}:{name}" for name, module in private.items()
                     if name.split(".")[1] not in used
                     and name not in PRIVATE_ALLOWED)
     assert unused == []
 
 
+def test_every_public_method_and_property_is_used_in_src():
+    # a public method or property that only the tests call is test-only
+    # code: it moves into the tests, or the test reads what the package uses
+    *_, used, public = _definitions_and_loads()
+    unused = sorted(f"{module}:{name}" for name, module in public.items()
+                    if name.split(".")[1] not in used)
+    assert unused == []
+
+
 def test_every_exemption_is_defined_and_unused_in_src():
     # a stale exemption (the name gone, or a caller added) fails here
-    defined, private, used = _definitions_and_loads()
+    defined, private, used, _ = _definitions_and_loads()
     assert sorted(ALLOWED - set(defined)) == []
     assert sorted(ALLOWED & used) == []
     assert sorted(PRIVATE_ALLOWED - set(private)) == []

@@ -30,9 +30,9 @@ def test_derived_accessors():
     assert grid.interior == (slice(2, 6), slice(2, 10))
     np.testing.assert_array_equal(grid.centers(1, include_ghosts=False),
                                   -1.0 + 0.25 * (np.arange(8) + 0.5))
-    xx, yy = grid.center_mesh()
-    assert xx.shape == yy.shape == (8, 12)
-    assert xx[0, 0] == grid.centers(0)[0] and yy[0, -1] == grid.centers(1)[-1]
+    x, y = grid.centers(0), grid.centers(1)
+    assert (x.size, y.size) == (8, 12)
+    assert x[0] == -0.375 and y[-1] == 1.375
     # a 1-D interior is a plain slice, so data[c, grid.interior] indexes
     assert Grid((0.0, 1.0), (4,), 1).interior == slice(1, 5)
     with pytest.raises(ConfigurationError, match=r"\(8, 12\)"):

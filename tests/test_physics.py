@@ -229,6 +229,8 @@ BAD_SIDES = {
     "negative-density": lambda q: q.__setitem__((0, 2), -1.0),
     "zero-eps": lambda q: q.__setitem__((slice(1, None), 2), 0.0),
     "negative-eps": lambda q: q.__setitem__((-1, 2), -1.0),
+    "nan-energy": lambda q: q.__setitem__((-1, 2), np.nan),
+    "inf-energy": lambda q: q.__setitem__((-1, 2), np.inf),
 }
 
 
@@ -363,10 +365,10 @@ def test_cfl_rate_matches_two_inversions(eos, tol):
 @pytest.mark.parametrize("nodes", [(), (2,)], ids=["1d", "2d"])
 def test_positivity_fallback_in_one_pass(nodes):
     # one pass over the face buffer resets the same cells, on every face,
-    # as a face-by-face pass, and counts them over the band, where the
-    # gate lies
+    # as a face-by-face pass, and counts every cell it is given with the
+    # gate's rejected ones
     rng = np.random.default_rng(37)
-    eos, cells, ng = IdealGas(1.4), ((12,), (9, 8))[len(nodes) // 2], 2
+    eos, cells = IdealGas(1.4), ((12,), (9, 8))[len(nodes) // 2]
     faces = [face for pair in random_faces(rng, eos, cells, nodes)
              for face in pair]
     bad = rng.random(cells) < 0.3
@@ -382,11 +384,9 @@ def test_positivity_fallback_in_one_pass(nodes):
                        np.moveaxis(buffer, 1, 0)], axis=0)
     expected = buffer.copy()
     expected[:, :, ~physical] = data[:, None, ~physical]
-    band = tuple(slice(ng - 1, n + 1 - ng) for n in cells)
-    count = positivity_fallback(buffer, data, ng, good[band])
+    count = positivity_fallback(buffer, data, good)
     assert np.array_equal(buffer, expected)
-    assert count == np.count_nonzero(~good[band]) \
-        + np.count_nonzero(~physical[band])
+    assert count == np.count_nonzero(~good) + np.count_nonzero(~physical)
     assert not physical.all()
 
 
@@ -397,10 +397,9 @@ def test_positivity_fallback_is_the_physical_state_predicate(nodes):
     # negative, NaN and infinite densities and energies, and eps = 0 or
     # one ulp of the energy above it, at random faces
     rng = np.random.default_rng(41)
-    eos, cells, ng = IdealGas(1.4), ((40,), (12, 11))[len(nodes)], 2
+    eos, cells = IdealGas(1.4), ((40,), (12, 11))[len(nodes)]
     rows = 2 * len(cells) * (nodes[0] if nodes else 1)
     special = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300]
-    band = tuple(slice(ng - 1, n + 1 - ng) for n in cells)
     for _ in range(10):
         faces = random_faces(rng, eos, cells, (rows,))[0][0]
         # eps = 0 exactly (the energy is the kinetic energy), or one ulp
@@ -417,9 +416,9 @@ def test_positivity_fallback_is_the_physical_state_predicate(nodes):
         rejected = ~physical_state(faces)[1].all(axis=0)
         expected = faces.copy()
         expected[:, :, rejected] = data[:, None, rejected]
-        count = positivity_fallback(faces, data, ng)
+        count = positivity_fallback(faces, data)
         assert np.array_equal(faces, expected, equal_nan=True)
-        assert count == np.count_nonzero(rejected[band]) > 0
+        assert count == np.count_nonzero(rejected) > 0
 
 
 def test_unknown_flux_rejected_at_scheme_construction():
@@ -447,12 +446,12 @@ def test_wall_flux_zero_mass_flux_random_states():
         np.testing.assert_allclose(f[2], 0.0, atol=1e-14)
 
 
-def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing, n_ghost,
+def _mirrored_pair_divergence(faces, flux_fn, eos, axes, spacing,
                               weights=None):
     """`flux_divergence` with each solid-wall flux from its own
     `wall_boundary_flux` call on the boundary cell's face state; face
-    states (C, *nodes, *cells)."""
-    ng, div = n_ghost, 0.0
+    states (C, *nodes, *cells) with one ghost layer per side."""
+    ng, div = 1, 0.0
     lead = (slice(None),) * (1 if weights is None else 2)
     for a, ((lo, hi), kinds, h) in enumerate(zip(faces, axes, spacing)):
         cut = lead + tuple(slice(None) if b == a else slice(ng, -ng)
@@ -510,13 +509,13 @@ def test_wall_sides_in_one_flux_call(cells, axes, flux_fn):
     # mirrored pairs bit for bit; 2-D faces carry a Gauss-node axis ahead
     # of the cells
     rng = np.random.default_rng(17)
-    ng, spacing = 2, (0.1, 0.07)[:len(cells)]
+    spacing = (0.1, 0.07)[:len(cells)]
     nodes, weights = ((2,), np.array([0.5, 0.5])) if len(cells) == 2 \
         else ((), None)
     for eos in (IdealGas(1.4), IdealGasRadiation(1.4)):
         faces = random_faces(rng, eos, cells, nodes)
         expected = _mirrored_pair_divergence(faces, flux_fn, eos, axes,
-                                             spacing, ng, weights)
+                                             spacing, weights)
         calls = []
 
         def counting(*args, **kw):
@@ -524,7 +523,7 @@ def test_wall_sides_in_one_flux_call(cells, axes, flux_fn):
             return flux_fn(*args, **kw)
 
         got = flux_divergence([(lo.copy(), hi.copy()) for lo, hi in faces],
-                              counting, eos, axes, spacing, ng, weights)
+                              counting, eos, axes, spacing, weights)
         assert np.array_equal(got, expected)
         assert calls == list(range(1, len(cells) + 1))
 
@@ -554,24 +553,29 @@ def test_operator_makes_one_flux_call_per_axis(scenario, bc):
     assert calls == list(range(1, len(grid.cells) + 1))
 
 
-@pytest.mark.parametrize("scenario, kind, bc", [
-    ("isothermal-perturbed", "dwb", None),
-    ("isothermal-10x", "dwb", ("hydrostatic-extrapolation", WALL)),
-    ("polytrope-2d", "la", None),
-    ("polytrope-2d", "standard", (WALL,) * 4),
-    ("radial-rayleigh-taylor", "la-s", None)],
-    ids=["1d-periodic", "1d-wall", "2d-dirichlet", "2d-wall", "2d-background"])
+@pytest.mark.parametrize("scenario, kind, order, bc", [
+    ("isothermal-perturbed", "dwb", 3, None),
+    ("isothermal-perturbed", "dwb", 5, None),
+    ("isothermal-10x", "dwb", 3, ("hydrostatic-extrapolation", WALL)),
+    ("polytrope-2d", "la", 3, None),
+    ("polytrope-2d", "standard", 3, (WALL,) * 4),
+    ("radial-rayleigh-taylor", "la-s", 3, None)],
+    ids=["1d-periodic", "1d-periodic-dwb5", "1d-wall", "2d-dirichlet",
+         "2d-wall", "2d-background"])
 @pytest.mark.parametrize("flux", ["roe", "hllc", "rusanov"])
-def test_operator_flux_pairs_are_c_ordered(scenario, kind, bc, flux,
+def test_operator_flux_pairs_are_c_ordered(scenario, kind, order, bc, flux,
                                            monkeypatch):
     # every flux call of the operator takes face states whose stacked pair
     # is C-ordered (a 2-D face's Gauss-node axis ahead of its cells, not
-    # strided by the cell count): a spy on the flux table fails otherwise
-    from hydrobal import physics
+    # strided by the cell count): a spy on the flux table fails otherwise;
+    # the frame reads the flux band alone, the n + 2 cells per axis of the
+    # interior and one ghost layer per side: a spy on the positivity
+    # fallback fails otherwise
+    from hydrobal import operator1d, physics
     from hydrobal.cases import grid_for, init_cell_averages, make_scenario
     from hydrobal.runner import make_operator
 
-    calls = []
+    calls, spans = [], []
 
     def spy(fn):
         def checked(q_l, q_r, eos, normal=1):
@@ -581,20 +585,27 @@ def test_operator_flux_pairs_are_c_ordered(scenario, kind, bc, flux,
             return fn(q_l, q_r, eos, normal=normal)
         return checked
 
+    def fallback(faces, data, good=None):
+        spans.append((faces.shape[2:], data.shape[1:]))
+        return positivity_fallback(faces, data, good)
+
     for name, fn in physics.FLUXES.items():
         monkeypatch.setitem(physics.FLUXES, name, spy(fn))
+    monkeypatch.setattr(operator1d, "positivity_fallback", fallback)
     scen = make_scenario(scenario, **({"eta": 1e-3} if "perturbed" in
                                       scenario else {}))
     if bc is not None:
         scen.boundary = (BoundarySpec1D if len(bc) == 2 else
                          BoundarySpec2D)(*bc)
-    scheme = Scheme(kind, 3, flux)
+    scheme = Scheme(kind, order, flux)
     grid = grid_for(scen, 16, scheme.n_ghost)
     data = init_cell_averages(scen, grid).data
     op = make_operator(scen, grid, scheme)
     op.set_initial_state(data)
     assert np.all(np.isfinite(op.rhs(data)))
     assert calls == list(range(1, len(grid.cells) + 1))
+    flux_band = tuple(n + 2 for n in grid.cells)
+    assert spans == [(flux_band, flux_band)]
 
 
 def test_roe_2d_contact_and_consistency():

@@ -768,17 +768,18 @@ def full_reconstruction_rhs_1d(op, state):
     from `build_profiles` (DWB: product terms, node tables and the crop to
     the flux band written out here) or the LA stage, the product tables'
     source means and the frame's `positivity_fallback` and
-    `flux_divergence`.  Returns the RHS, the fallback count and the gate
-    (flux band cells)."""
+    `flux_divergence` on the flux band.  Returns the RHS, the fallback
+    count and the gate (flux band cells)."""
     scheme, grid, r = op.scheme, op.grid, op.scheme.radius
-    cells = slice(r, grid.shape_tot[0] - r)
-    bg = scheme.n_ghost - r     # the band's ghost layers
+    ng, n_tot = scheme.n_ghost, grid.shape_tot[0]
+    cells = slice(r, n_tot - r)                     # the band
+    flux = slice(ng - 1, n_tot + 1 - ng)            # the flux band
+    bg = ng - r     # the band's ghost layers
     data = state.copy()
     op.fill_ghosts(data)
     rec = op.cweno.coefficients(data)               # (C, m, band cells)
-    faces = op._face_rows @ rec
+    faces = (op._face_rows @ rec)[..., bg - 1:rec.shape[-1] + 1 - bg]
     face_l, face_r = faces.transpose(1, 0, 2)
-    flux = slice(bg - 1, face_l.shape[1] + 1 - bg)  # the band's flux band
     g = op._g_rows[0]                               # (m_g, band cells)
     e_window = stencil_windows(data[2], (2 * r + 1,))
     la = scheme.well_balanced and not scheme.piecewise_source
@@ -804,16 +805,16 @@ def full_reconstruction_rhs_1d(op, state):
     else:
         e_faces, good = op._equilibrium(rec, data[0, cells], data[2, cells],
                                         e_window)
-    face_l[2, flux] = np.where(good, e_faces[0], face_l[2, flux])
-    face_r[2, flux] = np.where(good, e_faces[1], face_r[2, flux])
-    count = positivity_fallback(faces, data[:, cells], bg, good)
+    face_l[2] = np.where(good, e_faces[0], face_l[2])
+    face_r[2] = np.where(good, e_faces[1], face_r[2])
+    count = positivity_fallback(faces, data[:, flux], good)
     # the exact source means: s = sum_ij q_i mean_ij g_j for q = rho, rho u
     means = tables.means.reshape(len(rec[0]), len(g))
     source = np.einsum("dic,ic->dc", rec[:2], means @ g)
     out = np.zeros_like(data)
     out[:, grid.interior] = flux_divergence(
         ((face_l, face_r),), op.flux_fn, op.eos, op.boundary.axes,
-        grid.spacing, bg)
+        grid.spacing)
     out[1:, grid.interior] += source[:, bg:-bg]
     return out, count, good
 
@@ -832,13 +833,13 @@ def full_reconstruction_rhs_2d(op, state, monkeypatch):
         good = op._profiles_and_faces(rec, data, equilibrium)
     faces[3] = np.where(good.reshape(-1), equilibrium[3], faces[3])
     count = positivity_fallback(faces.reshape(faces.shape[:2] + op._shape),
-                                data[:, 1:-1, 1:-1], 1, good)
+                                data[:, 1:-1, 1:-1], good)
     # per face (C, nodes, X, Y), the nodes ahead of the cells
     xl, xr, yl, yr = faces.reshape((4, 4, -1) + op._shape).swapaxes(0, 1)
     out = np.zeros_like(data)
     out[interior_index(op.grid)] = flux_divergence(
         ((xl, xr), (yl, yr)), op.flux_fn, op.eos, op.boundary.axes,
-        op.grid.spacing, 1, op._face_w) + op._sources(rec)[:, 1:-1, 1:-1]
+        op.grid.spacing, op._face_w) + op._sources(rec)[:, 1:-1, 1:-1]
     return out, count, good
 
 
