@@ -23,7 +23,7 @@ def _add_common(parser):
     parser.add_argument("--config", type=Path, help="JSON configuration file")
     parser.add_argument("--scenario", help="scenario name (overrides config)")
     parser.add_argument("--scheme", help="standard|dwb|dwb-s|la|la-s")
-    parser.add_argument("--order", type=int, help="1|3|5")
+    parser.add_argument("--order", type=int, help="3|5")
     parser.add_argument("--n", type=int, help="cells per axis")
     parser.add_argument("--flux", help="roe|hllc|rusanov")
     parser.add_argument("--cfl", type=float)

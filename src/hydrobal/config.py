@@ -5,7 +5,7 @@ Top-level keys (unknown keys are rejected):
   scenario          str, one of the scenario names (required)
   scenario_params   object passed to the scenario factory (default {})
   scheme            'standard' | 'dwb' | 'dwb-s' | 'la' | 'la-s'
-  order             1 | 3 | 5
+  order             3 | 5
   flux              'roe' | 'hllc' | 'rusanov'
   n                 int, cells per axis (single runs)
   resolutions       [int, ...] (studies; overrides n)
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigurationError
 from .integrate import StepController, check_nonnegative
-from .reconstruct import _regularization
+from .reconstruct import _regularization, check_order
 from .runner import check_init
 
 _ALLOWED = {
@@ -105,6 +105,8 @@ def validate_config(raw):
             raise ConfigurationError("reference.kind must be 'initial' or 'fine'")
         if ref["kind"] == "fine" and "n" not in ref:
             raise ConfigurationError("a fine reference needs reference.n")
+        check_order(ref.get("order", 3))
+    check_order(raw.get("order", 3))
     check_init(raw.get("init", "averages"))
     if raw.get("repetitions", 1) < 1:
         raise ConfigurationError("repetitions must be >= 1")

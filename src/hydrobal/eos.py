@@ -4,10 +4,10 @@ Two models: the ideal gas law, and an ideal gas subject to radiation
 pressure where the temperature is only implicitly defined.  The radiation
 model takes its temperature from the closed-form root of a quartic
 (`_quartic_root`) of a positive density and pressure or energy.  Its
-conversions guard their input and confirm the root with one Newton step
-(`_newton`), which the fluxes' contact property needs; no conversion
-iterates.  `closed_form` is the same EoS without guard and polish, for the
-Newton anchor alone (`wellbalance.anchor_pressure_newton`).
+conversions guard their input and take one Newton step from the root
+(`_newton`), which the fluxes' contact property needs; nothing iterates.
+`closed_form` is the same EoS without guard and step, for the Newton
+anchor alone (`wellbalance.anchor_pressure_newton`).
 `thermo` returns several quantities of one (rho, p) state from a single
 temperature, and `thermo_eps` the pressure and those quantities of one
 (rho, eps) state.  At the sizes of one right-hand side a radiation
@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError, EosFailure
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_ITER = 100
-
 
 def _quartic_root(a, b):
     """The positive root x of x^4 + a*x - b = 0 for a, b > 0, in closed form.
@@ -35,8 +32,9 @@ def _quartic_root(a, b):
     are rewritten as quotients of positive terms,
     z = a^2 / (u^2 + 4b/3 + v^2) and x = 4b / ((r + z)(sqrt(z) + sqrt(2r - z))),
     so nothing cancels.  The quartic is first scaled, x = s*y with
-    s = max(a^(1/3), b^(1/4)), so that a^4 and b^3 cannot overflow.  Only
-    where b / s^4 underflows (b below about 1e-308 * a^(4/3), far outside
+    s = max(a^(1/3), b^(1/4)), so that a^4 and b^3 cannot overflow; 4b / s^4
+    is formed as (4b / s^3) / s, which cannot overflow either.  Only where
+    it underflows (b below about 1e-308 * a^(4/3), far outside
     [1e-100, 1e100]) is the root lost to zero.
     """
     if np.ndim(a) == np.ndim(b) == 0:    # in-place temporaries need arrays
@@ -46,8 +44,8 @@ def _quartic_root(a, b):
     s = np.cbrt(s3)
     a2 = a / s3
     a2 *= a2
-    b4 = s3 * s
-    np.divide(4.0 * b, b4, out=b4)
+    b4 = 4.0 * b / s3
+    b4 /= s                                 # 4b / s^4, which cannot overflow
     c, h = b4 / 3.0, 0.5 * a2
     u = c * c * c
     u += h * h
@@ -154,23 +152,19 @@ class IdealGasRadiation:
     The temperature is defined implicitly through
     eps = rho*T/(gamma-1) + 3*T^4.  Both T from p and T from eps are the
     positive root of one quartic x^4 + a*x - b = 0 (a = rho, b = p, resp.
-    a = rho / (3(gamma-1)), b = eps/3), taken in closed form.  Both
-    residuals are increasing and convex in T, so the Newton polish that
-    follows converges monotonically from above after its first step.
+    a = rho / (3(gamma-1)), b = eps/3), taken in closed form.
     In front of the root, `_guard` names a density, pressure or energy
     that is not a finite positive number (NaN, zero, negative or +inf).
-    `_newton` is the polish: one residual evaluation and one step confirm
-    a start good to 1e-14, and it raises `EosFailure` when the start is
-    not finite or zero.  It stays a method of its own because the
-    benchmark tracer (perfbench/spans.py) counts its residual evaluations:
-    one per inversion.  The kernels are lean in numpy calls: the root works
-    on in-place temporaries, and the residuals and quantities share T^3 and
-    take no power.
+    From a root good to about 1e-15, Newton's quadratic convergence makes
+    one step (`_newton`, a method the benchmark tracer perfbench/spans.py
+    counts) the converged temperature, within 1e-15 over [1e-100, 1e100].
+    The kernels are lean in numpy calls: the root works on in-place
+    temporaries, and the residuals and quantities share T^3.
 
-    The polish is for the fluxes: without it the contact property misses
+    The step is for the fluxes: without it the contact property misses
     its 1e-13 bound.  The fluxes, the CFL rate, the -S anchors' node
-    energies and every public conversion are guarded and polished; the
-    Newton anchor alone evaluates `closed_form`.
+    energies and every public conversion are guarded and take the step;
+    the Newton anchor alone evaluates `closed_form`.
     """
 
     name = "ideal-radiation"
@@ -202,34 +196,27 @@ class IdealGasRadiation:
 
     @staticmethod
     def _newton(t, rho, target, f, fprime):
-        # f is convex and increasing: from any positive start the first
-        # step lands at or above the root, and the iteration then decreases
-        # monotonically; a halving step guards against a step below zero.
-        for _ in range(_NEWTON_MAX_ITER):
-            step = f(t) / fprime(t)
-            t_new = t - step
-            if not t_new.min(initial=np.inf) > 0.0:
-                if not np.isfinite(t_new).all():
-                    raise EosFailure("no temperature for an infinite or NaN "
-                                     "input", rho=rho, other=target)
-                t_new = np.where(t_new > 0.0, t_new, 0.5 * t)
-                if not t_new.min(initial=np.inf) > 0.0:   # a zero start
-                    raise EosFailure("no temperature for a zero pressure or "
-                                     "energy", rho=rho, other=target)
-            if (np.abs(step) / t_new).max(initial=0.0) <= _NEWTON_TOL:
-                return t_new
-            t = t_new
-        raise EosFailure("temperature inversion did not converge",
-                         rho=rho, other=target)
+        """One Newton step from the closed-form root `t` of (rho, target);
+        `EosFailure` names the first state left with no positive (or a NaN)
+        temperature, as where the root underflows."""
+        t = t - f(t) / fprime(t)
+        if not t.min(initial=np.inf) > 0.0:
+            at = [float(np.broadcast_to(v, t.shape).flat[np.argmax(~(t > 0))])
+                  for v in (rho, target, t)]
+            raise EosFailure("no temperature at density {!r}, pressure or "
+                             "energy {!r}: one Newton step from the closed-"
+                             "form root gives {!r}".format(*at), rho, target)
+        return t
 
     @cached_property
     def closed_form(self):
         """This EoS with every temperature the closed-form root, with no
-        input guard and no polish: within 1.2e-15 of the polished root over
-        [1e-100, 1e100] (2e5 log-uniform samples per input pair).  For the
-        Newton anchor alone, which makes its rows positive and whose next
-        step confirms its result; a non-positive or infinite input gives NaN
-        or a warning, not `EosFailure`."""
+        input guard and no Newton step: within 1.2e-15 of the stepped root
+        over [1e-100, 1e100] (2e5 log-uniform samples per input pair).  For
+        the Newton anchor alone, which makes its rows positive and whose
+        next step confirms its result; a non-positive or infinite input
+        gives NaN or a warning, not `EosFailure`.  The guarded step there
+        would cost DWB-O3's radiation RHS 8 to 10%."""
         return _ClosedFormRadiation(self.gamma)
 
     # -- public conversions ----------------------------------------------

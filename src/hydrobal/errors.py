@@ -10,7 +10,7 @@ class ConfigurationError(HydrobalError, ValueError):
 
 
 class EosFailure(HydrobalError):
-    """An equation-of-state inversion failed to converge."""
+    """An equation-of-state inversion found no positive temperature."""
 
     def __init__(self, message, rho=None, other=None):
         super().__init__(message)

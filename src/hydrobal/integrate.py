@@ -11,31 +11,24 @@ from .physics import cfl_rate, physical_state
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    name: str
     a: tuple
     b: tuple
     c: tuple
-    order: int
 
     @property
     def stages(self):
         return len(self.b)
 
 
-FORWARD_EULER = ButcherTableau("euler", ((),), (1.0,), (0.0,), 1)
-
 # four-stage third-order SSP scheme (effective CFL coefficient 2)
 SSPRK43 = ButcherTableau(
-    "ssprk43",
     ((), (0.5,), (0.5, 0.5), (1 / 6, 1 / 6, 1 / 6)),
     (1 / 6, 1 / 6, 1 / 6, 0.5),
     (0.0, 0.5, 1.0, 0.5),
-    3,
 )
 
 # classic six-stage fifth-order explicit method
 RK5 = ButcherTableau(
-    "rk5",
     ((),
      (0.25,),
      (0.125, 0.125),
@@ -44,12 +37,11 @@ RK5 = ButcherTableau(
      (-3 / 7, 2 / 7, 12 / 7, -12 / 7, 8 / 7)),
     (7 / 90, 0.0, 32 / 90, 12 / 90, 32 / 90, 7 / 90),
     (0.0, 0.25, 0.25, 0.5, 0.75, 1.0),
-    5,
 )
 
 
 def tableau_for_order(order):
-    return {1: FORWARD_EULER, 3: SSPRK43, 5: RK5}[order]
+    return {3: SSPRK43, 5: RK5}[order]
 
 
 def rk_step(state, dt, rhs, tableau):

@@ -35,7 +35,7 @@ from .boundary import (
     ghost_mean_table,
     set_edge_ghosts,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FluxEvaluationError
 from .grid import interior_index
 from .physics import flux_divergence, get_flux, positivity_fallback
 # names perfbench/spans.py patches, which only have to exist: the solver makes
@@ -196,7 +196,7 @@ class SpatialOperator:
 
         # the band, with bg ghost layers, and the interior cells of the
         # grid and of the band
-        self._band = (slice(None),) + (slice(r, -r or None),) * dim
+        self._band = (slice(None),) + (slice(r, -r),) * dim
         bg = ng - r
         self._shape = tuple(n + 2 * bg for n in grid.cells)
         self._interior = interior_index(grid)
@@ -325,6 +325,20 @@ class SpatialOperator:
         self._hydrostatic_fill(data,
                                rec.transpose(0, 2, 1)[:, self._piece_cells])
         return rec
+
+    def _check_ghost_densities(self, data):
+        """After a failed flux: name the side, the ghost and its density
+        where a rough state extrapolated a ghost density that is not a
+        finite positive number, the nearest to a boundary first."""
+        cells = self._ghost_cells[:, ::-1].T     # (ghosts out, sides)
+        rho = data[0, cells]
+        for k, s in np.argwhere(~((rho > 0.0) & (rho < np.inf)))[:1]:
+            side = self._hydro_sides[s]
+            raise FluxEvaluationError(
+                f"the {getattr(self.boundary, side)} {side} side "
+                f"extrapolates ghost {k + 1} of {len(cells)} out from the "
+                f"boundary (grid cell {int(cells[k, s])}) to the density "
+                f"{float(rho[k, s])!r}")
 
     def _hydrostatic_fill(self, data, pieces):
         """Replace the extrapolated ghost energies of every hydrostatic side
@@ -470,11 +484,16 @@ class SpatialOperator:
             data[self._flux_band], good)
         shape, axes = self._pairs
         out = np.zeros_like(data)
-        out[self._interior] = flux_divergence(
-            faces.reshape((len(data),) + shape).transpose(axes), self.flux_fn,
-            self.eos, self.boundary.axes, self.grid.spacing,
-            self._face_w) + self._sources(rec)[self._inner]
-        return out
+        try:
+            out[self._interior] = flux_divergence(
+                faces.reshape((len(data),) + shape).transpose(axes),
+                self.flux_fn, self.eos, self.boundary.axes, self.grid.spacing,
+                self._face_w) + self._sources(rec)[self._inner]
+            return out
+        except FluxEvaluationError:
+            if self._hydro_sides:
+                self._check_ghost_densities(data)
+            raise
 
 
 # the names the benchmark tracer (perfbench/spans.py) patches the 1-D

@@ -1,8 +1,7 @@
 """CWENO reconstruction of cell averages, gravity interpolation, and the
 product-basis tables of their products.
 
-1-D orders 3 and 5 (plus the degenerate piecewise-constant order 1 used by
-the first-order reference scheme) and the 3x3-stencil third-order 2-D
+1-D orders 3 and 5 (`check_order`) and the 3x3-stencil third-order 2-D
 variant.  Candidate-polynomial matrices and smoothness-indicator quadratic
 forms are built with exact rational arithmetic and cached per order (2-D:
 per aspect ratio dy/dx) as read-only tables; the grid spacing enters only
@@ -101,6 +100,12 @@ def monomials_1d(order):
     return tuple((k,) for k in range(order))
 
 
+def check_order(order):
+    """Reject a 1-D order other than CWENO3's and CWENO5's."""
+    if order not in (3, 5):
+        raise ConfigurationError(f"unsupported order {order}")
+
+
 def stencil_windows(values, width):
     """Every full stencil of shape `width` over the trailing axes of the
     C-contiguous array `values` (any other raises), one strided view
@@ -154,8 +159,7 @@ def _blend_table(opt, cands, dlin, form):
     diagonal.sort(key=lambda entry: entry[3] > 0.0)
     coefficient = factored + diagonal
     indicated = [entry for entry in diagonal if entry[3] > 0.0] + factors
-    table = np.array([row for _, _, row, _ in coefficient + factors]
-                     ).reshape(-1, n_window)
+    table = np.array([row for _, _, row, _ in coefficient + factors])
     indicator = np.zeros((len(cands) + 1, len(indicated)))
     for j, (k, _, _, a) in enumerate(indicated):
         indicator[k, j] = a
@@ -256,7 +260,7 @@ def _cweno_1d_table(order):
     stencil = list(range(-(order // 2), order // 2 + 1))
     # the one-sided candidates share half of the linear weight; the
     # central polynomial takes the rest
-    subs = {1: [], 3: [[-1, 0], [0, 1]],
+    subs = {3: [[-1, 0], [0, 1]],
             5: [[-2, -1, 0], [-1, 0, 1], [0, 1, 2]]}[order]
     cands = [_embed(_average_fit_matrix(s, len(s) - 1), stencil, s, order)
              for s in subs]
@@ -272,14 +276,12 @@ class Cweno1D(_CwenoBlend):
 
     Candidates per spec defaults: order 3 uses two one-sided linears plus a
     central parabola with linear weights (1/4, 1/4, 1/2); order 5 uses three
-    quadratics plus a degree-4 central polynomial with weights (1/6 x3, 1/2);
-    order 1 is the central constant alone.  The regularization is
-    eps_w = dx**2.
+    quadratics plus a degree-4 central polynomial with weights (1/6 x3, 1/2).
+    The regularization is eps_w = dx**2.
     """
 
     def __init__(self, order, dx, eps_w=None):
-        if order not in (1, 3, 5):
-            raise ConfigurationError(f"unsupported reconstruction order {order}")
+        check_order(order)
         self.order = order
         self.exps = monomials_1d(order)
         self.dx = float(dx)
@@ -326,8 +328,7 @@ class GravityInterp1D(_GravityInterp):
     """Degree m-1 interpolation of cell-centered gravity point values."""
 
     def __init__(self, order, dx):
-        if order not in (1, 3, 5):
-            raise ConfigurationError(f"unsupported interpolation order {order}")
+        check_order(order)
         self.order = order
         self.exps = monomials_1d(order)
         self.dx = float(dx)

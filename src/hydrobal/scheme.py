@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .physics import get_flux
+from .reconstruct import check_order
 
 KINDS_1D = ("standard", "dwb", "dwb-s", "la", "la-s")
 KINDS_2D = ("standard", "la", "la-s")
@@ -26,10 +27,7 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in KINDS_1D:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        if self.order not in (1, 3, 5):
-            raise ConfigurationError(f"unsupported order {self.order}")
-        if self.order == 1 and self.kind != "standard":
-            raise ConfigurationError("order 1 is only available as a standard scheme")
+        check_order(self.order)
         get_flux(self.flux)
 
     @property

@@ -151,7 +151,7 @@ def anchor_pressure_newton(c_rows, rho_rows, own, rho_hat, eps_hat, eos,
     accurate as any other, and a halving step guards against negative trial
     pressures.  Every EoS evaluation, the start's `thermo_eps` and one
     `thermo` per iteration, is at `eos.closed_form`, without guard and
-    polish: 1 stands in for a non-positive p or rho and for a non-finite
+    Newton step: 1 stands in for a non-positive p or rho and for a non-finite
     averaged state, and the next iteration confirms the last one's
     temperatures.  ok is False where the iteration did not converge, the
     averaged state is not finite and positive, or p or rho is not positive

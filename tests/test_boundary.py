@@ -11,7 +11,7 @@ from hydrobal.cases import (
     isothermal_1d,
     make_scenario,
 )
-from hydrobal.errors import ConfigurationError
+from hydrobal.errors import ConfigurationError, FluxEvaluationError
 from hydrobal.grid import Grid
 from hydrobal.poly import poly_antiderivative, poly_eval, poly_mul
 from hydrobal.reconstruct import GravityInterp1D
@@ -432,6 +432,38 @@ def test_hydrostatic_extrapolation_dynamic_consistency():
     # ghost energies positive and finite after the correction
     assert np.all(np.isfinite(work[2, :grid.n_ghost]))
     assert np.all(work[2, :grid.n_ghost] > 0.0)
+
+
+@pytest.mark.parametrize("kind, seed, side, ghost, cell", [
+    ("standard", 3, "right", "1 of 3", 43),
+    ("standard", 5, "right", "1 of 3", 43),
+    ("dwb", 3, "left", "1 of 5", 4), ("dwb", 5, "right", "1 of 5", 45),
+    ("la", 3, "right", "1 of 3", 43), ("la", 5, "right", "1 of 3", 43)])
+def test_non_positive_extrapolated_ghost_is_named(kind, seed, side, ghost,
+                                                  cell):
+    # a rough but physical state: every cell scaled by 1 + 0.3 N(0, 1) and
+    # given 3% momentum noise; the extrapolation gives a ghost a negative
+    # density, and the failed flux names the side, the ghost and its density
+    scen = make_scenario("isothermal-perturbed", eta=1e-3)
+    scen.boundary = BoundarySpec1D(EXTRAP, EXTRAP)
+    scheme = Scheme(kind, 5)
+    grid = grid_for(scen, 40, scheme.n_ghost)
+    data = init_cell_averages(scen, grid).data
+    rng = np.random.default_rng(seed)
+    data *= 1.0 + 0.3 * rng.standard_normal(data.shape[1])
+    data[1] += 0.03 * rng.standard_normal(data.shape[1]) * data[0]
+    assert np.all(data[0] > 0.0) and np.all(data[2] > 0.0)
+    op = make_operator(scen, grid, scheme)
+    op.set_initial_state(data)
+    filled = data.copy()
+    op.fill_ghosts(filled)
+    with pytest.raises(FluxEvaluationError) as error:
+        op.rhs(data)
+    assert str(error.value) == (
+        f"the hydrostatic-extrapolation {side} side extrapolates ghost "
+        f"{ghost} out from the boundary (grid cell {cell}) to the density "
+        f"{float(filled[0, cell])!r}")
+    assert filled[0, cell] < 0.0
 
 
 class TestBackgroundDeviationFill2D:

@@ -27,31 +27,31 @@ WALL = ("hydrostatic-extrapolation", "solid-wall")
 # flux) -> (profiled calls, opcodes), at n = 48 (2-D: 16 x 16) from the
 # averaged initial state
 PINS = {
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "roe"): (180, 3153),
-    ("isothermal-perturbed", "eta", None, "standard", 5, "roe"): (104, 1964),
-    ("isothermal-perturbed", "eta", None, "dwb", 3, "roe"): (180, 3098),
-    ("isothermal-perturbed", "eta", None, "standard", 3, "roe"): (104, 1964),
-    ("isothermal-perturbed", "eta", None, "la", 3, "roe"): (194, 3038),
-    ("isothermal-perturbed", "eta", None, "la", 5, "roe"): (194, 3038),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 3, "roe"): (188, 3201),
-    ("isothermal-perturbed", "eta", None, "dwb-s", 5, "roe"): (188, 3256),
-    ("isothermal-perturbed", "eta", None, "la-s", 3, "roe"): (201, 3131),
-    ("isothermal-perturbed", "eta", None, "la-s", 5, "roe"): (201, 3131),
-    ("isothermal-10x", None, None, "dwb", 5, "roe"): (176, 3036),
-    ("isothermal-10x", None, None, "standard", 5, "roe"): (100, 1847),
-    ("isothermal-10x", None, WALL, "dwb", 5, "roe"): (228, 3994),
-    ("isothermal-10x", None, WALL, "standard", 5, "roe"): (176, 3208),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "roe"): (180, 3154),
+    ("isothermal-perturbed", "eta", None, "standard", 5, "roe"): (104, 1965),
+    ("isothermal-perturbed", "eta", None, "dwb", 3, "roe"): (180, 3099),
+    ("isothermal-perturbed", "eta", None, "standard", 3, "roe"): (104, 1965),
+    ("isothermal-perturbed", "eta", None, "la", 3, "roe"): (194, 3039),
+    ("isothermal-perturbed", "eta", None, "la", 5, "roe"): (194, 3039),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 3, "roe"): (188, 3202),
+    ("isothermal-perturbed", "eta", None, "dwb-s", 5, "roe"): (188, 3257),
+    ("isothermal-perturbed", "eta", None, "la-s", 3, "roe"): (201, 3132),
+    ("isothermal-perturbed", "eta", None, "la-s", 5, "roe"): (201, 3132),
+    ("isothermal-10x", None, None, "dwb", 5, "roe"): (176, 3037),
+    ("isothermal-10x", None, None, "standard", 5, "roe"): (100, 1848),
+    ("isothermal-10x", None, WALL, "dwb", 5, "roe"): (228, 3995),
+    ("isothermal-10x", None, WALL, "standard", 5, "roe"): (176, 3209),
     ("polytropic-radiation", "perturbation", None, "dwb", 3, "roe"):
-        (304, 5590),
+        (298, 5487),
     ("polytropic-radiation", "perturbation", None, "standard", 3, "roe"):
-        (145, 2758),
-    ("polytrope-2d", None, None, "standard", 3, "roe"): (141, 2905),
-    ("polytrope-2d", None, None, "la", 3, "roe"): (232, 3991),
-    ("polytrope-2d", None, None, "la-s", 3, "roe"): (239, 4084),
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "hllc"): (184, 3144),
-    ("isothermal-perturbed", "eta", None, "dwb", 5, "rusanov"): (179, 2882),
-    ("polytrope-2d", None, None, "la", 3, "hllc"): (242, 3973),
-    ("polytrope-2d", None, None, "la", 3, "rusanov"): (232, 3449),
+        (139, 2675),
+    ("polytrope-2d", None, None, "standard", 3, "roe"): (141, 2906),
+    ("polytrope-2d", None, None, "la", 3, "roe"): (232, 3992),
+    ("polytrope-2d", None, None, "la-s", 3, "roe"): (239, 4085),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "hllc"): (184, 3145),
+    ("isothermal-perturbed", "eta", None, "dwb", 5, "rusanov"): (179, 2883),
+    ("polytrope-2d", None, None, "la", 3, "hllc"): (242, 3974),
+    ("polytrope-2d", None, None, "la", 3, "rusanov"): (232, 3450),
 }
 SIZES = {"polytrope-2d": 16}
 

@@ -213,10 +213,77 @@ class TestRadiationClosedForm:
                 np.testing.assert_array_equal(value, getattr(eos, name)(rho, p))
 
     def test_non_finite_start_raises(self):
-        with pytest.raises(EosFailure):
-            IdealGasRadiation._newton(np.array([np.nan]), 1.0, 1.0,
-                                      lambda t: t ** 4 + t - 1.0,
+        # the step from a NaN start is NaN, which the check after the step
+        # names with its state
+        with pytest.raises(EosFailure, match=r"density 1\.0, pressure or "
+                           r"energy 2\.0: one Newton step .* gives nan"):
+            IdealGasRadiation._newton(np.array([np.nan]), 1.0, 2.0,
+                                      lambda t: t ** 4 + t - 2.0,
                                       lambda t: 4.0 * t ** 3 + 1.0)
+
+    def test_one_step_from_zero(self):
+        # where the closed-form root underflows to zero, the step gives
+        # target / rho, the root's leading term
+        t = IdealGasRadiation._newton(np.array([0.0]), 4.0, 2.0,
+                                      lambda t: t ** 4 + 4.0 * t - 2.0,
+                                      lambda t: 4.0 * t ** 3 + 4.0)
+        np.testing.assert_array_equal(t, [0.5])
+
+
+def newton_to_convergence(t, f, fprime):
+    """The iterated polish, as a reference: Newton steps from `t` until a
+    step is below 1e-16 of the temperature or, once rounding dominates, no
+    smaller than the one before."""
+    last = np.inf
+    for _ in range(100):
+        step = f(t) / fprime(t)
+        if abs(step) >= abs(last):
+            return t
+        t -= step
+        if abs(step) <= 1e-16 * t:
+            return t
+        last = step
+    raise AssertionError("the reference did not converge")
+
+
+class TestOneNewtonStep:
+    """One Newton step from the closed-form root is the converged
+    temperature, and the extreme inputs return it or raise `EosFailure`."""
+
+    @PROPERTY
+    @given(rho=LOG_UNIFORM, other=LOG_UNIFORM,
+           gamma=st.sampled_from([1.1, 1.4, 5.0 / 3.0]))
+    def test_matches_the_converged_iteration(self, rho, other, gamma):
+        eos = IdealGasRadiation(gamma)
+        t = newton_to_convergence(_quartic_root(rho, other),
+                                  lambda T: T * (rho + T ** 3) - other,
+                                  lambda T: rho + 4.0 * T ** 3)
+        assert abs(eos.temperature_from_p(rho, other) / t - 1.0) <= 1e-15
+        k = rho / (gamma - 1.0)
+        t = newton_to_convergence(_quartic_root(k / 3.0, other / 3.0),
+                                  lambda T: T * (k + 3.0 * T ** 3) - other,
+                                  lambda T: k + 12.0 * T ** 3)
+        assert abs(eos.temperature_from_eps(rho, other) / t - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("invert, expected", [
+        ("temperature_from_p", 1.0), ("temperature_from_eps", 0.4)])
+    def test_huge_density_and_pressure(self, invert, expected):
+        # rho = p = 1e300: the scaled root's 4b / s^4 no longer overflows
+        t = getattr(IdealGasRadiation(1.4), invert)(1e300, 1e300)
+        assert t == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("rho, other", [(1e300, 1e-300), (1e250, 1e-100)])
+    @pytest.mark.parametrize("invert", ["temperature_from_p",
+                                        "temperature_from_eps"])
+    def test_underflowing_root_is_named(self, rho, other, invert):
+        # the temperature, about other / rho, is below the least double: the
+        # step leaves zero, and the error names the state, not a zero input
+        with pytest.raises(EosFailure) as error:
+            getattr(IdealGasRadiation(1.4), invert)(rho, other)
+        assert str(error.value).startswith(
+            f"no temperature at density {rho!r}, pressure or energy "
+            f"{other!r}: one Newton step from the closed-form root gives 0.0")
+        assert "zero" not in str(error.value)
 
 
 EOS_CLASSES = [IdealGas(1.4), IdealGasRadiation(1.4)]
@@ -315,8 +382,8 @@ class TestScalarInputs:
     @pytest.mark.parametrize("name", ["temperature_from_p", "pressure",
                                       "internal_energy"])
     def test_zero_input_is_named(self, name):
-        # a zero pressure or energy has the root T = 0, where the polish's
-        # relative step would divide 0 by 0
+        # a zero pressure or energy has the root T = 0, which the check
+        # after the Newton step would reject without naming the zero
         with pytest.raises(EosFailure, match=r"(pressure|energy) 0\.0: the "
                            r"(pressure|energy) is not a positive number"):
             getattr(IdealGasRadiation(1.4), name)(1.0, 0.0)
@@ -339,9 +406,9 @@ class TestScalarInputs:
         ("temperature_from_eps", 0.5, "energy"),
         ("temperature_from_p", 0.0484, "pressure")])
     def test_negative_density_is_named(self, invert, other, name):
-        # a negative density with a positive energy has a positive root of
-        # the quartic, which used to come back as a temperature (from eps)
-        # or run every polish step (from p); the state is named instead
+        # a negative density with a positive pressure or energy has a
+        # positive root of the quartic, which the one Newton step would
+        # return as a temperature; the guard names the state instead
         rho = np.array([1.0, -0.22, 2.0])
         with pytest.raises(EosFailure) as error:
             getattr(IdealGasRadiation(1.4), invert)(rho, other)

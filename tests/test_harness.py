@@ -50,6 +50,23 @@ class TestConfig:
                            match=key):
             validate_config({"scenario": "isothermal-10x", key: value})
 
+    def test_order_one_rejected(self, tmp_path, capsys):
+        # the scheme set is CWENO3/5: order 1 is refused wherever it enters
+        message = "unsupported order 1"
+        with pytest.raises(ConfigurationError, match=message):
+            Scheme(order=1)
+        path = tmp_path / "order1.json"
+        path.write_text(json.dumps({"scenario": "isothermal-10x",
+                                    "order": 1}))
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(path)
+        with pytest.raises(ConfigurationError, match=message):
+            validate_config({"scenario": "isothermal-10x", "reference": {
+                "kind": "fine", "order": 1, "n": 32}})
+        assert cli_main(["run", "--scenario", "isothermal-10x",
+                         "--order", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_scenario_params_rejected(self):
         cfg = validate_config({"scenario": "isothermal-10x",
                                "scenario_params": {"eta": 0.1}})

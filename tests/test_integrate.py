@@ -6,7 +6,6 @@ from hydrobal.cases import Scenario, init_cell_averages, grid_for
 from hydrobal.eos import IdealGas
 from hydrobal.errors import ConfigurationError, StepFailure
 from hydrobal.integrate import (
-    FORWARD_EULER,
     RK5,
     SSPRK43,
     StepController,
@@ -33,7 +32,7 @@ def scalar_order(tableau, lam=-1.0):
 
 class TestTableaus:
     def test_consistency(self):
-        for tab in (FORWARD_EULER, SSPRK43, RK5):
+        for tab in (SSPRK43, RK5):
             assert sum(tab.b) == pytest.approx(1.0)
             for row, c in zip(tab.a, tab.c):
                 assert sum(row) == pytest.approx(c, abs=1e-15)
@@ -56,7 +55,6 @@ class TestTableaus:
         assert y[0] - cubic == pytest.approx(z ** 4 / 48, rel=1e-12)
 
     def test_tableau_for_order(self):
-        assert tableau_for_order(1) is FORWARD_EULER
         assert tableau_for_order(3) is SSPRK43
         assert tableau_for_order(5) is RK5
 

@@ -98,12 +98,6 @@ class TestCweno1D:
             assert faces.min() > -0.1
             assert faces.max() < 1.1
 
-    def test_order_one_is_piecewise_constant(self):
-        scheme = Cweno1D(1, 0.3)
-        data = np.array([1.0, 2.0, 3.0])
-        coeffs = np.swapaxes(scheme.coefficients(data), -1, -2)
-        np.testing.assert_allclose(coeffs[:, 0], data)
-
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigurationError):
             Cweno1D(4, 0.1)
@@ -424,7 +418,6 @@ class TestFactoredBlend:
         # only the 1-D order-5 central polynomial adds 4 factor rows
         assert [scheme._table.shape[0] for scheme, _ in BLEND_CASES] \
             == [5, 18, 14, 14, 14]
-        assert Cweno1D(1, 0.1)._table.shape == (0, 1)
 
 
 def _property_windows(kind, m, magnitude, rng):
@@ -500,7 +493,7 @@ class TestBlendLayouts:
             scheme.reconstruct_stencils(leading, axis=(0, 1)),
             scheme.reconstruct_stencils(windows))
 
-    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize("order", [3, 5])
     def test_1d_cells_last_is_the_cells_first_fit_moved(self, order):
         # as in 2-D: the cells whose stencil fits, bit for bit
         rng = np.random.default_rng(95 + order)
@@ -546,15 +539,6 @@ class TestBlendLayouts:
                 single = scheme.reconstruct_stencils(strided[:, i, j])
                 assert single.shape == ref.shape[:1]
                 np.testing.assert_array_equal(single, ref[:, i, j])
-
-    def test_order_one_is_the_cell_average(self):
-        scheme = Cweno1D(1, 0.3)
-        values = np.random.default_rng(5).standard_normal((3, 17))
-        coeffs = scheme.reconstruct_stencils(values[None])
-        assert coeffs.shape == (1, 3, 17)
-        np.testing.assert_array_equal(coeffs[0], values)
-        np.testing.assert_array_equal(scheme.coefficients(values)[..., 0, :],
-                                      values)
 
 
 class TestCachedTables:
